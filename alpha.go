@@ -181,7 +181,7 @@ type (
 
 // NewUDPServer starts a multi-association responder on the socket.
 func NewUDPServer(pc net.PacketConn, cfg Config) *Server {
-	return udptransport.NewServer(pc, cfg)
+	return udptransport.NewServerWith(cfg, udptransport.ServerOptions{}, pc)
 }
 
 // UDPRelay is a verifying UDP forwarder between two peers.

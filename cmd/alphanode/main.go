@@ -138,8 +138,6 @@ func main() {
 		metrics   = flag.String("metrics-addr", "", "serve /metrics (Prometheus; ?format=json) and /trace on this HTTP address")
 		traceLen  = flag.Int("trace-size", 4096, "packet-trace ring size (most recent events kept)")
 		ioBatch   = flag.Int("io-batch", 0, "datagrams per recvmmsg/sendmmsg syscall (0 = default; 1 effectively disables batching)")
-		gso       = flag.Bool("gso", false, "UDP segmentation offload: pack same-size send runs with UDP_SEGMENT and split UDP_GRO coalesced receives (Linux >= 4.18/5.0; downgrades to the batched engine elsewhere)")
-		zerocopy  = flag.Bool("zerocopy", false, "opt sends into MSG_ZEROCOPY with errqueue completion reaping (downgrades itself on unsupported kernels and loopback)")
 		reuse     = flag.Int("reuseport", 0, "serve role: SO_REUSEPORT read loops sharing the port (0 = single socket; capped at GOMAXPROCS; Linux only)")
 		adaptOn   = flag.Bool("adaptive", false, "run the closed-loop mode/batch controller on each association (overrides -mode/-batch at runtime)")
 		chainLow  = flag.Float64("chain-low", 0, "chain fraction below which ChainLow/auto-rekey fires, in (0, 1) (0 = default)")
@@ -198,8 +196,8 @@ func main() {
 	tracer := telemetry.NewTracer(*traceLen)
 
 	// The flight recorder hands each association a span ring and freezes
-	// recent history on anomalies (verify failures, offload downgrades,
-	// adaptive flaps, chain exhaustion warnings). Single-association roles
+	// recent history on anomalies (verify failures, adaptive flaps, chain
+	// exhaustion warnings). Single-association roles
 	// emit into the shared ring; the serve role resolves one ring per
 	// accepted association.
 	rec := obs.NewRecorder(*flightLen)
@@ -266,17 +264,7 @@ func main() {
 		_ = exp.WriteText(os.Stdout)
 	}
 
-	ioOpts := udptransport.IOOptions{Batch: *ioBatch, GSO: *gso, ZeroCopy: *zerocopy, Prefilter: *prefilter}
-
-	// One warning, then keep going on the best engine the kernel grants —
-	// an unsupported kernel must never be fatal (fail-fast is for flag
-	// typos, not hardware variance).
-	warnOffload := func(st udpio.OffloadStatus) {
-		if w := ioOpts.DowngradeWarning(st); w != "" {
-			fmt.Fprintln(os.Stderr, "warning: "+w)
-			rec.Trigger(0, obs.CauseOffloadDowngrade)
-		}
-	}
+	ioOpts := udptransport.IOOptions{Batch: *ioBatch, Prefilter: *prefilter}
 
 	// The reuseport server binds its own socket group, so only bind the
 	// shared socket here when a role will actually use it.
@@ -300,7 +288,7 @@ func main() {
 		fatalIf(err)
 		fmt.Printf("preconfigured association %016x ready (no handshake)\n", ep.Assoc())
 		c := udptransport.WrapOpts(pc, ep, peer, ioOpts)
-		warnOffload(c.OffloadStatus())
+		logEngine(c.OffloadStatus())
 		return c
 	}
 
@@ -333,7 +321,7 @@ func main() {
 		}
 		defer srv.Close()
 		srv.SetFlightRecorder(rec)
-		warnOffload(srv.OffloadStatus())
+		logEngine(srv.OffloadStatus())
 		exp.Register("alpha_transport", srv.Telemetry())
 		// Endpoint metrics aggregate across sessions at scrape time.
 		exp.Register("alpha_endpoint", telemetry.WalkerFunc(func(v telemetry.Visitor) {
@@ -382,7 +370,7 @@ func main() {
 			var err error
 			conn, err = udptransport.ListenOpts(pc, cfg, *wait, ioOpts)
 			fatalIf(err)
-			warnOffload(conn.OffloadStatus())
+			logEngine(conn.OffloadStatus())
 		}
 		defer conn.Close()
 		exp.Register("alpha_endpoint", conn.Endpoint().Telemetry())
@@ -444,7 +432,7 @@ func main() {
 		} else {
 			conn, err = udptransport.DialOpts(pc, peerAddr, cfg, 10*time.Second, ioOpts)
 			fatalIf(err)
-			warnOffload(conn.OffloadStatus())
+			logEngine(conn.OffloadStatus())
 		}
 		defer conn.Close()
 		exp.Register("alpha_endpoint", conn.Endpoint().Telemetry())
@@ -497,7 +485,7 @@ func main() {
 		if *s1Rate > 0 {
 			fmt.Printf("rate limiting unsolicited S1s to %.3g/s (burst %.3g) per upstream\n", *s1Rate, *s1Burst)
 		}
-		warnOffload(r.OffloadStatus())
+		logEngine(r.OffloadStatus())
 		exp.Register("alpha_relay", r.Telemetry())
 		exp.Register("alpha_relay_transport", r.TransportTelemetry())
 		if *anchorsF != "" {
@@ -529,6 +517,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// logEngine says which offload features the kernel probe granted the
+// role's socket (neither: the batched or the portable engine). Each role
+// builds one transport, so it prints once per process.
+func logEngine(st udpio.OffloadStatus) {
+	fmt.Fprintf(os.Stderr, "io engine: gso=%v gro=%v\n", st.GSO, st.GRO)
 }
 
 func fatal(err error) {

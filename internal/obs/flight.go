@@ -16,12 +16,11 @@ import (
 
 // Anomaly causes recognised by the dump triggers.
 const (
-	CauseVerifyFail       = "verify_fail"
-	CauseOffloadDowngrade = "offload_downgrade"
-	CauseAdaptiveFlap     = "adaptive_flap"
-	CauseChainLow         = "chain_low"
-	CausePoolSaturation   = "pool_saturation"
-	CauseAdmissionStorm   = "admission_storm"
+	CauseVerifyFail     = "verify_fail"
+	CauseAdaptiveFlap   = "adaptive_flap"
+	CauseChainLow       = "chain_low"
+	CausePoolSaturation = "pool_saturation"
+	CauseAdmissionStorm = "admission_storm"
 )
 
 // Dump is one captured anomaly: the victim association's recent span

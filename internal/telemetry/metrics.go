@@ -394,7 +394,7 @@ type IOMetrics struct {
 	ReadBatchSize  Histogram
 	WriteBatchSize Histogram
 
-	// Offload-tier accounting (the GSO/GRO/zero-copy engine). A GSO send is
+	// Offload-rung accounting (the GSO/GRO engine). A GSO send is
 	// one sendmmsg header whose UDP_SEGMENT cmsg packs a run of equal-size
 	// datagrams into a single kernel UDP traversal; a GRO split is one
 	// coalesced inbound datagram recovered into its segments. Segments minus
@@ -405,15 +405,6 @@ type IOMetrics struct {
 	GSOSegments Counter // datagrams packed inside those GSO sends
 	GROSplits   Counter // coalesced inbound datagrams that were split
 	GROSegments Counter // datagrams recovered from coalesced reads
-
-	// Zero-copy send accounting: sends flagged MSG_ZEROCOPY, errqueue
-	// completions reaped (Copied counts completions where the kernel fell
-	// back to copying, e.g. loopback), and downgrades to the plain send
-	// path (ENOBUFS, slot exhaustion, persistent copy fallback).
-	ZeroCopySends       Counter
-	ZeroCopyCompletions Counter
-	ZeroCopyCopied      Counter
-	ZeroCopyDowngrades  Counter
 
 	// GSOSegsPerSend / GROSegsPerRead bucket segments-per-offload-operation,
 	// the live evidence that runs actually coalesce.
@@ -460,22 +451,6 @@ func (m *IOMetrics) NoteGRORead(segs int) {
 	m.GROSegsPerRead.Observe(int64(segs))
 }
 
-// NoteZeroCopySend records one sendmmsg header flagged MSG_ZEROCOPY.
-func (m *IOMetrics) NoteZeroCopySend() { m.ZeroCopySends.Inc() }
-
-// NoteZeroCopyCompletion records one errqueue completion notification;
-// copied marks completions where the kernel fell back to copying the pages.
-func (m *IOMetrics) NoteZeroCopyCompletion(copied bool) {
-	m.ZeroCopyCompletions.Inc()
-	if copied {
-		m.ZeroCopyCopied.Inc()
-	}
-}
-
-// NoteZeroCopyDowngrade records one fall-back from the zero-copy send path
-// to the plain (copying) path.
-func (m *IOMetrics) NoteZeroCopyDowngrade() { m.ZeroCopyDowngrades.Inc() }
-
 // Walk reports every metric to v, including the derived syscalls-saved and
 // traversals-saved pairs.
 func (m *IOMetrics) Walk(v Visitor) {
@@ -512,10 +487,6 @@ func (m *IOMetrics) Walk(v Visitor) {
 	}
 	v.Counter("io_send_traversals_saved", savedTx)
 	v.Counter("io_recv_traversals_saved", savedRx)
-	v.Counter("io_zerocopy_sends", m.ZeroCopySends.Load())
-	v.Counter("io_zerocopy_completions", m.ZeroCopyCompletions.Load())
-	v.Counter("io_zerocopy_copied", m.ZeroCopyCopied.Load())
-	v.Counter("io_zerocopy_downgrades", m.ZeroCopyDowngrades.Load())
 	v.Histogram("io_gso_segs_per_send", m.GSOSegsPerSend.Snapshot())
 	v.Histogram("io_gro_segs_per_read", m.GROSegsPerRead.Snapshot())
 }

@@ -33,6 +33,34 @@ type addrKey struct {
 	port uint16
 }
 
+// Errors the syscall paths return, built once: an errors.New or an
+// Errno-to-error conversion at a return site would allocate on a path that
+// promises zero allocations.
+var (
+	errNotBound    = errors.New("udpio: not a bound UDP socket")
+	errNoProgress  = errors.New("udpio: sendmmsg made no progress")
+	errNonUDPDest  = errors.New("udpio: non-UDP destination address")
+	errBadDestIP   = errors.New("udpio: invalid destination IP")
+	errV6OnV4      = errors.New("udpio: IPv6 destination on an IPv4 socket")
+	preboxedErrnos = func() (t [134]error) { // every errno Linux defines
+		for i := range t {
+			t[i] = syscall.Errno(i)
+		}
+		return t
+	}()
+)
+
+// errnoErr returns e as an error without boxing it. Not inlined, so the
+// one boxing conversion stays here rather than at every hot return site.
+//
+//go:noinline
+func errnoErr(e syscall.Errno) error {
+	if int(e) < len(preboxedErrnos) {
+		return preboxedErrnos[e]
+	}
+	return e //alpha:alloc-ok unreachable for errnos the kernel defines; kept so an unknown one is reported, not masked
+}
+
 // addrCacheLimit bounds the intern cache; a source-address flood past it
 // resets the map (live sessions keep their own *net.UDPAddr pointers, so a
 // reset only costs future lookups one allocation each).
@@ -61,13 +89,13 @@ type batchConn struct {
 	readFn func(fd uintptr) bool
 
 	// Write side, guarded by wmu; same single-closure discipline.
-	wmu    sync.Mutex
-	whdrs  []mmsghdr
-	wiovs  []syscall.Iovec
-	wnames []syscall.RawSockaddrInet6
-	wn     int
-	wgot   int
-	werrno syscall.Errno
+	wmu     sync.Mutex
+	whdrs   []mmsghdr
+	wiovs   []syscall.Iovec
+	wnames  []syscall.RawSockaddrInet6
+	wn      int
+	wgot    int
+	werrno  syscall.Errno
 	writeFn func(fd uintptr) bool
 }
 
@@ -78,7 +106,7 @@ func newBatchConn(uc *net.UDPConn, batch int, m *telemetry.IOMetrics) (*batchCon
 	}
 	la, ok := uc.LocalAddr().(*net.UDPAddr)
 	if !ok {
-		return nil, errors.New("udpio: not a bound UDP socket")
+		return nil, errNotBound
 	}
 	c := &batchConn{
 		uc: uc, rc: rc, m: m,
@@ -97,6 +125,8 @@ func newBatchConn(uc *net.UDPConn, batch int, m *telemetry.IOMetrics) (*batchCon
 }
 
 func (c *batchConn) Batched() bool { return true }
+
+func (c *batchConn) Offload() OffloadStatus { return OffloadStatus{} }
 
 // recvmmsg is the RawConn.Read callback: one non-blocking batched receive,
 // false on EAGAIN so the netpoller parks us until the socket is readable.
@@ -143,7 +173,7 @@ func (c *batchConn) ReadBatch(ms []Message) (int, error) {
 		return 0, err
 	}
 	if c.rerrno != 0 {
-		return 0, c.rerrno
+		return 0, errnoErr(c.rerrno)
 	}
 	got := c.rgot
 	for i := 0; i < got; i++ {
@@ -178,16 +208,19 @@ func (c *batchConn) sourceAddr(sa *syscall.RawSockaddrInet6) net.Addr {
 	if a, ok := c.addrs[key]; ok {
 		return a
 	}
+	return c.internAddr(key, v4) //alpha:alloc-ok cache miss: one address per new peer, then served from the map
+}
+
+// internAddr is sourceAddr's miss path: allocate the address and cache it.
+func (c *batchConn) internAddr(key addrKey, v4 bool) net.Addr {
 	if len(c.addrs) >= addrCacheLimit {
 		clear(c.addrs)
 	}
 	a := &net.UDPAddr{Port: int(key.port)}
 	if v4 {
-		a.IP = make(net.IP, 4)
-		copy(a.IP, key.ip[12:])
+		a.IP = append(net.IP(nil), key.ip[12:]...)
 	} else {
-		a.IP = make(net.IP, 16)
-		copy(a.IP, key.ip[:])
+		a.IP = append(net.IP(nil), key.ip[:]...)
 	}
 	c.addrs[key] = a
 	return a
@@ -245,12 +278,12 @@ func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 			return sent, err
 		}
 		if c.werrno != 0 {
-			return sent, c.werrno
+			return sent, errnoErr(c.werrno)
 		}
 		if c.wgot == 0 {
 			// sendmmsg reported readiness but accepted nothing; bail out
 			// rather than livelock.
-			return sent, errors.New("udpio: sendmmsg made no progress")
+			return sent, errNoProgress
 		}
 		c.m.NoteWrite(c.wgot)
 		sent += c.wgot
@@ -264,7 +297,7 @@ func (c *batchConn) WriteBatch(ms []Message) (int, error) {
 func (c *batchConn) destAddr(addr net.Addr, out *syscall.RawSockaddrInet6) (uint32, error) {
 	ua, ok := addr.(*net.UDPAddr)
 	if !ok {
-		return 0, errors.New("udpio: non-UDP destination address")
+		return 0, errNonUDPDest
 	}
 	ip4 := ua.IP.To4()
 	if c.v6 {
@@ -276,14 +309,14 @@ func (c *batchConn) destAddr(addr net.Addr, out *syscall.RawSockaddrInet6) (uint
 		case len(ua.IP) == net.IPv6len:
 			copy(out.Addr[:], ua.IP)
 		default:
-			return 0, errors.New("udpio: invalid destination IP")
+			return 0, errBadDestIP
 		}
 		p := (*[2]byte)(unsafe.Pointer(&out.Port))
 		p[0], p[1] = byte(ua.Port>>8), byte(ua.Port)
 		return syscall.SizeofSockaddrInet6, nil
 	}
 	if ip4 == nil {
-		return 0, errors.New("udpio: IPv6 destination on an IPv4 socket")
+		return 0, errV6OnV4
 	}
 	out4 := (*syscall.RawSockaddrInet4)(unsafe.Pointer(out))
 	*out4 = syscall.RawSockaddrInet4{Family: syscall.AF_INET}

@@ -10,8 +10,8 @@ import (
 )
 
 // newOffloadConn reports that segmentation offload is unavailable here;
-// WrapOffload falls back to the batched engine (itself a stub on this
-// platform) and then the portable shim.
-func newOffloadConn(*net.UDPConn, int, OffloadOptions, *telemetry.IOMetrics) (Conn, OffloadStatus, error) {
-	return nil, OffloadStatus{}, errors.New("udpio: segmentation offload unsupported on this platform")
+// Wrap falls to the batched engine (itself a stub on this platform) and
+// then the portable one.
+func newOffloadConn(*net.UDPConn, int, *telemetry.IOMetrics) (Conn, error) {
+	return nil, errors.New("udpio: segmentation offload unsupported on this platform")
 }

@@ -1,23 +1,29 @@
-// Package udpio is the batched datagram I/O engine beneath the UDP
-// transport. On Linux it drains and fills the socket with recvmmsg and
-// sendmmsg — one syscall moves up to a whole ALPHA-C/M burst of datagrams —
-// and everywhere else it degrades to a portable one-datagram-at-a-time shim
-// behind the same interface, so the transport code above it never branches
-// on platform.
+// Package udpio is the datagram I/O engine beneath the UDP transport: one
+// Conn interface over a three-rung ladder (DESIGN.md §5e). Wrap climbs it
+// from the top and keeps the highest rung the platform and the kernel
+// probe grant:
 //
-// Buffer ownership follows one rule (DESIGN.md §5e): the caller owns every
-// Message.Buf. ReadBatch writes into caller-provided buffers and never
-// retains them past the call; WriteBatch reads from them and returns only
-// after the kernel has copied the data out, so a buffer may be recycled the
-// moment either call returns.
+//   - offload: recvmmsg/sendmmsg plus UDP_SEGMENT sends (an ALPHA-C/M run
+//     of equal-size S2s is one kernel traversal) and UDP_GRO receives;
+//   - batched: plain recvmmsg/sendmmsg — Linux kernels that refuse both
+//     offload probes;
+//   - portable: one datagram per socket call — every other platform and
+//     every net.PacketConn that is not a *net.UDPConn.
+//
+// The transport code above never branches on platform or kernel.
+//
+// Buffer ownership follows one rule: the caller owns every Message.Buf.
+// ReadBatch writes into caller-provided buffers and never retains them past
+// the call; WriteBatch reads from them and returns only after the kernel
+// has copied the data out, so a buffer may be recycled the moment either
+// call returns.
 //
 // Deadlines set on the underlying socket (SetReadDeadline and friends)
-// apply to both engines: the batched path waits for readiness through the
+// apply to every rung: the syscall paths wait for readiness through the
 // runtime netpoller, exactly like net.PacketConn reads.
 package udpio
 
 import (
-	"io"
 	"net"
 
 	"alpha/internal/telemetry"
@@ -50,13 +56,47 @@ type Conn interface {
 	// Batched reports whether the OS batched path (recvmmsg/sendmmsg) is
 	// live rather than the portable fallback.
 	Batched() bool
+	// Offload reports which segmentation-offload features are live on top
+	// of the batched path.
+	Offload() OffloadStatus
 }
 
-// Wrap returns the best Conn for pc: the recvmmsg/sendmmsg engine when pc
-// is a *net.UDPConn on a supported platform, the portable shim otherwise.
-// batch caps the datagrams moved per syscall (0 means DefaultBatch); m
-// receives I/O accounting and may be nil.
+// OffloadStatus names the offload features live on a Conn. The zero value
+// means the conn runs on the batched or the portable rung.
+type OffloadStatus struct {
+	// GSO: same-destination, equal-size runs leave as one UDP_SEGMENT-
+	// tagged send (Linux ≥ 4.18). Cleared if the kernel rejects a
+	// segmented send at run time.
+	GSO bool
+	// GRO: the kernel may deliver coalesced datagrams, which the engine
+	// splits back out by the UDP_GRO segment-size cmsg (Linux ≥ 5.0).
+	GRO bool
+}
+
+// Wrap returns the highest rung of the ladder pc supports: the offload
+// engine with whatever of UDP_SEGMENT/UDP_GRO the setsockopt probe grants,
+// else whatever WrapBatched returns. batch caps the datagrams moved per
+// syscall (0 means DefaultBatch); m receives I/O accounting and may be nil.
 func Wrap(pc net.PacketConn, batch int, m *telemetry.IOMetrics) Conn {
+	if batch <= 0 {
+		batch = DefaultBatch
+	}
+	if m == nil {
+		m = new(telemetry.IOMetrics)
+	}
+	if uc, ok := pc.(*net.UDPConn); ok {
+		if c, err := newOffloadConn(uc, batch, m); err == nil {
+			return c
+		}
+	}
+	return WrapBatched(pc, batch, m)
+}
+
+// WrapBatched is the ladder below the offload rung — what Wrap falls to
+// when the kernel refuses both offload probes, and how tests reach that
+// rung on a kernel that grants them: plain recvmmsg/sendmmsg when pc is a
+// *net.UDPConn on a supported platform, the portable engine otherwise.
+func WrapBatched(pc net.PacketConn, batch int, m *telemetry.IOMetrics) Conn {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
@@ -68,72 +108,12 @@ func Wrap(pc net.PacketConn, batch int, m *telemetry.IOMetrics) Conn {
 			return c
 		}
 	}
-	return &portableConn{pc: pc, m: m}
-}
-
-// OffloadOptions requests segmentation-offload features on top of the
-// batched engine. Each one is a request, not a demand: setup probes the
-// kernel per feature and keeps whatever sticks.
-type OffloadOptions struct {
-	// GSO packs same-destination, equal-size runs into one UDP_SEGMENT-
-	// tagged send — one kernel UDP traversal per run (Linux ≥ 4.18).
-	GSO bool
-	// GRO enables UDP_GRO so the kernel may deliver coalesced datagrams,
-	// which the engine splits back out by the segment-size cmsg (≥ 5.0).
-	GRO bool
-	// ZeroCopy opts sends into MSG_ZEROCOPY with an errqueue completion
-	// reaper; the engine downgrades itself on ENOBUFS or copied
-	// completions (≥ 4.14 for UDP).
-	ZeroCopy bool
-}
-
-// enabled reports whether any offload feature is requested.
-func (o OffloadOptions) enabled() bool { return o.GSO || o.GRO || o.ZeroCopy }
-
-// OffloadStatus reports which requested offload features the kernel
-// actually granted. The zero value means the offload tier is not live.
-type OffloadStatus struct {
-	GSO      bool
-	GRO      bool
-	ZeroCopy bool
-}
-
-// Any reports whether at least one offload feature is live.
-func (s OffloadStatus) Any() bool { return s.GSO || s.GRO || s.ZeroCopy }
-
-// WrapOffload returns the best Conn for pc with the requested offload
-// features, degrading feature-by-feature: offload engine with whatever the
-// kernel grants, then the batched engine, then the portable shim. The
-// returned status says what is live so callers can log one downgrade
-// warning and move on.
-func WrapOffload(pc net.PacketConn, batch int, opts OffloadOptions, m *telemetry.IOMetrics) (Conn, OffloadStatus) {
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	if m == nil {
-		m = new(telemetry.IOMetrics)
-	}
-	if uc, ok := pc.(*net.UDPConn); ok && opts.enabled() {
-		if c, st, err := newOffloadConn(uc, batch, opts, m); err == nil {
-			return c, st
-		}
-	}
-	return Wrap(pc, batch, m), OffloadStatus{}
-}
-
-// CloseEngine releases engine-owned resources (the zero-copy completion
-// reaper, offload slabs) without closing the underlying socket. Engines
-// with nothing to release are a no-op.
-func CloseEngine(c Conn) error {
-	if cl, ok := c.(io.Closer); ok {
-		return cl.Close()
-	}
-	return nil
+	return Portable(pc, m)
 }
 
 // Portable wraps pc with the one-datagram-at-a-time fallback regardless of
-// platform — the reference implementation the batched engine must agree
-// with, and the switch for exercising the portable path on Linux.
+// platform — the reference implementation the other rungs must agree with,
+// and the switch for exercising the portable path on Linux.
 func Portable(pc net.PacketConn, m *telemetry.IOMetrics) Conn {
 	if m == nil {
 		m = new(telemetry.IOMetrics)
@@ -150,6 +130,8 @@ type portableConn struct {
 }
 
 func (c *portableConn) Batched() bool { return false }
+
+func (c *portableConn) Offload() OffloadStatus { return OffloadStatus{} }
 
 func (c *portableConn) ReadBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {

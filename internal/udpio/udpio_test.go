@@ -21,29 +21,29 @@ func listenUDP(t *testing.T) *net.UDPConn {
 	return pc.(*net.UDPConn)
 }
 
-// engines returns both implementations over fresh sockets so every test
-// runs against the batched and the portable path.
-func engines(t *testing.T) map[string]func(pc *net.UDPConn, m *telemetry.IOMetrics) Conn {
-	t.Helper()
-	e := map[string]func(pc *net.UDPConn, m *telemetry.IOMetrics) Conn{
-		"portable": func(pc *net.UDPConn, m *telemetry.IOMetrics) Conn {
-			return Portable(pc, m)
-		},
+// engine is one rung of the ladder as a constructor over a fresh socket.
+type engine struct {
+	name string
+	wrap func(pc net.PacketConn, batch int, m *telemetry.IOMetrics) Conn
+}
+
+// engines lists the three rungs so every test runs against each. Where a
+// rung is unavailable (another platform, an old kernel) its constructor
+// yields the next one down, which keeps the table green everywhere.
+func engines() []engine {
+	return []engine{
+		{"offload", Wrap},
+		{"batched", WrapBatched},
+		{"portable", func(pc net.PacketConn, _ int, m *telemetry.IOMetrics) Conn { return Portable(pc, m) }},
 	}
-	if c, err := newBatchConn(listenUDP(t), 4, new(telemetry.IOMetrics)); err == nil && c.Batched() {
-		e["batched"] = func(pc *net.UDPConn, m *telemetry.IOMetrics) Conn {
-			return Wrap(pc, 8, m)
-		}
-	}
-	return e
 }
 
 func TestRoundTripBothEngines(t *testing.T) {
-	for name, mk := range engines(t) {
-		t.Run(name, func(t *testing.T) {
+	for _, e := range engines() {
+		t.Run(e.name, func(t *testing.T) {
 			apc, bpc := listenUDP(t), listenUDP(t)
 			var am, bm telemetry.IOMetrics
-			a, b := mk(apc, &am), mk(bpc, &bm)
+			a, b := e.wrap(apc, 8, &am), e.wrap(bpc, 8, &bm)
 
 			const burst = 6
 			out := make([]Message, burst)
@@ -95,10 +95,10 @@ func TestRoundTripBothEngines(t *testing.T) {
 // TestWriteBatchChunking sends more messages than the configured batch size
 // so the batched engine must loop sendmmsg.
 func TestWriteBatchChunking(t *testing.T) {
-	for name, mk := range engines(t) {
-		t.Run(name, func(t *testing.T) {
+	for _, e := range engines() {
+		t.Run(e.name, func(t *testing.T) {
 			apc, bpc := listenUDP(t), listenUDP(t)
-			a := mk(apc, nil)
+			a := e.wrap(apc, 8, nil)
 
 			const total = 19 // > batch of 8, not a multiple
 			out := make([]Message, total)
@@ -132,7 +132,7 @@ func TestReadBatchDrainsMultiple(t *testing.T) {
 		t.Skip("batched engine is Linux-only")
 	}
 	apc, bpc := listenUDP(t), listenUDP(t)
-	b := Wrap(bpc, 8, nil)
+	b := WrapBatched(bpc, 8, nil)
 	if !b.Batched() {
 		t.Skip("batched engine unavailable on this arch")
 	}
@@ -168,7 +168,7 @@ func TestBatchedZeroAlloc(t *testing.T) {
 		t.Skip("batched engine is Linux-only")
 	}
 	apc, bpc := listenUDP(t), listenUDP(t)
-	a, b := Wrap(apc, 8, nil), Wrap(bpc, 8, nil)
+	a, b := WrapBatched(apc, 8, nil), WrapBatched(bpc, 8, nil)
 	if !a.Batched() || !b.Batched() {
 		t.Skip("batched engine unavailable on this arch")
 	}

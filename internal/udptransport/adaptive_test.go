@@ -121,7 +121,7 @@ func TestServerSessionGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Mode: packet.ModeC, Reliable: true, ChainLen: 256, BatchSize: 4}
-	srv := NewServer(spc, cfg)
+	srv := NewServerWith(cfg, ServerOptions{}, spc)
 	defer srv.Close()
 
 	exp := telemetry.NewExporter()

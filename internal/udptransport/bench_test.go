@@ -107,17 +107,13 @@ func benchBurst(b *testing.B, burst [][]byte, engine string) {
 	case "portable":
 		w, r = udpio.Portable(spc, &wm), udpio.Portable(rpc, &rm)
 	case "batched":
-		w, r = udpio.Wrap(spc, udpio.DefaultBatch, &wm), udpio.Wrap(rpc, udpio.DefaultBatch, &rm)
+		w, r = udpio.WrapBatched(spc, udpio.DefaultBatch, &wm), udpio.WrapBatched(rpc, udpio.DefaultBatch, &rm)
 		if !w.Batched() || !r.Batched() {
 			b.Skip("batched engine unavailable on this platform")
 		}
 	case "gso":
-		var wst, rst udpio.OffloadStatus
-		w, wst = udpio.WrapOffload(spc, udpio.DefaultBatch, udpio.OffloadOptions{GSO: true}, &wm)
-		r, rst = udpio.WrapOffload(rpc, udpio.DefaultBatch, udpio.OffloadOptions{GRO: true}, &rm)
-		defer udpio.CloseEngine(w)
-		defer udpio.CloseEngine(r)
-		if !wst.GSO || !rst.GRO {
+		w, r = udpio.Wrap(spc, udpio.DefaultBatch, &wm), udpio.Wrap(rpc, udpio.DefaultBatch, &rm)
+		if !w.Offload().GSO || !r.Offload().GRO {
 			b.Skip("kernel lacks UDP_SEGMENT/UDP_GRO")
 		}
 	default:

@@ -1,6 +1,6 @@
 // Multi-engine harness: every data-path test in this package runs once per
-// I/O engine tier — the segmentation-offload engine (GSO/GRO, where the
-// kernel has it), the batched recvmmsg/sendmmsg engine, and the portable
+// I/O engine rung — the offload engine udpio.Wrap picks where the kernel
+// grants GSO/GRO, the batched recvmmsg/sendmmsg engine, and the portable
 // fallback — so the implementations cannot drift apart behaviourally.
 
 package udptransport
@@ -14,14 +14,17 @@ import (
 
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/telemetry"
 	"alpha/internal/udpio"
 )
 
-// engineCases enumerates the I/O engines under test. On platforms without
-// an engine, its case silently runs the next tier down (WrapOffload and
-// Wrap both fall back), which keeps the suite green everywhere. The
-// ALPHA_TEST_IO environment variable ("offload", "no-offload", "portable")
-// narrows the matrix to one leg — the switch the CI offload matrix flips.
+// engineCases enumerates the I/O engines under test: the zero IOOptions
+// (udpio.Wrap's own pick) and the two lower rungs pinned through the
+// unexported engine field. On platforms without an engine, its case
+// silently runs the next rung down, which keeps the suite green everywhere.
+// The ALPHA_TEST_IO environment variable ("offload", "no-offload",
+// "portable") narrows the matrix to one leg — the switch the CI offload
+// matrix flips.
 func engineCases() []struct {
 	name string
 	opts IOOptions
@@ -30,9 +33,11 @@ func engineCases() []struct {
 		name string
 		opts IOOptions
 	}{
-		{"offload", IOOptions{GSO: true}},
-		{"batched", IOOptions{ForceNoOffload: true}},
-		{"portable", IOOptions{ForcePortable: true}},
+		{"offload", IOOptions{}},
+		{"batched", IOOptions{engine: udpio.WrapBatched}},
+		{"portable", IOOptions{engine: func(pc net.PacketConn, _ int, m *telemetry.IOMetrics) udpio.Conn {
+			return udpio.Portable(pc, m)
+		}}},
 	}
 	switch os.Getenv("ALPHA_TEST_IO") {
 	case "offload":
@@ -88,9 +93,9 @@ func TestReusePortServerAcceptsDialers(t *testing.T) {
 		t.Skip("SO_REUSEPORT sharding is Linux-only")
 	}
 	cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 64}
-	srv, err := NewReusePortServer("udp", "127.0.0.1:0", 4, cfg, IOOptions{})
+	srv, err := NewReusePortServerWith("udp", "127.0.0.1:0", 4, cfg, ServerOptions{})
 	if err != nil {
-		t.Fatalf("NewReusePortServer: %v", err)
+		t.Fatalf("NewReusePortServerWith: %v", err)
 	}
 	defer srv.Close()
 

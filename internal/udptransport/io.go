@@ -1,37 +1,22 @@
-// I/O engine selection for the UDP transport. Every socket the package
-// touches is wrapped in a udpio.Conn: the segmentation-offload engine when
-// requested and granted, batched recvmmsg/sendmmsg where the platform
-// supports it, the portable one-datagram shim everywhere else.
+// I/O engine set-up for the UDP transport. Every socket the package touches
+// is wrapped by udpio.Wrap, which picks the engine rung from what the
+// platform and the kernel probe grant (DESIGN.md §5e); nothing here or
+// above chooses one.
 
 package udptransport
 
 import (
-	"strings"
+	"net"
 
 	"alpha/internal/telemetry"
 	"alpha/internal/udpio"
-	"net"
 )
 
-// IOOptions selects and sizes the datagram I/O engine.
+// IOOptions sizes the datagram I/O engine and switches the prefilter.
 type IOOptions struct {
-	// Batch caps the datagrams moved per syscall on the batched engine and
-	// sizes the read slabs. 0 means udpio.DefaultBatch.
+	// Batch caps the datagrams moved per syscall and sizes the read slabs.
+	// 0 means udpio.DefaultBatch.
 	Batch int
-	// ForcePortable pins the portable one-datagram engine even where the
-	// batched one is available — the switch the dual-engine test suite and
-	// the before/after benchmarks flip.
-	ForcePortable bool
-	// GSO requests UDP segmentation offload: same-size send runs packed
-	// into UDP_SEGMENT-tagged bursts, and UDP_GRO coalesced receives split
-	// back out (Linux ≥ 4.18 / ≥ 5.0). Probed at setup; unsupported
-	// kernels keep the batched engine.
-	GSO bool
-	// ZeroCopy opts sends into MSG_ZEROCOPY with automatic downgrade.
-	ZeroCopy bool
-	// ForceNoOffload pins the batched engine even when offload is
-	// requested — the downgrade-path test hook mirroring ForcePortable.
-	ForceNoOffload bool
 	// Prefilter enables the stateless per-packet prefilter
 	// (packet.Prefilter): outgoing packets are stamped with an
 	// address-bound filter cookie, and — on the server and relay — inbound
@@ -41,6 +26,11 @@ type IOOptions struct {
 	// crossing a non-restamping hop fails the next hop's check. Requires
 	// UDP addressing with no NAT between hops.
 	Prefilter bool
+
+	// engine stands in for udpio.Wrap. Tests only: it is how the engine
+	// matrix runs the batched and portable rungs on a kernel that grants
+	// offload.
+	engine func(net.PacketConn, int, *telemetry.IOMetrics) udpio.Conn
 }
 
 // addrIPPort extracts the cookie-binding view of a UDP address: the
@@ -69,60 +59,12 @@ func (o IOOptions) batch() int {
 	return o.Batch
 }
 
-// offload translates the transport-level flags into an engine request.
-// One GSO flag drives both directions: a node that packs its sends wants
-// its receives split too.
-func (o IOOptions) offload() udpio.OffloadOptions {
-	if o.ForcePortable || o.ForceNoOffload {
-		return udpio.OffloadOptions{}
-	}
-	return udpio.OffloadOptions{GSO: o.GSO, GRO: o.GSO, ZeroCopy: o.ZeroCopy}
-}
-
-// wrap builds the configured engine over pc.
+// wrap builds the engine over pc.
 func (o IOOptions) wrap(pc net.PacketConn, m *telemetry.IOMetrics) udpio.Conn {
-	c, _ := o.wrapStatus(pc, m)
-	return c
-}
-
-// wrapStatus is wrap plus the offload feature set the kernel granted, so
-// callers can log one downgrade warning and continue.
-func (o IOOptions) wrapStatus(pc net.PacketConn, m *telemetry.IOMetrics) (udpio.Conn, udpio.OffloadStatus) {
-	if o.ForcePortable {
-		return udpio.Portable(pc, m), udpio.OffloadStatus{}
+	if o.engine != nil {
+		return o.engine(pc, o.batch(), m)
 	}
-	if off := o.offload(); off.GSO || off.GRO || off.ZeroCopy {
-		return udpio.WrapOffload(pc, o.batch(), off, m)
-	}
-	return udpio.Wrap(pc, o.batch(), m), udpio.OffloadStatus{}
-}
-
-// DowngradeWarning renders one log-ready sentence when st grants less than
-// the options requested, or "" when nothing was lost. Explicit ForcePortable
-// and ForceNoOffload are silent: the caller asked for the downgrade.
-func (o IOOptions) DowngradeWarning(st udpio.OffloadStatus) string {
-	if o.ForcePortable || o.ForceNoOffload {
-		return ""
-	}
-	var miss []string
-	if o.GSO && !st.GSO {
-		miss = append(miss, "gso")
-	}
-	if o.GSO && !st.GRO {
-		miss = append(miss, "gro")
-	}
-	if o.ZeroCopy && !st.ZeroCopy {
-		miss = append(miss, "zerocopy")
-	}
-	if len(miss) == 0 {
-		return ""
-	}
-	engine := "batched"
-	if st.Any() {
-		engine = "partial offload"
-	}
-	return "udp offload unavailable on this kernel: " + strings.Join(miss, ", ") +
-		"; continuing on the " + engine + " engine"
+	return udpio.Wrap(pc, o.batch(), m)
 }
 
 // connBatch sizes a single-association Conn's read slab: one association

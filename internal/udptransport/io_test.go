@@ -2,83 +2,59 @@ package udptransport
 
 import (
 	"net"
-	"strings"
 	"testing"
 
+	"alpha/internal/core"
+	"alpha/internal/relay"
 	"alpha/internal/udpio"
 )
 
-// TestOffloadDowngradeWarning covers the fail-fast probing contract: a node
-// started with -gso/-zerocopy on a kernel that grants neither gets exactly
-// one human-readable warning and keeps running on the batched engine, while
-// explicitly requested downgrades (ForcePortable/ForceNoOffload) stay silent.
-func TestOffloadDowngradeWarning(t *testing.T) {
-	cases := []struct {
-		name    string
-		opts    IOOptions
-		granted udpio.OffloadStatus
-		want    []string // substrings of the warning; empty means no warning
-	}{
-		{"nothing requested", IOOptions{}, udpio.OffloadStatus{}, nil},
-		{"all granted", IOOptions{GSO: true, ZeroCopy: true},
-			udpio.OffloadStatus{GSO: true, GRO: true, ZeroCopy: true}, nil},
-		{"all denied", IOOptions{GSO: true, ZeroCopy: true},
-			udpio.OffloadStatus{}, []string{"gso", "gro", "zerocopy", "batched engine"}},
-		{"gso denied only", IOOptions{GSO: true, ZeroCopy: true},
-			udpio.OffloadStatus{ZeroCopy: true}, []string{"gso", "gro", "partial offload"}},
-		{"force-no-offload is silent", IOOptions{GSO: true, ZeroCopy: true, ForceNoOffload: true},
-			udpio.OffloadStatus{}, nil},
-		{"force-portable is silent", IOOptions{GSO: true, ForcePortable: true},
-			udpio.OffloadStatus{}, nil},
+// TestEnginePerRung: with zero-valued options every transport entry point
+// runs on whatever udpio.Wrap picks for the socket — on a kernel that grants
+// both probes, GSO and GRO live with nothing asked for — and each
+// engineCases pin lands on the rung it names.
+func TestEnginePerRung(t *testing.T) {
+	listen := func() net.PacketConn {
+		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pc.Close() })
+		return pc
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			w := tc.opts.DowngradeWarning(tc.granted)
-			if len(tc.want) == 0 {
-				if w != "" {
-					t.Fatalf("unexpected warning %q", w)
-				}
-				return
+	probed := udpio.Wrap(listen(), 0, nil)
+	want := map[string]struct {
+		batched bool
+		offload udpio.OffloadStatus
+	}{
+		"offload":  {probed.Batched(), probed.Offload()},
+		"batched":  {probed.Batched(), udpio.OffloadStatus{}},
+		"portable": {false, udpio.OffloadStatus{}},
+	}
+	for _, e := range engineCases() {
+		t.Run(e.name, func(t *testing.T) {
+			w := want[e.name]
+			if c := e.opts.wrap(listen(), nil); c.Batched() != w.batched || c.Offload() != w.offload {
+				t.Fatalf("wrap: batched %v, offload %+v; want %v, %+v", c.Batched(), c.Offload(), w.batched, w.offload)
 			}
-			if w == "" {
-				t.Fatal("expected a downgrade warning, got none")
+			cfg := core.Config{ChainLen: 16}
+			ep, err := core.NewEndpoint(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, sub := range tc.want {
-				if !strings.Contains(w, sub) {
-					t.Errorf("warning %q missing %q", w, sub)
+			conn := WrapOpts(listen(), ep, nil, e.opts)
+			defer conn.Close()
+			srv := NewServerWith(cfg, ServerOptions{IO: e.opts}, listen())
+			defer srv.Close()
+			rl := NewRelayOpts(listen(), conn.pc.LocalAddr(), srv.LocalAddr(), relay.Config{}, e.opts)
+			defer rl.Close()
+			for name, got := range map[string]udpio.OffloadStatus{
+				"Conn": conn.OffloadStatus(), "Server": srv.OffloadStatus(), "Relay": rl.OffloadStatus(),
+			} {
+				if got != w.offload {
+					t.Errorf("%s.OffloadStatus() = %+v; want %+v", name, got, w.offload)
 				}
 			}
 		})
-	}
-}
-
-// TestForceNoOffloadPinsBatched: the test hook must bypass the offload
-// probe entirely — the engine comes back batched with a zero status even
-// when the flags ask for everything, mirroring ForcePortable's pin.
-func TestForceNoOffloadPinsBatched(t *testing.T) {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-
-	opts := IOOptions{GSO: true, ZeroCopy: true, ForceNoOffload: true}
-	if off := opts.offload(); off.GSO || off.GRO || off.ZeroCopy {
-		t.Fatalf("ForceNoOffload leaked an offload request: %+v", off)
-	}
-	c, st := opts.wrapStatus(pc, nil)
-	defer udpio.CloseEngine(c)
-	if st.Any() {
-		t.Fatalf("ForceNoOffload returned offload status %+v", st)
-	}
-	if w := opts.DowngradeWarning(st); w != "" {
-		t.Fatalf("explicit downgrade must be silent, got %q", w)
-	}
-
-	popts := IOOptions{GSO: true, ForcePortable: true}
-	p, pst := popts.wrapStatus(pc, nil)
-	defer udpio.CloseEngine(p)
-	if pst.Any() || p.Batched() {
-		t.Fatalf("ForcePortable must pin the portable engine (status %+v, batched %v)", pst, p.Batched())
 	}
 }

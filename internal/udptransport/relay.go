@@ -23,12 +23,11 @@ import (
 // pooled buffers, every verified datagram of the burst is forwarded with
 // one sendmmsg, and the slab is reused for the next burst.
 type Relay struct {
-	pc      net.PacketConn
-	io      udpio.Conn
-	offload udpio.OffloadStatus
-	a, b    *net.UDPAddr
-	r       *relay.Relay
-	mu      sync.Mutex
+	pc   net.PacketConn
+	io   udpio.Conn
+	a, b *net.UDPAddr
+	r    *relay.Relay
+	mu   sync.Mutex
 
 	// Stateless prefilter state (IOOptions.Prefilter): inbound datagrams
 	// are checked against the sender's address-bound cookie before
@@ -53,7 +52,7 @@ func NewRelay(pc net.PacketConn, a, b net.Addr, cfg relay.Config) *Relay {
 	return NewRelayOpts(pc, a, b, cfg, IOOptions{})
 }
 
-// NewRelayOpts is NewRelay with an explicit I/O engine selection.
+// NewRelayOpts is NewRelay with explicit I/O options.
 func NewRelayOpts(pc net.PacketConn, a, b net.Addr, cfg relay.Config, opts IOOptions) *Relay {
 	r := &Relay{
 		pc:     pc,
@@ -63,7 +62,7 @@ func NewRelayOpts(pc net.PacketConn, a, b net.Addr, cfg relay.Config, opts IOOpt
 		closed: make(chan struct{}),
 	}
 	r.tel.Init()
-	r.io, r.offload = opts.wrapStatus(pc, &r.tel.IO)
+	r.io = opts.wrap(pc, &r.tel.IO)
 	r.prefilter = opts.Prefilter
 	if opts.Prefilter {
 		r.stampIP, r.stampPort = addrIPPort(pc.LocalAddr())
@@ -120,16 +119,15 @@ func (r *Relay) Telemetry() *telemetry.RelayMetrics { return r.r.Telemetry() }
 // accounting.
 func (r *Relay) TransportTelemetry() *telemetry.RelayTransportMetrics { return &r.tel }
 
-// OffloadStatus reports which requested offload features the kernel
-// granted on the relay's socket (zero when none were requested).
-func (r *Relay) OffloadStatus() udpio.OffloadStatus { return r.offload }
+// OffloadStatus reports which offload features are live on the relay's
+// socket (zero on the batched and portable engines).
+func (r *Relay) OffloadStatus() udpio.OffloadStatus { return r.io.Offload() }
 
 // Close stops the relay and closes its socket.
 func (r *Relay) Close() error {
 	r.closeOnce.Do(func() {
 		close(r.closed)
 		r.pc.Close()
-		udpio.CloseEngine(r.io)
 	})
 	r.wg.Wait()
 	return nil

@@ -202,12 +202,11 @@ func (o ServerOptions) inboxSize() int {
 // Server accepts ALPHA associations on a shared datagram socket, or on a
 // group of SO_REUSEPORT sockets each with its own read loop.
 type Server struct {
-	pcs     []net.PacketConn
-	ios     []udpio.Conn
-	cfg     core.Config
-	opts    ServerOptions
-	io      IOOptions
-	offload udpio.OffloadStatus // granted on the first socket; sockets are siblings
+	pcs  []net.PacketConn
+	ios  []udpio.Conn
+	cfg  core.Config
+	opts ServerOptions
+	io   IOOptions
 
 	shards [sessionShards]sessionShard
 
@@ -258,22 +257,12 @@ type Server struct {
 	flight *obs.Recorder
 }
 
-// NewServer starts serving on one socket with default I/O options. Each
+// NewServerWith starts serving across one or more sockets — typically one,
+// or a SO_REUSEPORT group — with one batched read loop per socket. Each
 // arriving handshake creates a responder endpoint with the given config;
-// established sessions surface via Accept.
-func NewServer(pc net.PacketConn, cfg core.Config) *Server {
-	return NewServerOpts(cfg, IOOptions{}, pc)
-}
-
-// NewServerOpts starts serving across one or more sockets — typically a
-// SO_REUSEPORT group — with one batched read loop per socket.
-func NewServerOpts(cfg core.Config, opts IOOptions, pcs ...net.PacketConn) *Server {
-	return NewServerWith(cfg, ServerOptions{IO: opts}, pcs...)
-}
-
-// NewServerWith starts serving with full control over the session core:
-// worker-pool size, generation-rotation interval, accept backlog and
-// per-session buffer sizing.
+// established sessions surface via Accept. The zero ServerOptions is a
+// working default; its fields size the session core: worker pool,
+// generation-rotation interval, accept backlog, per-session buffers.
 func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *Server {
 	s := &Server{
 		pcs:       pcs,
@@ -294,11 +283,7 @@ func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *
 	}
 	s.ios = make([]udpio.Conn, len(pcs))
 	for i, pc := range pcs {
-		io, st := opts.IO.wrapStatus(pc, &s.tel.IO)
-		s.ios[i] = io
-		if i == 0 {
-			s.offload = st
-		}
+		s.ios[i] = opts.IO.wrap(pc, &s.tel.IO)
 	}
 	if len(pcs) > 0 {
 		s.stampIP, s.stampPort = addrIPPort(pcs[0].LocalAddr())
@@ -324,16 +309,11 @@ func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *
 	return s
 }
 
-// NewReusePortServer binds loops SO_REUSEPORT sockets to addr and serves a
-// read loop per socket, letting the kernel shard inbound flows across
-// them. loops <= 0 means GOMAXPROCS. Linux-only; elsewhere it returns the
-// udpio error and the caller falls back to a single-socket NewServer.
-func NewReusePortServer(network, addr string, loops int, cfg core.Config, opts IOOptions) (*Server, error) {
-	return NewReusePortServerWith(network, addr, loops, cfg, ServerOptions{IO: opts})
-}
-
-// NewReusePortServerWith is NewReusePortServer with full session-core
-// options.
+// NewReusePortServerWith binds loops SO_REUSEPORT sockets to addr and
+// serves a read loop per socket, letting the kernel shard inbound flows
+// across them. loops <= 0 means GOMAXPROCS. Linux-only; elsewhere it
+// returns the udpio error and the caller falls back to a single-socket
+// NewServerWith.
 func NewReusePortServerWith(network, addr string, loops int, cfg core.Config, opts ServerOptions) (*Server, error) {
 	if loops <= 0 {
 		loops = runtime.GOMAXPROCS(0)
@@ -416,19 +396,16 @@ func (s *Server) Sessions() int {
 // LocalAddr returns the address of the server's (first) socket.
 func (s *Server) LocalAddr() net.Addr { return s.pcs[0].LocalAddr() }
 
-// OffloadStatus reports which requested offload features the kernel
-// granted on this server's sockets (zero when none were requested).
-func (s *Server) OffloadStatus() udpio.OffloadStatus { return s.offload }
+// OffloadStatus reports which offload features are live on the server's
+// (first) socket; the sockets of a group are siblings.
+func (s *Server) OffloadStatus() udpio.OffloadStatus { return s.ios[0].Offload() }
 
-// shutdownSockets closes every socket and releases engine-owned resources;
-// run under closeOnce from Close or a failing read loop.
+// shutdownSockets closes every socket; run under closeOnce from Close or a
+// failing read loop.
 func (s *Server) shutdownSockets() {
 	close(s.closed)
 	for _, pc := range s.pcs {
 		pc.Close()
-	}
-	for _, io := range s.ios {
-		udpio.CloseEngine(io)
 	}
 }
 

@@ -58,7 +58,7 @@ func TestServerRotationExpiresIdleOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 64}
-	srv := NewServer(spc, cfg) // RotateInterval 0: rotations are manual
+	srv := NewServerWith(cfg, ServerOptions{}, spc) // RotateInterval 0: rotations are manual
 	defer srv.Close()
 
 	const dialers = 6

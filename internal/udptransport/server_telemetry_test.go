@@ -27,7 +27,7 @@ func newTelemetryServer(t *testing.T, tracer *telemetry.Tracer) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(pc, core.Config{ChainLen: 16, Tracer: tracer})
+	srv := NewServerWith(core.Config{ChainLen: 16, Tracer: tracer}, ServerOptions{}, pc)
 	t.Cleanup(func() { srv.Close() })
 	return srv
 }

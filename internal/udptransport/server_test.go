@@ -21,7 +21,7 @@ func testServerAcceptsMultipleDialers(t *testing.T, opts IOOptions) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 64}
-	srv := NewServerOpts(cfg, opts, spc)
+	srv := NewServerWith(cfg, ServerOptions{IO: opts}, spc)
 	defer srv.Close()
 
 	const dialers = 4
@@ -130,7 +130,7 @@ func TestServerManyAssociationsStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 256}
-	srv := NewServer(spc, cfg)
+	srv := NewServerWith(cfg, ServerOptions{}, spc)
 	defer srv.Close()
 
 	const (
@@ -274,7 +274,7 @@ func TestServerIgnoresDataForUnknownAssociations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(spc, core.Config{ChainLen: 16})
+	srv := NewServerWith(core.Config{ChainLen: 16}, ServerOptions{}, spc)
 	defer srv.Close()
 	// Fire a non-handshake packet at the server: no session must appear.
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
@@ -302,7 +302,7 @@ func TestServerCloseUnblocksAccept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(spc, core.Config{ChainLen: 16})
+	srv := NewServerWith(core.Config{ChainLen: 16}, ServerOptions{}, spc)
 	done := make(chan error, 1)
 	go func() {
 		_, err := srv.Accept()

@@ -25,12 +25,11 @@ import (
 // Conn is a blocking, goroutine-safe wrapper around one ALPHA association
 // on a datagram socket.
 type Conn struct {
-	pc      net.PacketConn
-	io      udpio.Conn
-	offload udpio.OffloadStatus
-	mu      sync.Mutex
-	ep      *core.Endpoint
-	peer    net.Addr
+	pc   net.PacketConn
+	io   udpio.Conn
+	mu   sync.Mutex
+	ep   *core.Endpoint
+	peer net.Addr
 
 	wbatch []udpio.Message // coalescing scratch for pumpLocked
 
@@ -57,7 +56,7 @@ func Dial(pc net.PacketConn, peer net.Addr, cfg core.Config, timeout time.Durati
 	return DialOpts(pc, peer, cfg, timeout, IOOptions{})
 }
 
-// DialOpts is Dial with an explicit I/O engine selection.
+// DialOpts is Dial with explicit I/O options.
 func DialOpts(pc net.PacketConn, peer net.Addr, cfg core.Config, timeout time.Duration, opts IOOptions) (*Conn, error) {
 	ep, err := core.NewEndpoint(cfg)
 	if err != nil {
@@ -93,7 +92,7 @@ func Listen(pc net.PacketConn, cfg core.Config, timeout time.Duration) (*Conn, e
 	return ListenOpts(pc, cfg, timeout, IOOptions{})
 }
 
-// ListenOpts is Listen with an explicit I/O engine selection.
+// ListenOpts is Listen with explicit I/O options.
 func ListenOpts(pc net.PacketConn, cfg core.Config, timeout time.Duration, opts IOOptions) (*Conn, error) {
 	ep, err := core.NewEndpoint(cfg)
 	if err != nil {
@@ -121,7 +120,7 @@ func Wrap(pc net.PacketConn, ep *core.Endpoint, peer net.Addr) *Conn {
 	return WrapOpts(pc, ep, peer, IOOptions{})
 }
 
-// WrapOpts is Wrap with an explicit I/O engine selection.
+// WrapOpts is Wrap with explicit I/O options.
 func WrapOpts(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts IOOptions) *Conn {
 	c := newConn(pc, ep, peer, opts)
 	if ep.Established() {
@@ -135,11 +134,9 @@ func newConn(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts IOOptions
 	if opts.Batch <= 0 || opts.Batch > connBatch {
 		opts.Batch = connBatch // one association never needs the server's burst depth
 	}
-	io, st := opts.wrapStatus(pc, nil)
 	c := &Conn{
 		pc:          pc,
-		io:          io,
-		offload:     st,
+		io:          opts.wrap(pc, nil),
 		ep:          ep,
 		peer:        peer,
 		prefilter:   opts.Prefilter,
@@ -175,9 +172,9 @@ func (c *Conn) Events() <-chan core.Event { return c.events }
 // must not invoke engine methods directly.
 func (c *Conn) Endpoint() *core.Endpoint { return c.ep }
 
-// OffloadStatus reports which requested offload features the kernel
-// granted on this connection's socket (zero when none were requested).
-func (c *Conn) OffloadStatus() udpio.OffloadStatus { return c.offload }
+// OffloadStatus reports which offload features are live on this
+// connection's socket (zero on the batched and portable engines).
+func (c *Conn) OffloadStatus() udpio.OffloadStatus { return c.io.Offload() }
 
 // Peer returns the remote address (nil until a responder learns it).
 func (c *Conn) Peer() net.Addr {
@@ -216,7 +213,6 @@ func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closed)
 		c.pc.Close()
-		udpio.CloseEngine(c.io)
 	})
 	c.wg.Wait()
 	return nil
@@ -240,7 +236,6 @@ func (c *Conn) readLoop() {
 				c.closeOnce.Do(func() {
 					close(c.closed)
 					c.pc.Close()
-					udpio.CloseEngine(c.io)
 				})
 			}
 			return
