@@ -545,6 +545,20 @@ func BenchmarkSuiteOps(b *testing.B) {
 				dst = s.MACInto(dst[:0], key, parts[:]...)
 			}
 		})
+		// Base mode: every MAC under a key never seen, where /MAC above is
+		// the batch case (the key of the call before).
+		b.Run(s.Name()+"/MAC-fresh-key", func(b *testing.B) {
+			dst := make([]byte, 0, s.Size())
+			fresh := append([]byte(nil), key...)
+			var parts [1][]byte
+			parts[0] = in
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fresh[i&7]++
+				dst = s.MACInto(dst[:0], fresh, parts[:]...)
+			}
+		})
 		b.Run(s.Name()+"/chain-step", func(b *testing.B) {
 			tag := hashchain.TagS1
 			cur := append(make([]byte, 0, s.Size()), key...)

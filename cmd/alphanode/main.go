@@ -373,7 +373,7 @@ func main() {
 			logEngine(conn.OffloadStatus())
 		}
 		defer conn.Close()
-		exp.Register("alpha_endpoint", conn.Endpoint().Telemetry())
+		registerConn(exp, conn)
 		if *adaptOn {
 			conn.EnableAdaptive(adaptCfg)
 		}
@@ -435,7 +435,7 @@ func main() {
 			logEngine(conn.OffloadStatus())
 		}
 		defer conn.Close()
-		exp.Register("alpha_endpoint", conn.Endpoint().Telemetry())
+		registerConn(exp, conn)
 		if *adaptOn {
 			conn.EnableAdaptive(adaptCfg)
 		}
@@ -517,6 +517,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// registerConn exports a single-association connection: its engine's
+// metrics, and the events the transport had to discard because nothing was
+// draining Events (alpha_conn_event_drops; a server counts the same under
+// alpha_transport_event_drops).
+func registerConn(exp *telemetry.Exporter, conn *udptransport.Conn) {
+	exp.Register("alpha_endpoint", conn.Endpoint().Telemetry())
+	exp.Register("alpha_conn", telemetry.WalkerFunc(func(v telemetry.Visitor) {
+		v.Counter("event_drops", conn.EventDrops())
+	}))
 }
 
 // logEngine says which offload features the kernel probe granted the

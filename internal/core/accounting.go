@@ -20,8 +20,8 @@ func (e *Endpoint) RxBufferedBytes() (preSig, ack int) {
 // packets (the Table 2 "Signer" column, measured on encoded state).
 func (e *Endpoint) TxBufferedBytes() (payload, sig int) {
 	for _, x := range e.tx {
-		for _, m := range x.msgs {
-			payload += len(m.payload)
+		for i := range x.msgs {
+			payload += len(x.msgs[i].payload)
 		}
 		sig += len(x.s1)
 		for _, raw := range x.s2s {

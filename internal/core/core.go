@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"alpha/internal/hashchain"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
 	"alpha/internal/suite"
@@ -308,6 +309,29 @@ var (
 	ErrBadDirection    = errors.New("alpha: packet direction flag mismatch")
 	ErrBadHandshake    = errors.New("alpha: handshake verification failed")
 )
+
+// Bad-element drop reasons, one per way a chain walker refuses an element,
+// built once so that the flood path returns them without allocating. Each
+// matches ErrBadAuthElement and the walker's own sentinel under errors.Is.
+var (
+	errBadElemVerify = fmt.Errorf("%w: %w", ErrBadAuthElement, hashchain.ErrVerifyFailed)
+	errBadElemStale  = fmt.Errorf("%w: %w", ErrBadAuthElement, hashchain.ErrStaleIndex)
+	errBadElemAhead  = fmt.Errorf("%w: %w", ErrBadAuthElement, hashchain.ErrTooFarAhead)
+)
+
+// BadAuthElement returns the drop reason for a chain element a walker
+// refused with cause. Endpoints and relays share it.
+func BadAuthElement(cause error) error {
+	switch cause {
+	case hashchain.ErrVerifyFailed:
+		return errBadElemVerify
+	case hashchain.ErrStaleIndex:
+		return errBadElemStale
+	case hashchain.ErrTooFarAhead:
+		return errBadElemAhead
+	}
+	return ErrBadAuthElement
+}
 
 // MACInput returns the canonical byte string that S1 pre-signatures
 // authenticate for message idx of exchange seq on association assoc. Binding

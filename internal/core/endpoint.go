@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"time"
 
+	"alpha/internal/fifo"
 	"alpha/internal/hashchain"
+	"alpha/internal/merkle"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
 	"alpha/internal/suite"
@@ -51,19 +53,38 @@ type Endpoint struct {
 	// rekey tracks an in-flight local chain rotation.
 	rekey *rekeyState
 
-	// Sender half.
+	// Sender half. queue[qhead:] are the messages waiting for a batch.
 	nextSeq   uint32
 	nextMsgID uint64
-	queue     []*outMsg
+	queue     []outMsg
+	qhead     int
 	queuedAt  time.Time
 	tx        map[uint32]*txExchange
 	txOrder   []uint32
+	txDue     []uint32 // pollExchanges' snapshot of txOrder
 
 	// Receiver half.
 	rx      map[uint32]*rxExchange
-	rxOrder []uint32
+	rxOrder fifo.Ring[uint32] // buffered sequence numbers, oldest first
 
-	outbox   [][]byte
+	// Retired exchanges and payload buffers waiting for reuse, and the
+	// largest slab either kind of exchange has filled: a fresh slab is made
+	// that size, so it is one allocation and never grows.
+	freeTx       []*txExchange
+	freeRx       []*rxExchange
+	freePayloads [][]byte
+	txSlabHint   int
+	rxSlabHint   int
+
+	// Outgoing datagrams, each with the exchange whose slab holds it (nil
+	// for handshake packets), and what the latest Poll handed out: see
+	// Release for the ownership rule.
+	outbox     [][]byte
+	outOwners  []lender
+	outHint    int
+	lentOut    [][]byte
+	lentOwners []lender
+
 	events   []Event
 	chainLow bool
 	nonce    []byte
@@ -73,13 +94,24 @@ type Endpoint struct {
 	// skip the §3.4 signature verification for exactly those anchors.
 	preSig, preAck []byte
 
-	// Hot-path scratch: MAC inputs and computed MACs are assembled here
-	// instead of freshly allocated per message. Valid only within one
-	// MAC-build-or-verify step; the endpoint is single-threaded by
-	// contract so no locking is needed.
-	macIn  []byte
-	macOut []byte
-	parts  [4][]byte
+	// Hot-path scratch: the in-place parser of incoming datagrams, the
+	// bodies outgoing packets are encoded from, and the buffers MAC inputs,
+	// computed MACs, an S1's MAC batch and digest lists (an S1's MACs or
+	// roots, an S2's proof, a tree's leaf inputs) are assembled in instead
+	// of freshly allocated per message. Valid only within one step; the
+	// endpoint is single-threaded by contract so no locking is needed.
+	parser  packet.Parser
+	s1      packet.S1
+	a1      packet.A1
+	s2      packet.S2
+	a2      packet.A2
+	macIn   []byte
+	macOut  []byte
+	macSlab []byte
+	digests [][]byte
+	leafIn  [][]byte
+	opening merkle.Opening
+	parts   [4][]byte
 
 	// tel holds the atomic counters behind Stats(): the endpoint's owning
 	// goroutine increments while exporters and Stats() read concurrently.
@@ -316,50 +348,70 @@ func (e *Endpoint) buildHandshake(initiator bool) (*packet.Handshake, error) {
 // application. Malformed or unverifiable packets are reported as
 // EventDropped; Handle only returns an error for misuse, never for hostile
 // input.
+//
+// The datagram is parsed and verified in place and nothing of it is kept by
+// reference: whatever an exchange buffers is copied into its slab and a
+// delivered payload into the event, so the caller may overwrite the buffer
+// as soon as Handle returns. The returned events are the caller's (but see
+// Release).
+//
+//alpha:hotpath
 func (e *Endpoint) Handle(now time.Time, datagram []byte) ([]Event, error) {
 	e.tnow = now.UnixNano()
 	e.tel.BytesReceived.Add(uint64(len(datagram)))
-	return e.handleRaw(now, datagram, true), nil
+	e.handleRaw(now, datagram, true)
+	return e.takeEvents(), nil
 }
 
-// handleRaw decodes and dispatches one packet; allowBundle guards against
+// handleRaw parses and dispatches one packet; allowBundle guards against
 // nested bundles (the codec rejects them too, belt and braces).
-func (e *Endpoint) handleRaw(now time.Time, datagram []byte, allowBundle bool) []Event {
+func (e *Endpoint) handleRaw(now time.Time, datagram []byte, allowBundle bool) {
 	e.spanStep, e.spanRole, e.spanKey = 0, 0, 0
-	hdr, msg, err := packet.Decode(datagram)
+	hdr, msg, err := e.parser.Parse(datagram)
 	if err != nil {
-		return e.drop(0, fmt.Errorf("undecodable packet: %w", err))
+		e.drop(0, fmt.Errorf("undecodable packet: %w", err)) //alpha:alloc-ok rejected input: the report is the cold path
+		return
 	}
 	if hdr.Suite != e.suite.ID() {
-		return e.drop(hdr.Seq, fmt.Errorf("%w: %d", errSuiteMismatch, hdr.Suite))
+		e.drop(hdr.Seq, fmt.Errorf("%w: %d", errSuiteMismatch, hdr.Suite)) //alpha:alloc-ok rejected input: the report is the cold path
+		return
 	}
 	switch m := msg.(type) {
 	case *packet.Bundle:
 		if !allowBundle {
-			return e.drop(hdr.Seq, packet.ErrBadType)
+			e.drop(hdr.Seq, packet.ErrBadType)
+			return
 		}
-		var evs []Event
+		// A bundle's sub-packets are never bundles, so parsing them leaves
+		// the parser's view of this frame alone.
 		for _, raw := range m.Packets {
-			evs = append(evs, e.handleRaw(now, raw, false)...)
+			e.handleRaw(now, raw, false)
 		}
-		return evs
 	case *packet.Handshake:
 		e.noteSpanStep(obs.StepHS, 0)
-		return e.handleHandshake(now, hdr, m)
+		e.handleHandshake(now, hdr, m) //alpha:alloc-ok once per association: chain walkers, the HS2
 	case *packet.S1:
 		e.noteSpanStep(obs.StepS1, obs.RoleReceiver)
-		return e.handleDataPacket(now, hdr, func() []Event { return e.handleS1(now, hdr, m) })
+		if e.admitDataPacket(hdr) {
+			e.handleS1(now, hdr, m)
+		}
 	case *packet.A1:
 		e.noteSpanStep(obs.StepA1, obs.RoleSender)
-		return e.handleDataPacket(now, hdr, func() []Event { return e.handleA1(now, hdr, m) })
+		if e.admitDataPacket(hdr) {
+			e.handleA1(now, hdr, m)
+		}
 	case *packet.S2:
 		e.noteSpanStep(obs.StepS2, obs.RoleReceiver)
-		return e.handleDataPacket(now, hdr, func() []Event { return e.handleS2(now, hdr, m) })
+		if e.admitDataPacket(hdr) {
+			e.handleS2(now, hdr, m)
+		}
 	case *packet.A2:
 		e.noteSpanStep(obs.StepA2, obs.RoleSender)
-		return e.handleDataPacket(now, hdr, func() []Event { return e.handleA2(now, hdr, m) })
+		if e.admitDataPacket(hdr) {
+			e.handleA2(now, hdr, m)
+		}
 	default:
-		return e.drop(hdr.Seq, packet.ErrBadType)
+		e.drop(hdr.Seq, packet.ErrBadType)
 	}
 }
 
@@ -372,33 +424,32 @@ func (e *Endpoint) noteSpanStep(step, role uint8) {
 	e.spanStep, e.spanRole, e.spanKey = step, role, 0
 }
 
-// handleDataPacket performs the checks common to S1/A1/S2/A2 before
-// dispatching.
-func (e *Endpoint) handleDataPacket(now time.Time, hdr packet.Header, dispatch func() []Event) []Event {
-	if !e.established {
-		return e.drop(hdr.Seq, ErrNotEstablished)
+// admitDataPacket performs the checks common to S1/A1/S2/A2; it drops the
+// packet and reports false when one fails.
+func (e *Endpoint) admitDataPacket(hdr packet.Header) bool {
+	switch {
+	case !e.established:
+		e.drop(hdr.Seq, ErrNotEstablished)
+	case hdr.Assoc != e.assoc:
+		e.drop(hdr.Seq, ErrUnknownAssoc)
+	case (hdr.Flags&FlagInitiator != 0) == e.initiator:
+		// A packet must come from the opposite side of the association.
+		e.drop(hdr.Seq, ErrBadDirection)
+	default:
+		return true
 	}
-	if hdr.Assoc != e.assoc {
-		return e.drop(hdr.Seq, ErrUnknownAssoc)
-	}
-	// A packet must come from the opposite side of the association.
-	if (hdr.Flags&FlagInitiator != 0) == e.initiator {
-		return e.drop(hdr.Seq, ErrBadDirection)
-	}
-	return dispatch()
+	return false
 }
 
 var errSuiteMismatch = errors.New("alpha: suite mismatch")
 
 // reasonCode maps a drop error onto the telemetry reason code carried in
 // TraceDrop events, so trace lines and counters name failures identically.
+// Anything else, a *packet.ParseError first of all, is malformed.
 func reasonCode(err error) uint32 {
-	var parseErr *packet.ParseError
 	switch {
 	case err == nil:
 		return telemetry.ReasonNone
-	case errors.As(err, &parseErr):
-		return telemetry.ReasonMalformed
 	case errors.Is(err, ErrUnknownAssoc):
 		return telemetry.ReasonUnknownAssoc
 	case errors.Is(err, ErrBadAuthElement):
@@ -424,8 +475,8 @@ func reasonCode(err error) uint32 {
 	}
 }
 
-// drop records a dropped packet and returns the corresponding event slice.
-func (e *Endpoint) drop(seq uint32, reason error) []Event {
+// drop records a dropped packet and queues the corresponding event.
+func (e *Endpoint) drop(seq uint32, reason error) {
 	code := reasonCode(reason)
 	e.tel.NoteDrop(code)
 	e.tracer.Trace(e.tnow, telemetry.TraceDrop, e.assoc, seq, code)
@@ -435,83 +486,145 @@ func (e *Endpoint) drop(seq uint32, reason error) []Event {
 	}
 	e.spans.Emit(e.tnow, e.assoc, e.spanKey, seq, role, e.spanStep, uint8(e.cfg.Mode), obs.VerdictDrop, code)
 	e.spanStep, e.spanRole, e.spanKey = 0, 0, 0
-	ev := Event{Kind: EventDropped, Seq: seq, Err: reason}
-	e.events = append(e.events, ev)
-	evs := e.events
-	e.events = nil
-	return evs
+	e.emit(Event{Kind: EventDropped, Seq: seq, Err: reason})
 }
 
 // emit queues an event to be returned from the current Handle/Poll call.
-func (e *Endpoint) emit(ev Event) { e.events = append(e.events, ev) }
-
-// send encodes and queues a packet on the outbox.
-func (e *Endpoint) send(hdr packet.Header, msg packet.Message) error {
-	raw, err := packet.Encode(hdr, msg)
-	if err != nil {
-		return err
-	}
-	e.outbox = append(e.outbox, raw)
-	e.tel.BytesSent.Add(uint64(len(raw)))
-	return nil
+func (e *Endpoint) emit(ev Event) {
+	e.events = append(e.events, ev)
 }
 
-// takeEvents returns and clears the pending event queue.
+// takeEvents returns the pending events and gives the slice away: the
+// caller may keep it, and may call Send while ranging over it.
 func (e *Endpoint) takeEvents() []Event {
+	if len(e.events) == 0 {
+		return nil
+	}
 	evs := e.events
 	e.events = nil
 	return evs
 }
 
-// handleHandshake processes HS1 (as responder) and HS2 (as initiator).
-func (e *Endpoint) handleHandshake(now time.Time, hdr packet.Header, hs *packet.Handshake) []Event {
+// lender is an exchange whose slab holds datagrams that sit in the outbox
+// or were handed out by Poll.
+type lender interface {
+	lend()
+	unlend(e *Endpoint)
+}
+
+// slab is the byte storage of one exchange: what it copies out of received
+// packets and the packets it encodes are appended to buf, which is sized
+// from the largest slab a retired exchange of the kind has filled and so
+// does not grow in steady state. (If it does grow, earlier contents stay
+// where they were: slices into the old array remain valid.) lent counts
+// the datagrams of the slab that are in the outbox or in a caller's hands;
+// the exchange, slab included, is reused only once it has retired and lent
+// is zero.
+type slab struct {
+	buf  []byte
+	lent int
+}
+
+func (s *slab) lend() { s.lent++ }
+
+// reset returns the slab emptied for its next exchange.
+func (s *slab) reset() slab { return slab{buf: s.buf[:0]} }
+
+// reserve makes room for n bytes in an empty slab.
+func (s *slab) reserve(n int) {
+	if cap(s.buf) < n {
+		s.buf = make([]byte, 0, n) //alpha:alloc-ok slab growth: a fresh exchange, or a larger one than this slab has held
+	}
+}
+
+// keep copies b into the slab and returns the copy.
+func (s *slab) keep(b []byte) []byte {
+	off := len(s.buf)
+	s.buf = append(s.buf, b...)
+	return s.buf[off:len(s.buf):len(s.buf)]
+}
+
+// extend appends n zero bytes and returns them.
+func (s *slab) extend(n int) []byte {
+	off := len(s.buf)
+	s.buf = append(s.buf, make([]byte, n)...) //alpha:alloc-ok slab growth: only until the size hint has seen an exchange of this shape
+	return s.buf[off:len(s.buf):len(s.buf)]
+}
+
+// encode appends the encoded packet to the slab and returns it.
+func (s *slab) encode(hdr packet.Header, msg packet.Message) ([]byte, error) {
+	off := len(s.buf)
+	buf, err := packet.AppendEncode(s.buf, hdr, msg) //alpha:alloc-ok slab growth: only until the size hint has seen an exchange of this shape
+	s.buf = buf
+	return buf[off:len(buf):len(buf)], err
+}
+
+// queueOut puts a datagram on the outbox. owner is the exchange whose slab
+// holds it, nil for handshake packets, which are never rewritten.
+func (e *Endpoint) queueOut(raw []byte, owner lender) {
+	if e.outbox == nil {
+		e.outbox = make([][]byte, 0, e.outHint) //alpha:alloc-ok a caller that hands no outbox back (see Release) is given a fresh one
+	}
+	e.outbox = append(e.outbox, raw)
+	e.outOwners = append(e.outOwners, owner)
+	if owner != nil {
+		owner.lend()
+	}
+	e.tel.BytesSent.Add(uint64(len(raw)))
+}
+
+// handleHandshake processes HS1 (as responder) and HS2 (as initiator). The
+// chain walkers copy the anchors they start from, so nothing of hs outlives
+// the call.
+func (e *Endpoint) handleHandshake(now time.Time, hdr packet.Header, hs *packet.Handshake) {
 	switch {
 	case hdr.Type == packet.TypeHS1 && !e.initiator:
 		if e.established {
 			// Duplicate HS1: retransmit our HS2 so a lost response
 			// does not deadlock the initiator.
 			if hdr.Assoc == e.assoc && e.hsPacket != nil {
-				e.outbox = append(e.outbox, e.hsPacket)
-				e.tel.BytesSent.Add(uint64(len(e.hsPacket)))
+				e.queueOut(e.hsPacket, nil)
 			}
-			return e.takeEvents()
+			return
 		}
 		if err := e.adoptPeer(hdr, hs); err != nil {
-			return e.drop(0, err)
+			e.drop(0, err)
+			return
 		}
 		e.assoc = hdr.Assoc
 		resp, err := e.buildHandshake(false)
 		if err != nil {
-			return e.drop(0, err)
+			e.drop(0, err)
+			return
 		}
 		raw, err := packet.Encode(e.header(packet.TypeHS2, 0), resp)
 		if err != nil {
-			return e.drop(0, err)
+			e.drop(0, err)
+			return
 		}
 		e.hsPacket = raw
-		e.outbox = append(e.outbox, raw)
-		e.tel.BytesSent.Add(uint64(len(raw)))
+		e.queueOut(raw, nil)
 		e.established = true
 		e.emit(Event{Kind: EventEstablished})
-		return e.takeEvents()
 
 	case hdr.Type == packet.TypeHS2 && e.initiator:
 		if e.established {
-			return e.takeEvents() // duplicate HS2
+			return // duplicate HS2
 		}
 		if hdr.Assoc != e.assoc {
-			return e.drop(0, ErrUnknownAssoc)
+			e.drop(0, ErrUnknownAssoc)
+			return
 		}
 		if err := e.adoptPeer(hdr, hs); err != nil {
-			return e.drop(0, err)
+			e.drop(0, err)
+			return
 		}
 		e.established = true
 		e.hsPacket = nil
 		e.emit(Event{Kind: EventEstablished})
-		return e.takeEvents()
 
 	default:
-		return e.drop(0, fmt.Errorf("%w: unexpected %v", ErrBadHandshake, hdr.Type))
+		e.drop(0, fmt.Errorf("%w: unexpected %v", ErrBadHandshake, hdr.Type))
 	}
 }
 
@@ -564,7 +677,13 @@ func (e *Endpoint) adoptPeer(hdr packet.Header, hs *packet.Handshake) error {
 }
 
 // Poll drives timers and flushes batched work. It returns the datagrams to
-// transmit and any events raised since the last call.
+// transmit and any events raised since the last call. Both belong to the
+// caller: the datagrams stay intact for as long as it keeps them, even
+// though they are views of the slabs of the exchanges that may retransmit
+// them, because a slab is not reused while any datagram of it is out. A
+// caller that knows when it is done with them says so with Release.
+//
+//alpha:hotpath
 func (e *Endpoint) Poll(now time.Time) ([][]byte, []Event) {
 	e.tnow = now.UnixNano()
 	// Handshake retransmission (initiator only: responder HS2 resends
@@ -573,8 +692,7 @@ func (e *Endpoint) Poll(now time.Time) ([][]byte, []Event) {
 		if e.hsRetries < e.cfg.MaxRetries {
 			e.hsRetries++
 			e.tel.Retransmits.Inc()
-			e.outbox = append(e.outbox, e.hsPacket)
-			e.tel.BytesSent.Add(uint64(len(e.hsPacket)))
+			e.queueOut(e.hsPacket, nil)
 			e.hsDeadline = now.Add(backoff(e.cfg.RTO, e.hsRetries))
 		}
 	}
@@ -583,21 +701,66 @@ func (e *Endpoint) Poll(now time.Time) ([][]byte, []Event) {
 		e.pollExchanges(now)
 		if e.cfg.AutoRekey && e.cfg.Reliable && e.chainLow && e.rekey == nil &&
 			len(e.tx) == 0 {
-			if _, err := e.Rekey(now); err != nil {
+			if _, err := e.Rekey(now); err != nil { //alpha:alloc-ok rekey happens once per chain lifetime
 				// A failed attempt (e.g. too few elements left to
 				// sign the announcement) will not get better;
 				// surface it once and stop retrying.
 				e.chainLow = false
-				e.emit(Event{Kind: EventSendFailed, Err: fmt.Errorf("alpha: auto-rekey: %w", err)})
+				e.emit(Event{Kind: EventSendFailed, Err: fmt.Errorf("alpha: auto-rekey: %w", err)}) //alpha:alloc-ok rekey happens once per chain lifetime
 			}
 		}
 	}
+	if len(e.outbox) == 0 {
+		return nil, e.takeEvents()
+	}
+	// The outbox goes to the caller. Whatever the previous Poll handed out
+	// and nobody handed back stays lent for good: its owners are forgotten,
+	// so their slabs are never reused.
 	out := e.outbox
 	e.outbox = nil
+	e.outHint = max(e.outHint, len(out))
+	clear(e.lentOwners)
+	e.lentOut, e.lentOwners, e.outOwners = out, e.outOwners, e.lentOwners[:0]
 	if e.cfg.Coalesce && len(out) > 1 {
-		out = e.coalesce(out)
+		// Bundles are fresh buffers but single packets pass through as
+		// they are, so nothing of this batch can be handed back.
+		out, e.lentOut = e.coalesce(out), nil //alpha:alloc-ok bundling re-frames every Poll; no workload coalesces
 	}
 	return out, e.takeEvents()
+}
+
+// Release hands back what the endpoint returned: out is the datagram slice
+// of the latest Poll, evs an event slice from Handle or Poll; either may be
+// nil. It is for the one kind of caller that knows the bytes have been
+// copied out — a transport whose write has returned — and is never
+// required: without it every slice the endpoint returns is the caller's to
+// keep, at the price of one allocation each and one per exchange.
+//
+// After Release the caller must not touch the slices or the datagrams. The
+// endpoint reuses the slices at once, and reuses an exchange (and the slab
+// its datagrams live in) once the exchange has retired and every datagram
+// of it that was ever queued has been handed back. A datagram slice that is
+// not the latest Poll's is ignored.
+//
+//alpha:hotpath
+func (e *Endpoint) Release(out [][]byte, evs []Event) {
+	if len(out) > 0 && len(out) == len(e.lentOut) && &out[0] == &e.lentOut[0] {
+		for _, owner := range e.lentOwners {
+			if owner != nil {
+				owner.unlend(e)
+			}
+		}
+		clear(e.lentOwners)
+		e.lentOut, e.lentOwners = nil, e.lentOwners[:0]
+		if len(e.outbox) == 0 && cap(out) > cap(e.outbox) {
+			clear(out)
+			e.outbox = out[:0]
+		}
+	}
+	if len(e.events) == 0 && cap(evs) > cap(e.events) {
+		clear(evs)
+		e.events = evs[:0]
+	}
 }
 
 // coalesce greedily packs consecutive outgoing packets into bundles of at
@@ -656,7 +819,7 @@ func (e *Endpoint) NextTimeout() (time.Time, bool) {
 	// The flush deadline only matters while an exchange slot is free and
 	// no rekey is serializing the queue; otherwise the queue drains on
 	// exchange completions and timers instead.
-	if len(e.queue) > 0 && e.cfg.FlushDelay >= 0 && !e.queuedAt.IsZero() &&
+	if e.QueueLen() > 0 && e.cfg.FlushDelay >= 0 && !e.queuedAt.IsZero() &&
 		len(e.tx) < e.cfg.MaxOutstanding && e.rekey == nil &&
 		!(e.cfg.AutoRekey && e.cfg.Reliable && e.sigChain.Remaining() < 4) {
 		add(e.queuedAt.Add(e.cfg.FlushDelay))

@@ -1,0 +1,365 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"alpha/internal/packet"
+)
+
+// The endpoint hands out views of exchange slabs and reuses a slab only
+// when its exchange has retired and every hand-out has been handed back.
+// These tests pin both sides of that rule: a caller that never hands
+// anything back keeps every datagram intact for ever, and a caller that
+// does pays at most one allocation per delivered message.
+
+// ownershipModes are the configurations the ledger runs, plus CM.
+var ownershipModes = []struct {
+	name string
+	cfg  Config
+}{
+	{"base", Config{Mode: packet.ModeBase, Reliable: true}},
+	{"C-16", Config{Mode: packet.ModeC, BatchSize: 16}},
+	{"M-64", Config{Mode: packet.ModeM, BatchSize: 64, Reliable: true}},
+	{"CM", Config{Mode: packet.ModeCM, BatchSize: 16, CMRoots: 4}},
+}
+
+// keeper is a caller of the default-safe kind: it keeps every datagram any
+// Poll returned, with a private snapshot to compare against later, and
+// never calls Release.
+type keeper struct {
+	kept, snap [][]byte
+	at         map[*byte][]int // a datagram's first byte to its indexes in kept
+}
+
+func (k *keeper) keep(out [][]byte) {
+	if k.at == nil {
+		k.at = make(map[*byte][]int)
+	}
+	for _, raw := range out {
+		k.at[&raw[0]] = append(k.at[&raw[0]], len(k.kept))
+		k.kept = append(k.kept, raw)
+		k.snap = append(k.snap, append([]byte(nil), raw...))
+	}
+}
+
+func (k *keeper) check(t *testing.T) {
+	t.Helper()
+	for i := range k.kept {
+		if !bytes.Equal(k.kept[i], k.snap[i]) {
+			t.Fatalf("datagram %d of %d changed after Poll returned it", i, len(k.kept))
+		}
+	}
+}
+
+// TestKeptDatagramsNeverChange drives 1000 exchanges per mode the way the
+// benchmark's churn generator drives its endpoints: datagrams of several
+// Polls are queued before any is flushed, the cookie byte is stamped into
+// them at flush time, Send is called while ranging over a returned event
+// slice, and now and then a packet is lost so that retransmissions are
+// handed out too. Nothing is ever handed back, so every datagram ever
+// returned must still read as it did, byte for byte, at the end.
+func TestKeptDatagramsNeverChange(t *testing.T) {
+	const exchanges = 1000
+	for _, mc := range ownershipModes {
+		t.Run(mc.name, func(t *testing.T) {
+			cfg := mc.cfg
+			cfg.ChainLen, cfg.FlushDelay, cfg.RTO = 2*exchanges+64, -1, 20*time.Millisecond
+			h := newHarness(t, cfg)
+			h.handshake()
+			n := max(cfg.BatchSize, 1)
+			var ka, kb keeper
+			var toB, toA [][]byte
+			sent, delivered, lost := 0, 0, 0
+			seen := make([]bool, exchanges*n)
+			payload := make([]byte, 64)
+			send := func() {
+				for i := 0; i < n; i++ {
+					binary.BigEndian.PutUint64(payload, uint64(sent))
+					if _, err := h.a.Send(h.now, payload); err != nil {
+						t.Fatal(err)
+					}
+					sent++
+				}
+			}
+			// react is the generator's event loop: it calls Send while the
+			// slice Handle or Poll returned is still being ranged over.
+			react := func(evs []Event) {
+				for _, ev := range evs {
+					switch ev.Kind {
+					case EventDelivered:
+						// Retransmissions deliver out of order; each message
+						// must arrive exactly once.
+						id := binary.BigEndian.Uint64(ev.Payload)
+						if id >= uint64(len(seen)) || seen[id] {
+							t.Fatalf("delivery %d carries message %d, unknown or already delivered", delivered, id)
+						}
+						seen[id] = true
+						if delivered++; !cfg.Reliable && delivered%n == 0 && sent < exchanges*n {
+							send()
+						}
+					case EventAcked:
+						if cfg.Reliable && int(ev.MsgID)%n == 0 && sent < exchanges*n {
+							send()
+						}
+					case EventSendFailed, EventNacked:
+						t.Fatalf("unexpected %v: %v", ev.Kind, ev.Err)
+					}
+				}
+			}
+			send()
+			for round := 0; delivered < exchanges*n; round++ {
+				if round > 40*exchanges {
+					t.Fatalf("stalled after %d of %d deliveries", delivered, exchanges*n)
+				}
+				h.now = h.now.Add(time.Millisecond)
+				// Two Polls of each endpoint are queued before either
+				// queue is flushed.
+				for i := 0; i < 2; i++ {
+					out, evs := h.a.Poll(h.now)
+					ka.keep(out)
+					toB = append(toB, out...)
+					react(evs)
+					out, evs = h.b.Poll(h.now)
+					kb.keep(out)
+					toA = append(toA, out...)
+					react(evs)
+				}
+				for _, raw := range toB {
+					// The generator stamps a queued datagram when it flushes
+					// it; that is the caller's own write, so the snapshots of
+					// this datagram (one per time it was handed out) follow.
+					packet.StampCookie(raw, nil, 9)
+					for _, i := range ka.at[&raw[0]] {
+						ka.snap[i][packet.CookieOffset] = raw[packet.CookieOffset]
+					}
+					// Every 97th datagram the signer may retransmit is lost on
+					// the way: it then comes round again from the signer's
+					// slab. (An unreliable S2 is never retransmitted.)
+					if cfg.Reliable || packet.Type(raw[3]) == packet.TypeS1 {
+						if lost++; lost%97 == 0 {
+							continue
+						}
+					}
+					evs, _ := h.b.Handle(h.now, raw)
+					react(evs)
+				}
+				for _, raw := range toA {
+					evs, _ := h.a.Handle(h.now, raw)
+					react(evs)
+				}
+				toB, toA = toB[:0], toA[:0]
+				if round%8 == 7 {
+					h.now = h.now.Add(cfg.RTO) // let a lost packet's timer fire
+				}
+			}
+			ka.check(t)
+			kb.check(t)
+			if st := h.a.Stats(); lost >= 97 && st.Retransmits == 0 {
+				t.Fatalf("no retransmission was exercised (%d datagrams lost)", lost/97)
+			}
+		})
+	}
+}
+
+// lockstep carries one batch of n messages from a to b and the
+// acknowledgments back, handing every slice back as a transport would once
+// its write has returned. It returns the messages delivered.
+func lockstep(t *testing.T, a, b *Endpoint, now time.Time, n int, payload []byte) (delivered int) {
+	for i := 0; i < n; i++ {
+		if _, err := a.Send(now, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for {
+		out, evs := a.Poll(now)
+		for _, raw := range out {
+			got, _ := b.Handle(now, raw)
+			for i := range got {
+				if got[i].Kind == EventDelivered {
+					delivered++
+				}
+			}
+			b.Release(nil, got)
+		}
+		a.Release(out, evs)
+		back, evs := b.Poll(now)
+		for _, raw := range back {
+			got, _ := a.Handle(now, raw)
+			a.Release(nil, got)
+		}
+		b.Release(back, evs)
+		if len(out) == 0 && len(back) == 0 {
+			return delivered
+		}
+	}
+}
+
+// TestHandBackOneAllocPerMessage is the endpoint pair's allocation gate: a
+// signer and a verifier whose caller hands buffers back spend at most one
+// allocation per delivered message, the payload copy in Event.Payload, plus
+// in the Merkle modes the trees of the batch (built once per n messages).
+func TestHandBackOneAllocPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	// Receiver exchanges retire by eviction, so the free list is warm only
+	// after MaxRxExchanges of them.
+	const warm, runs = DefaultMaxRxExchanges + 16, 32
+	for _, mc := range ownershipModes {
+		t.Run(mc.name, func(t *testing.T) {
+			cfg := mc.cfg
+			cfg.ChainLen, cfg.FlushDelay = 2*(warm+runs)+64, -1
+			h := newHarness(t, cfg)
+			h.handshake()
+			n := max(cfg.BatchSize, 1)
+			payload := make([]byte, 64)
+			exchange := func() {
+				if got := lockstep(t, h.a, h.b, h.now, n, payload); got != n {
+					t.Fatalf("delivered %d of %d messages", got, n)
+				}
+			}
+			for i := 0; i < warm; i++ {
+				exchange()
+			}
+			allocs := testing.AllocsPerRun(runs, exchange)
+			limit := float64(n)
+			switch cfg.Mode {
+			case packet.ModeM, packet.ModeCM:
+				// internal/merkle allocates a tree's levels when it builds
+				// it: per batch (an ALPHA-M tree and its AMT, or the k
+				// subtrees of CM), not per message.
+				limit += 48
+			}
+			t.Logf("%s: %.0f allocations per exchange of %d messages (%.2f per message)", mc.name, allocs, n, allocs/float64(n))
+			if allocs > limit {
+				t.Fatalf("one %s exchange of %d messages allocated %.0f times, want at most %.0f", mc.name, n, allocs, limit)
+			}
+		})
+	}
+}
+
+// TestHandedBackSlabIsReused shows the other half of the rule: handing
+// back is what makes a slab reusable, and a datagram that was handed back
+// may change.
+func TestHandedBackSlabIsReused(t *testing.T) {
+	h := newHarness(t, Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 64, FlushDelay: -1})
+	h.handshake()
+	payload := make([]byte, 32)
+	lockstep(t, h.a, h.b, h.now, 1, payload)
+	if len(h.a.freeTx) != 1 {
+		t.Fatalf("signer has %d reusable exchanges after a handed-back exchange, want 1", len(h.a.freeTx))
+	}
+	first := h.a.freeTx[0]
+	lockstep(t, h.a, h.b, h.now, 1, payload)
+	if len(h.a.freeTx) != 1 || h.a.freeTx[0] != first {
+		t.Fatalf("the second exchange did not reuse the first one's exchange and slab")
+	}
+	// Without the hand-back the exchange stays lent and is never reused.
+	if _, err := h.a.Send(h.now, payload); err != nil {
+		t.Fatal(err)
+	}
+	h.run(20)
+	if len(h.a.freeTx) != 0 {
+		t.Fatalf("an exchange whose datagrams were never handed back was put up for reuse")
+	}
+}
+
+// TestReplayedS2sDoNotGrowTheSlab pins the bound on a receiver exchange's
+// memory: it opens each A2 once and stores it, so whoever replays a valid S2
+// (re-opened ack) or, once the key is disclosed, a forged one (nack) gets
+// the stored packet again and adds nothing to the slab, and the size hint
+// fresh slabs are made from is what it is after a run nobody tampered with.
+func TestReplayedS2sDoNotGrowTheSlab(t *testing.T) {
+	const replays = 10000
+	for _, mc := range ownershipModes {
+		if !mc.cfg.Reliable {
+			continue
+		}
+		t.Run(mc.name, func(t *testing.T) {
+			cfg := mc.cfg
+			cfg.ChainLen, cfg.FlushDelay = 2*(DefaultMaxRxExchanges+4)+64, -1
+			n := max(cfg.BatchSize, 1)
+			payload := make([]byte, 64)
+
+			// The reference pair runs the same exchanges undisturbed.
+			ref := newHarness(t, cfg)
+			ref.handshake()
+			for i := 0; i < DefaultMaxRxExchanges+2; i++ {
+				lockstep(t, ref.a, ref.b, ref.now, n, payload)
+			}
+
+			h := newHarness(t, cfg)
+			h.handshake()
+			for i := 0; i < n; i++ {
+				if _, err := h.a.Send(h.now, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// S1 over, A1 back: the signer's next Poll holds the S2s.
+			s1, _ := h.a.Poll(h.now)
+			h.b.Handle(h.now, s1[0])
+			a1, _ := h.b.Poll(h.now)
+			h.a.Handle(h.now, a1[0])
+			s2s, _ := h.a.Poll(h.now)
+			if len(s2s) != n {
+				t.Fatalf("signer sent %d S2s, want %d", len(s2s), n)
+			}
+			good := s2s[0]
+			hdr, msg, err := packet.Decode(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg.(*packet.S2).Payload[0] ^= 1
+			forged, err := packet.Encode(hdr, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rx := h.b.rx[hdr.Seq]
+			replay := func(raw []byte, want uint64) (slabLen int) {
+				t.Helper()
+				sent := h.b.Stats().SentA2
+				for i := 0; i < replays; i++ {
+					evs, _ := h.b.Handle(h.now, raw)
+					out, _ := h.b.Poll(h.now)
+					if i == 0 {
+						slabLen = len(rx.buf)
+					}
+					h.b.Release(out, evs)
+				}
+				if got := h.b.Stats().SentA2 - sent; got != want {
+					t.Fatalf("%d replays were answered with %d A2s, want %d", replays, got, want)
+				}
+				if len(rx.buf) != slabLen {
+					t.Fatalf("slab grew from %d to %d bytes over %d replays", slabLen, len(rx.buf), replays)
+				}
+				return slabLen
+			}
+			replay(forged, replays) // nacked every time, encoded once
+			replay(good, replays)   // delivered, then the ack re-opened
+			replay(forged, 0)       // delivered already: dropped
+			if rx.nackLen == 0 || rx.nackLen != len(rx.a2s[0]) {
+				t.Fatalf("nackLen = %d with a %d-byte nack stored", rx.nackLen, len(rx.a2s[0]))
+			}
+			// Finish the exchange, then push it out of the table.
+			for _, raw := range s2s[1:] {
+				h.b.Handle(h.now, raw)
+			}
+			back, _ := h.b.Poll(h.now)
+			for _, raw := range back {
+				h.a.Handle(h.now, raw)
+			}
+			for i := 0; i < DefaultMaxRxExchanges+1; i++ {
+				lockstep(t, h.a, h.b, h.now, n, payload)
+			}
+			if _, ok := h.b.rx[hdr.Seq]; ok {
+				t.Fatal("the replayed exchange was not evicted")
+			}
+			if h.b.rxSlabHint != ref.b.rxSlabHint {
+				t.Fatalf("rxSlabHint = %d after the replays, %d on an undisturbed pair", h.b.rxSlabHint, ref.b.rxSlabHint)
+			}
+		})
+	}
+}

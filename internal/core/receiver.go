@@ -4,6 +4,7 @@ package core
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"time"
 
@@ -18,11 +19,18 @@ import (
 // rxExchange is the verifier-side state for one signature exchange: the
 // buffered pre-signatures from the S1 and, in reliable mode, the pre-(n)ack
 // material whose secrets will be opened in A2 packets. Its size is exactly
-// the "Verifier" column of Tables 2 and 3.
+// the "Verifier" column of Tables 2 and 3. Like a txExchange it comes from
+// the endpoint's free list and keeps every byte in one slab: the copies of
+// the S1's element and pre-signatures, the disclosed key, the pre-(n)ack
+// secrets, the encoded A1 and the A2s it opens — each A2 once, however
+// often a replayed S2 asks for it, so the slab's size is bounded by the
+// shape of the exchange and not by what the network sends.
 type rxExchange struct {
+	slab
 	seq      uint32
 	mode     packet.Mode
 	reliable bool
+	evicted  bool   // out of the table; reusable once nothing of the slab is lent
 	keyIdx   uint32 // expected disclosure index of the signer's MAC key
 	// auth is the S1's verified chain element: the exchange's own trust
 	// anchor. The S2's key element must hash to it, which keeps payload
@@ -32,10 +40,10 @@ type rxExchange struct {
 	// so duplicates verify by equality.
 	key []byte
 
-	// Pre-signatures buffered from the S1.
-	macs      [][]byte // modes base and C
-	root      []byte   // mode M
-	roots     [][]byte // mode CM
+	// presig holds the pre-signatures buffered from the S1, back to back:
+	// one MAC per message (base/C), the root (M) or the k subtree roots
+	// (CM).
+	presig    []byte
 	leafCount int
 
 	// Reliable-mode acknowledgment material.
@@ -44,24 +52,37 @@ type rxExchange struct {
 	snack   []byte         // base: secret opened for a negative ack
 	amt     *merkle.AckTree
 
-	a1        []byte // encoded A1 for retransmission on duplicate S1
+	a1 []byte // encoded A1 for retransmission on duplicate S1
+	// a2s holds the encoded A2s of a reliable exchange, the nack of message
+	// i at 2i and its ack at 2i+1, nil until first opened: a duplicate or
+	// forged S2 gets the stored packet again. nackLen is what the nacks add
+	// to the slab, which no honest exchange needs (see storeRx).
+	a2s       [][]byte
+	nackLen   int
 	delivered []bool
 	doneCount int
+
+	// Backing for the one-message exchange of base mode.
+	delivered1 [1]bool
+	a2s1       [2][]byte
+}
+
+// unlend implements lender.
+func (rx *rxExchange) unlend(e *Endpoint) {
+	if rx.lent--; rx.lent == 0 && rx.evicted {
+		e.freeRx = append(e.freeRx, rx)
+	}
+}
+
+// sig returns pre-signature i (a MAC or a subtree root).
+func (rx *rxExchange) sig(i int) []byte {
+	h := len(rx.auth)
+	return rx.presig[i*h : (i+1)*h]
 }
 
 // bufferedBytes reports how much pre-signature state the exchange pins,
 // reproducing the verifier column of Table 2 empirically.
-func (rx *rxExchange) bufferedBytes() int {
-	n := 0
-	for _, m := range rx.macs {
-		n += len(m)
-	}
-	n += len(rx.root)
-	for _, r := range rx.roots {
-		n += len(r)
-	}
-	return n
-}
+func (rx *rxExchange) bufferedBytes() int { return len(rx.presig) }
 
 // ackBytes reports the additional reliable-mode state (Table 3).
 func (rx *rxExchange) ackBytes() int {
@@ -76,66 +97,86 @@ func (rx *rxExchange) ackBytes() int {
 	return n
 }
 
+// newRx takes a receiver exchange off the free list, or makes one.
+func (e *Endpoint) newRx() *rxExchange {
+	var rx *rxExchange
+	if n := len(e.freeRx); n > 0 {
+		rx, e.freeRx = e.freeRx[n-1], e.freeRx[:n-1]
+		*rx = rxExchange{slab: rx.slab.reset(), delivered: rx.delivered[:0], a2s: rx.a2s[:0]}
+	} else {
+		rx = &rxExchange{} //alpha:alloc-ok the first MaxRxExchanges exchanges, or a caller that hands nothing back (see Release)
+		rx.delivered, rx.a2s = rx.delivered1[:0], rx.a2s1[:0]
+	}
+	rx.reserve(e.rxSlabHint) //alpha:alloc-ok slab growth: a fresh exchange, or a larger one than this slab has held
+	return rx
+}
+
+// Rejections of an S1 whose shape the parser accepts but the protocol does
+// not; both count as malformed.
+var (
+	errCMRoots     = errors.New("alpha: CM root count inconsistent with the message count")
+	errUnknownMode = errors.New("alpha: unknown mode")
+)
+
+// zeroed returns b resized to n zero entries, reusing its capacity.
+func zeroed[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n) //alpha:alloc-ok grows to the batch size once per exchange object
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
 // handleS1 verifies a pre-signature announcement and answers with an A1.
-func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) []Event {
+//
+//alpha:hotpath
+func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 	e.tel.RecvS1.Inc()
 	if rx, ok := e.rx[hdr.Seq]; ok {
 		// Duplicate S1 (our A1 was probably lost): resend the stored
 		// A1 rather than re-verifying; the paper calls for robust and
 		// fast S1/A1 retransmission (§3.5).
 		if rx.a1 != nil {
-			e.outbox = append(e.outbox, rx.a1)
-			e.tel.BytesSent.Add(uint64(len(rx.a1)))
+			e.queueOut(rx.a1, rx)
 			e.tel.Retransmits.Inc()
 		}
-		return e.takeEvents()
+		return
 	}
 	if s1.AuthIdx%2 != 1 || s1.KeyIdx != s1.AuthIdx+1 {
-		return e.drop(hdr.Seq, ErrBadAuthElement)
+		e.drop(hdr.Seq, ErrBadAuthElement)
+		return
 	}
 	if err := e.verifyPeerSig(s1.Auth, s1.AuthIdx); err != nil {
-		return e.drop(hdr.Seq, fmt.Errorf("%w: %v", ErrBadAuthElement, err))
+		e.drop(hdr.Seq, BadAuthElement(err))
+		return
 	}
 	e.spanKey = obs.Key(s1.Auth)
 	e.tracer.Trace(e.tnow, telemetry.TraceS1Recv, e.assoc, hdr.Seq, 0)
 	reliable := hdr.Flags&packet.FlagReliable != 0
-	rx := &rxExchange{
-		seq:      hdr.Seq,
-		mode:     s1.Mode,
-		reliable: reliable,
-		keyIdx:   s1.KeyIdx,
-		auth:     append([]byte(nil), s1.Auth...),
-	}
-	var batch int
+	presig, batch, leafCount := s1.MACs, len(s1.MACs), 0
 	switch s1.Mode {
 	case packet.ModeBase, packet.ModeC:
-		rx.macs = s1.MACs
-		batch = len(s1.MACs)
 	case packet.ModeM:
-		rx.root = s1.Root
-		rx.leafCount = int(s1.LeafCount)
-		batch = rx.leafCount
+		presig, batch, leafCount = nil, int(s1.LeafCount), int(s1.LeafCount)
 	case packet.ModeCM:
-		rx.roots = s1.Roots
-		rx.leafCount = int(s1.LeafCount)
-		batch = rx.leafCount
+		presig, batch, leafCount = s1.Roots, int(s1.LeafCount), int(s1.LeafCount)
 		// The root count must be consistent with the subtree partition
 		// both sides derive from (n, k).
 		sub := CMSubSize(batch, len(s1.Roots))
 		if (batch+sub-1)/sub != len(s1.Roots) {
-			return e.drop(hdr.Seq, fmt.Errorf("inconsistent CM root count %d for %d messages", len(s1.Roots), batch))
+			e.drop(hdr.Seq, errCMRoots)
+			return
 		}
 	default:
-		return e.drop(hdr.Seq, fmt.Errorf("unknown mode %v", s1.Mode))
+		e.drop(hdr.Seq, errUnknownMode)
+		return
 	}
-	rx.delivered = make([]bool, batch)
-
-	a1 := &packet.A1{}
 	pair, err := e.ackChain.NextPair()
 	if err != nil {
-		return e.drop(hdr.Seq, fmt.Errorf("%w: %v", ErrChainExhausted, err))
+		e.drop(hdr.Seq, fmt.Errorf("%w: %v", ErrChainExhausted, err)) //alpha:alloc-ok the chain ran out: once per chain lifetime
+		return
 	}
-	rx.ackPair = pair
 	e.noteChainGauges()
 	// The acknowledgment chain depletes as fast as the peer sends; warn
 	// (and auto-rekey, if configured) from the verifier side too.
@@ -143,74 +184,104 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) []E
 		e.chainLow = true
 		e.emit(Event{Kind: EventChainLow})
 	}
-	a1.AuthIdx = pair.AuthIdx
-	a1.Auth = pair.Auth
-	a1.KeyIdx = pair.KeyIdx
+
+	// The S1 is a view of the caller's buffer: everything the exchange
+	// keeps of it is copied into the slab.
+	rx := e.newRx() //alpha:alloc-ok the first MaxRxExchanges exchanges, or a caller that hands nothing back (see Release)
+	rx.seq, rx.mode, rx.reliable, rx.keyIdx, rx.leafCount, rx.ackPair = hdr.Seq, s1.Mode, reliable, s1.KeyIdx, leafCount, pair
+	rx.auth = rx.keep(s1.Auth)
+	start := len(rx.buf)
+	if s1.Mode == packet.ModeM {
+		rx.keep(s1.Root)
+	}
+	for _, d := range presig {
+		rx.keep(d)
+	}
+	rx.presig = rx.buf[start:len(rx.buf):len(rx.buf)]
+	rx.delivered = zeroed(rx.delivered, batch) //alpha:alloc-ok grows to the batch size once per exchange object
+
+	a1 := &e.a1
+	*a1 = packet.A1{AuthIdx: pair.AuthIdx, Auth: pair.Auth, KeyIdx: pair.KeyIdx}
 	if reliable {
+		rx.a2s = zeroed(rx.a2s, 2*batch) //alpha:alloc-ok grows to the batch size once per exchange object
 		if batch == 1 {
 			// Flat pre-ack/pre-nack pair (§3.2.2, Fig. 3).
-			rx.sack = make([]byte, e.suite.Size())
-			rx.snack = make([]byte, e.suite.Size())
-			if _, err := rand.Read(rx.sack); err != nil {
-				return e.drop(hdr.Seq, err)
+			h := e.suite.Size()
+			secrets := rx.extend(2 * h) //alpha:alloc-ok slab growth: only until the size hint has seen an exchange of this shape
+			if _, err := rand.Read(secrets); err != nil {
+				e.drop(hdr.Seq, err)
+				return
 			}
-			if _, err := rand.Read(rx.snack); err != nil {
-				return e.drop(hdr.Seq, err)
-			}
-			a1.PreAck = PreAckDigest(e.suite, pair.Key, rx.sack)
-			a1.PreNack = PreNackDigest(e.suite, pair.Key, rx.snack)
+			rx.sack, rx.snack = secrets[:h:h], secrets[h:]
+			e.macOut = AppendPreAckDigest(e.suite, e.macOut[:0], pair.Key, rx.sack)
+			e.macOut = AppendPreNackDigest(e.suite, e.macOut, pair.Key, rx.snack)
+			a1.PreAck, a1.PreNack = e.macOut[:h], e.macOut[h:]
 		} else {
 			// Acknowledgment Merkle Tree (§3.3.3, Fig. 7).
-			amt, err := merkle.NewAckTree(e.suite, pair.Key, batch)
+			amt, err := merkle.NewAckTree(e.suite, pair.Key, batch) //alpha:alloc-ok the AMT: once per exchange of n messages
 			if err != nil {
-				return e.drop(hdr.Seq, err)
+				e.drop(hdr.Seq, err)
+				return
 			}
 			rx.amt = amt
 			a1.AMTRoot = amt.Root()
 			a1.AMTLeaves = uint32(batch)
 		}
 	}
-	raw, err := packet.Encode(e.header(packet.TypeA1, hdr.Seq), a1)
-	if err != nil {
-		return e.drop(hdr.Seq, err)
+	if rx.a1, err = rx.encode(e.header(packet.TypeA1, hdr.Seq), a1); err != nil {
+		e.drop(hdr.Seq, err)
+		return
 	}
-	rx.a1 = raw
 	e.storeRx(rx)
-	e.outbox = append(e.outbox, raw)
-	e.tel.BytesSent.Add(uint64(len(raw)))
+	e.queueOut(rx.a1, rx)
 	e.tel.SentA1.Inc()
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), hdr.Seq, obs.RoleReceiver, obs.StepS1, uint8(rx.mode), obs.VerdictRecv, uint32(batch))
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), hdr.Seq, obs.RoleReceiver, obs.StepA1, uint8(rx.mode), obs.VerdictSent, 0)
-	return e.takeEvents()
 }
 
 // storeRx registers a receiver exchange, evicting the oldest one beyond the
-// configured memory bound.
+// configured memory bound. The evicted exchange goes back to the free list
+// as soon as nothing of its slab is lent out.
 func (e *Endpoint) storeRx(rx *rxExchange) {
 	e.rx[rx.seq] = rx
-	e.rxOrder = append(e.rxOrder, rx.seq)
-	for len(e.rxOrder) > e.cfg.MaxRxExchanges {
-		old := e.rxOrder[0]
-		e.rxOrder = e.rxOrder[1:]
-		delete(e.rx, old)
+	seq, evicted := e.rxOrder.Push(rx.seq, e.cfg.MaxRxExchanges) //alpha:alloc-ok the ring itself: once per endpoint
+	if !evicted {
+		return
+	}
+	old, ok := e.rx[seq]
+	if !ok || old == rx {
+		return
+	}
+	delete(e.rx, seq)
+	old.evicted = true
+	// Size the next fresh slab for what an exchange of this shape holds when
+	// nobody tampers: nacks are left out, so forged S2s cannot inflate it.
+	e.rxSlabHint = max(e.rxSlabHint, len(old.buf)-old.nackLen)
+	if old.lent == 0 {
+		e.freeRx = append(e.freeRx, old)
 	}
 }
 
 // handleS2 verifies a disclosed message against its buffered pre-signature
 // and delivers it; in reliable mode it opens the matching pre-(n)ack.
-func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) []Event {
+//
+//alpha:hotpath
+func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) {
 	e.tel.RecvS2.Inc()
 	rx, ok := e.rx[hdr.Seq]
 	if !ok {
-		return e.drop(hdr.Seq, ErrUnsolicited)
+		e.drop(hdr.Seq, ErrUnsolicited)
+		return
 	}
 	e.spanKey = obs.Key(rx.auth)
 	if s2.Mode != rx.mode || s2.KeyIdx != rx.keyIdx {
-		return e.drop(hdr.Seq, ErrUnsolicited)
+		e.drop(hdr.Seq, ErrUnsolicited)
+		return
 	}
 	idx := int(s2.MsgIndex)
 	if idx >= len(rx.delivered) {
-		return e.drop(hdr.Seq, ErrUnsolicited)
+		e.drop(hdr.Seq, ErrUnsolicited)
+		return
 	}
 	// The S2's key element must be the pre-image of this exchange's S1
 	// element — verification is pinned to the exchange itself, immune to
@@ -218,18 +289,19 @@ func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) []E
 	// MAC" against "the tamper-proof MAC from the S1 packet").
 	if rx.key == nil {
 		if !hashchain.VerifyLink(e.suite, hashchain.TagS1, hashchain.TagS2, rx.auth, s2.Key, s2.KeyIdx) {
-			return e.drop(hdr.Seq, ErrBadAuthElement)
+			e.drop(hdr.Seq, ErrBadAuthElement)
+			return
 		}
-		rx.key = append([]byte(nil), s2.Key...)
+		rx.key = rx.keep(s2.Key)
 	} else if !suite.Equal(rx.key, s2.Key) {
-		return e.drop(hdr.Seq, ErrBadAuthElement)
+		e.drop(hdr.Seq, ErrBadAuthElement)
+		return
 	}
 	// The key element is genuine; now check the message against the
 	// buffered pre-signature. A mismatch here means the payload was
 	// tampered with in transit: in reliable mode that is worth a
 	// verifiable nack so the signer retransmits.
-	valid := e.verifyS2Payload(rx, hdr, s2)
-	if !valid {
+	if !e.verifyS2Payload(rx, hdr, s2) {
 		if rx.reliable && !rx.delivered[idx] {
 			e.sendA2(rx, idx, false)
 		}
@@ -237,42 +309,46 @@ func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) []E
 		if rx.mode == packet.ModeM || rx.mode == packet.ModeCM {
 			reason = ErrBadProof
 		}
-		return e.drop(hdr.Seq, reason)
+		e.drop(hdr.Seq, reason)
+		return
 	}
 	if rx.delivered[idx] {
 		// Duplicate S2 (our A2 was probably lost): re-open the ack.
 		if rx.reliable {
 			e.sendA2(rx, idx, true)
 		}
-		return e.takeEvents()
+		return
 	}
 	rx.delivered[idx] = true
 	rx.doneCount++
 	// In-band rekey announcements are consumed by the protocol layer:
 	// the payload carries the peer's fresh anchors, already authenticated
 	// by the old chain like any other message.
-	if p, ok := DecodeRekey(s2.Payload, e.suite.Size()); ok {
-		if err := e.adoptPeerRekey(p); err != nil {
+	if p, ok := DecodeRekey(s2.Payload, e.suite.Size()); ok { //alpha:alloc-ok rekey happens once per chain lifetime
+		if err := e.adoptPeerRekey(p); err != nil { //alpha:alloc-ok rekey happens once per chain lifetime
 			rx.delivered[idx] = false
 			rx.doneCount--
-			return e.drop(hdr.Seq, err)
+			e.drop(hdr.Seq, err)
+			return
 		}
 		e.emit(Event{Kind: EventPeerRekeyed, Seq: hdr.Seq, MsgIndex: s2.MsgIndex})
 		if rx.reliable {
 			e.sendA2(rx, idx, true)
 		}
-		return e.takeEvents()
+		return
 	}
 	e.tel.Delivered.Inc()
 	e.tel.PayloadBytes.Add(uint64(len(s2.Payload)))
 	e.tel.PayloadSize.Observe(int64(len(s2.Payload)))
 	e.tracer.Trace(e.tnow, telemetry.TraceS2Verified, e.assoc, hdr.Seq, s2.MsgIndex)
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), hdr.Seq, obs.RoleReceiver, obs.StepS2, uint8(rx.mode), obs.VerdictDeliver, s2.MsgIndex)
-	e.emit(Event{Kind: EventDelivered, Seq: hdr.Seq, MsgIndex: s2.MsgIndex, Payload: s2.Payload})
+	// The S2 is a view of the caller's buffer; the application gets a copy
+	// it owns. This is the data path's one allocation per message.
+	payload := append([]byte(nil), s2.Payload...) //alpha:alloc-ok Event.Payload is the application's own copy
+	e.emit(Event{Kind: EventDelivered, Seq: hdr.Seq, MsgIndex: s2.MsgIndex, Payload: payload})
 	if rx.reliable {
 		e.sendA2(rx, idx, true)
 	}
-	return e.takeEvents()
 }
 
 // verifyS2Payload checks an S2's payload against the exchange's buffered
@@ -282,7 +358,7 @@ func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) []E
 func (e *Endpoint) verifyS2Payload(rx *rxExchange, hdr packet.Header, s2 *packet.S2) bool {
 	switch rx.mode {
 	case packet.ModeBase, packet.ModeC:
-		want := rx.macs[s2.MsgIndex]
+		want := rx.sig(int(s2.MsgIndex))
 		e.macIn = AppendMACInput(e.macIn[:0], e.assoc, hdr.Seq, s2.MsgIndex, s2.Payload)
 		e.parts[0] = e.macIn
 		e.macOut = e.suite.MACInto(e.macOut[:0], s2.Key, e.parts[:1]...)
@@ -291,65 +367,84 @@ func (e *Endpoint) verifyS2Payload(rx *rxExchange, hdr packet.Header, s2 *packet
 		if int(s2.LeafCount) != rx.leafCount {
 			return false //alpha:drop-ok verdict helper: handleS2 counts the drop on false
 		}
-		return merkle.Verify(e.suite, s2.Key, rx.root, MerkleLeafInput(s2.Payload), int(s2.MsgIndex), rx.leafCount, s2.Proof)
+		return merkle.Verify(e.suite, s2.Key, rx.presig, MerkleLeafInput(s2.Payload), int(s2.MsgIndex), rx.leafCount, s2.Proof)
 	case packet.ModeCM:
 		if int(s2.LeafCount) != rx.leafCount {
 			return false //alpha:drop-ok verdict helper: handleS2 counts the drop on false
 		}
-		root, leaf, leaves, ok := CMLocate(int(s2.MsgIndex), rx.leafCount, len(rx.roots))
-		if !ok || root >= len(rx.roots) {
+		roots := len(rx.presig) / len(rx.auth)
+		root, leaf, leaves, ok := CMLocate(int(s2.MsgIndex), rx.leafCount, roots)
+		if !ok || root >= roots {
 			return false //alpha:drop-ok verdict helper: handleS2 counts the drop on false
 		}
-		return merkle.Verify(e.suite, s2.Key, rx.roots[root], MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
+		return merkle.Verify(e.suite, s2.Key, rx.sig(root), MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
 	default:
 		return false
 	}
 }
 
-// sendA2 opens the pre-ack (ack=true) or pre-nack for message idx.
+// sendA2 opens the pre-ack (ack=true) or pre-nack for message idx, or sends
+// the stored A2 again if the exchange has opened it before.
 func (e *Endpoint) sendA2(rx *rxExchange, idx int, ack bool) {
-	a2 := &packet.A2{
-		Mode:     rx.mode,
+	slot := 2 * idx
+	if ack {
+		slot++
+	}
+	if rx.a2s[slot] == nil {
+		raw, ok := e.openA2(rx, idx, ack)
+		if !ok {
+			return
+		}
+		rx.a2s[slot] = raw
+		if !ack {
+			rx.nackLen += len(raw)
+		}
+	}
+	e.queueOut(rx.a2s[slot], rx)
+	e.tel.SentA2.Inc()
+	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), rx.seq, obs.RoleReceiver, obs.StepA2, uint8(rx.mode), obs.VerdictSent, uint32(idx))
+}
+
+// openA2 encodes the A2 for message idx into the exchange's slab. It reports
+// false, with the failure accounted, if the ack could not be opened.
+func (e *Endpoint) openA2(rx *rxExchange, idx int, ack bool) ([]byte, bool) {
+	a2 := &e.a2
+	*a2 = packet.A2{
+		Mode:     packet.ModeBase,
 		KeyIdx:   rx.ackPair.KeyIdx,
 		Key:      rx.ackPair.Key,
 		MsgIndex: uint32(idx),
 		Ack:      ack,
 	}
 	if rx.amt != nil {
-		o, err := rx.amt.Open(idx, ack)
-		if err != nil {
+		o := &e.opening
+		if err := rx.amt.OpenInto(o, idx, ack); err != nil {
 			// An unopenable acknowledgment is an internal-state error, not
 			// hostile input, but it must not vanish silently: the peer will
 			// retransmit the S2 and land on the duplicate-delivery path.
 			e.noteAckFailure(rx, telemetry.ReasonBadAck)
-			return
+			return nil, false
 		}
-		a2.Mode = rx.mode
+		// The AMT is also used for multi-message ALPHA-C batches; its
+		// opening travels in mode-M A2 framing.
+		a2.Mode = packet.ModeM
 		a2.Secret = o.Secret
 		a2.Proof = o.Proof
 		a2.Other = o.Other
 		a2.AMTLeaves = uint32(rx.amt.Messages())
-		if a2.Mode != packet.ModeM {
-			// The AMT is also used for multi-message ALPHA-C
-			// batches; its opening travels in mode-M A2 framing.
-			a2.Mode = packet.ModeM
-		}
+	} else if ack {
+		a2.Secret = rx.sack
 	} else {
-		if ack {
-			a2.Secret = rx.sack
-		} else {
-			a2.Secret = rx.snack
-		}
-		a2.Mode = packet.ModeBase
+		a2.Secret = rx.snack
 	}
-	if err := e.send(e.header(packet.TypeA2, rx.seq), a2); err != nil {
+	raw, err := rx.encode(e.header(packet.TypeA2, rx.seq), a2)
+	if err != nil {
 		// Encoding failure: the ack this exchange owes never left. Counted
 		// for the same reason as above.
 		e.noteAckFailure(rx, telemetry.ReasonMalformed)
-		return
+		return nil, false
 	}
-	e.tel.SentA2.Inc()
-	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), rx.seq, obs.RoleReceiver, obs.StepA2, uint8(rx.mode), obs.VerdictSent, uint32(idx))
+	return raw, true
 }
 
 // noteAckFailure accounts a failed A2 emission: previously a silent return,

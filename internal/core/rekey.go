@@ -137,8 +137,8 @@ func (e *Endpoint) Rekey(now time.Time) (uint64, error) {
 	// The announcement bypasses the send queue: queued application
 	// messages may themselves be waiting for this rotation.
 	e.nextMsgID++
-	m := &outMsg{id: e.nextMsgID, payload: payload}
-	if err := e.startExchange(now, []*outMsg{m}); err != nil {
+	m := outMsg{id: e.nextMsgID, payload: payload}
+	if err := e.startExchange(now, []outMsg{m}); err != nil {
 		return 0, err
 	}
 	e.rekey = &rekeyState{msgID: m.id, newSig: newSig, newAck: newAck, chainLen: e.cfg.ChainLen}

@@ -3,6 +3,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -14,7 +15,9 @@ import (
 	"alpha/internal/telemetry"
 )
 
-// outMsg is a queued outgoing message.
+// outMsg is a queued outgoing message. Its payload is the endpoint's own
+// copy, in a buffer that returns to freePayloads when the message's exchange
+// retires.
 type outMsg struct {
 	id      uint64
 	payload []byte
@@ -31,8 +34,12 @@ const (
 )
 
 // txExchange tracks one in-flight signature exchange (one S1/A1 round plus
-// its S2 payload packets).
+// its S2 payload packets). Exchanges come from the endpoint's free list and
+// own one slab each (see slab): the encoded S1, the pre-(n)ack material
+// copied out of the A1, and the encoded S2s live there, so a reused exchange
+// signs, retransmits and retires without allocating.
 type txExchange struct {
+	slab
 	seq   uint32
 	state txState
 	// mode is pinned at startExchange: an exchange runs its whole lifetime
@@ -40,7 +47,7 @@ type txExchange struct {
 	// mixes modes within one S1/S2 round (the S2s must match what the S1
 	// announced).
 	mode  packet.Mode
-	msgs  []*outMsg
+	msgs  []outMsg
 	pair  hashchain.Pair // our signature-chain elements for this exchange
 	trees []*merkle.Tree // modes M (one tree) and CM (k subtrees)
 
@@ -61,28 +68,68 @@ type txExchange struct {
 
 	retries  int
 	deadline time.Time
+
+	// Backing for the one-message exchange of base mode, so that a fresh
+	// exchange is one allocation, not four.
+	msg1   [1]outMsg
+	s2s1   [1][]byte
+	acked1 [1]bool
+}
+
+// unlend implements lender.
+func (x *txExchange) unlend(e *Endpoint) {
+	if x.lent--; x.lent == 0 && x.state == txDone {
+		e.freeTx = append(e.freeTx, x)
+	}
+}
+
+// newTx takes a sender exchange off the free list, or makes one.
+func (e *Endpoint) newTx() *txExchange {
+	var x *txExchange
+	if n := len(e.freeTx); n > 0 {
+		x, e.freeTx = e.freeTx[n-1], e.freeTx[:n-1]
+		*x = txExchange{slab: x.slab.reset(), msgs: x.msgs[:0], trees: x.trees[:0], s2s: x.s2s[:0], acked: x.acked[:0]}
+	} else {
+		x = &txExchange{} //alpha:alloc-ok first exchanges, or a caller that hands nothing back (see Release)
+		x.msgs, x.s2s, x.acked = x.msg1[:0], x.s2s1[:0], x.acked1[:0]
+	}
+	x.reserve(e.txSlabHint) //alpha:alloc-ok slab growth: a fresh exchange, or a larger one than this slab has held
+	return x
 }
 
 // Send queues payload for integrity-protected transmission and returns a
 // message ID that Acked/Nacked/SendFailed events will reference. Messages
 // are batched per the configured mode; Poll (or Flush) turns full or
-// lingering batches into signature exchanges.
+// lingering batches into signature exchanges. The payload is copied, once:
+// the caller may reuse it as soon as Send returns.
+//
+//alpha:hotpath
 func (e *Endpoint) Send(now time.Time, payload []byte) (uint64, error) {
 	if !e.established {
 		return 0, ErrNotEstablished
 	}
 	if len(payload) > packet.MaxPayload {
-		return 0, fmt.Errorf("core: payload of %d bytes exceeds %d", len(payload), packet.MaxPayload)
+		return 0, fmt.Errorf("core: payload of %d bytes exceeds %d", len(payload), packet.MaxPayload) //alpha:alloc-ok caller error
 	}
 	e.tnow = now.UnixNano()
 	e.nextMsgID++
-	m := &outMsg{id: e.nextMsgID, payload: append([]byte(nil), payload...), sentAt: now}
-	if len(e.queue) == 0 {
+	id := e.nextMsgID
+	if e.QueueLen() == 0 {
 		e.queuedAt = now
 	}
-	e.queue = append(e.queue, m)
+	if e.qhead > 0 && len(e.queue) == cap(e.queue) {
+		// Close the gap the dequeued messages left instead of growing.
+		e.queue = e.queue[:copy(e.queue, e.queue[e.qhead:])]
+		e.qhead = 0
+	}
+	var buf []byte
+	if n := len(e.freePayloads); n > 0 {
+		buf, e.freePayloads = e.freePayloads[n-1][:0], e.freePayloads[:n-1]
+	}
+	buf = append(buf, payload...) //alpha:alloc-ok the payload copy: its buffer is reused once the exchange retires
+	e.queue = append(e.queue, outMsg{id: id, payload: buf, sentAt: now})
 	e.flushQueue(now, false)
-	return m.id, nil
+	return id, nil
 }
 
 // Flush forces any partially filled batch into an exchange immediately.
@@ -92,7 +139,7 @@ func (e *Endpoint) Flush(now time.Time) {
 }
 
 // QueueLen returns the number of messages waiting for a batch slot.
-func (e *Endpoint) QueueLen() int { return len(e.queue) }
+func (e *Endpoint) QueueLen() int { return len(e.queue) - e.qhead }
 
 // InFlight returns the number of open signature exchanges.
 func (e *Endpoint) InFlight() int { return len(e.tx) }
@@ -106,26 +153,26 @@ func (e *Endpoint) flushQueue(now time.Time, force bool) {
 	if e.rekey != nil {
 		return
 	}
-	for len(e.queue) > 0 && len(e.tx) < e.cfg.MaxOutstanding {
+	for e.QueueLen() > 0 && len(e.tx) < e.cfg.MaxOutstanding {
 		// Under AutoRekey, the final chain pair is reserved for signing
 		// the rekey announcement itself; queued messages wait out the
 		// rotation instead of exhausting the chain.
 		if e.cfg.AutoRekey && e.cfg.Reliable && e.sigChain.Remaining() < 4 {
 			return
 		}
-		if len(e.queue) < e.cfg.BatchSize && !force {
+		if e.QueueLen() < e.cfg.BatchSize && !force {
 			if e.cfg.FlushDelay < 0 || now.Sub(e.queuedAt) < e.cfg.FlushDelay {
 				return
 			}
 		}
-		n := len(e.queue)
-		if n > e.cfg.BatchSize {
-			n = e.cfg.BatchSize
-		}
-		batch := e.queue[:n:n]
-		e.queue = e.queue[n:]
-		if len(e.queue) > 0 {
+		n := min(e.QueueLen(), e.cfg.BatchSize)
+		batch := e.queue[e.qhead : e.qhead+n]
+		if e.qhead += n; e.QueueLen() > 0 {
 			e.queuedAt = now
+		} else {
+			// Drained: rewind. batch stays intact until the next Send,
+			// and startExchange copies it first.
+			e.queue, e.qhead = e.queue[:0], 0
 		}
 		if err := e.startExchange(now, batch); err != nil {
 			for _, m := range batch {
@@ -137,11 +184,11 @@ func (e *Endpoint) flushQueue(now time.Time, force bool) {
 }
 
 // startExchange consumes a signature-chain pair and emits the S1 for a
-// batch of messages.
-func (e *Endpoint) startExchange(now time.Time, batch []*outMsg) error {
+// batch of messages. The batch is copied into the exchange.
+func (e *Endpoint) startExchange(now time.Time, batch []outMsg) error {
 	pair, err := e.sigChain.NextPair()
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrChainExhausted, err)
+		return fmt.Errorf("%w: %v", ErrChainExhausted, err) //alpha:alloc-ok the chain ran out: once per chain lifetime
 	}
 	e.noteChainGauges()
 	if !e.chainLow && e.sigChainIsLow() {
@@ -150,168 +197,163 @@ func (e *Endpoint) startExchange(now time.Time, batch []*outMsg) error {
 	}
 	seq := e.nextSeq
 	e.nextSeq++
-	x := &txExchange{
-		seq:   seq,
-		mode:  e.cfg.Mode,
-		msgs:  batch,
-		pair:  pair,
-		acked: make([]bool, len(batch)),
-	}
-	s1 := &packet.S1{
-		Mode:    x.mode,
-		AuthIdx: pair.AuthIdx,
-		Auth:    pair.Auth,
-		KeyIdx:  pair.KeyIdx,
-	}
+	x := e.newTx()
+	x.seq, x.mode, x.pair = seq, e.cfg.Mode, pair
+	x.msgs = append(x.msgs, batch...)
+	x.acked = zeroed(x.acked, len(batch)) //alpha:alloc-ok grows to the batch size once per exchange object
+	s1 := &e.s1
+	*s1 = packet.S1{Mode: x.mode, AuthIdx: pair.AuthIdx, Auth: pair.Auth, KeyIdx: pair.KeyIdx}
+	e.digests = e.digests[:0]
 	switch x.mode {
 	case packet.ModeBase, packet.ModeC:
-		// One slab holds the batch's MACs; the MAC input is assembled in
-		// the endpoint's scratch buffer instead of per-message slices.
+		// The batch's MACs are assembled in the endpoint's scratch: once
+		// the S1 is encoded nothing on the signer needs them again.
 		size := e.suite.Size()
-		s1.MACs = make([][]byte, len(batch))
-		slab := make([]byte, 0, len(batch)*size)
-		for i, m := range batch {
-			e.macIn = AppendMACInput(e.macIn[:0], e.assoc, seq, uint32(i), m.payload)
+		e.macSlab = e.macSlab[:0]
+		for i := range x.msgs {
+			e.macIn = AppendMACInput(e.macIn[:0], e.assoc, seq, uint32(i), x.msgs[i].payload)
 			e.parts[0] = e.macIn
-			off := len(slab)
-			slab = e.suite.MACInto(slab, pair.Key, e.parts[:1]...)
-			s1.MACs[i] = slab[off : off+size : off+size]
+			off := len(e.macSlab)
+			e.macSlab = e.suite.MACInto(e.macSlab, pair.Key, e.parts[:1]...)
+			e.digests = append(e.digests, e.macSlab[off:off+size:off+size])
 		}
+		s1.MACs = e.digests
 	case packet.ModeM:
-		msgs := make([][]byte, len(batch))
-		for i, m := range batch {
-			msgs[i] = MerkleLeafInput(m.payload)
-		}
-		tree, err := merkle.Build(e.suite, pair.Key, msgs)
+		tree, err := e.buildTree(x.msgs, pair.Key)
 		if err != nil {
 			return err
 		}
-		x.trees = []*merkle.Tree{tree}
-		s1.LeafCount = uint32(len(batch))
+		x.trees = append(x.trees, tree)
+		s1.LeafCount = uint32(len(x.msgs))
 		s1.Root = tree.Root()
 	case packet.ModeCM:
-		n := len(batch)
-		k := e.cfg.CMRoots
-		if k > n {
-			k = n
-		}
-		sub := CMSubSize(n, k)
+		n := len(x.msgs)
+		sub := CMSubSize(n, min(e.cfg.CMRoots, n))
 		for off := 0; off < n; off += sub {
-			end := off + sub
-			if end > n {
-				end = n
-			}
-			msgs := make([][]byte, end-off)
-			for i := off; i < end; i++ {
-				msgs[i-off] = MerkleLeafInput(batch[i].payload)
-			}
-			tree, err := merkle.Build(e.suite, pair.Key, msgs)
+			tree, err := e.buildTree(x.msgs[off:min(off+sub, n)], pair.Key)
 			if err != nil {
 				return err
 			}
 			x.trees = append(x.trees, tree)
-			s1.Roots = append(s1.Roots, tree.Root())
+			e.digests = append(e.digests, tree.Root())
 		}
+		s1.Roots = e.digests
 		s1.LeafCount = uint32(n)
 	}
-	raw, err := packet.Encode(e.header(packet.TypeS1, seq), s1)
-	if err != nil {
+	if x.s1, err = x.encode(e.header(packet.TypeS1, seq), s1); err != nil {
 		return err
 	}
-	x.s1 = raw
 	x.deadline = now.Add(e.cfg.RTO)
 	e.tx[seq] = x
 	e.txOrder = append(e.txOrder, seq)
-	e.outbox = append(e.outbox, raw)
-	e.tel.BytesSent.Add(uint64(len(raw)))
+	e.queueOut(x.s1, x)
 	e.tel.SentS1.Inc()
 	e.tracer.Trace(e.tnow, telemetry.TraceS1Sent, e.assoc, seq, uint32(len(batch)))
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(pair.Auth), seq, obs.RoleSender, obs.StepS1, uint8(x.mode), obs.VerdictSent, uint32(len(batch)))
 	return nil
 }
 
+// buildTree builds the keyed Merkle tree over the payloads of msgs.
+func (e *Endpoint) buildTree(msgs []outMsg, key []byte) (*merkle.Tree, error) {
+	e.leafIn = e.leafIn[:0]
+	for i := range msgs {
+		e.leafIn = append(e.leafIn, MerkleLeafInput(msgs[i].payload))
+	}
+	return merkle.Build(e.suite, key, e.leafIn) //alpha:alloc-ok the Merkle tree: once per exchange of n messages
+}
+
+// errNoPreAck is what an A1 without the pre-(n)ack material its exchange
+// needs is dropped with.
+var errNoPreAck = fmt.Errorf("%w: missing pre-acknowledgment material", ErrBadAck)
+
 // handleA1 processes the verifier's acknowledgment of an S1: it validates
 // the acknowledgment-chain element, records the pre-(n)ack material, and
 // releases the exchange's S2 packets.
-func (e *Endpoint) handleA1(now time.Time, hdr packet.Header, a1 *packet.A1) []Event {
+//
+//alpha:hotpath
+func (e *Endpoint) handleA1(now time.Time, hdr packet.Header, a1 *packet.A1) {
 	e.tel.RecvA1.Inc()
 	x, ok := e.tx[hdr.Seq]
 	if !ok {
-		return e.drop(hdr.Seq, ErrUnsolicited)
+		e.drop(hdr.Seq, ErrUnsolicited)
+		return
 	}
 	e.spanKey = obs.Key(x.pair.Auth)
 	if x.state != txAwaitA1 {
 		// §3.2.2: after sending S2 the signer must discard pre-(n)acks
 		// arriving in further A1 packets to preserve the temporal
 		// separation between pre-ack creation and key disclosure.
-		return e.takeEvents()
+		return //alpha:drop-ok a late A1 of a live exchange is ignored by design, not dropped
 	}
 	if a1.AuthIdx%2 != 1 || a1.KeyIdx != a1.AuthIdx+1 {
-		return e.drop(hdr.Seq, ErrBadAuthElement)
+		e.drop(hdr.Seq, ErrBadAuthElement)
+		return
 	}
 	if err := e.verifyPeerAck(a1.Auth, a1.AuthIdx); err != nil {
-		return e.drop(hdr.Seq, fmt.Errorf("%w: %v", ErrBadAuthElement, err))
+		e.drop(hdr.Seq, BadAuthElement(err))
+		return
 	}
 	e.tracer.Trace(e.tnow, telemetry.TraceA1Recv, e.assoc, hdr.Seq, 0)
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(x.pair.Auth), hdr.Seq, obs.RoleSender, obs.StepA1, uint8(x.mode), obs.VerdictRecv, 0)
 	if e.cfg.Reliable {
-		x.ackAuth = append([]byte(nil), a1.Auth...)
-		x.ackKeyIdx = a1.KeyIdx
+		// The A1 is a view of the caller's buffer: what the A2 will be
+		// checked against is copied into the exchange's slab.
 		switch {
 		case a1.PreAck != nil && a1.PreNack != nil && len(x.msgs) == 1:
-			x.preAck = a1.PreAck
-			x.preNack = a1.PreNack
+			x.preAck = x.keep(a1.PreAck)
+			x.preNack = x.keep(a1.PreNack)
 		case a1.AMTRoot != nil && int(a1.AMTLeaves) == len(x.msgs):
-			x.amtRoot = a1.AMTRoot
+			x.amtRoot = x.keep(a1.AMTRoot)
 			x.amtLeaves = int(a1.AMTLeaves)
 		default:
-			return e.drop(hdr.Seq, fmt.Errorf("%w: missing pre-acknowledgment material", ErrBadAck))
+			e.drop(hdr.Seq, errNoPreAck)
+			return
 		}
+		x.ackAuth = x.keep(a1.Auth)
+		x.ackKeyIdx = a1.KeyIdx
 	}
 	if err := e.sendS2s(now, x); err != nil {
-		return e.drop(hdr.Seq, err)
+		e.drop(hdr.Seq, err)
 	}
-	return e.takeEvents()
 }
 
 // sendS2s encodes and transmits every S2 packet of the exchange.
 func (e *Endpoint) sendS2s(now time.Time, x *txExchange) error {
-	x.s2s = make([][]byte, len(x.msgs))
-	for i, m := range x.msgs {
-		s2 := &packet.S2{
+	x.s2s = x.s2s[:0]
+	for i := range x.msgs {
+		s2 := &e.s2
+		*s2 = packet.S2{
 			Mode:     x.mode,
 			KeyIdx:   x.pair.KeyIdx,
 			Key:      x.pair.Key,
 			MsgIndex: uint32(i),
-			Payload:  m.payload,
+			Payload:  x.msgs[i].payload,
 		}
+		var err error
 		switch x.mode {
 		case packet.ModeM:
-			proof, err := x.trees[0].Proof(i)
-			if err != nil {
-				return err
-			}
 			s2.LeafCount = uint32(x.trees[0].Leaves())
-			s2.Proof = proof
+			e.digests, err = x.trees[0].AppendProof(e.digests[:0], i)
 		case packet.ModeCM:
 			root, leaf, _, ok := CMLocate(i, len(x.msgs), len(x.trees))
 			if !ok {
-				return fmt.Errorf("core: CM locate failed for message %d", i)
-			}
-			proof, err := x.trees[root].Proof(leaf)
-			if err != nil {
-				return err
+				return fmt.Errorf("core: CM locate failed for message %d", i) //alpha:alloc-ok internal-state error, never a packet's fault
 			}
 			s2.LeafCount = uint32(len(x.msgs))
-			s2.Proof = proof
+			e.digests, err = x.trees[root].AppendProof(e.digests[:0], leaf)
 		}
-		raw, err := packet.Encode(e.header(packet.TypeS2, x.seq), s2)
 		if err != nil {
 			return err
 		}
-		x.s2s[i] = raw
-		e.outbox = append(e.outbox, raw)
-		e.tel.BytesSent.Add(uint64(len(raw)))
+		if x.mode == packet.ModeM || x.mode == packet.ModeCM {
+			s2.Proof = e.digests
+		}
+		raw, err := x.encode(e.header(packet.TypeS2, x.seq), s2)
+		if err != nil {
+			return err
+		}
+		x.s2s = append(x.s2s, raw)
+		e.queueOut(raw, x)
 		e.tel.SentS2.Inc()
 	}
 	e.tracer.Trace(e.tnow, telemetry.TraceS2Sent, e.assoc, x.seq, uint32(len(x.msgs)))
@@ -326,7 +368,9 @@ func (e *Endpoint) sendS2s(now time.Time, x *txExchange) error {
 	return nil
 }
 
-// finishExchange retires a completed exchange.
+// finishExchange retires a completed exchange: its payload buffers are free
+// for the next Send at once, the exchange itself (and its slab) as soon as
+// no datagram of it is lent out.
 func (e *Endpoint) finishExchange(x *txExchange) {
 	x.state = txDone
 	x.deadline = time.Time{}
@@ -337,47 +381,70 @@ func (e *Endpoint) finishExchange(x *txExchange) {
 			break
 		}
 	}
+	for i := range x.msgs {
+		e.freePayloads = append(e.freePayloads, x.msgs[i].payload)
+		x.msgs[i].payload = nil
+	}
+	e.txSlabHint = max(e.txSlabHint, len(x.buf))
+	if x.lent == 0 {
+		e.freeTx = append(e.freeTx, x)
+	}
 }
 
+// Drop reasons of handleA2, built once: a forged or replayed A2 must not
+// cost the signer an allocation.
+var (
+	errAckIndex = fmt.Errorf("%w: message index out of range", ErrBadAck)
+	errAckKey   = fmt.Errorf("%w: key index mismatch", ErrBadAck)
+	errAckLink  = fmt.Errorf("%w: key element does not extend the exchange's A1", ErrBadAck)
+)
+
 // handleA2 processes a pre-(n)ack opening from the verifier.
-func (e *Endpoint) handleA2(now time.Time, hdr packet.Header, a2 *packet.A2) []Event {
+//
+//alpha:hotpath
+func (e *Endpoint) handleA2(now time.Time, hdr packet.Header, a2 *packet.A2) {
 	e.tel.RecvA2.Inc()
 	x, ok := e.tx[hdr.Seq]
 	if !ok || x.state != txAwaitA2 {
-		return e.drop(hdr.Seq, ErrUnsolicited)
+		e.drop(hdr.Seq, ErrUnsolicited)
+		return
 	}
 	e.spanKey = obs.Key(x.pair.Auth)
 	if int(a2.MsgIndex) >= len(x.msgs) {
-		return e.drop(hdr.Seq, fmt.Errorf("%w: message index out of range", ErrBadAck))
+		e.drop(hdr.Seq, errAckIndex)
+		return
 	}
 	if a2.KeyIdx != x.ackKeyIdx || a2.KeyIdx%2 != 0 {
-		return e.drop(hdr.Seq, fmt.Errorf("%w: key index mismatch", ErrBadAck))
+		e.drop(hdr.Seq, errAckKey)
+		return
 	}
 	// The A2's key element must be the pre-image of this exchange's A1
 	// element: verification pinned to the exchange, immune to rekeys.
 	if x.ackAuth == nil || !hashchain.VerifyLink(e.suite, hashchain.TagA1, hashchain.TagA2, x.ackAuth, a2.Key, a2.KeyIdx) {
-		return e.drop(hdr.Seq, fmt.Errorf("%w: key element does not extend the exchange's A1", ErrBadAck))
+		e.drop(hdr.Seq, errAckLink)
+		return
 	}
 	if !e.verifyAckOpening(x, a2) {
-		return e.drop(hdr.Seq, ErrBadAck)
+		e.drop(hdr.Seq, ErrBadAck)
+		return
 	}
 	if x.acked[a2.MsgIndex] {
-		return e.takeEvents() // duplicate A2
+		return //alpha:drop-ok a duplicate of a verified A2 changes nothing
 	}
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(x.pair.Auth), hdr.Seq, obs.RoleSender, obs.StepA2, uint8(x.mode), obs.VerdictRecv, a2.MsgIndex)
 	x.acked[a2.MsgIndex] = true
 	x.ackCount++
-	m := x.msgs[a2.MsgIndex]
+	m := &x.msgs[a2.MsgIndex]
 	if a2.Ack {
 		// The rekey announcement is protocol-internal: its verified ack
 		// commits the chain swap and surfaces as EventRekeyed, not as an
 		// application acknowledgment.
 		if e.rekey != nil && e.rekey.msgID == m.id {
-			e.maybeCompleteRekey(m.id)
+			e.maybeCompleteRekey(m.id) //alpha:alloc-ok rekey happens once per chain lifetime
 			if x.ackCount == len(x.msgs) {
 				e.finishExchange(x)
 			}
-			return e.takeEvents()
+			return //alpha:drop-ok accepted: the rekey announcement's ack surfaces as EventRekeyed
 		}
 		e.tel.Acked.Inc()
 		if !m.sentAt.IsZero() {
@@ -399,11 +466,10 @@ func (e *Endpoint) handleA2(now time.Time, hdr packet.Header, a2 *packet.A2) []E
 	if x.ackCount == len(x.msgs) {
 		e.finishExchange(x)
 	}
-	return e.takeEvents()
 }
 
 // verifyAckOpening checks an A2 against the pre-(n)ack material buffered
-// from the exchange's A1.
+// from the exchange's A1; handleA2 counts the drop on false.
 func (e *Endpoint) verifyAckOpening(x *txExchange, a2 *packet.A2) bool {
 	switch {
 	case x.preAck != nil:
@@ -432,26 +498,29 @@ func (e *Endpoint) verifyAckOpening(x *txExchange, a2 *packet.A2) bool {
 
 // retransmitS2 re-queues one S2 packet.
 func (e *Endpoint) retransmitS2(x *txExchange, i int) {
-	if x.s2s == nil || i >= len(x.s2s) {
+	if i >= len(x.s2s) {
 		return
 	}
-	e.outbox = append(e.outbox, x.s2s[i])
-	e.tel.BytesSent.Add(uint64(len(x.s2s[i])))
+	e.queueOut(x.s2s[i], x)
 	e.tel.Retransmits.Inc()
 }
 
+var errRetransmitLimit = errors.New("alpha: retransmission limit reached")
+
 // pollExchanges fires retransmission timers.
 func (e *Endpoint) pollExchanges(now time.Time) {
-	for _, seq := range append([]uint32(nil), e.txOrder...) {
+	// finishExchange edits txOrder, so walk a snapshot.
+	e.txDue = append(e.txDue[:0], e.txOrder...)
+	for _, seq := range e.txDue {
 		x, ok := e.tx[seq]
 		if !ok || x.deadline.IsZero() || now.Before(x.deadline) {
 			continue
 		}
 		if x.retries >= e.cfg.MaxRetries {
-			for i, m := range x.msgs {
+			for i := range x.msgs {
 				if !x.acked[i] {
-					e.emit(Event{Kind: EventSendFailed, MsgID: m.id, Seq: x.seq, MsgIndex: uint32(i), Err: fmt.Errorf("alpha: retransmission limit reached")})
-					e.abortRekey(m.id)
+					e.emit(Event{Kind: EventSendFailed, MsgID: x.msgs[i].id, Seq: x.seq, MsgIndex: uint32(i), Err: errRetransmitLimit})
+					e.abortRekey(x.msgs[i].id)
 				}
 			}
 			e.finishExchange(x)
@@ -461,8 +530,7 @@ func (e *Endpoint) pollExchanges(now time.Time) {
 		x.deadline = now.Add(backoff(e.cfg.RTO, x.retries))
 		switch x.state {
 		case txAwaitA1:
-			e.outbox = append(e.outbox, x.s1)
-			e.tel.BytesSent.Add(uint64(len(x.s1)))
+			e.queueOut(x.s1, x)
 			e.tel.Retransmits.Inc()
 		case txAwaitA2:
 			for i := range x.msgs {

@@ -160,16 +160,25 @@ func (t *Tree) ProofDepth() int { return t.depth }
 // the leaf level upward. The returned slices alias tree storage and must not
 // be mutated.
 func (t *Tree) Proof(j int) ([][]byte, error) {
-	if j < 0 || j >= t.n {
-		return nil, ErrLeafRange
-	}
-	proof := make([][]byte, t.depth)
-	idx := j
-	for d := 0; d < t.depth; d++ {
-		proof[d] = t.levels[d][idx^1]
-		idx >>= 1
+	proof, err := t.AppendProof(make([][]byte, 0, t.depth), j)
+	if err != nil {
+		return nil, err
 	}
 	return proof, nil
+}
+
+// AppendProof is Proof appending to dst (allocation-free when dst has
+// capacity for the tree's depth).
+func (t *Tree) AppendProof(dst [][]byte, j int) ([][]byte, error) {
+	if j < 0 || j >= t.n {
+		return dst, ErrLeafRange
+	}
+	idx := j
+	for d := 0; d < t.depth; d++ {
+		dst = append(dst, t.levels[d][idx^1])
+		idx >>= 1
+	}
+	return dst, nil
 }
 
 // Verify checks a message against a keyed root: it recomputes the path from
@@ -341,24 +350,35 @@ type Opening struct {
 
 // Open discloses the (n)ack leaf for message index j.
 func (t *AckTree) Open(j int, ack bool) (*Opening, error) {
+	o := new(Opening)
+	if err := t.OpenInto(o, j, ack); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// OpenInto is Open writing into o, whose Proof capacity it reuses
+// (allocation-free once o has held an opening of this tree's depth).
+func (t *AckTree) OpenInto(o *Opening, j int, ack bool) error {
 	if j < 0 || j >= t.n {
-		return nil, ErrLeafRange
+		return ErrLeafRange
 	}
 	sub, other, off := t.acks, t.nacks, 0
 	if !ack {
 		sub, other, off = t.nacks, t.acks, t.n
 	}
-	proof, err := sub.Proof(j)
+	proof, err := sub.AppendProof(o.Proof[:0], j)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Opening{
+	*o = Opening{
 		Index:  uint32(j),
 		Ack:    ack,
 		Secret: t.secrets[off+j],
 		Proof:  proof,
 		Other:  other.Root(),
-	}, nil
+	}
+	return nil
 }
 
 // VerifyOpening checks a disclosed (n)ack against a buffered AMT root, using

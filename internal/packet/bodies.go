@@ -3,8 +3,18 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
+)
+
+// Encoder and parser rejections that carry no number.
+var (
+	errKeyMaterial    = errors.New("handshake key material too large")
+	errTokenSize      = errors.New("handshake token too large")
+	errTokenUnflagged = errors.New("handshake token present without FlagToken")
+	errA1BothForms    = errors.New("A1 cannot carry both a pre-(n)ack pair and an AMT root")
+	errProofOutsideM  = errors.New("proof present outside mode M")
+	errAMTOutsideM    = errors.New("AMT opening present outside mode M")
 )
 
 // Limits on repeated fields, enforced on both encode and decode.
@@ -60,71 +70,75 @@ func (hs *Handshake) Type() Type {
 	return TypeHS2
 }
 
-func (hs *Handshake) encodeBody(w *writer, h int) error {
-	if err := w.digest(hs.SigAnchor, h); err != nil {
-		return fmt.Errorf("sig anchor: %w", err)
+//alpha:hotpath
+func (hs *Handshake) appendBody(dst []byte, h int) ([]byte, error) {
+	var err error
+	if dst, err = appendDigest(dst, hs.SigAnchor, h, "sig anchor"); err != nil {
+		return dst, err
 	}
-	if err := w.digest(hs.AckAnchor, h); err != nil {
-		return fmt.Errorf("ack anchor: %w", err)
+	if dst, err = appendDigest(dst, hs.AckAnchor, h, "ack anchor"); err != nil {
+		return dst, err
 	}
-	w.u32(hs.ChainLen)
-	if err := w.digest(hs.Nonce, h); err != nil {
-		return fmt.Errorf("nonce: %w", err)
+	dst = binary.BigEndian.AppendUint32(dst, hs.ChainLen)
+	if dst, err = appendDigest(dst, hs.Nonce, h, "nonce"); err != nil {
+		return dst, err
 	}
-	w.u8(hs.Scheme)
+	dst = append(dst, hs.Scheme)
 	if len(hs.PubKey) > MaxKeyBlob || len(hs.Sig) > MaxKeyBlob {
-		return errors.New("handshake key material too large")
+		return dst, errKeyMaterial
 	}
-	if err := w.bytes16(hs.PubKey); err != nil {
-		return err
+	if dst, err = appendBytes16(dst, hs.PubKey, "handshake public key length"); err != nil {
+		return dst, err
 	}
-	if err := w.bytes16(hs.Sig); err != nil {
-		return err
+	if dst, err = appendBytes16(dst, hs.Sig, "handshake signature length"); err != nil {
+		return dst, err
 	}
 	if hs.HasToken {
 		if len(hs.Token) > MaxKeyBlob {
-			return errors.New("handshake token too large")
+			return dst, errTokenSize
 		}
-		return w.bytes16(hs.Token)
+		return appendBytes16(dst, hs.Token, "handshake token length")
 	}
 	if len(hs.Token) != 0 {
-		return errors.New("handshake token present without FlagToken")
+		return dst, errTokenUnflagged
 	}
-	return nil
+	return dst, nil
 }
 
-func (hs *Handshake) decodeBody(r *reader, h int) error {
+//alpha:hotpath
+func (hs *Handshake) parseBody(b []byte, off, h int) (int, error) {
+	r := reader{buf: b, off: off}
 	var err error
-	if hs.SigAnchor, err = r.digest(h); err != nil {
-		return err
+	if hs.SigAnchor, err = r.view(h); err != nil {
+		return r.off, err
 	}
-	if hs.AckAnchor, err = r.digest(h); err != nil {
-		return err
+	if hs.AckAnchor, err = r.view(h); err != nil {
+		return r.off, err
 	}
 	if hs.ChainLen, err = r.u32(); err != nil {
-		return err
+		return r.off, err
 	}
-	if hs.Nonce, err = r.digest(h); err != nil {
-		return err
+	if hs.Nonce, err = r.view(h); err != nil {
+		return r.off, err
 	}
 	if hs.Scheme, err = r.u8(); err != nil {
-		return err
+		return r.off, err
 	}
 	if hs.PubKey, err = r.bytes16(); err != nil {
-		return err
+		return r.off, err
 	}
 	if hs.Sig, err = r.bytes16(); err != nil {
-		return err
+		return r.off, err
 	}
 	if hs.HasToken {
 		if hs.Token, err = r.bytes16(); err != nil {
-			return err
+			return r.off, err
 		}
 	}
 	if len(hs.PubKey) > MaxKeyBlob || len(hs.Sig) > MaxKeyBlob || len(hs.Token) > MaxKeyBlob {
-		return errors.New("handshake key material too large")
+		return r.off, errKeyMaterial
 	}
-	return nil
+	return r.off, nil
 }
 
 // S1 announces one exchange's pre-signatures. The auth element identifies
@@ -153,116 +167,105 @@ type S1 struct {
 // Type implements Message.
 func (*S1) Type() Type { return TypeS1 }
 
-func (p *S1) encodeBody(w *writer, h int) error {
-	w.u8(uint8(p.Mode))
-	w.u32(p.AuthIdx)
-	if err := w.digest(p.Auth, h); err != nil {
-		return fmt.Errorf("auth element: %w", err)
+//alpha:hotpath
+func (p *S1) appendBody(dst []byte, h int) ([]byte, error) {
+	var err error
+	dst = append(dst, uint8(p.Mode))
+	dst = binary.BigEndian.AppendUint32(dst, p.AuthIdx)
+	if dst, err = appendDigest(dst, p.Auth, h, "auth element"); err != nil {
+		return dst, err
 	}
-	w.u32(p.KeyIdx)
+	dst = binary.BigEndian.AppendUint32(dst, p.KeyIdx)
 	switch p.Mode {
 	case ModeBase, ModeC:
 		if len(p.MACs) == 0 || len(p.MACs) > MaxMACs {
-			return fmt.Errorf("S1 carries %d MACs, want 1..%d", len(p.MACs), MaxMACs)
+			return dst, outOfRange("S1 MAC count", len(p.MACs))
 		}
 		if p.Mode == ModeBase && len(p.MACs) != 1 {
-			return fmt.Errorf("base-mode S1 carries %d MACs, want exactly 1", len(p.MACs))
+			return dst, outOfRange("base-mode S1 MAC count", len(p.MACs))
 		}
-		w.u16(uint16(len(p.MACs)))
-		for i, m := range p.MACs {
-			if err := w.digest(m, h); err != nil {
-				return fmt.Errorf("MAC %d: %w", i, err)
-			}
-		}
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.MACs)))
+		return appendDigests(dst, p.MACs, h, "MAC")
 	case ModeM:
 		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S1 leaf count %d out of range", p.LeafCount)
+			return dst, outOfRange("S1 leaf count", int(p.LeafCount))
 		}
-		w.u32(p.LeafCount)
-		if err := w.digest(p.Root, h); err != nil {
-			return fmt.Errorf("root: %w", err)
-		}
+		dst = binary.BigEndian.AppendUint32(dst, p.LeafCount)
+		return appendDigest(dst, p.Root, h, "root")
 	case ModeCM:
 		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S1 leaf count %d out of range", p.LeafCount)
+			return dst, outOfRange("S1 leaf count", int(p.LeafCount))
 		}
 		if len(p.Roots) == 0 || len(p.Roots) > MaxMACs || uint32(len(p.Roots)) > p.LeafCount {
-			return fmt.Errorf("S1 carries %d roots for %d messages", len(p.Roots), p.LeafCount)
+			return dst, outOfRange("S1 root count", len(p.Roots))
 		}
-		w.u32(p.LeafCount)
-		w.u16(uint16(len(p.Roots)))
-		for i, rt := range p.Roots {
-			if err := w.digest(rt, h); err != nil {
-				return fmt.Errorf("root %d: %w", i, err)
-			}
-		}
+		dst = binary.BigEndian.AppendUint32(dst, p.LeafCount)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Roots)))
+		return appendDigests(dst, p.Roots, h, "root")
 	default:
-		return fmt.Errorf("unknown mode %v", p.Mode)
+		return dst, outOfRange("unknown mode", int(p.Mode))
 	}
-	return nil
 }
 
-func (p *S1) decodeBody(r *reader, h int) error {
+//alpha:hotpath
+func (p *S1) parseBody(b []byte, off, h int) (int, error) {
+	r := reader{buf: b, off: off}
 	m, err := r.u8()
 	if err != nil {
-		return err
+		return r.off, err
 	}
 	p.Mode = Mode(m)
 	if p.AuthIdx, err = r.u32(); err != nil {
-		return err
+		return r.off, err
 	}
-	if p.Auth, err = r.digest(h); err != nil {
-		return err
+	if p.Auth, err = r.view(h); err != nil {
+		return r.off, err
 	}
 	if p.KeyIdx, err = r.u32(); err != nil {
-		return err
+		return r.off, err
 	}
 	switch p.Mode {
 	case ModeBase, ModeC:
 		count, err := r.u16()
 		if err != nil {
-			return err
+			return r.off, err
 		}
 		if count == 0 || int(count) > MaxMACs {
-			return fmt.Errorf("S1 MAC count %d out of range", count)
+			return r.off, outOfRange("S1 MAC count", int(count))
 		}
 		if p.Mode == ModeBase && count != 1 {
-			return fmt.Errorf("base-mode S1 MAC count %d, want 1", count)
+			return r.off, outOfRange("base-mode S1 MAC count", int(count))
 		}
-		if p.MACs, err = r.digests(int(count), h); err != nil {
-			return err
-		}
+		p.MACs, err = r.digests(p.MACs, int(count), h)
+		return r.off, err
 	case ModeM:
 		if p.LeafCount, err = r.u32(); err != nil {
-			return err
+			return r.off, err
 		}
 		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S1 leaf count %d out of range", p.LeafCount)
+			return r.off, outOfRange("S1 leaf count", int(p.LeafCount))
 		}
-		if p.Root, err = r.digest(h); err != nil {
-			return err
-		}
+		p.Root, err = r.view(h)
+		return r.off, err
 	case ModeCM:
 		if p.LeafCount, err = r.u32(); err != nil {
-			return err
+			return r.off, err
 		}
 		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S1 leaf count %d out of range", p.LeafCount)
+			return r.off, outOfRange("S1 leaf count", int(p.LeafCount))
 		}
 		count, err := r.u16()
 		if err != nil {
-			return err
+			return r.off, err
 		}
 		if count == 0 || int(count) > MaxMACs || uint32(count) > p.LeafCount {
-			return fmt.Errorf("S1 root count %d out of range", count)
+			return r.off, outOfRange("S1 root count", int(count))
 		}
-		if p.Roots, err = r.digests(int(count), h); err != nil {
-			return err
-		}
+		p.Roots, err = r.digests(p.Roots, int(count), h)
+		return r.off, err
 	default:
-		return fmt.Errorf("unknown mode %d", m)
+		return r.off, outOfRange("unknown mode", int(m))
 	}
-	return nil
 }
 
 // A1 acknowledges an S1 and expresses the verifier's willingness to receive
@@ -295,7 +298,8 @@ const (
 	a1HasAMT     uint8 = 1 << 1
 )
 
-func (p *A1) encodeBody(w *writer, h int) error {
+//alpha:hotpath
+func (p *A1) appendBody(dst []byte, h int) ([]byte, error) {
 	var flags uint8
 	if p.PreAck != nil || p.PreNack != nil {
 		flags |= a1HasPrePair
@@ -304,71 +308,74 @@ func (p *A1) encodeBody(w *writer, h int) error {
 		flags |= a1HasAMT
 	}
 	if flags == a1HasPrePair|a1HasAMT {
-		return errors.New("A1 cannot carry both a pre-(n)ack pair and an AMT root")
+		return dst, errA1BothForms
 	}
-	w.u8(flags)
-	w.u32(p.AuthIdx)
-	if err := w.digest(p.Auth, h); err != nil {
-		return fmt.Errorf("auth element: %w", err)
+	var err error
+	dst = append(dst, flags)
+	dst = binary.BigEndian.AppendUint32(dst, p.AuthIdx)
+	if dst, err = appendDigest(dst, p.Auth, h, "auth element"); err != nil {
+		return dst, err
 	}
-	w.u32(p.KeyIdx)
+	dst = binary.BigEndian.AppendUint32(dst, p.KeyIdx)
 	if flags&a1HasPrePair != 0 {
-		if err := w.digest(p.PreAck, h); err != nil {
-			return fmt.Errorf("pre-ack: %w", err)
+		if dst, err = appendDigest(dst, p.PreAck, h, "pre-ack"); err != nil {
+			return dst, err
 		}
-		if err := w.digest(p.PreNack, h); err != nil {
-			return fmt.Errorf("pre-nack: %w", err)
+		if dst, err = appendDigest(dst, p.PreNack, h, "pre-nack"); err != nil {
+			return dst, err
 		}
 	}
 	if flags&a1HasAMT != 0 {
 		if p.AMTLeaves == 0 || p.AMTLeaves > MaxLeafCount {
-			return fmt.Errorf("A1 AMT leaf count %d out of range", p.AMTLeaves)
+			return dst, outOfRange("A1 AMT leaf count", int(p.AMTLeaves))
 		}
-		if err := w.digest(p.AMTRoot, h); err != nil {
-			return fmt.Errorf("AMT root: %w", err)
+		if dst, err = appendDigest(dst, p.AMTRoot, h, "AMT root"); err != nil {
+			return dst, err
 		}
-		w.u32(p.AMTLeaves)
+		dst = binary.BigEndian.AppendUint32(dst, p.AMTLeaves)
 	}
-	return nil
+	return dst, nil
 }
 
-func (p *A1) decodeBody(r *reader, h int) error {
+//alpha:hotpath
+func (p *A1) parseBody(b []byte, off, h int) (int, error) {
+	r := reader{buf: b, off: off}
 	flags, err := r.u8()
 	if err != nil {
-		return err
+		return r.off, err
 	}
 	if flags&^(a1HasPrePair|a1HasAMT) != 0 || flags == a1HasPrePair|a1HasAMT {
-		return fmt.Errorf("A1 flags %#x invalid", flags)
+		return r.off, outOfRange("A1 flags", int(flags))
 	}
 	if p.AuthIdx, err = r.u32(); err != nil {
-		return err
+		return r.off, err
 	}
-	if p.Auth, err = r.digest(h); err != nil {
-		return err
+	if p.Auth, err = r.view(h); err != nil {
+		return r.off, err
 	}
 	if p.KeyIdx, err = r.u32(); err != nil {
-		return err
+		return r.off, err
 	}
 	if flags&a1HasPrePair != 0 {
-		if p.PreAck, err = r.digest(h); err != nil {
-			return err
+		if p.PreAck, err = r.view(h); err != nil {
+			return r.off, err
 		}
-		if p.PreNack, err = r.digest(h); err != nil {
-			return err
+		if p.PreNack, err = r.view(h); err != nil {
+			return r.off, err
 		}
 	}
 	if flags&a1HasAMT != 0 {
-		if p.AMTRoot, err = r.digest(h); err != nil {
-			return err
+		if p.AMTRoot, err = r.view(h); err != nil {
+			return r.off, err
 		}
 		if p.AMTLeaves, err = r.u32(); err != nil {
-			return err
+			return r.off, err
 		}
 		if p.AMTLeaves == 0 || p.AMTLeaves > MaxLeafCount {
-			return fmt.Errorf("A1 AMT leaf count %d out of range", p.AMTLeaves)
+			return r.off, outOfRange("A1 AMT leaf count", int(p.AMTLeaves))
 		}
 	}
-	return nil
+	return r.off, nil
 }
 
 // S2 discloses the MAC key element and carries one message of the exchange.
@@ -394,83 +401,83 @@ type S2 struct {
 // Type implements Message.
 func (*S2) Type() Type { return TypeS2 }
 
-func (p *S2) encodeBody(w *writer, h int) error {
-	w.u8(uint8(p.Mode))
-	w.u32(p.KeyIdx)
-	if err := w.digest(p.Key, h); err != nil {
-		return fmt.Errorf("key element: %w", err)
+//alpha:hotpath
+func (p *S2) appendBody(dst []byte, h int) ([]byte, error) {
+	var err error
+	dst = append(dst, uint8(p.Mode))
+	dst = binary.BigEndian.AppendUint32(dst, p.KeyIdx)
+	if dst, err = appendDigest(dst, p.Key, h, "key element"); err != nil {
+		return dst, err
 	}
-	w.u32(p.MsgIndex)
+	dst = binary.BigEndian.AppendUint32(dst, p.MsgIndex)
 	switch p.Mode {
 	case ModeBase, ModeC:
 		if len(p.Proof) != 0 {
-			return errors.New("proof present outside mode M")
+			return dst, errProofOutsideM
 		}
 	case ModeM, ModeCM:
 		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S2 leaf count %d out of range", p.LeafCount)
+			return dst, outOfRange("S2 leaf count", int(p.LeafCount))
 		}
 		if len(p.Proof) > MaxProofDepth {
-			return fmt.Errorf("S2 proof depth %d exceeds %d", len(p.Proof), MaxProofDepth)
+			return dst, outOfRange("S2 proof depth", len(p.Proof))
 		}
-		w.u32(p.LeafCount)
-		w.u8(uint8(len(p.Proof)))
-		for i, d := range p.Proof {
-			if err := w.digest(d, h); err != nil {
-				return fmt.Errorf("proof node %d: %w", i, err)
-			}
+		dst = binary.BigEndian.AppendUint32(dst, p.LeafCount)
+		dst = append(dst, uint8(len(p.Proof)))
+		if dst, err = appendDigests(dst, p.Proof, h, "proof node"); err != nil {
+			return dst, err
 		}
 	default:
-		return fmt.Errorf("unknown mode %v", p.Mode)
+		return dst, outOfRange("unknown mode", int(p.Mode))
 	}
 	if len(p.Payload) > MaxPayload {
-		return fmt.Errorf("payload of %d bytes exceeds %d", len(p.Payload), MaxPayload)
+		return dst, outOfRange("S2 payload length", len(p.Payload))
 	}
-	w.bytes32(p.Payload)
-	return nil
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.Payload)))
+	return append(dst, p.Payload...), nil
 }
 
-func (p *S2) decodeBody(r *reader, h int) error {
+//alpha:hotpath
+func (p *S2) parseBody(b []byte, off, h int) (int, error) {
+	r := reader{buf: b, off: off}
 	m, err := r.u8()
 	if err != nil {
-		return err
+		return r.off, err
 	}
 	p.Mode = Mode(m)
 	if p.KeyIdx, err = r.u32(); err != nil {
-		return err
+		return r.off, err
 	}
-	if p.Key, err = r.digest(h); err != nil {
-		return err
+	if p.Key, err = r.view(h); err != nil {
+		return r.off, err
 	}
 	if p.MsgIndex, err = r.u32(); err != nil {
-		return err
+		return r.off, err
 	}
 	switch p.Mode {
 	case ModeBase, ModeC:
 	case ModeM, ModeCM:
 		if p.LeafCount, err = r.u32(); err != nil {
-			return err
+			return r.off, err
 		}
 		if p.LeafCount == 0 || p.LeafCount > MaxLeafCount {
-			return fmt.Errorf("S2 leaf count %d out of range", p.LeafCount)
+			return r.off, outOfRange("S2 leaf count", int(p.LeafCount))
 		}
 		depth, err := r.u8()
 		if err != nil {
-			return err
+			return r.off, err
 		}
 		if int(depth) > MaxProofDepth {
-			return fmt.Errorf("S2 proof depth %d exceeds %d", depth, MaxProofDepth)
+			return r.off, outOfRange("S2 proof depth", int(depth))
 		}
-		if p.Proof, err = r.digests(int(depth), h); err != nil {
-			return err
+		if p.Proof, err = r.digests(p.Proof, int(depth), h); err != nil {
+			return r.off, err
 		}
 	default:
-		return fmt.Errorf("unknown mode %d", m)
+		return r.off, outOfRange("unknown mode", int(m))
 	}
-	if p.Payload, err = r.bytes32(MaxPayload); err != nil {
-		return err
-	}
-	return nil
+	p.Payload, err = r.bytes32(MaxPayload)
+	return r.off, err
 }
 
 // A2 opens a pre-acknowledgment: it discloses the verifier's even-index
@@ -499,99 +506,98 @@ type A2 struct {
 // Type implements Message.
 func (*A2) Type() Type { return TypeA2 }
 
-func (p *A2) encodeBody(w *writer, h int) error {
-	w.u8(uint8(p.Mode))
-	w.u32(p.KeyIdx)
-	if err := w.digest(p.Key, h); err != nil {
-		return fmt.Errorf("key element: %w", err)
+//alpha:hotpath
+func (p *A2) appendBody(dst []byte, h int) ([]byte, error) {
+	var err error
+	dst = append(dst, uint8(p.Mode))
+	dst = binary.BigEndian.AppendUint32(dst, p.KeyIdx)
+	if dst, err = appendDigest(dst, p.Key, h, "key element"); err != nil {
+		return dst, err
 	}
-	w.u32(p.MsgIndex)
+	dst = binary.BigEndian.AppendUint32(dst, p.MsgIndex)
 	if p.Ack {
-		w.u8(1)
+		dst = append(dst, 1)
 	} else {
-		w.u8(0)
+		dst = append(dst, 0)
 	}
-	if err := w.digest(p.Secret, h); err != nil {
-		return fmt.Errorf("secret: %w", err)
+	if dst, err = appendDigest(dst, p.Secret, h, "secret"); err != nil {
+		return dst, err
 	}
 	switch p.Mode {
 	case ModeBase, ModeC:
 		if len(p.Proof) != 0 || p.Other != nil {
-			return errors.New("AMT opening present outside mode M")
+			return dst, errAMTOutsideM
 		}
+		return dst, nil
 	case ModeM:
 		if p.AMTLeaves == 0 || p.AMTLeaves > MaxLeafCount {
-			return fmt.Errorf("A2 AMT leaf count %d out of range", p.AMTLeaves)
+			return dst, outOfRange("A2 AMT leaf count", int(p.AMTLeaves))
 		}
 		if len(p.Proof) > MaxProofDepth {
-			return fmt.Errorf("A2 proof depth %d exceeds %d", len(p.Proof), MaxProofDepth)
+			return dst, outOfRange("A2 proof depth", len(p.Proof))
 		}
-		w.u32(p.AMTLeaves)
-		w.u8(uint8(len(p.Proof)))
-		for i, d := range p.Proof {
-			if err := w.digest(d, h); err != nil {
-				return fmt.Errorf("proof node %d: %w", i, err)
-			}
+		dst = binary.BigEndian.AppendUint32(dst, p.AMTLeaves)
+		dst = append(dst, uint8(len(p.Proof)))
+		if dst, err = appendDigests(dst, p.Proof, h, "proof node"); err != nil {
+			return dst, err
 		}
-		if err := w.digest(p.Other, h); err != nil {
-			return fmt.Errorf("other subtree root: %w", err)
-		}
+		return appendDigest(dst, p.Other, h, "other subtree root")
 	default:
-		return fmt.Errorf("unknown mode %v", p.Mode)
+		return dst, outOfRange("unknown mode", int(p.Mode))
 	}
-	return nil
 }
 
-func (p *A2) decodeBody(r *reader, h int) error {
+//alpha:hotpath
+func (p *A2) parseBody(b []byte, off, h int) (int, error) {
+	r := reader{buf: b, off: off}
 	m, err := r.u8()
 	if err != nil {
-		return err
+		return r.off, err
 	}
 	p.Mode = Mode(m)
 	if p.KeyIdx, err = r.u32(); err != nil {
-		return err
+		return r.off, err
 	}
-	if p.Key, err = r.digest(h); err != nil {
-		return err
+	if p.Key, err = r.view(h); err != nil {
+		return r.off, err
 	}
 	if p.MsgIndex, err = r.u32(); err != nil {
-		return err
+		return r.off, err
 	}
 	ack, err := r.u8()
 	if err != nil {
-		return err
+		return r.off, err
 	}
 	if ack > 1 {
-		return fmt.Errorf("A2 ack flag %d invalid", ack)
+		return r.off, outOfRange("A2 ack flag", int(ack))
 	}
 	p.Ack = ack == 1
-	if p.Secret, err = r.digest(h); err != nil {
-		return err
+	if p.Secret, err = r.view(h); err != nil {
+		return r.off, err
 	}
 	switch p.Mode {
 	case ModeBase, ModeC:
+		return r.off, nil
 	case ModeM:
 		if p.AMTLeaves, err = r.u32(); err != nil {
-			return err
+			return r.off, err
 		}
 		if p.AMTLeaves == 0 || p.AMTLeaves > MaxLeafCount {
-			return fmt.Errorf("A2 AMT leaf count %d out of range", p.AMTLeaves)
+			return r.off, outOfRange("A2 AMT leaf count", int(p.AMTLeaves))
 		}
 		depth, err := r.u8()
 		if err != nil {
-			return err
+			return r.off, err
 		}
 		if int(depth) > MaxProofDepth {
-			return fmt.Errorf("A2 proof depth %d exceeds %d", depth, MaxProofDepth)
+			return r.off, outOfRange("A2 proof depth", int(depth))
 		}
-		if p.Proof, err = r.digests(int(depth), h); err != nil {
-			return err
+		if p.Proof, err = r.digests(p.Proof, int(depth), h); err != nil {
+			return r.off, err
 		}
-		if p.Other, err = r.digest(h); err != nil {
-			return err
-		}
+		p.Other, err = r.view(h)
+		return r.off, err
 	default:
-		return fmt.Errorf("unknown mode %d", m)
+		return r.off, outOfRange("unknown mode", int(m))
 	}
-	return nil
 }

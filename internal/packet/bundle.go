@@ -12,9 +12,13 @@ package packet
 
 import (
 	"errors"
-	"fmt"
 
 	"alpha/internal/suite"
+)
+
+var (
+	errNestedBundle   = errors.New("bundles must not nest")
+	errShortSubPacket = errors.New("bundled packet shorter than a header")
 )
 
 // TypeBundle identifies the aggregate container.
@@ -32,48 +36,54 @@ type Bundle struct {
 // Type implements Message.
 func (*Bundle) Type() Type { return TypeBundle }
 
-func (b *Bundle) encodeBody(w *writer, h int) error {
+//alpha:hotpath
+func (b *Bundle) appendBody(dst []byte, h int) ([]byte, error) {
 	if len(b.Packets) < 2 || len(b.Packets) > MaxBundlePackets {
-		return fmt.Errorf("bundle of %d packets, want 2..%d", len(b.Packets), MaxBundlePackets)
+		return dst, outOfRange("bundle count", len(b.Packets))
 	}
-	w.u8(uint8(len(b.Packets)))
-	for i, raw := range b.Packets {
+	dst = append(dst, uint8(len(b.Packets)))
+	var err error
+	for _, raw := range b.Packets {
 		if len(raw) < HeaderSize {
-			return fmt.Errorf("bundle packet %d too short", i)
+			return dst, errShortSubPacket
 		}
 		if Type(raw[3]) == TypeBundle {
-			return errors.New("bundles must not nest")
+			return dst, errNestedBundle
 		}
-		if err := w.bytes16(raw); err != nil {
-			return err
+		if dst, err = appendBytes16(dst, raw, "bundled packet length"); err != nil {
+			return dst, err
 		}
 	}
-	return nil
+	return dst, nil
 }
 
-func (b *Bundle) decodeBody(r *reader, h int) error {
+//alpha:hotpath
+func (b *Bundle) parseBody(buf []byte, off, h int) (int, error) {
+	r := reader{buf: buf, off: off}
 	count, err := r.u8()
 	if err != nil {
-		return err
+		return r.off, err
 	}
 	if count < 2 || int(count) > MaxBundlePackets {
-		return fmt.Errorf("bundle count %d out of range", count)
+		return r.off, outOfRange("bundle count", int(count))
 	}
-	b.Packets = make([][]byte, count)
-	for i := range b.Packets {
+	if b.Packets == nil {
+		b.Packets = make([][]byte, 0, count) //alpha:alloc-ok slice headers of the sub-packet list: once per Decode, once per Parser high-water mark
+	}
+	for i := 0; i < int(count); i++ {
 		raw, err := r.bytes16()
 		if err != nil {
-			return err
+			return r.off, err
 		}
 		if len(raw) < HeaderSize {
-			return ErrTruncated
+			return r.off, ErrTruncated
 		}
 		if Type(raw[3]) == TypeBundle {
-			return errors.New("bundles must not nest")
+			return r.off, errNestedBundle
 		}
-		b.Packets[i] = raw
+		b.Packets = append(b.Packets, raw)
 	}
-	return nil
+	return r.off, nil
 }
 
 // EncodeBundle wraps already-encoded packets into one datagram. The header

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"alpha/internal/suite"
@@ -73,19 +74,14 @@ func TestBundleValidation(t *testing.T) {
 	}
 	// And a hand-crafted nested bundle must fail decode: splice the
 	// nested bundle bytes into a frame.
-	w := &writer{}
-	w.u16(Magic)
-	w.u8(Version)
-	w.u8(uint8(TypeBundle))
-	w.u8(uint8(suite.IDSHA1))
-	w.u8(0)
-	w.u64(9)
-	w.u32(0)
-	w.u8(0)
-	w.u8(2)
-	w.bytes16(nested)
-	w.bytes16(one)
-	if _, _, err := Decode(w.buf); err == nil {
+	frame := binary.BigEndian.AppendUint16(nil, Magic)
+	frame = append(frame, Version, uint8(TypeBundle), uint8(suite.IDSHA1), 0)
+	frame = binary.BigEndian.AppendUint64(frame, 9)
+	frame = binary.BigEndian.AppendUint32(frame, 0)
+	frame = append(frame, 0, 2)
+	frame, _ = appendBytes16(frame, nested, "nested")
+	frame, _ = appendBytes16(frame, one, "one")
+	if _, _, err := Decode(frame); err == nil {
 		t.Fatalf("nested bundle accepted on decode")
 	}
 }

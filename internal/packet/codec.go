@@ -1,4 +1,5 @@
-// Binary codec helpers: a growing writer and a bounds-checked reader.
+// Binary codec helpers: append-style field writers and a bounds-checked
+// reader that hands out views of its input.
 //
 // The codecs are deliberately boring: fixed-width big-endian integers,
 // digests whose length is implied by the association's hash suite, and
@@ -17,42 +18,56 @@ import (
 // ErrTruncated is returned when a packet ends before a declared field.
 var ErrTruncated = errors.New("packet: truncated packet")
 
-// writer accumulates an encoded packet.
-type writer struct {
-	buf []byte
+// outOfRange reports a counted or enumerated field outside its limits. It
+// and badDigest are the codec's only formatted errors: rejecting input is
+// the cold path, and keeping the formatting here keeps fmt out of every
+// per-packet function (and out of line, so that the allocation is theirs and
+// not their callers').
+//
+//go:noinline
+func outOfRange(what string, v int) error {
+	return fmt.Errorf("%s %d out of range", what, v) //alpha:alloc-ok rejected input: the report is the cold path
 }
 
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
+// badDigest reports a digest field whose length is not the suite's.
+//
+//go:noinline
+func badDigest(what string, got, want int) error {
+	return fmt.Errorf("packet: %s of %d bytes, want a %d-byte digest", what, got, want) //alpha:alloc-ok rejected input: the report is the cold path
+}
 
-// digest appends a fixed-size digest, validating its length.
-func (w *writer) digest(d []byte, size int) error {
+// appendDigest appends a fixed-size digest, validating its length.
+func appendDigest(dst, d []byte, size int, what string) ([]byte, error) {
 	if len(d) != size {
-		return fmt.Errorf("packet: digest length %d, want %d", len(d), size)
+		return dst, badDigest(what, len(d), size)
 	}
-	w.buf = append(w.buf, d...)
-	return nil
+	return append(dst, d...), nil
 }
 
-// bytes32 appends a u32 length prefix followed by the raw bytes.
-func (w *writer) bytes32(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
+// appendDigests appends a run of fixed-size digests.
+func appendDigests(dst []byte, ds [][]byte, size int, what string) ([]byte, error) {
+	var err error
+	for _, d := range ds {
+		if dst, err = appendDigest(dst, d, size, what); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
-// bytes16 appends a u16 length prefix followed by the raw bytes.
-func (w *writer) bytes16(b []byte) error {
+// appendBytes16 appends a u16 length prefix followed by the raw bytes.
+func appendBytes16(dst, b []byte, what string) ([]byte, error) {
 	if len(b) > 0xFFFF {
-		return fmt.Errorf("packet: field of %d bytes exceeds 16-bit length prefix", len(b))
+		return dst, outOfRange(what, len(b))
 	}
-	w.u16(uint16(len(b)))
-	w.buf = append(w.buf, b...)
-	return nil
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(b)))
+	return append(dst, b...), nil
 }
 
-// reader consumes an encoded packet.
+// reader consumes an encoded packet in place: every byte field it returns
+// is a subslice of buf, capped so that appending to it cannot reach the
+// bytes behind it. Nothing is copied; Decode gives the reader a private copy
+// of the datagram, Parser.Parse gives it the caller's buffer.
 type reader struct {
 	buf []byte
 	off int
@@ -96,16 +111,14 @@ func (r *reader) u64() (uint64, error) {
 	return v, nil
 }
 
-// digest reads a fixed-size digest. The returned slice is a copy so parsed
-// packets do not alias transport buffers that may be reused.
-func (r *reader) digest(size int) ([]byte, error) {
-	if r.remaining() < size {
+// view returns the next n bytes of the input without copying them.
+func (r *reader) view(n int) ([]byte, error) {
+	if n < 0 || r.remaining() < n {
 		return nil, ErrTruncated
 	}
-	d := make([]byte, size)
-	copy(d, r.buf[r.off:])
-	r.off += size
-	return d, nil
+	b := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return b, nil
 }
 
 // bytes32 reads a u32-length-prefixed byte field, enforcing a sanity cap.
@@ -114,46 +127,35 @@ func (r *reader) bytes32(maxLen int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int(n) > maxLen || int(n) > r.remaining() {
+	if int(n) > maxLen {
 		return nil, ErrTruncated
 	}
-	b := make([]byte, n)
-	copy(b, r.buf[r.off:])
-	r.off += int(n)
-	return b, nil
+	return r.view(int(n))
 }
 
 // bytes16 reads a u16-length-prefixed byte field. A zero-length field
 // decodes as nil so that encode/decode round-trips are exact.
 func (r *reader) bytes16() ([]byte, error) {
 	n, err := r.u16()
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if int(n) > r.remaining() {
-		return nil, ErrTruncated
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b := make([]byte, n)
-	copy(b, r.buf[r.off:])
-	r.off += int(n)
-	return b, nil
+	return r.view(int(n))
 }
 
-// digests reads count fixed-size digests.
-func (r *reader) digests(count, size int) ([][]byte, error) {
+// digests reads count fixed-size digests into list, reusing its capacity:
+// a Parser's scratch bodies keep theirs from packet to packet, a fresh body
+// allocates the slice headers once.
+func (r *reader) digests(list [][]byte, count, size int) ([][]byte, error) {
 	if count < 0 || r.remaining() < count*size {
-		return nil, ErrTruncated
+		return list, ErrTruncated
 	}
-	out := make([][]byte, count)
-	for i := range out {
-		d, err := r.digest(size)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
+	if list == nil {
+		list = make([][]byte, 0, count) //alpha:alloc-ok slice headers of a digest list: once per Decode, once per Parser high-water mark
 	}
-	return out, nil
+	for i := 0; i < count; i++ {
+		d, _ := r.view(size)
+		list = append(list, d)
+	}
+	return list, nil
 }

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -13,7 +14,10 @@ import (
 // test; with `go test -fuzz=FuzzParsePacket` it explores mutations. The
 // invariants: never panic, never accept trailing garbage, report every
 // failure as a typed *ParseError, and anything that decodes must re-encode
-// to exactly the input bytes (the wire form is canonical).
+// to exactly the input bytes (the wire form is canonical). Decode and the
+// in-place Parser are one parser behind two ownership rules, so they must
+// also agree on every input: accept or reject, ParseError{PacketType,
+// Offset}, and every field of the body.
 func FuzzParsePacket(f *testing.F) {
 	s := suite.SHA1()
 	d := func(seed byte) []byte {
@@ -50,8 +54,17 @@ func FuzzParsePacket(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xA1, 0xFA})
 
+	var p Parser // reused across inputs, as a relay's is across datagrams
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, m, err := Decode(data)
+		own := append([]byte(nil), data...)
+		h, m, err := Decode(own)
+		vh, vm, verr := p.Parse(data)
+		sameParse(t, h, m, err, vh, vm, verr)
+		// What Decode returned owns its bytes: overwriting the buffer it
+		// was given must not reach the re-encoding below.
+		for i := range own {
+			own[i] ^= 0xFF
+		}
 		if err != nil {
 			// The typed-error contract: every parse failure is a
 			// *ParseError whose offset stays inside the input.
@@ -81,4 +94,75 @@ func FuzzParsePacket(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameParse fails unless Decode's result (h, m, err) and the in-place
+// parser's (vh, vm, verr) are the same parse of the same input.
+func sameParse(t *testing.T, h Header, m Message, err error, vh Header, vm Message, verr error) {
+	t.Helper()
+	if (err == nil) != (verr == nil) {
+		t.Fatalf("Decode says %v, Parser says %v", err, verr)
+	}
+	if err != nil {
+		var pe, vpe *ParseError
+		if !errors.As(err, &pe) || !errors.As(verr, &vpe) {
+			t.Fatalf("parse errors are %T and %T, want *ParseError", err, verr)
+		}
+		if pe.PacketType != vpe.PacketType || pe.Offset != vpe.Offset || pe.Err.Error() != vpe.Err.Error() {
+			t.Fatalf("Decode fails with %+v, Parser with %+v", *pe, *vpe)
+		}
+		return
+	}
+	if h != vh {
+		t.Fatalf("Decode header %+v, Parser header %+v", h, vh)
+	}
+	if !sameBody(m, vm) {
+		t.Fatalf("Decode body %#v\nParser body %#v", m, vm)
+	}
+}
+
+// sameBody compares two bodies field by field, by content: a Parser's
+// scratch body keeps emptied digest lists where a fresh one has nil.
+func sameBody(a, b Message) bool {
+	list := func(x, y [][]byte) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !bytes.Equal(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch a := a.(type) {
+	case *Handshake:
+		b, ok := b.(*Handshake)
+		return ok && a.Initiator == b.Initiator && bytes.Equal(a.SigAnchor, b.SigAnchor) && bytes.Equal(a.AckAnchor, b.AckAnchor) &&
+			a.ChainLen == b.ChainLen && bytes.Equal(a.Nonce, b.Nonce) && a.Scheme == b.Scheme && bytes.Equal(a.PubKey, b.PubKey) &&
+			bytes.Equal(a.Sig, b.Sig) && a.HasToken == b.HasToken && bytes.Equal(a.Token, b.Token)
+	case *S1:
+		b, ok := b.(*S1)
+		return ok && a.Mode == b.Mode && a.AuthIdx == b.AuthIdx && bytes.Equal(a.Auth, b.Auth) && a.KeyIdx == b.KeyIdx &&
+			list(a.MACs, b.MACs) && a.LeafCount == b.LeafCount && bytes.Equal(a.Root, b.Root) && list(a.Roots, b.Roots)
+	case *A1:
+		b, ok := b.(*A1)
+		return ok && a.AuthIdx == b.AuthIdx && bytes.Equal(a.Auth, b.Auth) && a.KeyIdx == b.KeyIdx &&
+			bytes.Equal(a.PreAck, b.PreAck) && (a.PreAck == nil) == (b.PreAck == nil) &&
+			bytes.Equal(a.PreNack, b.PreNack) && (a.PreNack == nil) == (b.PreNack == nil) &&
+			bytes.Equal(a.AMTRoot, b.AMTRoot) && (a.AMTRoot == nil) == (b.AMTRoot == nil) && a.AMTLeaves == b.AMTLeaves
+	case *S2:
+		b, ok := b.(*S2)
+		return ok && a.Mode == b.Mode && a.KeyIdx == b.KeyIdx && bytes.Equal(a.Key, b.Key) && a.MsgIndex == b.MsgIndex &&
+			a.LeafCount == b.LeafCount && list(a.Proof, b.Proof) && bytes.Equal(a.Payload, b.Payload)
+	case *A2:
+		b, ok := b.(*A2)
+		return ok && a.Mode == b.Mode && a.KeyIdx == b.KeyIdx && bytes.Equal(a.Key, b.Key) && a.MsgIndex == b.MsgIndex &&
+			a.Ack == b.Ack && bytes.Equal(a.Secret, b.Secret) && list(a.Proof, b.Proof) &&
+			bytes.Equal(a.Other, b.Other) && (a.Other == nil) == (b.Other == nil) && a.AMTLeaves == b.AMTLeaves
+	case *Bundle:
+		b, ok := b.(*Bundle)
+		return ok && list(a.Packets, b.Packets)
+	}
+	return false
 }

@@ -15,6 +15,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -138,10 +139,13 @@ type Header struct {
 type Message interface {
 	// Type returns the packet type the body encodes as.
 	Type() Type
-	// encodeBody appends the body; h is the suite digest size.
-	encodeBody(w *writer, h int) error
-	// decodeBody parses the body; h is the suite digest size.
-	decodeBody(r *reader, h int) error
+	// appendBody appends the encoded body to dst; h is the suite digest
+	// size. It is the one place the body's wire layout is written.
+	appendBody(dst []byte, h int) ([]byte, error)
+	// parseBody parses the body at b[off:] into the receiver, whose byte
+	// fields become views of b, and returns the offset it stopped at. It is
+	// the one place the body's wire layout is read.
+	parseBody(b []byte, off, h int) (int, error)
 }
 
 // Errors returned by the top-level codec.
@@ -180,112 +184,203 @@ func (e *ParseError) Unwrap() error { return e.Err }
 
 // Encode serializes a header and body into a fresh buffer.
 func Encode(hdr Header, msg Message) ([]byte, error) {
-	if hdr.Type != msg.Type() {
-		return nil, fmt.Errorf("packet: header type %v does not match body type %v", hdr.Type, msg.Type())
-	}
-	st, err := suite.ByID(hdr.Suite)
-	if err != nil {
-		return nil, err
-	}
-	w := &writer{buf: make([]byte, 0, 256)}
-	w.u16(Magic)
-	w.u8(Version)
-	w.u8(uint8(hdr.Type))
-	w.u8(uint8(hdr.Suite))
-	w.u8(hdr.Flags)
-	w.u64(hdr.Assoc)
-	w.u32(hdr.Seq)
-	// Filter cookie slot; zero until a transport stamps it (filter.go).
-	w.u8(0)
-	if err := msg.encodeBody(w, st.Size()); err != nil {
-		return nil, err
-	}
-	if len(w.buf) > MaxPacketSize {
-		return nil, ErrOversize
-	}
-	return w.buf, nil
+	return AppendEncode(make([]byte, 0, 256), hdr, msg)
 }
 
-// Decode parses a raw packet into its header and typed body. Every failure
-// is reported as a *ParseError wrapping one of the sentinel errors (or a
-// suite/body-level cause), so callers can both classify with errors.Is and
-// extract parse position with errors.As.
+// AppendEncode appends the encoded packet to dst and returns the extended
+// slice; the packet is the part behind dst's old length. On error dst comes
+// back at its old length. Nothing is allocated while dst has room.
+//
+//alpha:hotpath
+func AppendEncode(dst []byte, hdr Header, msg Message) ([]byte, error) {
+	start := len(dst)
+	h := suite.SizeByID(hdr.Suite)
+	switch {
+	case hdr.Type != msg.Type():
+		return dst, typeMismatch(hdr.Type, msg.Type())
+	case h == 0:
+		_, err := suite.ByID(hdr.Suite) //alpha:alloc-ok unknown suite: the report is the cold path
+		return dst, err
+	}
+	dst = binary.BigEndian.AppendUint16(dst, Magic)
+	dst = append(dst, Version, uint8(hdr.Type), uint8(hdr.Suite), hdr.Flags)
+	dst = binary.BigEndian.AppendUint64(dst, hdr.Assoc)
+	dst = binary.BigEndian.AppendUint32(dst, hdr.Seq)
+	// Filter cookie slot; zero until a transport stamps it (filter.go).
+	dst = append(dst, 0)
+	dst, err := msg.appendBody(dst, h)
+	switch {
+	case err != nil:
+		return dst[:start], err
+	case len(dst)-start > MaxPacketSize:
+		return dst[:start], ErrOversize
+	}
+	return dst, nil
+}
+
+//go:noinline
+func typeMismatch(hdr, body Type) error {
+	return fmt.Errorf("packet: header type %v does not match body type %v", hdr, body) //alpha:alloc-ok caller bug, never a packet's fault
+}
+
+// Decode parses a raw packet into its header and typed body. The body owns
+// its bytes: Decode copies the datagram once and the body's fields are
+// views of that copy, so b may be reused as soon as Decode returns. Every
+// failure is reported as a *ParseError wrapping one of the sentinel errors
+// (or a suite/body-level cause), so callers can both classify with
+// errors.Is and extract parse position with errors.As.
 func Decode(b []byte) (Header, Message, error) {
 	if len(b) > MaxPacketSize {
 		return Header{}, nil, &ParseError{Offset: 0, Err: ErrOversize}
 	}
-	r := &reader{buf: b}
-	fail := func(t Type, err error) (Header, Message, error) {
-		return Header{}, nil, &ParseError{PacketType: t, Offset: r.off, Err: err}
+	return parse(append([]byte(nil), b...), nil)
+}
+
+// Parser parses packets in place. It owns one scratch body per packet type;
+// Parse fills the one the datagram calls for and returns it, so a Parser
+// that has seen each packet shape once parses without allocating.
+//
+// What Parse returns is a view: the body lives in the Parser and is
+// overwritten by the next Parse of the same packet type, and every byte
+// field of it (digests, payload, proof nodes, bundled packets) aliases the
+// datagram passed in. Copy whatever must outlive either. A Parser is not
+// safe for concurrent use.
+type Parser struct {
+	hs     Handshake
+	s1     S1
+	a1     A1
+	s2     S2
+	a2     A2
+	bundle Bundle
+}
+
+// body resets and returns the scratch body for hdr, keeping the capacity of
+// its digest lists; nil for an unknown packet type. Without a Parser the
+// body is freshly allocated, which is what makes a decoded message its
+// caller's to keep.
+func (p *Parser) body(hdr Header) Message {
+	if p == nil {
+		return newBody(hdr) //alpha:alloc-ok Decode's result is its caller's to keep
 	}
+	switch hdr.Type {
+	case TypeHS1, TypeHS2:
+		p.hs = Handshake{Initiator: hdr.Type == TypeHS1, HasToken: hdr.Flags&FlagToken != 0}
+		return &p.hs
+	case TypeS1:
+		p.s1 = S1{MACs: p.s1.MACs[:0], Roots: p.s1.Roots[:0]}
+		return &p.s1
+	case TypeA1:
+		p.a1 = A1{}
+		return &p.a1
+	case TypeS2:
+		p.s2 = S2{Proof: p.s2.Proof[:0]}
+		return &p.s2
+	case TypeA2:
+		p.a2 = A2{Proof: p.a2.Proof[:0]}
+		return &p.a2
+	case TypeBundle:
+		p.bundle = Bundle{Packets: p.bundle.Packets[:0]}
+		return &p.bundle
+	}
+	return nil
+}
+
+// newBody allocates the body for hdr; nil for an unknown packet type.
+func newBody(hdr Header) Message {
+	switch hdr.Type {
+	case TypeHS1, TypeHS2:
+		return &Handshake{Initiator: hdr.Type == TypeHS1, HasToken: hdr.Flags&FlagToken != 0} //alpha:alloc-ok Decode's result is its caller's to keep
+	case TypeS1:
+		return new(S1) //alpha:alloc-ok Decode's result is its caller's to keep
+	case TypeA1:
+		return new(A1) //alpha:alloc-ok Decode's result is its caller's to keep
+	case TypeS2:
+		return new(S2) //alpha:alloc-ok Decode's result is its caller's to keep
+	case TypeA2:
+		return new(A2) //alpha:alloc-ok Decode's result is its caller's to keep
+	case TypeBundle:
+		return new(Bundle) //alpha:alloc-ok Decode's result is its caller's to keep
+	}
+	return nil
+}
+
+// parseFail builds the typed error of a failed parse.
+//
+//go:noinline
+func parseFail(t Type, off int, err error) (Header, Message, error) {
+	return Header{}, nil, &ParseError{PacketType: t, Offset: off, Err: err} //alpha:alloc-ok rejected input: the report is the cold path
+}
+
+// Parse parses a raw packet into its header and a view of its body (see
+// Parser for what may be kept). It accepts and rejects exactly what Decode
+// does, with the same *ParseError.
+//
+//alpha:hotpath
+func (p *Parser) Parse(b []byte) (Header, Message, error) { return parse(b, p) }
+
+// parse is the one parser behind Decode (p nil: fresh bodies over a private
+// copy of the datagram) and Parser.Parse (p's scratch bodies over the
+// caller's buffer).
+func parse(b []byte, p *Parser) (Header, Message, error) {
+	if len(b) > MaxPacketSize {
+		return parseFail(TypeInvalid, 0, ErrOversize)
+	}
+	r := reader{buf: b}
 	magic, err := r.u16()
 	if err != nil {
-		return fail(TypeInvalid, err)
+		return parseFail(TypeInvalid, r.off, err)
 	}
 	if magic != Magic {
-		return fail(TypeInvalid, ErrBadMagic)
+		return parseFail(TypeInvalid, r.off, ErrBadMagic)
 	}
 	ver, err := r.u8()
 	if err != nil {
-		return fail(TypeInvalid, err)
+		return parseFail(TypeInvalid, r.off, err)
 	}
 	if ver != Version {
-		return fail(TypeInvalid, ErrBadVersion)
+		return parseFail(TypeInvalid, r.off, ErrBadVersion)
 	}
 	var hdr Header
 	t, err := r.u8()
 	if err != nil {
-		return fail(TypeInvalid, err)
+		return parseFail(TypeInvalid, r.off, err)
 	}
 	hdr.Type = Type(t)
 	sid, err := r.u8()
 	if err != nil {
-		return fail(TypeInvalid, err)
+		return parseFail(TypeInvalid, r.off, err)
 	}
 	hdr.Suite = suite.ID(sid)
 	if hdr.Flags, err = r.u8(); err != nil {
-		return fail(TypeInvalid, err)
+		return parseFail(TypeInvalid, r.off, err)
 	}
 	if hdr.Assoc, err = r.u64(); err != nil {
-		return fail(TypeInvalid, err)
+		return parseFail(TypeInvalid, r.off, err)
 	}
 	if hdr.Seq, err = r.u32(); err != nil {
-		return fail(TypeInvalid, err)
+		return parseFail(TypeInvalid, r.off, err)
 	}
 	// The trailing header byte is the filter cookie slot (see filter.go):
 	// transports may overwrite it in flight with an address-bound hash, so
-	// the decoder ignores its value. Encode still writes zero.
+	// the parser ignores its value. Encode still writes zero.
 	if _, err = r.u8(); err != nil {
-		return fail(TypeInvalid, err)
+		return parseFail(TypeInvalid, r.off, err)
 	}
-	st, err := suite.ByID(hdr.Suite)
+	h := suite.SizeByID(hdr.Suite)
+	if h == 0 {
+		_, err := suite.ByID(hdr.Suite) //alpha:alloc-ok unknown suite: the report is the cold path
+		return parseFail(TypeInvalid, r.off, err)
+	}
+	msg := p.body(hdr)
+	if msg == nil {
+		return parseFail(TypeInvalid, r.off, ErrBadType)
+	}
+	off, err := msg.parseBody(b, r.off, h)
 	if err != nil {
-		return fail(TypeInvalid, err)
+		return parseFail(hdr.Type, off, err)
 	}
-	var msg Message
-	switch hdr.Type {
-	case TypeHS1:
-		msg = &Handshake{Initiator: true, HasToken: hdr.Flags&FlagToken != 0}
-	case TypeHS2:
-		msg = &Handshake{HasToken: hdr.Flags&FlagToken != 0}
-	case TypeS1:
-		msg = &S1{}
-	case TypeA1:
-		msg = &A1{}
-	case TypeS2:
-		msg = &S2{}
-	case TypeA2:
-		msg = &A2{}
-	case TypeBundle:
-		msg = &Bundle{}
-	default:
-		return fail(TypeInvalid, ErrBadType)
-	}
-	if err := msg.decodeBody(r, st.Size()); err != nil {
-		return fail(hdr.Type, err)
-	}
-	if r.remaining() != 0 {
-		return fail(hdr.Type, ErrTrailing)
+	if off != len(b) {
+		return parseFail(hdr.Type, off, ErrTrailing)
 	}
 	return hdr, msg, nil
 }

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"alpha/internal/core"
+	"alpha/internal/fifo"
 	"alpha/internal/hashchain"
 	"alpha/internal/merkle"
 	"alpha/internal/obs"
@@ -56,7 +57,9 @@ type Decision struct {
 	// Type is the decoded ALPHA packet type (TypeInvalid if undecodable).
 	Type packet.Type
 	// Extracted holds the verified payload of a forwarded S2: data the
-	// relay may act upon (middlebox signaling).
+	// relay may act upon (middlebox signaling). It is a view of the datagram
+	// passed to Process, not a copy: use it or copy it before that buffer is
+	// reused.
 	Extracted []byte
 	// AckObserved is set when a verified A2 confirmed delivery of the
 	// message with this index (meaningful when AckSeen is true).
@@ -64,7 +67,9 @@ type Decision struct {
 	AckPositive bool
 	AckIndex    uint32
 	// Rewritten, when non-nil, is the datagram to forward instead of the
-	// original: a bundle whose failing sub-packets were stripped.
+	// original: a bundle whose failing sub-packets were stripped. A lone
+	// survivor is forwarded as it arrived, as a view of the input like
+	// Extracted.
 	Rewritten []byte
 	// Sub holds per-packet decisions when the datagram was a bundle.
 	Sub []Decision
@@ -174,7 +179,11 @@ type Stats struct {
 type Relay struct {
 	cfg   Config
 	flows map[uint64]*flow
-	order []uint64
+	order fifo.Ring[uint64] // flows in arrival order; the oldest is evicted first
+
+	// The in-place parser. A bundle's sub-packets are never bundles, so
+	// parsing them with it leaves the view of their frame alone.
+	parser packet.Parser
 
 	tel    telemetry.RelayMetrics
 	tracer *telemetry.Tracer
@@ -245,8 +254,10 @@ type flow struct {
 	prevSig [2]*hashchain.Walker
 	prevAck [2]*hashchain.Walker
 
-	// Buffered exchanges per signing direction.
+	// Buffered exchanges per signing direction, and the evicted ones
+	// waiting to be reused, slabs and all.
 	dirs [2]dirState
+	free []*exchange
 
 	bucket  tokenBucket
 	s1Limit int
@@ -261,22 +272,26 @@ type flow struct {
 
 type dirState struct {
 	rx    map[uint32]*exchange
-	order []uint32
+	order fifo.Ring[uint32] // buffered sequence numbers, oldest first
 }
 
 // exchange is the relay's buffered state for one signature exchange: the
 // S1's pre-signatures plus, once the A1 passes by, its pre-(n)ack material.
-// This is exactly the "Relay" column of Tables 2 and 3.
+// This is exactly the "Relay" column of Tables 2 and 3. Every byte field is
+// a copy held in the exchange's slab, which is sized when the S1 arrives
+// and goes back to the flow's free list with the exchange.
 type exchange struct {
 	mode      packet.Mode
 	keyIdx    uint32
-	macs      [][]byte
-	root      []byte
-	roots     [][]byte
+	batch     int // messages the S1 announced
 	leafCount int
+	slab      []byte
 	// auth is the S1's verified chain element, the exchange's own trust
 	// anchor: S2 key elements must hash to it (immune to rekeys).
 	auth []byte
+	// presig holds the pre-signatures back to back: one MAC per message
+	// (base/C), the root (M) or the k subtree roots (CM).
+	presig []byte
 	// key caches the verified MAC-key element after the first valid S2
 	// so duplicates verify by equality.
 	key []byte
@@ -288,21 +303,23 @@ type exchange struct {
 	preNack   []byte
 	amtRoot   []byte
 	amtLeaves int
+}
 
-	verified []bool
+// keep copies b into the exchange's slab and returns the copy.
+func (x *exchange) keep(b []byte) []byte {
+	off := len(x.slab)
+	x.slab = append(x.slab, b...)
+	return x.slab[off:len(x.slab):len(x.slab)]
+}
+
+// sig returns pre-signature i (a MAC or a subtree root).
+func (x *exchange) sig(i int) []byte {
+	h := len(x.auth)
+	return x.presig[i*h : (i+1)*h]
 }
 
 // bufferedBytes reports this exchange's pre-signature memory (Table 2).
-func (x *exchange) bufferedBytes() int {
-	n := len(x.root)
-	for _, m := range x.macs {
-		n += len(m)
-	}
-	for _, r := range x.roots {
-		n += len(r)
-	}
-	return n
-}
+func (x *exchange) bufferedBytes() int { return len(x.presig) }
 
 // ackBytes reports the additional acknowledgment state (Table 3).
 func (x *exchange) ackBytes() int {
@@ -328,33 +345,41 @@ func (r *Relay) BufferedBytes() (preSig, ack int) {
 // so the relay verifies an association whose handshake it never saw — there
 // was none.
 func (r *Relay) Seed(st suite.Suite, anchors core.AnchorSet) error {
-	if len(r.flows) >= r.cfg.MaxFlows {
-		r.evictFlow()
+	var sig, ack [2]*hashchain.Walker
+	var err error
+	if sig[0], err = hashchain.NewSignatureWalker(st, anchors.InitSig); err != nil {
+		return err
+	}
+	if ack[0], err = hashchain.NewAcknowledgmentWalker(st, anchors.InitAck); err != nil {
+		return err
+	}
+	if sig[1], err = hashchain.NewSignatureWalker(st, anchors.RespSig); err != nil {
+		return err
+	}
+	if ack[1], err = hashchain.NewAcknowledgmentWalker(st, anchors.RespAck); err != nil {
+		return err
+	}
+	f := r.newFlow(anchors.Assoc, st)
+	f.sig, f.ack = sig, ack
+	return nil
+}
+
+// newFlow installs a fresh flow, evicting the oldest one when the table is
+// full.
+func (r *Relay) newFlow(assoc uint64, st suite.Suite) *flow {
+	if old, evicted := r.order.Push(assoc, r.cfg.MaxFlows); evicted {
+		delete(r.flows, old)
 	}
 	f := &flow{
-		assoc:   anchors.Assoc,
+		assoc:   assoc,
 		st:      st,
 		bucket:  tokenBucket{rate: r.cfg.S1Rate, burst: r.cfg.S1Burst},
 		s1Limit: r.cfg.InitialS1Limit,
 	}
 	f.dirs[0].rx = make(map[uint32]*exchange)
 	f.dirs[1].rx = make(map[uint32]*exchange)
-	var err error
-	if f.sig[0], err = hashchain.NewSignatureWalker(st, anchors.InitSig); err != nil {
-		return err
-	}
-	if f.ack[0], err = hashchain.NewAcknowledgmentWalker(st, anchors.InitAck); err != nil {
-		return err
-	}
-	if f.sig[1], err = hashchain.NewSignatureWalker(st, anchors.RespSig); err != nil {
-		return err
-	}
-	if f.ack[1], err = hashchain.NewAcknowledgmentWalker(st, anchors.RespAck); err != nil {
-		return err
-	}
-	r.flows[anchors.Assoc] = f
-	r.order = append(r.order, anchors.Assoc)
-	return nil
+	r.flows[assoc] = f
+	return f
 }
 
 // verifySig verifies a signature-chain element for direction d, with the
@@ -438,6 +463,13 @@ func stepOf(t packet.Type) uint8 {
 // Process inspects one datagram and decides its fate. Packets are charged
 // against upstream 0's unsolicited-S1 budget; two-port deployments should
 // use ProcessFrom.
+//
+// The relay verifies data in place and copies only what it buffers (the
+// pre-signatures, pre-(n)ack material and chain elements of Tables 2–3), so
+// the caller may reuse data as soon as it is done with the Decision, whose
+// Extracted field is a view of data.
+//
+//alpha:hotpath
 func (r *Relay) Process(now time.Time, data []byte) Decision {
 	r.upstream = 0
 	return r.process(now, data)
@@ -447,6 +479,8 @@ func (r *Relay) Process(now time.Time, data []byte) Decision {
 // two-port relay), so each side's unsolicited-S1 flood budget is accounted
 // separately: a flood arriving on one port cannot starve the pass-through
 // allowance of legitimate unknown-association traffic on the other.
+//
+//alpha:hotpath
 func (r *Relay) ProcessFrom(now time.Time, upstream int, data []byte) Decision {
 	r.upstream = upstream & 1
 	return r.process(now, data)
@@ -455,17 +489,15 @@ func (r *Relay) ProcessFrom(now time.Time, upstream int, data []byte) Decision {
 func (r *Relay) process(now time.Time, data []byte) Decision {
 	r.tnow = now.UnixNano()
 	r.spanKey, r.spanMode = 0, 0
-	hdr, msg, err := packet.Decode(data)
+	hdr, msg, err := r.parser.Parse(data)
 	if err != nil {
-		// Double-wrap so callers can match the relay-level ErrMalformed
-		// and still extract the parser's typed *packet.ParseError.
-		return r.drop(packet.Header{Type: packet.TypeInvalid}, telemetry.ReasonMalformed, fmt.Errorf("%w: %w", ErrMalformed, err))
+		return r.drop(packet.Header{Type: packet.TypeInvalid}, telemetry.ReasonMalformed, malformed(err))
 	}
 	switch m := msg.(type) {
 	case *packet.Bundle:
-		return r.processBundle(now, hdr, m)
+		return r.processBundle(now, hdr, m) //alpha:alloc-ok bundles are re-framed per datagram; no workload coalesces through a relay
 	case *packet.Handshake:
-		return r.processHandshake(hdr, m)
+		return r.processHandshake(hdr, m) //alpha:alloc-ok once per association: the flow and its chain walkers
 	case *packet.S1:
 		return r.processS1(now, hdr, m, len(data))
 	case *packet.A1:
@@ -477,6 +509,14 @@ func (r *Relay) process(now time.Time, data []byte) Decision {
 	default:
 		return r.drop(hdr, telemetry.ReasonMalformed, ErrMalformed)
 	}
+}
+
+// malformed double-wraps a parse failure so callers can match the
+// relay-level ErrMalformed and still extract the typed *packet.ParseError.
+//
+//go:noinline
+func malformed(err error) error {
+	return fmt.Errorf("%w: %w", ErrMalformed, err) //alpha:alloc-ok rejected input: the report is the cold path
 }
 
 // drop discards a packet: one Dropped increment, one per-reason increment
@@ -565,6 +605,7 @@ func dirIndex(hdr packet.Header) int {
 }
 
 // processHandshake learns (or refreshes) a flow from an observed handshake.
+// The walkers copy the anchors, so nothing of hs outlives the call.
 func (r *Relay) processHandshake(hdr packet.Header, hs *packet.Handshake) Decision {
 	r.tel.Handshake.Inc()
 	st, err := r.resolveSuite(hdr.Suite)
@@ -579,19 +620,7 @@ func (r *Relay) processHandshake(hdr packet.Header, hs *packet.Handshake) Decisi
 	}
 	f, ok := r.flows[hdr.Assoc]
 	if !ok {
-		if len(r.flows) >= r.cfg.MaxFlows {
-			r.evictFlow()
-		}
-		f = &flow{
-			assoc:   hdr.Assoc,
-			st:      st,
-			bucket:  tokenBucket{rate: r.cfg.S1Rate, burst: r.cfg.S1Burst},
-			s1Limit: r.cfg.InitialS1Limit,
-		}
-		f.dirs[0].rx = make(map[uint32]*exchange)
-		f.dirs[1].rx = make(map[uint32]*exchange)
-		r.flows[hdr.Assoc] = f
-		r.order = append(r.order, hdr.Assoc)
+		f = r.newFlow(hdr.Assoc, st)
 	}
 	d := dirIndex(hdr)
 	if f.sig[d] == nil {
@@ -603,15 +632,6 @@ func (r *Relay) processHandshake(hdr packet.Header, hs *packet.Handshake) Decisi
 		f.sig[d], f.ack[d] = sw, aw
 	}
 	return r.forward(hdr)
-}
-
-func (r *Relay) evictFlow() {
-	if len(r.order) == 0 {
-		return
-	}
-	old := r.order[0]
-	r.order = r.order[1:]
-	delete(r.flows, old)
 }
 
 // lookup finds the flow for a packet, deciding pass-through vs strict drop
@@ -630,7 +650,35 @@ func (r *Relay) lookup(hdr packet.Header) (f *flow, early Decision, decided bool
 	return nil, r.forward(hdr), true
 }
 
+// buffer opens the exchange an S1 announces: it takes an exchange off the
+// flow's free list (or makes one), reserves slab room for everything Tables
+// 2–3 let the exchange keep — the S1 element and its n pre-signatures now,
+// the disclosed key, the A1 element and the pre-(n)ack pair or AMT root
+// later — and evicts the direction's oldest exchange beyond MaxExchanges.
+func (r *Relay) buffer(f *flow, ds *dirState, seq uint32, nsig int) *exchange {
+	var x *exchange
+	if n := len(f.free); n > 0 {
+		x, f.free = f.free[n-1], f.free[:n-1]
+		*x = exchange{slab: x.slab[:0]}
+	} else {
+		x = &exchange{} //alpha:alloc-ok first exchanges of a flow; steady state reuses evicted ones
+	}
+	if need := (nsig + 5) * f.st.Size(); cap(x.slab) < need {
+		x.slab = make([]byte, 0, need) //alpha:alloc-ok slab growth: first use, or a larger batch than this exchange has held
+	}
+	if old, evicted := ds.order.Push(seq, r.cfg.MaxExchanges); evicted { //alpha:alloc-ok the ring itself: once per flow and direction
+		if ox, ok := ds.rx[old]; ok {
+			delete(ds.rx, old)
+			f.free = append(f.free, ox)
+		}
+	}
+	ds.rx[seq] = x
+	return x
+}
+
 // processS1 verifies and buffers a pre-signature announcement.
+//
+//alpha:hotpath
 func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size int) Decision {
 	f, known := r.flows[hdr.Assoc]
 	if !known || f.sig[dirIndex(hdr)] == nil {
@@ -664,23 +712,16 @@ func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size 
 		return r.drop(hdr, telemetry.ReasonBadElement, core.ErrBadAuthElement)
 	}
 	if err := f.verifySig(d, s1.Auth, s1.AuthIdx); err != nil {
-		return r.drop(hdr, telemetry.ReasonBadElement, fmt.Errorf("%w: %v", core.ErrBadAuthElement, err))
+		return r.drop(hdr, telemetry.ReasonBadElement, core.BadAuthElement(err))
 	}
 	r.spanKey, r.spanMode = obs.Key(s1.Auth), uint8(s1.Mode)
-	x := &exchange{mode: s1.Mode, keyIdx: s1.KeyIdx, auth: append([]byte(nil), s1.Auth...)}
-	var batch int
+	presig, batch, leafCount := s1.MACs, len(s1.MACs), 0
 	switch s1.Mode {
 	case packet.ModeBase, packet.ModeC:
-		x.macs = s1.MACs
-		batch = len(s1.MACs)
 	case packet.ModeM:
-		x.root = s1.Root
-		x.leafCount = int(s1.LeafCount)
-		batch = x.leafCount
+		presig, batch, leafCount = nil, int(s1.LeafCount), int(s1.LeafCount)
 	case packet.ModeCM:
-		x.roots = s1.Roots
-		x.leafCount = int(s1.LeafCount)
-		batch = x.leafCount
+		presig, batch, leafCount = s1.Roots, int(s1.LeafCount), int(s1.LeafCount)
 		sub := core.CMSubSize(batch, len(s1.Roots))
 		if (batch+sub-1)/sub != len(s1.Roots) {
 			return r.drop(hdr, telemetry.ReasonMalformed, ErrMalformed)
@@ -688,19 +729,24 @@ func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size 
 	default:
 		return r.drop(hdr, telemetry.ReasonMalformed, ErrMalformed)
 	}
-	x.verified = make([]bool, batch)
-	ds.rx[hdr.Seq] = x
-	ds.order = append(ds.order, hdr.Seq)
-	for len(ds.order) > r.cfg.MaxExchanges {
-		old := ds.order[0]
-		ds.order = ds.order[1:]
-		delete(ds.rx, old)
+	x := r.buffer(f, ds, hdr.Seq, max(len(presig), 1))
+	x.mode, x.keyIdx, x.batch, x.leafCount = s1.Mode, s1.KeyIdx, batch, leafCount
+	x.auth = x.keep(s1.Auth)
+	start := len(x.slab)
+	if s1.Mode == packet.ModeM {
+		x.keep(s1.Root)
 	}
+	for _, d := range presig {
+		x.keep(d)
+	}
+	x.presig = x.slab[start:len(x.slab):len(x.slab)]
 	return r.forward(hdr)
 }
 
 // processA1 verifies the acknowledgment element and buffers pre-(n)ack
 // material against the S1 exchange it answers.
+//
+//alpha:hotpath
 func (r *Relay) processA1(hdr packet.Header, a1 *packet.A1) Decision {
 	f, early, decided := r.lookup(hdr)
 	if decided {
@@ -711,7 +757,7 @@ func (r *Relay) processA1(hdr packet.Header, a1 *packet.A1) Decision {
 		return r.drop(hdr, telemetry.ReasonBadElement, core.ErrBadAuthElement)
 	}
 	if err := f.verifyAck(d, a1.Auth, a1.AuthIdx); err != nil {
-		return r.drop(hdr, telemetry.ReasonBadElement, fmt.Errorf("%w: %v", core.ErrBadAuthElement, err))
+		return r.drop(hdr, telemetry.ReasonBadElement, core.BadAuthElement(err))
 	}
 	// The exchange was opened by the S1 from the opposite direction. A
 	// relay may legitimately have missed that S1 (asymmetric routes,
@@ -723,12 +769,24 @@ func (r *Relay) processA1(hdr packet.Header, a1 *packet.A1) Decision {
 	}
 	r.spanKey, r.spanMode = obs.Key(x.auth), uint8(x.mode)
 	if x.preAck == nil && x.amtRoot == nil {
-		x.ackAuth = append([]byte(nil), a1.Auth...)
+		// Until an A1 brings pre-(n)ack material the latest A1's element
+		// stands; it overwrites its predecessor in place.
+		if x.ackAuth == nil {
+			x.ackAuth = x.keep(a1.Auth)
+		} else {
+			copy(x.ackAuth, a1.Auth)
+		}
 		x.ackKeyIdx = a1.KeyIdx
-		x.preAck = a1.PreAck
-		x.preNack = a1.PreNack
-		x.amtRoot = a1.AMTRoot
-		x.amtLeaves = int(a1.AMTLeaves)
+		if a1.PreAck != nil {
+			x.preAck = x.keep(a1.PreAck)
+		}
+		if a1.PreNack != nil {
+			x.preNack = x.keep(a1.PreNack)
+		}
+		if a1.AMTRoot != nil {
+			x.amtRoot = x.keep(a1.AMTRoot)
+			x.amtLeaves = int(a1.AMTLeaves)
+		}
 	}
 	return r.forward(hdr)
 }
@@ -750,32 +808,33 @@ func (r *Relay) processS2(hdr packet.Header, s2 *packet.S2) Decision {
 		return r.drop(hdr, telemetry.ReasonUnsolicited, core.ErrUnsolicited)
 	}
 	r.spanKey, r.spanMode = obs.Key(x.auth), uint8(x.mode)
-	if s2.Mode != x.mode || s2.KeyIdx != x.keyIdx || int(s2.MsgIndex) >= len(x.verified) {
+	if s2.Mode != x.mode || s2.KeyIdx != x.keyIdx || int(s2.MsgIndex) >= x.batch {
 		return r.drop(hdr, telemetry.ReasonUnsolicited, core.ErrUnsolicited)
 	}
 	if x.key == nil {
 		if !hashchain.VerifyLink(f.st, hashchain.TagS1, hashchain.TagS2, x.auth, s2.Key, s2.KeyIdx) {
 			return r.drop(hdr, telemetry.ReasonBadElement, core.ErrBadAuthElement)
 		}
-		x.key = append([]byte(nil), s2.Key...) //alpha:alloc-ok one copy per exchange, not per packet
+		x.key = x.keep(s2.Key)
 	} else if !suite.Equal(x.key, s2.Key) {
 		return r.drop(hdr, telemetry.ReasonBadElement, core.ErrBadAuthElement)
 	}
 	valid := false
 	switch x.mode {
 	case packet.ModeBase, packet.ModeC:
-		want := x.macs[s2.MsgIndex]
+		want := x.sig(int(s2.MsgIndex))
 		f.macIn = core.AppendMACInput(f.macIn[:0], hdr.Assoc, hdr.Seq, s2.MsgIndex, s2.Payload)
 		f.parts[0] = f.macIn
 		f.macOut = f.st.MACInto(f.macOut[:0], s2.Key, f.parts[:1]...)
 		valid = suite.Equal(want, f.macOut)
 	case packet.ModeM:
 		valid = int(s2.LeafCount) == x.leafCount &&
-			merkle.Verify(f.st, s2.Key, x.root, core.MerkleLeafInput(s2.Payload), int(s2.MsgIndex), x.leafCount, s2.Proof)
+			merkle.Verify(f.st, s2.Key, x.presig, core.MerkleLeafInput(s2.Payload), int(s2.MsgIndex), x.leafCount, s2.Proof)
 	case packet.ModeCM:
 		if int(s2.LeafCount) == x.leafCount {
-			if root, leaf, leaves, ok := core.CMLocate(int(s2.MsgIndex), x.leafCount, len(x.roots)); ok && root < len(x.roots) {
-				valid = merkle.Verify(f.st, s2.Key, x.roots[root], core.MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
+			roots := len(x.presig) / len(x.auth)
+			if root, leaf, leaves, ok := core.CMLocate(int(s2.MsgIndex), x.leafCount, roots); ok && root < roots {
+				valid = merkle.Verify(f.st, s2.Key, x.sig(root), core.MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
 			}
 		}
 	}
@@ -785,10 +844,9 @@ func (r *Relay) processS2(hdr packet.Header, s2 *packet.S2) Decision {
 		}
 		return r.drop(hdr, telemetry.ReasonBadPayload, core.ErrBadMAC)
 	}
-	x.verified[s2.MsgIndex] = true
 	r.tracer.Trace(r.tnow, telemetry.TraceS2Verified, hdr.Assoc, hdr.Seq, s2.MsgIndex)
 	dec := r.forward(hdr)
-	dec.Extracted = s2.Payload
+	dec.Extracted = s2.Payload // a view of the datagram, see Decision
 	r.tel.ExtractedBytes.Add(uint64(len(s2.Payload)))
 	r.tel.ExtractedSize.Observe(int64(len(s2.Payload)))
 	// Verified in-band rekey announcements rotate this direction's chain

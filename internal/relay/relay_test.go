@@ -17,6 +17,7 @@ type pair struct {
 	a, b *core.Endpoint
 	r    *Relay
 	now  time.Time
+	evs  []core.Event // what scribbled's Handle calls reported
 }
 
 func newPair(t *testing.T, cfg core.Config, rc Config) *pair {

@@ -11,10 +11,10 @@
 package suite
 
 import (
-	"crypto/hmac"
 	"crypto/sha1"
 	"crypto/sha256"
 	"crypto/subtle"
+	"encoding"
 	"fmt"
 	"hash"
 	"sync"
@@ -63,57 +63,90 @@ type Suite interface {
 	// MAC computes a keyed message authentication code (HMAC) over msg.
 	MAC(key []byte, msg ...[]byte) []byte
 	// MACInto appends the HMAC of msg under key to dst and returns the
-	// extended slice. Repeated calls with the same key reuse a cached
-	// HMAC state (precomputed inner/outer pads), so after the first call
-	// per key it never allocates when dst has Size() spare capacity.
+	// extended slice. It never allocates when dst has Size() spare
+	// capacity, whether or not the key has been used before; consecutive
+	// calls under one key skip the key schedule.
 	MACInto(dst, key []byte, msg ...[]byte) []byte
 }
 
-// macCacheSize bounds the per-suite cache of keyed HMAC states. ALPHA MAC
-// keys are per-exchange chain elements used a batch's worth of times in
-// quick succession on at most a handful of live exchanges, so a small
-// recency cache captures nearly all reuse.
-const macCacheSize = 8
-
-// keyedMAC is one cached HMAC instance with its precomputed pad states.
-type keyedMAC struct {
-	key []byte
-	mac hash.Hash
+// macState is the working memory of MACInto: a hash state, the two padded
+// key blocks of HMAC (RFC 2104) and the inner digest. States are pooled per
+// suite and keyed on every call, which is what lets a MAC under a key never
+// seen before — every MAC of base mode, where a chain element keys one
+// packet — cost no allocation. A state remembers the key of its last call,
+// though: the n MACs of an ALPHA-C batch run under one key back to back, and
+// from the second one on they start from snapshots of the hash state taken
+// after the pad blocks instead of compressing the pads again. (That leaves
+// the last key in the pool between calls. ALPHA's MAC keys are chain
+// elements about to be disclosed, held by a process that holds the rest of
+// the chain anyway.)
+type macState struct {
+	h          hash.Hash
+	key        []byte // the key of the last call
+	ipad, opad []byte // one block each: key, zero-padded, XORed with 0x36 and 0x5c
+	sum        []byte // the inner digest
+	// inner and outer are h's marshaled state after ipad and after opad:
+	// taken on the second call in a row under key, empty until then and for
+	// a hash that cannot marshal its state without allocating (app is nil).
+	inner, outer []byte
+	app          binaryAppender
+	unm          encoding.BinaryUnmarshaler
 }
 
-// macCache is a checkout-style LRU of keyed HMAC states: get removes the
-// entry so that concurrent MACs under the same key never share a hash
-// state; put returns it, evicting the least recently used entry when full.
-type macCache struct {
-	mu      sync.Mutex
-	entries []*keyedMAC
+// binaryAppender is encoding.BinaryAppender, which the standard hashes
+// implement from Go 1.24 on; named here so that older toolchains still build
+// this package (and compute every MAC from the pads).
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
 }
 
-func (c *macCache) get(key []byte) *keyedMAC {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.entries) - 1; i >= 0; i-- {
-		e := c.entries[i]
-		// The cache is keyed by disclosed chain elements, i.e. secrets: a
-		// timing-dependent lookup would leak how many leading bytes of a
-		// probe key match a cached real key.
-		if subtle.ConstantTimeCompare(e.key, key) == 1 {
-			c.entries = append(c.entries[:i], c.entries[i+1:]...)
-			return e
+func newMACState(h hash.Hash, size int) *macState {
+	st := &macState{
+		h:    h,
+		key:  make([]byte, 0, h.BlockSize()),
+		ipad: make([]byte, h.BlockSize()),
+		opad: make([]byte, h.BlockSize()),
+		sum:  make([]byte, 0, size),
+	}
+	if app, ok := h.(binaryAppender); ok {
+		if unm, ok := h.(encoding.BinaryUnmarshaler); ok {
+			st.app, st.unm = app, unm
 		}
 	}
-	return nil
+	st.setKey(nil)
+	return st
 }
 
-func (c *macCache) put(e *keyedMAC) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.entries) >= macCacheSize {
-		copy(c.entries, c.entries[1:])
-		c.entries[len(c.entries)-1] = e
+// setKey derives the pad blocks of key and forgets the snapshots of the key
+// before.
+func (st *macState) setKey(key []byte) {
+	st.key = append(st.key[:0], key...) //alpha:alloc-ok a key longer than any before it, longer than a block to begin with
+	st.inner, st.outer = st.inner[:0], st.outer[:0]
+	if len(key) > len(st.ipad) {
+		st.h.Reset()
+		st.h.Write(key)
+		st.sum = st.h.Sum(st.sum[:0])
+		key = st.sum
+	}
+	clear(st.ipad[copy(st.ipad, key):])
+	for i, b := range st.ipad {
+		st.ipad[i], st.opad[i] = b^0x36, b^0x5c
+	}
+}
+
+// begin puts h in the state it has after absorbing pad: from snap if there is
+// one, else by hashing pad, taking the snapshot on the way if take is set.
+func (st *macState) begin(pad []byte, snap *[]byte, take bool) {
+	if len(*snap) > 0 && st.unm.UnmarshalBinary(*snap) == nil {
 		return
 	}
-	c.entries = append(c.entries, e)
+	st.h.Reset()
+	st.h.Write(pad)
+	if take {
+		if b, err := st.app.AppendBinary((*snap)[:0]); err == nil { //alpha:alloc-ok the snapshot buffers grow once per pooled state
+			*snap = b
+		}
+	}
 }
 
 type hashSuite struct {
@@ -125,7 +158,7 @@ type hashSuite struct {
 	// state (used by MMO, whose digest state fits on the stack).
 	oneShot func(dst []byte, parts ...[]byte) []byte
 	states  sync.Pool // idle hash.Hash instances for HashInto
-	macs    macCache
+	macs    sync.Pool // idle *macState instances for MACInto
 }
 
 func (s *hashSuite) ID() ID       { return s.id }
@@ -162,25 +195,31 @@ func (s *hashSuite) MAC(key []byte, msg ...[]byte) []byte {
 	return s.MACInto(nil, key, msg...)
 }
 
-// MACInto computes the per-packet MAC; the keyed-state cache keeps the
-// steady-state path allocation-free.
+// MACInto computes the per-packet MAC: HMAC (RFC 2104) over a pooled state,
+// H((K ^ opad) | H((K ^ ipad) | msg)).
 //
 //alpha:hotpath
 func (s *hashSuite) MACInto(dst, key []byte, msg ...[]byte) []byte {
-	e := s.macs.get(key)
-	if e == nil {
-		e = &keyedMAC{key: append([]byte(nil), key...), mac: hmac.New(s.fn, key)} //alpha:alloc-ok cache miss, amortized across a chain element's lifetime
-	} else {
-		// Reset restores the precomputed after-key (inner pad) state
-		// without rehashing the key for marshalable hashes (SHA-1,
-		// SHA-256).
-		e.mac.Reset()
+	st, _ := s.macs.Get().(*macState)
+	if st == nil {
+		st = newMACState(s.fn(), s.size) //alpha:alloc-ok pool miss: once per concurrent caller
 	}
+	// Keys are secrets until disclosed: no early exit on the first byte
+	// that differs.
+	again := subtle.ConstantTimeCompare(key, st.key) == 1
+	if !again {
+		st.setKey(key) //alpha:alloc-ok a key longer than a block: none of ALPHA's is
+	}
+	take := again && st.app != nil
+	st.begin(st.ipad, &st.inner, take)
 	for _, p := range msg {
-		e.mac.Write(p)
+		st.h.Write(p)
 	}
-	dst = e.mac.Sum(dst)
-	s.macs.put(e)
+	st.sum = st.h.Sum(st.sum[:0])
+	st.begin(st.opad, &st.outer, take)
+	st.h.Write(st.sum)
+	dst = st.h.Sum(dst)
+	s.macs.Put(st)
 	return dst
 }
 

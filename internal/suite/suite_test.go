@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"crypto/sha1"
+	"crypto/sha256"
+	"hash"
 	"testing"
 	"testing/quick"
+
+	"alpha/internal/mmo"
 )
 
 func allSuites() []Suite {
@@ -90,6 +94,74 @@ func TestMACMatchesStdlibHMAC(t *testing.T) {
 	want := m.Sum(nil)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("SHA1 MAC %x != stdlib HMAC %x", got, want)
+	}
+}
+
+// TestMACIntoIsHMAC checks the suites' own HMAC construction against
+// crypto/hmac for every suite, for keys shorter than, equal to and longer
+// than the hash's block, for split messages, and for keys used back to back:
+// a state left over from one key must not leak into the next, and the
+// second and later MACs in a row under one key, which start from snapshots
+// of the keyed hash state, must equal the first.
+func TestMACIntoIsHMAC(t *testing.T) {
+	fns := map[ID]func() hash.Hash{IDSHA1: sha1.New, IDSHA256: sha256.New, IDMMO: mmo.New}
+	long := bytes.Repeat([]byte("0123456789"), 30)
+	for _, s := range allSuites() {
+		for _, klen := range []int{0, 1, 16, 20, 32, 63, 64, 65, 200} {
+			for _, split := range []int{0, 7, len(long)} {
+				key := long[:klen]
+				m := hmac.New(fns[s.ID()], key)
+				m.Write(long)
+				want := m.Sum(nil)
+				for use := 1; use <= 3; use++ {
+					got := s.MACInto(nil, key, long[:split], long[split:])
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s key %d B split %d, use %d in a row: MAC %x, crypto/hmac %x", s.Name(), klen, split, use, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMACIntoZeroAllocFreshKey pins what the relay's per-S2 gate depends
+// on: a MAC under a key never used before allocates nothing.
+func TestMACIntoZeroAllocFreshKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	s := SHA1()
+	key := make([]byte, s.Size())
+	msg := make([]byte, 64)
+	dst := make([]byte, 0, s.Size())
+	parts := [][]byte{msg}
+	if n := testing.AllocsPerRun(200, func() {
+		key[0]++
+		dst = s.MACInto(dst[:0], key, parts...)
+	}); n != 0 {
+		t.Fatalf("MACInto under a fresh key allocated %.0f times, want 0", n)
+	}
+}
+
+// TestMACIntoZeroAllocSameKey is the batch case: the n MACs of an ALPHA-C
+// exchange run under one key, snapshots included, without allocating.
+func TestMACIntoZeroAllocSameKey(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	// MMO's streaming hash.Hash makes an AES cipher per block, on any path.
+	for _, s := range []Suite{SHA1(), SHA256()} {
+		key := make([]byte, s.Size())
+		dst := make([]byte, 0, s.Size())
+		parts := [][]byte{make([]byte, 64)}
+		if n := testing.AllocsPerRun(200, func() {
+			key[0]++
+			for i := 0; i < 16; i++ {
+				dst = s.MACInto(dst[:0], key, parts...)
+			}
+		}); n != 0 {
+			t.Fatalf("%s: 16 MACs under one key allocated %.0f times, want 0", s.Name(), n)
+		}
 	}
 }
 

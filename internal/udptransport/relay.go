@@ -134,9 +134,13 @@ func (r *Relay) Close() error {
 }
 
 // loop is the relay data path. The read slab comes from the shared buffer
-// pool and is reused for every burst: WriteBatch returns only after the
-// kernel has copied the forwarded datagrams out, and relay.Process copies
-// everything it keeps, so no buffer outlives the iteration that read it.
+// pool and is reused for every burst: relay.ProcessFrom verifies a datagram
+// in place and copies only the pre-signatures it buffers, the datagram
+// itself is forwarded untouched from the slab (a Decision's Extracted and
+// Rewritten are views of it, consumed by OnDecision and WriteBatch within
+// the iteration), and WriteBatch returns only after the kernel has copied
+// the forwarded datagrams out, so no buffer outlives the iteration that
+// read it.
 func (r *Relay) loop(batch int) {
 	defer r.wg.Done()
 	ms := make([]udpio.Message, batch)
@@ -205,8 +209,14 @@ func (r *Relay) loop(batch int) {
 		if _, err := r.io.WriteBatch(fwd); err != nil {
 			// A refused batch loses every verified datagram in it —
 			// counted, so forwarded-vs-sent discrepancies stay visible.
+			// The failure may be transient (ENOBUFS, a firewall's EPERM),
+			// so the relay keeps forwarding unless it is being closed.
 			r.tel.WriteErrors.Inc()
-			return
+			select {
+			case <-r.closed:
+				return
+			default:
+			}
 		}
 	}
 }

@@ -35,11 +35,12 @@
 //
 // The read loops are batched: each drains up to a full burst of datagrams
 // from its socket in one recvmmsg into a slab of pooled buffers before
-// demuxing. Buffers are recycled once the engine has consumed them —
-// packet.Decode copies every field it returns, so a buffer is dead the
-// moment Handle returns. Session replies leave through a coalescing
-// writer: everything a Poll produces (the S2s of a burst plus its S1) goes
-// out in one sendmmsg.
+// demuxing. Buffers are recycled once the engine has consumed them — it
+// verifies a datagram in place and copies what it keeps, so a buffer is
+// dead the moment Handle returns. Session replies leave through a
+// coalescing writer: everything a Poll produces (the S2s of a burst plus
+// its S1) goes out in one sendmmsg, after which the datagrams are handed
+// back to the engine.
 
 package udptransport
 
@@ -1025,9 +1026,10 @@ func (s *Session) stopped() bool {
 	}
 }
 
-// handle feeds one datagram into the session's engine. The engine copies
-// everything it keeps, so data may be recycled once this returns. Called
-// only by the session's current owner (see runSession).
+// handle feeds one datagram into the session's engine. The engine verifies
+// it in place and copies what it keeps (see core.Endpoint.Handle), so data
+// may be recycled once this returns. Called only by the session's current
+// owner (see runSession).
 func (s *Session) handle(now time.Time, from net.Addr, via udpio.Conn, data []byte, srv *Server) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1051,6 +1053,7 @@ func (s *Session) handle(now time.Time, from net.Addr, via udpio.Conn, data []by
 		}
 		s.forwardEvent(ev)
 	}
+	s.ep.Release(nil, evs)
 	s.pumpLocked(now)
 }
 
@@ -1070,9 +1073,10 @@ func (s *Session) forwardEvent(ev core.Event) {
 
 // pumpLocked drains the engine outbox through the coalescing writer: the
 // whole Poll harvest — an ALPHA-C/M burst's S2s plus its S1 — leaves in
-// one WriteBatch, hence (on Linux) one sendmmsg. It then re-arms the
-// session's slot on the shared deadline heap from the engine's next
-// timeout. Callers hold s.mu.
+// one WriteBatch, hence (on Linux) one sendmmsg, and is then handed back to
+// the engine: the kernel has its own copy. It then re-arms the session's
+// slot on the shared deadline heap from the engine's next timeout. Callers
+// hold s.mu.
 func (s *Session) pumpLocked(now time.Time) {
 	out, evs := s.ep.Poll(now)
 	for _, ev := range evs {
@@ -1090,6 +1094,7 @@ func (s *Session) pumpLocked(now time.Time) {
 		s.wbatch = ms
 		s.io.WriteBatch(ms)
 	}
+	s.ep.Release(out, evs)
 	next, ok := s.ep.NextTimeout()
 	srv.armTimer(s, next, ok)
 }

@@ -19,6 +19,7 @@ import (
 
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/telemetry"
 	"alpha/internal/udpio"
 )
 
@@ -40,6 +41,7 @@ type Conn struct {
 	stampPort int
 
 	events      chan core.Event
+	eventDrops  telemetry.Counter // events discarded because the channel was full
 	established chan struct{}
 	estOnce     sync.Once
 	closed      chan struct{}
@@ -165,8 +167,13 @@ func (c *Conn) start() {
 
 // Events returns the channel of engine events (deliveries, acks, drops).
 // The channel is buffered; if the application stops draining it, further
-// events are discarded rather than blocking the protocol.
+// events are discarded rather than blocking the protocol, and counted by
+// EventDrops.
 func (c *Conn) Events() <-chan core.Event { return c.events }
+
+// EventDrops returns how many engine events were discarded because the
+// application was not draining Events.
+func (c *Conn) EventDrops() uint64 { return c.eventDrops.Load() }
 
 // Endpoint exposes the underlying engine for stats inspection. Callers
 // must not invoke engine methods directly.
@@ -219,8 +226,10 @@ func (c *Conn) Close() error {
 }
 
 // readLoop feeds received datagrams into the engine, a burst at a time.
-// The slab buffers are reused across iterations: the engine copies every
-// field it keeps, so nothing retains them once Handle returns.
+// The read slab is reused across iterations: the engine verifies a datagram
+// in place and copies what it keeps (pre-signatures into the exchange's
+// slab, a delivered payload into its event), so nothing refers to a buffer
+// once Handle returns.
 func (c *Conn) readLoop() {
 	defer c.wg.Done()
 	ms := make([]udpio.Message, connBatch)
@@ -249,6 +258,7 @@ func (c *Conn) readLoop() {
 			}
 			evs, _ := c.ep.Handle(now, ms[i].Buf[:ms[i].N])
 			c.dispatch(evs)
+			c.ep.Release(nil, evs)
 		}
 		c.pumpLocked(now)
 		c.mu.Unlock()
@@ -285,24 +295,28 @@ func (c *Conn) timerLoop() {
 }
 
 // pumpLocked drains the engine outbox onto the socket through the
-// coalescing writer: one Poll harvest, one WriteBatch, one sendmmsg.
+// coalescing writer: one Poll harvest, one WriteBatch, one sendmmsg. Once
+// WriteBatch has returned the kernel holds its own copy of every datagram
+// and the events have been copied into the channel, so both slices go back
+// to the engine, which may then reuse the slabs of retired exchanges.
 // Callers hold c.mu.
 func (c *Conn) pumpLocked(now time.Time) {
 	out, evs := c.ep.Poll(now)
 	c.dispatch(evs)
-	if c.peer == nil || len(out) == 0 {
-		return
+	if c.peer != nil && len(out) > 0 {
+		ms := c.wbatch[:0]
+		for _, raw := range out {
+			c.stamp(raw)
+			ms = append(ms, udpio.Message{Buf: raw, N: len(raw), Addr: c.peer})
+		}
+		c.wbatch = ms
+		c.io.WriteBatch(ms)
 	}
-	ms := c.wbatch[:0]
-	for _, raw := range out {
-		c.stamp(raw)
-		ms = append(ms, udpio.Message{Buf: raw, N: len(raw), Addr: c.peer})
-	}
-	c.wbatch = ms
-	c.io.WriteBatch(ms)
+	c.ep.Release(out, evs)
 }
 
-// dispatch forwards events to the application channel without blocking.
+// dispatch forwards events to the application channel without blocking; an
+// event that finds the channel full is discarded and counted.
 func (c *Conn) dispatch(evs []core.Event) {
 	for _, ev := range evs {
 		if ev.Kind == core.EventEstablished {
@@ -311,6 +325,7 @@ func (c *Conn) dispatch(evs []core.Event) {
 		select {
 		case c.events <- ev:
 		default: // application not draining; drop rather than stall
+			c.eventDrops.Inc()
 		}
 	}
 }
