@@ -210,8 +210,10 @@ type Decision struct {
 // machine — callers feed it Samples (SampleEndpoint builds one from a live
 // endpoint) and apply Changed decisions via Endpoint.SetProfile. Not safe
 // for concurrent use; drive it from the goroutine that owns the endpoint,
-// exactly like the endpoint itself.
+// exactly like the endpoint itself. A copy would fork the estimator state,
+// so share a *Controller.
 type Controller struct {
+	_   noCopy
 	cfg Config
 
 	// Active profile (what the endpoint runs) and proposal state.
@@ -235,6 +237,13 @@ type Controller struct {
 
 	decisions uint32 // ordinal for trace records
 }
+
+// noCopy makes go vet's copylocks check flag a Controller copied by value:
+// the check looks for a field whose pointer type has Lock and Unlock.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // New creates a controller that assumes the association currently runs the
 // given profile (pass Endpoint.Profile()).

@@ -214,6 +214,7 @@ func NewVerifier(cfg VerifierConfig) (*Verifier, error) {
 		stormThreshold: cfg.StormThreshold,
 		onStorm:        cfg.OnStorm,
 	}
+	v.tel.Init()
 	for id, key := range cfg.Keys {
 		aead, err := newAEAD(key)
 		if err != nil {

@@ -154,8 +154,10 @@ func TestAdmitRejections(t *testing.T) {
 
 	// The I3 drop budget holds: dropped == sum of the reason counters.
 	m := v.Metrics()
-	sum := m.Missing.Load() + m.Invalid.Load() + m.Expired.Load() +
-		m.Replayed.Load() + m.AddrMismatch.Load()
+	var sum uint64
+	for i := range m.DropReasons {
+		sum += m.DropReasons[i].Load()
+	}
 	if m.Dropped.Load() != sum || m.Dropped.Load() == 0 {
 		t.Fatalf("dropped=%d sum=%d", m.Dropped.Load(), sum)
 	}

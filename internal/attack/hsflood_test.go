@@ -8,6 +8,7 @@ import (
 	"alpha/internal/core"
 	"alpha/internal/netsim"
 	"alpha/internal/packet"
+	"alpha/internal/telemetry"
 )
 
 func admissionKey(b byte) admission.Key {
@@ -173,23 +174,25 @@ func TestHSFloodModesAllAccounted(t *testing.T) {
 	n.RunFor(2 * time.Second)
 
 	m := verifier.Metrics()
-	if got := m.Missing.Load(); got != each {
+	if got := m.DropReasons[telemetry.ReasonAdmissionMissing].Load(); got != each {
 		t.Fatalf("drop_admission_missing = %d, want %d", got, each)
 	}
-	if got := m.Invalid.Load(); got != each {
+	if got := m.DropReasons[telemetry.ReasonAdmissionInvalid].Load(); got != each {
 		t.Fatalf("drop_admission_invalid = %d, want %d", got, each)
 	}
 	// The first replayed HS1 legitimately admits (valid token, right
 	// address, first use); every later copy is a replay.
-	if got := m.Replayed.Load(); got != each-1 {
+	if got := m.DropReasons[telemetry.ReasonAdmissionReplayed].Load(); got != each-1 {
 		t.Fatalf("drop_admission_replayed = %d, want %d", got, each-1)
 	}
 	if gate.Admitted != 1 || victimHS1 != 1 {
 		t.Fatalf("admitted %d, victim saw %d HS1s; want exactly the first replay", gate.Admitted, victimHS1)
 	}
 	// I3: the aggregate equals the sum of the per-reason counters, exactly.
-	sum := m.Missing.Load() + m.Invalid.Load() + m.Expired.Load() +
-		m.Replayed.Load() + m.AddrMismatch.Load()
+	var sum uint64
+	for i := range m.DropReasons {
+		sum += m.DropReasons[i].Load()
+	}
 	if got := m.Dropped.Load(); got != sum {
 		t.Fatalf("dropped=%d but per-reason sum=%d", got, sum)
 	}

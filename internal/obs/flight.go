@@ -124,8 +124,7 @@ func (rc *Recorder) Retire(assoc uint64) {
 // association's history. Other drop reasons (loss artifacts, back
 // pressure) are normal operation and do not trigger dumps.
 func (rc *Recorder) onDrop(assoc uint64, seq, detail uint32) {
-	switch detail {
-	case telemetry.ReasonBadElement, telemetry.ReasonBadPayload, telemetry.ReasonBadAck:
+	if telemetry.ReasonInfo(detail).VerifyFail {
 		rc.Trigger(assoc, CauseVerifyFail)
 	}
 }

@@ -64,6 +64,16 @@ func TestVerifyFailTriggersDump(t *testing.T) {
 	if d.Assoc != 7 || d.Cause != CauseVerifyFail || d.Time != 3 || len(d.Spans) != 3 {
 		t.Fatalf("dump = %+v", d)
 	}
+
+	// Exactly the three failed checks of an established exchange dump.
+	dumps3 := map[uint32]bool{telemetry.ReasonBadElement: true, telemetry.ReasonBadPayload: true, telemetry.ReasonBadAck: true}
+	for _, code := range append(allReasonCodes(), 9999) {
+		rc := NewRecorder(16)
+		rc.Ring(1).Emit(1, 1, 5, 1, RoleRelay, StepS2, 0, VerdictDrop, code)
+		if got := len(rc.Dumps()) == 1; got != dumps3[code] {
+			t.Errorf("drop for %s: dumped=%v, want %v", telemetry.ReasonString(code), got, dumps3[code])
+		}
+	}
 }
 
 func TestDumpBounds(t *testing.T) {

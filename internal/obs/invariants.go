@@ -129,19 +129,15 @@ type Invariants struct {
 
 // verifyFailSuffixes are the counters that must stay zero under benign
 // schedules: a nonzero value means some hop saw cryptographically invalid
-// traffic. The set is derived from the Hostile entries of ReasonCatalog, so
-// classifying a reason there is the single switch that arms I2 for it.
-var verifyFailSuffixes = hostileSuffixes()
-
-func hostileSuffixes() []string {
-	var out []string
-	for _, e := range ReasonCatalog {
-		if e.Hostile {
-			out = append(out, "_"+e.CounterName())
+// traffic. They are the reasons the telemetry table classes as Hostile.
+var verifyFailSuffixes = func() (out []string) {
+	for code := uint32(0); code < telemetry.NumReasons; code++ {
+		if telemetry.ReasonInfo(code).Hostile {
+			out = append(out, "_"+telemetry.DropSample(code))
 		}
 	}
 	return out
-}
+}()
 
 // dropBound derives the I4 ceiling on counted drops. Each lost packet can
 // cost more than one counted drop downstream (a lost A1 forces an S1
@@ -194,7 +190,9 @@ func (inv Invariants) Check(snap MetricSnapshot) []Violation {
 	}
 
 	// I3: for every family exposing reason-coded drop counters, the
-	// aggregate dropped counter equals the sum of its reasons.
+	// aggregate dropped counter equals the sum of its reasons. A family of
+	// this process balances by construction (telemetry's dropSet); the
+	// check is for scrapes, which may come from any process or version.
 	for _, n := range names {
 		base, labels := splitSample(n)
 		if !strings.HasSuffix(base, "_dropped") {

@@ -73,6 +73,33 @@ func TestCheckI2BenignVerifyFail(t *testing.T) {
 	if v := (Invariants{Benign: false}).Check(snap); len(v) != 0 {
 		t.Fatalf("adversarial schedule should accept verify fails: %+v", v)
 	}
+
+	// The hostile set is exactly these seven reasons, for every code the
+	// table knows and one it does not.
+	hostile := map[string]bool{
+		"malformed": true, "bad_element": true, "bad_payload": true, "bad_ack": true,
+		"admission_invalid": true, "admission_replayed": true, "admission_addr_mismatch": true,
+	}
+	var found int
+	for _, code := range append(allReasonCodes(), 9999) {
+		name := telemetry.ReasonString(code)
+		snap := MetricSnapshot{"alpha_x_dropped": 1, "alpha_x_" + telemetry.DropSample(code): 1}
+		if got := len((Invariants{Benign: true}).Check(snap)) != 0; got != hostile[name] {
+			t.Errorf("I2 on drop_%s: violated=%v, want %v", name, got, hostile[name])
+		} else if got {
+			found++
+		}
+	}
+	if found != len(hostile) {
+		t.Errorf("I2 fired for %d reasons, want %d", found, len(hostile))
+	}
+}
+
+func allReasonCodes() (codes []uint32) {
+	for code := telemetry.ReasonNone; code < telemetry.NumReasons; code++ {
+		codes = append(codes, code)
+	}
+	return codes
 }
 
 func TestCheckI3DropBudget(t *testing.T) {

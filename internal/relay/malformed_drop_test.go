@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"alpha/internal/packet"
+	"alpha/internal/telemetry"
 )
 
 // TestRelayCountsMalformedDrops checks the typed-error plumbing on the
@@ -16,8 +17,8 @@ func TestRelayCountsMalformedDrops(t *testing.T) {
 	r := New(Config{})
 	now := time.Unix(0, 0)
 	inputs := [][]byte{
-		{},                        // empty datagram
-		{0xDE, 0xAD},              // bad magic
+		{},                       // empty datagram
+		{0xDE, 0xAD},             // bad magic
 		{0xA1, 0xFA, 0x01, 0x7F}, // good magic, truncated header
 	}
 	for i, in := range inputs {
@@ -30,7 +31,7 @@ func TestRelayCountsMalformedDrops(t *testing.T) {
 			t.Fatalf("input %d: drop reason is %T, want to wrap *packet.ParseError: %v", i, d.Reason, d.Reason)
 		}
 	}
-	if got := r.Telemetry().Malformed.Load(); got != uint64(len(inputs)) {
+	if got := r.Telemetry().DropReasons[telemetry.ReasonMalformed].Load(); got != uint64(len(inputs)) {
 		t.Fatalf("relay Malformed counter = %d, want %d", got, len(inputs))
 	}
 }

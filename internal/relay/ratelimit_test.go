@@ -82,7 +82,7 @@ func TestRelayUnsolicitedS1RateLimit(t *testing.T) {
 	if st.S1RateLimited != 16 || st.Dropped != 16 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if got := victim.Telemetry().S1RateLimited.Load(); got != 16 {
+	if got := victim.Telemetry().DropReasons[telemetry.ReasonS1RateLimit].Load(); got != 16 {
 		t.Fatalf("telemetry drop_s1_ratelimit %d", got)
 	}
 
@@ -149,12 +149,15 @@ func (c nameCollector) Histogram(name string, s telemetry.HistogramSnapshot) {}
 func TestRelayS1RateLimitReasonExported(t *testing.T) {
 	m := &telemetry.RelayMetrics{}
 	m.Init()
-	if c := m.DropCounter(telemetry.ReasonS1RateLimit); c != &m.S1RateLimited {
-		t.Fatal("ReasonS1RateLimit not routed to S1RateLimited")
+	zero := nameCollector{}
+	m.Walk(zero)
+	if _, ok := zero["drop_s1_ratelimit"]; !ok {
+		t.Fatal("drop_s1_ratelimit not exported by Walk")
 	}
+	m.NoteDrop(telemetry.ReasonS1RateLimit)
 	got := nameCollector{}
 	m.Walk(got)
-	if _, ok := got["drop_s1_ratelimit"]; !ok {
-		t.Fatal("drop_s1_ratelimit not exported by Walk")
+	if got["drop_s1_ratelimit"] != 1 || got["dropped"] != 1 {
+		t.Fatalf("ReasonS1RateLimit counted as %v", got)
 	}
 }

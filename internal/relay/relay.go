@@ -217,21 +217,22 @@ func New(cfg Config) *Relay {
 // Stats returns a snapshot of the relay's counters.
 func (r *Relay) Stats() Stats {
 	m := &r.tel
+	reason := func(code uint32) uint64 { return m.DropReasons[code].Load() }
 	return Stats{
 		Forwarded:      m.Forwarded.Load(),
 		Dropped:        m.Dropped.Load(),
-		Malformed:      m.Malformed.Load(),
+		Malformed:      reason(telemetry.ReasonMalformed),
 		Unknown:        m.Unknown.Load(),
-		RateLimited:    m.RateLimited.Load(),
-		BadElement:     m.BadElement.Load(),
-		BadPayload:     m.BadPayload.Load(),
-		BadAck:         m.BadAck.Load(),
-		Unsolicited:    m.Unsolicited.Load(),
-		Oversized:      m.Oversized.Load(),
+		RateLimited:    reason(telemetry.ReasonRateLimited),
+		BadElement:     reason(telemetry.ReasonBadElement),
+		BadPayload:     reason(telemetry.ReasonBadPayload),
+		BadAck:         reason(telemetry.ReasonBadAck),
+		Unsolicited:    reason(telemetry.ReasonUnsolicited),
+		Oversized:      reason(telemetry.ReasonOversized),
 		Handshake:      m.Handshake.Load(),
-		StrictPolicy:   m.StrictPolicy.Load(),
-		BadHandshake:   m.BadHandshake.Load(),
-		S1RateLimited:  m.S1RateLimited.Load(),
+		StrictPolicy:   reason(telemetry.ReasonStrictPolicy),
+		BadHandshake:   reason(telemetry.ReasonBadHandshake),
+		S1RateLimited:  reason(telemetry.ReasonS1RateLimit),
 		ExtractedBytes: m.ExtractedBytes.Load(),
 	}
 }
@@ -519,14 +520,11 @@ func malformed(err error) error {
 	return fmt.Errorf("%w: %w", ErrMalformed, err) //alpha:alloc-ok rejected input: the report is the cold path
 }
 
-// drop discards a packet: one Dropped increment, one per-reason increment
-// (when the code has a dedicated counter), one trace event. Keeping all
-// three in one place is what guarantees counters and traces never disagree.
+// drop discards a packet: one counted drop under its reason, one trace
+// event, one span. Keeping all three in one place is what guarantees
+// counters and traces never disagree.
 func (r *Relay) drop(hdr packet.Header, code uint32, reason error) Decision {
-	r.tel.Dropped.Inc()
-	if c := r.tel.DropCounter(code); c != nil {
-		c.Inc()
-	}
+	r.tel.NoteDrop(code)
 	r.tracer.Trace(r.tnow, telemetry.TraceRelayDrop, hdr.Assoc, hdr.Seq, code)
 	r.spans.Emit(r.tnow, hdr.Assoc, r.spanKey, hdr.Seq, obs.RoleRelay, stepOf(hdr.Type), r.spanMode, obs.VerdictDrop, code)
 	return Decision{Verdict: Drop, Reason: reason, Type: hdr.Type}

@@ -22,10 +22,9 @@ type EndpointMetrics struct {
 	BytesSent, BytesReceived       Counter
 	PayloadBytes                   Counter
 
-	// DropReasons splits Dropped by Reason code (indexed by the code), so
-	// the endpoint honours the I3 drop-budget invariant exactly:
-	// dropped == Σ drop_<reason>. Increment through NoteDrop.
-	DropReasons [16]Counter
+	// DropReasons splits Dropped by Reason code (see dropSet). Increment
+	// through NoteDrop.
+	DropReasons [endpointReasonSlots]Counter
 
 	// AckLatencyNS accumulates Send-to-verified-ack time in nanoseconds;
 	// AckLatencyMaxNS is the high watermark. AckLatency buckets the same
@@ -64,15 +63,14 @@ func NewEndpointMetrics() *EndpointMetrics {
 	return new(EndpointMetrics).Init()
 }
 
-// NoteDrop records one dropped packet under its Reason code: the aggregate
-// and the per-reason counter move together, which is what keeps the I3
-// invariant an equality rather than a bound.
+func (m *EndpointMetrics) drops() dropSet {
+	return dropSet{&m.Dropped, m.DropReasons[:], familyEndpoint}
+}
+
+// NoteDrop records one dropped packet under its Reason code.
 //
 //alpha:hotpath
-func (m *EndpointMetrics) NoteDrop(code uint32) {
-	m.Dropped.Inc()
-	m.DropReasons[code&15].Inc()
-}
+func (m *EndpointMetrics) NoteDrop(code uint32) { m.drops().note(code) }
 
 // endpointCounter pairs a counter with its export name; max marks
 // high-watermark fields that merge with SetMax instead of Add.
@@ -134,10 +132,7 @@ func (m *EndpointMetrics) Walk(v Visitor) {
 	for i := range cs {
 		v.Counter(cs[i].name, cs[i].c.Load())
 	}
-	for code := uint32(1); code <= ReasonInboxFull; code++ {
-		dr := &m.DropReasons[code]
-		v.Counter("drop_"+ReasonString(code), dr.Load())
-	}
+	m.drops().walk(v)
 	gs := m.gauges()
 	for i := range gs {
 		v.Gauge(gs[i].name, gs[i].g.Load())
@@ -229,19 +224,13 @@ type RelayMetrics struct {
 	Dropped   Counter
 	Handshake Counter
 
-	// Drop reasons (Malformed through Oversized mirror relay.Stats). Every
-	// reason counter accompanies a Dropped increment, so
-	// dropped == Σ drop_<reason> holds exactly (invariant I3). Unknown is
-	// different: it counts unknown-association *lookups*, which drop only
-	// under the strict policy (where StrictPolicy counts the drop), so it
+	// DropReasons splits Dropped by Reason code (see dropSet). Increment
+	// through NoteDrop.
+	DropReasons [NumReasons]Counter
+	// Unknown counts unknown-association *lookups*, which drop only under
+	// the strict policy (where ReasonStrictPolicy counts the drop), so it
 	// exports outside the drop_ family.
-	Malformed, Unknown, RateLimited Counter
-	BadElement, BadPayload, BadAck  Counter
-	Unsolicited, Oversized          Counter
-	StrictPolicy, BadHandshake      Counter
-	// S1RateLimited counts unsolicited S1s shed by the per-upstream token
-	// bucket (§3.5 rate limiting) before any flow state was created.
-	S1RateLimited Counter
+	Unknown Counter
 
 	ExtractedBytes Counter
 	// ExtractedSize buckets verified-and-extracted payload sizes.
@@ -254,35 +243,14 @@ func (m *RelayMetrics) Init() *RelayMetrics {
 	return m
 }
 
-// DropCounter returns the per-reason counter for a Reason code, or nil for
-// codes the relay never emits. Every drop path must resolve to a counter —
-// the alphavet dropcount analyzer and the I3 invariant both assume it.
-func (m *RelayMetrics) DropCounter(code uint32) *Counter {
-	switch code {
-	case ReasonMalformed:
-		return &m.Malformed
-	case ReasonRateLimited:
-		return &m.RateLimited
-	case ReasonBadElement:
-		return &m.BadElement
-	case ReasonBadPayload:
-		return &m.BadPayload
-	case ReasonBadAck:
-		return &m.BadAck
-	case ReasonUnsolicited:
-		return &m.Unsolicited
-	case ReasonOversized:
-		return &m.Oversized
-	case ReasonStrictPolicy:
-		return &m.StrictPolicy
-	case ReasonBadHandshake:
-		return &m.BadHandshake
-	case ReasonS1RateLimit:
-		return &m.S1RateLimited
-	default:
-		return nil
-	}
+func (m *RelayMetrics) drops() dropSet {
+	return dropSet{&m.Dropped, m.DropReasons[:], familyRelay}
 }
+
+// NoteDrop records one dropped packet under its Reason code.
+//
+//alpha:hotpath
+func (m *RelayMetrics) NoteDrop(code uint32) { m.drops().note(code) }
 
 // Walk reports every metric to v. Drop reasons export under a drop_ prefix
 // so dashboards can sum them as one family.
@@ -290,18 +258,7 @@ func (m *RelayMetrics) Walk(v Visitor) {
 	v.Counter("forwarded", m.Forwarded.Load())
 	v.Counter("dropped", m.Dropped.Load())
 	v.Counter("handshakes", m.Handshake.Load())
-	v.Counter("drop_malformed", m.Malformed.Load())
-	v.Counter("drop_rate_limited", m.RateLimited.Load())
-	v.Counter("drop_bad_element", m.BadElement.Load())
-	v.Counter("drop_bad_payload", m.BadPayload.Load())
-	v.Counter("drop_bad_ack", m.BadAck.Load())
-	v.Counter("drop_unsolicited", m.Unsolicited.Load())
-	v.Counter("drop_oversized", m.Oversized.Load())
-	v.Counter("drop_strict_policy", m.StrictPolicy.Load())
-	v.Counter("drop_bad_handshake", m.BadHandshake.Load())
-	v.Counter("drop_s1_ratelimit", m.S1RateLimited.Load())
-	// Unknown counts lookups, not drops: it stays outside the drop_ family
-	// so I3's dropped == Σ drop_<reason> equality holds.
+	m.drops().walk(v)
 	v.Counter("unknown_assoc", m.Unknown.Load())
 	v.Counter("extracted_bytes", m.ExtractedBytes.Load())
 	v.Histogram("extracted_size_bytes", m.ExtractedSize.Snapshot())
@@ -309,9 +266,7 @@ func (m *RelayMetrics) Walk(v Visitor) {
 
 // AdmissionMetrics counts the connect-token admission stage in front of
 // session creation: tokens that checked out, and rejections split by
-// reason. Every rejection increments both the aggregate and exactly one
-// reason counter (NoteDrop), so the family honours the I3 drop-budget
-// invariant exactly: dropped == Σ drop_admission_<reason>.
+// reason.
 type AdmissionMetrics struct {
 	// TokensVerified counts HS1 tokens that decrypted, validated and
 	// matched the source address — each one admits a session.
@@ -321,58 +276,42 @@ type AdmissionMetrics struct {
 	// verify to be skipped).
 	AnchorsBound Counter
 	Dropped      Counter
-
-	Missing, Invalid, Expired Counter
-	Replayed, AddrMismatch    Counter
+	// DropReasons splits Dropped by Reason code (see dropSet). Increment
+	// through NoteDrop.
+	DropReasons [NumReasons]Counter
+	// Missing, Invalid and Replayed are the DropReasons slots of those three
+	// admission reasons, by the names the frozen bench/ reads them under.
+	// Init sets them; nothing else in the repository uses them.
+	Missing, Invalid, Replayed *Counter
 	// WindowRotations counts replay-window generation swaps.
 	WindowRotations Counter
 	// Storms counts admission-storm anomaly triggers (flood detection).
 	Storms Counter
 }
 
-// DropCounter returns the per-reason counter for an admission Reason code,
-// or nil for codes the admission stage never emits.
-func (m *AdmissionMetrics) DropCounter(code uint32) *Counter {
-	switch code {
-	case ReasonAdmissionMissing:
-		return &m.Missing
-	case ReasonAdmissionInvalid:
-		return &m.Invalid
-	case ReasonAdmissionExpired:
-		return &m.Expired
-	case ReasonAdmissionReplayed:
-		return &m.Replayed
-	case ReasonAdmissionAddrMismatch:
-		return &m.AddrMismatch
-	default:
-		return nil
-	}
+// Init points the named read handles at their slots.
+func (m *AdmissionMetrics) Init() *AdmissionMetrics {
+	m.Missing = &m.DropReasons[ReasonAdmissionMissing]
+	m.Invalid = &m.DropReasons[ReasonAdmissionInvalid]
+	m.Replayed = &m.DropReasons[ReasonAdmissionReplayed]
+	return m
 }
 
-// NoteDrop records one rejected HS packet under its admission Reason code:
-// aggregate and reason move together, keeping I3 an equality.
+func (m *AdmissionMetrics) drops() dropSet {
+	return dropSet{&m.Dropped, m.DropReasons[:], familyAdmission}
+}
+
+// NoteDrop records one rejected HS packet under its admission Reason code.
 //
 //alpha:hotpath
-func (m *AdmissionMetrics) NoteDrop(code uint32) {
-	m.Dropped.Inc()
-	if c := m.DropCounter(code); c != nil {
-		c.Inc()
-	} else {
-		m.Invalid.Inc()
-	}
-}
+func (m *AdmissionMetrics) NoteDrop(code uint32) { m.drops().note(code) }
 
-// Walk reports every metric to v. Reasons export under drop_admission_* so
-// the generic I3 checker sums them against dropped.
+// Walk reports every metric to v.
 func (m *AdmissionMetrics) Walk(v Visitor) {
 	v.Counter("tokens_verified", m.TokensVerified.Load())
 	v.Counter("anchors_bound", m.AnchorsBound.Load())
 	v.Counter("dropped", m.Dropped.Load())
-	v.Counter("drop_admission_missing", m.Missing.Load())
-	v.Counter("drop_admission_invalid", m.Invalid.Load())
-	v.Counter("drop_admission_expired", m.Expired.Load())
-	v.Counter("drop_admission_replayed", m.Replayed.Load())
-	v.Counter("drop_admission_addr_mismatch", m.AddrMismatch.Load())
+	m.drops().walk(v)
 	v.Counter("window_rotations", m.WindowRotations.Load())
 	v.Counter("storms", m.Storms.Load())
 }
@@ -523,7 +462,7 @@ func (m *RelayTransportMetrics) Walk(v Visitor) {
 	v.Counter("bytes", m.Bytes.Load())
 	v.Counter("unknown_peer_drops", m.UnknownPeerDrops.Load())
 	v.Counter("write_errors", m.WriteErrors.Load())
-	v.Counter("drop_prefilter", m.PrefilterDrops.Load())
+	v.Counter(DropSample(ReasonPrefilter), m.PrefilterDrops.Load())
 	m.IO.Walk(v)
 }
 
@@ -598,8 +537,8 @@ func (m *TransportMetrics) Walk(v Visitor) {
 	v.Counter("short_datagrams", m.ShortDatagrams.Load())
 	v.Counter("endpoint_failures", m.EndpointFailures.Load())
 	v.Counter("event_drops", m.EventDrops.Load())
-	v.Counter("drop_prefilter", m.PrefilterDrops.Load())
-	v.Counter("drop_accept_backlog", m.AcceptBacklogDrops.Load())
+	v.Counter(DropSample(ReasonPrefilter), m.PrefilterDrops.Load())
+	v.Counter(DropSample(ReasonAcceptBacklog), m.AcceptBacklogDrops.Load())
 	v.Counter("rotations", m.Rotations.Load())
 	v.Counter("sessions_expired", m.SessionsExpired.Load())
 	v.Gauge("workers", m.Workers.Load())

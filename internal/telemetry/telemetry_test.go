@@ -252,26 +252,29 @@ func TestEndpointMetricsAddTo(t *testing.T) {
 	}
 }
 
+// TestRelayDropCounterMapping pins which exported sample each relay reason
+// moves, by the names dashboards use rather than through the table.
 func TestRelayDropCounterMapping(t *testing.T) {
-	m := new(RelayMetrics).Init()
-	cases := map[uint32]*Counter{
-		ReasonMalformed:    &m.Malformed,
-		ReasonRateLimited:  &m.RateLimited,
-		ReasonBadElement:   &m.BadElement,
-		ReasonBadPayload:   &m.BadPayload,
-		ReasonBadAck:       &m.BadAck,
-		ReasonUnsolicited:  &m.Unsolicited,
-		ReasonOversized:    &m.Oversized,
-		ReasonStrictPolicy: &m.StrictPolicy,
-		ReasonBadHandshake: &m.BadHandshake,
+	cases := map[uint32]string{
+		ReasonMalformed:    "drop_malformed",
+		ReasonRateLimited:  "drop_rate_limited",
+		ReasonBadElement:   "drop_bad_element",
+		ReasonBadPayload:   "drop_bad_payload",
+		ReasonBadAck:       "drop_bad_ack",
+		ReasonUnsolicited:  "drop_unsolicited",
+		ReasonOversized:    "drop_oversized",
+		ReasonStrictPolicy: "drop_strict_policy",
+		ReasonBadHandshake: "drop_bad_handshake",
+		// A drop without a reason is still a counted drop.
+		ReasonNone: "drop_unknown",
 	}
 	for code, want := range cases {
-		if got := m.DropCounter(code); got != want {
-			t.Fatalf("DropCounter(%s) returned wrong counter", ReasonString(code))
+		m := new(RelayMetrics).Init()
+		m.NoteDrop(code)
+		got := walkedCounters(m)
+		if got[want] != 1 || got["dropped"] != 1 {
+			t.Fatalf("NoteDrop(%s): %s=%d dropped=%d, want 1 and 1", ReasonString(code), want, got[want], got["dropped"])
 		}
-	}
-	if m.DropCounter(ReasonNone) != nil {
-		t.Fatal("ReasonNone must have no counter")
 	}
 }
 

@@ -86,125 +86,6 @@ func (k TraceKind) String() string {
 	}
 }
 
-// Reason codes carried in the Detail field of drop events. They mirror the
-// drop counters of core, relay and udptransport so a trace line and a
-// counter increment always agree.
-const (
-	ReasonNone uint32 = iota
-	ReasonMalformed
-	ReasonUnknownAssoc
-	ReasonRateLimited
-	ReasonBadElement
-	ReasonBadPayload
-	ReasonBadAck
-	ReasonUnsolicited
-	ReasonOversized
-	ReasonStrictPolicy
-	ReasonNotEstablished
-	ReasonBadDirection
-	ReasonBadHandshake
-	ReasonSuiteMismatch
-	ReasonChainExhausted
-	ReasonInboxFull
-
-	// Transport-only reasons (the UDP server's pre-endpoint drop paths).
-	// They sit above the endpoint range on purpose: EndpointMetrics'
-	// DropReasons array covers codes 0–15 only, and these never reach it.
-
-	// ReasonPrefilter: the stateless prefilter rejected the datagram
-	// before any session lookup (bad structure or cookie mismatch).
-	ReasonPrefilter
-	// ReasonAcceptBacklog: an established session was discarded because
-	// the accept backlog was full.
-	ReasonAcceptBacklog
-	// ReasonExpired: an idle association was retired by generation
-	// rotation.
-	ReasonExpired
-
-	// ReasonS1RateLimit: a relay discarded an unsolicited S1 because the
-	// per-upstream token bucket was empty (§3.5 rate limiting).
-	ReasonS1RateLimit
-
-	// Admission reasons (the connect-token stage between the prefilter and
-	// session creation). Like the transport reasons above they live outside
-	// the endpoint range: they are counted by AdmissionMetrics, never by
-	// EndpointMetrics.
-
-	// ReasonAdmissionMissing: an HS1 arrived without a token while the
-	// server requires one.
-	ReasonAdmissionMissing
-	// ReasonAdmissionInvalid: the token failed to decrypt/authenticate or
-	// carried an unknown version or key ID.
-	ReasonAdmissionInvalid
-	// ReasonAdmissionExpired: the token authenticated but its expiry had
-	// passed.
-	ReasonAdmissionExpired
-	// ReasonAdmissionReplayed: the token's nonce was already seen inside
-	// the replay window.
-	ReasonAdmissionReplayed
-	// ReasonAdmissionAddrMismatch: the token authenticated but was minted
-	// for a different client address.
-	ReasonAdmissionAddrMismatch
-)
-
-// ReasonString names a Reason code.
-func ReasonString(code uint32) string {
-	switch code {
-	case ReasonNone:
-		return "none"
-	case ReasonMalformed:
-		return "malformed"
-	case ReasonUnknownAssoc:
-		return "unknown_assoc"
-	case ReasonRateLimited:
-		return "rate_limited"
-	case ReasonBadElement:
-		return "bad_element"
-	case ReasonBadPayload:
-		return "bad_payload"
-	case ReasonBadAck:
-		return "bad_ack"
-	case ReasonUnsolicited:
-		return "unsolicited"
-	case ReasonOversized:
-		return "oversized"
-	case ReasonStrictPolicy:
-		return "strict_policy"
-	case ReasonNotEstablished:
-		return "not_established"
-	case ReasonBadDirection:
-		return "bad_direction"
-	case ReasonBadHandshake:
-		return "bad_handshake"
-	case ReasonSuiteMismatch:
-		return "suite_mismatch"
-	case ReasonChainExhausted:
-		return "chain_exhausted"
-	case ReasonInboxFull:
-		return "inbox_full"
-	case ReasonPrefilter:
-		return "prefilter"
-	case ReasonAcceptBacklog:
-		return "accept_backlog"
-	case ReasonExpired:
-		return "expired"
-	case ReasonS1RateLimit:
-		return "s1_ratelimit"
-	case ReasonAdmissionMissing:
-		return "admission_missing"
-	case ReasonAdmissionInvalid:
-		return "admission_invalid"
-	case ReasonAdmissionExpired:
-		return "admission_expired"
-	case ReasonAdmissionReplayed:
-		return "admission_replayed"
-	case ReasonAdmissionAddrMismatch:
-		return "admission_addr_mismatch"
-	default:
-		return "unknown"
-	}
-}
-
 // TraceEvent is one decoded ring entry.
 type TraceEvent struct {
 	// Time is the caller-supplied timestamp in nanoseconds. The engine is

@@ -10,6 +10,7 @@ import (
 	"alpha/internal/admission"
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/telemetry"
 )
 
 func admissionPair(t *testing.T) (*admission.Issuer, *admission.Verifier) {
@@ -110,7 +111,7 @@ func TestUDPTokenlessHS1Dropped(t *testing.T) {
 	if _, err := Dial(pc, spc.LocalAddr(), cfg, 400*time.Millisecond); err == nil {
 		t.Fatal("token-less dial succeeded against a Require verifier")
 	}
-	if got := verifier.Metrics().Missing.Load(); got == 0 {
+	if got := verifier.Metrics().DropReasons[telemetry.ReasonAdmissionMissing].Load(); got == 0 {
 		t.Fatal("drop_admission_missing never counted")
 	}
 	if srv.Sessions() != 0 {
@@ -145,7 +146,7 @@ func TestUDPForgedTokenDropped(t *testing.T) {
 	if _, err := Dial(pc, spc.LocalAddr(), dialCfg, 400*time.Millisecond); err == nil {
 		t.Fatal("forged token admitted")
 	}
-	if got := verifier.Metrics().Invalid.Load(); got == 0 {
+	if got := verifier.Metrics().DropReasons[telemetry.ReasonAdmissionInvalid].Load(); got == 0 {
 		t.Fatal("drop_admission_invalid never counted")
 	}
 }
@@ -208,7 +209,7 @@ func TestUDPFloodedServerStillAdmits(t *testing.T) {
 	// Wait until the server is demonstrably under fire before dialing, so
 	// the handshake really happens mid-flood.
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		if verifier.Metrics().Missing.Load() > 50 {
+		if verifier.Metrics().DropReasons[telemetry.ReasonAdmissionMissing].Load() > 50 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -251,11 +252,13 @@ func TestUDPFloodedServerStillAdmits(t *testing.T) {
 		t.Fatalf("flood leaked server sessions: %d", srv.Sessions())
 	}
 	m := verifier.Metrics()
-	if m.Missing.Load() == 0 {
+	if m.DropReasons[telemetry.ReasonAdmissionMissing].Load() == 0 {
 		t.Fatal("flood produced no drop_admission_missing")
 	}
-	sum := m.Missing.Load() + m.Invalid.Load() + m.Expired.Load() +
-		m.Replayed.Load() + m.AddrMismatch.Load()
+	var sum uint64
+	for i := range m.DropReasons {
+		sum += m.DropReasons[i].Load()
+	}
 	if got := m.Dropped.Load(); got != sum {
 		t.Fatalf("dropped=%d but per-reason sum=%d", got, sum)
 	}

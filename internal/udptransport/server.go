@@ -107,6 +107,25 @@ type sessionShard struct {
 	mu  sync.Mutex
 	cur map[uint64]*Session
 	old map[uint64]*Session
+	// retired accumulates the endpoint metrics of the sessions taken out
+	// of this shard, so server-wide aggregates never shrink when an
+	// association ends. A session is folded in under mu, in the critical
+	// section that unlinks it, and EndpointTelemetry reads maps and fold
+	// under mu too: a scrape finds every session in exactly one of them.
+	retired telemetry.EndpointMetrics
+}
+
+// retire folds a session just unlinked from the shard into retired. The
+// caller holds sh.mu. Chain-pressure gauges are point-in-time, not
+// cumulative, so they are zeroed before the fold — a retired chain exerts
+// no pressure.
+func (sh *sessionShard) retire(sess *Session) {
+	et := sess.ep.Telemetry()
+	et.SigChainRemaining.Set(0)
+	et.SigChainLen.Set(0)
+	et.AckChainRemaining.Set(0)
+	et.AckChainLen.Set(0)
+	et.AddTo(&sh.retired)
 }
 
 // lookup finds a session in either generation, promoting old-generation
@@ -245,12 +264,9 @@ type Server struct {
 
 	// tel counts transport activity (including the I/O engine's batch
 	// accounting); tracer (from cfg.Tracer) records session lifecycle and
-	// drop events. retired accumulates the endpoint metrics of removed
-	// sessions so server-wide aggregates never shrink when an association
-	// ends (see EndpointTelemetry).
-	tel     telemetry.TransportMetrics
-	tracer  *telemetry.Tracer
-	retired telemetry.EndpointMetrics
+	// drop events.
+	tel    telemetry.TransportMetrics
+	tracer *telemetry.Tracer
 
 	// flight, when set, hands each session a pooled per-association span
 	// ring and receives anomaly triggers (chain-low, verify failures via
@@ -277,10 +293,10 @@ func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *
 		tracer:    cfg.Tracer,
 	}
 	s.tel.Init()
-	s.retired.Init()
 	for i := range s.shards {
 		s.shards[i].cur = make(map[uint64]*Session)
 		s.shards[i].old = make(map[uint64]*Session)
+		s.shards[i].retired.Init()
 	}
 	s.ios = make([]udpio.Conn, len(pcs))
 	for i, pc := range pcs {
@@ -816,6 +832,7 @@ func (s *Server) rotate(now time.Time) {
 				sh.old[assoc] = sess
 				continue
 			}
+			sh.retire(sess)
 			dead = append(dead, sess)
 		}
 		sh.mu.Unlock()
@@ -825,14 +842,13 @@ func (s *Server) rotate(now time.Time) {
 	}
 }
 
-// expire retires one idle association popped off the previous generation
-// by rotate: fold its telemetry like remove, mark the expiry distinctly
+// expire finishes retiring one idle association that rotate popped off the
+// previous generation and folded: mark the expiry distinctly
 // (sessions_expired, ReasonExpired, a VerdictExpire span, EventExpired),
 // and stop its timers. The session is already out of both maps, so a
 // concurrent Close/remove finds nothing and cannot double-fold.
 func (s *Server) expire(now time.Time, sess *Session) {
 	sess.stop()
-	s.foldRetired(sess)
 	s.tel.SessionsExpired.Inc()
 	s.tel.SessionsRemoved.Inc()
 	s.tel.ActiveSessions.Dec()
@@ -849,19 +865,6 @@ func (s *Server) expire(now time.Time, sess *Session) {
 	}
 }
 
-// foldRetired folds a departing session's endpoint counters into the
-// retired set so server-wide aggregates survive session churn.
-// Chain-pressure gauges are point-in-time, not cumulative, so they are
-// zeroed before the fold — a retired chain exerts no pressure.
-func (s *Server) foldRetired(sess *Session) {
-	et := sess.ep.Telemetry()
-	et.SigChainRemaining.Set(0)
-	et.SigChainLen.Set(0)
-	et.AckChainRemaining.Set(0)
-	et.AckChainLen.Set(0)
-	et.AddTo(&s.retired)
-}
-
 // remove drops a session from the routing table (either generation),
 // folding its endpoint counters into the retired set. The presence check
 // makes double-removal — and a removal racing a rotation's expiry —
@@ -875,11 +878,12 @@ func (s *Server) remove(assoc uint64) {
 	} else if sess, ok = sh.old[assoc]; ok {
 		delete(sh.old, assoc)
 	}
-	sh.mu.Unlock()
 	if !ok {
+		sh.mu.Unlock()
 		return
 	}
-	s.foldRetired(sess)
+	sh.retire(sess)
+	sh.mu.Unlock()
 	s.flight.Retire(assoc)
 	s.tel.SessionsRemoved.Inc()
 	s.tel.ActiveSessions.Dec()
@@ -890,16 +894,17 @@ func (s *Server) remove(assoc uint64) {
 func (s *Server) Telemetry() *telemetry.TransportMetrics { return &s.tel }
 
 // EndpointTelemetry sums the endpoint metrics of every session this server
-// has held — live sessions in both generations plus the retired fold —
-// into a fresh set. Call it at scrape time (e.g. from a
+// has held — live sessions in both generations plus each shard's retired
+// fold — into a fresh set. Its counters never decrease from one call to the
+// next, rotation and removal included. Call it at scrape time (e.g. from a
 // telemetry.WalkerFunc) so the aggregate tracks session churn without the
 // hot path paying for aggregation.
 func (s *Server) EndpointTelemetry() *telemetry.EndpointMetrics {
 	agg := telemetry.NewEndpointMetrics()
-	s.retired.AddTo(agg)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
+		sh.retired.AddTo(agg)
 		for _, sess := range sh.cur {
 			sess.ep.Telemetry().AddTo(agg)
 		}

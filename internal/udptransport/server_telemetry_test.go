@@ -5,6 +5,7 @@ package udptransport
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -159,5 +160,75 @@ func TestServerRemoveFoldsRetiredSessions(t *testing.T) {
 	agg := srv.EndpointTelemetry()
 	if agg == nil {
 		t.Fatal("EndpointTelemetry returned nil")
+	}
+}
+
+// TestEndpointTelemetryMonotoneUnderRotation scrapes the server-wide
+// endpoint aggregate in a loop while idle sessions with non-zero counters
+// are retired underneath it, by rotation and by Close. Retiring a session
+// moves its counts from a map to the fold; a scrape that could see it in
+// neither (or in both) would report a counter going backwards.
+func TestEndpointTelemetryMonotoneUnderRotation(t *testing.T) {
+	srv := newTelemetryServer(t, nil)
+	const rounds, perRound = 20, 100 // 20 × (50 Close + 2 Rotate) = 1 040 retiring calls
+
+	done := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		var delivered, dropped uint64
+		for {
+			agg := srv.EndpointTelemetry()
+			d, x := agg.Delivered.Load(), agg.Dropped.Load()
+			if d < delivered || x < dropped {
+				t.Errorf("aggregate went backwards: delivered %d -> %d, dropped %d -> %d", delivered, d, dropped, x)
+				return
+			}
+			delivered, dropped = d, x
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+
+	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}
+	assoc := uint64(1)
+	for r := 0; r < rounds; r++ {
+		// A header-only HS1 creates a session whose endpoint then drops it
+		// as malformed: one counted drop each. Delivered is set by hand.
+		var sessions []*Session
+		for i := 0; i < perRound; i++ {
+			dispatchFrame(srv, from, scaleFrame(packet.TypeHS1, assoc))
+			sh := srv.shard(assoc)
+			sh.mu.Lock()
+			sess := sh.cur[assoc]
+			sh.mu.Unlock()
+			sess.ep.Telemetry().Delivered.Inc()
+			sessions = append(sessions, sess)
+			assoc++
+		}
+		for _, sess := range sessions {
+			for sess.ep.Telemetry().Dropped.Load() == 0 {
+				runtime.Gosched() // its worker has not handled the HS1 yet
+			}
+		}
+		for _, sess := range sessions[:perRound/2] {
+			sess.Close()
+		}
+		// The first rotation ages the rest, the second expires them.
+		srv.Rotate()
+		srv.Rotate()
+	}
+	close(done)
+	<-scraped
+
+	agg := srv.EndpointTelemetry()
+	if d, x := agg.Delivered.Load(), agg.Dropped.Load(); d != rounds*perRound || x != rounds*perRound {
+		t.Fatalf("after %d sessions: delivered=%d dropped=%d", rounds*perRound, d, x)
+	}
+	if srv.Sessions() != 0 {
+		t.Fatalf("%d sessions survived two rotations", srv.Sessions())
 	}
 }

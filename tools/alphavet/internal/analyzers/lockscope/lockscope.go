@@ -1,5 +1,5 @@
 // Package lockscope keeps blocking operations out of hot-path critical
-// sections (DESIGN.md §5l). Inside a function that is hot — a
+// sections (DESIGN.md §5g). Inside a function that is hot — a
 // //alpha:hotpath root or one of its static callees — the span between a
 // sync.Mutex/RWMutex Lock/RLock and the matching Unlock/RUnlock (or the end
 // of the function for deferred unlocks) must not:

@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -28,24 +27,20 @@ type Package struct {
 	Name   string
 	Fset   *token.FileSet
 	Syntax []*ast.File
-	// IgnoredSyntax holds parse-only ASTs of the package directory's
-	// build-constraint-excluded files (from go list's IgnoredGoFiles).
-	IgnoredSyntax []*ast.File
-	Types         *types.Package
-	Info          *types.Info
+	Types  *types.Package
+	Info   *types.Info
 }
 
 // listPackage mirrors the subset of `go list -json` fields the loader needs.
 type listPackage struct {
-	ImportPath     string
-	Dir            string
-	Name           string
-	Export         string
-	GoFiles        []string
-	IgnoredGoFiles []string
-	Standard       bool
-	DepOnly        bool
-	Error          *struct{ Err string }
+	ImportPath string
+	Dir        string
+	Name       string
+	Export     string
+	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
 // Config tunes a Load. The zero value analyzes the host build configuration
@@ -53,12 +48,6 @@ type listPackage struct {
 type Config struct {
 	// Dir is the directory whose module is analyzed ("." when empty).
 	Dir string
-	// GOOS/GOARCH select a build configuration other than the host's (the
-	// CI cross-compile legs sweep darwin and windows file sets without
-	// running on them). They apply to `go list` and the type-checker's
-	// sizes; the compiler-backed escape pass is host-only and should be
-	// disabled when these are set.
-	GOOS, GOARCH string
 	// Jobs bounds loader parallelism; <= 0 means GOMAXPROCS.
 	Jobs int
 }
@@ -86,17 +75,11 @@ func LoadConfig(cfg Config, patterns ...string) ([]*Package, error) {
 	}
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,Name,Export,GoFiles,IgnoredGoFiles,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,Name,Export,GoFiles,Standard,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = cfg.Dir
 	cmd.Env = append(os.Environ(), "GOWORK=off")
-	if cfg.GOOS != "" {
-		cmd.Env = append(cmd.Env, "GOOS="+cfg.GOOS)
-	}
-	if cfg.GOARCH != "" {
-		cmd.Env = append(cmd.Env, "GOARCH="+cfg.GOARCH)
-	}
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -147,10 +130,6 @@ func LoadConfig(cfg Config, patterns ...string) ([]*Package, error) {
 		return rawImp.Import(path)
 	})
 
-	arch := cfg.GOARCH
-	if arch == "" {
-		arch = runtime.GOARCH
-	}
 	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -166,7 +145,7 @@ func LoadConfig(cfg Config, patterns ...string) ([]*Package, error) {
 		go func(i int, lp *listPackage) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			pkgs[i], errs[i] = typecheck(fset, imp, arch, lp)
+			pkgs[i], errs[i] = typecheck(fset, imp, lp)
 		}(i, lp)
 	}
 	wg.Wait()
@@ -178,7 +157,7 @@ func LoadConfig(cfg Config, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-func typecheck(fset *token.FileSet, imp types.Importer, arch string, lp *listPackage) (*Package, error) {
+func typecheck(fset *token.FileSet, imp types.Importer, lp *listPackage) (*Package, error) {
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -187,20 +166,6 @@ func typecheck(fset *token.FileSet, imp types.Importer, arch string, lp *listPac
 		}
 		files = append(files, f)
 	}
-	var ignored []*ast.File
-	for _, name := range lp.IgnoredGoFiles {
-		if !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		// Files excluded by the current build configuration: parse only,
-		// never type-check (they may reference other platforms' symbols).
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", lp.ImportPath, err)
-		}
-		ignored = append(ignored, f)
-	}
-
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -211,21 +176,20 @@ func typecheck(fset *token.FileSet, imp types.Importer, arch string, lp *listPac
 	}
 	conf := &types.Config{
 		Importer: imp,
-		Sizes:    types.SizesFor("gc", arch),
+		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
 	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", lp.ImportPath, err)
 	}
 	return &Package{
-		Path:          lp.ImportPath,
-		Dir:           lp.Dir,
-		Name:          lp.Name,
-		Fset:          fset,
-		Syntax:        files,
-		IgnoredSyntax: ignored,
-		Types:         tpkg,
-		Info:          info,
+		Path:   lp.ImportPath,
+		Dir:    lp.Dir,
+		Name:   lp.Name,
+		Fset:   fset,
+		Syntax: files,
+		Types:  tpkg,
+		Info:   info,
 	}, nil
 }
 

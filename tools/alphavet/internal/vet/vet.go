@@ -42,12 +42,7 @@ type Pass struct {
 	// Files holds the type-checked syntax trees of the files selected by
 	// the current build configuration.
 	Files []*ast.File
-	// IgnoredFiles holds parse-only syntax trees of files excluded by
-	// build constraints (e.g. the _other.go fallback of a _linux.go file).
-	// They are not type-checked and may target other platforms.
-	IgnoredFiles []*ast.File
-	// Dir is the package directory, Path the import path.
-	Dir  string
+	// Path is the import path.
 	Path string
 
 	Types *types.Package
@@ -211,16 +206,14 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 		var passes []*Pass
 		for _, pkg := range pkgs {
 			passes = append(passes, &Pass{
-				Analyzer:     a,
-				Fset:         pkg.Fset,
-				Files:        pkg.Syntax,
-				IgnoredFiles: pkg.IgnoredSyntax,
-				Dir:          pkg.Dir,
-				Path:         pkg.Path,
-				Types:        pkg.Types,
-				Info:         pkg.Info,
-				Pkg:          pkg,
-				diags:        &diags,
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Syntax,
+				Path:     pkg.Path,
+				Types:    pkg.Types,
+				Info:     pkg.Info,
+				Pkg:      pkg,
+				diags:    &diags,
 			})
 		}
 		switch {

@@ -58,13 +58,9 @@ func Run(t *testing.T, dir string, a *vet.Analyzer) {
 		t.Fatalf("run %s: %v", a.Name, err)
 	}
 
-	// Collect expectations from every file (including build-ignored ones,
-	// where buildtagpair-style analyzers may report).
 	want := make(map[string][]*expectation) // "file:line" -> expectations
 	for _, pkg := range pkgs {
-		files := append([]*ast.File{}, pkg.Syntax...)
-		files = append(files, pkg.IgnoredSyntax...)
-		for _, f := range files {
+		for _, f := range pkg.Syntax {
 			collectWants(t, pkg.Fset, f, want)
 		}
 	}

@@ -8,9 +8,8 @@
 //
 // The default run layers a compiler-backed escape-analysis pass (go build
 // -gcflags=-m=2) on top of the syntactic hotpathalloc pre-filter; -escape=false
-// drops back to the purely syntactic suite, which is what the cross-
-// configuration sweeps use together with -goos/-goarch (those select the
-// build configuration the loader analyzes without needing to run on it).
+// drops back to the purely syntactic suite. Only the host's build
+// configuration is analyzed: the cross-compile CI job guards the others.
 //
 // -json switches the report to one JSON object per finding
 // ({"file","line","col","analyzer","message"}), the format the CI job turns
@@ -27,26 +26,20 @@ import (
 	"strings"
 	"time"
 
-	"alpha/tools/alphavet/internal/analyzers/buildtagpair"
 	"alpha/tools/alphavet/internal/analyzers/ctcompare"
 	"alpha/tools/alphavet/internal/analyzers/dropcount"
 	"alpha/tools/alphavet/internal/analyzers/hotpathalloc"
 	"alpha/tools/alphavet/internal/analyzers/lockscope"
 	"alpha/tools/alphavet/internal/analyzers/purposetag"
-	"alpha/tools/alphavet/internal/analyzers/reasonsync"
-	"alpha/tools/alphavet/internal/analyzers/telemisuse"
 	"alpha/tools/alphavet/internal/vet"
 )
 
 var all = []*vet.Analyzer{
 	ctcompare.Analyzer,
 	hotpathalloc.Analyzer,
-	telemisuse.Analyzer,
 	purposetag.Analyzer,
-	buildtagpair.Analyzer,
 	dropcount.Analyzer,
 	lockscope.Analyzer,
-	reasonsync.Analyzer,
 }
 
 func main() {
@@ -55,8 +48,6 @@ func main() {
 	escape := flag.Bool("escape", true, "enable the compiler-backed escape-analysis pass (hotpathalloc v2)")
 	jsonOut := flag.Bool("json", false, "report findings as one JSON object per line")
 	verbose := flag.Bool("v", false, "print loader and per-analyzer timings to stderr")
-	goos := flag.String("goos", "", "analyze this GOOS's file set instead of the host's (disables escape mode)")
-	goarch := flag.String("goarch", "", "analyze this GOARCH's file set instead of the host's (disables escape mode)")
 	jobs := flag.Int("jobs", 0, "loader/escape parallelism (default GOMAXPROCS)")
 	flag.Parse()
 
@@ -86,18 +77,10 @@ func main() {
 		}
 	}
 
-	// The escape pass shells out to the host compiler; a cross-configuration
-	// sweep cannot use it (and CI does not ask it to).
 	hotpathalloc.Escape = *escape
-	if *goos != "" && *goos != runtime.GOOS || *goarch != "" && *goarch != runtime.GOARCH {
-		if *escape {
-			fmt.Fprintf(os.Stderr, "alphavet: -goos/-goarch sweep runs syntactic-only (escape pass disabled)\n")
-		}
-		hotpathalloc.Escape = false
-	}
 
 	start := time.Now()
-	pkgs, err := vet.LoadConfig(vet.Config{Dir: ".", GOOS: *goos, GOARCH: *goarch, Jobs: *jobs}, flag.Args()...)
+	pkgs, err := vet.LoadConfig(vet.Config{Dir: ".", Jobs: *jobs}, flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alphavet: %v\n", err)
 		os.Exit(2)
