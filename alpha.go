@@ -157,8 +157,10 @@ const (
 // NewRelay creates a verifying relay.
 func NewRelay(cfg RelayConfig) *Relay { return relay.New(cfg) }
 
-// Conn runs one association over a datagram socket with internal goroutines
-// for receiving and retransmission.
+// Conn runs one association over a datagram socket: one goroutine reads the
+// socket, another fires the engine's flush and retransmission deadlines when
+// they fall due. Its API — Send, Flush, Events, SetProfile, EnableAdaptive —
+// is a Server Session's too; both drive the same per-association core.
 type Conn = udptransport.Conn
 
 // DialUDP starts an initiator association over UDP and waits for it to

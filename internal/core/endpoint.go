@@ -805,16 +805,8 @@ func (e *Endpoint) coalesce(raws [][]byte) [][]byte {
 // NextTimeout returns the earliest deadline the caller should Poll at.
 func (e *Endpoint) NextTimeout() (time.Time, bool) {
 	var min time.Time
-	add := func(t time.Time) {
-		if t.IsZero() {
-			return
-		}
-		if min.IsZero() || t.Before(min) {
-			min = t
-		}
-	}
 	if !e.established && e.initiator {
-		add(e.hsDeadline)
+		min = earlier(min, e.hsDeadline)
 	}
 	// The flush deadline only matters while an exchange slot is free and
 	// no rekey is serializing the queue; otherwise the queue drains on
@@ -822,12 +814,20 @@ func (e *Endpoint) NextTimeout() (time.Time, bool) {
 	if e.QueueLen() > 0 && e.cfg.FlushDelay >= 0 && !e.queuedAt.IsZero() &&
 		len(e.tx) < e.cfg.MaxOutstanding && e.rekey == nil &&
 		!(e.cfg.AutoRekey && e.cfg.Reliable && e.sigChain.Remaining() < 4) {
-		add(e.queuedAt.Add(e.cfg.FlushDelay))
+		min = earlier(min, e.queuedAt.Add(e.cfg.FlushDelay))
 	}
 	for _, seq := range e.txOrder {
 		if x, ok := e.tx[seq]; ok {
-			add(x.deadline)
+			min = earlier(min, x.deadline)
 		}
 	}
 	return min, !min.IsZero()
+}
+
+// earlier returns the earlier of two deadlines; a zero one means none.
+func earlier(a, b time.Time) time.Time {
+	if a.IsZero() || (!b.IsZero() && b.Before(a)) {
+		return b
+	}
+	return a
 }

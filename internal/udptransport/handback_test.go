@@ -149,28 +149,49 @@ func TestRelaySurvivesWriteError(t *testing.T) {
 }
 
 // TestConnCountsEventDrops: an application that does not drain Events loses
-// events beyond the channel's 256 slots, and the loss is counted.
+// the events beyond the channel's capacity, and the loss is counted exactly
+// — on a Conn's own counter, and for a Server's sessions under
+// alpha_transport_event_drops.
 func TestConnCountsEventDrops(t *testing.T) {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
 	ep, err := core.NewEndpoint(core.Config{ChainLen: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newConn(pc, ep, nil, IOOptions{}) // loops not started: nothing else dispatches
-	evs := make([]core.Event, cap(c.events)+1)
-	for i := range evs {
-		evs[i] = core.Event{Kind: core.EventAcked, MsgID: uint64(i)}
-	}
-	c.dispatch(evs)
-	if got := c.EventDrops(); got != 1 {
-		t.Fatalf("EventDrops() = %d after %d events on an undrained Conn, want 1", got, len(evs))
-	}
-	if got := len(c.events); got != cap(c.events) {
-		t.Fatalf("channel holds %d events, want %d", got, cap(c.events))
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) (a *assoc, drops func() uint64)
+	}{
+		{"Conn", func(t *testing.T) (*assoc, func() uint64) {
+			pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { pc.Close() })
+			c := newConn(pc, ep, nil, IOOptions{}) // loops not started: nothing else delivers
+			return &c.assoc, c.EventDrops
+		}},
+		{"Session", func(t *testing.T) (*assoc, func() uint64) {
+			srv := NewServerWith(core.Config{ChainLen: 16}, ServerOptions{EventBuffer: 8})
+			t.Cleanup(func() { srv.Close() })
+			exp := telemetry.NewExporter()
+			exp.Register("alpha_transport", srv.Telemetry())
+			sess := newSession(srv, ep, 1, nil, nil) // not routed: nothing else delivers
+			return &sess.assoc, func() uint64 { return exp.Snapshot()["alpha_transport_event_drops"].(uint64) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, drops := tc.open(t)
+			const overflow = 3
+			for i := 0; i < cap(a.events)+overflow; i++ {
+				a.deliver(core.Event{Kind: core.EventAcked, MsgID: uint64(i)})
+			}
+			if got := drops(); got != overflow {
+				t.Fatalf("drops = %d after %d events into %d slots, want %d", got, cap(a.events)+overflow, cap(a.events), overflow)
+			}
+			if got := len(a.events); got != cap(a.events) {
+				t.Fatalf("channel holds %d events, want %d", got, cap(a.events))
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ package udptransport
 import (
 	"net"
 
+	"alpha/internal/packet"
 	"alpha/internal/telemetry"
 	"alpha/internal/udpio"
 )
@@ -31,6 +32,34 @@ type IOOptions struct {
 	// matrix runs the batched and portable rungs on a kernel that grants
 	// offload.
 	engine func(net.PacketConn, int, *telemetry.IOMetrics) udpio.Conn
+}
+
+// cookieStamp is a socket's outgoing filter-cookie binding: the concrete
+// local IP when the socket has one, else port-only — what the next hop's
+// prefilter recomputes the cookie from. Computed once per socket (or
+// SO_REUSEPORT group); nil when the prefilter is off.
+type cookieStamp struct {
+	ip   []byte
+	port int
+}
+
+// stamp returns pc's cookie binding, or nil when the prefilter is off.
+func (o IOOptions) stamp(pc net.PacketConn) *cookieStamp {
+	if !o.Prefilter {
+		return nil
+	}
+	ip, port := addrIPPort(pc.LocalAddr())
+	return &cookieStamp{ip, port}
+}
+
+// apply writes the filter cookie into an outgoing datagram; a nil stamp
+// leaves it unstamped.
+//
+//alpha:hotpath
+func (s *cookieStamp) apply(raw []byte) {
+	if s != nil {
+		packet.StampCookie(raw, s.ip, s.port)
+	}
 }
 
 // addrIPPort extracts the cookie-binding view of a UDP address: the

@@ -29,13 +29,11 @@ type Relay struct {
 	r    *relay.Relay
 	mu   sync.Mutex
 
-	// Stateless prefilter state (IOOptions.Prefilter): inbound datagrams
-	// are checked against the sender's address-bound cookie before
-	// verification, and forwarded ones are restamped with this relay's
-	// own binding — each hop of an ALPHA path owns its own cookie.
-	prefilter bool
-	stampIP   []byte
-	stampPort int
+	// Stateless prefilter (IOOptions.Prefilter; nil when off): inbound
+	// datagrams are checked against the sender's address-bound cookie
+	// before verification, and forwarded ones are restamped with this
+	// relay's own binding — each hop of an ALPHA path owns its own cookie.
+	stamp *cookieStamp
 
 	// OnDecision, if set, observes every verdict.
 	OnDecision func(d relay.Decision)
@@ -63,10 +61,7 @@ func NewRelayOpts(pc net.PacketConn, a, b net.Addr, cfg relay.Config, opts IOOpt
 	}
 	r.tel.Init()
 	r.io = opts.wrap(pc, &r.tel.IO)
-	r.prefilter = opts.Prefilter
-	if opts.Prefilter {
-		r.stampIP, r.stampPort = addrIPPort(pc.LocalAddr())
-	}
+	r.stamp = opts.stamp(pc)
 	r.wg.Add(1)
 	go r.loop(opts.batch())
 	return r
@@ -177,7 +172,7 @@ func (r *Relay) loop(batch int) {
 				continue
 			}
 			data := ms[i].Buf[:ms[i].N]
-			if r.prefilter {
+			if r.stamp != nil {
 				ip, port := addrIPPort(ms[i].Addr)
 				if !packet.Prefilter(data, ip, port) {
 					r.tel.PrefilterDrops.Inc()
@@ -196,11 +191,9 @@ func (r *Relay) loop(batch int) {
 			if d.Rewritten != nil {
 				data = d.Rewritten
 			}
-			if r.prefilter {
-				// Restamp for the next hop: the cookie binds to this
-				// relay's source address now.
-				packet.StampCookie(data, r.stampIP, r.stampPort)
-			}
+			// Restamp for the next hop: the cookie binds to this relay's
+			// source address now.
+			r.stamp.apply(data)
 			fwd = append(fwd, udpio.Message{Buf: data, N: len(data), Addr: to})
 		}
 		if len(fwd) == 0 {

@@ -2,52 +2,36 @@
 // peers.
 //
 // A Conn serves exactly one association. Real responders — sinks, home
-// agents, middleback-ends — accept many initiators on one port. Server owns
-// the socket read loops and demultiplexes by the association ID every
-// ALPHA packet carries, spawning a Session per handshake and routing
-// subsequent traffic to it.
+// agents, middleboxes — accept many initiators on one port. Server owns the
+// socket read loops and demultiplexes by the association ID every ALPHA
+// packet carries, spawning a Session per handshake and routing subsequent
+// traffic to it. The session core is built for millions of associations on
+// one box (DESIGN.md §5j):
 //
-// The session core is built for millions of associations on one box:
+//   - Generation-rotated routing maps: a lookup promotes its hit into the
+//     current generation, so whatever still sits in the previous one after
+//     a full interval is idle by construction, and expiry is a pointer swap
+//     plus a fold of the idle sessions — never a scan of the live table.
 //
-//   - Generation-rotated routing maps. Each shard holds a current and a
-//     previous map; a rotation demotes current to previous and starts a
-//     fresh current, so every lookup promotes its hit back into the
-//     current generation and whatever is still sitting in the previous
-//     map after a full interval is idle by construction. Expiry is
-//     therefore a pointer swap plus a fold of the (few) idle sessions —
-//     never a scan over the live table.
+//   - Worker-pool dispatch: sessions hold no goroutines. A bounded pool of
+//     workers drains per-worker intrusive run queues; an atomic ownership
+//     token per session keeps the engine single-threaded. Every session's
+//     timers share one deadline heap and one goroutine.
 //
-//   - Worker-pool dispatch. Sessions hold no goroutines. A bounded pool
-//     of workers (GOMAXPROCS by default) drains per-worker intrusive run
-//     queues of sessions with pending work; an atomic ownership token per
-//     session guarantees no two workers ever run the same association
-//     concurrently, which preserves the engine's single-threaded contract
-//     while letting any worker pick up any (unowned) session. Protocol
-//     timers collapse into one deadline heap driven by a single timer
-//     goroutine; an idle association costs two small maps' worth of
-//     entries and its buffers — no stacks, no timers.
+//   - Stateless prefilter (opt-in, IOOptions.Prefilter): the fixed header
+//     and the address-bound filter cookie are checked before any shard
+//     lock, so junk floods die counted under drop_prefilter.
 //
-//   - Stateless prefilter (opt-in, IOOptions.Prefilter). Before any map
-//     lookup the dispatcher checks the fixed header's magic/version/type
-//     bytes and the address-bound filter cookie (packet.Prefilter), so
-//     junk floods are rejected in a handful of cycles and counted under
-//     drop_prefilter without touching a shard lock or the engine.
-//
-// The read loops are batched: each drains up to a full burst of datagrams
-// from its socket in one recvmmsg into a slab of pooled buffers before
-// demuxing. Buffers are recycled once the engine has consumed them — it
-// verifies a datagram in place and copies what it keeps, so a buffer is
-// dead the moment Handle returns. Session replies leave through a
-// coalescing writer: everything a Poll produces (the S2s of a burst plus
-// its S1) goes out in one sendmmsg, after which the datagrams are handed
-// back to the engine.
+// The read loops drain a burst per recvmmsg into pooled buffers, recycled
+// once the engine has consumed them (it verifies in place and copies what
+// it keeps). Replies leave through the shared pump (assoc.go).
 
 package udptransport
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -222,32 +206,24 @@ func (o ServerOptions) inboxSize() int {
 // Server accepts ALPHA associations on a shared datagram socket, or on a
 // group of SO_REUSEPORT sockets each with its own read loop.
 type Server struct {
-	pcs  []net.PacketConn
-	ios  []udpio.Conn
-	cfg  core.Config
-	opts ServerOptions
-	io   IOOptions
+	pcs   []net.PacketConn
+	ios   []udpio.Conn
+	cfg   core.Config
+	opts  ServerOptions
+	stamp *cookieStamp // every session's outgoing cookie binding
 
 	shards [sessionShards]sessionShard
 
-	// Dispatch pool: per-worker run queues plus the shared deadline heap
+	// Dispatch pool: per-worker run queues plus the one deadline heap
 	// replacing per-session timer goroutines.
-	workers   []worker
-	timerMu   sync.Mutex
-	theap     timerHeap
-	timerKick chan struct{} // cap 1; armTimer signals a new earliest deadline
+	workers []worker
+	timers  *deadlines
 
 	// Generation rotation state: lastRotate is the previous rotation's
 	// timestamp (UnixNano), the idle cutoff for the generation retired by
 	// the next one. rotateMu serializes rotations.
 	rotateMu   sync.Mutex
 	lastRotate int64
-
-	// Outgoing filter-cookie binding (what the peer's prefilter checks
-	// against): the concrete local IP when the socket has one, else
-	// port-only.
-	stampIP   []byte
-	stampPort int
 
 	// Established-but-unaccepted sessions, capped at acceptCap entries
 	// (0 = unbounded). A list rather than a bounded channel so Accept
@@ -285,10 +261,8 @@ func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *
 		pcs:       pcs,
 		cfg:       cfg,
 		opts:      opts,
-		io:        opts.IO,
 		acceptCh:  make(chan struct{}, 1),
 		acceptCap: opts.acceptBacklog(),
-		timerKick: make(chan struct{}, 1),
 		closed:    make(chan struct{}),
 		tracer:    cfg.Tracer,
 	}
@@ -303,7 +277,7 @@ func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *
 		s.ios[i] = opts.IO.wrap(pc, &s.tel.IO)
 	}
 	if len(pcs) > 0 {
-		s.stampIP, s.stampPort = addrIPPort(pcs[0].LocalAddr())
+		s.stamp = opts.IO.stamp(pcs[0]) // the sockets of a group share one address
 	}
 	s.lastRotate = time.Now().UnixNano()
 	s.workers = make([]worker, opts.workers())
@@ -313,8 +287,7 @@ func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *
 		s.wg.Add(1)
 		go s.workerLoop(&s.workers[i])
 	}
-	s.wg.Add(1)
-	go s.timerLoop()
+	s.timers = startDeadlines(s.due, s.closed, &s.wg)
 	if opts.RotateInterval > 0 {
 		s.wg.Add(1)
 		go s.rotateLoop(opts.RotateInterval)
@@ -376,17 +349,17 @@ func (s *Server) Accept() (*Session, error) {
 	}
 }
 
-// announce queues an established session for Accept, or reports false when
-// the backlog cap is reached (the caller retires the session).
+// announce queues an established session for Accept. When the backlog cap
+// is reached it retires the session instead — the initiator will see its
+// subsequent traffic dropped as unknown — and reports false.
 func (s *Server) announce(sess *Session) bool {
 	s.acceptMu.Lock()
 	if s.acceptCap > 0 && len(s.pending) >= s.acceptCap {
 		s.acceptMu.Unlock()
 		s.tel.AcceptBacklogDrops.Inc()
-		s.tracer.Trace(time.Now().UnixNano(), telemetry.TraceDrop, sess.assoc, 0, telemetry.ReasonAcceptBacklog)
-		if s.flight != nil {
-			s.flight.Trigger(sess.assoc, obs.CausePoolSaturation)
-		}
+		s.tracer.Trace(time.Now().UnixNano(), telemetry.TraceDrop, sess.id, 0, telemetry.ReasonAcceptBacklog)
+		sess.trigger(obs.CausePoolSaturation) //alpha:alloc-ok an overflowing backlog is the overload path, and the dump is the point
+		sess.Close()
 		return false
 	}
 	s.pending = append(s.pending, sess)
@@ -443,7 +416,7 @@ func (s *Server) shard(assoc uint64) *sessionShard {
 // datagram.
 func (s *Server) readLoop(io udpio.Conn) {
 	defer s.wg.Done()
-	batch := s.io.batch()
+	batch := s.opts.IO.batch()
 	ms := make([]udpio.Message, batch)
 	bps := make([]*[]byte, batch)
 	for i := range ms {
@@ -499,7 +472,7 @@ func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *[]by
 		return
 	}
 	data := (*bp)[:n]
-	if s.io.Prefilter {
+	if s.opts.IO.Prefilter {
 		// Stateless junk rejection before any shard lock or map lookup:
 		// structural header checks plus the address-bound cookie.
 		ip, port := addrIPPort(from)
@@ -667,17 +640,14 @@ func (s *Server) runSession(sess *Session) {
 		return
 	}
 	if sess.pumpDue.Swap(false) {
-		now := time.Now()
-		sess.mu.Lock()
-		sess.pumpLocked(now)
-		sess.mu.Unlock()
+		sess.pumpNow()
 	}
 	budget := cap(sess.inbox)
 drain:
 	for i := 0; i < budget; i++ {
 		select {
 		case d := <-sess.inbox:
-			sess.handle(d.now, d.from, d.via, (*d.buf)[:d.n], s)
+			sess.handle(d.now, d.from, d.via, (*d.buf)[:d.n])
 			s.tel.DispatchLatency.Observe(time.Since(d.now).Nanoseconds())
 			bufPool.Put(d.buf)
 		default:
@@ -690,99 +660,11 @@ drain:
 	}
 }
 
-// timerHeap is the deadline min-heap replacing per-session timer
-// goroutines; guarded by Server.timerMu.
-type timerHeap []*Session
-
-func (h timerHeap) Len() int           { return len(h) }
-func (h timerHeap) Less(i, j int) bool { return h[i].deadline.Before(h[j].deadline) }
-func (h timerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *timerHeap) Push(x any)        { s := x.(*Session); s.heapIdx = len(*h); *h = append(*h, s) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
-	s.heapIdx = -1
-	*h = old[:n-1]
-	return s
-}
-
-// armTimer (re)registers a session's next engine deadline on the shared
-// heap, or removes it when the engine reports none — an idle association
-// costs the timer goroutine nothing.
-func (s *Server) armTimer(sess *Session, at time.Time, ok bool) {
-	s.timerMu.Lock()
-	switch {
-	case !ok:
-		if sess.heapIdx >= 0 {
-			heap.Remove(&s.theap, sess.heapIdx)
-		}
-	case sess.heapIdx >= 0:
-		if !sess.deadline.Equal(at) {
-			sess.deadline = at
-			heap.Fix(&s.theap, sess.heapIdx)
-		}
-	default:
-		sess.deadline = at
-		heap.Push(&s.theap, sess)
-	}
-	kick := len(s.theap) > 0 && s.theap[0] == sess
-	s.timerMu.Unlock()
-	if kick {
-		select {
-		case s.timerKick <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// timerLoop drives every session's engine deadlines off one heap: sleep
-// until the earliest deadline (or a kick that a new earliest arrived), pop
-// everything due, and queue the affected sessions for a pump on their
-// workers.
-func (s *Server) timerLoop() {
-	defer s.wg.Done()
-	const idleWait = time.Hour
-	timer := time.NewTimer(idleWait)
-	defer timer.Stop()
-	var due []*Session
-	for {
-		s.timerMu.Lock()
-		d := idleWait
-		if len(s.theap) > 0 {
-			d = time.Until(s.theap[0].deadline)
-		}
-		s.timerMu.Unlock()
-		if d < 0 {
-			d = 0
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(d)
-		select {
-		case <-s.closed:
-			return
-		case <-s.timerKick:
-			continue // recompute the sleep against the new earliest
-		case <-timer.C:
-		}
-		now := time.Now()
-		due = due[:0]
-		s.timerMu.Lock()
-		for len(s.theap) > 0 && !s.theap[0].deadline.After(now) {
-			due = append(due, heap.Pop(&s.theap).(*Session))
-		}
-		s.timerMu.Unlock()
-		for _, sess := range due {
-			sess.pumpDue.Store(true)
-			s.schedule(sess)
-		}
-	}
+// due is the deadline heap's callback: queue a session whose engine
+// deadline passed for a pump on its worker.
+func (s *Server) due(a *assoc) {
+	a.sess.pumpDue.Store(true)
+	s.schedule(a.sess)
 }
 
 // rotateLoop swaps the generations every interval.
@@ -852,17 +734,11 @@ func (s *Server) expire(now time.Time, sess *Session) {
 	s.tel.SessionsExpired.Inc()
 	s.tel.SessionsRemoved.Inc()
 	s.tel.ActiveSessions.Dec()
-	s.tracer.Trace(now.UnixNano(), telemetry.TraceSessionEnd, sess.assoc, 0, telemetry.ReasonExpired)
-	if s.flight != nil {
-		s.flight.Ring(sess.assoc).Emit(now.UnixNano(), sess.assoc, 0, 0, obs.RoleTransport, obs.StepNone, 0, obs.VerdictExpire, telemetry.ReasonExpired)
-	}
-	s.flight.Retire(sess.assoc)
+	s.tracer.Trace(now.UnixNano(), telemetry.TraceSessionEnd, sess.id, 0, telemetry.ReasonExpired)
+	s.flight.Ring(sess.id).Emit(now.UnixNano(), sess.id, 0, 0, obs.RoleTransport, obs.StepNone, 0, obs.VerdictExpire, telemetry.ReasonExpired)
+	s.flight.Retire(sess.id)
 	// The consumer (if any) learns the transport retired the session.
-	select {
-	case sess.events <- core.Event{Kind: core.EventExpired}:
-	default:
-		s.tel.EventDrops.Inc()
-	}
+	sess.deliver(core.Event{Kind: core.EventExpired})
 }
 
 // remove drops a session from the routing table (either generation),
@@ -916,126 +792,90 @@ func (s *Server) EndpointTelemetry() *telemetry.EndpointMetrics {
 	return agg
 }
 
-// Session is one association served by a Server. Its API mirrors Conn.
+// SessionGroups returns a scrape-time group producer that exports every
+// live session's endpoint metrics as one labeled family per association
+// (prefix{assoc="<16-hex id>"}). Register it with
+// Exporter.RegisterDynamic; membership follows session churn with no
+// per-session registration, and the walkers are the sessions' live atomic
+// sets, so a scrape costs no locking beyond the routing-table shards.
+func (s *Server) SessionGroups(prefix string) telemetry.GroupFunc {
+	return func(emit func(prefix, labels string, w telemetry.Walker)) {
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.Lock()
+			for assoc, sess := range sh.cur {
+				emit(prefix, fmt.Sprintf("assoc=%q", fmt.Sprintf("%016x", assoc)), sess.ep.Telemetry())
+			}
+			for assoc, sess := range sh.old {
+				emit(prefix, fmt.Sprintf("assoc=%q", fmt.Sprintf("%016x", assoc)), sess.ep.Telemetry())
+			}
+			sh.mu.Unlock()
+		}
+	}
+}
+
+// Session is one association served by a Server. Its API is Conn's: both
+// drive the same per-association core. The server's workers feed it
+// datagrams from its inbox and pump once per datagram; its engine deadline
+// sits on the server's one deadline heap.
 type Session struct {
+	assoc
 	server *Server
-	assoc  uint64
-	mu     sync.Mutex
-	ep     *core.Endpoint
-	peer   net.Addr
-	io     udpio.Conn // socket engine replies leave through
-
-	wbatch []udpio.Message // coalescing scratch for pumpLocked
-
-	inbox       chan datagram
-	events      chan core.Event
-	established bool
-	timerStop   chan struct{}
-	stopOnce    sync.Once
+	id     uint64 // association ID, the routing key
+	inbox  chan datagram
 
 	// Scheduling state (see Server.schedule / runSession): the worker the
 	// session has affinity to, its position in that worker's intrusive run
-	// queue, the ownership token, and the pending-pump flag the timer loop
-	// sets.
+	// queue, the ownership token, and the pending-pump flag the deadline
+	// heap sets.
 	wkr       *worker
 	next      *Session
 	scheduled atomic.Bool
 	pumpDue   atomic.Bool
-
-	// lastActive is the UnixNano of the last inbound datagram or local
-	// send — what generation rotation consults before retiring an
-	// association that never promoted itself via inbound traffic.
-	lastActive atomic.Int64
-
-	// Deadline-heap bookkeeping, guarded by Server.timerMu.
-	deadline time.Time
-	heapIdx  int
 }
 
-func newSession(srv *Server, ep *core.Endpoint, assoc uint64, peer net.Addr, via udpio.Conn) *Session {
+func newSession(srv *Server, ep *core.Endpoint, id uint64, peer net.Addr, via udpio.Conn) *Session {
 	sess := &Session{
-		server:    srv,
-		assoc:     assoc,
-		ep:        ep,
-		peer:      peer,
-		io:        via,
-		inbox:     make(chan datagram, srv.opts.inboxSize()),
-		events:    make(chan core.Event, srv.opts.eventBuffer()),
-		timerStop: make(chan struct{}),
-		heapIdx:   -1,
+		assoc: assoc{
+			ep:     ep,
+			peer:   peer,
+			io:     via,
+			stamp:  srv.stamp,
+			events: make(chan core.Event, srv.opts.eventBuffer()),
+			drops:  &srv.tel.EventDrops,
+			done:   make(chan struct{}),
+			timers: srv.timers,
+			idx:    -1,
+		},
+		server: srv,
+		id:     id,
+		inbox:  make(chan datagram, srv.opts.inboxSize()),
+		wkr:    &srv.workers[id%uint64(len(srv.workers))],
 	}
-	sess.wkr = &srv.workers[assoc%uint64(len(srv.workers))]
+	sess.sess = sess
 	sess.lastActive.Store(time.Now().UnixNano())
 	return sess
-}
-
-// Peer returns the remote address.
-func (s *Session) Peer() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peer
-}
-
-// Events returns the engine event stream.
-func (s *Session) Events() <-chan core.Event { return s.events }
-
-// Endpoint exposes the engine for stats; do not call engine methods.
-func (s *Session) Endpoint() *core.Endpoint { return s.ep }
-
-// Send queues a protected message to this session's peer.
-func (s *Session) Send(payload []byte) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ep == nil {
-		return 0, ErrClosed
-	}
-	now := time.Now()
-	id, err := s.ep.Send(now, payload)
-	if err != nil {
-		return 0, err
-	}
-	s.lastActive.Store(now.UnixNano())
-	s.pumpLocked(now)
-	return id, nil
-}
-
-// Flush forces partial batches out.
-func (s *Session) Flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := time.Now()
-	s.ep.Flush(now)
-	s.lastActive.Store(now.UnixNano())
-	s.pumpLocked(now)
 }
 
 // Close detaches the session from the server.
 func (s *Session) Close() error {
 	s.stop()
-	s.server.remove(s.assoc)
+	s.server.remove(s.id)
 	return nil
 }
 
-func (s *Session) stop() {
-	s.stopOnce.Do(func() { close(s.timerStop) })
+// trigger dumps the session's flight ring, when the server records one.
+func (s *Session) trigger(cause string) {
+	s.server.flight.Trigger(s.id, cause) //alpha:block-ok the recorder's lock guards its ring table, never I/O, and anomalies are rare
 }
 
-// stopped reports whether stop has run (Close, expiry, or server
-// shutdown).
-func (s *Session) stopped() bool {
-	select {
-	case <-s.timerStop:
-		return true
-	default:
-		return false
-	}
-}
-
-// handle feeds one datagram into the session's engine. The engine verifies
-// it in place and copies what it keeps (see core.Endpoint.Handle), so data
-// may be recycled once this returns. Called only by the session's current
-// owner (see runSession).
-func (s *Session) handle(now time.Time, from net.Addr, via udpio.Conn, data []byte, srv *Server) {
+// handle feeds one datagram into the session's engine and pumps. The
+// engine verifies it in place and copies what it keeps (see
+// core.Endpoint.Handle), so data may be recycled once this returns. Called
+// only by the session's current owner (see runSession).
+//
+//alpha:hotpath
+func (s *Session) handle(now time.Time, from net.Addr, via udpio.Conn, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if from != nil {
@@ -1046,62 +886,15 @@ func (s *Session) handle(now time.Time, from net.Addr, via udpio.Conn, data []by
 	}
 	evs, _ := s.ep.Handle(now, data)
 	for _, ev := range evs {
-		if ev.Kind == core.EventEstablished && !s.established {
-			s.established = true
-			if !srv.announce(s) {
-				// Accept backlog full: retire immediately. The initiator
-				// will see its subsequent traffic dropped as unknown.
-				s.stop()
-				srv.remove(s.assoc)
-				return
-			}
+		// The engine reports establishment once. A full accept backlog
+		// retires the session before its HS2 can leave.
+		if ev.Kind == core.EventEstablished && !s.server.announce(s) { //alpha:block-ok once per session: the accept list's and the routing shard's mutexes guard an append or a delete
+			return
 		}
-		s.forwardEvent(ev)
+		s.deliver(ev)
 	}
 	s.ep.Release(nil, evs)
-	s.pumpLocked(now)
-}
-
-// forwardEvent hands one engine event to the consumer (best-effort, counted
-// when the channel is full) and fires the flight recorder on chain-pressure
-// anomalies. Callers hold s.mu.
-func (s *Session) forwardEvent(ev core.Event) {
-	if ev.Kind == core.EventChainLow && s.server.flight != nil {
-		s.server.flight.Trigger(s.assoc, obs.CauseChainLow)
-	}
-	select {
-	case s.events <- ev:
-	default:
-		s.server.tel.EventDrops.Inc()
-	}
-}
-
-// pumpLocked drains the engine outbox through the coalescing writer: the
-// whole Poll harvest — an ALPHA-C/M burst's S2s plus its S1 — leaves in
-// one WriteBatch, hence (on Linux) one sendmmsg, and is then handed back to
-// the engine: the kernel has its own copy. It then re-arms the session's
-// slot on the shared deadline heap from the engine's next timeout. Callers
-// hold s.mu.
-func (s *Session) pumpLocked(now time.Time) {
-	out, evs := s.ep.Poll(now)
-	for _, ev := range evs {
-		s.forwardEvent(ev)
-	}
-	srv := s.server
-	if s.peer != nil && len(out) > 0 {
-		ms := s.wbatch[:0]
-		for _, raw := range out {
-			if srv.io.Prefilter {
-				packet.StampCookie(raw, srv.stampIP, srv.stampPort)
-			}
-			ms = append(ms, udpio.Message{Buf: raw, N: len(raw), Addr: s.peer})
-		}
-		s.wbatch = ms
-		s.io.WriteBatch(ms)
-	}
-	s.ep.Release(out, evs)
-	next, ok := s.ep.NextTimeout()
-	srv.armTimer(s, next, ok)
+	s.pump(now)
 }
 
 // ErrServerClosed reports operations on a closed server.

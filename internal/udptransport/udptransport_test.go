@@ -168,13 +168,75 @@ func TestUDPListenTimeout(t *testing.T) {
 	}
 }
 
+// driver is the application API Conn and Session share.
+type driver interface {
+	Send(payload []byte) (uint64, error)
+	Flush() error
+	SetProfile(p core.Profile) error
+	Close() error
+}
+
+// bothDrivers runs fn once per driver, with local an established Conn
+// (from a Dial/Listen pair) and then an accepted Server session; peer is
+// the Conn at the other end of the association.
+func bothDrivers(t *testing.T, cfg core.Config, fn func(t *testing.T, local driver, peer *Conn)) {
+	t.Run("Conn", func(t *testing.T) {
+		local, peer := connect(t, cfg)
+		fn(t, local, peer)
+	})
+	t.Run("Session", func(t *testing.T) {
+		spc, pc := udpPair(t)
+		srv := NewServerWith(cfg, ServerOptions{}, spc)
+		t.Cleanup(func() { srv.Close() })
+		peer, err := Dial(pc, spc.LocalAddr(), cfg, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { peer.Close() })
+		sess, err := srv.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(t, sess, peer)
+	})
+}
+
+// TestUDPSendAfterClose: a closed Conn or Session refuses new work. A
+// message accepted after Close could never be delivered — the peer's A1
+// would find no association to answer.
 func TestUDPSendAfterClose(t *testing.T) {
-	cfg := core.Config{Mode: packet.ModeBase, ChainLen: 16}
-	dialer, _ := connect(t, cfg)
-	dialer.Close()
-	if _, err := dialer.Send([]byte("late")); err != ErrClosed {
-		t.Fatalf("Send after close: %v", err)
-	}
+	bothDrivers(t, core.Config{Mode: packet.ModeBase, ChainLen: 16}, func(t *testing.T, local driver, _ *Conn) {
+		local.Close()
+		if id, err := local.Send([]byte("late")); err != ErrClosed {
+			t.Fatalf("Send after close: id %d, err %v; want ErrClosed", id, err)
+		}
+		if err := local.Flush(); err != ErrClosed {
+			t.Fatalf("Flush after close: %v; want ErrClosed", err)
+		}
+		if err := local.SetProfile(core.Profile{Mode: packet.ModeC, BatchSize: 4}); err != ErrClosed {
+			t.Fatalf("SetProfile after close: %v; want ErrClosed", err)
+		}
+	})
+}
+
+// TestPartialBatchLeavesOnTime: a message that does not fill an ALPHA-C
+// batch leaves when the engine's FlushDelay (2 ms by default) expires, on
+// either driver. A timer that polls on its own period instead of following
+// the engine's deadline holds it for up to that period.
+func TestPartialBatchLeavesOnTime(t *testing.T) {
+	bothDrivers(t, core.Config{Mode: packet.ModeC, BatchSize: 16, ChainLen: 256}, func(t *testing.T, local driver, peer *Conn) {
+		for i := 0; i < 16; i++ {
+			start := time.Now()
+			if _, err := local.Send([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+			collect(t, peer, core.EventDelivered, 1, time.Second)
+			if took := time.Since(start); took > 20*time.Millisecond {
+				t.Errorf("message %d of a partial batch delivered after %v, want <= 20ms", i, took)
+			}
+			time.Sleep(time.Until(start.Add(60 * time.Millisecond)))
+		}
+	})
 }
 
 func TestUDPPreconfiguredWrap(t *testing.T) {
