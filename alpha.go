@@ -109,7 +109,8 @@ func NewPreconfiguredEndpoint(p *Provisioned) (*Endpoint, error) {
 }
 
 // Event is something an endpoint wants the application to know; EventKind
-// enumerates the possibilities.
+// enumerates the possibilities. EventKind is a uint8, so that an Event packs
+// into 72 bytes; code that stored kinds as int converts explicitly.
 type (
 	Event     = core.Event
 	EventKind = core.EventKind

@@ -205,8 +205,9 @@ func (c Config) validate() error {
 	return nil
 }
 
-// EventKind enumerates endpoint events.
-type EventKind int
+// EventKind enumerates endpoint events. It is a uint8 so that it packs
+// with Event's other small fields.
+type EventKind uint8
 
 const (
 	// EventEstablished fires once the handshake completes.
@@ -275,22 +276,24 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is something the application should know about.
+// Event is something the application should know about. The fields are
+// ordered so the small ones pack into one word: an Event is 72 bytes, the
+// price of one slot of a transport's event channel.
 type Event struct {
 	Kind EventKind
-	// MsgID identifies an outgoing message (as returned by Send) for
-	// Acked/Nacked/SendFailed events.
-	MsgID uint64
+	// Mode and Batch carry the newly active profile for ModeChanged
+	// events.
+	Mode packet.Mode
 	// Seq is the exchange sequence number the event belongs to.
 	Seq uint32
 	// MsgIndex is the message's index within its exchange batch.
 	MsgIndex uint32
+	// MsgID identifies an outgoing message (as returned by Send) for
+	// Acked/Nacked/SendFailed events.
+	MsgID uint64
 	// Payload carries the verified message for Delivered events.
 	Payload []byte
-	// Mode and Batch carry the newly active profile for ModeChanged
-	// events.
-	Mode  packet.Mode
-	Batch int
+	Batch   int
 	// Err carries the reason for Dropped and SendFailed events.
 	Err error
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"alpha/internal/packet"
 	"alpha/internal/suite"
@@ -274,6 +275,14 @@ func TestEventKindStrings(t *testing.T) {
 	}
 	if EventKind(99).String() == "" {
 		t.Fatalf("unknown kind has empty name")
+	}
+}
+
+// TestEventSize pins the Event layout: a transport's event channel holds
+// 256 of them per association, so every byte here is 256 bytes per session.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 72 {
+		t.Fatalf("sizeof(Event) = %d, want <= 72", got)
 	}
 }
 

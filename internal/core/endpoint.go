@@ -208,6 +208,7 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 		nextSeq: 1,
 		tx:      make(map[uint32]*txExchange),
 		rx:      make(map[uint32]*rxExchange),
+		outHint: outHint(cfg),
 		tracer:  cfg.Tracer,
 		spans:   cfg.Spans,
 	}
@@ -559,11 +560,19 @@ func (s *slab) encode(hdr packet.Header, msg packet.Message) ([]byte, error) {
 	return buf[off:len(buf):len(buf)], err
 }
 
+// outHint is the outbox capacity a fresh endpoint starts with: an S1 plus
+// its batch of S2s, the largest harvest one exchange makes. Poll raises it
+// to the largest outbox seen.
+func outHint(cfg Config) int { return cfg.BatchSize + 1 }
+
 // queueOut puts a datagram on the outbox. owner is the exchange whose slab
 // holds it, nil for handshake packets, which are never rewritten.
 func (e *Endpoint) queueOut(raw []byte, owner lender) {
 	if e.outbox == nil {
 		e.outbox = make([][]byte, 0, e.outHint) //alpha:alloc-ok a caller that hands no outbox back (see Release) is given a fresh one
+		if cap(e.outOwners) < e.outHint {
+			e.outOwners = make([]lender, 0, e.outHint) //alpha:alloc-ok sized with the outbox, so the two never grow apart
+		}
 	}
 	e.outbox = append(e.outbox, raw)
 	e.outOwners = append(e.outOwners, owner)

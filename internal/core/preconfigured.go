@@ -201,6 +201,7 @@ func NewPreconfiguredEndpoint(p *Provisioned) (*Endpoint, error) {
 		nextSeq:     1,
 		tx:          make(map[uint32]*txExchange),
 		rx:          make(map[uint32]*rxExchange),
+		outHint:     outHint(p.cfg),
 		tracer:      p.cfg.Tracer,
 	}
 	e.tel.Init()

@@ -60,6 +60,56 @@ func TestVerifyZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestChainBirthAllocs pins what a chain and a walker cost at association
+// birth: New is the slab plus the Chain, NewWalker the Walker alone (its
+// buffers are inline), and disclosing elements allocates nothing. MMO is
+// left out: its hash allocates an AES key schedule per block.
+func TestChainBirthAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	for _, s := range []suite.Suite{suite.SHA1(), suite.SHA256()} {
+		secret := []byte("alloc-birth")
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := New(s, TagS1, TagS2, secret, 64); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 2 {
+			t.Errorf("%s: New allocated %.1f times, want 2", s.Name(), got)
+		}
+		c, err := New(s, TagS1, TagS2, secret, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		anchor := c.Anchor()
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := NewWalker(s, TagS1, TagS2, anchor, 0); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 1 {
+			t.Errorf("%s: NewWalker allocated %.1f times, want 1", s.Name(), got)
+		}
+		if got := testing.AllocsPerRun(1, func() {
+			for c.Remaining() >= 4 {
+				if _, _, err := c.Peek(1); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := c.Next(); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := c.Next(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.NextPair(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}); got != 0 {
+			t.Errorf("%s: Next/Peek/NextPair allocated %.1f times, want 0", s.Name(), got)
+		}
+	}
+}
+
 // BenchmarkVerify measures the per-packet verification cost: the walker
 // sits at element k and probes the adjacent disclosure k-1, one derivation
 // step — the steady-state receive path of an in-order exchange.

@@ -68,10 +68,12 @@ type Chain struct {
 	s       suite.Suite
 	tagOdd  []byte
 	tagEven []byte
-	// elems[j] holds d[j]: elems[0] is the anchor, elems[n] the deepest
-	// secret. Disclosure walks j = 1, 2, ..., n.
-	elems [][]byte
-	next  int
+	// slab holds d[0], d[1], ..., d[n] back to back, size bytes each: the
+	// anchor first, the deepest secret last. Disclosure walks j = 1, 2, ..., n.
+	slab []byte
+	size int
+	n    int
+	next int
 }
 
 // New derives a chain of n disclosable elements from the given secret.
@@ -85,23 +87,29 @@ func New(s suite.Suite, tagOdd, tagEven, secret []byte, n int) (*Chain, error) {
 	if len(secret) == 0 {
 		return nil, errors.New("hashchain: empty secret")
 	}
-	// All n+1 elements live in one slab: chain generation costs two
-	// allocations total instead of one per element, and the elements stay
-	// cache-adjacent for the disclosure walk.
+	// All n+1 elements live in one slab, each at a fixed offset, so a chain
+	// costs two allocations (the slab and the Chain) and its elements stay
+	// cache-adjacent for the disclosure walk. Generation runs from d[n]
+	// down to the anchor, each step hashing straight into its slot.
 	size := s.Size()
-	elems := make([][]byte, n+1)
-	slab := make([]byte, 0, (n+1)*size)
-	var parts [2][]byte
-	parts[0], parts[1] = seedTag, secret
-	slab = s.HashInto(slab, parts[:]...)
-	elems[n] = slab[0:size:size]
+	c := &Chain{s: s, tagOdd: tagOdd, tagEven: tagEven, slab: make([]byte, (n+1)*size), size: size, n: n, next: 1}
+	sc := suite.GetScratch()
+	sc.Parts[0], sc.Parts[1] = seedTag, secret
+	s.HashInto(c.elem(n)[:0], sc.Parts[:2]...)
 	for j := n; j >= 1; j-- {
-		parts[0], parts[1] = tagFor(j, tagOdd, tagEven), elems[j]
-		off := len(slab)
-		slab = s.HashInto(slab, parts[:]...)
-		elems[j-1] = slab[off : off+size : off+size]
+		sc.Parts[0], sc.Parts[1] = tagFor(j, tagOdd, tagEven), c.elem(j)
+		s.HashInto(c.elem(j - 1)[:0], sc.Parts[:2]...)
 	}
-	return &Chain{s: s, tagOdd: tagOdd, tagEven: tagEven, elems: elems, next: 1}, nil
+	suite.PutScratch(sc)
+	return c, nil
+}
+
+// elem returns d[j], its slot in the slab with the capacity capped at the
+// slot's end: an append to it copies instead of overwriting d[j+1].
+//
+//alpha:hotpath
+func (c *Chain) elem(j int) []byte {
+	return c.slab[j*c.size : (j+1)*c.size : (j+1)*c.size]
 }
 
 // Generate creates a chain of n elements from a fresh random secret.
@@ -131,13 +139,13 @@ func tagFor(j int, tagOdd, tagEven []byte) []byte {
 }
 
 // Anchor returns d[0], the element exchanged during bootstrapping.
-func (c *Chain) Anchor() []byte { return c.elems[0] }
+func (c *Chain) Anchor() []byte { return c.elem(0) }
 
 // Len returns the number of disclosable elements.
-func (c *Chain) Len() int { return len(c.elems) - 1 }
+func (c *Chain) Len() int { return c.n }
 
 // Remaining returns how many elements are still undisclosed.
-func (c *Chain) Remaining() int { return len(c.elems) - c.next }
+func (c *Chain) Remaining() int { return c.n + 1 - c.next }
 
 // Suite returns the hash suite the chain was built with.
 func (c *Chain) Suite() suite.Suite { return c.s }
@@ -145,10 +153,10 @@ func (c *Chain) Suite() suite.Suite { return c.s }
 // Next discloses the next element and returns it with its disclosure index
 // (1-based). It returns ErrExhausted once all elements are spent.
 func (c *Chain) Next() (elem []byte, index uint32, err error) {
-	if c.next >= len(c.elems) {
+	if c.next > c.n {
 		return nil, 0, ErrExhausted
 	}
-	elem, index = c.elems[c.next], uint32(c.next)
+	elem, index = c.elem(c.next), uint32(c.next)
 	c.next++
 	return elem, index, nil
 }
@@ -158,10 +166,10 @@ func (c *Chain) Next() (elem []byte, index uint32, err error) {
 // the owner (e.g. to key a MAC with a still-undisclosed element).
 func (c *Chain) Peek(ahead int) (elem []byte, index uint32, err error) {
 	j := c.next + ahead
-	if ahead < 0 || j >= len(c.elems) {
+	if ahead < 0 || j > c.n {
 		return nil, 0, ErrExhausted
 	}
-	return c.elems[j], uint32(j), nil
+	return c.elem(j), uint32(j), nil
 }
 
 // NextPair discloses the element pair protecting one signature exchange: the
@@ -173,13 +181,13 @@ func (c *Chain) NextPair() (p Pair, err error) {
 	if c.next%2 != 1 {
 		return Pair{}, fmt.Errorf("hashchain: chain misaligned at index %d", c.next)
 	}
-	if c.next+1 >= len(c.elems) {
+	if c.next+1 > c.n {
 		return Pair{}, ErrExhausted
 	}
 	p = Pair{
-		Auth:    c.elems[c.next],
+		Auth:    c.elem(c.next),
 		AuthIdx: uint32(c.next),
-		Key:     c.elems[c.next+1],
+		Key:     c.elem(c.next + 1),
 		KeyIdx:  uint32(c.next + 1),
 	}
 	c.next += 2
@@ -227,12 +235,15 @@ type Walker struct {
 	s          suite.Suite
 	tagOdd     []byte
 	tagEven    []byte
-	last       []byte
 	lastIdx    uint32
 	maxAdvance uint32
-	// scratch and parts are reused across verifications so that deriving
-	// up to maxAdvance intermediate digests costs zero allocations.
-	scratch []byte
+	size       int // the suite's digest size: the valid prefix of last and scratch
+	// last is the trusted element. scratch and parts are reused across
+	// verifications so that deriving up to maxAdvance intermediate digests
+	// costs zero allocations. Both buffers live inside the walker, so a
+	// walker is one allocation.
+	last    [suite.MaxSize]byte
+	scratch [suite.MaxSize]byte
 	parts   [2][]byte
 }
 
@@ -242,12 +253,14 @@ func NewWalker(s suite.Suite, tagOdd, tagEven, anchor []byte, maxAdvance uint32)
 	if len(anchor) != s.Size() {
 		return nil, fmt.Errorf("hashchain: anchor size %d does not match suite digest size %d", len(anchor), s.Size())
 	}
+	if len(anchor) > suite.MaxSize {
+		return nil, fmt.Errorf("hashchain: digest size %d exceeds suite.MaxSize", len(anchor))
+	}
 	if maxAdvance == 0 {
 		maxAdvance = DefaultMaxAdvance
 	}
-	w := &Walker{s: s, tagOdd: tagOdd, tagEven: tagEven, maxAdvance: maxAdvance}
-	w.last = append(make([]byte, 0, s.Size()), anchor...)
-	w.scratch = make([]byte, 0, s.Size())
+	w := &Walker{s: s, tagOdd: tagOdd, tagEven: tagEven, maxAdvance: maxAdvance, size: len(anchor)}
+	copy(w.last[:], anchor)
 	return w, nil
 }
 
@@ -267,7 +280,7 @@ func (w *Walker) Index() uint32 { return w.lastIdx }
 // Trusted returns the most advanced verified element. Callers must not
 // mutate the returned slice, and must copy it if they need it past the next
 // Verify call: the walker reuses the backing array when it advances.
-func (w *Walker) Trusted() []byte { return w.last }
+func (w *Walker) Trusted() []byte { return w.last[:w.size] }
 
 // Verify checks that elem is the chain element at disclosure index idx and,
 // if idx advances past the current position, moves the walker forward.
@@ -281,7 +294,7 @@ func (w *Walker) Verify(elem []byte, idx uint32) error {
 		return err
 	}
 	if idx > w.lastIdx {
-		w.last = append(w.last[:0], elem...)
+		copy(w.last[:], elem)
 		w.lastIdx = idx
 	}
 	return nil
@@ -292,9 +305,10 @@ func (w *Walker) Verify(elem []byte, idx uint32) error {
 // packet might still be dropped for other reasons).
 //alpha:hotpath
 func (w *Walker) Probe(elem []byte, idx uint32) error {
-	if len(elem) != w.s.Size() {
+	if len(elem) != w.size {
 		return ErrVerifyFailed
 	}
+	last := w.last[:w.size]
 	switch {
 	case idx == 0:
 		// Index 0 is the anchor, which is never *disclosed*; treating
@@ -302,7 +316,7 @@ func (w *Walker) Probe(elem []byte, idx uint32) error {
 		// anchor as proof of ownership.
 		return ErrStaleIndex
 	case idx == w.lastIdx:
-		if suite.Equal(elem, w.last) {
+		if suite.Equal(elem, last) {
 			return nil
 		}
 		return ErrVerifyFailed
@@ -312,7 +326,7 @@ func (w *Walker) Probe(elem []byte, idx uint32) error {
 		if w.lastIdx-idx > w.maxAdvance {
 			return ErrTooFarAhead
 		}
-		if suite.Equal(w.derive(w.last, w.lastIdx, idx), elem) {
+		if suite.Equal(w.derive(last, w.lastIdx, idx), elem) {
 			return nil
 		}
 		return ErrVerifyFailed
@@ -320,7 +334,7 @@ func (w *Walker) Probe(elem []byte, idx uint32) error {
 		return ErrTooFarAhead
 	}
 	// Hash forward from the candidate down to the trusted element.
-	if !suite.Equal(w.derive(elem, idx, w.lastIdx), w.last) {
+	if !suite.Equal(w.derive(elem, idx, w.lastIdx), last) {
 		return ErrVerifyFailed
 	}
 	return nil
@@ -336,8 +350,7 @@ func (w *Walker) derive(start []byte, from, to uint32) []byte {
 		w.parts[1] = cur
 		// HashInto consumes its inputs before appending, so writing into
 		// the buffer cur points at after the first step is safe.
-		w.scratch = w.s.HashInto(w.scratch[:0], w.parts[:]...)
-		cur = w.scratch
+		cur = w.s.HashInto(w.scratch[:0], w.parts[:]...)
 	}
 	return cur
 }

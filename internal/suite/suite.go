@@ -41,6 +41,10 @@ const (
 	IDMMO ID = 3
 )
 
+// MaxSize is the largest digest size of any suite (SHA-256's 32 bytes).
+// Fixed-size buffers that hold one digest of an arbitrary suite use it.
+const MaxSize = 32
+
 // Suite is a cryptographic hash suite: everything ALPHA derives (chain
 // steps, MACs, Merkle nodes) is expressed through this interface so that
 // protocol code is generic over the underlying primitive.

@@ -57,6 +57,26 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// TestMaxSizeFitsEverySuite pins MaxSize against every wire suite: a digest
+// larger than it would not fit the fixed buffers sized by it, and a MaxSize
+// larger than every digest wastes their space.
+func TestMaxSizeFitsEverySuite(t *testing.T) {
+	largest := 0
+	for id := 0; id <= 255; id++ {
+		s, err := ByID(ID(id))
+		if err != nil {
+			continue
+		}
+		if s.Size() > MaxSize {
+			t.Errorf("%s: digest size %d exceeds MaxSize %d", s.Name(), s.Size(), MaxSize)
+		}
+		largest = max(largest, s.Size())
+	}
+	if largest != MaxSize {
+		t.Errorf("largest digest is %d bytes, MaxSize is %d", largest, MaxSize)
+	}
+}
+
 func TestHashConcatenation(t *testing.T) {
 	for _, s := range allSuites() {
 		a := s.Hash([]byte("hello "), []byte("world"))

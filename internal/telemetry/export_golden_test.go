@@ -47,9 +47,8 @@ func TestExportSurfaceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	// A multiset, not a set: nothing stops a name being exported twice
-	// (alpha_endpoint_ack_latency_ns_sum is, as a counter and as its
-	// histogram's sum).
+	// A multiset, not a set: nothing stops a name being exported twice,
+	// which Prometheus rejects when the types differ.
 	count := map[string]int{}
 	for _, s := range got {
 		count[s]++

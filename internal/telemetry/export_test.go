@@ -99,10 +99,10 @@ func TestWriteText(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	// Sorted output, one metric per line: 19 counters + 15 per-reason drop
+	// Sorted output, one metric per line: 18 counters + 15 per-reason drop
 	// counters + 6 gauges + 2 histograms.
-	if len(lines) != 42 {
-		t.Fatalf("got %d lines, want 42\n%s", len(lines), buf.String())
+	if len(lines) != 41 {
+		t.Fatalf("got %d lines, want 41\n%s", len(lines), buf.String())
 	}
 	for i := 1; i < len(lines); i++ {
 		if lines[i-1] > lines[i] {

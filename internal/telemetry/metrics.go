@@ -28,7 +28,8 @@ type EndpointMetrics struct {
 
 	// AckLatencyNS accumulates Send-to-verified-ack time in nanoseconds;
 	// AckLatencyMaxNS is the high watermark. AckLatency buckets the same
-	// observations.
+	// observations, and its _sum is how the total is exported: AckLatencyNS
+	// is read in process (Stats, the adaptive controller), not walked.
 	AckLatencyNS    Counter
 	AckLatencyMaxNS Counter
 	AckLatency      Histogram
@@ -72,7 +73,7 @@ func (m *EndpointMetrics) drops() dropSet {
 //alpha:hotpath
 func (m *EndpointMetrics) NoteDrop(code uint32) { m.drops().note(code) }
 
-// endpointCounter pairs a counter with its export name; max marks
+// endpointCounter pairs an exported counter with its export name; max marks
 // high-watermark fields that merge with SetMax instead of Add.
 type endpointCounter struct {
 	name string
@@ -80,8 +81,8 @@ type endpointCounter struct {
 	max  bool
 }
 
-func (m *EndpointMetrics) counters() [19]endpointCounter {
-	return [19]endpointCounter{
+func (m *EndpointMetrics) counters() [18]endpointCounter {
+	return [18]endpointCounter{
 		{"sent_s1", &m.SentS1, false},
 		{"sent_a1", &m.SentA1, false},
 		{"sent_s2", &m.SentS2, false},
@@ -98,7 +99,6 @@ func (m *EndpointMetrics) counters() [19]endpointCounter {
 		{"bytes_sent", &m.BytesSent, false},
 		{"bytes_received", &m.BytesReceived, false},
 		{"payload_bytes", &m.PayloadBytes, false},
-		{"ack_latency_ns_sum", &m.AckLatencyNS, false},
 		{"ack_latency_ns_max", &m.AckLatencyMaxNS, true},
 		{"mode_changes", &m.ModeChanges, false},
 	}
@@ -156,6 +156,9 @@ func (m *EndpointMetrics) AddTo(dst *EndpointMetrics) {
 		} else {
 			d[i].c.Add(n)
 		}
+	}
+	if n := m.AckLatencyNS.Load(); n != 0 {
+		dst.AckLatencyNS.Add(n)
 	}
 	for i := range m.DropReasons {
 		if n := m.DropReasons[i].Load(); n != 0 {

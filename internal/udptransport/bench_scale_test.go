@@ -41,8 +41,8 @@ func scaleFrame(typ packet.Type, assoc uint64) []byte {
 // dispatchFrame feeds one crafted frame through Server.dispatch the way a
 // read loop would.
 func dispatchFrame(s *Server, from net.Addr, frame []byte) {
-	bp := bufPool.Get().(*[]byte)
-	n := copy(*bp, frame)
+	bp := bufPool.Get().(*rxBuf)
+	n := copy(bp.buf, frame)
 	s.dispatch(time.Now(), nil, from, bp, n)
 }
 
@@ -105,7 +105,7 @@ func scaleRun(tb testing.TB, n int) scaleMetrics {
 	// nothing is ever written (the truncated handshakes produce no output).
 	// Buffers are sized for residency, the way a million-association
 	// deployment would run.
-	srv := NewServerWith(cfg, ServerOptions{InboxSize: 4, EventBuffer: 4, IO: IOOptions{Prefilter: true}})
+	srv := NewServerWith(cfg, ServerOptions{EventBuffer: 4, IO: IOOptions{Prefilter: true}})
 	defer srv.Close()
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000}
 
@@ -329,7 +329,7 @@ func BenchmarkScale(b *testing.B) {
 	const table = 8192
 	b.Run("dispatch", func(b *testing.B) {
 		srv := NewServerWith(core.Config{Mode: packet.ModeBase, ChainLen: 16},
-			ServerOptions{InboxSize: 4, EventBuffer: 4, IO: IOOptions{Prefilter: true}})
+			ServerOptions{EventBuffer: 4, IO: IOOptions{Prefilter: true}})
 		defer srv.Close()
 		for i := 0; i < table; i++ {
 			dispatchFrame(srv, from, scaleFrame(packet.TypeHS1, uint64(i)+1))
@@ -351,7 +351,7 @@ func BenchmarkScale(b *testing.B) {
 	})
 	b.Run("rotate-swap", func(b *testing.B) {
 		srv := NewServerWith(core.Config{Mode: packet.ModeBase, ChainLen: 16},
-			ServerOptions{InboxSize: 4, EventBuffer: 4})
+			ServerOptions{EventBuffer: 4})
 		defer srv.Close()
 		for i := 0; i < table; i++ {
 			dispatchFrame(srv, from, scaleFrame(packet.TypeHS1, uint64(i)+1))

@@ -139,14 +139,14 @@ func (r *Relay) Close() error {
 func (r *Relay) loop(batch int) {
 	defer r.wg.Done()
 	ms := make([]udpio.Message, batch)
-	bps := make([]*[]byte, batch)
+	bps := make([]*rxBuf, batch)
 	for i := range ms {
-		bps[i] = bufPool.Get().(*[]byte)
-		ms[i].Buf = *bps[i]
+		bps[i] = bufPool.Get().(*rxBuf)
+		ms[i].Buf = bps[i].buf
 	}
 	defer func() {
 		for _, bp := range bps {
-			bufPool.Put(bp)
+			putBuf(bp)
 		}
 	}()
 	fwd := make([]udpio.Message, 0, batch)

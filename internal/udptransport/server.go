@@ -51,9 +51,9 @@ import (
 // Power of two; association IDs are random, so low bits spread evenly.
 const sessionShards = 16
 
-// inboxSize is the default bound on each session's pending-datagram queue.
-// When the session's owner falls behind, the dispatcher drops for that
-// session only — the same semantics the network already imposes on UDP.
+// inboxSize bounds each session's pending-datagram queue. When the
+// session's owner falls behind, the dispatcher drops for that session only —
+// the same semantics the network already imposes on UDP.
 const inboxSize = 64
 
 // defaultEventBuffer is the default capacity of a session's event channel.
@@ -63,24 +63,31 @@ const defaultEventBuffer = 256
 // unless ServerOptions says otherwise.
 const defaultAcceptBacklog = 4096
 
-// bufPool recycles datagram read buffers across the read loops and session
-// workers.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, packet.MaxPacketSize)
-		return &b
-	},
-}
-
-// datagram is one received packet en route to a session worker. buf is the
-// pooled backing array; n is the valid prefix; via is the socket engine it
-// arrived on, which the session adopts for replies.
-type datagram struct {
+// rxBuf is a pooled receive buffer and, once a read loop has filled it, the
+// datagram in it en route to a session worker: n is the valid prefix of buf,
+// via the socket engine it arrived on (which the session adopts for
+// replies), and next links it into a session's inbox. A queued datagram
+// costs its session nothing beyond the buffer it already arrived in.
+type rxBuf struct {
+	buf  []byte
+	n    int
 	now  time.Time
 	from net.Addr
 	via  udpio.Conn
-	buf  *[]byte
-	n    int
+	next *rxBuf
+}
+
+// bufPool recycles receive buffers across the read loops, the session
+// workers and the relay.
+var bufPool = sync.Pool{
+	New: func() any { return &rxBuf{buf: make([]byte, packet.MaxPacketSize)} },
+}
+
+// putBuf returns b to the pool, dropping its references to the sender's
+// address and the socket engine.
+func putBuf(b *rxBuf) {
+	b.from, b.via, b.next = nil, nil, nil
+	bufPool.Put(b)
 }
 
 // sessionShard is one slice of the generation-rotated routing table. cur
@@ -156,12 +163,11 @@ type ServerOptions struct {
 	// under drop_accept_backlog.
 	AcceptBacklog int
 	// EventBuffer is the per-session event channel capacity; 0 means 256.
-	// Million-association deployments that never read per-session events
-	// shrink this to single digits.
+	// A slot holds one core.Event, 72 bytes, so the default channel is
+	// 19.1 KB per session, allocated at its birth — the largest part of an
+	// association's footprint. Million-association deployments that never
+	// read per-session events shrink this to single digits.
 	EventBuffer int
-	// InboxSize is the per-session pending-datagram queue bound; 0 means
-	// 64.
-	InboxSize int
 	// Admission, when set, gates session creation behind the stateless
 	// connect-token tier (internal/admission): a session-creating HS1 must
 	// pass Verifier.Admit before any endpoint state is allocated. HS1
@@ -194,13 +200,6 @@ func (o ServerOptions) eventBuffer() int {
 		return defaultEventBuffer
 	}
 	return o.EventBuffer
-}
-
-func (o ServerOptions) inboxSize() int {
-	if o.InboxSize <= 0 {
-		return inboxSize
-	}
-	return o.InboxSize
 }
 
 // Server accepts ALPHA associations on a shared datagram socket, or on a
@@ -418,14 +417,14 @@ func (s *Server) readLoop(io udpio.Conn) {
 	defer s.wg.Done()
 	batch := s.opts.IO.batch()
 	ms := make([]udpio.Message, batch)
-	bps := make([]*[]byte, batch)
+	bps := make([]*rxBuf, batch)
 	for i := range ms {
-		bps[i] = bufPool.Get().(*[]byte)
-		ms[i].Buf = *bps[i]
+		bps[i] = bufPool.Get().(*rxBuf)
+		ms[i].Buf = bps[i].buf
 	}
 	defer func() {
 		for _, bp := range bps {
-			bufPool.Put(bp)
+			putBuf(bp)
 		}
 	}()
 	for {
@@ -450,8 +449,8 @@ func (s *Server) readLoop(io udpio.Conn) {
 		now := time.Now()
 		for i := 0; i < n; i++ {
 			s.dispatch(now, io, ms[i].Addr, bps[i], ms[i].N)
-			bps[i] = bufPool.Get().(*[]byte)
-			ms[i].Buf = *bps[i]
+			bps[i] = bufPool.Get().(*rxBuf)
+			ms[i].Buf = bps[i].buf
 		}
 	}
 }
@@ -463,15 +462,15 @@ func (s *Server) readLoop(io udpio.Conn) {
 // split from readLoop so tests can drive it directly.
 //
 //alpha:hotpath
-func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *[]byte, n int) {
+func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *rxBuf, n int) {
 	s.tel.Datagrams.Inc()
 	s.tel.Bytes.Add(uint64(n))
 	if n < packet.HeaderSize {
 		s.tel.ShortDatagrams.Inc()
-		bufPool.Put(bp)
+		putBuf(bp)
 		return
 	}
-	data := (*bp)[:n]
+	data := bp.buf[:n]
 	if s.opts.IO.Prefilter {
 		// Stateless junk rejection before any shard lock or map lookup:
 		// structural header checks plus the address-bound cookie.
@@ -479,7 +478,7 @@ func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *[]by
 		if !packet.Prefilter(data, ip, port) {
 			s.tel.PrefilterDrops.Inc()
 			s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, 0, 0, telemetry.ReasonPrefilter)
-			bufPool.Put(bp)
+			putBuf(bp)
 			return
 		}
 	}
@@ -492,7 +491,7 @@ func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *[]by
 		if typ != packet.TypeHS1 {
 			s.tel.UnknownAssocDrops.Inc()
 			s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, assoc, 0, telemetry.ReasonUnknownAssoc)
-			bufPool.Put(bp)
+			putBuf(bp)
 			return // data for an association we do not hold
 		}
 		// Stateless admission: a session-creating HS1 must clear the
@@ -511,13 +510,13 @@ func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *[]by
 			}
 			if !admitted.OK {
 				s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, assoc, 0, admitted.Reason)
-				bufPool.Put(bp)
+				putBuf(bp)
 				return //alpha:drop-ok the admission verifier counted the refusal
 			}
 		}
 		var ok bool
 		if sess, ok = s.createSession(now, sh, assoc, from, via); !ok { //alpha:alloc-ok session birth is the cold path: one endpoint allocation per association lifetime
-			bufPool.Put(bp)
+			putBuf(bp)
 			return
 		}
 		if admitted.AnchorsBound {
@@ -534,14 +533,14 @@ func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *[]by
 	// behind, and the datagram is dropped as the network would drop
 	// it. The single drainer (ownership token) preserves per-session
 	// arrival order.
-	select {
-	case sess.inbox <- datagram{now: now, from: from, via: via, buf: bp, n: n}:
-		s.schedule(sess)
-	default:
+	bp.n, bp.now, bp.from, bp.via = n, now, from, via
+	if !sess.push(bp) {
 		s.tel.InboxDrops.Inc()
 		s.tracer.Trace(now.UnixNano(), telemetry.TraceInboxDrop, assoc, 0, telemetry.ReasonInboxFull)
-		bufPool.Put(bp)
+		putBuf(bp)
+		return
 	}
+	s.schedule(sess)
 }
 
 // createSession spawns the responder endpoint and routing-table entry for
@@ -628,34 +627,33 @@ func (s *Server) workerLoop(w *worker) {
 }
 
 // runSession performs one owned turn for a session: a due timer pump and a
-// bounded drain of the inbox. The ownership token is released before the
+// drain of the inbox as it stood when the turn began, at most inboxSize
+// datagrams, in arrival order. The ownership token is released before the
 // final emptiness re-check, so a dispatcher that raced our drain either
 // sees the token free (and schedules) or we see its datagram (and
 // reschedule ourselves) — work is never stranded.
 func (s *Server) runSession(sess *Session) {
 	if sess.stopped() {
-		// Retired session still queued: release the token and let the
-		// inbox drain to the GC with the channel (matching Close).
+		// Retired session still queued: release the token. Its inbox goes
+		// back to the pool when it leaves the routing table (remove,
+		// expire).
 		sess.scheduled.Store(false)
 		return
 	}
 	if sess.pumpDue.Swap(false) {
 		sess.pumpNow()
 	}
-	budget := cap(sess.inbox)
-drain:
-	for i := 0; i < budget; i++ {
-		select {
-		case d := <-sess.inbox:
-			sess.handle(d.now, d.from, d.via, (*d.buf)[:d.n])
+	for d := sess.takeInbox(); d != nil; {
+		next := d.next
+		if !sess.stopped() { // a datagram may have closed the session
+			sess.handle(d.now, d.from, d.via, d.buf[:d.n])
 			s.tel.DispatchLatency.Observe(time.Since(d.now).Nanoseconds())
-			bufPool.Put(d.buf)
-		default:
-			break drain
 		}
+		putBuf(d)
+		d = next
 	}
 	sess.scheduled.Store(false)
-	if len(sess.inbox) > 0 || sess.pumpDue.Load() {
+	if sess.inboxLen() > 0 || sess.pumpDue.Load() {
 		s.schedule(sess)
 	}
 }
@@ -731,6 +729,7 @@ func (s *Server) rotate(now time.Time) {
 // concurrent Close/remove finds nothing and cannot double-fold.
 func (s *Server) expire(now time.Time, sess *Session) {
 	sess.stop()
+	sess.discardInbox()
 	s.tel.SessionsExpired.Inc()
 	s.tel.SessionsRemoved.Inc()
 	s.tel.ActiveSessions.Dec()
@@ -760,6 +759,7 @@ func (s *Server) remove(assoc uint64) {
 	}
 	sh.retire(sess)
 	sh.mu.Unlock()
+	sess.discardInbox()
 	s.flight.Retire(assoc)
 	s.tel.SessionsRemoved.Inc()
 	s.tel.ActiveSessions.Dec()
@@ -822,7 +822,14 @@ type Session struct {
 	assoc
 	server *Server
 	id     uint64 // association ID, the routing key
-	inbox  chan datagram
+
+	// The inbox: a FIFO of received datagrams, linked through the pooled
+	// buffers they arrived in and bounded at inboxSize. inMu guards only
+	// the list, never the engine; it is not assoc.mu, which the worker
+	// holds across Handle while dispatchers keep appending.
+	inMu           sync.Mutex
+	inHead, inTail *rxBuf
+	inLen          int
 
 	// Scheduling state (see Server.schedule / runSession): the worker the
 	// session has affinity to, its position in that worker's intrusive run
@@ -849,12 +856,62 @@ func newSession(srv *Server, ep *core.Endpoint, id uint64, peer net.Addr, via ud
 		},
 		server: srv,
 		id:     id,
-		inbox:  make(chan datagram, srv.opts.inboxSize()),
 		wkr:    &srv.workers[id%uint64(len(srv.workers))],
 	}
 	sess.sess = sess
 	sess.lastActive.Store(time.Now().UnixNano())
 	return sess
+}
+
+// push appends a datagram to the inbox and reports whether it fit: a full
+// inbox refuses it, and the dispatcher counts the drop.
+//
+//alpha:hotpath
+func (s *Session) push(d *rxBuf) bool {
+	s.inMu.Lock() //alpha:block-ok guards three words of list state for an append, never taken under another lock
+	if s.inLen >= inboxSize {
+		s.inMu.Unlock()
+		return false
+	}
+	if s.inTail == nil {
+		s.inHead = d
+	} else {
+		s.inTail.next = d
+	}
+	s.inTail = d
+	s.inLen++
+	s.inMu.Unlock()
+	return true
+}
+
+// takeInbox detaches every queued datagram and returns the first; the rest
+// follow through next, in arrival order.
+//
+//alpha:hotpath
+func (s *Session) takeInbox() *rxBuf {
+	s.inMu.Lock() //alpha:block-ok guards three words of list state for a detach, never taken under another lock
+	d := s.inHead
+	s.inHead, s.inTail, s.inLen = nil, nil, 0
+	s.inMu.Unlock()
+	return d
+}
+
+// inboxLen returns how many datagrams are queued.
+func (s *Session) inboxLen() int {
+	s.inMu.Lock()
+	n := s.inLen
+	s.inMu.Unlock()
+	return n
+}
+
+// discardInbox returns the queued datagrams of a session that has left the
+// routing table to the pool, unhandled.
+func (s *Session) discardInbox() {
+	for d := s.takeInbox(); d != nil; {
+		next := d.next
+		putBuf(d)
+		d = next
+	}
 }
 
 // Close detaches the session from the server.

@@ -17,8 +17,8 @@ import (
 // dispatchRaw feeds one crafted datagram through Server.dispatch the way the
 // read loop would, using a pooled buffer.
 func dispatchRaw(s *Server, raw []byte) {
-	bp := bufPool.Get().(*[]byte)
-	n := copy(*bp, raw)
+	bp := bufPool.Get().(*rxBuf)
+	n := copy(bp.buf, raw)
 	s.dispatch(time.Now(), s.ios[0], &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}, bp, n)
 }
 
