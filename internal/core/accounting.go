@@ -9,7 +9,7 @@ package core
 // pre-(n)ack material (Table 3).
 func (e *Endpoint) RxBufferedBytes() (preSig, ack int) {
 	for _, rx := range e.rx {
-		preSig += rx.bufferedBytes()
+		preSig += rx.SigBytes()
 		ack += rx.ackBytes()
 	}
 	return preSig, ack

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"alpha/internal/hashchain"
 	"alpha/internal/packet"
 )
 
@@ -80,20 +82,66 @@ func TestBufferAccountingDrainsAfterCompletion(t *testing.T) {
 	}
 }
 
-func TestUpdateAnchorsHelper(t *testing.T) {
+// TestPeerChainsAdoptRekey pins the kernel's one rotation rule: adopting a
+// rekey demotes the current generation to the grace fallback, unless the
+// current generation was never used and a fallback already exists, in
+// which case the unused generation is replaced and the live old chain
+// survives.
+func TestPeerChainsAdoptRekey(t *testing.T) {
 	st := baseConfig(packet.ModeBase, false).withDefaults().Suite
-	p := RekeyPayload{
-		SigAnchor: make([]byte, st.Size()),
-		AckAnchor: make([]byte, st.Size()),
-		ChainLen:  64,
+	gen := func() (*hashchain.Chain, *hashchain.Chain, RekeyPayload) {
+		t.Helper()
+		sig, err := hashchain.NewSignature(st, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, err := hashchain.NewAcknowledgment(st, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig, ack, RekeyPayload{SigAnchor: sig.Anchor(), AckAnchor: ack.Anchor(), ChainLen: 8}
 	}
-	sig, ack, err := UpdateAnchors(st, p)
-	if err != nil || sig == nil || ack == nil {
-		t.Fatalf("UpdateAnchors: %v", err)
+	announce := func(c *PeerChains, chain *hashchain.Chain, idx uint32) error {
+		t.Helper()
+		elem, i, err := chain.Peek(int(idx) - 1) // nothing disclosed: Peek(0) is d[1]
+		if err != nil || i != idx {
+			t.Fatalf("chain element %d: %v", idx, err)
+		}
+		return c.VerifySig(elem, idx, idx+1)
 	}
-	bad := p
+	sig1, _, p1 := gen()
+	c, err := NewPeerChains(st, p1.SigAnchor, p1.AckAnchor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := announce(&c, sig1, 1); err != nil {
+		t.Fatalf("generation 1 refused: %v", err)
+	}
+	sig2, _, p2 := gen()
+	if err := c.AdoptRekey(st, p2); err != nil {
+		t.Fatal(err)
+	}
+	// Generation 1 was used, so it is demoted and stays live beside 2.
+	if err := announce(&c, sig1, 3); err != nil {
+		t.Fatalf("demoted generation refused: %v", err)
+	}
+	// Generation 2 is never used; a re-announcement replaces it, and 1 lives on.
+	sig3, _, p3 := gen()
+	if err := c.AdoptRekey(st, p3); err != nil {
+		t.Fatal(err)
+	}
+	if err := announce(&c, sig1, 5); err != nil {
+		t.Fatalf("live old generation lost to an unused one: %v", err)
+	}
+	if err := announce(&c, sig3, 1); err != nil {
+		t.Fatalf("generation 3 refused: %v", err)
+	}
+	if err := announce(&c, sig2, 1); !errors.Is(err, ErrBadAuthElement) {
+		t.Fatalf("replaced generation still verifies: %v", err)
+	}
+	bad := p3
 	bad.SigAnchor = []byte("short")
-	if _, _, err := UpdateAnchors(st, bad); err == nil {
+	if err := c.AdoptRekey(st, bad); err == nil {
 		t.Fatalf("short anchor accepted")
 	}
 }

@@ -41,14 +41,8 @@ type Endpoint struct {
 	sigChain hashchain.Owner
 	ackChain hashchain.Owner
 
-	// Walkers over the peer's chains. The prev* walkers are retained
-	// during a rekey grace window so that a peer that announced new
-	// anchors but failed to commit (lost ack, exhausted retries) can
-	// still be verified; see verifyPeerSig.
-	peerSig     *hashchain.Walker
-	peerAck     *hashchain.Walker
-	prevPeerSig *hashchain.Walker
-	prevPeerAck *hashchain.Walker
+	// Walkers over the peer's chains, with the pre-rekey generation.
+	peer PeerChains
 
 	// rekey tracks an in-flight local chain rotation.
 	rekey *rekeyState
@@ -105,13 +99,11 @@ type Endpoint struct {
 	a1      packet.A1
 	s2      packet.S2
 	a2      packet.A2
-	macIn   []byte
-	macOut  []byte
+	mac     MACScratch
 	macSlab []byte
 	digests [][]byte
 	leafIn  [][]byte
 	opening merkle.Opening
-	parts   [4][]byte
 
 	// tel holds the atomic counters behind Stats(): the endpoint's owning
 	// goroutine increments while exporters and Stats() read concurrently.
@@ -444,10 +436,10 @@ func (e *Endpoint) admitDataPacket(hdr packet.Header) bool {
 
 var errSuiteMismatch = errors.New("alpha: suite mismatch")
 
-// reasonCode maps a drop error onto the telemetry reason code carried in
-// TraceDrop events, so trace lines and counters name failures identically.
+// ReasonCode maps a drop error onto its telemetry reason code, so trace
+// lines and counters name failures identically, at endpoints and at relays.
 // Anything else, a *packet.ParseError first of all, is malformed.
-func reasonCode(err error) uint32 {
+func ReasonCode(err error) uint32 {
 	switch {
 	case err == nil:
 		return telemetry.ReasonNone
@@ -478,7 +470,7 @@ func reasonCode(err error) uint32 {
 
 // drop records a dropped packet and queues the corresponding event.
 func (e *Endpoint) drop(seq uint32, reason error) {
-	code := reasonCode(reason)
+	code := ReasonCode(reason)
 	e.tel.NoteDrop(code)
 	e.tracer.Trace(e.tnow, telemetry.TraceDrop, e.assoc, seq, code)
 	role := e.spanRole
@@ -536,13 +528,6 @@ func (s *slab) reserve(n int) {
 	if cap(s.buf) < n {
 		s.buf = make([]byte, 0, n) //alpha:alloc-ok slab growth: a fresh exchange, or a larger one than this slab has held
 	}
-}
-
-// keep copies b into the slab and returns the copy.
-func (s *slab) keep(b []byte) []byte {
-	off := len(s.buf)
-	s.buf = append(s.buf, b...)
-	return s.buf[off:len(s.buf):len(s.buf)]
 }
 
 // extend appends n zero bytes and returns them.
@@ -676,13 +661,8 @@ func (e *Endpoint) adoptPeer(hdr packet.Header, hs *packet.Handshake) error {
 		return fmt.Errorf("%w: peer did not sign anchors", ErrBadHandshake)
 	}
 	var err error
-	if e.peerSig, err = hashchain.NewSignatureWalker(e.suite, hs.SigAnchor); err != nil {
-		return err
-	}
-	if e.peerAck, err = hashchain.NewAcknowledgmentWalker(e.suite, hs.AckAnchor); err != nil {
-		return err
-	}
-	return nil
+	e.peer, err = NewPeerChains(e.suite, hs.SigAnchor, hs.AckAnchor)
+	return err
 }
 
 // Poll drives timers and flushes batched work. It returns the datagrams to

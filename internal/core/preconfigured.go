@@ -206,10 +206,7 @@ func NewPreconfiguredEndpoint(p *Provisioned) (*Endpoint, error) {
 	}
 	e.tel.Init()
 	var err error
-	if e.peerSig, err = hashchain.NewSignatureWalker(e.suite, p.peerSig); err != nil {
-		return nil, err
-	}
-	if e.peerAck, err = hashchain.NewAcknowledgmentWalker(e.suite, p.peerAck); err != nil {
+	if e.peer, err = NewPeerChains(e.suite, p.peerSig, p.peerAck); err != nil {
 		return nil, err
 	}
 	e.nonce = make([]byte, e.suite.Size())

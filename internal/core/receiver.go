@@ -12,39 +12,24 @@ import (
 	"alpha/internal/merkle"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
-	"alpha/internal/suite"
 	"alpha/internal/telemetry"
 )
 
 // rxExchange is the verifier-side state for one signature exchange: the
-// buffered pre-signatures from the S1 and, in reliable mode, the pre-(n)ack
-// material whose secrets will be opened in A2 packets. Its size is exactly
-// the "Verifier" column of Tables 2 and 3. Like a txExchange it comes from
-// the endpoint's free list and keeps every byte in one slab: the copies of
-// the S1's element and pre-signatures, the disclosed key, the pre-(n)ack
-// secrets, the encoded A1 and the A2s it opens — each A2 once, however
-// often a replayed S2 asks for it, so the slab's size is bounded by the
-// shape of the exchange and not by what the network sends.
+// buffered pre-signatures from the S1 (the kernel's Presig) and, in reliable
+// mode, the pre-(n)ack material whose secrets will be opened in A2 packets.
+// Its size is exactly the "Verifier" column of Tables 2 and 3. Like a
+// txExchange it comes from the endpoint's free list and keeps every byte in
+// one slab: the copies of the S1's element and pre-signatures, the disclosed
+// key, the pre-(n)ack secrets, the encoded A1 and the A2s it opens — each A2
+// once, however often a replayed S2 asks for it, so the slab's size is
+// bounded by the shape of the exchange and not by what the network sends.
 type rxExchange struct {
 	slab
+	Presig
 	seq      uint32
-	mode     packet.Mode
 	reliable bool
-	evicted  bool   // out of the table; reusable once nothing of the slab is lent
-	keyIdx   uint32 // expected disclosure index of the signer's MAC key
-	// auth is the S1's verified chain element: the exchange's own trust
-	// anchor. The S2's key element must hash to it, which keeps payload
-	// verification independent of walker state (and of chain rekeys).
-	auth []byte
-	// key caches the verified MAC-key element after the first valid S2,
-	// so duplicates verify by equality.
-	key []byte
-
-	// presig holds the pre-signatures buffered from the S1, back to back:
-	// one MAC per message (base/C), the root (M) or the k subtree roots
-	// (CM).
-	presig    []byte
-	leafCount int
+	evicted  bool // out of the table; reusable once nothing of the slab is lent
 
 	// Reliable-mode acknowledgment material.
 	ackPair hashchain.Pair // our acknowledgment-chain elements
@@ -74,16 +59,6 @@ func (rx *rxExchange) unlend(e *Endpoint) {
 	}
 }
 
-// sig returns pre-signature i (a MAC or a subtree root).
-func (rx *rxExchange) sig(i int) []byte {
-	h := len(rx.auth)
-	return rx.presig[i*h : (i+1)*h]
-}
-
-// bufferedBytes reports how much pre-signature state the exchange pins,
-// reproducing the verifier column of Table 2 empirically.
-func (rx *rxExchange) bufferedBytes() int { return len(rx.presig) }
-
 // ackBytes reports the additional reliable-mode state (Table 3).
 func (rx *rxExchange) ackBytes() int {
 	n := len(rx.sack) + len(rx.snack)
@@ -111,13 +86,6 @@ func (e *Endpoint) newRx() *rxExchange {
 	return rx
 }
 
-// Rejections of an S1 whose shape the parser accepts but the protocol does
-// not; both count as malformed.
-var (
-	errCMRoots     = errors.New("alpha: CM root count inconsistent with the message count")
-	errUnknownMode = errors.New("alpha: unknown mode")
-)
-
 // zeroed returns b resized to n zero entries, reusing its capacity.
 func zeroed[T any](b []T, n int) []T {
 	if cap(b) < n {
@@ -143,37 +111,24 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 		}
 		return
 	}
-	if s1.AuthIdx%2 != 1 || s1.KeyIdx != s1.AuthIdx+1 {
-		e.drop(hdr.Seq, ErrBadAuthElement)
-		return
-	}
-	if err := e.verifyPeerSig(s1.Auth, s1.AuthIdx); err != nil {
-		e.drop(hdr.Seq, BadAuthElement(err))
+	if err := e.peer.VerifySig(s1.Auth, s1.AuthIdx, s1.KeyIdx); err != nil {
+		e.drop(hdr.Seq, err)
 		return
 	}
 	e.spanKey = obs.Key(s1.Auth)
 	e.tracer.Trace(e.tnow, telemetry.TraceS1Recv, e.assoc, hdr.Seq, 0)
-	reliable := hdr.Flags&packet.FlagReliable != 0
-	presig, batch, leafCount := s1.MACs, len(s1.MACs), 0
-	switch s1.Mode {
-	case packet.ModeBase, packet.ModeC:
-	case packet.ModeM:
-		presig, batch, leafCount = nil, int(s1.LeafCount), int(s1.LeafCount)
-	case packet.ModeCM:
-		presig, batch, leafCount = s1.Roots, int(s1.LeafCount), int(s1.LeafCount)
-		// The root count must be consistent with the subtree partition
-		// both sides derive from (n, k).
-		sub := CMSubSize(batch, len(s1.Roots))
-		if (batch+sub-1)/sub != len(s1.Roots) {
-			e.drop(hdr.Seq, errCMRoots)
-			return
-		}
-	default:
-		e.drop(hdr.Seq, errUnknownMode)
+	// The S1 is a view of the caller's buffer: everything the exchange
+	// keeps of it is copied into the slab. A refused exchange goes straight
+	// back to the free list.
+	rx := e.newRx() //alpha:alloc-ok the first MaxRxExchanges exchanges, or a caller that hands nothing back (see Release)
+	if err := rx.BufferS1(&rx.buf, s1); err != nil {
+		e.freeRx = append(e.freeRx, rx)
+		e.drop(hdr.Seq, err)
 		return
 	}
 	pair, err := e.ackChain.NextPair()
 	if err != nil {
+		e.freeRx = append(e.freeRx, rx)
 		e.drop(hdr.Seq, fmt.Errorf("%w: %v", ErrChainExhausted, err)) //alpha:alloc-ok the chain ran out: once per chain lifetime
 		return
 	}
@@ -185,24 +140,13 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 		e.emit(Event{Kind: EventChainLow})
 	}
 
-	// The S1 is a view of the caller's buffer: everything the exchange
-	// keeps of it is copied into the slab.
-	rx := e.newRx() //alpha:alloc-ok the first MaxRxExchanges exchanges, or a caller that hands nothing back (see Release)
-	rx.seq, rx.mode, rx.reliable, rx.keyIdx, rx.leafCount, rx.ackPair = hdr.Seq, s1.Mode, reliable, s1.KeyIdx, leafCount, pair
-	rx.auth = rx.keep(s1.Auth)
-	start := len(rx.buf)
-	if s1.Mode == packet.ModeM {
-		rx.keep(s1.Root)
-	}
-	for _, d := range presig {
-		rx.keep(d)
-	}
-	rx.presig = rx.buf[start:len(rx.buf):len(rx.buf)]
+	batch := rx.batch
+	rx.seq, rx.reliable, rx.ackPair = hdr.Seq, hdr.Flags&packet.FlagReliable != 0, pair
 	rx.delivered = zeroed(rx.delivered, batch) //alpha:alloc-ok grows to the batch size once per exchange object
 
 	a1 := &e.a1
 	*a1 = packet.A1{AuthIdx: pair.AuthIdx, Auth: pair.Auth, KeyIdx: pair.KeyIdx}
-	if reliable {
+	if rx.reliable {
 		rx.a2s = zeroed(rx.a2s, 2*batch) //alpha:alloc-ok grows to the batch size once per exchange object
 		if batch == 1 {
 			// Flat pre-ack/pre-nack pair (§3.2.2, Fig. 3).
@@ -213,9 +157,9 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 				return
 			}
 			rx.sack, rx.snack = secrets[:h:h], secrets[h:]
-			e.macOut = AppendPreAckDigest(e.suite, e.macOut[:0], pair.Key, rx.sack)
-			e.macOut = AppendPreNackDigest(e.suite, e.macOut, pair.Key, rx.snack)
-			a1.PreAck, a1.PreNack = e.macOut[:h], e.macOut[h:]
+			digests := AppendPreAckDigest(e.suite, e.mac.macOut[:0], pair.Key, rx.sack)
+			e.mac.macOut = AppendPreNackDigest(e.suite, digests, pair.Key, rx.snack)
+			a1.PreAck, a1.PreNack = e.mac.macOut[:h], e.mac.macOut[h:]
 		} else {
 			// Acknowledgment Merkle Tree (§3.3.3, Fig. 7).
 			amt, err := merkle.NewAckTree(e.suite, pair.Key, batch) //alpha:alloc-ok the AMT: once per exchange of n messages
@@ -274,42 +218,15 @@ func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) {
 		return
 	}
 	e.spanKey = obs.Key(rx.auth)
-	if s2.Mode != rx.mode || s2.KeyIdx != rx.keyIdx {
-		e.drop(hdr.Seq, ErrUnsolicited)
-		return
-	}
 	idx := int(s2.MsgIndex)
-	if idx >= len(rx.delivered) {
-		e.drop(hdr.Seq, ErrUnsolicited)
-		return
-	}
-	// The S2's key element must be the pre-image of this exchange's S1
-	// element — verification is pinned to the exchange itself, immune to
-	// walker movement and chain rekeys (the paper's "recomputing the
-	// MAC" against "the tamper-proof MAC from the S1 packet").
-	if rx.key == nil {
-		if !hashchain.VerifyLink(e.suite, hashchain.TagS1, hashchain.TagS2, rx.auth, s2.Key, s2.KeyIdx) {
-			e.drop(hdr.Seq, ErrBadAuthElement)
-			return
-		}
-		rx.key = rx.keep(s2.Key)
-	} else if !suite.Equal(rx.key, s2.Key) {
-		e.drop(hdr.Seq, ErrBadAuthElement)
-		return
-	}
-	// The key element is genuine; now check the message against the
-	// buffered pre-signature. A mismatch here means the payload was
-	// tampered with in transit: in reliable mode that is worth a
-	// verifiable nack so the signer retransmits.
-	if !e.verifyS2Payload(rx, hdr, s2) {
-		if rx.reliable && !rx.delivered[idx] {
+	if err := rx.VerifyS2(e.suite, &e.mac, &rx.buf, hdr, s2); err != nil {
+		// A payload that fails its pre-signature behind a genuine key was
+		// tampered with in transit: in reliable mode that is worth a
+		// verifiable nack so the signer retransmits.
+		if (errors.Is(err, ErrBadMAC) || errors.Is(err, ErrBadProof)) && rx.reliable && !rx.delivered[idx] {
 			e.sendA2(rx, idx, false)
 		}
-		reason := ErrBadMAC
-		if rx.mode == packet.ModeM || rx.mode == packet.ModeCM {
-			reason = ErrBadProof
-		}
-		e.drop(hdr.Seq, reason)
+		e.drop(hdr.Seq, err)
 		return
 	}
 	if rx.delivered[idx] {
@@ -325,7 +242,7 @@ func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) {
 	// the payload carries the peer's fresh anchors, already authenticated
 	// by the old chain like any other message.
 	if p, ok := DecodeRekey(s2.Payload, e.suite.Size()); ok { //alpha:alloc-ok rekey happens once per chain lifetime
-		if err := e.adoptPeerRekey(p); err != nil { //alpha:alloc-ok rekey happens once per chain lifetime
+		if err := e.peer.AdoptRekey(e.suite, p); err != nil { //alpha:alloc-ok rekey happens once per chain lifetime
 			rx.delivered[idx] = false
 			rx.doneCount--
 			e.drop(hdr.Seq, err)
@@ -348,38 +265,6 @@ func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) {
 	e.emit(Event{Kind: EventDelivered, Seq: hdr.Seq, MsgIndex: s2.MsgIndex, Payload: payload})
 	if rx.reliable {
 		e.sendA2(rx, idx, true)
-	}
-}
-
-// verifyS2Payload checks an S2's payload against the exchange's buffered
-// pre-signature material.
-//
-//alpha:hotpath
-func (e *Endpoint) verifyS2Payload(rx *rxExchange, hdr packet.Header, s2 *packet.S2) bool {
-	switch rx.mode {
-	case packet.ModeBase, packet.ModeC:
-		want := rx.sig(int(s2.MsgIndex))
-		e.macIn = AppendMACInput(e.macIn[:0], e.assoc, hdr.Seq, s2.MsgIndex, s2.Payload)
-		e.parts[0] = e.macIn
-		e.macOut = e.suite.MACInto(e.macOut[:0], s2.Key, e.parts[:1]...)
-		return suite.Equal(want, e.macOut)
-	case packet.ModeM:
-		if int(s2.LeafCount) != rx.leafCount {
-			return false //alpha:drop-ok verdict helper: handleS2 counts the drop on false
-		}
-		return merkle.Verify(e.suite, s2.Key, rx.presig, MerkleLeafInput(s2.Payload), int(s2.MsgIndex), rx.leafCount, s2.Proof)
-	case packet.ModeCM:
-		if int(s2.LeafCount) != rx.leafCount {
-			return false //alpha:drop-ok verdict helper: handleS2 counts the drop on false
-		}
-		roots := len(rx.presig) / len(rx.auth)
-		root, leaf, leaves, ok := CMLocate(int(s2.MsgIndex), rx.leafCount, roots)
-		if !ok || root >= roots {
-			return false //alpha:drop-ok verdict helper: handleS2 counts the drop on false
-		}
-		return merkle.Verify(e.suite, s2.Key, rx.sig(root), MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
-	default:
-		return false
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"alpha/internal/hashchain"
-	"alpha/internal/suite"
 )
 
 // rekeyMagic prefixes in-band rekey announcements.
@@ -67,13 +66,8 @@ func EncodeRekey(p RekeyPayload) []byte {
 // DecodeRekey parses a control payload; ok is false when the payload is
 // not a rekey announcement for the given digest size.
 func DecodeRekey(payload []byte, digestSize int) (RekeyPayload, bool) {
-	if len(payload) != len(rekeyMagic)+4+2*digestSize {
+	if len(payload) != len(rekeyMagic)+4+2*digestSize || !IsRekeyPayload(payload) {
 		return RekeyPayload{}, false
-	}
-	for i, b := range rekeyMagic {
-		if payload[i] != b {
-			return RekeyPayload{}, false
-		}
 	}
 	off := len(rekeyMagic)
 	p := RekeyPayload{ChainLen: binary.BigEndian.Uint32(payload[off:])}
@@ -83,8 +77,8 @@ func DecodeRekey(payload []byte, digestSize int) (RekeyPayload, bool) {
 	return p, true
 }
 
-// IsRekeyPayload reports whether an extracted payload is a rekey
-// announcement (used by relays before attempting a full decode).
+// IsRekeyPayload reports whether an extracted payload carries the rekey
+// announcement prefix.
 func IsRekeyPayload(payload []byte) bool {
 	if len(payload) < len(rekeyMagic) {
 		return false
@@ -164,84 +158,4 @@ func (e *Endpoint) abortRekey(msgID uint64) {
 	if e.rekey != nil && e.rekey.msgID == msgID {
 		e.rekey = nil
 	}
-}
-
-// adoptPeerRekey installs new walkers for the peer's announced chains. The
-// announcement arrived through the old, verified channel, so the new
-// anchors inherit its authenticity. The old walkers stay around as a grace
-// fallback: the peer only commits to the new chains once it has seen our
-// acknowledgment, and that acknowledgment can be lost.
-func (e *Endpoint) adoptPeerRekey(p RekeyPayload) error {
-	if len(p.SigAnchor) != e.suite.Size() || len(p.AckAnchor) != e.suite.Size() {
-		return fmt.Errorf("%w: rekey anchor size", ErrBadHandshake)
-	}
-	sig, err := hashchain.NewSignatureWalker(e.suite, p.SigAnchor)
-	if err != nil {
-		return err
-	}
-	ack, err := hashchain.NewAcknowledgmentWalker(e.suite, p.AckAnchor)
-	if err != nil {
-		return err
-	}
-	// If a previous rotation is still in its grace window and its new
-	// generation was never used (the peer aborted and re-announced), the
-	// unused generation is replaced rather than promoted — the live old
-	// chain in prev* must survive.
-	if e.prevPeerSig == nil || e.peerSig.Index() > 0 || e.peerAck.Index() > 0 {
-		e.prevPeerSig, e.prevPeerAck = e.peerSig, e.peerAck
-	}
-	e.peerSig, e.peerAck = sig, ack
-	return nil
-}
-
-// verifyPeerSig verifies a signature-chain element against the current
-// walker, falling back to the pre-rekey generation. Both generations stay
-// live until the next rotation replaces the older one: exchanges that
-// started before a rotation legitimately keep using the old chain for their
-// entire lifetime, and if the peer aborts a rekey (our ack lost past all
-// retries) the old generation simply remains the working one. Payload and
-// acknowledgment openings (S2/A2) never reach these walkers at all — they
-// verify against their own exchange's pinned S1/A1 element.
-func (e *Endpoint) verifyPeerSig(elem []byte, idx uint32) error {
-	err := e.peerSig.Verify(elem, idx)
-	if err == nil {
-		return nil
-	}
-	if e.prevPeerSig == nil {
-		return err
-	}
-	if prevErr := e.prevPeerSig.Verify(elem, idx); prevErr == nil {
-		return nil
-	}
-	return err
-}
-
-// verifyPeerAck is verifyPeerSig for the peer's acknowledgment chain.
-func (e *Endpoint) verifyPeerAck(elem []byte, idx uint32) error {
-	err := e.peerAck.Verify(elem, idx)
-	if err == nil {
-		return nil
-	}
-	if e.prevPeerAck == nil {
-		return err
-	}
-	if prevErr := e.prevPeerAck.Verify(elem, idx); prevErr == nil {
-		return nil
-	}
-	return err
-}
-
-// UpdateAnchors lets a relay flow adopt a verified rekey announcement; it
-// returns the new walkers for the announcing direction.
-func UpdateAnchors(st suite.Suite, p RekeyPayload) (sig, ack *hashchain.Walker, err error) {
-	if len(p.SigAnchor) != st.Size() || len(p.AckAnchor) != st.Size() {
-		return nil, nil, errors.New("alpha: rekey anchor size mismatch")
-	}
-	if sig, err = hashchain.NewSignatureWalker(st, p.SigAnchor); err != nil {
-		return nil, nil, err
-	}
-	if ack, err = hashchain.NewAcknowledgmentWalker(st, p.AckAnchor); err != nil {
-		return nil, nil, err
-	}
-	return sig, ack, nil
 }

@@ -11,7 +11,6 @@ import (
 	"alpha/internal/merkle"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
-	"alpha/internal/suite"
 	"alpha/internal/telemetry"
 )
 
@@ -55,13 +54,7 @@ type txExchange struct {
 	s2s [][]byte // encoded S2 packets, indexed by message
 
 	// Acknowledgment material learned from the A1 (reliable mode).
-	// ackAuth is the A1's verified element; the A2's key must hash to it.
-	ackAuth   []byte
-	ackKeyIdx uint32
-	preAck    []byte
-	preNack   []byte
-	amtRoot   []byte
-	amtLeaves int
+	AckPresig
 
 	acked    []bool
 	ackCount int
@@ -211,10 +204,10 @@ func (e *Endpoint) startExchange(now time.Time, batch []outMsg) error {
 		size := e.suite.Size()
 		e.macSlab = e.macSlab[:0]
 		for i := range x.msgs {
-			e.macIn = AppendMACInput(e.macIn[:0], e.assoc, seq, uint32(i), x.msgs[i].payload)
-			e.parts[0] = e.macIn
+			e.mac.macIn = AppendMACInput(e.mac.macIn[:0], e.assoc, seq, uint32(i), x.msgs[i].payload)
+			e.mac.parts[0] = e.mac.macIn
 			off := len(e.macSlab)
-			e.macSlab = e.suite.MACInto(e.macSlab, pair.Key, e.parts[:1]...)
+			e.macSlab = e.suite.MACInto(e.macSlab, pair.Key, e.mac.parts[:1]...)
 			e.digests = append(e.digests, e.macSlab[off:off+size:off+size])
 		}
 		s1.MACs = e.digests
@@ -285,32 +278,22 @@ func (e *Endpoint) handleA1(now time.Time, hdr packet.Header, a1 *packet.A1) {
 		// separation between pre-ack creation and key disclosure.
 		return //alpha:drop-ok a late A1 of a live exchange is ignored by design, not dropped
 	}
-	if a1.AuthIdx%2 != 1 || a1.KeyIdx != a1.AuthIdx+1 {
-		e.drop(hdr.Seq, ErrBadAuthElement)
-		return
-	}
-	if err := e.verifyPeerAck(a1.Auth, a1.AuthIdx); err != nil {
-		e.drop(hdr.Seq, BadAuthElement(err))
+	if err := e.peer.VerifyAck(a1.Auth, a1.AuthIdx, a1.KeyIdx); err != nil {
+		e.drop(hdr.Seq, err)
 		return
 	}
 	e.tracer.Trace(e.tnow, telemetry.TraceA1Recv, e.assoc, hdr.Seq, 0)
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(x.pair.Auth), hdr.Seq, obs.RoleSender, obs.StepA1, uint8(x.mode), obs.VerdictRecv, 0)
 	if e.cfg.Reliable {
-		// The A1 is a view of the caller's buffer: what the A2 will be
-		// checked against is copied into the exchange's slab.
-		switch {
-		case a1.PreAck != nil && a1.PreNack != nil && len(x.msgs) == 1:
-			x.preAck = x.keep(a1.PreAck)
-			x.preNack = x.keep(a1.PreNack)
-		case a1.AMTRoot != nil && int(a1.AMTLeaves) == len(x.msgs):
-			x.amtRoot = x.keep(a1.AMTRoot)
-			x.amtLeaves = int(a1.AMTLeaves)
-		default:
+		// The first A1 must carry the material its exchange needs: a pre-ack
+		// pair for one message, an AMT over all of them for a batch. The A1
+		// is a view of the caller's buffer, so that is copied into the slab.
+		n := len(x.msgs)
+		if !(a1.PreAck != nil && a1.PreNack != nil && n == 1) && !(a1.AMTRoot != nil && int(a1.AMTLeaves) == n) {
 			e.drop(hdr.Seq, errNoPreAck)
 			return
 		}
-		x.ackAuth = x.keep(a1.Auth)
-		x.ackKeyIdx = a1.KeyIdx
+		x.BufferA1(&x.buf, a1)
 	}
 	if err := e.sendS2s(now, x); err != nil {
 		e.drop(hdr.Seq, err)
@@ -391,14 +374,6 @@ func (e *Endpoint) finishExchange(x *txExchange) {
 	}
 }
 
-// Drop reasons of handleA2, built once: a forged or replayed A2 must not
-// cost the signer an allocation.
-var (
-	errAckIndex = fmt.Errorf("%w: message index out of range", ErrBadAck)
-	errAckKey   = fmt.Errorf("%w: key index mismatch", ErrBadAck)
-	errAckLink  = fmt.Errorf("%w: key element does not extend the exchange's A1", ErrBadAck)
-)
-
 // handleA2 processes a pre-(n)ack opening from the verifier.
 //
 //alpha:hotpath
@@ -410,22 +385,8 @@ func (e *Endpoint) handleA2(now time.Time, hdr packet.Header, a2 *packet.A2) {
 		return
 	}
 	e.spanKey = obs.Key(x.pair.Auth)
-	if int(a2.MsgIndex) >= len(x.msgs) {
-		e.drop(hdr.Seq, errAckIndex)
-		return
-	}
-	if a2.KeyIdx != x.ackKeyIdx || a2.KeyIdx%2 != 0 {
-		e.drop(hdr.Seq, errAckKey)
-		return
-	}
-	// The A2's key element must be the pre-image of this exchange's A1
-	// element: verification pinned to the exchange, immune to rekeys.
-	if x.ackAuth == nil || !hashchain.VerifyLink(e.suite, hashchain.TagA1, hashchain.TagA2, x.ackAuth, a2.Key, a2.KeyIdx) {
-		e.drop(hdr.Seq, errAckLink)
-		return
-	}
-	if !e.verifyAckOpening(x, a2) {
-		e.drop(hdr.Seq, ErrBadAck)
+	if err := x.VerifyA2(e.suite, &e.mac, len(x.msgs), a2); err != nil {
+		e.drop(hdr.Seq, err)
 		return
 	}
 	if x.acked[a2.MsgIndex] {
@@ -465,34 +426,6 @@ func (e *Endpoint) handleA2(now time.Time, hdr packet.Header, a2 *packet.A2) {
 	}
 	if x.ackCount == len(x.msgs) {
 		e.finishExchange(x)
-	}
-}
-
-// verifyAckOpening checks an A2 against the pre-(n)ack material buffered
-// from the exchange's A1; handleA2 counts the drop on false.
-func (e *Endpoint) verifyAckOpening(x *txExchange, a2 *packet.A2) bool {
-	switch {
-	case x.preAck != nil:
-		if a2.MsgIndex != 0 {
-			return false
-		}
-		if a2.Ack {
-			e.macOut = AppendPreAckDigest(e.suite, e.macOut[:0], a2.Key, a2.Secret)
-			return equalDigest(e.macOut, x.preAck)
-		}
-		e.macOut = AppendPreNackDigest(e.suite, e.macOut[:0], a2.Key, a2.Secret)
-		return equalDigest(e.macOut, x.preNack)
-	case x.amtRoot != nil:
-		o := &merkle.Opening{
-			Index:  a2.MsgIndex,
-			Ack:    a2.Ack,
-			Secret: a2.Secret,
-			Proof:  a2.Proof,
-			Other:  a2.Other,
-		}
-		return merkle.VerifyOpening(e.suite, a2.Key, x.amtRoot, x.amtLeaves, o)
-	default:
-		return false
 	}
 }
 
@@ -551,9 +484,4 @@ func backoff(rto time.Duration, retries int) time.Duration {
 		retries = 4
 	}
 	return rto << uint(retries)
-}
-
-// equalDigest compares two digests in constant time.
-func equalDigest(a, b []byte) bool {
-	return len(a) > 0 && suite.Equal(a, b)
 }

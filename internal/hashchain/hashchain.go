@@ -288,6 +288,7 @@ func (w *Walker) Trusted() []byte { return w.last[:w.size] }
 // expected element from the trusted one; this is what lets the out-of-order
 // packets of ALPHA-C, ALPHA-M and reordering paths verify after the chain
 // position has already moved on.
+//
 //alpha:hotpath
 func (w *Walker) Verify(elem []byte, idx uint32) error {
 	if err := w.Probe(elem, idx); err != nil {
@@ -300,9 +301,9 @@ func (w *Walker) Verify(elem []byte, idx uint32) error {
 	return nil
 }
 
-// Probe is like Verify but never advances the walker. Relays use it when
-// they want to check authenticity without committing state (e.g. while a
-// packet might still be dropped for other reasons).
+// Probe is like Verify but never advances the walker: it checks an element
+// without committing state. Verify is built on it.
+//
 //alpha:hotpath
 func (w *Walker) Probe(elem []byte, idx uint32) error {
 	if len(elem) != w.size {

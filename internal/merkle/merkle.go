@@ -186,6 +186,7 @@ func (t *Tree) AppendProof(dst [][]byte, j int) ([][]byte, error) {
 // the root with the disclosed chain element key. n is the batch's real leaf
 // count (needed to derive the padded depth). Verification is allocation-free:
 // intermediate digests live in pooled scratch.
+//
 //alpha:hotpath
 func Verify(s suite.Suite, key, root []byte, m []byte, j, n int, proof [][]byte) bool {
 	sc := suite.GetScratch()

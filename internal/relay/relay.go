@@ -11,6 +11,13 @@
 // acknowledgments are verified against buffered pre-(n)acks so on-path
 // nodes can react to confirmed delivery.
 //
+// Every check runs through core's verification kernel (core.PeerChains,
+// core.Presig, core.AckPresig), the very code the endpoints verify with, so
+// a relay forwards exactly what the verifier would accept and counts a drop
+// under the reason the endpoint would. What is the relay's own is policy:
+// which flows and exchanges it keeps, which A1 it buffers, rate and size
+// limits.
+//
 // Per §3.5 the only packets a relay forwards unconditionally are S1s, and
 // even those are rate- and size-limited per flow to bound the flooding
 // surface that remains.
@@ -23,8 +30,6 @@ import (
 
 	"alpha/internal/core"
 	"alpha/internal/fifo"
-	"alpha/internal/hashchain"
-	"alpha/internal/merkle"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
 	"alpha/internal/suite"
@@ -88,7 +93,7 @@ func (d *Decision) Extractions() [][]byte {
 	return out
 }
 
-// Drop reasons specific to relays; verification failures reuse core errors.
+// Drop reasons specific to relays; the kernel's verdicts are core errors.
 var (
 	ErrMalformed      = errors.New("relay: malformed packet")
 	ErrRateLimited    = errors.New("relay: S1 rate limit exceeded")
@@ -202,6 +207,10 @@ type Relay struct {
 	spans    *obs.SpanRing
 	spanKey  uint32
 	spanMode uint8
+
+	// mac is the kernel's MAC scratch, one for all flows: relays are
+	// single-threaded by contract.
+	mac core.MACScratch
 }
 
 // New creates a relay.
@@ -248,12 +257,8 @@ type flow struct {
 	assoc uint64
 	st    suite.Suite
 
-	// Chain walkers for both hosts: index 0 = initiator, 1 = responder.
-	// prev* hold the pre-rekey generation during the grace window.
-	sig     [2]*hashchain.Walker
-	ack     [2]*hashchain.Walker
-	prevSig [2]*hashchain.Walker
-	prevAck [2]*hashchain.Walker
+	// Both hosts' chains: index 0 = initiator, 1 = responder.
+	chains [2]core.PeerChains
 
 	// Buffered exchanges per signing direction, and the evicted ones
 	// waiting to be reused, slabs and all.
@@ -262,13 +267,6 @@ type flow struct {
 
 	bucket  tokenBucket
 	s1Limit int
-
-	// Per-flow scratch for MAC inputs and computed digests: S2
-	// verification is the relay's per-packet hot path and must not
-	// allocate. Relays are single-threaded by contract.
-	macIn  []byte
-	macOut []byte
-	parts  [1][]byte
 }
 
 type dirState struct {
@@ -278,53 +276,13 @@ type dirState struct {
 
 // exchange is the relay's buffered state for one signature exchange: the
 // S1's pre-signatures plus, once the A1 passes by, its pre-(n)ack material.
-// This is exactly the "Relay" column of Tables 2 and 3. Every byte field is
-// a copy held in the exchange's slab, which is sized when the S1 arrives
-// and goes back to the flow's free list with the exchange.
+// This is exactly the "Relay" column of Tables 2 and 3. The kernel copies
+// every byte field into the slab, which take sizes when the S1 arrives and
+// which goes back to the flow's free list with the exchange.
 type exchange struct {
-	mode      packet.Mode
-	keyIdx    uint32
-	batch     int // messages the S1 announced
-	leafCount int
-	slab      []byte
-	// auth is the S1's verified chain element, the exchange's own trust
-	// anchor: S2 key elements must hash to it (immune to rekeys).
-	auth []byte
-	// presig holds the pre-signatures back to back: one MAC per message
-	// (base/C), the root (M) or the k subtree roots (CM).
-	presig []byte
-	// key caches the verified MAC-key element after the first valid S2
-	// so duplicates verify by equality.
-	key []byte
-
-	// ackAuth is the A1's verified element (A2 keys must hash to it).
-	ackAuth   []byte
-	ackKeyIdx uint32
-	preAck    []byte
-	preNack   []byte
-	amtRoot   []byte
-	amtLeaves int
-}
-
-// keep copies b into the exchange's slab and returns the copy.
-func (x *exchange) keep(b []byte) []byte {
-	off := len(x.slab)
-	x.slab = append(x.slab, b...)
-	return x.slab[off:len(x.slab):len(x.slab)]
-}
-
-// sig returns pre-signature i (a MAC or a subtree root).
-func (x *exchange) sig(i int) []byte {
-	h := len(x.auth)
-	return x.presig[i*h : (i+1)*h]
-}
-
-// bufferedBytes reports this exchange's pre-signature memory (Table 2).
-func (x *exchange) bufferedBytes() int { return len(x.presig) }
-
-// ackBytes reports the additional acknowledgment state (Table 3).
-func (x *exchange) ackBytes() int {
-	return len(x.preAck) + len(x.preNack) + len(x.amtRoot)
+	core.Presig
+	core.AckPresig
+	slab []byte
 }
 
 // BufferedBytes sums pre-signature buffer usage across all flows, for the
@@ -333,8 +291,8 @@ func (r *Relay) BufferedBytes() (preSig, ack int) {
 	for _, f := range r.flows {
 		for d := range f.dirs {
 			for _, x := range f.dirs[d].rx {
-				preSig += x.bufferedBytes()
-				ack += x.ackBytes()
+				preSig += x.SigBytes()
+				ack += x.AckBytes()
 			}
 		}
 	}
@@ -346,22 +304,15 @@ func (r *Relay) BufferedBytes() (preSig, ack int) {
 // so the relay verifies an association whose handshake it never saw — there
 // was none.
 func (r *Relay) Seed(st suite.Suite, anchors core.AnchorSet) error {
-	var sig, ack [2]*hashchain.Walker
-	var err error
-	if sig[0], err = hashchain.NewSignatureWalker(st, anchors.InitSig); err != nil {
+	initiator, err := core.NewPeerChains(st, anchors.InitSig, anchors.InitAck)
+	if err != nil {
 		return err
 	}
-	if ack[0], err = hashchain.NewAcknowledgmentWalker(st, anchors.InitAck); err != nil {
+	responder, err := core.NewPeerChains(st, anchors.RespSig, anchors.RespAck)
+	if err != nil {
 		return err
 	}
-	if sig[1], err = hashchain.NewSignatureWalker(st, anchors.RespSig); err != nil {
-		return err
-	}
-	if ack[1], err = hashchain.NewAcknowledgmentWalker(st, anchors.RespAck); err != nil {
-		return err
-	}
-	f := r.newFlow(anchors.Assoc, st)
-	f.sig, f.ack = sig, ack
+	r.newFlow(anchors.Assoc, st).chains = [2]core.PeerChains{initiator, responder}
 	return nil
 }
 
@@ -381,39 +332,6 @@ func (r *Relay) newFlow(assoc uint64, st suite.Suite) *flow {
 	f.dirs[1].rx = make(map[uint32]*exchange)
 	r.flows[assoc] = f
 	return f
-}
-
-// verifySig verifies a signature-chain element for direction d, with the
-// same rekey grace-window semantics as core.Endpoint.verifyPeerSig: two
-// generations stay live until the next rotation replaces the older one;
-// S2/A2 elements never reach these walkers (exchange-pinned verification).
-func (f *flow) verifySig(d int, elem []byte, idx uint32) error {
-	err := f.sig[d].Verify(elem, idx)
-	if err == nil {
-		return nil
-	}
-	if f.prevSig[d] == nil {
-		return err
-	}
-	if f.prevSig[d].Verify(elem, idx) == nil {
-		return nil
-	}
-	return err
-}
-
-// verifyAck is verifySig for the acknowledgment chain of direction d.
-func (f *flow) verifyAck(d int, elem []byte, idx uint32) error {
-	err := f.ack[d].Verify(elem, idx)
-	if err == nil {
-		return nil
-	}
-	if f.prevAck[d] == nil {
-		return err
-	}
-	if f.prevAck[d].Verify(elem, idx) == nil {
-		return nil
-	}
-	return err
 }
 
 // tokenBucket is a simple rate limiter under injected time.
@@ -530,6 +448,17 @@ func (r *Relay) drop(hdr packet.Header, code uint32, reason error) Decision {
 	return Decision{Verdict: Drop, Reason: reason, Type: hdr.Type}
 }
 
+// refuse drops a packet the kernel refused, under the reason code an
+// endpoint counts the same refusal with.
+func (r *Relay) refuse(hdr packet.Header, err error) Decision {
+	return r.drop(hdr, core.ReasonCode(err), err)
+}
+
+// noteSpan attributes this packet's span to exchange x.
+func (r *Relay) noteSpan(x *exchange) {
+	r.spanKey, r.spanMode = obs.Key(x.Auth()), uint8(x.Mode())
+}
+
 func (r *Relay) forward(hdr packet.Header) Decision {
 	r.tel.Forwarded.Inc()
 	r.tracer.Trace(r.tnow, telemetry.TraceRelayForward, hdr.Assoc, hdr.Seq, uint32(hdr.Type))
@@ -620,14 +549,10 @@ func (r *Relay) processHandshake(hdr packet.Header, hs *packet.Handshake) Decisi
 	if !ok {
 		f = r.newFlow(hdr.Assoc, st)
 	}
-	d := dirIndex(hdr)
-	if f.sig[d] == nil {
-		sw, err1 := hashchain.NewSignatureWalker(st, hs.SigAnchor)
-		aw, err2 := hashchain.NewAcknowledgmentWalker(st, hs.AckAnchor)
-		if err1 != nil || err2 != nil {
+	if d := dirIndex(hdr); !f.chains[d].Known() {
+		if f.chains[d], err = core.NewPeerChains(st, hs.SigAnchor, hs.AckAnchor); err != nil {
 			return r.drop(hdr, telemetry.ReasonMalformed, ErrMalformed)
 		}
-		f.sig[d], f.ack[d] = sw, aw
 	}
 	return r.forward(hdr)
 }
@@ -638,7 +563,7 @@ func (r *Relay) processHandshake(hdr packet.Header, hs *packet.Handshake) Decisi
 // per unknown-association packet, which is exactly the flood path.
 func (r *Relay) lookup(hdr packet.Header) (f *flow, early Decision, decided bool) {
 	f, ok := r.flows[hdr.Assoc]
-	if ok && f.sig[dirIndex(hdr)] != nil {
+	if ok && f.chains[dirIndex(hdr)].Known() {
 		return f, Decision{}, false
 	}
 	r.tel.Unknown.Inc()
@@ -648,12 +573,11 @@ func (r *Relay) lookup(hdr packet.Header) (f *flow, early Decision, decided bool
 	return nil, r.forward(hdr), true
 }
 
-// buffer opens the exchange an S1 announces: it takes an exchange off the
-// flow's free list (or makes one), reserves slab room for everything Tables
-// 2–3 let the exchange keep — the S1 element and its n pre-signatures now,
-// the disclosed key, the A1 element and the pre-(n)ack pair or AMT root
-// later — and evicts the direction's oldest exchange beyond MaxExchanges.
-func (r *Relay) buffer(f *flow, ds *dirState, seq uint32, nsig int) *exchange {
+// take gives an S1 with nsig pre-signatures an exchange to fill: one off
+// the flow's free list, or a new one. Its slab has room for everything
+// Tables 2–3 let the exchange keep: the S1 element and the pre-signatures
+// now, the key, the A1 element and the pre-(n)ack pair or AMT root later.
+func (f *flow) take(nsig int) *exchange {
 	var x *exchange
 	if n := len(f.free); n > 0 {
 		x, f.free = f.free[n-1], f.free[:n-1]
@@ -664,6 +588,12 @@ func (r *Relay) buffer(f *flow, ds *dirState, seq uint32, nsig int) *exchange {
 	if need := (nsig + 5) * f.st.Size(); cap(x.slab) < need {
 		x.slab = make([]byte, 0, need) //alpha:alloc-ok slab growth: first use, or a larger batch than this exchange has held
 	}
+	return x
+}
+
+// store opens exchange x under seq and evicts the direction's oldest
+// exchange beyond MaxExchanges to the free list.
+func (r *Relay) store(f *flow, ds *dirState, seq uint32, x *exchange) {
 	if old, evicted := ds.order.Push(seq, r.cfg.MaxExchanges); evicted { //alpha:alloc-ok the ring itself: once per flow and direction
 		if ox, ok := ds.rx[old]; ok {
 			delete(ds.rx, old)
@@ -671,7 +601,6 @@ func (r *Relay) buffer(f *flow, ds *dirState, seq uint32, nsig int) *exchange {
 		}
 	}
 	ds.rx[seq] = x
-	return x
 }
 
 // processS1 verifies and buffers a pre-signature announcement.
@@ -679,7 +608,7 @@ func (r *Relay) buffer(f *flow, ds *dirState, seq uint32, nsig int) *exchange {
 //alpha:hotpath
 func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size int) Decision {
 	f, known := r.flows[hdr.Assoc]
-	if !known || f.sig[dirIndex(hdr)] == nil {
+	if !known || !f.chains[dirIndex(hdr)].Known() {
 		// Unknown association: the per-flow bucket below cannot help — an
 		// attacker minting a fresh association ID per packet would mint a
 		// fresh bucket per packet — so pass-through S1s draw from a shared
@@ -703,41 +632,20 @@ func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size 
 	ds := &f.dirs[d]
 	if dup, ok := ds.rx[hdr.Seq]; ok {
 		// Retransmitted S1: already buffered, just forward.
-		r.spanKey, r.spanMode = obs.Key(dup.auth), uint8(dup.mode)
+		r.noteSpan(dup)
 		return r.forward(hdr)
 	}
-	if s1.AuthIdx%2 != 1 || s1.KeyIdx != s1.AuthIdx+1 {
-		return r.drop(hdr, telemetry.ReasonBadElement, core.ErrBadAuthElement)
-	}
-	if err := f.verifySig(d, s1.Auth, s1.AuthIdx); err != nil {
-		return r.drop(hdr, telemetry.ReasonBadElement, core.BadAuthElement(err))
+	if err := f.chains[d].VerifySig(s1.Auth, s1.AuthIdx, s1.KeyIdx); err != nil {
+		return r.refuse(hdr, err)
 	}
 	r.spanKey, r.spanMode = obs.Key(s1.Auth), uint8(s1.Mode)
-	presig, batch, leafCount := s1.MACs, len(s1.MACs), 0
-	switch s1.Mode {
-	case packet.ModeBase, packet.ModeC:
-	case packet.ModeM:
-		presig, batch, leafCount = nil, int(s1.LeafCount), int(s1.LeafCount)
-	case packet.ModeCM:
-		presig, batch, leafCount = s1.Roots, int(s1.LeafCount), int(s1.LeafCount)
-		sub := core.CMSubSize(batch, len(s1.Roots))
-		if (batch+sub-1)/sub != len(s1.Roots) {
-			return r.drop(hdr, telemetry.ReasonMalformed, ErrMalformed)
-		}
-	default:
-		return r.drop(hdr, telemetry.ReasonMalformed, ErrMalformed)
+	// The parser empties both lists, so an M-mode S1 (one root) counts 0.
+	x := f.take(max(len(s1.MACs)+len(s1.Roots), 1)) //alpha:alloc-ok first exchanges of a flow; steady state reuses evicted ones
+	if err := x.BufferS1(&x.slab, s1); err != nil {
+		f.free = append(f.free, x)
+		return r.refuse(hdr, err)
 	}
-	x := r.buffer(f, ds, hdr.Seq, max(len(presig), 1))
-	x.mode, x.keyIdx, x.batch, x.leafCount = s1.Mode, s1.KeyIdx, batch, leafCount
-	x.auth = x.keep(s1.Auth)
-	start := len(x.slab)
-	if s1.Mode == packet.ModeM {
-		x.keep(s1.Root)
-	}
-	for _, d := range presig {
-		x.keep(d)
-	}
-	x.presig = x.slab[start:len(x.slab):len(x.slab)]
+	r.store(f, ds, hdr.Seq, x)
 	return r.forward(hdr)
 }
 
@@ -751,11 +659,8 @@ func (r *Relay) processA1(hdr packet.Header, a1 *packet.A1) Decision {
 		return early //alpha:drop-ok lookup counted the drop when it built the early verdict
 	}
 	d := dirIndex(hdr) // direction of the A1 sender = the exchange's verifier
-	if a1.AuthIdx%2 != 1 || a1.KeyIdx != a1.AuthIdx+1 {
-		return r.drop(hdr, telemetry.ReasonBadElement, core.ErrBadAuthElement)
-	}
-	if err := f.verifyAck(d, a1.Auth, a1.AuthIdx); err != nil {
-		return r.drop(hdr, telemetry.ReasonBadElement, core.BadAuthElement(err))
+	if err := f.chains[d].VerifyAck(a1.Auth, a1.AuthIdx, a1.KeyIdx); err != nil {
+		return r.refuse(hdr, err)
 	}
 	// The exchange was opened by the S1 from the opposite direction. A
 	// relay may legitimately have missed that S1 (asymmetric routes,
@@ -765,34 +670,17 @@ func (r *Relay) processA1(hdr packet.Header, a1 *packet.A1) Decision {
 	if !ok {
 		return r.forward(hdr)
 	}
-	r.spanKey, r.spanMode = obs.Key(x.auth), uint8(x.mode)
-	if x.preAck == nil && x.amtRoot == nil {
+	r.noteSpan(x)
+	if !x.HasAckMaterial() {
 		// Until an A1 brings pre-(n)ack material the latest A1's element
 		// stands; it overwrites its predecessor in place.
-		if x.ackAuth == nil {
-			x.ackAuth = x.keep(a1.Auth)
-		} else {
-			copy(x.ackAuth, a1.Auth)
-		}
-		x.ackKeyIdx = a1.KeyIdx
-		if a1.PreAck != nil {
-			x.preAck = x.keep(a1.PreAck)
-		}
-		if a1.PreNack != nil {
-			x.preNack = x.keep(a1.PreNack)
-		}
-		if a1.AMTRoot != nil {
-			x.amtRoot = x.keep(a1.AMTRoot)
-			x.amtLeaves = int(a1.AMTLeaves)
-		}
+		x.BufferA1(&x.slab, a1)
 	}
 	return r.forward(hdr)
 }
 
-// processS2 is the heart of hop-by-hop filtering: the payload must match a
-// buffered pre-signature or it dies here.
-// processS2 is the relay's per-payload hot path: every data-bearing packet
-// of every flow funnels through here.
+// processS2 is the heart of hop-by-hop filtering and the relay's per-payload
+// hot path: the payload must match a buffered pre-signature or it dies here.
 //
 //alpha:hotpath
 func (r *Relay) processS2(hdr packet.Header, s2 *packet.S2) Decision {
@@ -805,62 +693,21 @@ func (r *Relay) processS2(hdr packet.Header, s2 *packet.S2) Decision {
 	if !ok {
 		return r.drop(hdr, telemetry.ReasonUnsolicited, core.ErrUnsolicited)
 	}
-	r.spanKey, r.spanMode = obs.Key(x.auth), uint8(x.mode)
-	if s2.Mode != x.mode || s2.KeyIdx != x.keyIdx || int(s2.MsgIndex) >= x.batch {
-		return r.drop(hdr, telemetry.ReasonUnsolicited, core.ErrUnsolicited)
-	}
-	if x.key == nil {
-		if !hashchain.VerifyLink(f.st, hashchain.TagS1, hashchain.TagS2, x.auth, s2.Key, s2.KeyIdx) {
-			return r.drop(hdr, telemetry.ReasonBadElement, core.ErrBadAuthElement)
-		}
-		x.key = x.keep(s2.Key)
-	} else if !suite.Equal(x.key, s2.Key) {
-		return r.drop(hdr, telemetry.ReasonBadElement, core.ErrBadAuthElement)
-	}
-	valid := false
-	switch x.mode {
-	case packet.ModeBase, packet.ModeC:
-		want := x.sig(int(s2.MsgIndex))
-		f.macIn = core.AppendMACInput(f.macIn[:0], hdr.Assoc, hdr.Seq, s2.MsgIndex, s2.Payload)
-		f.parts[0] = f.macIn
-		f.macOut = f.st.MACInto(f.macOut[:0], s2.Key, f.parts[:1]...)
-		valid = suite.Equal(want, f.macOut)
-	case packet.ModeM:
-		valid = int(s2.LeafCount) == x.leafCount &&
-			merkle.Verify(f.st, s2.Key, x.presig, core.MerkleLeafInput(s2.Payload), int(s2.MsgIndex), x.leafCount, s2.Proof)
-	case packet.ModeCM:
-		if int(s2.LeafCount) == x.leafCount {
-			roots := len(x.presig) / len(x.auth)
-			if root, leaf, leaves, ok := core.CMLocate(int(s2.MsgIndex), x.leafCount, roots); ok && root < roots {
-				valid = merkle.Verify(f.st, s2.Key, x.sig(root), core.MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
-			}
-		}
-	}
-	if !valid {
-		if x.mode == packet.ModeM || x.mode == packet.ModeCM {
-			return r.drop(hdr, telemetry.ReasonBadPayload, core.ErrBadProof)
-		}
-		return r.drop(hdr, telemetry.ReasonBadPayload, core.ErrBadMAC)
+	r.noteSpan(x)
+	if err := x.VerifyS2(f.st, &r.mac, &x.slab, hdr, s2); err != nil {
+		return r.refuse(hdr, err)
 	}
 	r.tracer.Trace(r.tnow, telemetry.TraceS2Verified, hdr.Assoc, hdr.Seq, s2.MsgIndex)
 	dec := r.forward(hdr)
 	dec.Extracted = s2.Payload // a view of the datagram, see Decision
 	r.tel.ExtractedBytes.Add(uint64(len(s2.Payload)))
 	r.tel.ExtractedSize.Observe(int64(len(s2.Payload)))
-	// Verified in-band rekey announcements rotate this direction's chain
-	// walkers, exactly as endpoints do: the new anchors are authenticated
-	// by the old chain. The old walkers stay as a one-shot fallback in
-	// case the announcing host aborts the rotation (lost ack); the flow's
-	// next verified S1 settles which generation is live (see processS1).
-	if core.IsRekeyPayload(s2.Payload) {
-		if p, ok := core.DecodeRekey(s2.Payload, f.st.Size()); ok { //alpha:alloc-ok rekey happens once per chain lifetime
-			if sig, ack, err := core.UpdateAnchors(f.st, p); err == nil { //alpha:alloc-ok rekey happens once per chain lifetime
-				if f.prevSig[d] == nil || f.sig[d].Index() > 0 || f.ack[d].Index() > 0 {
-					f.prevSig[d], f.prevAck[d] = f.sig[d], f.ack[d]
-				}
-				f.sig[d], f.ack[d] = sig, ack
-			}
-		}
+	// A verified in-band rekey announcement rotates this direction's
+	// chains exactly as it does the verifier's: the new anchors are
+	// authenticated by the old chain, which stays live beside them.
+	// DecodeRekey checked the anchor sizes, the one way adoption can fail.
+	if p, ok := core.DecodeRekey(s2.Payload, f.st.Size()); ok { //alpha:alloc-ok rekey happens once per chain lifetime
+		_ = f.chains[d].AdoptRekey(f.st, p) //alpha:alloc-ok rekey happens once per chain lifetime
 	}
 	return dec
 }
@@ -875,40 +722,17 @@ func (r *Relay) processA2(hdr packet.Header, a2 *packet.A2) Decision {
 	}
 	d := dirIndex(hdr)
 	x, ok := f.dirs[1-d].rx[hdr.Seq]
-	if !ok || (x.preAck == nil && x.amtRoot == nil) {
+	if ok {
+		r.noteSpan(x)
+	}
+	if !ok || !x.HasAckMaterial() {
 		// Never saw this exchange's S1 or A1 (asymmetric routes):
 		// the A2 cannot influence on-path state here, but it remains
 		// end-to-end verifiable, so forward it.
-		if ok {
-			r.spanKey, r.spanMode = obs.Key(x.auth), uint8(x.mode)
-		}
 		return r.forward(hdr)
 	}
-	r.spanKey, r.spanMode = obs.Key(x.auth), uint8(x.mode)
-	if a2.KeyIdx != x.ackKeyIdx {
-		return r.drop(hdr, telemetry.ReasonBadAck, core.ErrBadAck)
-	}
-	if x.ackAuth == nil || !hashchain.VerifyLink(f.st, hashchain.TagA1, hashchain.TagA2, x.ackAuth, a2.Key, a2.KeyIdx) {
-		return r.drop(hdr, telemetry.ReasonBadElement, core.ErrBadAuthElement)
-	}
-	valid := false
-	switch {
-	case x.preAck != nil:
-		if a2.MsgIndex == 0 {
-			if a2.Ack {
-				f.macOut = core.AppendPreAckDigest(f.st, f.macOut[:0], a2.Key, a2.Secret)
-				valid = suite.Equal(x.preAck, f.macOut)
-			} else {
-				f.macOut = core.AppendPreNackDigest(f.st, f.macOut[:0], a2.Key, a2.Secret)
-				valid = suite.Equal(x.preNack, f.macOut)
-			}
-		}
-	case x.amtRoot != nil:
-		o := &merkle.Opening{Index: a2.MsgIndex, Ack: a2.Ack, Secret: a2.Secret, Proof: a2.Proof, Other: a2.Other}
-		valid = merkle.VerifyOpening(f.st, a2.Key, x.amtRoot, x.amtLeaves, o)
-	}
-	if !valid {
-		return r.drop(hdr, telemetry.ReasonBadAck, core.ErrBadAck)
+	if err := x.VerifyA2(f.st, &r.mac, x.Batch(), a2); err != nil {
+		return r.refuse(hdr, err)
 	}
 	dec := r.forward(hdr)
 	dec.AckSeen = true

@@ -223,36 +223,49 @@ func TestConnHandsBackOnlyWrittenDatagrams(t *testing.T) {
 				return c
 			}
 			x, y := connectOpts(t, tc.cfg, opts)
+			// A closed loop, as an application that reads its events runs. A
+			// message holds a slot of its sender's delivered window until the
+			// receiving application has read it, and a slot of its acked
+			// window until the sending application has read its ack. A Conn
+			// sends as well as receives, so both kinds share its 256-slot
+			// event channel, which then holds at most 32 unread deliveries
+			// and 32 unread acks and never overflows.
+			type window struct{ delivered, acked chan struct{} }
+			windows := map[*Conn]window{}
+			for _, c := range []*Conn{x, y} {
+				windows[c] = window{make(chan struct{}, 32), make(chan struct{}, 32)}
+			}
 			var wg sync.WaitGroup
 			for _, dir := range []struct{ from, to *Conn }{{x, y}, {y, x}} {
 				got := make(map[uint64]bool)
-				// A closed loop, as an application that reads its events
-				// runs: at most 32 messages in flight per direction, so the
-				// 256-slot event channels never overflow.
-				window := make(chan struct{}, 32)
 				wg.Add(1)
-				go func() { // receiver: every payload once, intact
+				go func() { // reader of dir.to: every payload once, intact, and every ack of its own sends
 					defer wg.Done()
 					deadline := time.After(60 * time.Second)
-					for len(got) < senders*perSender {
+					acked := 0
+					for len(got) < senders*perSender || acked < senders*perSender {
 						select {
 						case ev := <-dir.to.Events():
-							if ev.Kind != core.EventDelivered {
-								continue
+							switch ev.Kind {
+							case core.EventAcked:
+								acked++
+								<-windows[dir.to].acked
+							case core.EventDelivered:
+								id := binary.BigEndian.Uint64(ev.Payload)
+								if got[id] || !bytes.Equal(ev.Payload[8:], bytes.Repeat([]byte{byte(id)}, 200)) {
+									t.Errorf("message %d arrived twice or damaged", id)
+									return
+								}
+								got[id] = true
+								<-windows[dir.from].delivered
 							}
-							id := binary.BigEndian.Uint64(ev.Payload)
-							if got[id] || !bytes.Equal(ev.Payload[8:], bytes.Repeat([]byte{byte(id)}, 200)) {
-								t.Errorf("message %d arrived twice or damaged", id)
-								return
-							}
-							got[id] = true
-							<-window
 						case <-deadline:
-							t.Errorf("received %d of %d messages", len(got), senders*perSender)
+							t.Errorf("received %d and acked %d of %d messages", len(got), acked, senders*perSender)
 							return
 						}
 					}
 				}()
+				win := windows[dir.from]
 				for s := 0; s < senders; s++ {
 					wg.Add(1)
 					go func(s int) {
@@ -261,7 +274,8 @@ func TestConnHandsBackOnlyWrittenDatagrams(t *testing.T) {
 							id := uint64(s*perSender + i)
 							msg := binary.BigEndian.AppendUint64(nil, id)
 							msg = append(msg, bytes.Repeat([]byte{byte(id)}, 200)...)
-							window <- struct{}{}
+							win.delivered <- struct{}{}
+							win.acked <- struct{}{}
 							if _, err := dir.from.Send(msg); err != nil {
 								t.Errorf("Send: %v", err)
 								return
