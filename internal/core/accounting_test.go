@@ -89,13 +89,15 @@ func TestBufferAccountingDrainsAfterCompletion(t *testing.T) {
 // survives.
 func TestPeerChainsAdoptRekey(t *testing.T) {
 	st := baseConfig(packet.ModeBase, false).withDefaults().Suite
+	var gens byte
 	gen := func() (*hashchain.Chain, *hashchain.Chain, RekeyPayload) {
 		t.Helper()
-		sig, err := hashchain.NewSignature(st, 8)
+		gens++
+		sig, err := hashchain.New(st, hashchain.TagS1, hashchain.TagS2, []byte{gens}, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ack, err := hashchain.NewAcknowledgment(st, 8)
+		ack, err := hashchain.New(st, hashchain.TagA1, hashchain.TagA2, []byte{gens}, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,8 +38,8 @@ type Endpoint struct {
 
 	// Local chains: signing our outgoing channel, acknowledging our
 	// incoming one.
-	sigChain hashchain.Owner
-	ackChain hashchain.Owner
+	sigChain *hashchain.Chain
+	ackChain *hashchain.Chain
 
 	// Walkers over the peer's chains, with the pre-rekey generation.
 	peer PeerChains
@@ -194,32 +194,76 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	_, sig, ack, err := freshChains(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newEndpoint(cfg, sig, ack)
+}
+
+// newEndpoint is every endpoint's birth, handshaken or provisioned: cfg is
+// defaulted and valid, sig and ack are the endpoint's own chains. Callers
+// add the state that differs (the association, the peer's chains).
+func newEndpoint(cfg Config, sig, ack *hashchain.Chain) (*Endpoint, error) {
 	e := &Endpoint{
-		cfg:     cfg,
-		suite:   cfg.Suite,
-		nextSeq: 1,
-		tx:      make(map[uint32]*txExchange),
-		rx:      make(map[uint32]*rxExchange),
-		outHint: outHint(cfg),
-		tracer:  cfg.Tracer,
-		spans:   cfg.Spans,
+		cfg:      cfg,
+		suite:    cfg.Suite,
+		sigChain: sig,
+		ackChain: ack,
+		nextSeq:  1,
+		tx:       make(map[uint32]*txExchange),
+		rx:       make(map[uint32]*rxExchange),
+		outHint:  outHint(cfg),
+		tracer:   cfg.Tracer,
+		spans:    cfg.Spans,
 	}
 	e.tel.Init()
 	e.tel.Mode.Set(int64(cfg.Mode))
 	e.tel.BatchSize.Set(int64(cfg.BatchSize))
-	var err error
-	if e.sigChain, err = newOwner(cfg, hashchain.TagS1, hashchain.TagS2); err != nil {
-		return nil, err
-	}
-	if e.ackChain, err = newOwner(cfg, hashchain.TagA1, hashchain.TagA2); err != nil {
-		return nil, err
-	}
 	e.nonce = make([]byte, cfg.Suite.Size())
 	if _, err := rand.Read(e.nonce); err != nil {
 		return nil, fmt.Errorf("core: generating nonce: %w", err)
 	}
 	e.noteChainGauges()
 	return e, nil
+}
+
+// freshChains draws a chain secret and derives a chain pair from it.
+func freshChains(c Config) (secret []byte, sig, ack *hashchain.Chain, err error) {
+	secret = make([]byte, 2*c.Suite.Size())
+	if _, err := rand.Read(secret); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: generating chain secret: %w", err)
+	}
+	sig, ack, err = newChains(c, secret)
+	return secret, sig, ack, err
+}
+
+// newChains derives an endpoint's two chains from a secret of twice the
+// digest size: the first half seeds the signature chain, the second the
+// acknowledgment chain. CheckpointInterval picks how many elements they
+// keep resident; 0 keeps all of them.
+func newChains(c Config, secret []byte) (sig, ack *hashchain.Chain, err error) {
+	h := c.Suite.Size()
+	if len(secret) != 2*h {
+		return nil, nil, fmt.Errorf("core: chain secret must be %d bytes", 2*h)
+	}
+	k := max(c.CheckpointInterval, 1)
+	if sig, err = hashchain.NewCheckpoint(c.Suite, hashchain.TagS1, hashchain.TagS2, secret[:h], c.ChainLen, k); err != nil {
+		return nil, nil, err
+	}
+	if ack, err = hashchain.NewCheckpoint(c.Suite, hashchain.TagA1, hashchain.TagA2, secret[h:], c.ChainLen, k); err != nil {
+		return nil, nil, err
+	}
+	return sig, ack, nil
+}
+
+// newAssocID draws a random, nonzero association ID.
+func newAssocID() (uint64, error) {
+	var aid [8]byte
+	if _, err := rand.Read(aid[:]); err != nil {
+		return 0, fmt.Errorf("core: generating association id: %w", err)
+	}
+	return max(binary.BigEndian.Uint64(aid[:]), 1), nil
 }
 
 // noteChainGauges refreshes the chain-pressure gauges from the live chain
@@ -230,17 +274,6 @@ func (e *Endpoint) noteChainGauges() {
 	e.tel.SigChainLen.Set(int64(e.sigChain.Len()))
 	e.tel.AckChainRemaining.Set(int64(e.ackChain.Remaining()))
 	e.tel.AckChainLen.Set(int64(e.ackChain.Len()))
-}
-
-func newOwner(cfg Config, tagOdd, tagEven []byte) (hashchain.Owner, error) {
-	secret := make([]byte, cfg.Suite.Size())
-	if _, err := rand.Read(secret); err != nil {
-		return nil, fmt.Errorf("core: generating chain secret: %w", err)
-	}
-	if cfg.CheckpointInterval > 0 {
-		return hashchain.NewCheckpoint(cfg.Suite, tagOdd, tagEven, secret, cfg.ChainLen, cfg.CheckpointInterval)
-	}
-	return hashchain.New(cfg.Suite, tagOdd, tagEven, secret, cfg.ChainLen)
 }
 
 // Assoc returns the association identifier (0 before the handshake).
@@ -262,15 +295,11 @@ func (e *Endpoint) StartHandshake(now time.Time) ([]byte, error) {
 	if e.established || e.assoc != 0 {
 		return nil, fmt.Errorf("core: handshake already started")
 	}
-	var aid [8]byte
-	if _, err := rand.Read(aid[:]); err != nil {
-		return nil, fmt.Errorf("core: generating association id: %w", err)
+	assoc, err := newAssocID()
+	if err != nil {
+		return nil, err
 	}
-	e.assoc = binary.BigEndian.Uint64(aid[:])
-	if e.assoc == 0 {
-		e.assoc = 1
-	}
-	e.initiator = true
+	e.assoc, e.initiator = assoc, true
 	hs, err := e.buildHandshake(true)
 	if err != nil {
 		return nil, err

@@ -12,8 +12,6 @@
 package core
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -38,12 +36,11 @@ type Provisioned struct {
 	cfg       Config
 	assoc     uint64
 	initiator bool
-	sig, ack  hashchain.Owner
-	// sigSecret/ackSecret are the chain seeds, retained so the half can
-	// be serialized (Record) and rebuilt on another machine.
-	sigSecret, ackSecret []byte
-	peerSig              []byte // peer anchors
-	peerAck              []byte
+	sig, ack  *hashchain.Chain
+	// secret seeds both chains (see newChains), retained so the half can be
+	// serialized (Record) and rebuilt on another machine.
+	secret           []byte
+	peerSig, peerAck []byte // peer anchors
 }
 
 // Provision mints a matched endpoint pair: feed each Provisioned half to
@@ -54,73 +51,28 @@ func Provision(cfg Config) (initiator, responder *Provisioned, anchors AnchorSet
 	if err := c.validate(); err != nil {
 		return nil, nil, AnchorSet{}, err
 	}
-	var aid [8]byte
-	if _, err := rand.Read(aid[:]); err != nil {
-		return nil, nil, AnchorSet{}, fmt.Errorf("core: generating association id: %w", err)
-	}
-	assoc := binary.BigEndian.Uint64(aid[:])
-	if assoc == 0 {
-		assoc = 1
-	}
-	mk := func() (secret []byte, sig, ack hashchain.Owner, err error) {
-		secret = make([]byte, 2*c.Suite.Size())
-		if _, err := rand.Read(secret); err != nil {
-			return nil, nil, nil, err
-		}
-		if sig, ack, err = ownersFromSecret(c, secret); err != nil {
-			return nil, nil, nil, err
-		}
-		return secret, sig, ack, nil
-	}
-	iSecret, iSig, iAck, err := mk()
+	assoc, err := newAssocID()
 	if err != nil {
 		return nil, nil, AnchorSet{}, err
 	}
-	rSecret, rSig, rAck, err := mk()
-	if err != nil {
-		return nil, nil, AnchorSet{}, err
+	var half [2]*Provisioned
+	for i := range half {
+		secret, sig, ack, err := freshChains(c)
+		if err != nil {
+			return nil, nil, AnchorSet{}, err
+		}
+		half[i] = &Provisioned{cfg: c, assoc: assoc, initiator: i == 0, sig: sig, ack: ack, secret: secret}
 	}
+	initiator, responder = half[0], half[1]
 	anchors = AnchorSet{
 		Assoc:   assoc,
 		Suite:   uint8(c.Suite.ID()),
-		InitSig: iSig.Anchor(), InitAck: iAck.Anchor(),
-		RespSig: rSig.Anchor(), RespAck: rAck.Anchor(),
+		InitSig: initiator.sig.Anchor(), InitAck: initiator.ack.Anchor(),
+		RespSig: responder.sig.Anchor(), RespAck: responder.ack.Anchor(),
 	}
-	initiator = &Provisioned{
-		cfg: c, assoc: assoc, initiator: true,
-		sig: iSig, ack: iAck,
-		sigSecret: iSecret[:c.Suite.Size()], ackSecret: iSecret[c.Suite.Size():],
-		peerSig: rSig.Anchor(), peerAck: rAck.Anchor(),
-	}
-	responder = &Provisioned{
-		cfg: c, assoc: assoc, initiator: false,
-		sig: rSig, ack: rAck,
-		sigSecret: rSecret[:c.Suite.Size()], ackSecret: rSecret[c.Suite.Size():],
-		peerSig: iSig.Anchor(), peerAck: iAck.Anchor(),
-	}
+	initiator.peerSig, initiator.peerAck = anchors.RespSig, anchors.RespAck
+	responder.peerSig, responder.peerAck = anchors.InitSig, anchors.InitAck
 	return initiator, responder, anchors, nil
-}
-
-// ownersFromSecret derives the sig/ack chain pair from a combined secret
-// (first half signature seed, second half acknowledgment seed).
-func ownersFromSecret(c Config, secret []byte) (sig, ack hashchain.Owner, err error) {
-	h := c.Suite.Size()
-	if len(secret) != 2*h {
-		return nil, nil, fmt.Errorf("core: provisioning secret must be %d bytes", 2*h)
-	}
-	build := func(tagOdd, tagEven, seed []byte) (hashchain.Owner, error) {
-		if c.CheckpointInterval > 0 {
-			return hashchain.NewCheckpoint(c.Suite, tagOdd, tagEven, seed, c.ChainLen, c.CheckpointInterval)
-		}
-		return hashchain.New(c.Suite, tagOdd, tagEven, seed, c.ChainLen)
-	}
-	if sig, err = build(hashchain.TagS1, hashchain.TagS2, secret[:h]); err != nil {
-		return nil, nil, err
-	}
-	if ack, err = build(hashchain.TagA1, hashchain.TagA2, secret[h:]); err != nil {
-		return nil, nil, err
-	}
-	return sig, ack, nil
 }
 
 // ProvisionRecord is the JSON-serializable form of a Provisioned half, for
@@ -144,7 +96,7 @@ func (p *Provisioned) Record() ProvisionRecord {
 		Initiator:     p.initiator,
 		Suite:         uint8(p.cfg.Suite.ID()),
 		ChainLen:      p.cfg.ChainLen,
-		Secret:        append(append([]byte(nil), p.sigSecret...), p.ackSecret...),
+		Secret:        append([]byte(nil), p.secret...),
 		PeerSigAnchor: p.peerSig,
 		PeerAckAnchor: p.peerAck,
 	}
@@ -170,15 +122,13 @@ func FromRecord(cfg Config, rec ProvisionRecord) (*Provisioned, error) {
 	if len(rec.PeerSigAnchor) != st.Size() || len(rec.PeerAckAnchor) != st.Size() {
 		return nil, errors.New("core: provisioning record peer anchors malformed")
 	}
-	sig, ack, err := ownersFromSecret(c, rec.Secret)
+	sig, ack, err := newChains(c, rec.Secret)
 	if err != nil {
 		return nil, err
 	}
-	h := st.Size()
 	return &Provisioned{
 		cfg: c, assoc: rec.Assoc, initiator: rec.Initiator,
-		sig: sig, ack: ack,
-		sigSecret: rec.Secret[:h], ackSecret: rec.Secret[h:],
+		sig: sig, ack: ack, secret: rec.Secret,
 		peerSig: rec.PeerSigAnchor, peerAck: rec.PeerAckAnchor,
 	}, nil
 }
@@ -190,29 +140,13 @@ func NewPreconfiguredEndpoint(p *Provisioned) (*Endpoint, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: nil provisioning")
 	}
-	e := &Endpoint{
-		cfg:         p.cfg,
-		suite:       p.cfg.Suite,
-		assoc:       p.assoc,
-		initiator:   p.initiator,
-		established: true,
-		sigChain:    p.sig,
-		ackChain:    p.ack,
-		nextSeq:     1,
-		tx:          make(map[uint32]*txExchange),
-		rx:          make(map[uint32]*rxExchange),
-		outHint:     outHint(p.cfg),
-		tracer:      p.cfg.Tracer,
+	e, err := newEndpoint(p.cfg, p.sig, p.ack)
+	if err != nil {
+		return nil, err
 	}
-	e.tel.Init()
-	var err error
+	e.assoc, e.initiator, e.established = p.assoc, p.initiator, true
 	if e.peer, err = NewPeerChains(e.suite, p.peerSig, p.peerAck); err != nil {
 		return nil, err
 	}
-	e.nonce = make([]byte, e.suite.Size())
-	if _, err := rand.Read(e.nonce); err != nil {
-		return nil, err
-	}
-	e.noteChainGauges()
 	return e, nil
 }

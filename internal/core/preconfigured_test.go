@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
+	"alpha/internal/obs"
 	"alpha/internal/packet"
 )
 
@@ -195,5 +198,114 @@ func TestFromRecordValidation(t *testing.T) {
 	bad.PeerSigAnchor = []byte("short")
 	if _, err := FromRecord(cfg, bad); err == nil {
 		t.Fatalf("malformed peer anchor accepted")
+	}
+}
+
+// TestPreconfiguredEndpointMatchesHandshaken: a provisioned endpoint is born
+// by the same code as a handshaken one. Each side of a provisioned pair is
+// rebuilt from its record with its own span ring in cfg, as alphanode
+// -provision does, and one exchange must record the same (role, step,
+// verdict) spans on both sides as on a handshaken pair, and export the same
+// mode and batch-size gauges.
+func TestPreconfiguredEndpointMatchesHandshaken(t *testing.T) {
+	const n = 16
+	cfg := baseConfig(packet.ModeC, true)
+	cfg.BatchSize = n
+	type shape struct{ role, step, verdict uint8 }
+	type side struct {
+		spans         []shape
+		mode, batchSz int64
+	}
+	run := func(name string, pair func(cfgA, cfgB Config) *harness) [2]side {
+		t.Helper()
+		rings := [2]*obs.SpanRing{obs.NewSpanRing(256), obs.NewSpanRing(256)}
+		cfgA, cfgB := cfg, cfg
+		cfgA.Spans, cfgB.Spans = rings[0], rings[1]
+		h := pair(cfgA, cfgB)
+		for i := 0; i < n; i++ {
+			if _, err := h.a.Send(h.now, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.a.Flush(h.now)
+		h.run(30)
+		if got := len(h.payloadsDelivered(h.b)); got != n || h.countKind(h.a, EventAcked) != n {
+			t.Fatalf("%s: delivered %d and acked %d of %d", name, got, h.countKind(h.a, EventAcked), n)
+		}
+		var sides [2]side
+		for i, e := range []*Endpoint{h.a, h.b} {
+			for _, sp := range rings[i].Snapshot() {
+				sides[i].spans = append(sides[i].spans, shape{sp.Role, sp.Step, sp.Verdict})
+			}
+			sides[i].mode, sides[i].batchSz = e.Telemetry().Mode.Load(), e.Telemetry().BatchSize.Load()
+		}
+		return sides
+	}
+	handshaken := run("handshaken", func(cfgA, cfgB Config) *harness {
+		a, err := NewEndpoint(cfgA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewEndpoint(cfgB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &harness{t: t, a: a, b: b, now: time.Unix(1_700_000_000, 0), events: make(map[*Endpoint][]Event)}
+		h.handshake()
+		return h
+	})
+	provisioned := run("provisioned", func(cfgA, cfgB Config) *harness {
+		pi, pr, _, err := Provision(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuild := func(c Config, rec ProvisionRecord) *Endpoint {
+			p, err := FromRecord(c, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewPreconfiguredEndpoint(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		return &harness{t: t, a: rebuild(cfgA, pi.Record()), b: rebuild(cfgB, pr.Record()), now: time.Unix(1_700_000_000, 0), events: make(map[*Endpoint][]Event)}
+	})
+	for i, role := range []string{"initiator", "responder"} {
+		hs, pv := handshaken[i], provisioned[i]
+		if len(hs.spans) == 0 {
+			t.Fatalf("%s: the handshaken endpoint recorded no spans", role)
+		}
+		if !slices.Equal(pv.spans, hs.spans) {
+			t.Errorf("%s: provisioned endpoint recorded spans %v, handshaken %v", role, pv.spans, hs.spans)
+		}
+		if hs.mode != int64(packet.ModeC) || hs.batchSz != n {
+			t.Errorf("%s: handshaken gauges mode=%d batch_size=%d, want %d/%d", role, hs.mode, hs.batchSz, packet.ModeC, n)
+		}
+		if pv.mode != hs.mode || pv.batchSz != hs.batchSz {
+			t.Errorf("%s: provisioned gauges mode=%d batch_size=%d, handshaken %d/%d", role, pv.mode, pv.batchSz, hs.mode, hs.batchSz)
+		}
+	}
+}
+
+// TestNewEndpointChainsAreRandom: every endpoint draws a fresh chain secret,
+// and its two halves seed different chains.
+func TestNewEndpointChainsAreRandom(t *testing.T) {
+	a, err := NewEndpoint(baseConfig(packet.ModeBase, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewEndpoint(baseConfig(packet.ModeBase, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchors := [][]byte{a.sigChain.Anchor(), a.ackChain.Anchor(), b.sigChain.Anchor(), b.ackChain.Anchor()}
+	for i := range anchors {
+		for j := i + 1; j < len(anchors); j++ {
+			if bytes.Equal(anchors[i], anchors[j]) {
+				t.Fatalf("chains %d and %d share an anchor", i, j)
+			}
+		}
 	}
 }

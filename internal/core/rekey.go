@@ -40,10 +40,8 @@ var ErrRekeyPending = errors.New("alpha: rekey already in progress")
 
 // rekeyState tracks an in-flight local rekey.
 type rekeyState struct {
-	msgID    uint64
-	newSig   hashchain.Owner
-	newAck   hashchain.Owner
-	chainLen int
+	msgID          uint64
+	newSig, newAck *hashchain.Chain
 }
 
 // RekeyPayload is a decoded rekey announcement, exported so relays can
@@ -115,11 +113,7 @@ func (e *Endpoint) Rekey(now time.Time) (uint64, error) {
 	if e.sigChain.Remaining() < 2 || e.ackChain.Remaining() < 2 {
 		return 0, fmt.Errorf("%w: too few elements left to sign the rekey", ErrChainExhausted)
 	}
-	newSig, err := newOwner(e.cfg, hashchain.TagS1, hashchain.TagS2)
-	if err != nil {
-		return 0, err
-	}
-	newAck, err := newOwner(e.cfg, hashchain.TagA1, hashchain.TagA2)
+	_, newSig, newAck, err := freshChains(e.cfg)
 	if err != nil {
 		return 0, err
 	}
@@ -135,7 +129,7 @@ func (e *Endpoint) Rekey(now time.Time) (uint64, error) {
 	if err := e.startExchange(now, []outMsg{m}); err != nil {
 		return 0, err
 	}
-	e.rekey = &rekeyState{msgID: m.id, newSig: newSig, newAck: newAck, chainLen: e.cfg.ChainLen}
+	e.rekey = &rekeyState{msgID: m.id, newSig: newSig, newAck: newAck}
 	return m.id, nil
 }
 

@@ -61,9 +61,10 @@ func TestVerifyZeroAlloc(t *testing.T) {
 }
 
 // TestChainBirthAllocs pins what a chain and a walker cost at association
-// birth: New is the slab plus the Chain, NewWalker the Walker alone (its
-// buffers are inline), and disclosing elements allocates nothing. MMO is
-// left out: its hash allocates an AES key schedule per block.
+// birth: New and NewCheckpoint are the slab plus the Chain, NewWalker the
+// Walker alone (its buffers are inline), and disclosing elements of a chain
+// that keeps them all allocates nothing. MMO is left out: its hash
+// allocates an AES key schedule per block.
 func TestChainBirthAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -76,6 +77,13 @@ func TestChainBirthAllocs(t *testing.T) {
 			}
 		}); got != 2 {
 			t.Errorf("%s: New allocated %.1f times, want 2", s.Name(), got)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := NewCheckpoint(s, TagS1, TagS2, secret, 64, 8); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 2 {
+			t.Errorf("%s: NewCheckpoint(64, 8) allocated %.1f times, want 2", s.Name(), got)
 		}
 		c, err := New(s, TagS1, TagS2, secret, 64)
 		if err != nil {

@@ -69,5 +69,5 @@ func ExampleNewCheckpoint() {
 	fmt.Println("resident digests:", cp.StoredElements())
 	// Output:
 	// identical disclosures: true
-	// resident digests: 18
+	// resident digests: 17
 }

@@ -24,9 +24,9 @@
 package hashchain
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
 
 	"alpha/internal/suite"
 )
@@ -58,77 +58,130 @@ var (
 	// more forward hashing than the walker's configured advance limit, a
 	// guard against CPU-exhaustion by absurd indices.
 	ErrTooFarAhead = errors.New("hashchain: disclosure index beyond advance limit")
+	// errMisaligned is NextPair's refusal when the next element is not an
+	// odd (announcement) one; built once, as NextPair is on the send path.
+	errMisaligned = errors.New("hashchain: chain misaligned for an element pair")
 )
 
-// Chain is the owner's side of a purpose-bound hash chain. It stores every
-// element and discloses them in order; see NewCheckpoint for a
-// memory-constrained variant. The zero value is not usable; construct with
-// New or Generate.
+// Chain is the owner's side of a purpose-bound hash chain: it derives the
+// elements from a secret and discloses them in order. It keeps one element
+// in k resident and recomputes the others when they are disclosed, the
+// trade-off §4.1.3 of the paper prices for 8-KB sensor nodes: ⌈n/k⌉+1
+// resident digests for at most k-1 hashes per disclosure, the "HC create"
+// entries of Table 1 moved on-line. New keeps every element (k = 1) and
+// recomputes nothing. Whatever k, the disclosures are the same bytes. The
+// zero value is not usable; construct with New or NewCheckpoint.
 type Chain struct {
 	s       suite.Suite
 	tagOdd  []byte
 	tagEven []byte
-	// slab holds d[0], d[1], ..., d[n] back to back, size bytes each: the
-	// anchor first, the deepest secret last. Disclosure walks j = 1, 2, ..., n.
+	// slab holds the resident elements back to back, size bytes each: slot
+	// i is d[min(i*k, n)], so d[0], d[k], d[2k], ... and d[n] last. With
+	// k = 1 that is d[0], d[1], ..., d[n], the anchor first and the deepest
+	// secret last.
 	slab []byte
-	size int
-	n    int
-	next int
+	// seg is the segment last recomputed; nil until a chain with k > 1
+	// first discloses a non-resident element.
+	seg *segment
+	// Counts are 32-bit, like the wire's disclosure indices, so that a
+	// Chain stays in the 112-byte size class.
+	size, n, k, next uint32
 }
 
-// New derives a chain of n disclosable elements from the given secret.
-// The secret itself is never disclosed; d[n] = H("seed"|secret). n must be
-// positive and, because ALPHA consumes elements in odd/even pairs, callers
-// typically pass an even n.
+// segment holds d[start+1], d[start+2], ..., the elements between two
+// resident ones. Each recomputation writes a fresh slab: disclosed elements
+// stay in callers' hands (in-flight exchanges), so a slab is never reused.
+type segment struct {
+	start uint32
+	slab  []byte
+}
+
+// New derives a chain of n disclosable elements from the given secret and
+// keeps all of them resident. The secret itself is never disclosed;
+// d[n] = H("seed"|secret). n must be positive and, because ALPHA consumes
+// elements in odd/even pairs, callers typically pass an even n.
 func New(s suite.Suite, tagOdd, tagEven, secret []byte, n int) (*Chain, error) {
-	if n <= 0 {
+	return NewCheckpoint(s, tagOdd, tagEven, secret, n, 1)
+}
+
+// NewCheckpoint derives a chain of n elements from secret that keeps one
+// element resident every interval elements and recomputes the rest on
+// demand. An interval of 1 is New.
+func NewCheckpoint(s suite.Suite, tagOdd, tagEven, secret []byte, n, interval int) (*Chain, error) {
+	if n <= 0 || uint64(n) >= math.MaxUint32 {
 		return nil, fmt.Errorf("hashchain: invalid length %d", n)
+	}
+	if interval <= 0 {
+		return nil, fmt.Errorf("hashchain: invalid checkpoint interval %d", interval)
 	}
 	if len(secret) == 0 {
 		return nil, errors.New("hashchain: empty secret")
 	}
-	// All n+1 elements live in one slab, each at a fixed offset, so a chain
-	// costs two allocations (the slab and the Chain) and its elements stay
-	// cache-adjacent for the disclosure walk. Generation runs from d[n]
-	// down to the anchor, each step hashing straight into its slot.
-	size := s.Size()
-	c := &Chain{s: s, tagOdd: tagOdd, tagEven: tagEven, slab: make([]byte, (n+1)*size), size: size, n: n, next: 1}
+	// Past n, an interval keeps the same two slots, d[0] and d[n], as n.
+	interval = min(interval, n)
+	// The resident elements live in one slab, each at a fixed offset, so a
+	// chain costs two allocations (the slab and the Chain). Generation runs
+	// from d[n] down to the anchor. Each slot is hashed down from the slot
+	// above it, in place: HashInto consumes its inputs before it writes.
+	size, slots := s.Size(), (n+interval-1)/interval+1
+	c := &Chain{s: s, tagOdd: tagOdd, tagEven: tagEven, slab: make([]byte, slots*size),
+		size: uint32(size), n: uint32(n), k: uint32(interval), next: 1}
 	sc := suite.GetScratch()
 	sc.Parts[0], sc.Parts[1] = seedTag, secret
-	s.HashInto(c.elem(n)[:0], sc.Parts[:2]...)
-	for j := n; j >= 1; j-- {
-		sc.Parts[0], sc.Parts[1] = tagFor(j, tagOdd, tagEven), c.elem(j)
-		s.HashInto(c.elem(j - 1)[:0], sc.Parts[:2]...)
+	s.HashInto(c.slot(slots - 1)[:0], sc.Parts[:2]...)
+	for i := slots - 2; i >= 0; i-- {
+		cur := c.slot(i + 1)
+		for j := min((i+1)*interval, n); j > i*interval; j-- {
+			sc.Parts[0], sc.Parts[1] = tagFor(j, tagOdd, tagEven), cur
+			cur = s.HashInto(c.slot(i)[:0], sc.Parts[:2]...)
+		}
 	}
 	suite.PutScratch(sc)
 	return c, nil
 }
 
-// elem returns d[j], its slot in the slab with the capacity capped at the
-// slot's end: an append to it copies instead of overwriting d[j+1].
+// slot returns resident slot i with the capacity capped at the slot's end:
+// an append to it copies instead of overwriting the next slot.
+func (c *Chain) slot(i int) []byte {
+	size := int(c.size)
+	return c.slab[i*size : (i+1)*size : (i+1)*size]
+}
+
+// elem returns d[j]: its resident slot, or its place in the segment slab.
 //
 //alpha:hotpath
-func (c *Chain) elem(j int) []byte {
-	return c.slab[j*c.size : (j+1)*c.size : (j+1)*c.size]
-}
-
-// Generate creates a chain of n elements from a fresh random secret.
-func Generate(s suite.Suite, tagOdd, tagEven []byte, n int) (*Chain, error) {
-	secret := make([]byte, s.Size())
-	if _, err := rand.Read(secret); err != nil {
-		return nil, fmt.Errorf("hashchain: generating secret: %w", err)
+func (c *Chain) elem(j uint32) []byte {
+	switch {
+	case j%c.k == 0:
+		return c.slot(int(j / c.k))
+	case j == c.n:
+		return c.slot(len(c.slab)/int(c.size) - 1)
 	}
-	return New(s, tagOdd, tagEven, secret, n)
+	start := j / c.k * c.k
+	if c.seg == nil || c.seg.start != start {
+		c.recompute(start)
+	}
+	off := int(j-start-1) * int(c.size)
+	return c.seg.slab[off : off+int(c.size) : off+int(c.size)]
 }
 
-// NewSignature creates a signature chain (TagS1/TagS2) of n elements.
-func NewSignature(s suite.Suite, n int) (*Chain, error) {
-	return Generate(s, TagS1, TagS2, n)
-}
-
-// NewAcknowledgment creates an acknowledgment chain (TagA1/TagA2).
-func NewAcknowledgment(s suite.Suite, n int) (*Chain, error) {
-	return Generate(s, TagA1, TagA2, n)
+// recompute derives the segment after d[start] down from the resident
+// element that closes it, into a fresh slab.
+func (c *Chain) recompute(start uint32) {
+	if c.seg == nil {
+		c.seg = &segment{} //alpha:alloc-ok once per checkpointed chain, at its first recomputation
+	}
+	top, size := start+min(c.k, c.n-start), int(c.size)
+	slab := make([]byte, int(top-start-1)*size) //alpha:alloc-ok one per k disclosures of a checkpointed chain: disclosed elements are still in use, so the slab cannot be recycled
+	cur := c.elem(top)
+	sc := suite.GetScratch()
+	for j := top - 1; j > start; j-- {
+		off := int(j-start-1) * size
+		sc.Parts[0], sc.Parts[1] = tagFor(int(j+1), c.tagOdd, c.tagEven), cur
+		cur = c.s.HashInto(slab[off:off:off+size], sc.Parts[:2]...)
+	}
+	suite.PutScratch(sc)
+	c.seg.start, c.seg.slab = start, slab
 }
 
 func tagFor(j int, tagOdd, tagEven []byte) []byte {
@@ -139,16 +192,17 @@ func tagFor(j int, tagOdd, tagEven []byte) []byte {
 }
 
 // Anchor returns d[0], the element exchanged during bootstrapping.
-func (c *Chain) Anchor() []byte { return c.elem(0) }
+func (c *Chain) Anchor() []byte { return c.slot(0) }
 
 // Len returns the number of disclosable elements.
-func (c *Chain) Len() int { return c.n }
+func (c *Chain) Len() int { return int(c.n) }
 
 // Remaining returns how many elements are still undisclosed.
-func (c *Chain) Remaining() int { return c.n + 1 - c.next }
+func (c *Chain) Remaining() int { return int(c.n) + 1 - int(c.next) }
 
-// Suite returns the hash suite the chain was built with.
-func (c *Chain) Suite() suite.Suite { return c.s }
+// StoredElements returns how many digests the chain keeps resident,
+// excluding the transient segment. Exposed for the Table 2 memory ablation.
+func (c *Chain) StoredElements() int { return len(c.slab) / int(c.size) }
 
 // Next discloses the next element and returns it with its disclosure index
 // (1-based). It returns ErrExhausted once all elements are spent.
@@ -156,7 +210,7 @@ func (c *Chain) Next() (elem []byte, index uint32, err error) {
 	if c.next > c.n {
 		return nil, 0, ErrExhausted
 	}
-	elem, index = c.elem(c.next), uint32(c.next)
+	elem, index = c.elem(c.next), c.next
 	c.next++
 	return elem, index, nil
 }
@@ -165,11 +219,11 @@ func (c *Chain) Next() (elem []byte, index uint32, err error) {
 // disclosing it: Peek(0) is what Next would return. It must only be used by
 // the owner (e.g. to key a MAC with a still-undisclosed element).
 func (c *Chain) Peek(ahead int) (elem []byte, index uint32, err error) {
-	j := c.next + ahead
-	if ahead < 0 || j > c.n {
+	j := int(c.next) + ahead
+	if ahead < 0 || j > int(c.n) {
 		return nil, 0, ErrExhausted
 	}
-	return c.elem(j), uint32(j), nil
+	return c.elem(uint32(j)), uint32(j), nil
 }
 
 // NextPair discloses the element pair protecting one signature exchange: the
@@ -179,16 +233,16 @@ func (c *Chain) Peek(ahead int) (elem []byte, index uint32, err error) {
 // remain or if the chain has drifted off pair alignment.
 func (c *Chain) NextPair() (p Pair, err error) {
 	if c.next%2 != 1 {
-		return Pair{}, fmt.Errorf("hashchain: chain misaligned at index %d", c.next)
+		return Pair{}, errMisaligned
 	}
 	if c.next+1 > c.n {
 		return Pair{}, ErrExhausted
 	}
 	p = Pair{
 		Auth:    c.elem(c.next),
-		AuthIdx: uint32(c.next),
+		AuthIdx: c.next,
 		Key:     c.elem(c.next + 1),
-		KeyIdx:  uint32(c.next + 1),
+		KeyIdx:  c.next + 1,
 	}
 	c.next += 2
 	return p, nil

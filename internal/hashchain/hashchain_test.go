@@ -41,20 +41,6 @@ func TestChainDeterministic(t *testing.T) {
 	}
 }
 
-func TestGenerateIsRandom(t *testing.T) {
-	c1, err := Generate(suite.SHA1(), TagS1, TagS2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Generate(suite.SHA1(), TagS1, TagS2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(c1.Anchor(), c2.Anchor()) {
-		t.Fatalf("two generated chains share an anchor")
-	}
-}
-
 func TestInvalidConstruction(t *testing.T) {
 	if _, err := New(suite.SHA1(), TagS1, TagS2, []byte("s"), 0); err == nil {
 		t.Fatalf("n=0 accepted")
