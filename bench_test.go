@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"alpha/internal/analytic"
 	"alpha/internal/baseline"
@@ -17,72 +16,10 @@ import (
 	"alpha/internal/merkle"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/relay"
 	"alpha/internal/suite"
 )
-
-// benchPair is a pre-established endpoint pair with manual pumping.
-type benchPair struct {
-	a, b *core.Endpoint
-	now  time.Time
-}
-
-func newBenchPair(b *testing.B, cfg core.Config) *benchPair {
-	b.Helper()
-	ea, err := core.NewEndpoint(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eb, err := core.NewEndpoint(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := &benchPair{a: ea, b: eb, now: time.Unix(1_700_000_000, 0)}
-	hs1, err := ea.StartHandshake(p.now)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.deliver(eb, hs1)
-	p.pump(10)
-	if !ea.Established() || !eb.Established() {
-		b.Fatal("bench handshake failed")
-	}
-	return p
-}
-
-func (p *benchPair) deliver(dst *core.Endpoint, raw []byte) {
-	if _, err := dst.Handle(p.now, raw); err != nil {
-		panic(err)
-	}
-}
-
-func (p *benchPair) pump(rounds int) {
-	for i := 0; i < rounds; i++ {
-		p.now = p.now.Add(5 * time.Millisecond)
-		outA, _ := p.a.Poll(p.now)
-		outB, _ := p.b.Poll(p.now)
-		if len(outA) == 0 && len(outB) == 0 {
-			return
-		}
-		for _, raw := range outA {
-			p.deliver(p.b, raw)
-		}
-		for _, raw := range outB {
-			p.deliver(p.a, raw)
-		}
-	}
-}
-
-// exchange pushes one batch through a full signature exchange.
-func (p *benchPair) exchange(b *testing.B, msgs [][]byte) {
-	for _, m := range msgs {
-		if _, err := p.a.Send(p.now, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	p.a.Flush(p.now)
-	p.pump(20)
-}
 
 // BenchmarkTable1 measures full protected exchanges per mode: the cost that
 // Table 1 decomposes into hash operations.
@@ -100,16 +37,7 @@ func BenchmarkTable1(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := core.Config{Mode: c.mode, Reliable: true, ChainLen: 2 * (b.N + 16), BatchSize: c.batch, FlushDelay: -1}
-			p := newBenchPair(b, cfg)
-			msgs := make([][]byte, c.batch)
-			for i := range msgs {
-				msgs[i] = bytes.Repeat([]byte{byte(i)}, 512)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.exchange(b, msgs)
-			}
+			benchExchanges(b, cfg, c.batch, 512)
 			b.ReportMetric(float64(b.N*c.batch), "msgs")
 		})
 	}
@@ -124,22 +52,12 @@ func BenchmarkTable2(b *testing.B) {
 			var verifierBytes int
 			for i := 0; i < b.N; i++ {
 				cfg := core.Config{Mode: mode, ChainLen: 64, BatchSize: 64, FlushDelay: -1, MaxOutstanding: 1}
-				p := newBenchPair(b, cfg)
-				for j := 0; j < 64; j++ {
-					if _, err := p.a.Send(p.now, bytes.Repeat([]byte{byte(j)}, 1024)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				p.a.Flush(p.now)
-				// Deliver only the S1 so buffers are at their peak.
-				s1, _ := p.a.Poll(p.now)
-				for _, raw := range s1 {
-					if hdr, _, err := packet.Decode(raw); err == nil && hdr.Type == packet.TypeS1 {
-						p.deliver(p.b, raw)
-					}
-				}
-				sig, _ := p.b.RxBufferedBytes()
-				verifierBytes = sig
+				v := endpoint(b, cfg)
+				l := newLine(b, endpoint(b, cfg), v)
+				// Hold the A1 so the verifier's buffers stay at their peak.
+				l.Tap = path.Hold(packet.TypeA1, 0, nil)
+				l.exchange(64, bytes.Repeat([]byte{1}, 1024))
+				verifierBytes, _ = v.RxBufferedBytes()
 			}
 			b.ReportMetric(float64(verifierBytes), "verifier-bytes")
 		})
@@ -158,19 +76,13 @@ func BenchmarkTable3(b *testing.B) {
 			var ackBytes int
 			for i := 0; i < b.N; i++ {
 				cfg := core.Config{Mode: mode, Reliable: true, ChainLen: 64, BatchSize: n, FlushDelay: -1, MaxOutstanding: 1}
-				p := newBenchPair(b, cfg)
-				for j := 0; j < n; j++ {
-					if _, err := p.a.Send(p.now, []byte("x")); err != nil {
-						b.Fatal(err)
-					}
-				}
-				p.a.Flush(p.now)
-				s1, _ := p.a.Poll(p.now)
-				for _, raw := range s1 {
-					p.deliver(p.b, raw)
-				}
-				p.b.Poll(p.now) // generates the A1 + pre-(n)ack state
-				_, ackBytes = p.b.RxBufferedBytes()
+				v := endpoint(b, cfg)
+				l := newLine(b, endpoint(b, cfg), v)
+				// The A1 carries the pre-(n)acks: the verifier has built its
+				// acknowledgment state once it is sent.
+				l.Tap = path.Hold(packet.TypeA1, 0, nil)
+				l.exchange(n, []byte("x"))
+				_, ackBytes = v.RxBufferedBytes()
 			}
 			b.ReportMetric(float64(ackBytes), "verifier-ack-bytes")
 		})
@@ -182,13 +94,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	b.Run("ALPHA/full-signature", func(b *testing.B) {
 		cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 2 * (b.N + 8), FlushDelay: -1}
-		p := newBenchPair(b, cfg)
-		payload := bytes.Repeat([]byte{0x5A}, 512)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.exchange(b, [][]byte{payload})
-		}
+		benchExchanges(b, cfg, 1, 512)
 	})
 	b.Run("SHA1/20B", func(b *testing.B) {
 		s := suite.SHA1()
@@ -339,179 +245,53 @@ func BenchmarkFig6(b *testing.B) {
 }
 
 // BenchmarkWMNRelayThroughput measures a relay's verifiable S2 throughput —
-// the quantity §4.1.2 bounds at ~20 Mbit/s for 2008 mesh routers. One
-// exchange's S2 packets are pre-captured and replayed through the real
-// relay verification path; b.SetBytes makes `go test -bench` report MB/s.
+// the quantity §4.1.2 bounds at ~20 Mbit/s for 2008 mesh routers.
+// b.SetBytes makes `go test -bench` report MB/s.
 func BenchmarkWMNRelayThroughput(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		mode packet.Mode
-	}{
-		{"ALPHA-C", packet.ModeC},
-		{"ALPHA-M", packet.ModeM},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			const batch = 20
-			const payloadSize = 1024
-			cfg := core.Config{Mode: tc.mode, ChainLen: 2 * (b.N/batch + 8), BatchSize: batch, FlushDelay: -1}
-			p := newBenchPair(b, cfg)
-			r := relay.New(relay.Config{})
-			// Let the relay learn the association from a replayed
-			// handshake... simpler: re-provision is not possible here,
-			// so replay the S1/A1 exchange through it after seeding
-			// via observed packets is not available either. Instead,
-			// run the protocol THROUGH the relay.
-			payload := bytes.Repeat([]byte{0x77}, payloadSize)
-			// Prime: relay must observe the handshake; newBenchPair
-			// already completed it privately, so rebuild endpoints
-			// with the relay in the loop.
-			a, err := core.NewEndpoint(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bb, err := core.NewEndpoint(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			now := p.now
-			through := func(dst *core.Endpoint, raw []byte) {
-				if d := r.Process(now, raw); d.Verdict != relay.Forward {
-					b.Fatalf("relay dropped: %v", d.Reason)
-				}
-				dst.Handle(now, raw)
-			}
-			hs1, err := a.StartHandshake(now)
-			if err != nil {
-				b.Fatal(err)
-			}
-			through(bb, hs1)
-			out, _ := bb.Poll(now)
-			for _, raw := range out {
-				through(a, raw)
-			}
-			if !a.Established() {
-				b.Fatal("bench handshake failed")
-			}
-			b.SetBytes(payloadSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			verified := 0
-			for verified < b.N {
-				b.StopTimer()
-				for i := 0; i < batch; i++ {
-					if _, err := a.Send(now, payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-				a.Flush(now)
-				s1, _ := a.Poll(now)
-				for _, raw := range s1 {
-					through(bb, raw)
-				}
-				a1, _ := bb.Poll(now)
-				for _, raw := range a1 {
-					through(a, raw)
-				}
-				s2s, _ := a.Poll(now)
-				b.StartTimer()
-				// Timed region: relay verification of the S2 stream.
-				for _, raw := range s2s {
-					if d := r.Process(now, raw); d.Verdict != relay.Forward {
-						b.Fatalf("relay dropped S2: %v", d.Reason)
-					}
-					verified++
-				}
-				b.StopTimer()
-				for _, raw := range s2s {
-					bb.Handle(now, raw)
-				}
-				b.StartTimer()
-			}
-		})
-	}
+	b.Run("ALPHA-C", func(b *testing.B) { benchRelayS2s(b, packet.ModeC, nil) })
+	b.Run("ALPHA-M", func(b *testing.B) { benchRelayS2s(b, packet.ModeM, nil) })
 }
 
 // BenchmarkRelaySpans measures the relay verification path with hop-by-hop
 // exchange tracing off and on — the pair BENCH_obs.json records to hold the
-// span emit path to its <=3% throughput budget. Same replay harness as
-// BenchmarkWMNRelayThroughput, ALPHA-C only (the mode with the hottest
-// per-packet relay work).
+// span emit path to its <=3% throughput budget. ALPHA-C only: the mode with
+// the hottest per-packet relay work.
 func BenchmarkRelaySpans(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		ring *obs.SpanRing
-	}{
-		{"tracing=off", nil},
-		{"tracing=on", obs.NewSpanRing(8192)},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			const batch = 20
-			const payloadSize = 1024
-			cfg := core.Config{Mode: packet.ModeC, ChainLen: 2 * (b.N/batch + 8), BatchSize: batch, FlushDelay: -1}
-			r := relay.New(relay.Config{Spans: tc.ring})
-			payload := bytes.Repeat([]byte{0x77}, payloadSize)
-			a, err := core.NewEndpoint(cfg)
-			if err != nil {
+	b.Run("tracing=off", func(b *testing.B) { benchRelayS2s(b, packet.ModeC, nil) })
+	b.Run("tracing=on", func(b *testing.B) { benchRelayS2s(b, packet.ModeC, obs.NewSpanRing(8192)) })
+}
+
+// benchRelayS2s times one relay verifying S2s. Each exchange of 20 messages
+// crosses the relay up to its S2s, which are held back before it; the timed
+// region is the relay verifying them, after which they go on to the verifier.
+func benchRelayS2s(b *testing.B, mode packet.Mode, spans *obs.SpanRing) {
+	const batch, payloadSize = 20, 1024
+	cfg := core.Config{Mode: mode, ChainLen: 2 * (b.N/batch + 8), BatchSize: batch, FlushDelay: -1}
+	r := relay.New(relay.Config{Spans: spans})
+	l := newLine(b, endpoint(b, cfg), endpoint(b, cfg), r)
+	var s2s [][]byte
+	l.Tap = path.Hold(packet.TypeS2, 0, &s2s)
+	payload := bytes.Repeat([]byte{0x77}, payloadSize)
+	b.SetBytes(payloadSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for verified := 0; verified < b.N; verified += len(s2s) {
+		b.StopTimer()
+		s2s = s2s[:0]
+		l.exchange(batch, payload)
+		b.StartTimer()
+		for _, raw := range s2s {
+			if d := r.Process(l.Now, raw); d.Verdict != relay.Forward {
+				b.Fatalf("relay dropped S2: %v", d.Reason)
+			}
+		}
+		b.StopTimer()
+		for _, raw := range s2s {
+			if err := l.Carry(path.A, 1, raw); err != nil {
 				b.Fatal(err)
 			}
-			bb, err := core.NewEndpoint(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			now := time.Now()
-			through := func(dst *core.Endpoint, raw []byte) {
-				if d := r.Process(now, raw); d.Verdict != relay.Forward {
-					b.Fatalf("relay dropped: %v", d.Reason)
-				}
-				dst.Handle(now, raw)
-			}
-			hs1, err := a.StartHandshake(now)
-			if err != nil {
-				b.Fatal(err)
-			}
-			through(bb, hs1)
-			out, _ := bb.Poll(now)
-			for _, raw := range out {
-				through(a, raw)
-			}
-			if !a.Established() {
-				b.Fatal("bench handshake failed")
-			}
-			b.SetBytes(payloadSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			verified := 0
-			for verified < b.N {
-				b.StopTimer()
-				for i := 0; i < batch; i++ {
-					if _, err := a.Send(now, payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-				a.Flush(now)
-				s1, _ := a.Poll(now)
-				for _, raw := range s1 {
-					through(bb, raw)
-				}
-				a1, _ := bb.Poll(now)
-				for _, raw := range a1 {
-					through(a, raw)
-				}
-				s2s, _ := a.Poll(now)
-				b.StartTimer()
-				for _, raw := range s2s {
-					if d := r.Process(now, raw); d.Verdict != relay.Forward {
-						b.Fatalf("relay dropped S2: %v", d.Reason)
-					}
-					verified++
-				}
-				b.StopTimer()
-				for _, raw := range s2s {
-					bb.Handle(now, raw)
-				}
-				b.StartTimer()
-			}
-		})
+		}
+		b.StartTimer()
 	}
 }
 
@@ -592,16 +372,7 @@ func BenchmarkWSN(b *testing.B) {
 	}
 	b.Run("ALPHA-C/n=5/100B-messages", func(b *testing.B) {
 		cfg := core.Config{Suite: s, Mode: packet.ModeC, Reliable: true, ChainLen: 2 * (b.N + 8), BatchSize: 5, FlushDelay: -1}
-		p := newBenchPair(b, cfg)
-		msgs := make([][]byte, 5)
-		for i := range msgs {
-			msgs[i] = bytes.Repeat([]byte{byte(i)}, 100)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.exchange(b, msgs)
-		}
+		benchExchanges(b, cfg, 5, 100)
 		b.ReportMetric(float64(5*b.N), "msgs")
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"alpha/internal/core"
 	"alpha/internal/hashchain"
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/stats"
 	"alpha/internal/suite"
 )
@@ -35,40 +36,24 @@ func runAblateBundle() error {
 		if err != nil {
 			return 0, 0, err
 		}
-		count := func(raws [][]byte) {
-			for _, raw := range raws {
-				datagrams++
-				bytes += len(raw)
-			}
+		d.Tap = func(_ path.Side, _ int, raw []byte) [][]byte {
+			datagrams++
+			bytes += len(raw)
+			return [][]byte{raw}
 		}
 		// Bidirectional batch: both sides send 8 messages.
 		for i := 0; i < 8; i++ {
-			if _, err := d.a.Send(d.now, make([]byte, 256)); err != nil {
+			if _, err := d.a.Send(d.Now, make([]byte, 256)); err != nil {
 				return 0, 0, err
 			}
-			if _, err := d.b.Send(d.now, make([]byte, 256)); err != nil {
+			if _, err := d.b.Send(d.Now, make([]byte, 256)); err != nil {
 				return 0, 0, err
 			}
 		}
-		d.a.Flush(d.now)
-		d.b.Flush(d.now)
-		for i := 0; i < 40; i++ {
-			d.now = d.now.Add(5 * time.Millisecond)
-			outA, _ := d.a.Poll(d.now)
-			outB, _ := d.b.Poll(d.now)
-			if len(outA) == 0 && len(outB) == 0 {
-				break
-			}
-			count(outA)
-			count(outB)
-			for _, raw := range outA {
-				d.toB(raw)
-			}
-			for _, raw := range outB {
-				d.toA(raw)
-			}
-		}
-		return datagrams, bytes, nil
+		d.a.Flush(d.Now)
+		d.b.Flush(d.Now)
+		err = d.pump(40)
+		return datagrams, bytes, err
 	}
 	plainD, plainB, err := run(false)
 	if err != nil {
@@ -124,11 +109,13 @@ func runAblatePreack() error {
 		return err
 	}
 	// The reverse "ack" exchange.
-	if _, err := dU.b.Send(dU.now, []byte("app-level ack")); err != nil {
+	if _, err := dU.b.Send(dU.Now, []byte("app-level ack")); err != nil {
 		return err
 	}
-	dU.b.Flush(dU.now)
-	dU.pump(40)
+	dU.b.Flush(dU.Now)
+	if err := dU.pump(40); err != nil {
+		return err
+	}
 	sA, sB := dU.a.Stats(), dU.b.Stats()
 	naive := sA.SentS1 + sA.SentS2 + sA.SentA1 + sB.SentA1 + sB.SentS1 + sB.SentS2
 	naiveChain := 4 + 4
@@ -154,7 +141,7 @@ func runAblateModes() error {
 	}
 	for _, mode := range []packet.Mode{packet.ModeC, packet.ModeM, packet.ModeCM} {
 		for _, n := range []int{4, 16, 64, 256} {
-			buf, cpu, wire, err := measureMode(mode, n)
+			buf, cpu, wire, err := measureMode(mode, n, 1024)
 			if err != nil {
 				return err
 			}
@@ -170,44 +157,49 @@ func runAblateModes() error {
 	return nil
 }
 
-// measureMode runs one exchange of n messages and reports relay buffer
-// bytes, verifier CPU per message, and wire bytes per message.
-func measureMode(mode packet.Mode, n int) (buf int, cpu time.Duration, wire int, err error) {
+// measureMode runs one exchange of n messages of the given size and reports
+// relay buffer bytes, verifier CPU per message, and wire bytes per message.
+func measureMode(mode packet.Mode, n, size int) (buf int, cpu time.Duration, wire int, err error) {
 	cfg := core.Config{Mode: mode, ChainLen: 32, BatchSize: n, FlushDelay: -1, MaxOutstanding: 1}
 	d, err := newDriver(cfg, cfg, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	payload := bytes.Repeat([]byte{7}, 1024)
+	payload := bytes.Repeat([]byte{7}, size)
 	for i := 0; i < n; i++ {
-		if _, err := d.a.Send(d.now, payload); err != nil {
+		if _, err := d.a.Send(d.Now, payload); err != nil {
 			return 0, 0, 0, err
 		}
 	}
-	d.a.Flush(d.now)
-	s1, _ := d.a.Poll(d.now)
-	wireBytes := 0
-	for _, raw := range s1 {
-		wireBytes += len(raw)
-		d.b.Handle(d.now, raw)
+	d.a.Flush(d.Now)
+	var s2s [][]byte
+	d.Tap = func(_ path.Side, _ int, raw []byte) [][]byte {
+		wire += len(raw)
+		switch packet.Type(raw[3]) {
+		case packet.TypeA1:
+			// Verifier-side buffer at its peak (pre-signatures buffered).
+			buf, _ = d.b.RxBufferedBytes()
+		case packet.TypeS2:
+			s2s = append(s2s, append([]byte(nil), raw...))
+			return nil
+		}
+		return [][]byte{raw}
 	}
-	// Verifier-side buffer at its peak (pre-signatures buffered).
-	buf, _ = d.b.RxBufferedBytes()
-	a1, _ := d.b.Poll(d.now)
-	for _, raw := range a1 {
-		wireBytes += len(raw)
-		d.a.Handle(d.now, raw)
+	if err := d.Settle(8); err != nil {
+		return 0, 0, 0, err
 	}
-	s2s, _ := d.a.Poll(d.now)
+	before := d.delivered()
 	start := time.Now()
 	for _, raw := range s2s {
-		wireBytes += len(raw)
-		if _, err := d.b.Handle(d.now, raw); err != nil {
+		if err := d.Carry(path.A, 0, raw); err != nil {
 			return 0, 0, 0, err
 		}
 	}
 	cpu = time.Since(start) / time.Duration(n)
-	return buf, cpu, wireBytes / n, nil
+	if got := d.delivered() - before; got != n {
+		return 0, 0, 0, fmt.Errorf("delivered %d/%d during measurement", got, n)
+	}
+	return buf, cpu, wire / n, nil
 }
 
 // runAblateCheckpoint sweeps the checkpoint interval of the chain owner.
@@ -270,10 +262,12 @@ func runAblateRekey() error {
 	}
 	before := d.a.Stats()
 	start := time.Now()
-	if _, err := d.a.Rekey(d.now); err != nil {
+	if _, err := d.a.Rekey(d.Now); err != nil {
 		return err
 	}
-	d.pump(40)
+	if err := d.pump(40); err != nil {
+		return err
+	}
 	elapsed := time.Since(start)
 	after := d.a.Stats()
 	rekeyed := false

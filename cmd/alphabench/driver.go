@@ -1,6 +1,6 @@
-// In-memory protocol driver: two endpoints and an optional relay with
-// manual packet shuttling, used by the table experiments for precise
-// measurement without simulator scheduling in the way.
+// In-memory protocol driver: two endpoints and an optional relay on a
+// path.Path, used by the table experiments for precise measurement without
+// simulator scheduling in the way.
 
 package main
 
@@ -10,20 +10,16 @@ import (
 
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/relay"
 )
 
-// driver pumps packets between endpoint a (initiator/signer) and endpoint b
-// (responder/verifier), optionally passing everything through a relay.
+// driver carries packets between endpoint a (initiator/signer) and endpoint
+// b (responder/verifier), optionally through a relay.
 type driver struct {
-	now  time.Time
+	path.Path[core.Event]
 	a, b *core.Endpoint
 	r    *relay.Relay
-
-	// holdTypes buffers matching a->b packets instead of delivering
-	// them, so experiments can freeze the protocol mid-exchange.
-	holdTypes map[packet.Type]bool
-	held      [][]byte
 
 	aEvents, bEvents []core.Event
 }
@@ -39,98 +35,62 @@ func newDriver(cfgA, cfgB core.Config, relayCfg *relay.Config) (*driver, error) 
 	if err != nil {
 		return nil, err
 	}
-	d := &driver{
-		now:       time.Unix(1_700_000_000, 0),
-		a:         a,
-		b:         b,
-		holdTypes: make(map[packet.Type]bool),
+	d := &driver{a: a, b: b}
+	d.Path = path.Path[core.Event]{
+		Now:  time.Unix(1_700_000_000, 0),
+		Ends: [2]path.Node[core.Event]{a, b},
+		On: func(at path.Side, ev core.Event) {
+			if at == path.A {
+				d.aEvents = append(d.aEvents, ev)
+			} else {
+				d.bEvents = append(d.bEvents, ev)
+			}
+		},
 	}
 	if relayCfg != nil {
 		d.r = relay.New(*relayCfg)
+		d.Hops = []path.Hop{func(now time.Time, upstream int, raw []byte) []byte {
+			return d.r.ProcessFrom(now, upstream, raw).Forwarded(raw)
+		}}
 	}
-	hs1, err := a.StartHandshake(d.now)
+	hs1, err := a.StartHandshake(d.Now)
 	if err != nil {
 		return nil, err
 	}
-	d.toB(hs1)
-	d.pump(40)
+	if err := d.Carry(path.A, 0, hs1); err != nil {
+		return nil, err
+	}
+	if err := d.pump(40); err != nil {
+		return nil, err
+	}
 	if !a.Established() || !b.Established() {
 		return nil, fmt.Errorf("driver handshake failed")
 	}
 	return d, nil
 }
 
-// hold freezes endpoint delivery of the given packet types (both
-// directions). The relay still observes held packets — it sits mid-path —
-// so experiments can freeze the endpoints' protocol state while measuring
-// relay state.
-func (d *driver) hold(types ...packet.Type) {
-	for _, t := range types {
-		d.holdTypes[t] = true
-	}
-}
-
-// toB delivers one datagram to b, via the relay if configured.
-func (d *driver) toB(raw []byte) {
-	if d.r != nil {
-		if dec := d.r.Process(d.now, raw); dec.Verdict != relay.Forward {
-			return
-		}
-	}
-	if hdr, _, err := packet.Decode(raw); err == nil && d.holdTypes[hdr.Type] {
-		d.held = append(d.held, raw)
-		return
-	}
-	evs, _ := d.b.Handle(d.now, raw)
-	d.bEvents = append(d.bEvents, evs...)
-}
-
-// toA delivers one datagram to a, via the relay if configured.
-func (d *driver) toA(raw []byte) {
-	if d.r != nil {
-		if dec := d.r.Process(d.now, raw); dec.Verdict != relay.Forward {
-			return
-		}
-	}
-	if hdr, _, err := packet.Decode(raw); err == nil && d.holdTypes[hdr.Type] {
-		d.held = append(d.held, raw)
-		return
-	}
-	evs, _ := d.a.Handle(d.now, raw)
-	d.aEvents = append(d.aEvents, evs...)
+// hold freezes endpoint delivery of a packet type (both directions). The
+// relay still observes held packets — it sits mid-path — so experiments can
+// freeze the endpoints' protocol state while measuring relay state.
+func (d *driver) hold(typ packet.Type) {
+	d.Tap = path.Hold(typ, len(d.Hops), nil)
 }
 
 // pump advances virtual time and exchanges pending packets until quiet or
 // maxRounds elapsed.
-func (d *driver) pump(maxRounds int) {
-	for i := 0; i < maxRounds; i++ {
-		d.now = d.now.Add(5 * time.Millisecond)
-		outA, evA := d.a.Poll(d.now)
-		d.aEvents = append(d.aEvents, evA...)
-		outB, evB := d.b.Poll(d.now)
-		d.bEvents = append(d.bEvents, evB...)
-		if len(outA) == 0 && len(outB) == 0 {
-			return
-		}
-		for _, raw := range outA {
-			d.toB(raw)
-		}
-		for _, raw := range outB {
-			d.toA(raw)
-		}
-	}
+func (d *driver) pump(maxRounds int) error {
+	return d.Run(maxRounds, 5*time.Millisecond)
 }
 
 // exchange sends msgs from a to b as one batch and pumps to completion.
 func (d *driver) exchange(msgs [][]byte) error {
 	for _, m := range msgs {
-		if _, err := d.a.Send(d.now, m); err != nil {
+		if _, err := d.a.Send(d.Now, m); err != nil {
 			return err
 		}
 	}
-	d.a.Flush(d.now)
-	d.pump(60)
-	return nil
+	d.a.Flush(d.Now)
+	return d.pump(60)
 }
 
 // delivered counts b's Delivered events so far.

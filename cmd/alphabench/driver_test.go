@@ -50,12 +50,14 @@ func TestDriverHoldFreezesExchange(t *testing.T) {
 	}
 	d.hold(packet.TypeA1)
 	for i := 0; i < 4; i++ {
-		if _, err := d.a.Send(d.now, bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+		if _, err := d.a.Send(d.Now, bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d.a.Flush(d.now)
-	d.pump(10)
+	d.a.Flush(d.Now)
+	if err := d.pump(10); err != nil {
+		t.Fatal(err)
+	}
 	if d.delivered() != 0 {
 		t.Fatalf("delivery happened despite held A1")
 	}
@@ -98,15 +100,15 @@ func TestExperimentsRegistered(t *testing.T) {
 // TestMeasureModeShapes spot-checks the ablation helper against the §3.3
 // trade-off shape without printing tables.
 func TestMeasureModeShapes(t *testing.T) {
-	bufC, _, _, err := measureMode(packet.ModeC, 16)
+	bufC, _, _, err := measureMode(packet.ModeC, 16, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufM, _, _, err := measureMode(packet.ModeM, 16)
+	bufM, _, _, err := measureMode(packet.ModeM, 16, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufCM, _, _, err := measureMode(packet.ModeCM, 16)
+	bufCM, _, _, err := measureMode(packet.ModeCM, 16, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"alpha/internal/core"
 	"alpha/internal/merkle"
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/stats"
 	"alpha/internal/suite"
 )
@@ -70,20 +71,16 @@ func realS2Overhead(n int) (int, error) {
 	}
 	const payloadSize = 64
 	for i := 0; i < n; i++ {
-		if _, err := d.a.Send(d.now, bytes.Repeat([]byte{1}, payloadSize)); err != nil {
+		if _, err := d.a.Send(d.Now, bytes.Repeat([]byte{1}, payloadSize)); err != nil {
 			return 0, err
 		}
 	}
-	d.a.Flush(d.now)
-	s1, _ := d.a.Poll(d.now)
-	for _, raw := range s1 {
-		d.b.Handle(d.now, raw)
+	d.a.Flush(d.Now)
+	var s2s [][]byte
+	d.Tap = path.Hold(packet.TypeS2, 0, &s2s)
+	if err := d.Settle(8); err != nil {
+		return 0, err
 	}
-	a1, _ := d.b.Poll(d.now)
-	for _, raw := range a1 {
-		d.a.Handle(d.now, raw)
-	}
-	s2s, _ := d.a.Poll(d.now)
 	if len(s2s) != n {
 		return 0, fmt.Errorf("got %d S2 packets, want %d", len(s2s), n)
 	}
@@ -127,12 +124,9 @@ func runFig3() error {
 	}
 	fmt.Println("Figure 3 — reliable exchange trace (live run)")
 	fmt.Println()
-	dump := func(dir string, raws [][]byte) {
-		for _, raw := range raws {
-			hdr, msg, err := packet.Decode(raw)
-			if err != nil {
-				continue
-			}
+	dir := [2]string{path.A: "Signer → Verifier", path.B: "Verifier → Signer"}
+	d.Tap = func(from path.Side, _ int, raw []byte) [][]byte {
+		if hdr, msg, err := packet.Decode(raw); err == nil {
 			desc := ""
 			switch m := msg.(type) {
 			case *packet.S1:
@@ -148,45 +142,18 @@ func runFig3() error {
 				}
 				desc = fmt.Sprintf("h^Va[%d], [%s]", m.KeyIdx, flag)
 			}
-			fmt.Printf("  %-18s %-4s seq=%d  %s  (%d bytes)\n", dir, hdr.Type, hdr.Seq, desc, len(raw))
+			fmt.Printf("  %-18s %-4s seq=%d  %s  (%d bytes)\n", dir[from], hdr.Type, hdr.Seq, desc, len(raw))
 		}
+		return [][]byte{raw}
 	}
-	if _, err := d.a.Send(d.now, []byte("signed and acknowledged")); err != nil {
+	if _, err := d.a.Send(d.Now, []byte("signed and acknowledged")); err != nil {
 		return err
 	}
-	d.a.Flush(d.now)
-	s1, _ := d.a.Poll(d.now)
-	dump("Signer → Verifier", s1)
-	for _, raw := range s1 {
-		d.b.Handle(d.now, raw)
+	d.a.Flush(d.Now)
+	if err := d.Settle(8); err != nil {
+		return err
 	}
-	a1, _ := d.b.Poll(d.now)
-	dump("Verifier → Signer", a1)
-	for _, raw := range a1 {
-		d.a.Handle(d.now, raw)
-	}
-	s2, _ := d.a.Poll(d.now)
-	dump("Signer → Verifier", s2)
-	for _, raw := range s2 {
-		d.b.Handle(d.now, raw)
-	}
-	a2, _ := d.b.Poll(d.now)
-	dump("Verifier → Signer", a2)
-	for _, raw := range a2 {
-		d.a.Handle(d.now, raw)
-	}
-	acked := false
-	for _, ev := range d.aEvents {
-		if ev.Kind == core.EventAcked {
-			acked = true
-		}
-	}
-	// Events from direct Handle calls above were returned inline; check
-	// the signer's stats instead for the authoritative count.
-	if d.a.Stats().Acked == 1 {
-		acked = true
-	}
-	fmt.Printf("\n  4 packets total (vs 6 for a naive signed ack); signer saw verifiable ack: %v\n", acked)
+	fmt.Printf("\n  4 packets total (vs 6 for a naive signed ack); signer saw verifiable ack: %v\n", d.a.Stats().Acked == 1)
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"alpha/internal/baseline"
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/relay"
 	"alpha/internal/stats"
 	"alpha/internal/suite"
@@ -96,6 +97,25 @@ func runTable1() error {
 	return nil
 }
 
+// frozen runs one exchange of n messages of size bytes through a relay,
+// holding typ back from the endpoints, so the exchange stops with its state
+// buffered at signer, relay and verifier.
+func frozen(mode packet.Mode, reliable bool, n, size int, typ packet.Type) (*driver, error) {
+	cfg := core.Config{Mode: mode, Reliable: reliable, ChainLen: 4096, BatchSize: n, MaxOutstanding: 1}
+	d, err := newDriver(cfg, cfg, &relay.Config{})
+	if err != nil {
+		return nil, err
+	}
+	d.hold(typ)
+	for i := 0; i < n; i++ {
+		if _, err := d.a.Send(d.Now, bytes.Repeat([]byte{byte(i)}, size)); err != nil {
+			return nil, err
+		}
+	}
+	d.a.Flush(d.Now)
+	return d, d.pump(20)
+}
+
 // runTable2 freezes exchanges after the S1 and measures live buffer state.
 func runTable2() error {
 	const msgSize = 1024
@@ -109,26 +129,12 @@ func runTable2() error {
 			if spec.mode == packet.ModeBase && n != 1 {
 				continue
 			}
-			cfg := core.Config{Mode: spec.mode, Reliable: false, ChainLen: 4096, BatchSize: n, MaxOutstanding: 1}
-			rc := relay.Config{}
-			d, err := newDriver(cfg, cfg, &rc)
+			// Hold the A1: the exchange freezes with pre-signatures
+			// buffered at verifier and relay, payloads at the signer.
+			d, err := frozen(spec.mode, false, n, msgSize, packet.TypeA1)
 			if err != nil {
 				return err
 			}
-			// Hold the A1: the exchange freezes with pre-signatures
-			// buffered at verifier and relay, payloads at the signer.
-			d.hold(packet.TypeA1)
-			msgs := make([][]byte, n)
-			for i := range msgs {
-				msgs[i] = bytes.Repeat([]byte{byte(i)}, msgSize)
-			}
-			for _, m := range msgs {
-				if _, err := d.a.Send(d.now, m); err != nil {
-					return err
-				}
-			}
-			d.a.Flush(d.now)
-			d.pump(20)
 			payload, sig := d.a.TxBufferedBytes()
 			vSig, _ := d.b.RxBufferedBytes()
 			rSig, _ := d.r.BufferedBytes()
@@ -159,26 +165,12 @@ func runTable3() error {
 			if spec.mode == packet.ModeBase && n != 1 {
 				continue
 			}
-			cfg := core.Config{Mode: spec.mode, Reliable: true, ChainLen: 4096, BatchSize: n, MaxOutstanding: 1}
-			rc := relay.Config{}
-			d, err := newDriver(cfg, cfg, &rc)
+			// Hold S2s: the verifier has generated its pre-(n)ack
+			// material (it sent the A1) but not yet opened it.
+			d, err := frozen(spec.mode, true, n, 256, packet.TypeS2)
 			if err != nil {
 				return err
 			}
-			// Hold S2s: the verifier has generated its pre-(n)ack
-			// material (it sent the A1) but not yet opened it.
-			d.hold(packet.TypeS2)
-			msgs := make([][]byte, n)
-			for i := range msgs {
-				msgs[i] = bytes.Repeat([]byte{byte(i)}, 256)
-			}
-			for _, m := range msgs {
-				if _, err := d.a.Send(d.now, m); err != nil {
-					return err
-				}
-			}
-			d.a.Flush(d.now)
-			d.pump(20)
 			_, vAck := d.b.RxBufferedBytes()
 			_, rAck := d.r.BufferedBytes()
 			// The paper's flat pre-(n)ack rows assume one pre-ack pair
@@ -214,47 +206,35 @@ func runTable4() error {
 	payload := bytes.Repeat([]byte{0x5A}, 512)
 
 	var sendS1, procS1, procA1, verS2, procA2 []time.Duration
-	step := func(samples *[]time.Duration, fn func()) {
-		start := time.Now()
-		fn()
-		*samples = append(*samples, time.Since(start))
+	// Each datagram is timestamped on the wire, between its sender's Poll
+	// and its receiver's Handle: S1, A1, S2 and A2 split a round into the
+	// five steps of the paper's table.
+	var marks []time.Time
+	d.Tap = func(_ path.Side, _ int, raw []byte) [][]byte {
+		marks = append(marks, time.Now())
+		return [][]byte{raw}
 	}
 	for i := 0; i < rounds; i++ {
-		d.now = d.now.Add(time.Millisecond)
-		var s1, a1, s2, a2 [][]byte
-		step(&sendS1, func() {
-			if _, err := d.a.Send(d.now, payload); err != nil {
-				panic(err)
+		d.Now = d.Now.Add(time.Millisecond)
+		marks = marks[:0]
+		start := time.Now()
+		if _, err := d.a.Send(d.Now, payload); err != nil {
+			return err
+		}
+		d.a.Flush(d.Now)
+		if err := d.Settle(8); err != nil {
+			return err
+		}
+		marks = append(marks, time.Now())
+		if len(marks) != 5 {
+			return fmt.Errorf("table4 round %d: %d datagrams, want S1, A1, S2 and A2", i, len(marks)-1)
+		}
+		for j, samples := range []*[]time.Duration{&sendS1, &procS1, &procA1, &verS2, &procA2} {
+			from := start
+			if j > 0 {
+				from = marks[j-1]
 			}
-			d.a.Flush(d.now)
-			s1, _ = d.a.Poll(d.now)
-		})
-		step(&procS1, func() {
-			for _, raw := range s1 {
-				d.b.Handle(d.now, raw)
-			}
-			a1, _ = d.b.Poll(d.now)
-		})
-		step(&procA1, func() {
-			for _, raw := range a1 {
-				d.a.Handle(d.now, raw)
-			}
-			s2, _ = d.a.Poll(d.now)
-		})
-		step(&verS2, func() {
-			for _, raw := range s2 {
-				d.b.Handle(d.now, raw)
-			}
-			a2, _ = d.b.Poll(d.now)
-		})
-		step(&procA2, func() {
-			for _, raw := range a2 {
-				d.a.Handle(d.now, raw)
-			}
-			d.a.Poll(d.now)
-		})
-		if len(s1) != 1 || len(a1) != 1 || len(s2) != 1 || len(a2) != 1 {
-			return fmt.Errorf("table4 round %d: unexpected packet counts %d/%d/%d/%d", i, len(s1), len(a1), len(s2), len(a2))
+			*samples = append(*samples, marks[j].Sub(from))
 		}
 	}
 
@@ -378,57 +358,11 @@ func runTable6() error {
 	fmt.Print(t)
 
 	// Cross-check: measure a real ALPHA-M verification at 64 leaves.
-	measured, err := measureMVerification(64, 924)
+	_, measured, _, err := measureMode(packet.ModeM, 64, 924)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\ncross-check: real ALPHA-M S2 verification at 64 leaves: %s (model %s)\n",
 		stats.Us(measured), stats.Us(rows[2].Processing))
 	return nil
-}
-
-// measureMVerification times the verifier's S2 handling in a real ALPHA-M
-// exchange with the given batch size and payload.
-func measureMVerification(n, payloadSize int) (time.Duration, error) {
-	cfg := core.Config{Mode: packet.ModeM, ChainLen: 64, BatchSize: n, FlushDelay: -1}
-	d, err := newDriver(cfg, cfg, nil)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		if _, err := d.a.Send(d.now, bytes.Repeat([]byte{byte(i)}, payloadSize)); err != nil {
-			return 0, err
-		}
-	}
-	d.a.Flush(d.now)
-	s1, _ := d.a.Poll(d.now)
-	for _, raw := range s1 {
-		d.b.Handle(d.now, raw)
-	}
-	a1, _ := d.b.Poll(d.now)
-	for _, raw := range a1 {
-		d.a.Handle(d.now, raw)
-	}
-	s2s, _ := d.a.Poll(d.now)
-	if len(s2s) != n {
-		return 0, fmt.Errorf("expected %d S2 packets, got %d", n, len(s2s))
-	}
-	delivered := 0
-	start := time.Now()
-	for _, raw := range s2s {
-		evs, err := d.b.Handle(d.now, raw)
-		if err != nil {
-			return 0, err
-		}
-		for _, ev := range evs {
-			if ev.Kind == core.EventDelivered {
-				delivered++
-			}
-		}
-	}
-	elapsed := time.Since(start)
-	if delivered != n {
-		return 0, fmt.Errorf("delivered %d/%d during measurement", delivered, n)
-	}
-	return elapsed / time.Duration(n), nil
 }

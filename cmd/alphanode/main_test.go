@@ -1,50 +1,20 @@
 package main
 
 import (
-	"errors"
-	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"alpha/internal/clitest"
 )
 
-// nodeBin is the alphanode binary under test, built once by TestMain: the
-// flags live on the process-wide flag set inside main, so the contract is
-// checked where operators meet it, on the command line.
-var nodeBin string
+func TestMain(m *testing.M) { clitest.Main(m) }
 
-func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "alphanode-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	nodeBin = filepath.Join(dir, "alphanode")
-	if out, err := exec.Command("go", "build", "-o", nodeBin, ".").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
-		os.RemoveAll(dir)
-		os.Exit(1)
-	}
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
-}
-
-// node runs the binary and returns its combined output and exit code.
+// node runs the binary and returns its output, stdout then stderr, and its
+// exit code.
 func node(t *testing.T, args ...string) (string, int) {
 	t.Helper()
-	out, err := exec.Command(nodeBin, args...).CombinedOutput()
-	var ee *exec.ExitError
-	switch {
-	case err == nil:
-		return string(out), 0
-	case errors.As(err, &ee):
-		return string(out), ee.ExitCode()
-	}
-	t.Fatalf("alphanode %v: %v", args, err)
-	return "", 0
+	out, errOut, code := clitest.Run(t, args...)
+	return out + errOut, code
 }
 
 // TestFlags: the I/O engine is the kernel probe's choice, so the switches

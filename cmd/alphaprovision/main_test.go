@@ -2,61 +2,21 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io/fs"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
+	"alpha/internal/clitest"
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/relay"
 	"alpha/internal/suite"
 )
 
-// provisionBin is the alphaprovision binary under test, built once by
-// TestMain: the contract is checked where operators meet it, on the command
-// line.
-var provisionBin string
-
-func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "alphaprovision-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	provisionBin = filepath.Join(dir, "alphaprovision")
-	if out, err := exec.Command("go", "build", "-o", provisionBin, ".").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
-		os.RemoveAll(dir)
-		os.Exit(1)
-	}
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
-}
-
-// provision runs the binary and returns its stdout, stderr and exit code.
-func provision(t *testing.T, args ...string) (string, string, int) {
-	t.Helper()
-	cmd := exec.Command(provisionBin, args...)
-	var stdout, stderr strings.Builder
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var ee *exec.ExitError
-	switch {
-	case err == nil:
-		return stdout.String(), stderr.String(), 0
-	case errors.As(err, &ee):
-		return stdout.String(), stderr.String(), ee.ExitCode()
-	}
-	t.Fatalf("alphaprovision %v: %v", args, err)
-	return "", "", 0
-}
+func TestMain(m *testing.M) { clitest.Main(m) }
 
 // readJSON decodes one of the tool's output files.
 func readJSON(t *testing.T, path string, v any) {
@@ -86,7 +46,7 @@ func fileMode(t *testing.T, path string) fs.FileMode {
 // which verifies it on the way.
 func TestProvisionedPairThroughSeededRelay(t *testing.T) {
 	dir := t.TempDir()
-	if _, stderr, code := provision(t, "-dir", dir, "-suite", "sha256", "-chainlen", "64"); code != 0 {
+	if _, stderr, code := clitest.Run(t, "-dir", dir, "-suite", "sha256", "-chainlen", "64"); code != 0 {
 		t.Fatalf("alphaprovision: exit %d, stderr %q", code, stderr)
 	}
 	// The modes are asked for at creation, so the umask may clear bits;
@@ -128,13 +88,13 @@ func TestProvisionedPairThroughSeededRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	now := time.Unix(1_700_000_000, 0)
 	msg := "reading 1"
 	var extracted, delivered string
 	acked := false
-	// carry moves datagrams across the relay into dst and collects events.
-	carry := func(raws [][]byte, upstream int, dst *core.Endpoint) {
-		for _, raw := range raws {
+	p := path.Path[core.Event]{
+		Now:  time.Unix(1_700_000_000, 0),
+		Ends: [2]path.Node[core.Event]{a, b},
+		Hops: []path.Hop{func(now time.Time, upstream int, raw []byte) []byte {
 			d := r.ProcessFrom(now, upstream, raw)
 			if d.Verdict != relay.Forward {
 				t.Fatalf("relay dropped provisioned traffic: %v", d.Reason)
@@ -142,25 +102,23 @@ func TestProvisionedPairThroughSeededRelay(t *testing.T) {
 			if d.Extracted != nil {
 				extracted = string(d.Extracted)
 			}
-			evs, _ := dst.Handle(now, raw)
-			for _, ev := range evs {
-				switch ev.Kind {
-				case core.EventDelivered:
-					delivered = string(ev.Payload)
-				case core.EventAcked:
-					acked = true
-				}
+			return d.Forwarded(raw)
+		}},
+		On: func(_ path.Side, ev core.Event) {
+			switch ev.Kind {
+			case core.EventDelivered:
+				delivered = string(ev.Payload)
+			case core.EventAcked:
+				acked = true
 			}
-		}
+		},
 	}
-	if _, err := a.Send(now, []byte(msg)); err != nil {
+	if _, err := a.Send(p.Now, []byte(msg)); err != nil {
 		t.Fatal(err)
 	}
-	a.Flush(now)
-	for out, _ := a.Poll(now); len(out) > 0; out, _ = a.Poll(now) {
-		carry(out, 0, b)
-		back, _ := b.Poll(now)
-		carry(back, 1, a)
+	a.Flush(p.Now)
+	if err := p.Settle(8); err != nil {
+		t.Fatal(err)
 	}
 	if delivered != msg || extracted != msg || !acked {
 		t.Fatalf("delivered %q, relay verified %q, acked %v; want %q verified, delivered and acked", delivered, extracted, acked, msg)
@@ -172,10 +130,10 @@ func TestProvisionedPairThroughSeededRelay(t *testing.T) {
 // on stderr and no files written.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, code := provision(t, "-dir", dir, "-suite", "md5"); code != 2 {
+	if _, _, code := clitest.Run(t, "-dir", dir, "-suite", "md5"); code != 2 {
 		t.Errorf("alphaprovision -suite md5: exit %d, want 2", code)
 	}
-	if _, stderr, code := provision(t, "-dir", dir, "-chainlen", "7"); code != 1 || stderr == "" {
+	if _, stderr, code := clitest.Run(t, "-dir", dir, "-chainlen", "7"); code != 1 || stderr == "" {
 		t.Errorf("alphaprovision -chainlen 7: exit %d, stderr %q; want exit 1 and a reason", code, stderr)
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {

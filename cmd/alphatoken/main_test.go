@@ -2,64 +2,23 @@ package main
 
 import (
 	"encoding/hex"
-	"errors"
-	"fmt"
 	"net"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"alpha/internal/admission"
+	"alpha/internal/clitest"
 	"alpha/internal/telemetry"
 )
 
-// tokenBin is the alphatoken binary under test, built once by TestMain: the
-// contract is checked where operators meet it, on the command line.
-var tokenBin string
-
-func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "alphatoken-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	tokenBin = filepath.Join(dir, "alphatoken")
-	if out, err := exec.Command("go", "build", "-o", tokenBin, ".").CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
-		os.RemoveAll(dir)
-		os.Exit(1)
-	}
-	code := m.Run()
-	os.RemoveAll(dir)
-	os.Exit(code)
-}
-
-// token runs the binary and returns its stdout, stderr and exit code.
-func token(t *testing.T, args ...string) (string, string, int) {
-	t.Helper()
-	cmd := exec.Command(tokenBin, args...)
-	var stdout, stderr strings.Builder
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var ee *exec.ExitError
-	switch {
-	case err == nil:
-		return stdout.String(), stderr.String(), 0
-	case errors.As(err, &ee):
-		return stdout.String(), stderr.String(), ee.ExitCode()
-	}
-	t.Fatalf("alphatoken %v: %v", args, err)
-	return "", "", 0
-}
+func TestMain(m *testing.M) { clitest.Main(m) }
 
 // TestGenkeyMintAdmit: a generated key mints a token that an admission
 // verifier on that key admits from the bound client address and refuses
 // from any other port.
 func TestGenkeyMintAdmit(t *testing.T) {
-	out, _, code := token(t, "-genkey")
+	out, _, code := clitest.Run(t, "-genkey")
 	keyHex := strings.TrimSpace(out)
 	raw, err := hex.DecodeString(keyHex)
 	if code != 0 || err != nil || len(keyHex) != 2*admission.KeySize {
@@ -68,7 +27,7 @@ func TestGenkeyMintAdmit(t *testing.T) {
 	var key admission.Key
 	copy(key[:], raw)
 
-	out, stderr, code := token(t, "-mint", "-key", keyHex, "-client", "127.0.0.1:7000")
+	out, stderr, code := clitest.Run(t, "-mint", "-key", keyHex, "-client", "127.0.0.1:7000")
 	if code != 0 {
 		t.Fatalf("alphatoken -mint: exit %d, stderr %q", code, stderr)
 	}
@@ -92,14 +51,14 @@ func TestGenkeyMintAdmit(t *testing.T) {
 // TestExitCodes: no mode is a usage error (2); input the tool cannot mint
 // from is a failure (1) with the reason on stderr.
 func TestExitCodes(t *testing.T) {
-	if _, _, code := token(t); code != 2 {
+	if _, _, code := clitest.Run(t); code != 2 {
 		t.Errorf("alphatoken with no mode: exit %d, want 2", code)
 	}
 	for _, args := range [][]string{
 		{"-mint", "-key", "abcd", "-client", "127.0.0.1:7000"},
 		{"-mint", "-key", strings.Repeat("ab", admission.KeySize), "-client", "localhost:7000"},
 	} {
-		out, stderr, code := token(t, args...)
+		out, stderr, code := clitest.Run(t, args...)
 		if code != 1 || out != "" || stderr == "" {
 			t.Errorf("alphatoken %v: exit %d, stdout %q, stderr %q; want exit 1 and a reason", args, code, out, stderr)
 		}

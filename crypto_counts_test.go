@@ -2,11 +2,8 @@ package alpha
 
 import (
 	"testing"
-	"time"
 
 	"alpha/internal/analytic"
-	"alpha/internal/core"
-	"alpha/internal/packet"
 	"alpha/internal/relay"
 	"alpha/internal/suite"
 )
@@ -28,11 +25,11 @@ import (
 // element in four resident pay the rest back in on-line hashes.
 func TestCryptoCallsPerMessage(t *testing.T) {
 	type perNode struct{ hashes, macs float64 }
+	k4 := workloadNamed("pingpong_base_64")
+	k4.name += "_k4"
+	k4.cfg.CheckpointInterval = 4
 	for _, tc := range []struct {
-		name     string
-		cfg      core.Config
-		relays   int
-		payload  int
+		w        lineWorkload
 		model    analytic.ModeName
 		signer   perNode
 		relay    perNode // each relay
@@ -41,9 +38,7 @@ func TestCryptoCallsPerMessage(t *testing.T) {
 		why [3]string
 	}{
 		{
-			name:   "pingpong_base_64",
-			cfg:    core.Config{Mode: packet.ModeBase, Reliable: true},
-			relays: 3, payload: 64, model: analytic.ALPHA,
+			w: workloadNamed("pingpong_base_64"), model: analytic.ALPHA,
 			signer: perNode{4, 1}, relay: perNode{7, 1}, verifier: perNode{5, 1},
 			why: [3]string{
 				"the A1 walker steps over the interleaved A2 key element (2 steps, model 1) and the A2 key is linked to the A1 element (+1)",
@@ -52,9 +47,7 @@ func TestCryptoCallsPerMessage(t *testing.T) {
 			},
 		},
 		{
-			name:   "pingpong_base_64_k4",
-			cfg:    core.Config{Mode: packet.ModeBase, Reliable: true, CheckpointInterval: 4},
-			relays: 3, payload: 64, model: analytic.ALPHA,
+			w: k4, model: analytic.ALPHA,
 			signer: perNode{5.5, 1}, relay: perNode{7, 1}, verifier: perNode{6.5, 1},
 			why: [3]string{
 				"as pingpong_base_64, plus the signature chain's recomputation: with one element in 4 resident, 3 of every 4 of Table 1's 2 HC-create hashes per message (the two chain elements an exchange discloses) are hashed on-line (+1.5)",
@@ -63,9 +56,7 @@ func TestCryptoCallsPerMessage(t *testing.T) {
 			},
 		},
 		{
-			name:   "stream_c16_1k",
-			cfg:    core.Config{Mode: packet.ModeC, BatchSize: 16},
-			relays: 1, payload: 1024, model: analytic.ALPHAC,
+			w: workloadNamed("stream_c16_1k"), model: analytic.ALPHAC,
 			signer: perNode{2.0 / 16, 1}, relay: perNode{5.0 / 16, 1}, verifier: perNode{3.0 / 16, 1},
 			why: [3]string{
 				"unreliable workload: the model's per-message ack check never runs (-1); the A1 walker takes 2 steps per exchange (+1/16)",
@@ -74,9 +65,7 @@ func TestCryptoCallsPerMessage(t *testing.T) {
 			},
 		},
 		{
-			name:   "merkle_m64_rel",
-			cfg:    core.Config{Mode: packet.ModeM, BatchSize: 64, Reliable: true},
-			relays: 1, payload: 1024, model: analytic.ALPHAM,
+			w: workloadNamed("merkle_m64_rel"), model: analytic.ALPHAM,
 			signer: perNode{11 + 2.0/64, 0}, relay: perNode{16 + 5.0/64, 0}, verifier: perNode{11 + 4.0/64, 0},
 			why: [3]string{
 				"the tree costs 2 hashes per message where the model has 3-1/n, every A2's key is linked to the A1 element (+1), the A1 walker takes 2 steps (+1/64)",
@@ -85,94 +74,39 @@ func TestCryptoCallsPerMessage(t *testing.T) {
 			},
 		},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.w.name, func(t *testing.T) {
 			const warm, rounds = 2, 8
-			n := max(tc.cfg.BatchSize, 1)
-			counters := make([]*suite.Counting, 2+tc.relays) // signer, relays..., verifier
+			n := max(tc.w.cfg.BatchSize, 1)
+			counters := make([]*suite.Counting, 2+tc.w.relays) // signer, relays..., verifier
 			for i := range counters {
 				counters[i] = suite.NewCounting(suite.SHA1())
 			}
-			cfg := tc.cfg
+			cfg := tc.w.cfg
 			cfg.ChainLen, cfg.FlushDelay = 2*(warm+rounds)+8, -1
 			cfg.Suite = counters[0]
-			signer, err := core.NewEndpoint(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			signer := endpoint(t, cfg)
 			cfg.Suite = counters[len(counters)-1]
-			verifier, err := core.NewEndpoint(cfg)
-			if err != nil {
-				t.Fatal(err)
+			verifier := endpoint(t, cfg)
+			relays := make([]*relay.Relay, tc.w.relays)
+			for i := range relays {
+				relays[i] = relay.New(relay.Config{SuiteOverride: counters[1+i]})
 			}
-			var relays []*relay.Relay
-			for i := 0; i < tc.relays; i++ {
-				relays = append(relays, relay.New(relay.Config{SuiteOverride: counters[1+i]}))
-			}
-			now := time.Unix(1_700_000_000, 0)
-			delivered, acked := 0, 0
-			// carry moves datagrams across the relay line into dst.
-			carry := func(raws [][]byte, downstream bool, dst *core.Endpoint) {
-				for _, raw := range raws {
-					for i := range relays {
-						r, up := relays[i], 0
-						if !downstream {
-							r, up = relays[len(relays)-1-i], 1
-						}
-						if d := r.ProcessFrom(now, up, raw); d.Verdict != relay.Forward {
-							t.Fatalf("relay dropped honest traffic: %v", d.Reason)
-						}
-					}
-					evs, _ := dst.Handle(now, raw)
-					for _, ev := range evs {
-						switch ev.Kind {
-						case core.EventDelivered:
-							delivered++
-						case core.EventAcked:
-							acked++
-						}
-					}
-				}
-			}
-			settle := func(out [][]byte) {
-				for len(out) > 0 {
-					carry(out, true, verifier)
-					back, _ := verifier.Poll(now)
-					carry(back, false, signer)
-					out, _ = signer.Poll(now)
-				}
-			}
-			hs1, err := signer.StartHandshake(now)
-			if err != nil {
-				t.Fatal(err)
-			}
-			settle([][]byte{hs1})
-			if !signer.Established() || !verifier.Established() {
-				t.Fatal("handshake did not establish")
-			}
-			payload := make([]byte, tc.payload)
-			exchange := func() {
-				for i := 0; i < n; i++ {
-					if _, err := signer.Send(now, payload); err != nil {
-						t.Fatal(err)
-					}
-				}
-				out, _ := signer.Poll(now)
-				settle(out)
-			}
+			l := newLine(t, signer, verifier, relays...)
+			payload := make([]byte, tc.w.payload)
 			for i := 0; i < warm; i++ {
-				exchange()
+				l.exchange(n, payload)
 			}
 			start := make([]suite.Counts, len(counters))
 			for i, c := range counters {
 				start[i] = c.Snapshot()
 			}
-			delivered, acked = 0, 0
+			l.delivered, l.acked = 0, 0
 			for i := 0; i < rounds; i++ {
-				exchange()
+				l.exchange(n, payload)
 			}
 			msgs := float64(rounds * n)
-			if delivered != rounds*n || (cfg.Reliable && acked != rounds*n) {
-				t.Fatalf("delivered %d and acked %d of %d messages", delivered, acked, rounds*n)
+			if l.delivered != rounds*n || (cfg.Reliable && l.acked != rounds*n) {
+				t.Fatalf("delivered %d and acked %d of %d messages", l.delivered, l.acked, rounds*n)
 			}
 
 			// check compares the nodes counters[first:first+count] with want.
@@ -191,8 +125,8 @@ func TestCryptoCallsPerMessage(t *testing.T) {
 				}
 			}
 			check("signer", analytic.Signer, tc.why[0], tc.signer, 0, 1)
-			check("relay", analytic.RelayRole, tc.why[1], tc.relay, 1, tc.relays)
-			check("verifier", analytic.Verifier, tc.why[2], tc.verifier, 1+tc.relays, 1)
+			check("relay", analytic.RelayRole, tc.why[1], tc.relay, 1, tc.w.relays)
+			check("verifier", analytic.Verifier, tc.why[2], tc.verifier, 1+tc.w.relays, 1)
 		})
 	}
 }

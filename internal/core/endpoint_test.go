@@ -504,7 +504,7 @@ func TestProtectedHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{t: t, a: a, b: b, now: time.Unix(1700000000, 0), events: make(map[*Endpoint][]Event)}
+	h := pairHarness(t, a, b)
 	h.handshake()
 	// And a message flows.
 	if _, err := h.a.Send(h.now, []byte("signed bootstrap")); err != nil {
@@ -543,7 +543,7 @@ func TestProtectedHandshakeRejectsImpostor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{t: t, a: a, b: b, now: time.Unix(1700000000, 0), events: make(map[*Endpoint][]Event)}
+	h := pairHarness(t, a, b)
 	hs1, err := a.StartHandshake(h.now)
 	if err != nil {
 		t.Fatal(err)
@@ -617,7 +617,7 @@ func TestCheckpointChainEndpointInterops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{t: t, a: a, b: b, now: time.Unix(1700000000, 0), events: make(map[*Endpoint][]Event)}
+	h := pairHarness(t, a, b)
 	h.handshake()
 	for i := 0; i < 5; i++ {
 		if _, err := h.a.Send(h.now, []byte{byte(i)}); err != nil {

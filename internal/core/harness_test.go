@@ -5,12 +5,14 @@ import (
 	"time"
 
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/suite"
 )
 
-// harness connects two endpoints back to back with a controllable link in
-// each direction, driving time manually. It is the unit-test substitute for
-// the netsim package (which tests the engine over real multi-hop paths).
+// harness connects two endpoints back to back on a path.Path with a
+// controllable link in each direction, driving time manually. It is the
+// unit-test substitute for the netsim package (which tests the engine over
+// real multi-hop paths).
 type harness struct {
 	t    *testing.T
 	a, b *Endpoint
@@ -21,6 +23,10 @@ type harness struct {
 	// mangle optionally rewrites packets in flight (both directions).
 	mangle func(raw []byte) []byte
 	events map[*Endpoint][]Event
+	// p carries packets through the hooks above. bare carries them untouched
+	// and only counts deliveries, so every allocation on it is an endpoint's.
+	p, bare           path.Path[Event]
+	raised, delivered int
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
@@ -33,12 +39,36 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	if err != nil {
 		t.Fatalf("NewEndpoint(b): %v", err)
 	}
-	h := &harness{
-		t: t, a: a, b: b,
-		now:    time.Unix(1700000000, 0),
-		events: make(map[*Endpoint][]Event),
-	}
+	return pairHarness(t, a, b)
+}
+
+// pairHarness puts two endpoints the test built on a harness.
+func pairHarness(t *testing.T, a, b *Endpoint) *harness {
+	h := &harness{t: t, a: a, b: b, now: time.Unix(1700000000, 0), events: make(map[*Endpoint][]Event)}
+	ends := [2]path.Node[Event]{a, b}
+	h.p = path.Path[Event]{Ends: ends, Tap: h.tap, On: func(at path.Side, ev Event) {
+		e := [2]*Endpoint{a, b}[at]
+		h.events[e] = append(h.events[e], ev)
+		h.raised++
+	}}
+	h.bare = path.Path[Event]{Ends: ends, On: func(_ path.Side, ev Event) {
+		if ev.Kind == EventDelivered {
+			h.delivered++
+		}
+	}}
 	return h
+}
+
+func (h *harness) tap(from path.Side, _ int, raw []byte) [][]byte {
+	if drop := [2]func([]byte) bool{h.dropAtoB, h.dropBtoA}[from]; drop != nil && drop(raw) {
+		return nil
+	}
+	if h.mangle != nil {
+		if raw = h.mangle(raw); raw == nil {
+			return nil
+		}
+	}
+	return [][]byte{raw}
 }
 
 // handshake completes the association and fails the test if it does not
@@ -56,42 +86,29 @@ func (h *harness) handshake() {
 	}
 }
 
-// deliver feeds one datagram into an endpoint and records its events.
+// deliver feeds one datagram into an endpoint, past the hooks, and records
+// its events.
 func (h *harness) deliver(dst *Endpoint, raw []byte) {
 	h.t.Helper()
-	if h.mangle != nil {
-		raw = h.mangle(raw)
-		if raw == nil {
-			return
-		}
+	from := path.A
+	if dst == h.a {
+		from = path.B
 	}
-	evs, err := dst.Handle(h.now, raw)
-	if err != nil {
-		h.t.Fatalf("Handle: %v", err)
+	h.p.Now = h.now
+	if err := h.p.Carry(from, 0, raw); err != nil {
+		h.t.Fatal(err)
 	}
-	h.events[dst] = append(h.events[dst], evs...)
 }
 
 // step polls both endpoints once and exchanges the produced packets.
 func (h *harness) step() (activity bool) {
 	h.t.Helper()
-	outA, evA := h.a.Poll(h.now)
-	h.events[h.a] = append(h.events[h.a], evA...)
-	outB, evB := h.b.Poll(h.now)
-	h.events[h.b] = append(h.events[h.b], evB...)
-	for _, raw := range outA {
-		if h.dropAtoB != nil && h.dropAtoB(raw) {
-			continue
-		}
-		h.deliver(h.b, raw)
+	h.p.Now, h.raised = h.now, 0
+	n, err := h.p.Step()
+	if err != nil {
+		h.t.Fatal(err)
 	}
-	for _, raw := range outB {
-		if h.dropBtoA != nil && h.dropBtoA(raw) {
-			continue
-		}
-		h.deliver(h.a, raw)
-	}
-	return len(outA) > 0 || len(outB) > 0 || len(evA) > 0 || len(evB) > 0
+	return n > 0 || h.raised > 0
 }
 
 // run steps the harness up to max rounds, advancing virtual time a little

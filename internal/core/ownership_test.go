@@ -165,36 +165,21 @@ func TestKeptDatagramsNeverChange(t *testing.T) {
 }
 
 // lockstep carries one batch of n messages from a to b and the
-// acknowledgments back, handing every slice back as a transport would once
-// its write has returned. It returns the messages delivered.
-func lockstep(t *testing.T, a, b *Endpoint, now time.Time, n int, payload []byte) (delivered int) {
+// acknowledgments back on the harness's bare path, which hands every slice
+// back as a transport would once its write has returned. It returns the
+// messages delivered.
+func (h *harness) lockstep(n int, payload []byte) int {
+	h.t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := a.Send(now, payload); err != nil {
-			t.Fatal(err)
+		if _, err := h.a.Send(h.now, payload); err != nil {
+			h.t.Fatal(err)
 		}
 	}
-	for {
-		out, evs := a.Poll(now)
-		for _, raw := range out {
-			got, _ := b.Handle(now, raw)
-			for i := range got {
-				if got[i].Kind == EventDelivered {
-					delivered++
-				}
-			}
-			b.Release(nil, got)
-		}
-		a.Release(out, evs)
-		back, evs := b.Poll(now)
-		for _, raw := range back {
-			got, _ := a.Handle(now, raw)
-			a.Release(nil, got)
-		}
-		b.Release(back, evs)
-		if len(out) == 0 && len(back) == 0 {
-			return delivered
-		}
+	h.bare.Now, h.delivered = h.now, 0
+	if err := h.bare.Settle(64); err != nil {
+		h.t.Fatal(err)
 	}
+	return h.delivered
 }
 
 // TestHandBackOneAllocPerMessage is the endpoint pair's allocation gate: a
@@ -217,7 +202,7 @@ func TestHandBackOneAllocPerMessage(t *testing.T) {
 			n := max(cfg.BatchSize, 1)
 			payload := make([]byte, 64)
 			exchange := func() {
-				if got := lockstep(t, h.a, h.b, h.now, n, payload); got != n {
+				if got := h.lockstep(n, payload); got != n {
 					t.Fatalf("delivered %d of %d messages", got, n)
 				}
 			}
@@ -248,20 +233,30 @@ func TestHandedBackSlabIsReused(t *testing.T) {
 	h := newHarness(t, Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 64, FlushDelay: -1})
 	h.handshake()
 	payload := make([]byte, 32)
-	lockstep(t, h.a, h.b, h.now, 1, payload)
+	h.lockstep(1, payload)
 	if len(h.a.freeTx) != 1 {
 		t.Fatalf("signer has %d reusable exchanges after a handed-back exchange, want 1", len(h.a.freeTx))
 	}
 	first := h.a.freeTx[0]
-	lockstep(t, h.a, h.b, h.now, 1, payload)
+	h.lockstep(1, payload)
 	if len(h.a.freeTx) != 1 || h.a.freeTx[0] != first {
 		t.Fatalf("the second exchange did not reuse the first one's exchange and slab")
 	}
-	// Without the hand-back the exchange stays lent and is never reused.
+	// Without the hand-back the exchange stays lent and is never reused:
+	// S1, A1, S2 and A2 cross by hand, and nothing is handed back.
 	if _, err := h.a.Send(h.now, payload); err != nil {
 		t.Fatal(err)
 	}
-	h.run(20)
+	for i := 0; i < 3; i++ {
+		out, _ := h.a.Poll(h.now)
+		for _, raw := range out {
+			h.b.Handle(h.now, raw)
+		}
+		back, _ := h.b.Poll(h.now)
+		for _, raw := range back {
+			h.a.Handle(h.now, raw)
+		}
+	}
 	if len(h.a.freeTx) != 0 {
 		t.Fatalf("an exchange whose datagrams were never handed back was put up for reuse")
 	}
@@ -288,7 +283,7 @@ func TestReplayedS2sDoNotGrowTheSlab(t *testing.T) {
 			ref := newHarness(t, cfg)
 			ref.handshake()
 			for i := 0; i < DefaultMaxRxExchanges+2; i++ {
-				lockstep(t, ref.a, ref.b, ref.now, n, payload)
+				ref.lockstep(n, payload)
 			}
 
 			h := newHarness(t, cfg)
@@ -352,7 +347,7 @@ func TestReplayedS2sDoNotGrowTheSlab(t *testing.T) {
 				h.a.Handle(h.now, raw)
 			}
 			for i := 0; i < DefaultMaxRxExchanges+1; i++ {
-				lockstep(t, h.a, h.b, h.now, n, payload)
+				h.lockstep(n, payload)
 			}
 			if _, ok := h.b.rx[hdr.Seq]; ok {
 				t.Fatal("the replayed exchange was not evicted")

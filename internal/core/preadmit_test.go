@@ -23,7 +23,7 @@ func newHarnessAB(t *testing.T, cfgA, cfgB Config) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &harness{t: t, a: a, b: b, now: time.Unix(1700000000, 0), events: make(map[*Endpoint][]Event)}
+	return pairHarness(t, a, b)
 }
 
 func TestTokenSourceStampsHS1(t *testing.T) {

@@ -24,7 +24,7 @@ func preconfiguredHarness(t *testing.T, cfg Config) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &harness{t: t, a: a, b: b, now: time.Unix(1_700_000_000, 0), events: make(map[*Endpoint][]Event)}
+	return pairHarness(t, a, b)
 }
 
 func TestPreconfiguredNoHandshakeNeeded(t *testing.T) {
@@ -114,7 +114,7 @@ func TestPreconfiguredMismatchedHalvesFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{t: t, a: a, b: b, now: time.Unix(1_700_000_000, 0), events: make(map[*Endpoint][]Event)}
+	h := pairHarness(t, a, b)
 	if _, err := h.a.Send(h.now, []byte("crossed")); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestProvisionRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{t: t, a: a, b: b, now: time.Unix(1_700_000_000, 0), events: make(map[*Endpoint][]Event)}
+	h := pairHarness(t, a, b)
 	for i := 0; i < 4; i++ {
 		if _, err := h.a.Send(h.now, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestPreconfiguredEndpointMatchesHandshaken(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := &harness{t: t, a: a, b: b, now: time.Unix(1_700_000_000, 0), events: make(map[*Endpoint][]Event)}
+		h := pairHarness(t, a, b)
 		h.handshake()
 		return h
 	})
@@ -270,7 +270,7 @@ func TestPreconfiguredEndpointMatchesHandshaken(t *testing.T) {
 			}
 			return e
 		}
-		return &harness{t: t, a: rebuild(cfgA, pi.Record()), b: rebuild(cfgB, pr.Record()), now: time.Unix(1_700_000_000, 0), events: make(map[*Endpoint][]Event)}
+		return pairHarness(t, rebuild(cfgA, pi.Record()), rebuild(cfgB, pr.Record()))
 	})
 	for i, role := range []string{"initiator", "responder"} {
 		hs, pv := handshaken[i], provisioned[i]

@@ -8,6 +8,7 @@ import (
 	"alpha/internal/core"
 	"alpha/internal/netsim"
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/relay"
 )
 
@@ -42,10 +43,10 @@ func TestBundlesThroughVerifyingRelays(t *testing.T) {
 }
 
 // TestRelayStripsTamperedSubPacket builds a bundle with one tampered S2 by
-// hand and checks the relay forwards a re-framed bundle without it.
+// hand and checks the relay forwards a re-framed bundle without it, and that
+// the re-framed bundle is what reaches the verifier.
 func TestRelayStripsTamperedSubPacket(t *testing.T) {
 	cfg := core.Config{Mode: packet.ModeC, BatchSize: 4, ChainLen: 64, FlushDelay: -1}
-	// Drive two endpoints directly to harvest one exchange's packets.
 	a, err := core.NewEndpoint(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -54,38 +55,47 @@ func TestRelayStripsTamperedSubPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1_700_000_000, 0)
 	r := relay.New(relay.Config{})
-	hs1, err := a.StartHandshake(now)
+	var d relay.Decision
+	var s2s [][]byte
+	delivered := 0
+	p := path.Path[core.Event]{
+		Now:  time.Unix(1_700_000_000, 0),
+		Ends: [2]path.Node[core.Event]{a, b},
+		Hops: []path.Hop{func(now time.Time, upstream int, raw []byte) []byte {
+			d = r.ProcessFrom(now, upstream, raw)
+			return d.Forwarded(raw)
+		}},
+		// Harvest the S2s before the relay sees them.
+		Tap: path.Hold(packet.TypeS2, 0, &s2s),
+		On: func(at path.Side, ev core.Event) {
+			switch {
+			case at == path.B && ev.Kind == core.EventDelivered:
+				delivered++
+			case at == path.B && ev.Kind == core.EventDropped:
+				t.Fatalf("verifier dropped from stripped bundle: %v", ev.Err)
+			}
+		},
+	}
+	hs1, err := a.StartHandshake(p.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := r.Process(now, hs1); d.Verdict != relay.Forward {
-		t.Fatal("relay dropped HS1")
+	if err := p.Carry(path.A, 0, hs1); err != nil {
+		t.Fatal(err)
 	}
-	b.Handle(now, hs1)
-	hs2, _ := b.Poll(now)
-	for _, raw := range hs2 {
-		r.Process(now, raw)
-		a.Handle(now, raw)
+	if err := p.Settle(8); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := a.Send(now, []byte(fmt.Sprintf("sub-%d", i))); err != nil {
+		if _, err := a.Send(p.Now, []byte(fmt.Sprintf("sub-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a.Flush(now)
-	s1, _ := a.Poll(now)
-	for _, raw := range s1 {
-		r.Process(now, raw)
-		b.Handle(now, raw)
+	a.Flush(p.Now)
+	if err := p.Settle(8); err != nil {
+		t.Fatal(err)
 	}
-	a1, _ := b.Poll(now)
-	for _, raw := range a1 {
-		r.Process(now, raw)
-		a.Handle(now, raw)
-	}
-	s2s, _ := a.Poll(now)
 	if len(s2s) != 4 {
 		t.Fatalf("expected 4 S2 packets, got %d", len(s2s))
 	}
@@ -104,7 +114,10 @@ func TestRelayStripsTamperedSubPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := r.Process(now, bundle)
+	p.Tap = nil
+	if err := p.Carry(path.A, 0, bundle); err != nil {
+		t.Fatal(err)
+	}
 	if d.Verdict != relay.Forward {
 		t.Fatalf("bundle with 3 honest packets dropped entirely: %v", d.Reason)
 	}
@@ -124,19 +137,6 @@ func TestRelayStripsTamperedSubPacket(t *testing.T) {
 		t.Fatalf("rewritten bundle malformed: %T", remsg)
 	}
 	// The verifier accepts the stripped bundle: 3 deliveries, no drops.
-	evs, err := b.Handle(now, d.Rewritten)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := 0
-	for _, ev := range evs {
-		if ev.Kind == core.EventDelivered {
-			delivered++
-		}
-		if ev.Kind == core.EventDropped {
-			t.Fatalf("verifier dropped from stripped bundle: %v", ev.Err)
-		}
-	}
 	if delivered != 3 {
 		t.Fatalf("verifier delivered %d/3 from stripped bundle", delivered)
 	}

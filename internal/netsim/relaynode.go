@@ -33,13 +33,12 @@ func (rn *RelayNode) Receive(net *Network, now time.Time, pkt Packet) {
 	if rn.OnDecision != nil {
 		rn.OnDecision(now, pkt, d)
 	}
-	if d.Verdict != relay.Forward {
+	fwd := d.Forwarded(pkt.Data)
+	if fwd == nil {
 		return
 	}
 	rn.Extracted = append(rn.Extracted, d.Extractions()...)
-	if d.Rewritten != nil {
-		pkt.Data = d.Rewritten
-	}
+	pkt.Data = fwd
 	_ = net.Forward(rn.Name, pkt)
 }
 

@@ -74,8 +74,8 @@ func TestRelayAgreesWithEndpoint(t *testing.T) {
 				t.Helper()
 				relayBefore := loads(p.r.Telemetry().DropReasons[:])
 				endpointBefore := loads(dst.Telemetry().DropReasons[:])
-				d := p.r.ProcessFrom(p.now, upstream, raw)
-				evs, err := dst.Handle(p.now, raw)
+				d := p.r.ProcessFrom(p.Now, upstream, raw)
+				evs, err := dst.Handle(p.Now, raw)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,20 +97,11 @@ func TestRelayAgreesWithEndpoint(t *testing.T) {
 			// both endpoints hold its S1 and A1.
 			open := func() [][]byte {
 				for i := 0; i < n; i++ {
-					if _, err := p.a.Send(p.now, []byte{byte(i), 'm'}); err != nil {
+					if _, err := p.a.Send(p.Now, []byte{byte(i), 'm'}); err != nil {
 						t.Fatal(err)
 					}
 				}
-				s1, _ := p.a.Poll(p.now)
-				for _, raw := range s1 {
-					p.through(p.b, raw)
-				}
-				a1, _ := p.b.Poll(p.now)
-				for _, raw := range a1 {
-					p.through(p.a, raw)
-				}
-				s2s, _ := p.a.Poll(p.now)
-				return s2s
+				return p.upTo(packet.TypeS2)
 			}
 			first, second := open(), open()
 			if len(first) != n || len(second) != n {
@@ -139,14 +130,14 @@ func TestRelayAgreesWithEndpoint(t *testing.T) {
 					agree(row.name, Drop, 0, p.b, mutate(t, first[0], row.edit))
 				}
 			}
-			p.b.Poll(p.now) // the nacks the tampered payloads earned
+			p.b.Poll(p.Now) // the nacks the tampered payloads earned
 			for x, s2s := range [][][]byte{first, second} {
 				for i, raw := range s2s {
 					agree(fmt.Sprintf("honest S2 %d/%d", x, i), Forward, 0, p.b, raw)
 				}
 			}
 
-			a2s, _ := p.b.Poll(p.now)
+			a2s, _ := p.b.Poll(p.Now)
 			if len(a2s) != 2*n {
 				t.Fatalf("verifier sent %d A2s, want %d", len(a2s), 2*n)
 			}

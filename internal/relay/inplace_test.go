@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/path"
 )
 
 // The relay verifies datagrams in place and keeps only what Tables 2–3 say
@@ -35,28 +37,27 @@ func scribble(b []byte) {
 	}
 }
 
-// scribbled carries datagrams from src across the relay to dst. Each hop
-// gets a private copy, as a transport's read buffer is, and the copy is
-// overwritten with garbage the moment the call returns.
-func (p *pair) scribbled(src, dst *core.Endpoint, upstream int, raws [][]byte) (dropped []Decision) {
-	p.t.Helper()
-	for _, raw := range raws {
-		buf := append([]byte(nil), raw...)
-		d := p.r.ProcessFrom(p.now, upstream, buf)
-		scribble(buf)
-		if d.Verdict != Forward {
-			dropped = append(dropped, d)
-			continue
-		}
-		copy(buf, raw)
-		evs, err := dst.Handle(p.now, buf)
-		scribble(buf)
-		if err != nil {
-			p.t.Fatal(err)
-		}
-		p.evs = append(p.evs, evs...)
+// scribbled is an endpoint whose Handle gets a private copy of each
+// datagram, as a transport's read buffer is, overwritten with garbage the
+// moment the call returns.
+type scribbled struct{ *core.Endpoint }
+
+func (s scribbled) Handle(now time.Time, raw []byte) ([]core.Event, error) {
+	buf := append([]byte(nil), raw...)
+	evs, err := s.Endpoint.Handle(now, buf)
+	scribble(buf)
+	return evs, err
+}
+
+// scribbledHop is the relay as a hop that gets the same treatment.
+func (p *pair) scribbledHop(now time.Time, upstream int, raw []byte) []byte {
+	buf := append([]byte(nil), raw...)
+	d := p.r.ProcessFrom(now, upstream, buf)
+	scribble(buf)
+	if d.Verdict != Forward {
+		p.t.Fatalf("%v dropped: %v", d.Type, d.Reason)
 	}
-	return dropped
+	return raw
 }
 
 // TestScribbledBuffersStillVerify runs full exchanges of every mode through
@@ -71,6 +72,15 @@ func TestScribbledBuffersStillVerify(t *testing.T) {
 			cfg := mc.cfg
 			cfg.ChainLen, cfg.FlushDelay = 256, -1
 			p := newPair(t, cfg, Config{})
+			p.Ends = [2]path.Node[core.Event]{scribbled{p.a}, scribbled{p.b}}
+			p.Hops = []path.Hop{p.scribbledHop}
+			carry := func(from path.Side, raws [][]byte) {
+				for _, raw := range raws {
+					if err := p.Carry(from, 0, raw); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			n := max(cfg.BatchSize, 1)
 			for round := 0; round < 3; round++ {
 				p.evs = p.evs[:0]
@@ -79,51 +89,41 @@ func TestScribbledBuffersStillVerify(t *testing.T) {
 					msg := []byte(fmt.Sprintf("%s round %d message %d", mc.name, round, i))
 					want = append(want, msg)
 					buf := append([]byte(nil), msg...)
-					if _, err := p.a.Send(p.now, buf); err != nil {
+					if _, err := p.a.Send(p.Now, buf); err != nil {
 						t.Fatal(err)
 					}
 					scribble(buf) // Send copied it
 				}
-				s1, _ := p.a.Poll(p.now)
+				s1, _ := p.a.Poll(p.Now)
 				if len(s1) != 1 {
 					t.Fatalf("expected one S1, got %d datagrams", len(s1))
 				}
 				// The S1 twice: the second is a retransmission that relay
 				// and verifier must recognise from their own copies.
-				for i := 0; i < 2; i++ {
-					if d := p.scribbled(p.a, p.b, 0, s1); d != nil {
-						t.Fatalf("S1 pass %d dropped: %v", i, d[0].Reason)
-					}
-				}
-				a1, _ := p.b.Poll(p.now)
+				carry(path.A, s1)
+				carry(path.A, s1)
+				a1, _ := p.b.Poll(p.Now)
 				if len(a1) != 2 || !bytes.Equal(a1[0], a1[1]) {
 					t.Fatalf("expected the A1 and its identical retransmission, got %d datagrams", len(a1))
 				}
 				// One copy travels on: the signer rightly drops a second A1
 				// of an exchange it has moved past.
-				if d := p.scribbled(p.b, p.a, 1, a1[:1]); d != nil {
-					t.Fatalf("A1 dropped: %v", d[0].Reason)
-				}
-				s2, _ := p.a.Poll(p.now)
+				carry(path.B, a1[:1])
+				s2, _ := p.a.Poll(p.Now)
 				if len(s2) != n {
 					t.Fatalf("expected %d S2s, got %d", n, len(s2))
 				}
 				// Every S2 twice as well: the duplicate must verify against
 				// the key element both hops cached from the first.
-				for i := 0; i < 2; i++ {
-					if d := p.scribbled(p.a, p.b, 0, s2); d != nil {
-						t.Fatalf("S2 pass %d dropped: %v", i, d[0].Reason)
-					}
-				}
+				carry(path.A, s2)
+				carry(path.A, s2)
 				// A reliable verifier re-opens the ack for each duplicate S2;
 				// the first n openings complete the exchange.
-				a2, _ := p.b.Poll(p.now)
+				a2, _ := p.b.Poll(p.Now)
 				if cfg.Reliable && len(a2) != 2*n {
 					t.Fatalf("expected %d A2s, got %d", 2*n, len(a2))
 				}
-				if d := p.scribbled(p.b, p.a, 1, a2[:len(a2)/2]); d != nil {
-					t.Fatalf("A2 dropped: %v", d[0].Reason)
-				}
+				carry(path.B, a2[:len(a2)/2])
 
 				var got [][]byte
 				acked := 0
@@ -168,29 +168,25 @@ type capture struct {
 func (p *pair) record(exchanges, n int) *capture {
 	p.t.Helper()
 	c := &capture{}
-	carry := func(dst *core.Endpoint, up int, raws [][]byte, x int) {
-		for _, raw := range raws {
-			c.raw[x] = append(c.raw[x], append([]byte(nil), raw...))
-			c.upstream[x] = append(c.upstream[x], up)
-			if _, err := dst.Handle(p.now, raw); err != nil {
-				p.t.Fatal(err)
-			}
-		}
+	direct := p.Path
+	direct.Hops = nil
+	direct.Tap = func(from path.Side, _ int, raw []byte) [][]byte {
+		x := len(c.raw) - 1
+		c.raw[x] = append(c.raw[x], append([]byte(nil), raw...))
+		c.upstream[x] = append(c.upstream[x], int(from))
+		return [][]byte{raw}
 	}
 	payload := make([]byte, 64)
 	for x := 0; x < exchanges; x++ {
 		c.raw = append(c.raw, nil)
 		c.upstream = append(c.upstream, nil)
 		for i := 0; i < n; i++ {
-			if _, err := p.a.Send(p.now, payload); err != nil {
+			if _, err := p.a.Send(p.Now, payload); err != nil {
 				p.t.Fatal(err)
 			}
 		}
-		for step := 0; step < 2; step++ {
-			out, _ := p.a.Poll(p.now)
-			carry(p.b, 0, out, x)
-			out, _ = p.b.Poll(p.now)
-			carry(p.a, 1, out, x)
+		if err := direct.Settle(8); err != nil {
+			p.t.Fatal(err)
 		}
 	}
 	return c
@@ -214,7 +210,7 @@ func TestRelayForwardingZeroAlloc(t *testing.T) {
 			x := 0
 			exchange := func() {
 				for i, raw := range c.raw[x] {
-					if d := p.r.ProcessFrom(p.now, c.upstream[x][i], raw); d.Verdict != Forward {
+					if d := p.r.ProcessFrom(p.Now, c.upstream[x][i], raw); d.Verdict != Forward {
 						t.Fatalf("exchange %d datagram %d dropped: %v", x, i, d.Reason)
 					}
 				}
@@ -251,7 +247,7 @@ func TestRelayFloodDropsZeroAlloc(t *testing.T) {
 	forged[packet.HeaderSize+1+4] ^= 1 // mode(1) authIdx(4) auth...
 	// Bad MAC: a buffered exchange's S2 with its last payload byte flipped.
 	for i, raw := range [][]byte{s1, a1} {
-		if d := p.r.ProcessFrom(p.now, i, raw); d.Verdict != Forward {
+		if d := p.r.ProcessFrom(p.Now, i, raw); d.Verdict != Forward {
 			t.Fatalf("set-up datagram %d dropped: %v", i, d.Reason)
 		}
 	}
@@ -268,7 +264,7 @@ func TestRelayFloodDropsZeroAlloc(t *testing.T) {
 		{"bad MAC", tampered, core.ErrBadMAC},
 	} {
 		var d Decision
-		allocs := testing.AllocsPerRun(100, func() { d = p.r.ProcessFrom(p.now, 0, tc.raw) })
+		allocs := testing.AllocsPerRun(100, func() { d = p.r.ProcessFrom(p.Now, 0, tc.raw) })
 		if d.Verdict != Drop || !errors.Is(d.Reason, tc.want) {
 			t.Fatalf("%s: verdict %v reason %v, want a drop matching %v", tc.name, d.Verdict, d.Reason, tc.want)
 		}
@@ -277,7 +273,7 @@ func TestRelayFloodDropsZeroAlloc(t *testing.T) {
 		}
 	}
 	// The genuine S2 still verifies after the flood.
-	if d := p.r.ProcessFrom(p.now, 0, s2); d.Verdict != Forward {
+	if d := p.r.ProcessFrom(p.Now, 0, s2); d.Verdict != Forward {
 		t.Fatalf("genuine S2 dropped after the flood: %v", d.Reason)
 	}
 }

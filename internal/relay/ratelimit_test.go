@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/telemetry"
 )
 
@@ -15,39 +16,28 @@ import (
 // free to produce another S1 on the next call.
 func forgeUnknownS1(t *testing.T, p *pair, assoc uint64) []byte {
 	t.Helper()
-	if _, err := p.a.Send(p.now, []byte("m")); err != nil {
+	if _, err := p.a.Send(p.Now, []byte("m")); err != nil {
 		t.Fatal(err)
 	}
-	p.a.Flush(p.now)
+	p.a.Flush(p.Now)
 	var forged []byte
-	for round := 0; round < 20; round++ {
-		p.now = p.now.Add(5 * time.Millisecond)
-		outA, _ := p.a.Poll(p.now)
-		outB, _ := p.b.Poll(p.now)
-		if len(outA) == 0 && len(outB) == 0 {
-			break
-		}
-		for _, raw := range outA {
-			if forged == nil {
-				if hdr, msg, err := packet.Decode(raw); err == nil && hdr.Type == packet.TypeS1 {
-					hdr.Assoc = assoc
-					re, err := packet.Encode(hdr, msg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					forged = re
-				}
-			}
-			if _, err := p.b.Handle(p.now, raw); err != nil {
+	direct := p.Path
+	direct.Hops = nil
+	direct.Tap = func(_ path.Side, _ int, raw []byte) [][]byte {
+		if hdr, msg, err := packet.Decode(raw); forged == nil && err == nil && hdr.Type == packet.TypeS1 {
+			hdr.Assoc = assoc
+			re, err := packet.Encode(hdr, msg)
+			if err != nil {
 				t.Fatal(err)
 			}
+			forged = re
 		}
-		for _, raw := range outB {
-			if _, err := p.a.Handle(p.now, raw); err != nil {
-				t.Fatal(err)
-			}
-		}
+		return [][]byte{raw}
 	}
+	if err := direct.Run(20, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	p.Now = direct.Now
 	if forged == nil {
 		t.Fatal("no S1 produced")
 	}
@@ -62,7 +52,7 @@ func TestRelayUnsolicitedS1RateLimit(t *testing.T) {
 		// Fresh association ID per packet: the attacker pattern a per-flow
 		// bucket cannot stop.
 		raw := forgeUnknownS1(t, p, 0xABC0+uint64(i))
-		d := victim.Process(p.now, raw)
+		d := victim.Process(p.Now, raw)
 		switch {
 		case d.Verdict == Forward:
 			forwarded++
@@ -87,7 +77,7 @@ func TestRelayUnsolicitedS1RateLimit(t *testing.T) {
 	}
 
 	// The bucket refills with time: after a second another S1 passes.
-	d := victim.Process(p.now.Add(time.Second), forgeUnknownS1(t, p, 0xF00))
+	d := victim.Process(p.Now.Add(time.Second), forgeUnknownS1(t, p, 0xF00))
 	if d.Verdict != Forward {
 		t.Fatalf("bucket never refilled: %+v", d)
 	}
@@ -98,13 +88,13 @@ func TestRelayUnsolicitedLimitPerUpstream(t *testing.T) {
 	victim := New(Config{UnsolicitedS1Rate: 1, UnsolicitedS1Burst: 2})
 	// Exhaust upstream 0's budget.
 	for i := 0; i < 6; i++ {
-		victim.ProcessFrom(p.now, 0, forgeUnknownS1(t, p, 0x100+uint64(i)))
+		victim.ProcessFrom(p.Now, 0, forgeUnknownS1(t, p, 0x100+uint64(i)))
 	}
-	if victim.ProcessFrom(p.now, 0, forgeUnknownS1(t, p, 0x200)).Verdict != Drop {
+	if victim.ProcessFrom(p.Now, 0, forgeUnknownS1(t, p, 0x200)).Verdict != Drop {
 		t.Fatal("upstream 0 budget not exhausted")
 	}
 	// Upstream 1 still has its own burst.
-	if d := victim.ProcessFrom(p.now, 1, forgeUnknownS1(t, p, 0x300)); d.Verdict != Forward {
+	if d := victim.ProcessFrom(p.Now, 1, forgeUnknownS1(t, p, 0x300)); d.Verdict != Forward {
 		t.Fatalf("flood on upstream 0 starved upstream 1: %+v", d)
 	}
 }
@@ -130,7 +120,7 @@ func TestRelayKnownFlowUnaffectedByUnsolicitedLimit(t *testing.T) {
 func TestRelayStrictPolicyBeatsRateLimit(t *testing.T) {
 	p := newPair(t, baseCfg(), Config{})
 	strict := New(Config{Strict: true, UnsolicitedS1Rate: 100, UnsolicitedS1Burst: 100})
-	d := strict.Process(p.now, forgeUnknownS1(t, p, 0x999))
+	d := strict.Process(p.Now, forgeUnknownS1(t, p, 0x999))
 	if d.Verdict != Drop || !errors.Is(d.Reason, ErrStrictPolicy) {
 		t.Fatalf("strict relay should drop before rate limiting: %+v", d)
 	}

@@ -80,6 +80,19 @@ type Decision struct {
 	Sub []Decision
 }
 
+// Forwarded is the forward rule: for the datagram in that Process was given,
+// it returns what travels on: nil on a drop, Rewritten when the relay
+// re-framed a bundle, and in otherwise.
+func (d Decision) Forwarded(in []byte) []byte {
+	if d.Verdict != Forward {
+		return nil
+	}
+	if d.Rewritten != nil {
+		return d.Rewritten
+	}
+	return in
+}
+
 // Extractions collects every verified payload of the decision, including
 // sub-packets of a bundle.
 func (d *Decision) Extractions() [][]byte {

@@ -17,26 +17,17 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
-// harvestExchange runs one n-message exchange through the relay and returns
-// the S2 packets (already processed by endpoints but NOT by the relay for
-// the caller's inspection phase when withhold is set).
+// harvestS2s runs an n-message exchange through the relay up to its S2s,
+// which it returns unseen by relay and verifier.
 func (p *pair) harvestS2s(n int) [][]byte {
 	p.t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := p.a.Send(p.now, []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+		if _, err := p.a.Send(p.Now, []byte(fmt.Sprintf("payload-%d", i))); err != nil {
 			p.t.Fatal(err)
 		}
 	}
-	p.a.Flush(p.now)
-	s1, _ := p.a.Poll(p.now)
-	for _, raw := range s1 {
-		p.through(p.b, raw)
-	}
-	a1, _ := p.b.Poll(p.now)
-	for _, raw := range a1 {
-		p.through(p.a, raw)
-	}
-	s2s, _ := p.a.Poll(p.now)
+	p.a.Flush(p.Now)
+	s2s := p.upTo(packet.TypeS2)
 	if len(s2s) != n {
 		p.t.Fatalf("expected %d S2 packets, got %d", n, len(s2s))
 	}
@@ -55,7 +46,7 @@ func TestRelayBundleAllHonest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.r.Process(p.now, bundle)
+	d := p.r.Process(p.Now, bundle)
 	if d.Verdict != Forward {
 		t.Fatalf("honest bundle dropped: %v", d.Reason)
 	}
@@ -94,7 +85,7 @@ func TestRelayBundleAllBadDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.r.Process(p.now, bundle)
+	d := p.r.Process(p.Now, bundle)
 	if d.Verdict != Drop {
 		t.Fatalf("fully tampered bundle forwarded")
 	}
@@ -105,7 +96,7 @@ func TestRelayCMExchange(t *testing.T) {
 	p := newPair(t, cfg, Config{})
 	s2s := p.harvestS2s(8)
 	for i, raw := range s2s {
-		d := p.r.Process(p.now, raw)
+		d := p.r.Process(p.Now, raw)
 		if d.Verdict != Forward {
 			t.Fatalf("CM S2 %d dropped: %v", i, d.Reason)
 		}
@@ -125,7 +116,7 @@ func TestRelayCMExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := p.r.Process(p.now, bad); d.Verdict != Drop || !errors.Is(d.Reason, core.ErrBadProof) {
+	if d := p.r.Process(p.Now, bad); d.Verdict != Drop || !errors.Is(d.Reason, core.ErrBadProof) {
 		t.Fatalf("tampered CM S2 not dropped: %+v", d)
 	}
 }
@@ -138,7 +129,7 @@ func TestRelayRekeyRotatesWalkers(t *testing.T) {
 		p.send([]byte("gen1"))
 	}
 	// In-band rekey, observed by the relay.
-	if _, err := p.a.Rekey(p.now); err != nil {
+	if _, err := p.a.Rekey(p.Now); err != nil {
 		t.Fatal(err)
 	}
 	p.pump(30)
@@ -161,19 +152,11 @@ func TestRelayNackObserved(t *testing.T) {
 	// pre-nack from the A1).
 	cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 64, FlushDelay: -1, MaxRetries: 1, RTO: time.Hour}
 	p := newPair(t, cfg, Config{})
-	if _, err := p.a.Send(p.now, []byte("will be tampered")); err != nil {
+	if _, err := p.a.Send(p.Now, []byte("will be tampered")); err != nil {
 		t.Fatal(err)
 	}
-	p.a.Flush(p.now)
-	s1, _ := p.a.Poll(p.now)
-	for _, raw := range s1 {
-		p.through(p.b, raw)
-	}
-	a1, _ := p.b.Poll(p.now)
-	for _, raw := range a1 {
-		p.through(p.a, raw)
-	}
-	s2s, _ := p.a.Poll(p.now)
+	p.a.Flush(p.Now)
+	s2s := p.upTo(packet.TypeS2)
 	// Tamper before it reaches the VERIFIER but after the relay: deliver
 	// the tampered copy straight to b (bypassing the relay), so b nacks.
 	h, m, err := packet.Decode(s2s[0])
@@ -186,14 +169,14 @@ func TestRelayNackObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.b.Handle(p.now, bad); err != nil {
+	if _, err := p.b.Handle(p.Now, bad); err != nil {
 		t.Fatal(err)
 	}
-	a2s, _ := p.b.Poll(p.now)
+	a2s, _ := p.b.Poll(p.Now)
 	if len(a2s) != 1 {
 		t.Fatalf("expected one A2 (nack), got %d", len(a2s))
 	}
-	d := p.r.Process(p.now, a2s[0])
+	d := p.r.Process(p.Now, a2s[0])
 	if d.Verdict != Forward || !d.AckSeen || d.AckPositive {
 		t.Fatalf("relay did not observe the verified nack: %+v", d)
 	}
@@ -217,39 +200,27 @@ func TestRelaySuiteOverrideMismatchIgnored(t *testing.T) {
 
 func TestRelayDuplicateS1Forwarded(t *testing.T) {
 	p := newPair(t, baseCfg(), Config{})
-	if _, err := p.a.Send(p.now, []byte("dup")); err != nil {
+	if _, err := p.a.Send(p.Now, []byte("dup")); err != nil {
 		t.Fatal(err)
 	}
-	p.a.Flush(p.now)
-	s1, _ := p.a.Poll(p.now)
-	if d := p.r.Process(p.now, s1[0]); d.Verdict != Forward {
+	p.a.Flush(p.Now)
+	s1 := p.upTo(packet.TypeS1)
+	if d := p.r.Process(p.Now, s1[0]); d.Verdict != Forward {
 		t.Fatalf("first S1 dropped")
 	}
 	// A retransmitted S1 is already buffered: forwarded without re-verify.
-	if d := p.r.Process(p.now, s1[0]); d.Verdict != Forward {
+	if d := p.r.Process(p.Now, s1[0]); d.Verdict != Forward {
 		t.Fatalf("duplicate S1 dropped")
 	}
 }
 
 func TestRelayBadAckDropped(t *testing.T) {
 	p := newPair(t, baseCfg(), Config{})
-	if _, err := p.a.Send(p.now, []byte("m")); err != nil {
+	if _, err := p.a.Send(p.Now, []byte("m")); err != nil {
 		t.Fatal(err)
 	}
-	p.a.Flush(p.now)
-	s1, _ := p.a.Poll(p.now)
-	for _, raw := range s1 {
-		p.through(p.b, raw)
-	}
-	a1, _ := p.b.Poll(p.now)
-	for _, raw := range a1 {
-		p.through(p.a, raw)
-	}
-	s2, _ := p.a.Poll(p.now)
-	for _, raw := range s2 {
-		p.through(p.b, raw)
-	}
-	a2s, _ := p.b.Poll(p.now)
+	p.a.Flush(p.Now)
+	a2s := p.upTo(packet.TypeA2)
 	h, m, err := packet.Decode(a2s[0])
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +231,7 @@ func TestRelayBadAckDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.r.Process(p.now, bad)
+	d := p.r.Process(p.Now, bad)
 	if d.Verdict != Drop || !errors.Is(d.Reason, core.ErrBadAck) {
 		t.Fatalf("forged A2 secret not dropped: %+v", d)
 	}

@@ -7,19 +7,20 @@ import (
 
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/suite"
 )
 
-// pair builds two established endpoints and a relay observing their
-// handshake, returning a shuttle that routes packets through the relay.
+// pair is two endpoints with the relay between them on a path.Path.
 type pair struct {
+	path.Path[core.Event]
 	t    *testing.T
 	a, b *core.Endpoint
 	r    *Relay
-	now  time.Time
-	evs  []core.Event // what scribbled's Handle calls reported
+	evs  []core.Event // what the endpoints raised
 }
 
+// newPair builds two endpoints and a relay and runs their handshake across it.
 func newPair(t *testing.T, cfg core.Config, rc Config) *pair {
 	t.Helper()
 	a, err := core.NewEndpoint(cfg)
@@ -30,12 +31,14 @@ func newPair(t *testing.T, cfg core.Config, rc Config) *pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &pair{t: t, a: a, b: b, r: New(rc), now: time.Unix(1_700_000_000, 0)}
-	hs1, err := a.StartHandshake(p.now)
+	p := onPath(t, a, b, New(rc))
+	hs1, err := a.StartHandshake(p.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.through(p.b, hs1)
+	if err := p.Carry(path.A, 0, hs1); err != nil {
+		t.Fatal(err)
+	}
 	p.pump(10)
 	if !a.Established() || !b.Established() {
 		t.Fatal("handshake failed")
@@ -43,42 +46,50 @@ func newPair(t *testing.T, cfg core.Config, rc Config) *pair {
 	return p
 }
 
-// through processes raw at the relay and, if forwarded, delivers it.
-func (p *pair) through(dst *core.Endpoint, raw []byte) Decision {
-	p.t.Helper()
-	d := p.r.Process(p.now, raw)
-	if d.Verdict == Forward {
-		if _, err := dst.Handle(p.now, raw); err != nil {
-			p.t.Fatal(err)
-		}
+func onPath(t *testing.T, a, b *core.Endpoint, r *Relay) *pair {
+	p := &pair{t: t, a: a, b: b, r: r}
+	p.Path = path.Path[core.Event]{
+		Now:  time.Unix(1_700_000_000, 0),
+		Ends: [2]path.Node[core.Event]{a, b},
+		Hops: []path.Hop{r.hop},
+		On:   func(_ path.Side, ev core.Event) { p.evs = append(p.evs, ev) },
 	}
-	return d
+	return p
+}
+
+// hop is the relay as a node of a path.
+func (r *Relay) hop(now time.Time, upstream int, raw []byte) []byte {
+	return r.ProcessFrom(now, upstream, raw).Forwarded(raw)
 }
 
 func (p *pair) pump(rounds int) {
-	for i := 0; i < rounds; i++ {
-		p.now = p.now.Add(5 * time.Millisecond)
-		outA, _ := p.a.Poll(p.now)
-		outB, _ := p.b.Poll(p.now)
-		if len(outA) == 0 && len(outB) == 0 {
-			return
-		}
-		for _, raw := range outA {
-			p.through(p.b, raw)
-		}
-		for _, raw := range outB {
-			p.through(p.a, raw)
-		}
+	p.t.Helper()
+	if err := p.Run(rounds, 5*time.Millisecond); err != nil {
+		p.t.Fatal(err)
 	}
 }
 
 func (p *pair) send(payload []byte) {
 	p.t.Helper()
-	if _, err := p.a.Send(p.now, payload); err != nil {
+	if _, err := p.a.Send(p.Now, payload); err != nil {
 		p.t.Fatal(err)
 	}
-	p.a.Flush(p.now)
+	p.a.Flush(p.Now)
 	p.pump(20)
+}
+
+// upTo settles the exchange under way, holding back each datagram of type
+// typ as it leaves its sender, so neither the relay nor the far end sees it.
+// It returns copies of the datagrams it held.
+func (p *pair) upTo(typ packet.Type) [][]byte {
+	p.t.Helper()
+	var held [][]byte
+	p.Tap = path.Hold(typ, 0, &held)
+	defer func() { p.Tap = nil }()
+	if err := p.Settle(16); err != nil {
+		p.t.Fatal(err)
+	}
+	return held
 }
 
 func baseCfg() core.Config {
@@ -107,26 +118,12 @@ func TestRelayForwardsHonestTraffic(t *testing.T) {
 func TestRelayObservesAcks(t *testing.T) {
 	p := newPair(t, baseCfg(), Config{})
 	var ackDecision *Decision
-	// Manually walk one exchange to capture the A2 decision.
-	if _, err := p.a.Send(p.now, []byte("acked")); err != nil {
+	if _, err := p.a.Send(p.Now, []byte("acked")); err != nil {
 		t.Fatal(err)
 	}
-	p.a.Flush(p.now)
-	s1, _ := p.a.Poll(p.now)
-	for _, raw := range s1 {
-		p.through(p.b, raw)
-	}
-	a1, _ := p.b.Poll(p.now)
-	for _, raw := range a1 {
-		p.through(p.a, raw)
-	}
-	s2, _ := p.a.Poll(p.now)
-	for _, raw := range s2 {
-		p.through(p.b, raw)
-	}
-	a2, _ := p.b.Poll(p.now)
-	for _, raw := range a2 {
-		d := p.through(p.a, raw)
+	p.a.Flush(p.Now)
+	for _, raw := range p.upTo(packet.TypeA2) {
+		d := p.r.ProcessFrom(p.Now, 1, raw)
 		ackDecision = &d
 	}
 	if ackDecision == nil || !ackDecision.AckSeen || !ackDecision.AckPositive {
@@ -149,7 +146,7 @@ func TestRelayDropsUnsolicitedS2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.r.Process(p.now, raw)
+	d := p.r.Process(p.Now, raw)
 	if d.Verdict != Drop || !errors.Is(d.Reason, core.ErrUnsolicited) {
 		t.Fatalf("unsolicited S2 not dropped: %+v", d)
 	}
@@ -157,19 +154,11 @@ func TestRelayDropsUnsolicitedS2(t *testing.T) {
 
 func TestRelayDropsTamperedS2(t *testing.T) {
 	p := newPair(t, baseCfg(), Config{})
-	if _, err := p.a.Send(p.now, []byte("original")); err != nil {
+	if _, err := p.a.Send(p.Now, []byte("original")); err != nil {
 		t.Fatal(err)
 	}
-	p.a.Flush(p.now)
-	s1, _ := p.a.Poll(p.now)
-	for _, raw := range s1 {
-		p.through(p.b, raw)
-	}
-	a1, _ := p.b.Poll(p.now)
-	for _, raw := range a1 {
-		p.through(p.a, raw)
-	}
-	s2raw, _ := p.a.Poll(p.now)
+	p.a.Flush(p.Now)
+	s2raw := p.upTo(packet.TypeS2)
 	hdr, msg, err := packet.Decode(s2raw[0])
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +169,7 @@ func TestRelayDropsTamperedS2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.r.Process(p.now, bad)
+	d := p.r.Process(p.Now, bad)
 	if d.Verdict != Drop || !errors.Is(d.Reason, core.ErrBadMAC) {
 		t.Fatalf("tampered S2 not dropped: %+v", d)
 	}
@@ -188,7 +177,7 @@ func TestRelayDropsTamperedS2(t *testing.T) {
 		t.Fatalf("tampered payload extracted")
 	}
 	// The genuine S2 still passes afterwards.
-	d = p.r.Process(p.now, s2raw[0])
+	d = p.r.Process(p.Now, s2raw[0])
 	if d.Verdict != Forward || string(d.Extracted) != "original" {
 		t.Fatalf("genuine S2 rejected after tamper attempt: %+v", d)
 	}
@@ -209,18 +198,18 @@ func TestRelayUnknownAssocPolicy(t *testing.T) {
 	// Build a valid S1 on an association the relay never saw.
 	cfg := baseCfg()
 	p := newPair(t, cfg, Config{})
-	if _, err := p.a.Send(p.now, []byte("m")); err != nil {
+	if _, err := p.a.Send(p.Now, []byte("m")); err != nil {
 		t.Fatal(err)
 	}
-	p.a.Flush(p.now)
-	s1, _ := p.a.Poll(p.now)
+	p.a.Flush(p.Now)
+	s1 := p.upTo(packet.TypeS1)
 
 	loose := New(Config{})
-	if d := loose.Process(p.now, s1[0]); d.Verdict != Forward {
+	if d := loose.Process(p.Now, s1[0]); d.Verdict != Forward {
 		t.Fatalf("pass-through relay dropped unknown assoc: %+v", d)
 	}
 	strict := New(Config{Strict: true})
-	if d := strict.Process(p.now, s1[0]); d.Verdict != Drop || !errors.Is(d.Reason, ErrStrictPolicy) {
+	if d := strict.Process(p.Now, s1[0]); d.Verdict != Drop || !errors.Is(d.Reason, ErrStrictPolicy) {
 		t.Fatalf("strict relay forwarded unknown assoc: %+v", d)
 	}
 }
@@ -229,16 +218,13 @@ func TestRelayS1RateLimit(t *testing.T) {
 	p := newPair(t, baseCfg(), Config{S1Rate: 1, S1Burst: 2})
 	limited := 0
 	for i := 0; i < 10; i++ {
-		if _, err := p.a.Send(p.now, []byte{byte(i)}); err != nil {
+		if _, err := p.a.Send(p.Now, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		p.a.Flush(p.now)
-		out, _ := p.a.Poll(p.now)
-		for _, raw := range out {
-			if hdr, _, err := packet.Decode(raw); err == nil && hdr.Type == packet.TypeS1 {
-				if d := p.r.Process(p.now, raw); errors.Is(d.Reason, ErrRateLimited) {
-					limited++
-				}
+		p.a.Flush(p.Now)
+		for _, raw := range p.upTo(packet.TypeS1) {
+			if d := p.r.Process(p.Now, raw); errors.Is(d.Reason, ErrRateLimited) {
+				limited++
 			}
 		}
 	}
@@ -255,13 +241,13 @@ func TestRelayAdaptiveS1SizeLimit(t *testing.T) {
 	p := newPair(t, core.Config{Mode: packet.ModeC, Reliable: true, ChainLen: 256, BatchSize: 32, FlushDelay: -1}, rc)
 	// A 32-MAC S1 greatly exceeds the 80-byte initial budget.
 	for i := 0; i < 32; i++ {
-		if _, err := p.a.Send(p.now, []byte{byte(i)}); err != nil {
+		if _, err := p.a.Send(p.Now, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p.a.Flush(p.now)
-	s1, _ := p.a.Poll(p.now)
-	d := p.r.Process(p.now, s1[0])
+	p.a.Flush(p.Now)
+	s1 := p.upTo(packet.TypeS1)
+	d := p.r.Process(p.Now, s1[0])
 	if d.Verdict != Drop || !errors.Is(d.Reason, ErrOversizedS1) {
 		t.Fatalf("oversized S1 not limited: %+v", d)
 	}
@@ -304,13 +290,13 @@ func TestRelayRequireProtected(t *testing.T) {
 func TestRelayBufferAccounting(t *testing.T) {
 	p := newPair(t, core.Config{Mode: packet.ModeC, Reliable: false, ChainLen: 128, BatchSize: 8, FlushDelay: -1}, Config{})
 	for i := 0; i < 8; i++ {
-		if _, err := p.a.Send(p.now, []byte{byte(i)}); err != nil {
+		if _, err := p.a.Send(p.Now, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p.a.Flush(p.now)
-	s1, _ := p.a.Poll(p.now)
-	p.r.Process(p.now, s1[0])
+	p.a.Flush(p.Now)
+	s1 := p.upTo(packet.TypeS1)
+	p.r.Process(p.Now, s1[0])
 	sig, _ := p.r.BufferedBytes()
 	if want := 8 * 20; sig != want {
 		t.Fatalf("relay buffers %d pre-signature bytes, want %d (n·h)", sig, want)
@@ -337,7 +323,7 @@ func TestRelaySeededFlowVerifiesWithoutHandshake(t *testing.T) {
 	if err := r.Seed(suite.MMO(), anchors); err != nil {
 		t.Fatal(err)
 	}
-	p := &pair{t: t, a: a, b: b, r: r, now: time.Unix(1_700_000_000, 0)}
+	p := onPath(t, a, b, r)
 	p.send([]byte("provisioned"))
 	st := r.Stats()
 	if st.Dropped != 0 || st.Unknown != 0 {
@@ -374,15 +360,12 @@ func TestRelayExchangeEviction(t *testing.T) {
 	p := newPair(t, core.Config{Mode: packet.ModeBase, ChainLen: 256, FlushDelay: -1, MaxOutstanding: 8}, rc)
 	// Push 4 S1s without completing the exchanges.
 	for i := 0; i < 4; i++ {
-		if _, err := p.a.Send(p.now, []byte{byte(i)}); err != nil {
+		if _, err := p.a.Send(p.Now, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		p.a.Flush(p.now)
-		out, _ := p.a.Poll(p.now)
-		for _, raw := range out {
-			if hdr, _, err := packet.Decode(raw); err == nil && hdr.Type == packet.TypeS1 {
-				p.r.Process(p.now, raw)
-			}
+		p.a.Flush(p.Now)
+		for _, raw := range p.upTo(packet.TypeS1) {
+			p.r.Process(p.Now, raw)
 		}
 	}
 	f := p.r.flows[p.a.Assoc()]

@@ -14,6 +14,7 @@ import (
 
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/path"
 	"alpha/internal/suite"
 	"alpha/internal/telemetry"
 	"alpha/internal/udpio"
@@ -51,23 +52,21 @@ func captureBurst(b *testing.B, mode packet.Mode, n int) [][]byte {
 		}
 	}
 	snd.Flush(now)
+	// Settle the exchange, collecting every sender-side datagram (S1, then
+	// the S2 burst released by the A1).
 	var burst [][]byte
-	// Ping-pong until the exchange settles, collecting every sender-side
-	// datagram (S1, then the S2 burst released by the A1).
-	for round := 0; round < 8; round++ {
-		out, _ := snd.Poll(now)
-		burst = append(burst, out...)
-		for _, raw := range out {
-			if _, err := rcv.Handle(now, raw); err != nil {
-				b.Fatal(err)
+	p := path.Path[core.Event]{
+		Now:  now,
+		Ends: [2]path.Node[core.Event]{snd, rcv},
+		Tap: func(from path.Side, _ int, raw []byte) [][]byte {
+			if from == path.A {
+				burst = append(burst, append([]byte(nil), raw...))
 			}
-		}
-		back, _ := rcv.Poll(now)
-		for _, raw := range back {
-			if _, err := snd.Handle(now, raw); err != nil {
-				b.Fatal(err)
-			}
-		}
+			return [][]byte{raw}
+		},
+	}
+	if err := p.Settle(8); err != nil {
+		b.Fatal(err)
 	}
 	if len(burst) < n {
 		b.Fatalf("burst capture: got %d datagrams, want >= %d", len(burst), n)

@@ -185,11 +185,8 @@ func (r *Relay) loop(batch int) {
 			if r.OnDecision != nil {
 				r.OnDecision(d)
 			}
-			if d.Verdict != relay.Forward {
+			if data = d.Forwarded(data); data == nil {
 				continue
-			}
-			if d.Rewritten != nil {
-				data = d.Rewritten
 			}
 			// Restamp for the next hop: the cookie binds to this relay's
 			// source address now.
