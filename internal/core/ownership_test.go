@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"alpha/internal/packet"
+	"alpha/internal/telemetry"
 )
 
 // The endpoint hands out views of exchange slabs and reuses a slab only
@@ -184,8 +185,9 @@ func (h *harness) lockstep(n int, payload []byte) int {
 
 // TestHandBackOneAllocPerMessage is the endpoint pair's allocation gate: a
 // signer and a verifier whose caller hands buffers back spend at most one
-// allocation per delivered message, the payload copy in Event.Payload, plus
-// in the Merkle modes the trees of the batch (built once per n messages).
+// allocation per delivered message, the payload copy in Event.Payload, in
+// every mode: the Merkle modes rebuild their trees and AMTs in the storage
+// of the exchange objects they reuse.
 func TestHandBackOneAllocPerMessage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -211,13 +213,6 @@ func TestHandBackOneAllocPerMessage(t *testing.T) {
 			}
 			allocs := testing.AllocsPerRun(runs, exchange)
 			limit := float64(n)
-			switch cfg.Mode {
-			case packet.ModeM, packet.ModeCM:
-				// internal/merkle allocates a tree's levels when it builds
-				// it: per batch (an ALPHA-M tree and its AMT, or the k
-				// subtrees of CM), not per message.
-				limit += 48
-			}
 			t.Logf("%s: %.0f allocations per exchange of %d messages (%.2f per message)", mc.name, allocs, n, allocs/float64(n))
 			if allocs > limit {
 				t.Fatalf("one %s exchange of %d messages allocated %.0f times, want at most %.0f", mc.name, n, allocs, limit)
@@ -356,5 +351,44 @@ func TestReplayedS2sDoNotGrowTheSlab(t *testing.T) {
 				t.Fatalf("rxSlabHint = %d after the replays, %d on an undisturbed pair", h.b.rxSlabHint, ref.b.rxSlabHint)
 			}
 		})
+	}
+}
+
+// TestReusedExchangeSwitchesAckMaterial pins that an rxExchange keeps its
+// AMT across reuse without answering from it when it should not: a verifier
+// whose free list is warm alternates ALPHA-M batches, acknowledged through
+// an AMT, with base exchanges, acknowledged through a flat pre-(n)ack pair,
+// so its exchange objects serve both kinds in turn. A base exchange that
+// opened its A2 from the AMT its object held before would fail the signer's
+// check and be dropped as a bad ack.
+func TestReusedExchangeSwitchesAckMaterial(t *testing.T) {
+	const exchanges = 2*DefaultMaxRxExchanges + 16
+	cfg := Config{Mode: packet.ModeM, BatchSize: 64, Reliable: true, FlushDelay: -1}
+	cfg.ChainLen = 2*exchanges + 64
+	h := newHarness(t, cfg)
+	h.handshake()
+	profiles := [2]Profile{{Mode: packet.ModeM, BatchSize: 64}, {Mode: packet.ModeBase, BatchSize: 1}}
+	payload := make([]byte, 64)
+	sent := 0
+	for i := 0; i < exchanges; i++ {
+		p := profiles[i%2]
+		if err := h.a.SetProfile(h.now, p); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.lockstep(p.BatchSize, payload); got != p.BatchSize {
+			t.Fatalf("exchange %d (%v): delivered %d of %d messages", i, p.Mode, got, p.BatchSize)
+		}
+		sent += p.BatchSize
+	}
+	if acked := h.a.Stats().Acked; acked != uint64(sent) {
+		t.Fatalf("%d of %d messages acknowledged", acked, sent)
+	}
+	for _, e := range []*Endpoint{h.a, h.b} {
+		if n := e.Telemetry().DropReasons[telemetry.ReasonBadAck].Load(); n != 0 {
+			t.Fatalf("%d acknowledgments dropped as bad", n)
+		}
+	}
+	if len(h.b.freeRx) == 0 {
+		t.Fatal("the verifier never reused an exchange")
 	}
 }

@@ -35,7 +35,10 @@ type rxExchange struct {
 	ackPair hashchain.Pair // our acknowledgment-chain elements
 	sack    []byte         // base: secret opened for a positive ack
 	snack   []byte         // base: secret opened for a negative ack
-	amt     *merkle.AckTree
+	// amt is the AMT this exchange object last built. It survives reuse of
+	// the object, so that the next batch rebuilds it in place: ackTree,
+	// not amt != nil, says whether this exchange uses it.
+	amt *merkle.AckTree
 
 	a1 []byte // encoded A1 for retransmission on duplicate S1
 	// a2s holds the encoded A2s of a reliable exchange, the nack of message
@@ -59,15 +62,24 @@ func (rx *rxExchange) unlend(e *Endpoint) {
 	}
 }
 
+// ackTree returns the AMT this exchange opens its A2s from: a reliable
+// exchange of more than one message has one, built by handleS1.
+func (rx *rxExchange) ackTree() *merkle.AckTree {
+	if rx.reliable && rx.batch > 1 {
+		return rx.amt
+	}
+	return nil
+}
+
 // ackBytes reports the additional reliable-mode state (Table 3).
 func (rx *rxExchange) ackBytes() int {
 	n := len(rx.sack) + len(rx.snack)
-	if rx.amt != nil {
+	if amt := rx.ackTree(); amt != nil {
 		// The AMT retains 2n leaf secrets plus the tree nodes
 		// (≈ 4n-1 digests counting both subtrees), matching the
 		// paper's n·s + (4n-1)·h verifier entry.
-		h := len(rx.amt.Root())
-		n += 2*rx.amt.Messages()*h + (4*rx.amt.Messages()-1)*h
+		h := len(amt.Root())
+		n += 2*amt.Messages()*h + (4*amt.Messages()-1)*h
 	}
 	return n
 }
@@ -77,7 +89,7 @@ func (e *Endpoint) newRx() *rxExchange {
 	var rx *rxExchange
 	if n := len(e.freeRx); n > 0 {
 		rx, e.freeRx = e.freeRx[n-1], e.freeRx[:n-1]
-		*rx = rxExchange{slab: rx.slab.reset(), delivered: rx.delivered[:0], a2s: rx.a2s[:0]}
+		*rx = rxExchange{slab: rx.slab.reset(), delivered: rx.delivered[:0], a2s: rx.a2s[:0], amt: rx.amt}
 	} else {
 		rx = &rxExchange{} //alpha:alloc-ok the first MaxRxExchanges exchanges, or a caller that hands nothing back (see Release)
 		rx.delivered, rx.a2s = rx.delivered1[:0], rx.a2s1[:0]
@@ -161,14 +173,16 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 			e.mac.macOut = AppendPreNackDigest(e.suite, digests, pair.Key, rx.snack)
 			a1.PreAck, a1.PreNack = e.mac.macOut[:h], e.mac.macOut[h:]
 		} else {
-			// Acknowledgment Merkle Tree (§3.3.3, Fig. 7).
-			amt, err := merkle.NewAckTree(e.suite, pair.Key, batch) //alpha:alloc-ok the AMT: once per exchange of n messages
-			if err != nil {
+			// Acknowledgment Merkle Tree (§3.3.3, Fig. 7), rebuilt in the
+			// storage of the one this exchange object last held.
+			if rx.amt == nil {
+				rx.amt = new(merkle.AckTree) //alpha:alloc-ok the first AMT this exchange object holds
+			}
+			if err := rx.amt.Build(e.suite, pair.Key, batch); err != nil {
 				e.drop(hdr.Seq, err)
 				return
 			}
-			rx.amt = amt
-			a1.AMTRoot = amt.Root()
+			a1.AMTRoot = rx.amt.Root()
 			a1.AMTLeaves = uint32(batch)
 		}
 	}
@@ -301,9 +315,9 @@ func (e *Endpoint) openA2(rx *rxExchange, idx int, ack bool) ([]byte, bool) {
 		MsgIndex: uint32(idx),
 		Ack:      ack,
 	}
-	if rx.amt != nil {
+	if amt := rx.ackTree(); amt != nil {
 		o := &e.opening
-		if err := rx.amt.OpenInto(o, idx, ack); err != nil {
+		if err := amt.OpenInto(o, idx, ack); err != nil {
 			// An unopenable acknowledgment is an internal-state error, not
 			// hostile input, but it must not vanish silently: the peer will
 			// retransmit the S2 and land on the duplicate-delivery path.
@@ -316,7 +330,7 @@ func (e *Endpoint) openA2(rx *rxExchange, idx int, ack bool) ([]byte, bool) {
 		a2.Secret = o.Secret
 		a2.Proof = o.Proof
 		a2.Other = o.Other
-		a2.AMTLeaves = uint32(rx.amt.Messages())
+		a2.AMTLeaves = uint32(amt.Messages())
 	} else if ack {
 		a2.Secret = rx.sack
 	} else {

@@ -45,10 +45,12 @@ type txExchange struct {
 	// under the profile it was created with, so a runtime SetProfile never
 	// mixes modes within one S1/S2 round (the S2s must match what the S1
 	// announced).
-	mode  packet.Mode
-	msgs  []outMsg
-	pair  hashchain.Pair // our signature-chain elements for this exchange
-	trees []*merkle.Tree // modes M (one tree) and CM (k subtrees)
+	mode packet.Mode
+	msgs []outMsg
+	pair hashchain.Pair // our signature-chain elements for this exchange
+	// trees holds mode M's one tree or CM's k subtrees. A reused exchange
+	// rebuilds them in the storage they already have.
+	trees []merkle.Tree
 
 	s1  []byte   // encoded S1 for retransmission
 	s2s [][]byte // encoded S2 packets, indexed by message
@@ -211,27 +213,31 @@ func (e *Endpoint) startExchange(now time.Time, batch []outMsg) error {
 			e.digests = append(e.digests, e.macSlab[off:off+size:off+size])
 		}
 		s1.MACs = e.digests
-	case packet.ModeM:
-		tree, err := e.buildTree(x.msgs, pair.Key)
-		if err != nil {
-			return err
+	case packet.ModeM, packet.ModeCM:
+		// One tree over the batch (M), or k subtrees over its slices (CM),
+		// each rebuilt in the storage its slot held last time.
+		n, k := len(x.msgs), 1
+		if x.mode == packet.ModeCM {
+			k = min(e.cfg.CMRoots, n)
 		}
-		x.trees = append(x.trees, tree)
-		s1.LeafCount = uint32(len(x.msgs))
-		s1.Root = tree.Root()
-	case packet.ModeCM:
-		n := len(x.msgs)
-		sub := CMSubSize(n, min(e.cfg.CMRoots, n))
-		for off := 0; off < n; off += sub {
-			tree, err := e.buildTree(x.msgs[off:min(off+sub, n)], pair.Key)
-			if err != nil {
+		sub := CMSubSize(n, k)
+		k = (n + sub - 1) / sub // the partition may need fewer roots than CMRoots
+		if cap(x.trees) < k {
+			x.trees = append(x.trees[:cap(x.trees)], make([]merkle.Tree, k-cap(x.trees))...) //alpha:alloc-ok grows to the subtree count once per exchange object
+		}
+		x.trees = x.trees[:k]
+		for i := range x.trees {
+			if err := e.buildTree(&x.trees[i], x.msgs[i*sub:min((i+1)*sub, n)], pair.Key); err != nil {
 				return err
 			}
-			x.trees = append(x.trees, tree)
-			e.digests = append(e.digests, tree.Root())
+			e.digests = append(e.digests, x.trees[i].Root())
 		}
-		s1.Roots = e.digests
 		s1.LeafCount = uint32(n)
+		if x.mode == packet.ModeM {
+			s1.Root = e.digests[0]
+		} else {
+			s1.Roots = e.digests
+		}
 	}
 	if x.s1, err = x.encode(e.header(packet.TypeS1, seq), s1); err != nil {
 		return err
@@ -246,13 +252,13 @@ func (e *Endpoint) startExchange(now time.Time, batch []outMsg) error {
 	return nil
 }
 
-// buildTree builds the keyed Merkle tree over the payloads of msgs.
-func (e *Endpoint) buildTree(msgs []outMsg, key []byte) (*merkle.Tree, error) {
+// buildTree rebuilds t as the keyed Merkle tree over the payloads of msgs.
+func (e *Endpoint) buildTree(t *merkle.Tree, msgs []outMsg, key []byte) error {
 	e.leafIn = e.leafIn[:0]
 	for i := range msgs {
 		e.leafIn = append(e.leafIn, MerkleLeafInput(msgs[i].payload))
 	}
-	return merkle.Build(e.suite, key, e.leafIn) //alpha:alloc-ok the Merkle tree: once per exchange of n messages
+	return t.Build(e.suite, key, e.leafIn)
 }
 
 // errNoPreAck is what an A1 without the pre-(n)ack material its exchange
@@ -312,23 +318,17 @@ func (e *Endpoint) sendS2s(now time.Time, x *txExchange) error {
 			MsgIndex: uint32(i),
 			Payload:  x.msgs[i].payload,
 		}
-		var err error
-		switch x.mode {
-		case packet.ModeM:
-			s2.LeafCount = uint32(x.trees[0].Leaves())
-			e.digests, err = x.trees[0].AppendProof(e.digests[:0], i)
-		case packet.ModeCM:
+		if x.mode == packet.ModeM || x.mode == packet.ModeCM {
+			// Mode M's one tree is CM's partition with a single root.
 			root, leaf, _, ok := CMLocate(i, len(x.msgs), len(x.trees))
 			if !ok {
-				return fmt.Errorf("core: CM locate failed for message %d", i) //alpha:alloc-ok internal-state error, never a packet's fault
+				return fmt.Errorf("core: tree locate failed for message %d", i) //alpha:alloc-ok internal-state error, never a packet's fault
+			}
+			var err error
+			if e.digests, err = x.trees[root].AppendProof(e.digests[:0], leaf); err != nil {
+				return err
 			}
 			s2.LeafCount = uint32(len(x.msgs))
-			e.digests, err = x.trees[root].AppendProof(e.digests[:0], leaf)
-		}
-		if err != nil {
-			return err
-		}
-		if x.mode == packet.ModeM || x.mode == packet.ModeCM {
 			s2.Proof = e.digests
 		}
 		raw, err := x.encode(e.header(packet.TypeS2, x.seq), s2)

@@ -24,7 +24,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/bits"
 
 	"alpha/internal/suite"
@@ -39,11 +38,18 @@ var (
 )
 
 // MaxLeaves bounds tree size; 2^20 leaves is far beyond the paper's largest
-// evaluated configuration (1024, Table 6) and keeps proof allocation sane.
+// evaluated configuration (1024, Table 6) and bounds what one tree's storage
+// can grow to.
 const MaxLeaves = 1 << 20
 
-// ErrLeafRange is returned when a leaf index is outside the tree.
-var ErrLeafRange = errors.New("merkle: leaf index out of range")
+// Errors of Build and the proof accessors, built once: a tree rebuilt per
+// batch must not allocate to say why it could not be.
+var (
+	ErrLeafRange     = errors.New("merkle: leaf index out of range")
+	errNoLeaves      = errors.New("merkle: no leaves")
+	errTooManyLeaves = errors.New("merkle: more leaves than MaxLeaves")
+	errAckCount      = errors.New("merkle: AMT message count out of range")
+)
 
 // LeafDigest computes the leaf digest of a message pre-image.
 func LeafDigest(s suite.Suite, m []byte) []byte {
@@ -59,96 +65,114 @@ func Depth(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// Tree is a keyed Merkle tree over a batch of leaf digests. Trees are
-// immutable after construction.
+// Tree is a keyed Merkle tree over a batch of messages. Its Build remakes it
+// in place, and its storage grows only for a larger shape than it has held,
+// so a tree rebuilt batch after batch stops allocating.
 type Tree struct {
-	s      suite.Suite
-	key    []byte
-	depth  int
-	n      int        // real (unpadded) leaf count
-	levels [][][]byte // levels[0] = padded leaves ... levels[depth] = [combined top]
-	root   []byte
-}
-
-// New builds a keyed tree over the given leaf digests. key is the signer's
-// next undisclosed chain element (or the verifier's for AMTs); it is copied.
-// The leaf count is padded to the next power of two with a fixed pad digest.
-func New(s suite.Suite, key []byte, leaves [][]byte) (*Tree, error) {
-	n := len(leaves)
-	if n == 0 {
-		return nil, errors.New("merkle: no leaves")
-	}
-	if n > MaxLeaves {
-		return nil, fmt.Errorf("merkle: %d leaves exceeds maximum %d", n, MaxLeaves)
-	}
-	for i, l := range leaves {
-		if len(l) != s.Size() {
-			return nil, fmt.Errorf("merkle: leaf %d has size %d, want %d", i, len(l), s.Size())
-		}
-	}
-	depth := Depth(n)
-	padded := 1 << depth
-	level := make([][]byte, padded)
-	copy(level, leaves)
-	if padded > n {
-		pad := s.Hash(tagPad)
-		for i := n; i < padded; i++ {
-			level[i] = pad
-		}
-	}
-	t := &Tree{s: s, key: append([]byte(nil), key...), depth: depth, n: n}
-	t.levels = make([][][]byte, depth+1)
-	t.levels[0] = level
-	// All internal nodes and the root share one slab: building an n-leaf
-	// tree costs O(log n) allocations (level headers) instead of one per
-	// node. Proof slices alias the slab, which lives as long as the tree.
-	size := s.Size()
-	slab := make([]byte, 0, padded*size)
-	var parts [4][]byte
-	for d := 1; d <= depth; d++ {
-		prev := t.levels[d-1]
-		cur := make([][]byte, len(prev)/2)
-		for i := range cur {
-			parts[0], parts[1], parts[2] = tagNode, prev[2*i], prev[2*i+1]
-			off := len(slab)
-			slab = s.HashInto(slab, parts[:3]...)
-			cur[i] = slab[off : off+size : off+size]
-		}
-		t.levels[d] = cur
-	}
-	top := t.levels[depth]
-	off := len(slab)
-	if depth == 0 {
-		parts[0], parts[1], parts[2] = tagRoot, t.key, top[0]
-		slab = s.HashInto(slab, parts[:3]...)
-	} else {
-		// The root absorbs the two topmost children directly, matching
-		// the paper's r = H(h|b0|b1): levels[depth] has one node which
-		// already combines b0 and b1, so recompute from depth-1.
-		parts[0], parts[1], parts[2], parts[3] = tagRoot, t.key, t.levels[depth-1][0], t.levels[depth-1][1]
-		slab = s.HashInto(slab, parts[:4]...)
-	}
-	t.root = slab[off : off+size : off+size]
-	return t, nil
+	size  int // digest size
+	depth int
+	n     int // real (unpadded) leaf count
+	// nodes holds the 2·padded−1 node digests level by level, the padded
+	// leaves first and the top node last, followed by the keyed root.
+	nodes []byte
 }
 
 // Build hashes the message pre-images and constructs their keyed tree.
 func Build(s suite.Suite, key []byte, msgs [][]byte) (*Tree, error) {
-	size := s.Size()
-	leaves := make([][]byte, len(msgs))
-	slab := make([]byte, 0, len(msgs)*size)
-	var parts [2][]byte
-	for i, m := range msgs {
-		parts[0], parts[1] = tagLeaf, m
-		off := len(slab)
-		slab = s.HashInto(slab, parts[:]...)
-		leaves[i] = slab[off : off+size : off+size]
+	t := new(Tree)
+	if err := t.Build(s, key, msgs); err != nil {
+		return nil, err
 	}
-	return New(s, key, leaves)
+	return t, nil
 }
 
-// Root returns the keyed root digest (the ALPHA-M pre-signature).
-func (t *Tree) Root() []byte { return t.root }
+// Build remakes t as the keyed tree over the message pre-images msgs. key is
+// the signer's next undisclosed chain element; it is absorbed into the root
+// and not kept. The leaf count is padded to the next power of two with a
+// fixed pad digest.
+func (t *Tree) Build(s suite.Suite, key []byte, msgs [][]byte) error {
+	switch {
+	case len(msgs) == 0:
+		return errNoLeaves
+	case len(msgs) > MaxLeaves:
+		return errTooManyLeaves
+	}
+	t.reset(s.Size(), len(msgs))
+	sc := suite.GetScratch()
+	sc.Parts[0] = tagLeaf
+	for i, m := range msgs {
+		sc.Parts[1] = m
+		s.HashInto(t.node(0, i)[:0], sc.Parts[:2]...)
+	}
+	t.seal(s, sc, key)
+	suite.PutScratch(sc)
+	return nil
+}
+
+// reset shapes t for 1 ≤ n ≤ MaxLeaves leaves of size bytes, growing its
+// storage if this shape is larger than any it has held.
+func (t *Tree) reset(size, n int) {
+	t.size, t.depth, t.n = size, Depth(n), n
+	t.nodes = grow(t.nodes, (2<<t.depth)*size)
+}
+
+// grow returns b resized to n bytes, in its own array if that is large
+// enough. It is the package's one allocation site on a rebuild, and stays
+// out of line so that escape analysis reports the allocation here and not
+// in every caller it would be inlined into.
+//
+//go:noinline
+func grow(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n) //alpha:alloc-ok storage growth: only until this tree has held a batch of this shape
+	}
+	return b[:n]
+}
+
+// node returns digest i of level d, level 0 being the padded leaves.
+func (t *Tree) node(d, i int) []byte {
+	padded := 1 << t.depth
+	off := (2*padded - 2*(padded>>d) + i) * t.size
+	return t.nodes[off : off+t.size : off+t.size]
+}
+
+// seal computes everything above the real leaves, which must already be in
+// level 0: the pad leaves, the internal levels and the keyed root.
+func (t *Tree) seal(s suite.Suite, sc *suite.Scratch, key []byte) {
+	padded := 1 << t.depth
+	if padded > t.n {
+		sc.Parts[0] = tagPad
+		pad := s.HashInto(t.node(0, t.n)[:0], sc.Parts[:1]...)
+		for i := t.n + 1; i < padded; i++ {
+			copy(t.node(0, i), pad)
+		}
+	}
+	sc.Parts[0] = tagNode
+	for d := 1; d <= t.depth; d++ {
+		for i := 0; i < padded>>d; i++ {
+			sc.Parts[1], sc.Parts[2] = t.node(d-1, 2*i), t.node(d-1, 2*i+1)
+			s.HashInto(t.node(d, i)[:0], sc.Parts[:3]...)
+		}
+	}
+	sc.Parts[0], sc.Parts[1] = tagRoot, key
+	if t.depth == 0 {
+		sc.Parts[2] = t.node(0, 0)
+		s.HashInto(t.Root()[:0], sc.Parts[:3]...)
+		return
+	}
+	// The root absorbs the two topmost children directly, matching the
+	// paper's r = H(h|b0|b1): the top node already combines b0 and b1, so
+	// the root is recomputed from the level below it.
+	sc.Parts[2], sc.Parts[3] = t.node(t.depth-1, 0), t.node(t.depth-1, 1)
+	s.HashInto(t.Root()[:0], sc.Parts[:4]...)
+}
+
+// Root returns the keyed root digest (the ALPHA-M pre-signature). It aliases
+// tree storage, valid until the next Build on this tree.
+func (t *Tree) Root() []byte {
+	end := len(t.nodes)
+	return t.nodes[end-t.size : end : end]
+}
 
 // Leaves returns the real (unpadded) leaf count.
 func (t *Tree) Leaves() int { return t.n }
@@ -157,8 +181,8 @@ func (t *Tree) Leaves() int { return t.n }
 func (t *Tree) ProofDepth() int { return t.depth }
 
 // Proof returns the complementary branch set {Bc} for leaf j, ordered from
-// the leaf level upward. The returned slices alias tree storage and must not
-// be mutated.
+// the leaf level upward. The returned slices alias tree storage, valid until
+// the next Build on this tree, and must not be mutated.
 func (t *Tree) Proof(j int) ([][]byte, error) {
 	proof, err := t.AppendProof(make([][]byte, 0, t.depth), j)
 	if err != nil {
@@ -168,14 +192,15 @@ func (t *Tree) Proof(j int) ([][]byte, error) {
 }
 
 // AppendProof is Proof appending to dst (allocation-free when dst has
-// capacity for the tree's depth).
+// capacity for the tree's depth). The appended slices alias tree storage,
+// valid until the next Build on this tree.
 func (t *Tree) AppendProof(dst [][]byte, j int) ([][]byte, error) {
 	if j < 0 || j >= t.n {
 		return dst, ErrLeafRange
 	}
 	idx := j
 	for d := 0; d < t.depth; d++ {
-		dst = append(dst, t.levels[d][idx^1])
+		dst = append(dst, t.node(d, idx^1))
 		idx >>= 1
 	}
 	return dst, nil
@@ -258,83 +283,78 @@ var (
 // The verifier builds an AckTree after receiving an S1, sends the root in
 // its A1, and later opens exactly one leaf per message in A2 packets:
 // disclosing the ack leaf's secret confirms receipt, the nack leaf's secret
-// denies it, and no third party can compute either before disclosure.
+// denies it, and no third party can compute either before disclosure. Like
+// a Tree, it is rebuilt in place.
 type AckTree struct {
-	s       suite.Suite
-	key     []byte
-	n       int
-	acks    *Tree
-	nacks   *Tree
-	secrets [][]byte // 2n secrets: [0,n) ack, [n,2n) nack
-	root    []byte
-}
-
-// ackLeaf computes the digest of AMT leaf x with secret s.
-func ackLeaf(st suite.Suite, x uint32, secret []byte) []byte {
-	var xb [4]byte
-	binary.BigEndian.PutUint32(xb[:], x)
-	return st.Hash(tagAckLeaf, xb[:], secret)
+	n           int
+	acks, nacks Tree
+	// secrets holds the 2n leaf secrets, [0,n) ack and [n,2n) nack,
+	// followed by the keyed root.
+	secrets []byte
 }
 
 // NewAckTree builds an AMT for n messages keyed with the verifier's next
 // undisclosed acknowledgment-chain element, drawing fresh random secrets.
 func NewAckTree(s suite.Suite, key []byte, n int) (*AckTree, error) {
-	if n < 1 || n > MaxLeaves/2 {
-		return nil, fmt.Errorf("merkle: invalid AMT message count %d", n)
-	}
-	// One slab and one rand.Read for all 2n secrets.
-	size := s.Size()
-	slab := make([]byte, 2*n*size)
-	if _, err := rand.Read(slab); err != nil {
-		return nil, fmt.Errorf("merkle: generating AMT secret: %w", err)
-	}
-	secrets := make([][]byte, 2*n)
-	for i := range secrets {
-		secrets[i] = slab[i*size : (i+1)*size : (i+1)*size]
-	}
-	return newAckTree(s, key, n, secrets)
-}
-
-// newAckTree builds an AMT from caller-supplied secrets (used by tests for
-// determinism).
-func newAckTree(s suite.Suite, key []byte, n int, secrets [][]byte) (*AckTree, error) {
-	size := s.Size()
-	ackLeaves := make([][]byte, n)
-	nackLeaves := make([][]byte, n)
-	slab := make([]byte, 0, 2*n*size)
-	sc := suite.GetScratch()
-	for i := 0; i < n; i++ {
-		binary.BigEndian.PutUint32(sc.Tmp[:4], uint32(i))
-		sc.Parts[0], sc.Parts[1], sc.Parts[2] = tagAckLeaf, sc.Tmp[:4], secrets[i]
-		off := len(slab)
-		slab = s.HashInto(slab, sc.Parts[:3]...)
-		ackLeaves[i] = slab[off : off+size : off+size]
-		sc.Parts[2] = secrets[n+i]
-		off = len(slab)
-		slab = s.HashInto(slab, sc.Parts[:3]...)
-		nackLeaves[i] = slab[off : off+size : off+size]
-	}
-	suite.PutScratch(sc)
-	// Subtrees are unkeyed (nil key is absorbed as empty); only the
-	// combined root is keyed, matching Fig. 7.
-	acks, err := New(s, nil, ackLeaves)
-	if err != nil {
+	t := new(AckTree)
+	if err := t.Build(s, key, n); err != nil {
 		return nil, err
 	}
-	nacks, err := New(s, nil, nackLeaves)
-	if err != nil {
-		return nil, err
-	}
-	t := &AckTree{
-		s: s, key: append([]byte(nil), key...), n: n,
-		acks: acks, nacks: nacks, secrets: secrets,
-	}
-	t.root = s.Hash(tagAckRoot, acks.Root(), nacks.Root(), t.key)
 	return t, nil
 }
 
-// Root returns the keyed AMT root carried in the A1 packet.
-func (t *AckTree) Root() []byte { return t.root }
+// Build remakes t as the AMT for n messages keyed with key, which is absorbed
+// into the root and not kept. Every build draws fresh secrets, with one
+// rand.Read: a rebuilt tree never opens a secret an earlier one disclosed.
+func (t *AckTree) Build(s suite.Suite, key []byte, n int) error {
+	return t.build(s, key, n, rand.Read)
+}
+
+// build is Build with fill drawing the 2n secrets (tests pass fixed ones).
+func (t *AckTree) build(s suite.Suite, key []byte, n int, fill func([]byte) (int, error)) error {
+	if n < 1 || n > MaxLeaves/2 {
+		return errAckCount
+	}
+	h := s.Size()
+	t.secrets = grow(t.secrets, (2*n+1)*h)
+	if _, err := fill(t.secrets[:2*n*h]); err != nil {
+		t.n = 0
+		return err
+	}
+	t.n = n
+	t.acks.reset(h, n)
+	t.nacks.reset(h, n)
+	sc := suite.GetScratch()
+	sc.Parts[0], sc.Parts[1] = tagAckLeaf, sc.Tmp[:4]
+	for i := 0; i < n; i++ {
+		binary.BigEndian.PutUint32(sc.Tmp[:4], uint32(i))
+		sc.Parts[2] = t.secret(i)
+		s.HashInto(t.acks.node(0, i)[:0], sc.Parts[:3]...)
+		sc.Parts[2] = t.secret(n + i)
+		s.HashInto(t.nacks.node(0, i)[:0], sc.Parts[:3]...)
+	}
+	// Subtrees are unkeyed (nil key is absorbed as empty); only the
+	// combined root is keyed, matching Fig. 7.
+	t.acks.seal(s, sc, nil)
+	t.nacks.seal(s, sc, nil)
+	sc.Parts[0], sc.Parts[1], sc.Parts[2], sc.Parts[3] = tagAckRoot, t.acks.Root(), t.nacks.Root(), key
+	s.HashInto(t.Root()[:0], sc.Parts[:4]...)
+	suite.PutScratch(sc)
+	return nil
+}
+
+// secret returns leaf secret i: an ack for i < n, a nack after.
+func (t *AckTree) secret(i int) []byte {
+	h := t.acks.size
+	return t.secrets[i*h : (i+1)*h : (i+1)*h]
+}
+
+// Root returns the keyed AMT root carried in the A1 packet. It aliases tree
+// storage, valid until the next Build on this tree.
+func (t *AckTree) Root() []byte {
+	end := len(t.secrets)
+	return t.secrets[end-t.acks.size : end : end]
+}
 
 // Messages returns n, the number of messages the AMT can acknowledge.
 func (t *AckTree) Messages() int { return t.n }
@@ -359,14 +379,16 @@ func (t *AckTree) Open(j int, ack bool) (*Opening, error) {
 }
 
 // OpenInto is Open writing into o, whose Proof capacity it reuses
-// (allocation-free once o has held an opening of this tree's depth).
+// (allocation-free once o has held an opening of this tree's depth). The
+// secret, proof and other root it writes alias tree storage, valid until the
+// next Build on this tree.
 func (t *AckTree) OpenInto(o *Opening, j int, ack bool) error {
 	if j < 0 || j >= t.n {
 		return ErrLeafRange
 	}
-	sub, other, off := t.acks, t.nacks, 0
+	sub, other, off := &t.acks, &t.nacks, 0
 	if !ack {
-		sub, other, off = t.nacks, t.acks, t.n
+		sub, other, off = &t.nacks, &t.acks, t.n
 	}
 	proof, err := sub.AppendProof(o.Proof[:0], j)
 	if err != nil {
@@ -375,7 +397,7 @@ func (t *AckTree) OpenInto(o *Opening, j int, ack bool) error {
 	*o = Opening{
 		Index:  uint32(j),
 		Ack:    ack,
-		Secret: t.secrets[off+j],
+		Secret: t.secret(off + j),
 		Proof:  proof,
 		Other:  other.Root(),
 	}

