@@ -170,15 +170,6 @@ func main() {
 	if *tokenReq && admitKeys == nil {
 		fatal(fmt.Errorf("-require-token needs -token-key"))
 	}
-	var admitVerifier *admission.Verifier
-	if admitKeys != nil {
-		var err error
-		admitVerifier, err = admission.NewVerifier(admission.VerifierConfig{
-			Require: *tokenReq,
-			Keys:    admitKeys,
-		})
-		fatalIf(err)
-	}
 
 	var mode packet.Mode
 	switch *modeStr {
@@ -201,6 +192,19 @@ func main() {
 	// emit into the shared ring; the serve role resolves one ring per
 	// accepted association.
 	rec := obs.NewRecorder(*flightLen)
+
+	var admitVerifier *admission.Verifier
+	if admitKeys != nil {
+		var err error
+		admitVerifier, err = admission.NewVerifier(admission.VerifierConfig{
+			Require: *tokenReq,
+			Keys:    admitKeys,
+			// Storms predate any association, so they land in the shared
+			// ring (association 0).
+			OnStorm: func(uint64) { rec.Trigger(0, obs.CauseAdmissionStorm) },
+		})
+		fatalIf(err)
+	}
 
 	cfg := core.Config{
 		Suite:            suite.SHA1(),
@@ -287,7 +291,7 @@ func main() {
 		ep, err := core.NewPreconfiguredEndpoint(prov)
 		fatalIf(err)
 		fmt.Printf("preconfigured association %016x ready (no handshake)\n", ep.Assoc())
-		c := udptransport.WrapOpts(pc, ep, peer, ioOpts)
+		c := udptransport.Wrap(pc, ep, peer, ioOpts)
 		logEngine(c.OffloadStatus())
 		return c
 	}
@@ -297,7 +301,7 @@ func main() {
 		// Multi-association responder: accepts any number of dialers. With
 		// -reuseport N the kernel shards inbound flows across N sockets,
 		// each drained by its own batched read loop.
-		srvOpts := udptransport.ServerOptions{IO: ioOpts, Workers: *workers, RotateInterval: *rotate, Admission: admitVerifier}
+		srvOpts := udptransport.ServerOptions{IO: ioOpts, Workers: *workers, RotateInterval: *rotate, Admission: admitVerifier, Flight: rec}
 		if admitVerifier != nil {
 			exp.Register("alpha_admission", admitVerifier.Metrics())
 			if *tokenReq {
@@ -306,21 +310,16 @@ func main() {
 				fmt.Println("admission: verifying connect tokens (token-less HS1s still admitted)")
 			}
 		}
-		var srv *udptransport.Server
+		pcs := []net.PacketConn{pc}
 		if *reuse > 0 {
-			n := *reuse
-			if max := runtime.GOMAXPROCS(0); n > max {
-				n = max
-			}
+			n := min(*reuse, runtime.GOMAXPROCS(0))
 			var err error
-			srv, err = udptransport.NewReusePortServerWith("udp", *addr, n, cfg, srvOpts)
+			pcs, err = udpio.ListenReusePort("udp", *addr, n)
 			fatalIf(err)
 			fmt.Printf("SO_REUSEPORT: %d read loops\n", n)
-		} else {
-			srv = udptransport.NewServerWith(cfg, srvOpts, pc)
 		}
+		srv := udptransport.NewServerWith(cfg, srvOpts, pcs...)
 		defer srv.Close()
-		srv.SetFlightRecorder(rec)
 		logEngine(srv.OffloadStatus())
 		exp.Register("alpha_transport", srv.Telemetry())
 		// Endpoint metrics aggregate across sessions at scrape time.
@@ -368,7 +367,7 @@ func main() {
 			conn = loadProvisioned(nil)
 		} else {
 			var err error
-			conn, err = udptransport.ListenOpts(pc, cfg, *wait, ioOpts)
+			conn, err = udptransport.Listen(pc, cfg, *wait, ioOpts)
 			fatalIf(err)
 			logEngine(conn.OffloadStatus())
 		}
@@ -430,7 +429,7 @@ func main() {
 		if *provision != "" {
 			conn = loadProvisioned(peerAddr)
 		} else {
-			conn, err = udptransport.DialOpts(pc, peerAddr, cfg, 10*time.Second, ioOpts)
+			conn, err = udptransport.Dial(pc, peerAddr, cfg, 10*time.Second, ioOpts)
 			fatalIf(err)
 			logEngine(conn.OffloadStatus())
 		}
@@ -481,7 +480,7 @@ func main() {
 		fatalIf(err)
 		rcfg := relay.Config{Tracer: tracer, Spans: rec.Shared(),
 			UnsolicitedS1Rate: *s1Rate, UnsolicitedS1Burst: *s1Burst}
-		r := udptransport.NewRelayOpts(pc, a, b, rcfg, ioOpts)
+		r := udptransport.NewRelay(pc, a, b, rcfg, ioOpts)
 		if *s1Rate > 0 {
 			fmt.Printf("rate limiting unsolicited S1s to %.3g/s (burst %.3g) per upstream\n", *s1Rate, *s1Burst)
 		}
@@ -497,13 +496,6 @@ func main() {
 			fatalIf(err)
 			fatalIf(r.Seed(ast, anchors))
 			fmt.Printf("seeded with anchors for association %016x\n", anchors.Assoc)
-		}
-		r.OnDecision = func(d relay.Decision) {
-			if d.Verdict == relay.Drop {
-				fmt.Printf("dropped %v: %v\n", d.Type, d.Reason)
-			} else if d.Extracted != nil {
-				fmt.Printf("verified and forwarded %d payload bytes\n", len(d.Extracted))
-			}
 		}
 		fmt.Printf("relaying %s <-> %s via %s\n", *aAddr, *bAddr, *addr)
 		time.Sleep(*wait)

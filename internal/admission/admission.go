@@ -241,11 +241,6 @@ func NewVerifier(cfg VerifierConfig) (*Verifier, error) {
 // Metrics exposes the verifier's counters for export.
 func (v *Verifier) Metrics() *telemetry.AdmissionMetrics { return &v.tel }
 
-// SetOnStorm installs (or replaces) the storm observer — the transport uses
-// this to hook the flight recorder in after construction. Call before
-// serving traffic.
-func (v *Verifier) SetOnStorm(fn func(drops uint64)) { v.onStorm = fn }
-
 // RejectMalformed counts an HS1 the dispatcher refused before a token could
 // even be read (structural parse failure), with the same drop accounting
 // and storm detection as a failed token.

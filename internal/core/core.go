@@ -94,8 +94,7 @@ type Config struct {
 	// ChainLowFraction is the fraction of a chain's disclosable length
 	// below which EventChainLow fires (and AutoRekey engages): the rekey
 	// pressure knob. 0 selects 1/3, the historical default; otherwise it
-	// must lie in (0, 1). Tunable per association at runtime with
-	// Endpoint.SetChainLowFraction.
+	// must lie in (0, 1).
 	ChainLowFraction float64
 	// Coalesce packs multiple outgoing packets of one Poll into bundle
 	// datagrams (§3.2.1: combining A and S packets of independent simplex

@@ -180,12 +180,6 @@ func (e *Endpoint) Stats() Stats {
 // keeps counting as the endpoint runs.
 func (e *Endpoint) Telemetry() *telemetry.EndpointMetrics { return &e.tel }
 
-// SetSpans installs (or replaces) the hop-by-hop span ring. Transports use
-// this to rebind an endpoint to its association's flight-recorder ring once
-// the association ID is known. Must be called from the endpoint's owning
-// goroutine.
-func (e *Endpoint) SetSpans(r *obs.SpanRing) { e.spans = r }
-
 // NewEndpoint creates an endpoint with fresh hash chains. The endpoint
 // becomes usable after a handshake: initiators call StartHandshake and feed
 // the HS2 response to Handle; responders simply Handle the incoming HS1.

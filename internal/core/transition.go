@@ -100,25 +100,6 @@ func (e *Endpoint) SetProfile(now time.Time, p Profile) error {
 	return nil
 }
 
-// SetChainLowFraction retunes the EventChainLow threshold at runtime: the
-// event fires (and AutoRekey engages) once fewer than fraction×len elements
-// remain on a local chain. If the new threshold no longer classifies the
-// chains as low, a previously fired warning re-arms so depletion warns
-// again at the new level.
-func (e *Endpoint) SetChainLowFraction(f float64) error {
-	if f <= 0 || f >= 1 {
-		return fmt.Errorf("core: chain-low fraction %v outside (0, 1)", f)
-	}
-	e.cfg.ChainLowFraction = f
-	if e.chainLow && !e.sigChainIsLow() && !e.ackChainIsLow() {
-		e.chainLow = false
-	}
-	return nil
-}
-
-// ChainLowFraction returns the active EventChainLow threshold.
-func (e *Endpoint) ChainLowFraction() float64 { return e.cfg.ChainLowFraction }
-
 // sigChainIsLow reports whether the signature chain is below the
 // configured low-water fraction.
 func (e *Endpoint) sigChainIsLow() bool {

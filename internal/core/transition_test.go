@@ -166,36 +166,27 @@ func TestSetProfileValidation(t *testing.T) {
 	}
 }
 
-func TestSetChainLowFraction(t *testing.T) {
+// TestChainLowFraction: Config.ChainLowFraction must lie in (0, 1), and
+// EventChainLow fires once, when the chain first drops below it.
+func TestChainLowFraction(t *testing.T) {
 	cfg := baseConfig(packet.ModeBase, false)
 	cfg.ChainLen = 16
-	h := newHarness(t, cfg)
-	h.handshake()
-
-	if err := h.a.SetChainLowFraction(0); err == nil {
-		t.Fatal("fraction 0 accepted")
-	}
-	if err := h.a.SetChainLowFraction(1); err == nil {
-		t.Fatal("fraction 1 accepted")
+	for _, bad := range []float64{-0.5, 1} {
+		cfg.ChainLowFraction = bad
+		if _, err := NewEndpoint(cfg); err == nil {
+			t.Fatalf("fraction %v accepted", bad)
+		}
 	}
 	// At 0.99 the very first consumed pair puts the chain "low".
-	if err := h.a.SetChainLowFraction(0.99); err != nil {
-		t.Fatal(err)
-	}
+	cfg.ChainLowFraction = 0.99
+	h := newHarness(t, cfg)
+	h.handshake()
 	sendAll(h, 1, "one")
 	if got := h.countKind(h.a, EventChainLow); got != 1 {
-		t.Fatalf("ChainLow events = %d, want 1", got)
+		t.Fatalf("ChainLow events = %d after one exchange, want 1", got)
 	}
-	// Lowering the threshold re-arms the warning: it must fire again when
-	// the chain crosses the new, deeper watermark.
-	if err := h.a.SetChainLowFraction(0.2); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.a.ChainLowFraction(); got != 0.2 {
-		t.Fatalf("ChainLowFraction = %v", got)
-	}
-	sendAll(h, 6, "more") // 7 exchanges total: remaining 2 of 16 < 0.2*16
-	if got := h.countKind(h.a, EventChainLow); got != 2 {
-		t.Fatalf("ChainLow events = %d, want 2 (re-armed warning)", got)
+	sendAll(h, 5, "more")
+	if got := h.countKind(h.a, EventChainLow); got != 1 {
+		t.Fatalf("ChainLow events = %d after six exchanges, want 1", got)
 	}
 }

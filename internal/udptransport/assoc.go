@@ -197,13 +197,6 @@ func (a *assoc) Profile() core.Profile {
 	return a.ep.Profile()
 }
 
-// SetChainLowFraction retunes the EventChainLow / auto-rekey threshold.
-func (a *assoc) SetChainLowFraction(f float64) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ep.SetChainLowFraction(f)
-}
-
 // EnableAdaptive starts a closed-loop controller on this association: a
 // background goroutine samples the endpoint every cfg.Interval and applies
 // changed decisions under the association lock. It stops when the

@@ -172,7 +172,7 @@ func scaleRun(tb testing.TB, n int) scaleMetrics {
 	// a pointer swap per shard (the previous generation is empty), while
 	// the pre-rotation design paid a scan over every live session.
 	start = time.Now()
-	srv.Rotate()
+	srv.rotate(time.Now())
 	m.swapRotate = time.Since(start)
 	if got := srv.Sessions(); got != n {
 		tb.Fatalf("Sessions = %d after swap rotation, want %d", got, n)
@@ -204,7 +204,7 @@ func scaleRun(tb testing.TB, n int) scaleMetrics {
 	// first, so the entire table retires — the worst case, paid once and
 	// proportional to the idle count, not to table history.
 	start = time.Now()
-	srv.Rotate()
+	srv.rotate(time.Now())
 	m.expireAll = time.Since(start)
 	if got := srv.Sessions(); got != 0 {
 		tb.Fatalf("Sessions = %d after expiry rotation, want 0", got)
@@ -372,7 +372,7 @@ func BenchmarkScale(b *testing.B) {
 				sh.mu.Unlock()
 			}
 			b.StartTimer()
-			srv.Rotate()
+			srv.rotate(time.Now())
 		}
 		b.StopTimer()
 		if got := srv.Sessions(); got != table {

@@ -67,10 +67,10 @@ func connectOpts(t *testing.T, cfg core.Config, opts IOOptions) (*Conn, *Conn) {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		c, err := ListenOpts(pb, cfg, 5*time.Second, opts)
+		c, err := Listen(pb, cfg, 5*time.Second, opts)
 		ch <- res{c, err}
 	}()
-	dialer, err := DialOpts(pa, pb.LocalAddr(), cfg, 5*time.Second, opts)
+	dialer, err := Dial(pa, pb.LocalAddr(), cfg, 5*time.Second, opts)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -93,10 +93,11 @@ func TestReusePortServerAcceptsDialers(t *testing.T) {
 		t.Skip("SO_REUSEPORT sharding is Linux-only")
 	}
 	cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 64}
-	srv, err := NewReusePortServerWith("udp", "127.0.0.1:0", 4, cfg, ServerOptions{})
+	pcs, err := udpio.ListenReusePort("udp", "127.0.0.1:0", 4)
 	if err != nil {
-		t.Fatalf("NewReusePortServerWith: %v", err)
+		t.Fatalf("ListenReusePort: %v", err)
 	}
+	srv := NewServerWith(cfg, ServerOptions{}, pcs...)
 	defer srv.Close()
 
 	const dialers = 8

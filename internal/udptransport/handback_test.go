@@ -70,7 +70,7 @@ func TestRelaySurvivesWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts, engine := pin()
-	rl := NewRelayOpts(pr, pa.LocalAddr(), pb.LocalAddr(), relay.Config{}, opts)
+	rl := NewRelay(pr, pa.LocalAddr(), pb.LocalAddr(), relay.Config{}, opts)
 	defer rl.Close()
 
 	cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 16, FlushDelay: -1}
@@ -167,7 +167,7 @@ func TestConnCountsEventDrops(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { pc.Close() })
-			c := newConn(pc, ep, nil, IOOptions{}) // loops not started: nothing else delivers
+			c := newConn(pc, ep, nil, nil) // loops not started: nothing else delivers
 			return &c.assoc, c.EventDrops
 		}},
 		{"Session", func(t *testing.T) (*assoc, func() uint64) {

@@ -13,7 +13,9 @@ import (
 	"alpha/internal/udpio"
 )
 
-// IOOptions sizes the datagram I/O engine and switches the prefilter.
+// IOOptions sizes the datagram I/O engine and switches the prefilter. Dial,
+// Listen, Wrap and NewRelay take it as an optional last argument, a Server
+// as ServerOptions.IO; the zero value is the default everywhere.
 type IOOptions struct {
 	// Batch caps the datagrams moved per syscall and sizes the read slabs.
 	// 0 means udpio.DefaultBatch.
@@ -79,6 +81,19 @@ func addrIPPort(a net.Addr) ([]byte, int) {
 		return v4, ua.Port
 	}
 	return ip, ua.Port
+}
+
+// oneIO returns the IOOptions a constructor was given: the zero value when
+// the caller passed none. Passing more than one is a programming error.
+func oneIO(opts []IOOptions) IOOptions {
+	switch len(opts) {
+	case 0:
+		return IOOptions{}
+	case 1:
+		return opts[0]
+	default:
+		panic("udptransport: more than one IOOptions")
+	}
 }
 
 func (o IOOptions) batch() int {

@@ -42,11 +42,11 @@ func TestEnginePerRung(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn := WrapOpts(listen(), ep, nil, e.opts)
+			conn := Wrap(listen(), ep, nil, e.opts)
 			defer conn.Close()
 			srv := NewServerWith(cfg, ServerOptions{IO: e.opts}, listen())
 			defer srv.Close()
-			rl := NewRelayOpts(listen(), conn.pc.LocalAddr(), srv.LocalAddr(), relay.Config{}, e.opts)
+			rl := NewRelay(listen(), conn.pc.LocalAddr(), srv.LocalAddr(), relay.Config{}, e.opts)
 			defer rl.Close()
 			for name, got := range map[string]udpio.OffloadStatus{
 				"Conn": conn.OffloadStatus(), "Server": srv.OffloadStatus(), "Relay": rl.OffloadStatus(),
@@ -57,4 +57,22 @@ func TestEnginePerRung(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOneIOOptions: the optional IOOptions of Dial, Listen, Wrap and
+// NewRelay is the zero value when omitted, the caller's when given once, and
+// a programming error when given twice.
+func TestOneIOOptions(t *testing.T) {
+	if o := oneIO(nil); o.Batch != 0 || o.Prefilter || o.engine != nil {
+		t.Fatalf("no options: got %+v, want the zero value", o)
+	}
+	if o := oneIO([]IOOptions{{Batch: 3, Prefilter: true}}); o.Batch != 3 || !o.Prefilter {
+		t.Fatalf("one option: got %+v", o)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("two options did not panic")
+		}
+	}()
+	oneIO([]IOOptions{{}, {}})
 }

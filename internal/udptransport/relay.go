@@ -35,9 +35,6 @@ type Relay struct {
 	// relay's own binding — each hop of an ALPHA path owns its own cookie.
 	stamp *cookieStamp
 
-	// OnDecision, if set, observes every verdict.
-	OnDecision func(d relay.Decision)
-
 	tel telemetry.RelayTransportMetrics
 
 	closed    chan struct{}
@@ -45,13 +42,11 @@ type Relay struct {
 	wg        sync.WaitGroup
 }
 
-// NewRelay creates a verifying UDP relay between peers a and b.
-func NewRelay(pc net.PacketConn, a, b net.Addr, cfg relay.Config) *Relay {
-	return NewRelayOpts(pc, a, b, cfg, IOOptions{})
-}
-
-// NewRelayOpts is NewRelay with explicit I/O options.
-func NewRelayOpts(pc net.PacketConn, a, b net.Addr, cfg relay.Config, opts IOOptions) *Relay {
+// NewRelay creates a verifying UDP relay between peers a and b. opts, if
+// given, sets up the socket's I/O engine; the zero IOOptions applies
+// otherwise.
+func NewRelay(pc net.PacketConn, a, b net.Addr, cfg relay.Config, opts ...IOOptions) *Relay {
+	io := oneIO(opts)
 	r := &Relay{
 		pc:     pc,
 		a:      asUDPAddr(a),
@@ -60,10 +55,10 @@ func NewRelayOpts(pc net.PacketConn, a, b net.Addr, cfg relay.Config, opts IOOpt
 		closed: make(chan struct{}),
 	}
 	r.tel.Init()
-	r.io = opts.wrap(pc, &r.tel.IO)
-	r.stamp = opts.stamp(pc)
+	r.io = io.wrap(pc, &r.tel.IO)
+	r.stamp = io.stamp(pc)
 	r.wg.Add(1)
-	go r.loop(opts.batch())
+	go r.loop(io.batch())
 	return r
 }
 
@@ -131,9 +126,8 @@ func (r *Relay) Close() error {
 // loop is the relay data path. The read slab comes from the shared buffer
 // pool and is reused for every burst: relay.ProcessFrom verifies a datagram
 // in place and copies only the pre-signatures it buffers, the datagram
-// itself is forwarded untouched from the slab (a Decision's Extracted and
-// Rewritten are views of it, consumed by OnDecision and WriteBatch within
-// the iteration), and WriteBatch returns only after the kernel has copied
+// itself is forwarded untouched from the slab (a Decision's Rewritten is a
+// view of it, consumed by WriteBatch within the iteration), and WriteBatch returns only after the kernel has copied
 // the forwarded datagrams out, so no buffer outlives the iteration that
 // read it.
 func (r *Relay) loop(batch int) {
@@ -182,9 +176,6 @@ func (r *Relay) loop(batch int) {
 			r.mu.Lock()
 			d := r.r.ProcessFrom(now, upstream, data)
 			r.mu.Unlock()
-			if r.OnDecision != nil {
-				r.OnDecision(d)
-			}
 			if data = d.Forwarded(data); data == nil {
 				continue
 			}

@@ -56,7 +56,8 @@ const sessionShards = 16
 // the same semantics the network already imposes on UDP.
 const inboxSize = 64
 
-// defaultEventBuffer is the default capacity of a session's event channel.
+// defaultEventBuffer is the capacity of a Conn's event channel, and of a
+// Session's unless ServerOptions.EventBuffer says otherwise.
 const defaultEventBuffer = 256
 
 // defaultAcceptBacklog bounds the established-but-unaccepted session list
@@ -144,8 +145,7 @@ type worker struct {
 	wake       chan struct{} // cap 1
 }
 
-// ServerOptions sizes the session core. The zero value reproduces the
-// defaults of NewServer.
+// ServerOptions configures a Server. The zero value is a working default.
 type ServerOptions struct {
 	// IO selects and sizes the datagram I/O engine (including the
 	// stateless prefilter switch).
@@ -153,9 +153,8 @@ type ServerOptions struct {
 	// Workers bounds the dispatch pool; 0 means GOMAXPROCS.
 	Workers int
 	// RotateInterval is the generation-rotation period: an association
-	// idle for two full intervals is retired. 0 disables rotation (no
-	// expiry, the historical behavior); Rotate can still be called
-	// manually.
+	// idle for two full intervals is retired. 0 disables rotation: no
+	// session ever expires.
 	RotateInterval time.Duration
 	// AcceptBacklog caps the established-but-unaccepted session list. 0
 	// means the default (4096); negative means unbounded. When the
@@ -175,6 +174,13 @@ type ServerOptions struct {
 	// replay filter never penalizes a legitimate retry. Nil disables the
 	// stage.
 	Admission *admission.Verifier
+	// Flight, when set, hands each session a pooled per-association span
+	// ring, retired back to the pool when the session leaves, and receives
+	// the sessions' anomaly triggers: chain-low, verify failures (via the
+	// ring's own drop hook) and accept-backlog overflow. Admission storms
+	// reach a recorder through the verifier's own VerifierConfig.OnStorm.
+	// Nil disables recording at zero cost.
+	Flight *obs.Recorder
 }
 
 func (o ServerOptions) workers() int {
@@ -242,19 +248,13 @@ type Server struct {
 	// drop events.
 	tel    telemetry.TransportMetrics
 	tracer *telemetry.Tracer
-
-	// flight, when set, hands each session a pooled per-association span
-	// ring and receives anomaly triggers (chain-low, verify failures via
-	// the ring's own drop hook). Nil disables recording at zero cost.
-	flight *obs.Recorder
 }
 
 // NewServerWith starts serving across one or more sockets — typically one,
-// or a SO_REUSEPORT group — with one batched read loop per socket. Each
+// or a SO_REUSEPORT group from udpio.ListenReusePort, which lets the kernel
+// shard inbound flows — with one batched read loop per socket. Each
 // arriving handshake creates a responder endpoint with the given config;
-// established sessions surface via Accept. The zero ServerOptions is a
-// working default; its fields size the session core: worker pool,
-// generation-rotation interval, accept backlog, per-session buffers.
+// established sessions surface via Accept.
 func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *Server {
 	s := &Server{
 		pcs:       pcs,
@@ -296,35 +296,6 @@ func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *
 		go s.readLoop(io)
 	}
 	return s
-}
-
-// NewReusePortServerWith binds loops SO_REUSEPORT sockets to addr and
-// serves a read loop per socket, letting the kernel shard inbound flows
-// across them. loops <= 0 means GOMAXPROCS. Linux-only; elsewhere it
-// returns the udpio error and the caller falls back to a single-socket
-// NewServerWith.
-func NewReusePortServerWith(network, addr string, loops int, cfg core.Config, opts ServerOptions) (*Server, error) {
-	if loops <= 0 {
-		loops = runtime.GOMAXPROCS(0)
-	}
-	pcs, err := udpio.ListenReusePort(network, addr, loops)
-	if err != nil {
-		return nil, err
-	}
-	return NewServerWith(cfg, opts, pcs...), nil
-}
-
-// SetFlightRecorder installs a flight recorder: every session created
-// afterwards records its spans into rc's per-association ring, retired
-// back to the pool when the session is removed. Call before serving
-// traffic; existing sessions are unaffected.
-func (s *Server) SetFlightRecorder(rc *obs.Recorder) {
-	s.flight = rc
-	if adm := s.opts.Admission; adm != nil && rc != nil {
-		// Admission storms predate any association, so they land in the
-		// shared ring (association 0).
-		adm.SetOnStorm(func(uint64) { rc.Trigger(0, obs.CauseAdmissionStorm) })
-	}
 }
 
 // Accept blocks until the next association establishes (or the server
@@ -546,14 +517,16 @@ func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *rxBu
 // createSession spawns the responder endpoint and routing-table entry for
 // a fresh handshake — the one allocating branch of the dispatch path.
 func (s *Server) createSession(now time.Time, sh *sessionShard, assoc uint64, from net.Addr, via udpio.Conn) (*Session, bool) {
-	ep, err := core.NewEndpoint(s.cfg)
+	cfg := s.cfg
+	if s.opts.Flight != nil {
+		cfg.Spans = s.opts.Flight.Ring(assoc)
+	}
+	ep, err := core.NewEndpoint(cfg)
 	if err != nil {
+		s.opts.Flight.Retire(assoc)
 		s.tel.EndpointFailures.Inc()
 		s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, assoc, 0, telemetry.ReasonBadHandshake)
 		return nil, false
-	}
-	if s.flight != nil {
-		ep.SetSpans(s.flight.Ring(assoc))
 	}
 	sess := newSession(s, ep, assoc, from, via)
 	sh.mu.Lock()
@@ -680,17 +653,13 @@ func (s *Server) rotateLoop(interval time.Duration) {
 	}
 }
 
-// Rotate swaps the session-map generations once: current becomes previous,
+// rotate swaps the session-map generations once: current becomes previous,
 // and every association still in the (just-retired) previous generation —
 // idle for at least one full interval, since any traffic or local send
 // would have promoted or re-stamped it — is retired. The cost is a pointer
 // swap per shard plus a fold per actually-idle session, independent of the
-// live table size. Called automatically every ServerOptions.RotateInterval;
-// exported for tests, benchmarks, and manual sweeps.
-func (s *Server) Rotate() {
-	s.rotate(time.Now())
-}
-
+// live table size. rotateLoop calls it every ServerOptions.RotateInterval;
+// tests call it directly.
 func (s *Server) rotate(now time.Time) {
 	s.rotateMu.Lock()
 	defer s.rotateMu.Unlock()
@@ -734,8 +703,8 @@ func (s *Server) expire(now time.Time, sess *Session) {
 	s.tel.SessionsRemoved.Inc()
 	s.tel.ActiveSessions.Dec()
 	s.tracer.Trace(now.UnixNano(), telemetry.TraceSessionEnd, sess.id, 0, telemetry.ReasonExpired)
-	s.flight.Ring(sess.id).Emit(now.UnixNano(), sess.id, 0, 0, obs.RoleTransport, obs.StepNone, 0, obs.VerdictExpire, telemetry.ReasonExpired)
-	s.flight.Retire(sess.id)
+	s.opts.Flight.Ring(sess.id).Emit(now.UnixNano(), sess.id, 0, 0, obs.RoleTransport, obs.StepNone, 0, obs.VerdictExpire, telemetry.ReasonExpired)
+	s.opts.Flight.Retire(sess.id)
 	// The consumer (if any) learns the transport retired the session.
 	sess.deliver(core.Event{Kind: core.EventExpired})
 }
@@ -760,7 +729,7 @@ func (s *Server) remove(assoc uint64) {
 	sh.retire(sess)
 	sh.mu.Unlock()
 	sess.discardInbox()
-	s.flight.Retire(assoc)
+	s.opts.Flight.Retire(assoc)
 	s.tel.SessionsRemoved.Inc()
 	s.tel.ActiveSessions.Dec()
 	s.tracer.Trace(time.Now().UnixNano(), telemetry.TraceSessionEnd, assoc, 0, 0)
@@ -923,7 +892,7 @@ func (s *Session) Close() error {
 
 // trigger dumps the session's flight ring, when the server records one.
 func (s *Session) trigger(cause string) {
-	s.server.flight.Trigger(s.id, cause) //alpha:block-ok the recorder's lock guards its ring table, never I/O, and anomalies are rare
+	s.server.opts.Flight.Trigger(s.id, cause) //alpha:block-ok the recorder's lock guards its ring table, never I/O, and anomalies are rare
 }
 
 // handle feeds one datagram into the session's engine and pumps. The

@@ -104,7 +104,7 @@ func TestServerRotationExpiresIdleOnly(t *testing.T) {
 
 	// Rotation one: everything demotes to the previous generation, nothing
 	// is idle yet.
-	srv.Rotate()
+	srv.rotate(time.Now())
 	if got := srv.Sessions(); got != dialers {
 		t.Fatalf("Sessions = %d after first rotation, want %d", got, dialers)
 	}
@@ -121,7 +121,7 @@ func TestServerRotationExpiresIdleOnly(t *testing.T) {
 
 	// Rotation two: the silent half has now been idle a full interval and
 	// must be retired; the active half survives.
-	srv.Rotate()
+	srv.rotate(time.Now())
 	if got := srv.Sessions(); got != dialers/2 {
 		t.Fatalf("Sessions = %d after second rotation, want %d", got, dialers/2)
 	}
@@ -158,7 +158,7 @@ func TestServerRotationExpiresIdleOnly(t *testing.T) {
 
 	// Rotation three: the survivors have been idle since before rotation
 	// two, so the whole table drains.
-	srv.Rotate()
+	srv.rotate(time.Now())
 	if got := srv.Sessions(); got != 0 {
 		t.Fatalf("Sessions = %d after third rotation, want 0", got)
 	}
@@ -354,7 +354,7 @@ func TestServerPrefilterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialOpts(pc, spc.LocalAddr(), cfg, 5*time.Second, popts)
+	c, err := Dial(pc, spc.LocalAddr(), cfg, 5*time.Second, popts)
 	if err != nil {
 		t.Fatalf("dial through prefilter: %v", err)
 	}

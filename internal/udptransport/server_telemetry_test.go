@@ -218,8 +218,8 @@ func TestEndpointTelemetryMonotoneUnderRotation(t *testing.T) {
 			sess.Close()
 		}
 		// The first rotation ages the rest, the second expires them.
-		srv.Rotate()
-		srv.Rotate()
+		srv.rotate(time.Now())
+		srv.rotate(time.Now())
 	}
 	close(done)
 	<-scraped

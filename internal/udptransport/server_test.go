@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"alpha/internal/core"
+	"alpha/internal/obs"
 	"alpha/internal/packet"
 )
 
@@ -39,7 +40,7 @@ func testServerAcceptsMultipleDialers(t *testing.T, opts IOOptions) {
 				dialed <- result{i, nil, err}
 				return
 			}
-			c, err := DialOpts(pc, spc.LocalAddr(), cfg, 5*time.Second, opts)
+			c, err := Dial(pc, spc.LocalAddr(), cfg, 5*time.Second, opts)
 			dialed <- result{i, c, err}
 		}()
 	}
@@ -317,5 +318,48 @@ func TestServerCloseUnblocksAccept(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatalf("Accept did not unblock on Close")
+	}
+}
+
+// TestServerFlightRecorder: ServerOptions.Flight gives every session its own
+// span ring from birth, and the ring goes back to the recorder's pool when
+// the session leaves the server.
+func TestServerFlightRecorder(t *testing.T) {
+	spc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(64)
+	cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 16}
+	srv := NewServerWith(cfg, ServerOptions{Flight: rec}, spc)
+	defer srv.Close()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(pc, spc.LocalAddr(), cfg, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := srv.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Send([]byte("recorded")); err != nil {
+		t.Fatal(err)
+	}
+	c.Flush()
+	collect(t, c, core.EventAcked, 1, 5*time.Second)
+
+	id := sess.Endpoint().Assoc()
+	if n := len(rec.Snapshot(id)); n == 0 {
+		t.Fatalf("session %x recorded no spans", id)
+	}
+	sess.Close()
+	for _, a := range rec.Assocs() {
+		if a == id {
+			t.Fatalf("session %x closed but its ring is still live", id)
+		}
 	}
 }

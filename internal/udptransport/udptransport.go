@@ -38,13 +38,9 @@ type Conn struct {
 }
 
 // Dial starts an association as initiator toward peer and blocks until it
-// establishes or the timeout expires.
-func Dial(pc net.PacketConn, peer net.Addr, cfg core.Config, timeout time.Duration) (*Conn, error) {
-	return DialOpts(pc, peer, cfg, timeout, IOOptions{})
-}
-
-// DialOpts is Dial with explicit I/O options.
-func DialOpts(pc net.PacketConn, peer net.Addr, cfg core.Config, timeout time.Duration, opts IOOptions) (*Conn, error) {
+// establishes or the timeout expires. opts, if given, sets up the socket's
+// I/O engine; the zero IOOptions applies otherwise.
+func Dial(pc net.PacketConn, peer net.Addr, cfg core.Config, timeout time.Duration, opts ...IOOptions) (*Conn, error) {
 	ep, err := core.NewEndpoint(cfg)
 	if err != nil {
 		return nil, err
@@ -66,13 +62,8 @@ func DialOpts(pc net.PacketConn, peer net.Addr, cfg core.Config, timeout time.Du
 
 // Listen starts a responder that accepts the first handshake arriving on
 // the socket and blocks until the association establishes or the timeout
-// expires.
-func Listen(pc net.PacketConn, cfg core.Config, timeout time.Duration) (*Conn, error) {
-	return ListenOpts(pc, cfg, timeout, IOOptions{})
-}
-
-// ListenOpts is Listen with explicit I/O options.
-func ListenOpts(pc net.PacketConn, cfg core.Config, timeout time.Duration, opts IOOptions) (*Conn, error) {
+// expires. opts is as for Dial.
+func Listen(pc net.PacketConn, cfg core.Config, timeout time.Duration, opts ...IOOptions) (*Conn, error) {
 	ep, err := core.NewEndpoint(cfg)
 	if err != nil {
 		return nil, err
@@ -86,13 +77,8 @@ func ListenOpts(pc net.PacketConn, cfg core.Config, timeout time.Duration, opts 
 // for statically bootstrapped (preconfigured) associations, which have no
 // handshake. peer may be nil; a responder then adopts the first sender.
 // The connection is returned immediately; if the endpoint is already
-// established (preconfigured), it is usable at once.
-func Wrap(pc net.PacketConn, ep *core.Endpoint, peer net.Addr) *Conn {
-	return WrapOpts(pc, ep, peer, IOOptions{})
-}
-
-// WrapOpts is Wrap with explicit I/O options.
-func WrapOpts(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts IOOptions) *Conn {
+// established (preconfigured), it is usable at once. opts is as for Dial.
+func Wrap(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts ...IOOptions) *Conn {
 	c := newConn(pc, ep, peer, opts)
 	if ep.Established() {
 		close(c.established)
@@ -101,17 +87,18 @@ func WrapOpts(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts IOOption
 	return c
 }
 
-func newConn(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts IOOptions) *Conn {
-	if opts.Batch <= 0 || opts.Batch > connBatch {
-		opts.Batch = connBatch // one association never needs the server's burst depth
+func newConn(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts []IOOptions) *Conn {
+	io := oneIO(opts)
+	if io.Batch <= 0 || io.Batch > connBatch {
+		io.Batch = connBatch // one association never needs the server's burst depth
 	}
-	c := &Conn{
+	return &Conn{
 		assoc: assoc{
 			ep:     ep,
 			peer:   peer,
-			io:     opts.wrap(pc, nil),
-			stamp:  opts.stamp(pc),
-			events: make(chan core.Event, 256),
+			io:     io.wrap(pc, nil),
+			stamp:  io.stamp(pc),
+			events: make(chan core.Event, defaultEventBuffer),
 			drops:  new(telemetry.Counter),
 			done:   make(chan struct{}),
 			idx:    -1,
@@ -119,7 +106,6 @@ func newConn(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts IOOptions
 		pc:          pc,
 		established: make(chan struct{}),
 	}
-	return c
 }
 
 // start runs the read loop and the deadline goroutine, and arms the first

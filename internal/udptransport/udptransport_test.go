@@ -116,7 +116,7 @@ func testUDPThroughVerifyingRelay(t *testing.T, opts IOOptions) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRelayOpts(pr, pa.LocalAddr(), pb.LocalAddr(), relay.Config{}, opts)
+	r := NewRelay(pr, pa.LocalAddr(), pb.LocalAddr(), relay.Config{}, opts)
 	defer r.Close()
 
 	cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 64}
@@ -126,10 +126,10 @@ func testUDPThroughVerifyingRelay(t *testing.T, opts IOOptions) {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		c, err := ListenOpts(pb, cfg, 5*time.Second, opts)
+		c, err := Listen(pb, cfg, 5*time.Second, opts)
 		ch <- res{c, err}
 	}()
-	dialer, err := DialOpts(pa, pr.LocalAddr(), cfg, 5*time.Second, opts)
+	dialer, err := Dial(pa, pr.LocalAddr(), cfg, 5*time.Second, opts)
 	if err != nil {
 		t.Fatalf("Dial through relay: %v", err)
 	}
@@ -260,8 +260,8 @@ func testUDPPreconfiguredWrap(t *testing.T, opts IOOptions) {
 		t.Fatal(err)
 	}
 	pa, pb := udpPair(t)
-	dialer := WrapOpts(pa, epA, pb.LocalAddr(), opts)
-	listener := WrapOpts(pb, epB, nil, opts)
+	dialer := Wrap(pa, epA, pb.LocalAddr(), opts)
+	listener := Wrap(pb, epB, nil, opts)
 	t.Cleanup(func() { dialer.Close(); listener.Close() })
 	if _, err := dialer.Send([]byte("no handshake on the wire")); err != nil {
 		t.Fatal(err)
