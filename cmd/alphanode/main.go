@@ -135,7 +135,7 @@ func main() {
 		wait      = flag.Duration("wait", 30*time.Second, "how long to serve/wait")
 		provision = flag.String("provision", "", "provisioning record (JSON) for a handshake-free association")
 		anchorsF  = flag.String("anchors", "", "anchor set (JSON) to seed a relay with (relay role)")
-		metrics   = flag.String("metrics-addr", "", "serve /metrics (Prometheus; ?format=json) and /trace on this HTTP address")
+		metrics   = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /trace, /flight and /debug/pprof/ on this HTTP address")
 		traceLen  = flag.Int("trace-size", 4096, "packet-trace ring size (most recent events kept)")
 		ioBatch   = flag.Int("io-batch", 0, "datagrams per recvmmsg/sendmmsg syscall (0 = default; 1 effectively disables batching)")
 		reuse     = flag.Int("reuseport", 0, "serve role: SO_REUSEPORT read loops sharing the port (0 = single socket; capped at GOMAXPROCS; Linux only)")
@@ -143,7 +143,6 @@ func main() {
 		chainLow  = flag.Float64("chain-low", 0, "chain fraction below which ChainLow/auto-rekey fires, in (0, 1) (0 = default)")
 		perAssoc  = flag.Bool("metrics-per-assoc", false, "serve role: export one labeled metric family per live association on /metrics")
 		flightLen = flag.Int("flight-size", obs.DefaultSpanRingSize, "per-association flight-recorder ring size in spans (served on /flight)")
-		otlpEP    = flag.String("otlp-endpoint", "", "push metrics and anomaly spans to this OTLP/HTTP collector base URL (requires a build with -tags alpha_otlp)")
 		workers   = flag.Int("workers", 0, "serve role: session dispatch pool size (0 = GOMAXPROCS)")
 		rotate    = flag.Duration("rotate-interval", 0, "serve role: generation-rotation period; associations idle for two periods are expired (0 = never expire)")
 		prefilter = flag.Bool("prefilter", false, "stateless packet prefilter: stamp outgoing headers with a source-bound cookie and reject unstamped junk before session lookup (enable on every hop or none; requires UDP addressing without NAT)")
@@ -199,9 +198,6 @@ func main() {
 		admitVerifier, err = admission.NewVerifier(admission.VerifierConfig{
 			Require: *tokenReq,
 			Keys:    admitKeys,
-			// Storms predate any association, so they land in the shared
-			// ring (association 0).
-			OnStorm: func(uint64) { rec.Trigger(0, obs.CauseAdmissionStorm) },
 		})
 		fatalIf(err)
 	}
@@ -227,7 +223,6 @@ func main() {
 	// serves them live, and the exit path prints a final snapshot.
 	exp := telemetry.NewExporter()
 	exp.SetTracer(tracer)
-	obs.RegisterRuntime(exp)
 	if *adaptOn {
 		exp.Register("alpha_adaptive", ctrlMet)
 	}
@@ -236,32 +231,6 @@ func main() {
 		fatalIf(err)
 		fmt.Printf("metrics on http://%s/metrics, traces on http://%s/trace, flight dumps on http://%s/flight\n", ln.Addr(), ln.Addr(), ln.Addr())
 		go func() { _ = http.Serve(ln, obs.Handler(exp, rec)) }()
-	}
-	if *otlpEP != "" {
-		if !obs.OTLPEnabled {
-			fmt.Fprintln(os.Stderr, "warning: -otlp-endpoint ignored: this binary was built without -tags alpha_otlp")
-		} else {
-			otlp := obs.NewOTLPExporter(*otlpEP)
-			fmt.Printf("pushing OTLP metrics and anomaly spans to %s\n", *otlpEP)
-			go func() {
-				tick := time.NewTicker(5 * time.Second)
-				defer tick.Stop()
-				pushed := 0
-				for range tick.C {
-					if err := otlp.PushMetrics(exp, time.Now().UnixNano()); err != nil {
-						fmt.Fprintf(os.Stderr, "otlp: %v\n", err)
-					}
-					// Anomaly dumps export once each, as trace batches.
-					dumps := rec.Dumps()
-					for ; pushed < len(dumps); pushed++ {
-						if err := otlp.PushSpans(dumps[pushed].Spans); err != nil {
-							fmt.Fprintf(os.Stderr, "otlp: %v\n", err)
-							break
-						}
-					}
-				}
-			}()
-		}
 	}
 	dumpTelemetry := func() {
 		fmt.Println("\ntelemetry snapshot:")

@@ -1,5 +1,5 @@
 // Command alphaobs scrapes one or more ALPHA /metrics endpoints and holds
-// the samples to the telemetry invariant catalog (DESIGN.md §5i):
+// the samples to the telemetry invariant catalog (DESIGN.md §5d):
 //
 //	I1  counters never move backwards (-recheck takes a second scrape)
 //	I2  benign runs show zero verification failures (-benign); the

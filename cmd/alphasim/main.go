@@ -53,7 +53,6 @@ func main() {
 		adaptOn   = flag.Bool("adaptive", false, "attach the closed-loop mode/batch controller to the signer (-mode/-batch become the starting profile)")
 		lossShift = flag.Duration("loss-shift", 0, "shifting-loss scenario (line topology): hops run clean for this long, take -loss for an equal phase, then recover")
 		flightLen = flag.Int("flight-size", 8192, "per-hop span ring size for the exchange-timeline report (0 disables span capture)")
-		otlpEP    = flag.String("otlp-endpoint", "", "push the final metrics snapshot and captured spans to this OTLP/HTTP collector (requires a build with -tags alpha_otlp)")
 	)
 	flag.Parse()
 	if *lossShift > 0 && *topo != "line" {
@@ -312,7 +311,6 @@ func main() {
 	// Observability report: correlate the per-hop span rings into exchange
 	// timelines, then hold the final metric state to the invariant catalog
 	// (benign runs only — attacks are supposed to violate I2).
-	var allSpans []obs.Span
 	if *flightLen > 0 {
 		spanHops := []obs.HopSpans{{Hop: "signer", Spans: ringS.Snapshot()}}
 		for i, rn := range relays {
@@ -320,8 +318,9 @@ func main() {
 		}
 		vSpans := ringV.Snapshot()
 		spanHops = append(spanHops, obs.HopSpans{Hop: "verifier", Spans: vSpans})
+		spans := 0
 		for _, h := range spanHops {
-			allSpans = append(allSpans, h.Spans...)
+			spans += len(h.Spans)
 		}
 		timelines := obs.Reconstruct(spanHops)
 		complete := 0
@@ -340,7 +339,7 @@ func main() {
 			}
 		}
 		ot := &stats.Table{Title: "Observability", Headers: []string{"Metric", "Value"}}
-		ot.Add("spans captured", len(allSpans))
+		ot.Add("spans captured", spans)
 		ot.Add("exchange timelines", len(timelines))
 		ot.Add("timelines spanning signer to verifier", complete)
 		fmt.Println()
@@ -360,16 +359,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("\ntelemetry invariants: I1-I4 hold")
-	}
-	if *otlpEP != "" {
-		if !obs.OTLPEnabled {
-			fmt.Fprintln(os.Stderr, "warning: -otlp-endpoint ignored: this binary was built without -tags alpha_otlp")
-		} else {
-			otlp := obs.NewOTLPExporter(*otlpEP)
-			check(otlp.PushMetrics(exp, time.Now().UnixNano()))
-			check(otlp.PushSpans(allSpans))
-			fmt.Printf("pushed final snapshot and %d spans to %s\n", len(allSpans), *otlpEP)
-		}
 	}
 }
 

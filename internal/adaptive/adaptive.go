@@ -138,12 +138,12 @@ type Sample struct {
 	Now time.Time
 
 	// Cumulative counters, straight from telemetry.EndpointMetrics.
-	SentS2       uint64
-	Retransmits  uint64
-	Acked        uint64
-	Nacked       uint64
-	PayloadBytes uint64
-	AckLatencyNS uint64 // sum over all acks; mean = Δsum/Δacked
+	SentS2        uint64
+	Retransmits   uint64
+	Acked         uint64
+	Nacked        uint64
+	PayloadBytes  uint64
+	AckLatencySum time.Duration // sum over all acks; mean = Δsum/Δacked
 
 	// Instantaneous state.
 	QueueDepth     int // messages queued but not yet in an exchange
@@ -323,7 +323,7 @@ func (c *Controller) update(s Sample, dt time.Duration) {
 		c.lossEWMA += a * (loss - c.lossEWMA)
 	}
 	if dAck := s.Acked - c.last.Acked; dAck > 0 {
-		rtt := float64(s.AckLatencyNS-c.last.AckLatencyNS) / float64(dAck)
+		rtt := float64(s.AckLatencySum-c.last.AckLatencySum) / float64(dAck)
 		c.rttEWMA += a * (rtt - c.rttEWMA)
 	}
 	rate := float64(s.PayloadBytes-c.last.PayloadBytes) / dt.Seconds()

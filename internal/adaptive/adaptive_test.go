@@ -34,7 +34,7 @@ func (h *harness) step(sent, retr, payload uint64) Decision {
 	h.s.Retransmits += retr
 	h.s.Acked += sent
 	h.s.PayloadBytes += payload
-	h.s.AckLatencyNS += sent * uint64(40*time.Millisecond)
+	h.s.AckLatencySum += time.Duration(sent) * 40 * time.Millisecond
 	return h.c.Observe(h.s)
 }
 

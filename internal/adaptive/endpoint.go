@@ -22,7 +22,7 @@ func SampleEndpoint(ep *core.Endpoint, now time.Time) Sample {
 		Acked:          tel.Acked.Load(),
 		Nacked:         tel.Nacked.Load(),
 		PayloadBytes:   tel.PayloadBytes.Load(),
-		AckLatencyNS:   tel.AckLatencyNS.Load(),
+		AckLatencySum:  time.Duration(tel.AckLatency.Sum()),
 		QueueDepth:     ep.QueueLen(),
 		InFlight:       ep.InFlight(),
 		ChainRemaining: int(tel.SigChainRemaining.Load()),

@@ -169,12 +169,6 @@ type VerifierConfig struct {
 	// to a power of two, minimum 1<<12). <= 0 selects 1<<20 (128 KiB per
 	// generation).
 	WindowBits int
-	// StormThreshold fires OnStorm when a single replay window rejects
-	// this many HS packets (0 disables).
-	StormThreshold uint64
-	// OnStorm observes admission storms (at most once per window). Called
-	// from the dispatch path; keep it cheap.
-	OnStorm func(drops uint64)
 }
 
 // Verifier validates connect tokens on the server's receive path. All
@@ -185,19 +179,14 @@ type Verifier struct {
 	window  time.Duration
 	tel     telemetry.AdmissionMetrics
 
-	stormThreshold uint64
-	onStorm        func(uint64)
-
 	// Replay filter: two bitmap generations. A nonce is marked in cur on
 	// first successful use and checked against both, so it stays blocked
-	// for one to two windows. rotateNS is the unixnano of the last swap;
-	// windowDrops and stormFired reset with it. mu serializes rotation
-	// only; the admit path reads the generation pointers atomically.
-	mu          sync.Mutex
-	cur, prev   atomic.Pointer[bitset]
-	rotateNS    atomic.Int64
-	windowDrops atomic.Uint64
-	stormFired  atomic.Bool
+	// for one to two windows. rotateNS is the unixnano of the last swap.
+	// mu serializes rotation only; the admit path reads the generation
+	// pointers atomically.
+	mu        sync.Mutex
+	cur, prev atomic.Pointer[bitset]
+	rotateNS  atomic.Int64
 
 	scratch sync.Pool
 }
@@ -208,11 +197,9 @@ func NewVerifier(cfg VerifierConfig) (*Verifier, error) {
 		return nil, ErrBadKey
 	}
 	v := &Verifier{
-		keys:           make(map[uint8]cipher.AEAD, len(cfg.Keys)),
-		require:        cfg.Require,
-		window:         cfg.Window,
-		stormThreshold: cfg.StormThreshold,
-		onStorm:        cfg.OnStorm,
+		keys:    make(map[uint8]cipher.AEAD, len(cfg.Keys)),
+		require: cfg.Require,
+		window:  cfg.Window,
 	}
 	v.tel.Init()
 	for id, key := range cfg.Keys {
@@ -317,18 +304,11 @@ func (v *Verifier) Admit(now time.Time, token []byte, ip []byte, port int, sigAn
 	return Verdict{OK: true, AnchorsBound: bound}
 }
 
-// reject counts one refusal and handles storm detection.
+// reject counts one refusal.
 //
 //alpha:hotpath
 func (v *Verifier) reject(reason uint32) Verdict {
 	v.tel.NoteDrop(reason)
-	drops := v.windowDrops.Add(1)
-	if v.stormThreshold > 0 && drops >= v.stormThreshold && v.stormFired.CompareAndSwap(false, true) {
-		v.tel.Storms.Inc()
-		if v.onStorm != nil {
-			v.onStorm(drops)
-		}
-	}
 	return Verdict{Reason: reason}
 }
 
@@ -368,8 +348,6 @@ func (v *Verifier) maybeRotate(now time.Time) {
 	v.prev.Store(cur)
 	v.cur.Store(prev)
 	v.rotateNS.Store(ns)
-	v.windowDrops.Store(0)
-	v.stormFired.Store(false)
 	v.tel.WindowRotations.Inc()
 }
 

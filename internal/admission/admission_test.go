@@ -273,34 +273,6 @@ func TestKeyRotation(t *testing.T) {
 	}
 }
 
-func TestStormDetection(t *testing.T) {
-	var storms int
-	var lastDrops uint64
-	_, v := newPair(t, VerifierConfig{
-		Require:        true,
-		Window:         10 * time.Second,
-		StormThreshold: 5,
-		OnStorm:        func(d uint64) { storms++; lastDrops = d },
-	})
-	now := time.Unix(1000, 0)
-	for i := 0; i < 20; i++ {
-		v.Admit(now, nil, clientIP, clientPort, nil, nil)
-	}
-	if storms != 1 || lastDrops != 5 {
-		t.Fatalf("storms=%d drops=%d (want one firing at the threshold)", storms, lastDrops)
-	}
-	if v.Metrics().Storms.Load() != 1 {
-		t.Fatalf("storm counter %d", v.Metrics().Storms.Load())
-	}
-	// The next window re-arms the trigger.
-	for i := 0; i < 20; i++ {
-		v.Admit(now.Add(11*time.Second), nil, clientIP, clientPort, nil, nil)
-	}
-	if storms != 2 {
-		t.Fatalf("storms=%d after window rotation", storms)
-	}
-}
-
 func TestMintValidation(t *testing.T) {
 	is, _ := newPair(t, VerifierConfig{})
 	now := time.Unix(1000, 0)

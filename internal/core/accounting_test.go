@@ -188,6 +188,12 @@ func TestAckLatencyTracked(t *testing.T) {
 	if st.MeanAckLatency() <= 0 || st.AckLatencyMax < st.MeanAckLatency() {
 		t.Fatalf("latency stats implausible: mean=%v max=%v", st.MeanAckLatency(), st.AckLatencyMax)
 	}
+	// The sum is the AckLatency histogram's, the one copy of the figure
+	// that /metrics exports as alpha_endpoint_ack_latency_ns_sum.
+	lat := h.a.Telemetry().AckLatency.Snapshot()
+	if lat.Count != 1 || int64(st.AckLatencySum) != lat.Sum {
+		t.Fatalf("AckLatencySum = %d ns, histogram count %d sum %d ns", st.AckLatencySum, lat.Count, lat.Sum)
+	}
 	if (Stats{}).MeanAckLatency() != 0 {
 		t.Fatalf("zero-value latency not zero")
 	}

@@ -170,7 +170,7 @@ func (e *Endpoint) Stats() Stats {
 		BytesSent:     m.BytesSent.Load(),
 		BytesReceived: m.BytesReceived.Load(),
 		Payloads:      m.PayloadBytes.Load(),
-		AckLatencySum: time.Duration(m.AckLatencyNS.Load()),
+		AckLatencySum: time.Duration(m.AckLatency.Sum()),
 		AckLatencyMax: time.Duration(m.AckLatencyMaxNS.Load()),
 	}
 }

@@ -410,7 +410,6 @@ func (e *Endpoint) handleA2(now time.Time, hdr packet.Header, a2 *packet.A2) {
 		e.tel.Acked.Inc()
 		if !m.sentAt.IsZero() {
 			lat := now.Sub(m.sentAt)
-			e.tel.AckLatencyNS.Add(uint64(lat))
 			e.tel.AckLatencyMaxNS.SetMax(uint64(lat))
 			e.tel.AckLatency.Observe(int64(lat))
 		}

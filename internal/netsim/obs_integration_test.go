@@ -1,6 +1,6 @@
 // Observability integration: hop-by-hop span correlation across a simulated
 // multi-relay path, and the telemetry invariant checker run against live
-// scenario metrics (DESIGN.md §5i).
+// scenario metrics (DESIGN.md §5d).
 
 package netsim_test
 

@@ -20,7 +20,6 @@ const (
 	CauseAdaptiveFlap   = "adaptive_flap"
 	CauseChainLow       = "chain_low"
 	CausePoolSaturation = "pool_saturation"
-	CauseAdmissionStorm = "admission_storm"
 )
 
 // Dump is one captured anomaly: the victim association's recent span
@@ -51,7 +50,7 @@ type Recorder struct {
 	mu      sync.RWMutex
 	rings   map[uint64]*SpanRing
 	dumps   []Dump
-	byAssoc map[uint64]int // live dump count per association
+	byAssoc map[uint64]int // live dump count per association; no zero entries
 
 	pool sync.Pool
 }
@@ -155,17 +154,26 @@ func (rc *Recorder) Trigger(assoc uint64, cause string) {
 		for i := range rc.dumps {
 			if rc.dumps[i].Assoc == assoc {
 				rc.dumps = append(rc.dumps[:i], rc.dumps[i+1:]...)
-				rc.byAssoc[assoc]--
+				rc.forget(assoc)
 				break
 			}
 		}
 	}
 	if len(rc.dumps) >= maxDumps {
-		rc.byAssoc[rc.dumps[0].Assoc]--
+		rc.forget(rc.dumps[0].Assoc)
 		rc.dumps = rc.dumps[1:]
 	}
 	rc.dumps = append(rc.dumps, d)
 	rc.byAssoc[assoc]++
+}
+
+// forget drops one of assoc's dumps from the count, and the association's
+// key with its last one, so byAssoc holds at most maxDumps keys however
+// many associations have triggered. Called with mu held.
+func (rc *Recorder) forget(assoc uint64) {
+	if rc.byAssoc[assoc]--; rc.byAssoc[assoc] == 0 {
+		delete(rc.byAssoc, assoc)
+	}
 }
 
 // Dumps returns the retained anomaly dumps, oldest first.

@@ -95,6 +95,25 @@ func TestDumpBounds(t *testing.T) {
 	}
 }
 
+// TestDumpCountsForgetEvictedAssocs triggers on many more associations
+// than the recorder keeps dumps for: the per-association counts must follow
+// the evictions out, not keep one key per association ever seen.
+func TestDumpCountsForgetEvictedAssocs(t *testing.T) {
+	rc := NewRecorder(16)
+	for a := uint64(1); a <= 10_000; a++ {
+		rc.Trigger(a, CauseChainLow)
+	}
+	if got := len(rc.Dumps()); got != maxDumps {
+		t.Fatalf("dumps = %d, want %d", got, maxDumps)
+	}
+	rc.mu.RLock()
+	keys := len(rc.byAssoc)
+	rc.mu.RUnlock()
+	if keys > maxDumps {
+		t.Fatalf("byAssoc holds %d associations for %d dumps", keys, maxDumps)
+	}
+}
+
 func TestFlightHTTP(t *testing.T) {
 	rc := NewRecorder(16)
 	r := rc.Ring(0xabcd)
@@ -154,17 +173,6 @@ func TestHandlerRoutes(t *testing.T) {
 		}
 		if tc.want != "" && !strings.Contains(rec.Body.String(), tc.want) {
 			t.Fatalf("%s missing %q:\n%s", tc.path, tc.want, rec.Body.String())
-		}
-	}
-}
-
-func TestRegisterRuntime(t *testing.T) {
-	exp := telemetry.NewExporter()
-	RegisterRuntime(exp)
-	snap := exp.Snapshot()
-	for _, want := range []string{"alpha_go_gc_cycles", "alpha_go_goroutines", "alpha_go_heap_objects_bytes", "alpha_go_gc_pause_p99_ns", "alpha_go_sched_latency_p50_ns"} {
-		if _, ok := snap[want]; !ok {
-			t.Fatalf("runtime group missing %s (have %v)", want, snap)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // Handler serves the full observability surface:
 //
-//	/metrics       Prometheus text (?format=json for expvar-style JSON)
+//	/metrics       Prometheus text
 //	/trace         packet-lifecycle trace ring
 //	/flight        flight-recorder index (?assoc= for one association)
 //	/debug/pprof/  the standard Go profiling endpoints

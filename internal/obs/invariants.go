@@ -3,7 +3,7 @@
 // the CI live-smoke job all run the same checks against either a live
 // exporter or a scraped /metrics body.
 //
-// Invariant catalog (DESIGN.md §5i):
+// Invariant catalog (DESIGN.md §5d):
 //
 //	I1 monotonicity   counters never decrease between snapshots
 //	I2 benign-clean   under benign schedules no verification ever fails

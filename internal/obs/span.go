@@ -1,8 +1,8 @@
 // Package obs is the hop-by-hop observability layer built on top of
 // internal/telemetry: fixed-size exchange span records emitted at every
 // core/relay/udptransport decision point, a per-association flight
-// recorder with dump-on-anomaly triggers, a telemetry invariant checker,
-// and (behind the alpha_otlp build tag) an OTLP export bridge.
+// recorder with dump-on-anomaly triggers, and a telemetry invariant
+// checker.
 //
 // ALPHA's security argument is per-hop — every relay verifies before
 // forwarding (§3) — but flat process-wide counters cannot say *which* hop

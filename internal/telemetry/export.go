@@ -1,12 +1,11 @@
 // Export model: metric sets implement Walker; an Exporter owns a list of
-// prefixed groups and renders them as Prometheus text, expvar-style JSON,
-// or a human-readable text dump. All rendering happens off the hot path;
-// only snapshots of atomics are read.
+// prefixed groups and renders them as Prometheus text or a human-readable
+// text dump. All rendering happens off the hot path; only snapshots of
+// atomics are read.
 
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -68,8 +67,8 @@ func (e *Exporter) Register(prefix string, w Walker) {
 
 // RegisterLabeled adds a metric group whose samples carry a fixed label set
 // (e.g. prefix "alpha_session", labels `assoc="4f2a..."`). In Prometheus
-// output the labels render inside braces; in JSON/text/Snapshot output they
-// are folded into the group key as prefix{labels}, so two groups sharing a
+// output the labels render inside braces; in text/Snapshot output they are
+// folded into the sample key as name{labels}, so two groups sharing a
 // prefix but not labels stay distinct.
 func (e *Exporter) RegisterLabeled(prefix, labels string, w Walker) {
 	e.mu.Lock()
@@ -107,15 +106,6 @@ func (e *Exporter) snapshotGroups() []exportGroup {
 		})
 	}
 	return groups
-}
-
-// key returns the group's Snapshot/JSON identity: prefix{labels}, or just
-// the prefix for unlabeled groups.
-func (g exportGroup) key() string {
-	if g.labels == "" {
-		return g.prefix
-	}
-	return g.prefix + "{" + g.labels + "}"
 }
 
 // Snapshot returns every registered metric keyed by its full name:
@@ -251,46 +241,4 @@ func (p *promVisitor) Histogram(name string, h HistogramSnapshot) {
 	p.sample(full+"_bucket", `le="+Inf"`, h.Count)
 	p.sample(full+"_sum", "", h.Sum)
 	p.sample(full+"_count", "", h.Count)
-}
-
-// WriteJSON renders an expvar-style JSON object: one nested object per
-// group (labeled groups key as prefix{labels}), histograms as
-// {count, sum, buckets:[{le, n}]}.
-func (e *Exporter) WriteJSON(w io.Writer) error {
-	top := make(map[string]map[string]any)
-	for _, g := range e.snapshotGroups() {
-		key := g.key()
-		obj, ok := top[key]
-		if !ok {
-			obj = make(map[string]any)
-			top[key] = obj
-		}
-		g.w.Walk(&jsonVisitor{out: obj})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(top)
-}
-
-type jsonVisitor struct{ out map[string]any }
-
-func (j *jsonVisitor) Counter(name string, v uint64) { j.out[name] = v }
-func (j *jsonVisitor) Gauge(name string, v int64)    { j.out[name] = v }
-func (j *jsonVisitor) Histogram(name string, h HistogramSnapshot) {
-	type bucket struct {
-		LE uint64 `json:"le"`
-		N  uint64 `json:"n"`
-	}
-	buckets := make([]bucket, 0, len(h.Bounds))
-	for i, bound := range h.Bounds {
-		if h.Counts[i] > 0 {
-			buckets = append(buckets, bucket{LE: uint64(bound), N: h.Counts[i]})
-		}
-	}
-	j.out[name] = map[string]any{
-		"count":    h.Count,
-		"sum":      h.Sum,
-		"overflow": h.Counts[len(h.Counts)-1],
-		"buckets":  buckets,
-	}
 }

@@ -66,32 +66,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	e, _ := populated()
-	var buf strings.Builder
-	if err := e.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var top map[string]map[string]any
-	if err := json.Unmarshal([]byte(buf.String()), &top); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	ep := top["alpha_endpoint"]
-	if ep == nil {
-		t.Fatalf("missing alpha_endpoint group: %v", top)
-	}
-	if got := ep["sent_s1"]; got != float64(3) {
-		t.Fatalf("sent_s1 = %v, want 3", got)
-	}
-	hist, ok := ep["payload_size_bytes"].(map[string]any)
-	if !ok {
-		t.Fatalf("payload_size_bytes = %T", ep["payload_size_bytes"])
-	}
-	if hist["count"] != float64(4) || hist["overflow"] != float64(1) {
-		t.Fatalf("histogram = %v", hist)
-	}
-}
-
 func TestWriteText(t *testing.T) {
 	e, _ := populated()
 	var buf strings.Builder
@@ -162,21 +136,13 @@ func TestRegisterLabeled(t *testing.T) {
 		t.Errorf("TYPE line for sent_s1 appears %d times, want 1", n)
 	}
 
-	// Snapshot and JSON keys keep the two associations distinct.
+	// Snapshot keys keep the two associations distinct.
 	snap := e.Snapshot()
 	if got := snap[`alpha_session_sent_s1{assoc="000000000000abcd"}`]; got != uint64(7) {
 		t.Errorf("labeled snapshot key = %v, want 7", got)
 	}
-	var jbuf strings.Builder
-	if err := e.WriteJSON(&jbuf); err != nil {
-		t.Fatal(err)
-	}
-	var top map[string]map[string]any
-	if err := json.Unmarshal([]byte(jbuf.String()), &top); err != nil {
-		t.Fatal(err)
-	}
-	if got := top[`alpha_session{assoc="000000000000beef"}`]["sent_s1"]; got != float64(11) {
-		t.Errorf("labeled JSON group = %v, want 11", got)
+	if got := snap[`alpha_session_sent_s1{assoc="000000000000beef"}`]; got != uint64(11) {
+		t.Errorf("labeled snapshot key = %v, want 11", got)
 	}
 }
 
@@ -232,19 +198,6 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "alpha_endpoint_sent_s1 3") {
 		t.Fatalf("prometheus body missing counter:\n%s", body)
-	}
-
-	jresp, err := srv.Client().Get(srv.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jresp.Body.Close()
-	var top map[string]map[string]any
-	if err := json.NewDecoder(jresp.Body).Decode(&top); err != nil {
-		t.Fatalf("json format did not parse: %v", err)
-	}
-	if top["alpha_endpoint"]["delivered"] != float64(2) {
-		t.Fatalf("json delivered = %v", top["alpha_endpoint"]["delivered"])
 	}
 }
 

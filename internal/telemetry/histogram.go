@@ -66,6 +66,10 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
+// Sum returns the total of every observed value. Unlike Snapshot it
+// allocates nothing.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
+
 // HistogramSnapshot is a point-in-time copy of a histogram.
 type HistogramSnapshot struct {
 	// Bounds are the inclusive upper bounds; Counts has one extra entry

@@ -1,7 +1,6 @@
-// HTTP exposure: /metrics (Prometheus text, or expvar-style JSON with
-// ?format=json) and /trace (the tracer ring as JSON, decoded with kind and
-// reason names). Handlers read only atomic snapshots; they never touch the
-// hot path.
+// HTTP exposure: /metrics (Prometheus text) and /trace (the tracer ring as
+// JSON, decoded with kind and reason names). Handlers read only atomic
+// snapshots; they never touch the hot path.
 
 package telemetry
 
@@ -19,11 +18,6 @@ func (e *Exporter) Handler() http.Handler {
 }
 
 func (e *Exporter) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		_ = e.WriteJSON(w)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = e.WritePrometheus(w)
 }

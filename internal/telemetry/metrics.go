@@ -26,11 +26,9 @@ type EndpointMetrics struct {
 	// through NoteDrop.
 	DropReasons [endpointReasonSlots]Counter
 
-	// AckLatencyNS accumulates Send-to-verified-ack time in nanoseconds;
-	// AckLatencyMaxNS is the high watermark. AckLatency buckets the same
-	// observations, and its _sum is how the total is exported: AckLatencyNS
-	// is read in process (Stats, the adaptive controller), not walked.
-	AckLatencyNS    Counter
+	// AckLatency buckets Send-to-verified-ack time in nanoseconds; its Sum
+	// is the total that Stats and the adaptive controller read.
+	// AckLatencyMaxNS is the high watermark.
 	AckLatencyMaxNS Counter
 	AckLatency      Histogram
 	// PayloadSize buckets delivered (verified) payload sizes.
@@ -156,9 +154,6 @@ func (m *EndpointMetrics) AddTo(dst *EndpointMetrics) {
 		} else {
 			d[i].c.Add(n)
 		}
-	}
-	if n := m.AckLatencyNS.Load(); n != 0 {
-		dst.AckLatencyNS.Add(n)
 	}
 	for i := range m.DropReasons {
 		if n := m.DropReasons[i].Load(); n != 0 {
@@ -288,8 +283,6 @@ type AdmissionMetrics struct {
 	Missing, Invalid, Replayed *Counter
 	// WindowRotations counts replay-window generation swaps.
 	WindowRotations Counter
-	// Storms counts admission-storm anomaly triggers (flood detection).
-	Storms Counter
 }
 
 // Init points the named read handles at their slots.
@@ -316,7 +309,6 @@ func (m *AdmissionMetrics) Walk(v Visitor) {
 	v.Counter("dropped", m.Dropped.Load())
 	m.drops().walk(v)
 	v.Counter("window_rotations", m.WindowRotations.Load())
-	v.Counter("storms", m.Storms.Load())
 }
 
 // IOMetrics counts one socket path's batched datagram I/O: how many socket

@@ -1,7 +1,7 @@
 // Package telemetry is the repo's dependency-free observability core:
 // atomic protocol counters, gauges, lock-free histograms with fixed bucket
 // layouts, and a ring-buffer packet-lifecycle tracer, plus exporters that
-// serve everything as expvar-style JSON and Prometheus text.
+// serve everything as Prometheus text and a sorted text dump.
 //
 // The package exists so the protocol's behavior — per-step latency, relay
 // drop reasons, transport back-pressure — is observable on a *live* node,

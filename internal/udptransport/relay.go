@@ -93,12 +93,9 @@ func (r *Relay) Seed(st suite.Suite, anchors core.AnchorSet) error {
 	return r.r.Seed(st, anchors)
 }
 
-// Stats returns the underlying relay's counters.
-func (r *Relay) Stats() relay.Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.r.Stats()
-}
+// Stats returns the underlying relay's counters. They are atomic, so Stats
+// takes no lock and never waits for the forwarding loop.
+func (r *Relay) Stats() relay.Stats { return r.r.Stats() }
 
 // Telemetry returns the underlying relay's live metric set for export. The
 // counters are atomic, so no lock is needed to read them.

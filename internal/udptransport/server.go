@@ -177,9 +177,8 @@ type ServerOptions struct {
 	// Flight, when set, hands each session a pooled per-association span
 	// ring, retired back to the pool when the session leaves, and receives
 	// the sessions' anomaly triggers: chain-low, verify failures (via the
-	// ring's own drop hook) and accept-backlog overflow. Admission storms
-	// reach a recorder through the verifier's own VerifierConfig.OnStorm.
-	// Nil disables recording at zero cost.
+	// ring's own drop hook) and accept-backlog overflow. Nil disables
+	// recording at zero cost.
 	Flight *obs.Recorder
 }
 

@@ -3,6 +3,8 @@ package udptransport
 import (
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,6 +158,90 @@ func testUDPThroughVerifyingRelay(t *testing.T, opts IOOptions) {
 	if st.Dropped != 0 {
 		t.Fatalf("relay dropped honest traffic: %+v", st)
 	}
+}
+
+// TestRelayStatsWhileForwarding reads a relay's counters while it forwards:
+// under -race any non-atomic read the loop races with is reported, and a
+// reader must get an answer even while the loop holds the relay's lock.
+func TestRelayStatsWhileForwarding(t *testing.T) {
+	pa, pb := udpPair(t)
+	pr, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRelay(pr, pa.LocalAddr(), pb.LocalAddr(), relay.Config{})
+	defer r.Close()
+
+	cfg := core.Config{Mode: packet.ModeC, Reliable: true, ChainLen: 256, BatchSize: 4}
+	ch := make(chan *Conn, 1)
+	go func() {
+		c, err := Listen(pb, cfg, 5*time.Second)
+		if err != nil {
+			t.Error(err)
+		}
+		ch <- c
+	}()
+	dialer, err := Dial(pa, pr.LocalAddr(), cfg, 5*time.Second)
+	if err != nil {
+		t.Fatalf("Dial through relay: %v", err)
+	}
+	defer dialer.Close()
+	listener := <-ch
+	if listener == nil {
+		t.FailNow()
+	}
+	defer listener.Close()
+
+	var (
+		seen atomic.Uint64
+		stop = make(chan struct{})
+		wg   sync.WaitGroup
+		once sync.Once
+	)
+	halt := func() { once.Do(func() { close(stop); wg.Wait() }) }
+	t.Cleanup(halt)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f, last := r.Stats().Forwarded, seen.Load()
+			if f < last {
+				t.Errorf("forwarded went backwards: %d -> %d", last, f)
+			}
+			seen.Store(f)
+		}
+	}()
+	const total = 32
+	for i := 0; i < total; i++ {
+		if _, err := dialer.Send([]byte(fmt.Sprintf("stats-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dialer.Flush()
+	collect(t, listener, core.EventDelivered, total, 10*time.Second)
+	collect(t, dialer, core.EventAcked, total, 10*time.Second)
+	halt()
+	if seen.Load() == 0 {
+		t.Fatal("the concurrent reader never saw a forwarded datagram")
+	}
+
+	r.mu.Lock()
+	got := make(chan relay.Stats, 1)
+	go func() { got <- r.Stats() }()
+	select {
+	case st := <-got:
+		if st.Forwarded == 0 || st.Dropped != 0 {
+			t.Errorf("stats after the exchange: %+v", st)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Stats waited for the relay's lock")
+	}
+	r.mu.Unlock()
 }
 
 func TestUDPListenTimeout(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package dropcount guards the drop-accounting contract behind telemetry
-// invariant I3 (DESIGN.md §5i): a packet that dies on the hot path must die
+// invariant I3 (DESIGN.md §5d): a packet that dies on the hot path must die
 // counted. In every `//alpha:hotpath` function that handles packets (one
 // whose signature mentions the packet wire types), a conditional early exit
 // — a `return` or `continue` inside an `if` — is treated as a discard site
