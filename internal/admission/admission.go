@@ -131,7 +131,15 @@ func (is *Issuer) Mint(now time.Time, ttl time.Duration, ip []byte, port int, si
 	if (sigAnchor == nil) != (ackAnchor == nil) {
 		return nil, ErrAnchors
 	}
-	var claims [claimsLen]byte
+	// The token is one allocation: the nonce is read into it, and the claims
+	// are laid out where their ciphertext goes and sealed in place, the one
+	// overlap Seal allows.
+	out := make([]byte, TokenLen)
+	out[0], out[1] = TokenVersion, is.keyID
+	nonce, claims := out[2:2+nonceLen], out[2+nonceLen:2+nonceLen+claimsLen]
+	if _, err := io.ReadFull(is.rand, nonce); err != nil {
+		return nil, err
+	}
 	binary.BigEndian.PutUint64(claims[0:8], uint64(now.Add(ttl).UnixNano()))
 	copy(claims[8:24], addr[:])
 	binary.BigEndian.PutUint16(claims[24:26], uint16(port))
@@ -142,14 +150,8 @@ func (is *Issuer) Mint(now time.Time, ttl time.Duration, ip []byte, port int, si
 		binding := AnchorBinding(sigAnchor, ackAnchor)
 		copy(claims[26:58], binding[:])
 	}
-	out := make([]byte, 2, TokenLen)
-	out[0], out[1] = TokenVersion, is.keyID
-	nonce := make([]byte, nonceLen)
-	if _, err := io.ReadFull(is.rand, nonce); err != nil {
-		return nil, err
-	}
-	out = append(out, nonce...)
-	return is.aead.Seal(out, nonce, claims[:], out[:2]), nil
+	is.aead.Seal(claims[:0], nonce, claims, out[:2])
+	return out, nil
 }
 
 // VerifierConfig configures an admission verifier.

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -402,5 +403,39 @@ func BenchmarkAdmitAccept(b *testing.B) {
 	// acceptance is the property, not perfection.
 	if accepted < b.N*9/10 {
 		b.Fatalf("only %d/%d fresh tokens accepted", accepted, b.N)
+	}
+}
+
+// TestMintAllocs pins Mint at one allocation, the token itself, and pins
+// its bytes: minted from the fuzz fixture's fixed reader, each kind of
+// token equals the known answer, which was taken before Mint sealed the
+// claims in place.
+func TestMintAllocs(t *testing.T) {
+	is, _ := newPair(t, VerifierConfig{})
+	is.rand = fixedReader{}
+	now := time.Unix(1000, 0)
+	sig := bytes.Repeat([]byte{1}, 20)
+	ack := bytes.Repeat([]byte{2}, 20)
+	for _, c := range []struct {
+		sig, ack []byte
+		want     string
+	}{
+		{sig, ack, "0107b0b1b2b3b4b5b6b7b8b9babb33a7a9d40261a37e766cdb0df475076e05922845f69f04e70e6ddd32001863688dd85fe4be2eb92ca8264da47892d97984f03c5e736e99b4c018a7fc33658401843c796ad5df786a887c"},
+		{nil, nil, "0107b0b1b2b3b4b5b6b7b8b9babb33a7a9d40261a37e766cdb0df475076e05922845f69f04e70e6d3e4a3931c2fe614c26450f8a129c09be3e1f56ca547939cfa255affec694e3c38cc4a0068180c0085456c74f45100602"},
+	} {
+		tok, err := is.Mint(now, time.Minute, clientIP, clientPort, c.sig, c.ack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(tok); got != c.want {
+			t.Errorf("anchors %v: minted\n%s\nwant\n%s", c.sig != nil, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := is.Mint(now, time.Minute, clientIP, clientPort, sig, ack); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("Mint made %.1f allocations, want 1", n)
 	}
 }

@@ -34,14 +34,16 @@ type Endpoint struct {
 	established bool
 	hsRetries   int
 	hsDeadline  time.Time
-	hsPacket    []byte // encoded local HS for retransmission
+	hsPacket    []byte           // encoded local HS for retransmission
+	hs          packet.Handshake // the local HS body it was encoded from
 
 	// Local chains: signing our outgoing channel, acknowledging our
 	// incoming one.
 	sigChain *hashchain.Chain
 	ackChain *hashchain.Chain
 
-	// Walkers over the peer's chains, with the pre-rekey generation.
+	// Walkers over the peer's chains, with the pre-rekey generation. The
+	// current ones live here, so adopting the peer allocates nothing.
 	peer PeerChains
 
 	// rekey tracks an in-flight local chain rotation.
@@ -53,35 +55,40 @@ type Endpoint struct {
 	queue     []outMsg
 	qhead     int
 	queuedAt  time.Time
-	tx        map[uint32]*txExchange
-	txOrder   []uint32
-	txDue     []uint32 // pollExchanges' snapshot of txOrder
+	// tx is nil until the first exchange starts, and rx until the first
+	// one is buffered: an endpoint that only receives never makes tx.
+	tx      map[uint32]*txExchange
+	txOrder []uint32
+	txDue   []uint32 // pollExchanges' snapshot of txOrder
 
 	// Receiver half.
 	rx      map[uint32]*rxExchange
 	rxOrder fifo.Ring[uint32] // buffered sequence numbers, oldest first
 
-	// Retired exchanges and payload buffers waiting for reuse, and the
-	// largest slab either kind of exchange has filled: a fresh slab is made
-	// that size, so it is one allocation and never grows.
+	// Retired exchanges and payload buffers waiting for reuse. A fresh
+	// exchange's slab is sized for everything the exchange will hold, so it
+	// is one allocation and an honest exchange never grows it.
 	freeTx       []*txExchange
 	freeRx       []*rxExchange
 	freePayloads [][]byte
-	txSlabHint   int
-	rxSlabHint   int
 
 	// Outgoing datagrams, each with the exchange whose slab holds it (nil
 	// for handshake packets), and what the latest Poll handed out: see
-	// Release for the ownership rule.
+	// Release for the ownership rule. The two owner lists are made at birth,
+	// outHint long each, in one allocation.
 	outbox     [][]byte
 	outOwners  []lender
 	outHint    int
 	lentOut    [][]byte
 	lentOwners []lender
 
-	events   []Event
-	chainLow bool
-	nonce    []byte
+	// events starts on firstEvents, so the first event an endpoint raises
+	// costs nothing; the slice is the caller's once handed out, and the
+	// endpoint writes to that array again only if it is handed back.
+	events      []Event
+	firstEvents [1]Event
+	chainLow    bool
+	nonce       []byte
 
 	// Pre-admitted peer anchors: installed by the transport when an
 	// admission token bound the initiator's anchors, letting adoptPeer
@@ -93,7 +100,9 @@ type Endpoint struct {
 	// computed MACs, an S1's MAC batch and digest lists (an S1's MACs or
 	// roots, an S2's proof, a tree's leaf inputs) are assembled in instead
 	// of freshly allocated per message. Valid only within one step; the
-	// endpoint is single-threaded by contract so no locking is needed.
+	// endpoint is single-threaded by contract so no locking is needed. The
+	// byte buffers are sized at birth (newEndpoint), the digest lists when
+	// the first exchange starts.
 	parser  packet.Parser
 	s1      packet.S1
 	a1      packet.A1
@@ -198,6 +207,12 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 // newEndpoint is every endpoint's birth, handshaken or provisioned: cfg is
 // defaulted and valid, sig and ack are the endpoint's own chains. Callers
 // add the state that differs (the association, the peer's chains).
+//
+// Birth makes what the endpoint's first exchanges need, sized from cfg, so
+// that they do not grow it by append: the owner lists for outHint datagrams,
+// and one byte allocation for the nonce, the MAC and digest output, the
+// pre-admitted anchors and, in the modes that MAC each message, an S1's
+// batch of MACs. Nothing is sized from MaxOutstanding or MaxRxExchanges.
 func newEndpoint(cfg Config, sig, ack *hashchain.Chain) (*Endpoint, error) {
 	e := &Endpoint{
 		cfg:      cfg,
@@ -205,16 +220,27 @@ func newEndpoint(cfg Config, sig, ack *hashchain.Chain) (*Endpoint, error) {
 		sigChain: sig,
 		ackChain: ack,
 		nextSeq:  1,
-		tx:       make(map[uint32]*txExchange),
-		rx:       make(map[uint32]*rxExchange),
 		outHint:  outHint(cfg),
 		tracer:   cfg.Tracer,
 		spans:    cfg.Spans,
 	}
+	e.events = e.firstEvents[:0]
+	owners := make([]lender, 2*e.outHint)
+	e.outOwners, e.lentOwners = owners[:0:e.outHint], owners[e.outHint:e.outHint]
+	h, macs := cfg.Suite.Size(), 0
+	if cfg.Mode == packet.ModeBase || cfg.Mode == packet.ModeC {
+		macs = cfg.BatchSize * h
+	}
+	// Each piece is capped at its end, so whatever outgrows its piece moves
+	// out instead of writing over the next one.
+	b := make([]byte, 5*h+macs)
+	e.nonce = b[:h:h]
+	e.mac.macOut = b[h : h : 3*h] // a pre-ack and a pre-nack digest
+	e.preSig, e.preAck = b[3*h:3*h:4*h], b[4*h:4*h:5*h]
+	e.macSlab = b[5*h : 5*h : 5*h+macs]
 	e.tel.Init()
 	e.tel.Mode.Set(int64(cfg.Mode))
 	e.tel.BatchSize.Set(int64(cfg.BatchSize))
-	e.nonce = make([]byte, cfg.Suite.Size())
 	if _, err := rand.Read(e.nonce); err != nil {
 		return nil, fmt.Errorf("core: generating nonce: %w", err)
 	}
@@ -222,33 +248,47 @@ func newEndpoint(cfg Config, sig, ack *hashchain.Chain) (*Endpoint, error) {
 	return e, nil
 }
 
-// freshChains draws a chain secret and derives a chain pair from it.
+// freshChains draws a chain secret and derives a chain pair from it. The
+// secret is kept behind the chains' resident elements, in their slab.
 func freshChains(c Config) (secret []byte, sig, ack *hashchain.Chain, err error) {
-	secret = make([]byte, 2*c.Suite.Size())
+	n := chainSlabLen(c)
+	slab := make([]byte, 2*n+2*c.Suite.Size())
+	secret = slab[2*n:]
 	if _, err := rand.Read(secret); err != nil {
 		return nil, nil, nil, fmt.Errorf("core: generating chain secret: %w", err)
 	}
-	sig, ack, err = newChains(c, secret)
+	sig, ack, err = deriveChains(c, secret, slab[:2*n])
 	return secret, sig, ack, err
 }
 
 // newChains derives an endpoint's two chains from a secret of twice the
 // digest size: the first half seeds the signature chain, the second the
-// acknowledgment chain. CheckpointInterval picks how many elements they
-// keep resident; 0 keeps all of them.
+// acknowledgment chain.
 func newChains(c Config, secret []byte) (sig, ack *hashchain.Chain, err error) {
-	h := c.Suite.Size()
-	if len(secret) != 2*h {
+	if h := c.Suite.Size(); len(secret) != 2*h {
 		return nil, nil, fmt.Errorf("core: chain secret must be %d bytes", 2*h)
 	}
-	k := max(c.CheckpointInterval, 1)
-	if sig, err = hashchain.NewCheckpoint(c.Suite, hashchain.TagS1, hashchain.TagS2, secret[:h], c.ChainLen, k); err != nil {
+	return deriveChains(c, secret, make([]byte, 2*chainSlabLen(c)))
+}
+
+// chainSlabLen is what one of c's chains keeps resident.
+// CheckpointInterval picks how many elements that is; 0 keeps all of them.
+func chainSlabLen(c Config) int {
+	return hashchain.SlabLen(c.Suite, c.ChainLen, max(c.CheckpointInterval, 1))
+}
+
+// deriveChains derives the chain pair of secret into slab, which holds both
+// chains' resident elements: with the pair's own allocation, two in all.
+func deriveChains(c Config, secret, slab []byte) (sig, ack *hashchain.Chain, err error) {
+	h, n, k := c.Suite.Size(), len(slab)/2, max(c.CheckpointInterval, 1)
+	pair := new([2]hashchain.Chain)
+	if err := pair[0].Init(c.Suite, hashchain.TagS1, hashchain.TagS2, secret[:h], c.ChainLen, k, slab[:n:n]); err != nil {
 		return nil, nil, err
 	}
-	if ack, err = hashchain.NewCheckpoint(c.Suite, hashchain.TagA1, hashchain.TagA2, secret[h:], c.ChainLen, k); err != nil {
+	if err := pair[1].Init(c.Suite, hashchain.TagA1, hashchain.TagA2, secret[h:], c.ChainLen, k, slab[n:]); err != nil {
 		return nil, nil, err
 	}
-	return sig, ack, nil
+	return &pair[0], &pair[1], nil
 }
 
 // newAssocID draws a random, nonzero association ID.
@@ -333,10 +373,11 @@ func (e *Endpoint) header(t packet.Type, seq uint32) packet.Header {
 	}
 }
 
-// buildHandshake assembles the local HS body, signing the anchors when a
-// protected handshake is configured.
+// buildHandshake assembles the local HS body in the endpoint's own, signing
+// the anchors when a protected handshake is configured.
 func (e *Endpoint) buildHandshake(initiator bool) (*packet.Handshake, error) {
-	hs := &packet.Handshake{
+	hs := &e.hs
+	*hs = packet.Handshake{
 		Initiator: initiator,
 		SigAnchor: e.sigChain.Anchor(),
 		AckAnchor: e.ackChain.Anchor(),
@@ -405,7 +446,7 @@ func (e *Endpoint) handleRaw(now time.Time, datagram []byte, allowBundle bool) {
 		}
 	case *packet.Handshake:
 		e.noteSpanStep(obs.StepHS, 0)
-		e.handleHandshake(now, hdr, m) //alpha:alloc-ok once per association: chain walkers, the HS2
+		e.handleHandshake(now, hdr, m) //alpha:alloc-ok once per association: the encoded HS2
 	case *packet.S1:
 		e.noteSpanStep(obs.StepS1, obs.RoleReceiver)
 		if e.admitDataPacket(hdr) {
@@ -529,13 +570,13 @@ type lender interface {
 }
 
 // slab is the byte storage of one exchange: what it copies out of received
-// packets and the packets it encodes are appended to buf, which is sized
-// from the largest slab a retired exchange of the kind has filled and so
-// does not grow in steady state. (If it does grow, earlier contents stay
-// where they were: slices into the old array remain valid.) lent counts
-// the datagrams of the slab that are in the outbox or in a caller's hands;
-// the exchange, slab included, is reused only once it has retired and lent
-// is zero.
+// packets and the packets it encodes are appended to buf, which the
+// exchange reserves, at its start, for everything an honest exchange of its
+// shape holds (txSlabLen, rxSlabLen) and so does not grow. (If it does
+// grow, earlier contents stay where they were: slices into the old array
+// remain valid.) lent counts the datagrams of the slab that are in the
+// outbox or in a caller's hands; the exchange, slab included, is reused
+// only once it has retired and lent is zero.
 type slab struct {
 	buf  []byte
 	lent int
@@ -549,21 +590,21 @@ func (s *slab) reset() slab { return slab{buf: s.buf[:0]} }
 // reserve makes room for n bytes in an empty slab.
 func (s *slab) reserve(n int) {
 	if cap(s.buf) < n {
-		s.buf = make([]byte, 0, n) //alpha:alloc-ok slab growth: a fresh exchange, or a larger one than this slab has held
+		s.buf = make([]byte, 0, n) //alpha:alloc-ok a fresh exchange, or one larger than this slab has held: one allocation for all it will hold
 	}
 }
 
 // extend appends n zero bytes and returns them.
 func (s *slab) extend(n int) []byte {
 	off := len(s.buf)
-	s.buf = append(s.buf, make([]byte, n)...) //alpha:alloc-ok slab growth: only until the size hint has seen an exchange of this shape
+	s.buf = append(s.buf, make([]byte, n)...) //alpha:alloc-ok within the reservation, which holds what an honest exchange extends by
 	return s.buf[off:len(s.buf):len(s.buf)]
 }
 
 // encode appends the encoded packet to the slab and returns it.
 func (s *slab) encode(hdr packet.Header, msg packet.Message) ([]byte, error) {
 	off := len(s.buf)
-	buf, err := packet.AppendEncode(s.buf, hdr, msg) //alpha:alloc-ok slab growth: only until the size hint has seen an exchange of this shape
+	buf, err := packet.AppendEncode(s.buf, hdr, msg) //alpha:alloc-ok within the reservation: grows only for a nack, or a peer's batch beyond ours
 	s.buf = buf
 	return buf[off:len(buf):len(buf)], err
 }
@@ -578,9 +619,6 @@ func outHint(cfg Config) int { return cfg.BatchSize + 1 }
 func (e *Endpoint) queueOut(raw []byte, owner lender) {
 	if e.outbox == nil {
 		e.outbox = make([][]byte, 0, e.outHint) //alpha:alloc-ok a caller that hands no outbox back (see Release) is given a fresh one
-		if cap(e.outOwners) < e.outHint {
-			e.outOwners = make([]lender, 0, e.outHint) //alpha:alloc-ok sized with the outbox, so the two never grow apart
-		}
 	}
 	e.outbox = append(e.outbox, raw)
 	e.outOwners = append(e.outOwners, owner)
@@ -651,6 +689,7 @@ func (e *Endpoint) handleHandshake(now time.Time, hdr packet.Header, hs *packet.
 // them to the client out of band). Must be called from the endpoint's
 // owning goroutine before the HS1 is handled.
 func (e *Endpoint) PreAdmit(sigAnchor, ackAnchor []byte) {
+	// The copies fit the room birth made for them.
 	e.preSig = append(e.preSig[:0], sigAnchor...)
 	e.preAck = append(e.preAck[:0], ackAnchor...)
 }
@@ -683,9 +722,7 @@ func (e *Endpoint) adoptPeer(hdr packet.Header, hs *packet.Handshake) error {
 	case e.cfg.VerifyPeer != nil:
 		return fmt.Errorf("%w: peer did not sign anchors", ErrBadHandshake)
 	}
-	var err error
-	e.peer, err = NewPeerChains(e.suite, hs.SigAnchor, hs.AckAnchor)
-	return err
+	return e.peer.init(e.suite, hs.SigAnchor, hs.AckAnchor)
 }
 
 // Poll drives timers and flushes batched work. It returns the datagrams to

@@ -260,8 +260,9 @@ func TestHandedBackSlabIsReused(t *testing.T) {
 // TestReplayedS2sDoNotGrowTheSlab pins the bound on a receiver exchange's
 // memory: it opens each A2 once and stores it, so whoever replays a valid S2
 // (re-opened ack) or, once the key is disclosed, a forged one (nack) gets
-// the stored packet again and adds nothing to the slab, and the size hint
-// fresh slabs are made from is what it is after a run nobody tampered with.
+// the stored packet again and adds nothing to the slab. (What a fresh slab
+// reserves is computed from the S1 alone, so forgeries leave nothing behind
+// that later exchanges are sized from.)
 func TestReplayedS2sDoNotGrowTheSlab(t *testing.T) {
 	const replays = 10000
 	for _, mc := range ownershipModes {
@@ -273,13 +274,6 @@ func TestReplayedS2sDoNotGrowTheSlab(t *testing.T) {
 			cfg.ChainLen, cfg.FlushDelay = 2*(DefaultMaxRxExchanges+4)+64, -1
 			n := max(cfg.BatchSize, 1)
 			payload := make([]byte, 64)
-
-			// The reference pair runs the same exchanges undisturbed.
-			ref := newHarness(t, cfg)
-			ref.handshake()
-			for i := 0; i < DefaultMaxRxExchanges+2; i++ {
-				ref.lockstep(n, payload)
-			}
 
 			h := newHarness(t, cfg)
 			h.handshake()
@@ -330,26 +324,6 @@ func TestReplayedS2sDoNotGrowTheSlab(t *testing.T) {
 			replay(forged, replays) // nacked every time, encoded once
 			replay(good, replays)   // delivered, then the ack re-opened
 			replay(forged, 0)       // delivered already: dropped
-			if rx.nackLen == 0 || rx.nackLen != len(rx.a2s[0]) {
-				t.Fatalf("nackLen = %d with a %d-byte nack stored", rx.nackLen, len(rx.a2s[0]))
-			}
-			// Finish the exchange, then push it out of the table.
-			for _, raw := range s2s[1:] {
-				h.b.Handle(h.now, raw)
-			}
-			back, _ := h.b.Poll(h.now)
-			for _, raw := range back {
-				h.a.Handle(h.now, raw)
-			}
-			for i := 0; i < DefaultMaxRxExchanges+1; i++ {
-				h.lockstep(n, payload)
-			}
-			if _, ok := h.b.rx[hdr.Seq]; ok {
-				t.Fatal("the replayed exchange was not evicted")
-			}
-			if h.b.rxSlabHint != ref.b.rxSlabHint {
-				t.Fatalf("rxSlabHint = %d after the replays, %d on an undisturbed pair", h.b.rxSlabHint, ref.b.rxSlabHint)
-			}
 		})
 	}
 }

@@ -43,10 +43,8 @@ type rxExchange struct {
 	a1 []byte // encoded A1 for retransmission on duplicate S1
 	// a2s holds the encoded A2s of a reliable exchange, the nack of message
 	// i at 2i and its ack at 2i+1, nil until first opened: a duplicate or
-	// forged S2 gets the stored packet again. nackLen is what the nacks add
-	// to the slab, which no honest exchange needs (see storeRx).
+	// forged S2 gets the stored packet again.
 	a2s       [][]byte
-	nackLen   int
 	delivered []bool
 	doneCount int
 
@@ -94,8 +92,37 @@ func (e *Endpoint) newRx() *rxExchange {
 		rx = &rxExchange{} //alpha:alloc-ok the first MaxRxExchanges exchanges, or a caller that hands nothing back (see Release)
 		rx.delivered, rx.a2s = rx.delivered1[:0], rx.a2s1[:0]
 	}
-	rx.reserve(e.rxSlabHint) //alpha:alloc-ok slab growth: a fresh exchange, or a larger one than this slab has held
 	return rx
+}
+
+// rxSlabLen is what the slab of a receiver exchange holds once an honest
+// exchange announced by s1 has delivered every message: the S1's element
+// and pre-signatures, the disclosed key and, in reliable mode, the flat
+// pair's secrets, the A1, and an ack per message. Nacks are left out, as no
+// honest exchange sends them. So are the acks of messages past this
+// endpoint's own batch size: the count is the peer's word, and the acks are
+// the part of the reservation a replayed element could inflate beyond what
+// the exchange builds anyway.
+func (e *Endpoint) rxSlabLen(s1 *packet.S1, reliable bool) int {
+	h := e.suite.Size()
+	batch, presig := len(s1.MACs), len(s1.MACs)
+	switch s1.Mode {
+	case packet.ModeM:
+		batch, presig = int(s1.LeafCount), 1
+	case packet.ModeCM:
+		batch, presig = int(s1.LeafCount), len(s1.Roots)
+	}
+	size := (2 + presig) * h
+	switch {
+	case !reliable:
+		size += packet.A1Len(h, false, false)
+	case batch == 1:
+		size += 2*h + packet.A1Len(h, true, false) + packet.A2Len(packet.ModeBase, h, 0)
+	default:
+		acks := min(batch, e.cfg.BatchSize)
+		size += packet.A1Len(h, false, true) + acks*packet.A2Len(packet.ModeM, h, merkle.Depth(batch))
+	}
+	return size
 }
 
 // zeroed returns b resized to n zero entries, reusing its capacity.
@@ -106,6 +133,14 @@ func zeroed[T any](b []T, n int) []T {
 	b = b[:n]
 	clear(b)
 	return b
+}
+
+// grown returns b emptied, with room for n entries.
+func grown[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, 0, n) //alpha:alloc-ok grows to the batch size once per holder
+	}
+	return b[:0]
 }
 
 // handleS1 verifies a pre-signature announcement and answers with an A1.
@@ -133,6 +168,8 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 	// keeps of it is copied into the slab. A refused exchange goes straight
 	// back to the free list.
 	rx := e.newRx() //alpha:alloc-ok the first MaxRxExchanges exchanges, or a caller that hands nothing back (see Release)
+	reliable := hdr.Flags&packet.FlagReliable != 0
+	rx.reserve(e.rxSlabLen(s1, reliable)) //alpha:alloc-ok a fresh exchange, or one larger than this slab has held: one allocation for all it will hold
 	if err := rx.BufferS1(&rx.buf, s1); err != nil {
 		e.freeRx = append(e.freeRx, rx)
 		e.drop(hdr.Seq, err)
@@ -153,7 +190,7 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 	}
 
 	batch := rx.batch
-	rx.seq, rx.reliable, rx.ackPair = hdr.Seq, hdr.Flags&packet.FlagReliable != 0, pair
+	rx.seq, rx.reliable, rx.ackPair = hdr.Seq, reliable, pair
 	rx.delivered = zeroed(rx.delivered, batch) //alpha:alloc-ok grows to the batch size once per exchange object
 
 	a1 := &e.a1
@@ -163,7 +200,7 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 		if batch == 1 {
 			// Flat pre-ack/pre-nack pair (§3.2.2, Fig. 3).
 			h := e.suite.Size()
-			secrets := rx.extend(2 * h) //alpha:alloc-ok slab growth: only until the size hint has seen an exchange of this shape
+			secrets := rx.extend(2 * h) //alpha:alloc-ok rxSlabLen reserved these bytes; escape analysis cannot see it
 			if _, err := rand.Read(secrets); err != nil {
 				e.drop(hdr.Seq, err)
 				return
@@ -182,6 +219,9 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 				e.drop(hdr.Seq, err)
 				return
 			}
+			// Room for the openings' proofs, so the first A2 does not
+			// grow it by append.
+			e.opening.Proof = grown(e.opening.Proof, merkle.Depth(batch)) //alpha:alloc-ok once per endpoint, and per deeper AMT
 			a1.AMTRoot = rx.amt.Root()
 			a1.AMTLeaves = uint32(batch)
 		}
@@ -201,6 +241,9 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 // configured memory bound. The evicted exchange goes back to the free list
 // as soon as nothing of its slab is lent out.
 func (e *Endpoint) storeRx(rx *rxExchange) {
+	if e.rx == nil {
+		e.rx = make(map[uint32]*rxExchange) //alpha:alloc-ok the first buffered exchange: once per endpoint
+	}
 	e.rx[rx.seq] = rx
 	seq, evicted := e.rxOrder.Push(rx.seq, e.cfg.MaxRxExchanges) //alpha:alloc-ok the ring itself: once per endpoint
 	if !evicted {
@@ -212,9 +255,6 @@ func (e *Endpoint) storeRx(rx *rxExchange) {
 	}
 	delete(e.rx, seq)
 	old.evicted = true
-	// Size the next fresh slab for what an exchange of this shape holds when
-	// nobody tampers: nacks are left out, so forged S2s cannot inflate it.
-	e.rxSlabHint = max(e.rxSlabHint, len(old.buf)-old.nackLen)
 	if old.lent == 0 {
 		e.freeRx = append(e.freeRx, old)
 	}
@@ -295,9 +335,6 @@ func (e *Endpoint) sendA2(rx *rxExchange, idx int, ack bool) {
 			return
 		}
 		rx.a2s[slot] = raw
-		if !ack {
-			rx.nackLen += len(raw)
-		}
 	}
 	e.queueOut(rx.a2s[slot], rx)
 	e.tel.SentA2.Inc()

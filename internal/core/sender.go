@@ -88,8 +88,31 @@ func (e *Endpoint) newTx() *txExchange {
 		x = &txExchange{} //alpha:alloc-ok first exchanges, or a caller that hands nothing back (see Release)
 		x.msgs, x.s2s, x.acked = x.msg1[:0], x.s2s1[:0], x.acked1[:0]
 	}
-	x.reserve(e.txSlabHint) //alpha:alloc-ok slab growth: a fresh exchange, or a larger one than this slab has held
 	return x
+}
+
+// txSlabLen is what x's slab holds by the time x retires: its S1 with
+// digests pre-signatures, in reliable mode the A1's element and pre-(n)ack
+// material, and an S2 per message. The trees of the Merkle modes are built,
+// so their proof depths are known.
+func (e *Endpoint) txSlabLen(x *txExchange, digests int) int {
+	h, n := e.suite.Size(), len(x.msgs)
+	size := packet.S1Len(x.mode, h, digests)
+	if e.cfg.Reliable {
+		material := h // an AMT root
+		if n == 1 {
+			material = 2 * h // a pre-ack and a pre-nack
+		}
+		size += h + material
+	}
+	for i := range x.msgs {
+		depth := 0
+		if root, _, _, ok := CMLocate(i, n, len(x.trees)); ok {
+			depth = x.trees[root].ProofDepth()
+		}
+		size += packet.S2Len(x.mode, h, depth, len(x.msgs[i].payload))
+	}
+	return size
 }
 
 // Send queues payload for integrity-protected transmission and returns a
@@ -116,6 +139,9 @@ func (e *Endpoint) Send(now time.Time, payload []byte) (uint64, error) {
 		// Close the gap the dequeued messages left instead of growing.
 		e.queue = e.queue[:copy(e.queue, e.queue[e.qhead:])]
 		e.qhead = 0
+	}
+	if e.queue == nil {
+		e.queue = make([]outMsg, 0, e.cfg.BatchSize) //alpha:alloc-ok the first Send: room for a batch
 	}
 	var buf []byte
 	if n := len(e.freePayloads); n > 0 {
@@ -196,8 +222,14 @@ func (e *Endpoint) startExchange(now time.Time, batch []outMsg) error {
 	x.seq, x.mode, x.pair = seq, e.cfg.Mode, pair
 	x.msgs = append(x.msgs, batch...)
 	x.acked = zeroed(x.acked, len(batch)) //alpha:alloc-ok grows to the batch size once per exchange object
+	x.s2s = grown(x.s2s, len(batch))      //alpha:alloc-ok grows to the batch size once per exchange object
 	s1 := &e.s1
 	*s1 = packet.S1{Mode: x.mode, AuthIdx: pair.AuthIdx, Auth: pair.Auth, KeyIdx: pair.KeyIdx}
+	if e.digests == nil {
+		// The sender's lists, a batch long each, in one allocation.
+		lists := make([][]byte, 2*e.cfg.BatchSize) //alpha:alloc-ok the first exchange: once per endpoint
+		e.digests, e.freePayloads = lists[:0:e.cfg.BatchSize], lists[e.cfg.BatchSize:e.cfg.BatchSize]
+	}
 	e.digests = e.digests[:0]
 	switch x.mode {
 	case packet.ModeBase, packet.ModeC:
@@ -206,10 +238,8 @@ func (e *Endpoint) startExchange(now time.Time, batch []outMsg) error {
 		size := e.suite.Size()
 		e.macSlab = e.macSlab[:0]
 		for i := range x.msgs {
-			e.mac.macIn = AppendMACInput(e.mac.macIn[:0], e.assoc, seq, uint32(i), x.msgs[i].payload)
-			e.mac.parts[0] = e.mac.macIn
 			off := len(e.macSlab)
-			e.macSlab = e.suite.MACInto(e.macSlab, pair.Key, e.mac.parts[:1]...)
+			e.macSlab = e.suite.MACInto(e.macSlab, pair.Key, e.mac.input(e.assoc, seq, uint32(i), x.msgs[i].payload)...)
 			e.digests = append(e.digests, e.macSlab[off:off+size:off+size])
 		}
 		s1.MACs = e.digests
@@ -239,10 +269,14 @@ func (e *Endpoint) startExchange(now time.Time, batch []outMsg) error {
 			s1.Roots = e.digests
 		}
 	}
+	x.reserve(e.txSlabLen(x, len(e.digests))) //alpha:alloc-ok a fresh exchange, or one larger than this slab has held: one allocation for all it will hold
 	if x.s1, err = x.encode(e.header(packet.TypeS1, seq), s1); err != nil {
 		return err
 	}
 	x.deadline = now.Add(e.cfg.RTO)
+	if e.tx == nil {
+		e.tx = make(map[uint32]*txExchange) //alpha:alloc-ok the first exchange: once per endpoint
+	}
 	e.tx[seq] = x
 	e.txOrder = append(e.txOrder, seq)
 	e.queueOut(x.s1, x)
@@ -254,7 +288,7 @@ func (e *Endpoint) startExchange(now time.Time, batch []outMsg) error {
 
 // buildTree rebuilds t as the keyed Merkle tree over the payloads of msgs.
 func (e *Endpoint) buildTree(t *merkle.Tree, msgs []outMsg, key []byte) error {
-	e.leafIn = e.leafIn[:0]
+	e.leafIn = grown(e.leafIn, len(msgs)) //alpha:alloc-ok grows to the batch size once per endpoint
 	for i := range msgs {
 		e.leafIn = append(e.leafIn, MerkleLeafInput(msgs[i].payload))
 	}
@@ -368,7 +402,6 @@ func (e *Endpoint) finishExchange(x *txExchange) {
 		e.freePayloads = append(e.freePayloads, x.msgs[i].payload)
 		x.msgs[i].payload = nil
 	}
-	e.txSlabHint = max(e.txSlabHint, len(x.buf))
 	if x.lent == 0 {
 		e.freeTx = append(e.freeTx, x)
 	}

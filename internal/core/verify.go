@@ -33,26 +33,49 @@ import (
 // past all retries) the old generation simply remains the working one. S2
 // and A2 keys never reach the walkers; they are linked to their own
 // exchange's S1 or A1 element (Presig, AckPresig).
+//
+// The current walkers are values, so whoever holds a PeerChains holds them
+// without an allocation of their own.
 type PeerChains struct {
-	sig, ack         *hashchain.Walker
-	prevSig, prevAck *hashchain.Walker
+	sig, ack hashchain.Walker
+	// prev is the replaced generation: the signature walker, then the
+	// acknowledgment walker; nil before the first rekey.
+	prev  *[2]hashchain.Walker
+	known bool
 }
 
 // NewPeerChains builds walkers trusting a peer's two anchors.
 func NewPeerChains(st suite.Suite, sigAnchor, ackAnchor []byte) (PeerChains, error) {
-	sig, err := hashchain.NewSignatureWalker(st, sigAnchor)
-	if err != nil {
+	var c PeerChains
+	if err := c.init(st, sigAnchor, ackAnchor); err != nil {
 		return PeerChains{}, err
 	}
-	ack, err := hashchain.NewAcknowledgmentWalker(st, ackAnchor)
-	if err != nil {
-		return PeerChains{}, err
+	return c, nil
+}
+
+// init anchors c in place: NewPeerChains without the copy.
+func (c *PeerChains) init(st suite.Suite, sigAnchor, ackAnchor []byte) error {
+	if err := c.sig.Init(st, hashchain.TagS1, hashchain.TagS2, sigAnchor, 0); err != nil {
+		return err
 	}
-	return PeerChains{sig: sig, ack: ack}, nil
+	if err := c.ack.Init(st, hashchain.TagA1, hashchain.TagA2, ackAnchor, 0); err != nil {
+		return err
+	}
+	c.known = true
+	return nil
 }
 
 // Known reports whether the chains have been anchored.
-func (c *PeerChains) Known() bool { return c.sig != nil }
+func (c *PeerChains) Known() bool { return c.known }
+
+// previous returns the replaced generation's walker i (0 signature, 1
+// acknowledgment), nil before the first rekey.
+func (c *PeerChains) previous(i int) *hashchain.Walker {
+	if c.prev == nil {
+		return nil
+	}
+	return &c.prev[i]
+}
 
 // VerifySig checks an S1's announcement: an odd element index with the key
 // index right after it, then the element on the signature chain, current
@@ -60,14 +83,14 @@ func (c *PeerChains) Known() bool { return c.sig != nil }
 //
 //alpha:hotpath
 func (c *PeerChains) VerifySig(auth []byte, authIdx, keyIdx uint32) error {
-	return announced(c.sig, c.prevSig, auth, authIdx, keyIdx)
+	return announced(&c.sig, c.previous(0), auth, authIdx, keyIdx)
 }
 
 // VerifyAck is VerifySig for an A1 on the acknowledgment chain.
 //
 //alpha:hotpath
 func (c *PeerChains) VerifyAck(auth []byte, authIdx, keyIdx uint32) error {
-	return announced(c.ack, c.prevAck, auth, authIdx, keyIdx)
+	return announced(&c.ack, c.previous(1), auth, authIdx, keyIdx)
 }
 
 func announced(cur, prev *hashchain.Walker, auth []byte, authIdx, keyIdx uint32) error {
@@ -92,8 +115,11 @@ func (c *PeerChains) AdoptRekey(st suite.Suite, p RekeyPayload) error {
 	if err != nil {
 		return err
 	}
-	if c.prevSig == nil || c.sig.Index() > 0 || c.ack.Index() > 0 {
-		c.prevSig, c.prevAck = c.sig, c.ack
+	if c.prev == nil || c.sig.Index() > 0 || c.ack.Index() > 0 {
+		if c.prev == nil {
+			c.prev = new([2]hashchain.Walker)
+		}
+		c.prev[0], c.prev[1] = c.sig, c.ack
 	}
 	c.sig, c.ack = next.sig, next.ack
 	return nil
@@ -102,8 +128,19 @@ func (c *PeerChains) AdoptRekey(st suite.Suite, p RekeyPayload) error {
 // MACScratch is where a hop assembles MAC inputs and digests, so that
 // verification does not allocate. One goroutine owns it.
 type MACScratch struct {
-	macIn, macOut []byte
-	parts         [1][]byte
+	// pos is the position prefix MACInput puts in front of a payload; the
+	// MAC reads it and the payload as two parts, so the payload is not
+	// copied.
+	pos    [16]byte
+	parts  [2][]byte
+	macOut []byte
+}
+
+// input returns MACInput(assoc, seq, idx, payload) as the parts MACInto
+// reads, valid until the next call.
+func (sc *MACScratch) input(assoc uint64, seq, idx uint32, payload []byte) [][]byte {
+	sc.parts[0], sc.parts[1] = AppendMACInput(sc.pos[:0], assoc, seq, idx, nil), payload
+	return sc.parts[:]
 }
 
 // Presig is what an S1 leaves behind: the exchange's row of Table 2. Its
@@ -220,9 +257,7 @@ func (p *Presig) verifyPayload(st suite.Suite, sc *MACScratch, hdr packet.Header
 	i := int(s2.MsgIndex)
 	switch p.mode {
 	case packet.ModeBase, packet.ModeC:
-		sc.macIn = AppendMACInput(sc.macIn[:0], hdr.Assoc, hdr.Seq, s2.MsgIndex, s2.Payload)
-		sc.parts[0] = sc.macIn
-		sc.macOut = st.MACInto(sc.macOut[:0], s2.Key, sc.parts[:1]...)
+		sc.macOut = st.MACInto(sc.macOut[:0], s2.Key, sc.input(hdr.Assoc, hdr.Seq, s2.MsgIndex, s2.Payload)...)
 		return suite.Equal(p.sig(i), sc.macOut)
 	case packet.ModeM:
 		return int(s2.LeafCount) == p.leafCount &&

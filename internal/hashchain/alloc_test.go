@@ -62,9 +62,10 @@ func TestVerifyZeroAlloc(t *testing.T) {
 
 // TestChainBirthAllocs pins what a chain and a walker cost at association
 // birth: New and NewCheckpoint are the slab plus the Chain, NewWalker the
-// Walker alone (its buffers are inline), and disclosing elements of a chain
-// that keeps them all allocates nothing. MMO is left out: its hash
-// allocates an AES key schedule per block.
+// Walker alone (its buffers are inline), Init of either into its owner's
+// storage nothing, and disclosing elements of a chain that keeps them all
+// allocates nothing. MMO is left out: its hash allocates an AES key
+// schedule per block.
 func TestChainBirthAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -85,11 +86,28 @@ func TestChainBirthAllocs(t *testing.T) {
 		}); got != 2 {
 			t.Errorf("%s: NewCheckpoint(64, 8) allocated %.1f times, want 2", s.Name(), got)
 		}
+		var owned Chain
+		slab := make([]byte, SlabLen(s, 64, 8))
+		if got := testing.AllocsPerRun(100, func() {
+			if err := owned.Init(s, TagS1, TagS2, secret, 64, 8, slab); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: Chain.Init allocated %.1f times, want 0", s.Name(), got)
+		}
 		c, err := New(s, TagS1, TagS2, secret, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		anchor := c.Anchor()
+		var w Walker
+		if got := testing.AllocsPerRun(100, func() {
+			if err := w.Init(s, TagS1, TagS2, anchor, 0); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: Walker.Init allocated %.1f times, want 0", s.Name(), got)
+		}
 		if got := testing.AllocsPerRun(100, func() {
 			if _, err := NewWalker(s, TagS1, TagS2, anchor, 0); err != nil {
 				t.Fatal(err)

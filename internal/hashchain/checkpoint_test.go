@@ -144,6 +144,12 @@ func TestCheckpointInvalidArgs(t *testing.T) {
 	if _, err := NewCheckpoint(s, TagS1, TagS2, nil, 8, 4); err == nil {
 		t.Fatalf("empty secret accepted")
 	}
+	var c Chain
+	for _, n := range []int{SlabLen(s, 8, 4) - 1, SlabLen(s, 8, 4) + 1} {
+		if err := c.Init(s, TagS1, TagS2, []byte("x"), 8, 4, make([]byte, n)); err == nil {
+			t.Fatalf("Init into a %d-byte slab accepted for a chain that keeps %d", n, SlabLen(s, 8, 4))
+		}
+	}
 }
 
 func BenchmarkChainGenerate1024(b *testing.B) {

@@ -16,7 +16,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	walker, err := hashchain.NewSignatureWalker(s, chain.Anchor())
+	walker, err := hashchain.NewWalker(s, hashchain.TagS1, hashchain.TagS2, chain.Anchor(), 0)
 	if err != nil {
 		panic(err)
 	}

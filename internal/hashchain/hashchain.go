@@ -70,7 +70,8 @@ var (
 // resident digests for at most k-1 hashes per disclosure, the "HC create"
 // entries of Table 1 moved on-line. New keeps every element (k = 1) and
 // recomputes nothing. Whatever k, the disclosures are the same bytes. The
-// zero value is not usable; construct with New or NewCheckpoint.
+// zero value is not usable; construct with New or NewCheckpoint, or Init in
+// place.
 type Chain struct {
 	s       suite.Suite
 	tagOdd  []byte
@@ -84,7 +85,7 @@ type Chain struct {
 	// first discloses a non-resident element.
 	seg *segment
 	// Counts are 32-bit, like the wire's disclosure indices, so that a
-	// Chain stays in the 112-byte size class.
+	// Chain is 112 bytes.
 	size, n, k, next uint32
 }
 
@@ -106,25 +107,51 @@ func New(s suite.Suite, tagOdd, tagEven, secret []byte, n int) (*Chain, error) {
 
 // NewCheckpoint derives a chain of n elements from secret that keeps one
 // element resident every interval elements and recomputes the rest on
-// demand. An interval of 1 is New.
+// demand. An interval of 1 is New. It costs two allocations, the Chain and
+// its slab.
 func NewCheckpoint(s suite.Suite, tagOdd, tagEven, secret []byte, n, interval int) (*Chain, error) {
-	if n <= 0 || uint64(n) >= math.MaxUint32 {
-		return nil, fmt.Errorf("hashchain: invalid length %d", n)
+	c := new(Chain)
+	if err := c.Init(s, tagOdd, tagEven, secret, n, interval, make([]byte, SlabLen(s, n, interval))); err != nil {
+		return nil, err
 	}
-	if interval <= 0 {
-		return nil, fmt.Errorf("hashchain: invalid checkpoint interval %d", interval)
-	}
-	if len(secret) == 0 {
-		return nil, errors.New("hashchain: empty secret")
+	return c, nil
+}
+
+// SlabLen returns how many bytes a chain of n elements over s keeps
+// resident at the given checkpoint interval: the slab Init derives it into.
+// It is 0 for a length or interval NewCheckpoint refuses.
+func SlabLen(s suite.Suite, n, interval int) int {
+	if n <= 0 || uint64(n) >= math.MaxUint32 || interval <= 0 {
+		return 0
 	}
 	// Past n, an interval keeps the same two slots, d[0] and d[n], as n.
 	interval = min(interval, n)
-	// The resident elements live in one slab, each at a fixed offset, so a
-	// chain costs two allocations (the slab and the Chain). Generation runs
-	// from d[n] down to the anchor. Each slot is hashed down from the slot
-	// above it, in place: HashInto consumes its inputs before it writes.
+	return ((n+interval-1)/interval + 1) * s.Size()
+}
+
+// Init derives a chain into c as NewCheckpoint does, keeping its resident
+// elements in slab, which must be SlabLen bytes long. It allocates nothing,
+// so an owner may place chains and their slabs in allocations of its own.
+func (c *Chain) Init(s suite.Suite, tagOdd, tagEven, secret []byte, n, interval int, slab []byte) error {
+	if n <= 0 || uint64(n) >= math.MaxUint32 {
+		return fmt.Errorf("hashchain: invalid length %d", n)
+	}
+	if interval <= 0 {
+		return fmt.Errorf("hashchain: invalid checkpoint interval %d", interval)
+	}
+	if len(secret) == 0 {
+		return errors.New("hashchain: empty secret")
+	}
+	if len(slab) != SlabLen(s, n, interval) {
+		return fmt.Errorf("hashchain: slab of %d bytes for a chain that keeps %d", len(slab), SlabLen(s, n, interval))
+	}
+	interval = min(interval, n)
+	// The resident elements sit in the slab, each at a fixed offset.
+	// Generation runs from d[n] down to the anchor. Each slot is hashed down
+	// from the slot above it, in place: HashInto consumes its inputs before
+	// it writes.
 	size, slots := s.Size(), (n+interval-1)/interval+1
-	c := &Chain{s: s, tagOdd: tagOdd, tagEven: tagEven, slab: make([]byte, slots*size),
+	*c = Chain{s: s, tagOdd: tagOdd, tagEven: tagEven, slab: slab,
 		size: uint32(size), n: uint32(n), k: uint32(interval), next: 1}
 	sc := suite.GetScratch()
 	sc.Parts[0], sc.Parts[1] = seedTag, secret
@@ -137,7 +164,7 @@ func NewCheckpoint(s suite.Suite, tagOdd, tagEven, secret []byte, n, interval in
 		}
 	}
 	suite.PutScratch(sc)
-	return c, nil
+	return nil
 }
 
 // slot returns resident slot i with the capacity capped at the slot's end:
@@ -295,7 +322,7 @@ type Walker struct {
 	// last is the trusted element. scratch and parts are reused across
 	// verifications so that deriving up to maxAdvance intermediate digests
 	// costs zero allocations. Both buffers live inside the walker, so a
-	// walker is one allocation.
+	// walker is one allocation, or none inside its owner (Init).
 	last    [suite.MaxSize]byte
 	scratch [suite.MaxSize]byte
 	parts   [2][]byte
@@ -304,28 +331,28 @@ type Walker struct {
 // NewWalker creates a walker trusting the given anchor (disclosure index 0).
 // maxAdvance of 0 selects DefaultMaxAdvance.
 func NewWalker(s suite.Suite, tagOdd, tagEven, anchor []byte, maxAdvance uint32) (*Walker, error) {
+	w := new(Walker)
+	if err := w.Init(s, tagOdd, tagEven, anchor, maxAdvance); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Init makes w a walker trusting anchor, as NewWalker does, in place: a
+// Walker inside a larger value costs no allocation of its own.
+func (w *Walker) Init(s suite.Suite, tagOdd, tagEven, anchor []byte, maxAdvance uint32) error {
 	if len(anchor) != s.Size() {
-		return nil, fmt.Errorf("hashchain: anchor size %d does not match suite digest size %d", len(anchor), s.Size())
+		return fmt.Errorf("hashchain: anchor size %d does not match suite digest size %d", len(anchor), s.Size())
 	}
 	if len(anchor) > suite.MaxSize {
-		return nil, fmt.Errorf("hashchain: digest size %d exceeds suite.MaxSize", len(anchor))
+		return fmt.Errorf("hashchain: digest size %d exceeds suite.MaxSize", len(anchor))
 	}
 	if maxAdvance == 0 {
 		maxAdvance = DefaultMaxAdvance
 	}
-	w := &Walker{s: s, tagOdd: tagOdd, tagEven: tagEven, maxAdvance: maxAdvance, size: len(anchor)}
+	*w = Walker{s: s, tagOdd: tagOdd, tagEven: tagEven, maxAdvance: maxAdvance, size: len(anchor)}
 	copy(w.last[:], anchor)
-	return w, nil
-}
-
-// NewSignatureWalker creates a walker for a peer's signature chain.
-func NewSignatureWalker(s suite.Suite, anchor []byte) (*Walker, error) {
-	return NewWalker(s, TagS1, TagS2, anchor, 0)
-}
-
-// NewAcknowledgmentWalker creates a walker for a peer's acknowledgment chain.
-func NewAcknowledgmentWalker(s suite.Suite, anchor []byte) (*Walker, error) {
-	return NewWalker(s, TagA1, TagA2, anchor, 0)
+	return nil
 }
 
 // Index returns the disclosure index of the most advanced verified element.

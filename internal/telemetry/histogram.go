@@ -15,7 +15,11 @@ import "sync/atomic"
 // nanoseconds: 50µs to 10s, roughly 1-2.5-5 per decade. It brackets
 // everything from same-host RTTs to the paper's interactive-traffic limit
 // (Table 5 reports multi-second signature latencies for large batches).
-var LatencyBuckets = []int64{
+var LatencyBuckets = latencyBounds[:]
+
+// latencyBounds and sizeBounds are arrays so that their lengths are
+// constants: EndpointMetrics sizes its inline buckets with them.
+var latencyBounds = [...]int64{
 	50_000, 100_000, 250_000, 500_000, // 50µs .. 500µs
 	1_000_000, 2_500_000, 5_000_000, 10_000_000, // 1ms .. 10ms
 	25_000_000, 50_000_000, 100_000_000, 250_000_000, // 25ms .. 250ms
@@ -25,7 +29,9 @@ var LatencyBuckets = []int64{
 
 // SizeBuckets is the standard bucket layout for byte sizes: 16 B to 64 KiB
 // in powers of two, bracketing ALPHA payloads (a UDP datagram caps the top).
-var SizeBuckets = []int64{
+var SizeBuckets = sizeBounds[:]
+
+var sizeBounds = [...]int64{
 	16, 32, 64, 128, 256, 512,
 	1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10,
 }
@@ -49,8 +55,13 @@ type Histogram struct {
 // Init fixes the bucket layout. bounds must be ascending; the caller keeps
 // ownership conceptually but must not mutate it afterwards.
 func (h *Histogram) Init(bounds []int64) {
-	h.bounds = bounds
-	h.counts = make([]atomic.Uint64, len(bounds)+1)
+	h.initIn(bounds, make([]atomic.Uint64, len(bounds)+1))
+}
+
+// initIn is Init over len(bounds)+1 counts the owner provides: a metric set
+// that keeps its histograms' buckets inline is born without allocating them.
+func (h *Histogram) initIn(bounds []int64, counts []atomic.Uint64) {
+	h.bounds, h.counts = bounds, counts
 }
 
 // Observe records one value.

@@ -6,6 +6,8 @@
 
 package telemetry
 
+import "sync/atomic"
+
 // EndpointMetrics counts one protocol endpoint's activity. It backs
 // core.Endpoint.Stats(): the endpoint increments these atomically from its
 // worker goroutine while Stats() and exporters read them from any other
@@ -33,6 +35,10 @@ type EndpointMetrics struct {
 	AckLatency      Histogram
 	// PayloadSize buckets delivered (verified) payload sizes.
 	PayloadSize Histogram
+	// The two histograms' buckets, inline so that an endpoint's metric set
+	// is part of the endpoint's own allocation.
+	ackLatencyCounts  [len(latencyBounds) + 1]atomic.Uint64
+	payloadSizeCounts [len(sizeBounds) + 1]atomic.Uint64
 
 	// Chain-pressure gauges: undisclosed elements remaining on the local
 	// signature and acknowledgment chains, next to their disclosable
@@ -50,10 +56,11 @@ type EndpointMetrics struct {
 	ModeChanges     Counter
 }
 
-// Init fixes the histogram bucket layouts; counters need no setup.
+// Init fixes the histogram bucket layouts; counters need no setup. It
+// allocates nothing.
 func (m *EndpointMetrics) Init() *EndpointMetrics {
-	m.AckLatency.Init(LatencyBuckets)
-	m.PayloadSize.Init(SizeBuckets)
+	m.AckLatency.initIn(LatencyBuckets, m.ackLatencyCounts[:])
+	m.PayloadSize.initIn(SizeBuckets, m.payloadSizeCounts[:])
 	return m
 }
 

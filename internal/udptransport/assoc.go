@@ -54,6 +54,13 @@ type assoc struct {
 	sess *Session // the Session driving this association; nil under a Conn
 }
 
+// newWBatch makes the pump's write batch as long as the largest harvest of
+// ep's first exchange, an S1 and its batch of S2s, so that the first burst
+// does not grow it by append.
+func newWBatch(ep *core.Endpoint) []udpio.Message {
+	return make([]udpio.Message, 0, ep.Profile().BatchSize+1)
+}
+
 // pump drains the engine onto the socket through the coalescing writer:
 // the whole Poll harvest — an ALPHA-C/M burst's S2s plus its S1 — is
 // stamped and leaves in one WriteBatch, hence (on Linux) one sendmmsg. Once

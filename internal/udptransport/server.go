@@ -816,6 +816,7 @@ func newSession(srv *Server, ep *core.Endpoint, id uint64, peer net.Addr, via ud
 			peer:   peer,
 			io:     via,
 			stamp:  srv.stamp,
+			wbatch: newWBatch(ep),
 			events: make(chan core.Event, srv.opts.eventBuffer()),
 			drops:  &srv.tel.EventDrops,
 			done:   make(chan struct{}),

@@ -19,8 +19,8 @@ import (
 // inbox, the routing and accept-list entries. Set from a measurement plus
 // 10 %; DESIGN.md §5j breaks the figure down.
 const (
-	birthBytesBudget  = 29_800
-	birthAllocsBudget = 27
+	birthBytesBudget  = 29_500
+	birthAllocsBudget = 13
 )
 
 // birthConfig is the churn_tokened benchmark's endpoint: base mode,

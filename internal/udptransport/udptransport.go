@@ -98,6 +98,7 @@ func newConn(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts []IOOptio
 			peer:   peer,
 			io:     io.wrap(pc, nil),
 			stamp:  io.stamp(pc),
+			wbatch: newWBatch(ep),
 			events: make(chan core.Event, defaultEventBuffer),
 			drops:  new(telemetry.Counter),
 			done:   make(chan struct{}),
