@@ -245,6 +245,22 @@ const (
 	EventExpired
 )
 
+// The kinds fall in three classes, which a transport's event channel
+// budgets differently. Delivered, Acked, Nacked and SendFailed belong to a
+// message of an exchange in flight, so MaxOutstanding × BatchSize bounds
+// how many are pending. Dropped is raised by whatever the network brings
+// and is not budgeted: its hand-off is lossy and counted. The rest are the
+// lifecycle kinds listed here, one slot each; a new kind goes into one of
+// the three classes (TestEventKindClasses).
+var lifecycleKinds = [...]EventKind{
+	EventEstablished, EventChainLow, EventRekeyed, EventPeerRekeyed,
+	EventModeChanged, EventExpired,
+}
+
+// LifecycleEventKinds is the number of lifecycle kinds: the event slots a
+// transport adds to one window of message events.
+const LifecycleEventKinds = len(lifecycleKinds)
+
 // String returns the event kind's name.
 func (k EventKind) String() string {
 	switch k {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -278,8 +279,32 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the Event layout: a transport's event channel holds
-// 256 of them per association, so every byte here is 256 bytes per session.
+// TestEventKindClasses: every kind is a message kind, Dropped, or one of
+// lifecycleKinds, exactly once — so a new kind cannot escape the event
+// channel's budget by being forgotten.
+func TestEventKindClasses(t *testing.T) {
+	class := map[EventKind]int{
+		EventDelivered: 1, EventAcked: 1, EventNacked: 1, EventSendFailed: 1,
+		EventDropped: 1,
+	}
+	for _, k := range lifecycleKinds {
+		class[k]++
+	}
+	n := 0
+	for k := EventKind(1); !strings.HasPrefix(k.String(), "EventKind("); k++ {
+		if class[k] != 1 {
+			t.Errorf("%v is in %d classes, want 1", k, class[k])
+		}
+		n++
+	}
+	if n != len(class) {
+		t.Errorf("%d kinds classified, %d defined", len(class), n)
+	}
+}
+
+// TestEventSize pins the Event layout: a transport's event channel holds up
+// to 256 of them per association, so every byte here is up to 256 bytes per
+// session.
 func TestEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(Event{}); got > 72 {
 		t.Fatalf("sizeof(Event) = %d, want <= 72", got)

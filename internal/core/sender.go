@@ -165,6 +165,10 @@ func (e *Endpoint) QueueLen() int { return len(e.queue) - e.qhead }
 // InFlight returns the number of open signature exchanges.
 func (e *Endpoint) InFlight() int { return len(e.tx) }
 
+// MaxOutstanding returns the bound on open signature exchanges, with the
+// default applied.
+func (e *Endpoint) MaxOutstanding() int { return e.cfg.MaxOutstanding }
+
 // flushQueue starts exchanges for queued messages. Unless force is set,
 // a partial batch is only flushed after FlushDelay has elapsed. While a
 // rekey announcement is in flight no new exchanges start: serializing the

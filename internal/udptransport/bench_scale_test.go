@@ -103,9 +103,8 @@ func scaleRun(tb testing.TB, n int) scaleMetrics {
 	cfg := core.Config{Mode: packet.ModeBase, ChainLen: 16}
 	// No sockets: dispatch is driven directly, so no read loops spin and
 	// nothing is ever written (the truncated handshakes produce no output).
-	// Buffers are sized for residency, the way a million-association
-	// deployment would run.
-	srv := NewServerWith(cfg, ServerOptions{EventBuffer: 4, IO: IOOptions{Prefilter: true}})
+	// Each session's event channel holds one base-mode window, 14 slots.
+	srv := NewServerWith(cfg, ServerOptions{IO: IOOptions{Prefilter: true}})
 	defer srv.Close()
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000}
 
@@ -254,6 +253,12 @@ func (m scaleMetrics) log(tb testing.TB) {
 		m.rejectPerSec/1e6, m.acceptPerSec/1e6)
 }
 
+// scaleBytesBudget bounds an idle association's residency in scaleRun: a
+// measurement at 100k associations (6 760 B) plus 10 %. The million-session
+// run has read less per association than the 100k one (BENCH_scale.json), so
+// one bound serves both.
+const scaleBytesBudget = 7_440
+
 // TestScaleSmoke is the CI-sized scale gate: 100k associations, loose
 // bounds on the properties that must not regress. Enable with
 // ALPHA_SCALE_SMOKE=1; it is too heavy for the ordinary test sweep and
@@ -264,8 +269,8 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	m := scaleRun(t, 100_000)
 	m.log(t)
-	if m.bytesPerAssoc == 0 || m.bytesPerAssoc > 16<<10 {
-		t.Errorf("bytes/association = %d, want 1..16384", m.bytesPerAssoc)
+	if m.bytesPerAssoc == 0 || m.bytesPerAssoc > scaleBytesBudget {
+		t.Errorf("bytes/association = %d, want 1..%d", m.bytesPerAssoc, scaleBytesBudget)
 	}
 	if m.churnP99NS > 100_000_000 {
 		t.Errorf("dispatch p99 = %s, want <= 100ms", time.Duration(m.churnP99NS))
@@ -292,8 +297,8 @@ func TestScaleMillion(t *testing.T) {
 	}
 	m := scaleRun(t, 1_000_000)
 	m.log(t)
-	if m.bytesPerAssoc > 16<<10 {
-		t.Errorf("bytes/association = %d, want <= 16384", m.bytesPerAssoc)
+	if m.bytesPerAssoc > scaleBytesBudget {
+		t.Errorf("bytes/association = %d, want <= %d", m.bytesPerAssoc, scaleBytesBudget)
 	}
 }
 
@@ -329,7 +334,7 @@ func BenchmarkScale(b *testing.B) {
 	const table = 8192
 	b.Run("dispatch", func(b *testing.B) {
 		srv := NewServerWith(core.Config{Mode: packet.ModeBase, ChainLen: 16},
-			ServerOptions{EventBuffer: 4, IO: IOOptions{Prefilter: true}})
+			ServerOptions{IO: IOOptions{Prefilter: true}})
 		defer srv.Close()
 		for i := 0; i < table; i++ {
 			dispatchFrame(srv, from, scaleFrame(packet.TypeHS1, uint64(i)+1))
@@ -351,7 +356,7 @@ func BenchmarkScale(b *testing.B) {
 	})
 	b.Run("rotate-swap", func(b *testing.B) {
 		srv := NewServerWith(core.Config{Mode: packet.ModeBase, ChainLen: 16},
-			ServerOptions{EventBuffer: 4})
+			ServerOptions{})
 		defer srv.Close()
 		for i := 0; i < table; i++ {
 			dispatchFrame(srv, from, scaleFrame(packet.TypeHS1, uint64(i)+1))

@@ -150,7 +150,8 @@ func TestRelaySurvivesWriteError(t *testing.T) {
 
 // TestConnCountsEventDrops: an application that does not drain Events loses
 // the events beyond the channel's capacity, and the loss is counted exactly
-// — on a Conn's own counter, and for a Server's sessions under
+// — on a Conn's own counter, and for a Server's sessions, whose channel
+// holds one window (14 slots in base mode), under
 // alpha_transport_event_drops.
 func TestConnCountsEventDrops(t *testing.T) {
 	ep, err := core.NewEndpoint(core.Config{ChainLen: 16})
@@ -171,7 +172,7 @@ func TestConnCountsEventDrops(t *testing.T) {
 			return &c.assoc, c.EventDrops
 		}},
 		{"Session", func(t *testing.T) (*assoc, func() uint64) {
-			srv := NewServerWith(core.Config{ChainLen: 16}, ServerOptions{EventBuffer: 8})
+			srv := NewServerWith(core.Config{ChainLen: 16}, ServerOptions{})
 			t.Cleanup(func() { srv.Close() })
 			exp := telemetry.NewExporter()
 			exp.Register("alpha_transport", srv.Telemetry())

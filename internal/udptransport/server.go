@@ -56,9 +56,10 @@ const sessionShards = 16
 // the same semantics the network already imposes on UDP.
 const inboxSize = 64
 
-// defaultEventBuffer is the capacity of a Conn's event channel, and of a
-// Session's unless ServerOptions.EventBuffer says otherwise.
-const defaultEventBuffer = 256
+// maxEventSlots is the capacity of a Conn's event channel and the most a
+// Session's gets (eventWindow). A slot holds one core.Event, 72 bytes, so
+// 256 slots are 18.4 KB.
+const maxEventSlots = 256
 
 // defaultAcceptBacklog bounds the established-but-unaccepted session list
 // unless ServerOptions says otherwise.
@@ -161,12 +162,6 @@ type ServerOptions struct {
 	// backlog is full a newly established session is dropped and counted
 	// under drop_accept_backlog.
 	AcceptBacklog int
-	// EventBuffer is the per-session event channel capacity; 0 means 256.
-	// A slot holds one core.Event, 72 bytes, so the default channel is
-	// 19.1 KB per session, allocated at its birth — the largest part of an
-	// association's footprint. Million-association deployments that never
-	// read per-session events shrink this to single digits.
-	EventBuffer int
 	// Admission, when set, gates session creation behind the stateless
 	// connect-token tier (internal/admission): a session-creating HS1 must
 	// pass Verifier.Admit before any endpoint state is allocated. HS1
@@ -198,13 +193,6 @@ func (o ServerOptions) acceptBacklog() int {
 	default:
 		return o.AcceptBacklog
 	}
-}
-
-func (o ServerOptions) eventBuffer() int {
-	if o.EventBuffer <= 0 {
-		return defaultEventBuffer
-	}
-	return o.EventBuffer
 }
 
 // Server accepts ALPHA associations on a shared datagram socket, or on a
@@ -809,6 +797,19 @@ type Session struct {
 	pumpDue   atomic.Bool
 }
 
+// eventWindow is a session's event-channel capacity: one window of its
+// association's events, from the endpoint's birth profile with defaults
+// applied — a slot for each message the exchanges in flight can hold, and
+// one for each lifecycle kind (core.LifecycleEventKinds). Dropped events
+// are not budgeted; the lossy, counted hand-off (assoc.deliver) is their
+// contract. A later SetProfile does not resize the channel, so a session
+// born at batch 1 that grows to 64 may lose events to a slow reader, and
+// alpha_transport_event_drops counts them. The window is capped at
+// maxEventSlots, a Conn's capacity.
+func eventWindow(ep *core.Endpoint) int {
+	return min(maxEventSlots, ep.MaxOutstanding()*ep.Profile().BatchSize+core.LifecycleEventKinds)
+}
+
 func newSession(srv *Server, ep *core.Endpoint, id uint64, peer net.Addr, via udpio.Conn) *Session {
 	sess := &Session{
 		assoc: assoc{
@@ -817,7 +818,7 @@ func newSession(srv *Server, ep *core.Endpoint, id uint64, peer net.Addr, via ud
 			io:     via,
 			stamp:  srv.stamp,
 			wbatch: newWBatch(ep),
-			events: make(chan core.Event, srv.opts.eventBuffer()),
+			events: make(chan core.Event, eventWindow(ep)),
 			drops:  &srv.tel.EventDrops,
 			done:   make(chan struct{}),
 			timers: srv.timers,

@@ -19,7 +19,7 @@ import (
 // inbox, the routing and accept-list entries. Set from a measurement plus
 // 10 %; DESIGN.md §5j breaks the figure down.
 const (
-	birthBytesBudget  = 29_500
+	birthBytesBudget  = 9_650
 	birthAllocsBudget = 13
 )
 
@@ -177,5 +177,101 @@ func TestSessionInboxOrderAndBound(t *testing.T) {
 			take()
 			runtime.Gosched()
 		}
+	}
+}
+
+// TestSessionEventWindow: a session's event channel holds one window of its
+// association's events. A server session sends a full window
+// (MaxOutstanding × BatchSize messages) to a dialled client and its
+// application reads nothing until every message is acked; then Established
+// and every Acked are there, and no event was dropped. The capacity rows
+// pin min(256, MaxOutstanding × BatchSize + lifecycle kinds).
+func TestSessionEventWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   core.Config
+		slots int
+		send  bool // M-64's window, 512 messages, exceeds the capped channel
+	}{
+		{"base", core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 256}, 14, true},
+		{"C-16", core.Config{Mode: packet.ModeC, BatchSize: 16, Reliable: true, ChainLen: 256}, 134, true},
+		{"M-64", core.Config{Mode: packet.ModeM, BatchSize: 64, Reliable: true, ChainLen: 256}, 256, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ep, err := core.NewEndpoint(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := eventWindow(ep); got != tc.slots {
+				t.Fatalf("event window %d slots, want %d", got, tc.slots)
+			}
+			if !tc.send {
+				return
+			}
+			window := ep.MaxOutstanding() * ep.Profile().BatchSize
+
+			spc, err := net.ListenPacket("udp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServerWith(tc.cfg, ServerOptions{}, spc)
+			defer srv.Close()
+			pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := Dial(pc, spc.LocalAddr(), tc.cfg, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			sess, err := srv.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cap(sess.Events()); got != tc.slots {
+				t.Fatalf("session channel holds %d slots, want %d", got, tc.slots)
+			}
+			ids := make(map[uint64]bool, window)
+			for i := 0; i < window; i++ {
+				id, err := sess.Send([]byte{byte(i), byte(i >> 8)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[id] = true
+			}
+			if err := sess.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			collect(t, c, core.EventDelivered, window, 10*time.Second)
+			deadline := time.Now().Add(10 * time.Second)
+			for len(sess.Events()) < 1+window {
+				if got := srv.Telemetry().EventDrops.Load(); got != 0 {
+					t.Fatalf("alpha_transport_event_drops = %d with %d events queued", got, len(sess.Events()))
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("session raised %d events, want %d", len(sess.Events()), 1+window)
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			established := 0
+			for len(sess.Events()) > 0 {
+				switch ev := <-sess.Events(); ev.Kind {
+				case core.EventEstablished:
+					established++
+				case core.EventAcked:
+					delete(ids, ev.MsgID)
+				default:
+					t.Errorf("unexpected %v event", ev.Kind)
+				}
+			}
+			if established != 1 || len(ids) != 0 {
+				t.Fatalf("read %d Established and missed %d of %d Acked", established, len(ids), window)
+			}
+			if got := srv.Telemetry().EventDrops.Load(); got != 0 {
+				t.Fatalf("alpha_transport_event_drops = %d, want 0", got)
+			}
+		})
 	}
 }

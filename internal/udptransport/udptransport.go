@@ -99,7 +99,12 @@ func newConn(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts []IOOptio
 			io:     io.wrap(pc, nil),
 			stamp:  io.stamp(pc),
 			wbatch: newWBatch(ep),
-			events: make(chan core.Event, defaultEventBuffer),
+			// Not one window, as a Session's: there is one Conn per
+			// socket, so its channel is noise, and an application that
+			// reads two Conns in one select (the benchmark's signer and
+			// verifier) makes traffic on one by reading the other, a
+			// backlog one window does not bound.
+			events: make(chan core.Event, maxEventSlots),
 			drops:  new(telemetry.Counter),
 			done:   make(chan struct{}),
 			idx:    -1,
