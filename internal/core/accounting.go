@@ -8,7 +8,7 @@ package core
 // the Table 2 "Verifier" column) and ack counts the reliable-mode
 // pre-(n)ack material (Table 3).
 func (e *Endpoint) RxBufferedBytes() (preSig, ack int) {
-	for _, rx := range e.rx {
+	for rx := e.rx.First(); rx != nil; rx = e.rx.Next(rx) {
 		preSig += rx.SigBytes()
 		ack += rx.ackBytes()
 	}
@@ -19,7 +19,7 @@ func (e *Endpoint) RxBufferedBytes() (preSig, ack int) {
 // exchanges: payload bytes awaiting acknowledgment plus retained signature
 // packets (the Table 2 "Signer" column, measured on encoded state).
 func (e *Endpoint) TxBufferedBytes() (payload, sig int) {
-	for _, x := range e.tx {
+	for x := e.tx.First(); x != nil; x = e.tx.Next(x) {
 		for i := range x.msgs {
 			payload += len(x.msgs[i].payload)
 		}
@@ -30,6 +30,3 @@ func (e *Endpoint) TxBufferedBytes() (payload, sig int) {
 	}
 	return payload, sig
 }
-
-// RxExchanges returns the number of open receiver-side exchanges.
-func (e *Endpoint) RxExchanges() int { return len(e.rx) }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"alpha/internal/hashchain"
 	"alpha/internal/packet"
+	"alpha/internal/telemetry"
 )
 
 // freezeAtS1 sends a batch and withholds the A1 so both sides sit at their
@@ -51,8 +53,8 @@ func TestBufferAccountingMatchesTable2(t *testing.T) {
 	if vAck == 0 {
 		t.Fatalf("verifier holds no acknowledgment state in reliable mode")
 	}
-	if h.b.RxExchanges() != 1 {
-		t.Fatalf("rx exchanges %d", h.b.RxExchanges())
+	if h.b.rx.Len() != 1 {
+		t.Fatalf("rx exchanges %d", h.b.rx.Len())
 	}
 }
 
@@ -149,25 +151,50 @@ func TestPeerChainsAdoptRekey(t *testing.T) {
 }
 
 func TestRxExchangeEviction(t *testing.T) {
-	cfg := baseConfig(packet.ModeBase, false)
-	cfg.MaxRxExchanges = 2
-	cfg.MaxOutstanding = 8
-	cfg.ChainLen = 64
-	h := newHarness(t, cfg)
-	h.handshake()
-	// Complete several exchanges; the receiver must retain at most 2.
-	for i := 0; i < 5; i++ {
-		if _, err := h.a.Send(h.now, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		h.a.Flush(h.now)
-		h.run(20)
-	}
-	if got := h.b.RxExchanges(); got > 2 {
-		t.Fatalf("receiver retains %d exchanges, cap is 2", got)
-	}
-	if got := len(h.payloadsDelivered(h.b)); got != 5 {
-		t.Fatalf("delivered %d/5", got)
+	for _, row := range []struct {
+		name string
+		// lose drops the first S2 once; the exchange is reliable, and the
+		// S2 is retransmitted after the newer exchanges completed.
+		lose bool
+	}{
+		{"complete exchanges", false},
+		{"an incomplete exchange outlives newer complete ones", true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := baseConfig(packet.ModeBase, row.lose)
+			cfg.MaxRxExchanges = 2
+			cfg.MaxOutstanding = 8
+			cfg.ChainLen = 64
+			cfg.RTO = time.Second
+			h := newHarness(t, cfg)
+			h.handshake()
+			lost := !row.lose
+			h.dropAtoB = func(raw []byte) bool {
+				if !lost && packet.Type(raw[3]) == packet.TypeS2 {
+					lost = true
+					return true
+				}
+				return false
+			}
+			// Complete several exchanges; the receiver must retain at most 2.
+			for i := 0; i < 5; i++ {
+				if _, err := h.a.Send(h.now, []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+				h.a.Flush(h.now)
+				h.run(20)
+			}
+			h.runFor(2 * cfg.RTO)
+			if got := h.b.rx.Len(); got > 2 {
+				t.Fatalf("receiver retains %d exchanges, cap is 2", got)
+			}
+			if got := len(h.payloadsDelivered(h.b)); got != 5 {
+				t.Fatalf("delivered %d/5", got)
+			}
+			if n := h.b.Telemetry().DropReasons[telemetry.ReasonUnsolicited].Load(); n != 0 {
+				t.Fatalf("%d S2s dropped as unsolicited", n)
+			}
+		})
 	}
 }
 

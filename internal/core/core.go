@@ -83,9 +83,10 @@ type Config struct {
 	MaxRetries int
 	// MaxOutstanding bounds concurrent signature exchanges in flight.
 	MaxOutstanding int
-	// MaxRxExchanges bounds receiver-side buffered exchanges; the oldest
-	// completed exchange is evicted first. This is the verifier-side
-	// memory bound of Table 2.
+	// MaxRxExchanges bounds receiver-side buffered exchanges, the
+	// verifier-side memory bound of Table 2. Past it the oldest exchange
+	// whose messages are all delivered is evicted, and the oldest
+	// incomplete one only when none is complete.
 	MaxRxExchanges int
 	// CheckpointInterval selects memory-constrained chain storage: if
 	// positive, chains store one element per interval and recompute the

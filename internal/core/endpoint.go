@@ -9,12 +9,12 @@ import (
 	"fmt"
 	"time"
 
-	"alpha/internal/fifo"
 	"alpha/internal/hashchain"
 	"alpha/internal/merkle"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
 	"alpha/internal/suite"
+	"alpha/internal/table"
 	"alpha/internal/telemetry"
 )
 
@@ -55,21 +55,15 @@ type Endpoint struct {
 	queue     []outMsg
 	qhead     int
 	queuedAt  time.Time
-	// tx is nil until the first exchange starts, and rx until the first
-	// one is buffered: an endpoint that only receives never makes tx.
-	tx      map[uint32]*txExchange
-	txOrder []uint32
-	txDue   []uint32 // pollExchanges' snapshot of txOrder
+	// The exchanges in flight, and the receiver half's buffered ones, with
+	// the retired ones waiting for reuse. A table makes its map with its
+	// first exchange: an endpoint that only receives never makes tx's.
+	tx table.Table[uint32, txExchange, *txExchange]
+	rx table.Table[uint32, rxExchange, *rxExchange]
 
-	// Receiver half.
-	rx      map[uint32]*rxExchange
-	rxOrder fifo.Ring[uint32] // buffered sequence numbers, oldest first
-
-	// Retired exchanges and payload buffers waiting for reuse. A fresh
-	// exchange's slab is sized for everything the exchange will hold, so it
-	// is one allocation and an honest exchange never grows it.
-	freeTx       []*txExchange
-	freeRx       []*rxExchange
+	// Payload buffers waiting for reuse. A fresh exchange's slab is sized
+	// for everything the exchange will hold, so it is one allocation and an
+	// honest exchange never grows it.
 	freePayloads [][]byte
 
 	// Outgoing datagrams, each with the exchange whose slab holds it (nil
@@ -749,7 +743,7 @@ func (e *Endpoint) Poll(now time.Time) ([][]byte, []Event) {
 		e.flushQueue(now, false)
 		e.pollExchanges(now)
 		if e.cfg.AutoRekey && e.cfg.Reliable && e.chainLow && e.rekey == nil &&
-			len(e.tx) == 0 {
+			e.tx.Len() == 0 {
 			if _, err := e.Rekey(now); err != nil { //alpha:alloc-ok rekey happens once per chain lifetime
 				// A failed attempt (e.g. too few elements left to
 				// sign the announcement) will not get better;
@@ -861,14 +855,12 @@ func (e *Endpoint) NextTimeout() (time.Time, bool) {
 	// no rekey is serializing the queue; otherwise the queue drains on
 	// exchange completions and timers instead.
 	if e.QueueLen() > 0 && e.cfg.FlushDelay >= 0 && !e.queuedAt.IsZero() &&
-		len(e.tx) < e.cfg.MaxOutstanding && e.rekey == nil &&
+		e.tx.Len() < e.cfg.MaxOutstanding && e.rekey == nil &&
 		!(e.cfg.AutoRekey && e.cfg.Reliable && e.sigChain.Remaining() < 4) {
 		min = earlier(min, e.queuedAt.Add(e.cfg.FlushDelay))
 	}
-	for _, seq := range e.txOrder {
-		if x, ok := e.tx[seq]; ok {
-			min = earlier(min, x.deadline)
-		}
+	for x := e.tx.First(); x != nil; x = e.tx.Next(x) {
+		min = earlier(min, x.deadline)
 	}
 	return min, !min.IsZero()
 }

@@ -221,6 +221,19 @@ func TestHandBackOneAllocPerMessage(t *testing.T) {
 	}
 }
 
+// reusable lists the signer's retired exchanges waiting for reuse, and
+// leaves them waiting.
+func reusable(e *Endpoint) []*txExchange {
+	var free []*txExchange
+	for x := e.tx.Reuse(); x != nil; x = e.tx.Reuse() {
+		free = append(free, x)
+	}
+	for i := len(free) - 1; i >= 0; i-- {
+		e.tx.Recycle(free[i])
+	}
+	return free
+}
+
 // TestHandedBackSlabIsReused shows the other half of the rule: handing
 // back is what makes a slab reusable, and a datagram that was handed back
 // may change.
@@ -229,12 +242,13 @@ func TestHandedBackSlabIsReused(t *testing.T) {
 	h.handshake()
 	payload := make([]byte, 32)
 	h.lockstep(1, payload)
-	if len(h.a.freeTx) != 1 {
-		t.Fatalf("signer has %d reusable exchanges after a handed-back exchange, want 1", len(h.a.freeTx))
+	free := reusable(h.a)
+	if len(free) != 1 {
+		t.Fatalf("signer has %d reusable exchanges after a handed-back exchange, want 1", len(free))
 	}
-	first := h.a.freeTx[0]
+	first := free[0]
 	h.lockstep(1, payload)
-	if len(h.a.freeTx) != 1 || h.a.freeTx[0] != first {
+	if free = reusable(h.a); len(free) != 1 || free[0] != first {
 		t.Fatalf("the second exchange did not reuse the first one's exchange and slab")
 	}
 	// Without the hand-back the exchange stays lent and is never reused:
@@ -252,7 +266,7 @@ func TestHandedBackSlabIsReused(t *testing.T) {
 			h.a.Handle(h.now, raw)
 		}
 	}
-	if len(h.a.freeTx) != 0 {
+	if len(reusable(h.a)) != 0 {
 		t.Fatalf("an exchange whose datagrams were never handed back was put up for reuse")
 	}
 }
@@ -301,7 +315,7 @@ func TestReplayedS2sDoNotGrowTheSlab(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rx := h.b.rx[hdr.Seq]
+			rx, _ := h.b.rx.Get(hdr.Seq)
 			replay := func(raw []byte, want uint64) (slabLen int) {
 				t.Helper()
 				sent := h.b.Stats().SentA2
@@ -362,7 +376,7 @@ func TestReusedExchangeSwitchesAckMaterial(t *testing.T) {
 			t.Fatalf("%d acknowledgments dropped as bad", n)
 		}
 	}
-	if len(h.b.freeRx) == 0 {
+	if h.b.rx.Reuse() == nil {
 		t.Fatal("the verifier never reused an exchange")
 	}
 }

@@ -12,22 +12,24 @@ import (
 	"alpha/internal/merkle"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
+	"alpha/internal/table"
 	"alpha/internal/telemetry"
 )
 
 // rxExchange is the verifier-side state for one signature exchange: the
 // buffered pre-signatures from the S1 (the kernel's Presig) and, in reliable
 // mode, the pre-(n)ack material whose secrets will be opened in A2 packets.
-// Its size is exactly the "Verifier" column of Tables 2 and 3. Like a
-// txExchange it comes from the endpoint's free list and keeps every byte in
-// one slab: the copies of the S1's element and pre-signatures, the disclosed
-// key, the pre-(n)ack secrets, the encoded A1 and the A2s it opens — each A2
-// once, however often a replayed S2 asks for it, so the slab's size is
-// bounded by the shape of the exchange and not by what the network sends.
+// Its size is exactly the "Verifier" column of Tables 2 and 3. It is held in
+// the endpoint's verifier table under its sequence number, complete once
+// every message is delivered, and keeps every byte in one slab: the copies
+// of the S1's element and pre-signatures, the disclosed key, the pre-(n)ack
+// secrets, the encoded A1 and the A2s it opens — each A2 once, however often
+// a replayed S2 asks for it, so the slab's size is bounded by the shape of
+// the exchange and not by what the network sends.
 type rxExchange struct {
+	table.Entry[uint32, rxExchange]
 	slab
 	Presig
-	seq      uint32
 	reliable bool
 	evicted  bool // out of the table; reusable once nothing of the slab is lent
 
@@ -44,26 +46,21 @@ type rxExchange struct {
 	// a2s holds the encoded A2s of a reliable exchange, the nack of message
 	// i at 2i and its ack at 2i+1, nil until first opened: a duplicate or
 	// forged S2 gets the stored packet again.
-	a2s       [][]byte
-	delivered []bool
-	doneCount int
-
-	// Backing for the one-message exchange of base mode.
-	delivered1 [1]bool
-	a2s1       [2][]byte
+	a2s  [][]byte
+	a2s1 [2][]byte // backing for the one-message exchange of base mode
 }
 
 // unlend implements lender.
 func (rx *rxExchange) unlend(e *Endpoint) {
 	if rx.lent--; rx.lent == 0 && rx.evicted {
-		e.freeRx = append(e.freeRx, rx)
+		e.rx.Recycle(rx)
 	}
 }
 
 // ackTree returns the AMT this exchange opens its A2s from: a reliable
 // exchange of more than one message has one, built by handleS1.
 func (rx *rxExchange) ackTree() *merkle.AckTree {
-	if rx.reliable && rx.batch > 1 {
+	if rx.reliable && rx.n > 1 {
 		return rx.amt
 	}
 	return nil
@@ -82,16 +79,15 @@ func (rx *rxExchange) ackBytes() int {
 	return n
 }
 
-// newRx takes a receiver exchange off the free list, or makes one.
+// newRx takes a receiver exchange off the table's free list, or makes one.
+// BufferS1 refills the Presig.
 func (e *Endpoint) newRx() *rxExchange {
-	var rx *rxExchange
-	if n := len(e.freeRx); n > 0 {
-		rx, e.freeRx = e.freeRx[n-1], e.freeRx[:n-1]
-		*rx = rxExchange{slab: rx.slab.reset(), delivered: rx.delivered[:0], a2s: rx.a2s[:0], amt: rx.amt}
-	} else {
-		rx = &rxExchange{} //alpha:alloc-ok the first MaxRxExchanges exchanges, or a caller that hands nothing back (see Release)
-		rx.delivered, rx.a2s = rx.delivered1[:0], rx.a2s1[:0]
+	if rx := e.rx.Reuse(); rx != nil {
+		*rx = rxExchange{slab: rx.slab.reset(), Presig: rx.Presig, a2s: rx.a2s[:0], amt: rx.amt}
+		return rx
 	}
+	rx := &rxExchange{} //alpha:alloc-ok the first MaxRxExchanges exchanges, or a caller that hands nothing back (see Release)
+	rx.a2s = rx.a2s1[:0]
 	return rx
 }
 
@@ -148,7 +144,7 @@ func grown[T any](b []T, n int) []T {
 //alpha:hotpath
 func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 	e.tel.RecvS1.Inc()
-	if rx, ok := e.rx[hdr.Seq]; ok {
+	if rx, ok := e.rx.Get(hdr.Seq); ok {
 		// Duplicate S1 (our A1 was probably lost): resend the stored
 		// A1 rather than re-verifying; the paper calls for robust and
 		// fast S1/A1 retransmission (§3.5).
@@ -171,13 +167,13 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 	reliable := hdr.Flags&packet.FlagReliable != 0
 	rx.reserve(e.rxSlabLen(s1, reliable)) //alpha:alloc-ok a fresh exchange, or one larger than this slab has held: one allocation for all it will hold
 	if err := rx.BufferS1(&rx.buf, s1); err != nil {
-		e.freeRx = append(e.freeRx, rx)
+		e.rx.Recycle(rx)
 		e.drop(hdr.Seq, err)
 		return
 	}
 	pair, err := e.ackChain.NextPair()
 	if err != nil {
-		e.freeRx = append(e.freeRx, rx)
+		e.rx.Recycle(rx)
 		e.drop(hdr.Seq, fmt.Errorf("%w: %v", ErrChainExhausted, err)) //alpha:alloc-ok the chain ran out: once per chain lifetime
 		return
 	}
@@ -189,9 +185,8 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 		e.emit(Event{Kind: EventChainLow})
 	}
 
-	batch := rx.batch
-	rx.seq, rx.reliable, rx.ackPair = hdr.Seq, reliable, pair
-	rx.delivered = zeroed(rx.delivered, batch) //alpha:alloc-ok grows to the batch size once per exchange object
+	batch := rx.n
+	rx.reliable, rx.ackPair = reliable, pair
 
 	a1 := &e.a1
 	*a1 = packet.A1{AuthIdx: pair.AuthIdx, Auth: pair.Auth, KeyIdx: pair.KeyIdx}
@@ -230,34 +225,19 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 		e.drop(hdr.Seq, err)
 		return
 	}
-	e.storeRx(rx)
+	// Past MaxRxExchanges the table evicts an exchange, the one that
+	// completed longest ago if any did, and it goes back to the free list
+	// as soon as nothing of its slab is lent out.
+	if old := e.rx.Insert(hdr.Seq, rx, e.cfg.MaxRxExchanges); old != nil {
+		old.evicted = true
+		if old.lent == 0 {
+			e.rx.Recycle(old)
+		}
+	}
 	e.queueOut(rx.a1, rx)
 	e.tel.SentA1.Inc()
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), hdr.Seq, obs.RoleReceiver, obs.StepS1, uint8(rx.mode), obs.VerdictRecv, uint32(batch))
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), hdr.Seq, obs.RoleReceiver, obs.StepA1, uint8(rx.mode), obs.VerdictSent, 0)
-}
-
-// storeRx registers a receiver exchange, evicting the oldest one beyond the
-// configured memory bound. The evicted exchange goes back to the free list
-// as soon as nothing of its slab is lent out.
-func (e *Endpoint) storeRx(rx *rxExchange) {
-	if e.rx == nil {
-		e.rx = make(map[uint32]*rxExchange) //alpha:alloc-ok the first buffered exchange: once per endpoint
-	}
-	e.rx[rx.seq] = rx
-	seq, evicted := e.rxOrder.Push(rx.seq, e.cfg.MaxRxExchanges) //alpha:alloc-ok the ring itself: once per endpoint
-	if !evicted {
-		return
-	}
-	old, ok := e.rx[seq]
-	if !ok || old == rx {
-		return
-	}
-	delete(e.rx, seq)
-	old.evicted = true
-	if old.lent == 0 {
-		e.freeRx = append(e.freeRx, old)
-	}
 }
 
 // handleS2 verifies a disclosed message against its buffered pre-signature
@@ -266,7 +246,7 @@ func (e *Endpoint) storeRx(rx *rxExchange) {
 //alpha:hotpath
 func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) {
 	e.tel.RecvS2.Inc()
-	rx, ok := e.rx[hdr.Seq]
+	rx, ok := e.rx.Get(hdr.Seq)
 	if !ok {
 		e.drop(hdr.Seq, ErrUnsolicited)
 		return
@@ -277,31 +257,33 @@ func (e *Endpoint) handleS2(now time.Time, hdr packet.Header, s2 *packet.S2) {
 		// A payload that fails its pre-signature behind a genuine key was
 		// tampered with in transit: in reliable mode that is worth a
 		// verifiable nack so the signer retransmits.
-		if (errors.Is(err, ErrBadMAC) || errors.Is(err, ErrBadProof)) && rx.reliable && !rx.delivered[idx] {
+		if (errors.Is(err, ErrBadMAC) || errors.Is(err, ErrBadProof)) && rx.reliable && !rx.Done(idx) {
 			e.sendA2(rx, idx, false)
 		}
 		e.drop(hdr.Seq, err)
 		return
 	}
-	if rx.delivered[idx] {
+	if rx.Done(idx) {
 		// Duplicate S2 (our A2 was probably lost): re-open the ack.
 		if rx.reliable {
 			e.sendA2(rx, idx, true)
 		}
 		return
 	}
-	rx.delivered[idx] = true
-	rx.doneCount++
 	// In-band rekey announcements are consumed by the protocol layer:
 	// the payload carries the peer's fresh anchors, already authenticated
 	// by the old chain like any other message.
-	if p, ok := DecodeRekey(s2.Payload, e.suite.Size()); ok { //alpha:alloc-ok rekey happens once per chain lifetime
+	p, rekey := DecodeRekey(s2.Payload, e.suite.Size()) //alpha:alloc-ok rekey happens once per chain lifetime
+	if rekey {
 		if err := e.peer.AdoptRekey(e.suite, p); err != nil { //alpha:alloc-ok rekey happens once per chain lifetime
-			rx.delivered[idx] = false
-			rx.doneCount--
 			e.drop(hdr.Seq, err)
 			return
 		}
+	}
+	if rx.MarkDone(idx) {
+		e.rx.Complete(rx)
+	}
+	if rekey {
 		e.emit(Event{Kind: EventPeerRekeyed, Seq: hdr.Seq, MsgIndex: s2.MsgIndex})
 		if rx.reliable {
 			e.sendA2(rx, idx, true)
@@ -338,7 +320,7 @@ func (e *Endpoint) sendA2(rx *rxExchange, idx int, ack bool) {
 	}
 	e.queueOut(rx.a2s[slot], rx)
 	e.tel.SentA2.Inc()
-	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), rx.seq, obs.RoleReceiver, obs.StepA2, uint8(rx.mode), obs.VerdictSent, uint32(idx))
+	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), rx.Key(), obs.RoleReceiver, obs.StepA2, uint8(rx.mode), obs.VerdictSent, uint32(idx))
 }
 
 // openA2 encodes the A2 for message idx into the exchange's slab. It reports
@@ -373,7 +355,7 @@ func (e *Endpoint) openA2(rx *rxExchange, idx int, ack bool) ([]byte, bool) {
 	} else {
 		a2.Secret = rx.snack
 	}
-	raw, err := rx.encode(e.header(packet.TypeA2, rx.seq), a2)
+	raw, err := rx.encode(e.header(packet.TypeA2, rx.Key()), a2)
 	if err != nil {
 		// Encoding failure: the ack this exchange owes never left. Counted
 		// for the same reason as above.
@@ -388,6 +370,6 @@ func (e *Endpoint) openA2(rx *rxExchange, idx int, ack bool) ([]byte, bool) {
 // I3/I4 conservation invariants see every discarded acknowledgment.
 func (e *Endpoint) noteAckFailure(rx *rxExchange, code uint32) {
 	e.tel.NoteDrop(code)
-	e.tracer.Trace(e.tnow, telemetry.TraceDrop, e.assoc, rx.seq, code)
-	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), rx.seq, obs.RoleReceiver, obs.StepA2, uint8(rx.mode), obs.VerdictDrop, code)
+	e.tracer.Trace(e.tnow, telemetry.TraceDrop, e.assoc, rx.Key(), code)
+	e.spans.Emit(e.tnow, e.assoc, obs.Key(rx.auth), rx.Key(), obs.RoleReceiver, obs.StepA2, uint8(rx.mode), obs.VerdictDrop, code)
 }

@@ -107,7 +107,7 @@ func (e *Endpoint) Rekey(now time.Time) (uint64, error) {
 	// Only in-flight exchanges block a rekey: they pin old-chain state on
 	// the path. Queued messages have consumed nothing yet — they simply
 	// wait out the rotation and ride the new chain.
-	if len(e.tx) > 0 {
+	if e.tx.Len() > 0 {
 		return 0, ErrRekeyBusy
 	}
 	if e.sigChain.Remaining() < 2 || e.ackChain.Remaining() < 2 {

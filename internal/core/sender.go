@@ -11,6 +11,7 @@ import (
 	"alpha/internal/merkle"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
+	"alpha/internal/table"
 	"alpha/internal/telemetry"
 )
 
@@ -33,13 +34,16 @@ const (
 )
 
 // txExchange tracks one in-flight signature exchange (one S1/A1 round plus
-// its S2 payload packets). Exchanges come from the endpoint's free list and
-// own one slab each (see slab): the encoded S1, the pre-(n)ack material
-// copied out of the A1, and the encoded S2s live there, so a reused exchange
-// signs, retransmits and retires without allocating.
+// its S2 payload packets), held in the endpoint's signer table under its
+// sequence number; its marks are the acknowledged messages. Exchanges come
+// from the table's free list and own one slab each (see slab): the encoded
+// S1, the pre-(n)ack material copied out of the A1, and the encoded S2s live
+// there, so a reused exchange signs, retransmits and retires without
+// allocating.
 type txExchange struct {
+	table.Entry[uint32, txExchange]
 	slab
-	seq   uint32
+	marks
 	state txState
 	// mode is pinned at startExchange: an exchange runs its whole lifetime
 	// under the profile it was created with, so a runtime SetProfile never
@@ -58,36 +62,30 @@ type txExchange struct {
 	// Acknowledgment material learned from the A1 (reliable mode).
 	AckPresig
 
-	acked    []bool
-	ackCount int
-
 	retries  int
 	deadline time.Time
 
 	// Backing for the one-message exchange of base mode, so that a fresh
-	// exchange is one allocation, not four.
-	msg1   [1]outMsg
-	s2s1   [1][]byte
-	acked1 [1]bool
+	// exchange is one allocation, not three.
+	msg1 [1]outMsg
+	s2s1 [1][]byte
 }
 
 // unlend implements lender.
 func (x *txExchange) unlend(e *Endpoint) {
 	if x.lent--; x.lent == 0 && x.state == txDone {
-		e.freeTx = append(e.freeTx, x)
+		e.tx.Recycle(x)
 	}
 }
 
-// newTx takes a sender exchange off the free list, or makes one.
+// newTx takes a sender exchange off the table's free list, or makes one.
 func (e *Endpoint) newTx() *txExchange {
-	var x *txExchange
-	if n := len(e.freeTx); n > 0 {
-		x, e.freeTx = e.freeTx[n-1], e.freeTx[:n-1]
-		*x = txExchange{slab: x.slab.reset(), msgs: x.msgs[:0], trees: x.trees[:0], s2s: x.s2s[:0], acked: x.acked[:0]}
-	} else {
-		x = &txExchange{} //alpha:alloc-ok first exchanges, or a caller that hands nothing back (see Release)
-		x.msgs, x.s2s, x.acked = x.msg1[:0], x.s2s1[:0], x.acked1[:0]
+	if x := e.tx.Reuse(); x != nil {
+		*x = txExchange{slab: x.slab.reset(), marks: x.marks, msgs: x.msgs[:0], trees: x.trees[:0], s2s: x.s2s[:0]}
+		return x
 	}
+	x := &txExchange{} //alpha:alloc-ok first exchanges, or a caller that hands nothing back (see Release)
+	x.msgs, x.s2s = x.msg1[:0], x.s2s1[:0]
 	return x
 }
 
@@ -163,7 +161,7 @@ func (e *Endpoint) Flush(now time.Time) {
 func (e *Endpoint) QueueLen() int { return len(e.queue) - e.qhead }
 
 // InFlight returns the number of open signature exchanges.
-func (e *Endpoint) InFlight() int { return len(e.tx) }
+func (e *Endpoint) InFlight() int { return e.tx.Len() }
 
 // MaxOutstanding returns the bound on open signature exchanges, with the
 // default applied.
@@ -178,7 +176,7 @@ func (e *Endpoint) flushQueue(now time.Time, force bool) {
 	if e.rekey != nil {
 		return
 	}
-	for e.QueueLen() > 0 && len(e.tx) < e.cfg.MaxOutstanding {
+	for e.QueueLen() > 0 && e.tx.Len() < e.cfg.MaxOutstanding {
 		// Under AutoRekey, the final chain pair is reserved for signing
 		// the rekey announcement itself; queued messages wait out the
 		// rotation instead of exhausting the chain.
@@ -223,10 +221,10 @@ func (e *Endpoint) startExchange(now time.Time, batch []outMsg) error {
 	seq := e.nextSeq
 	e.nextSeq++
 	x := e.newTx()
-	x.seq, x.mode, x.pair = seq, e.cfg.Mode, pair
+	x.mode, x.pair = e.cfg.Mode, pair
 	x.msgs = append(x.msgs, batch...)
-	x.acked = zeroed(x.acked, len(batch)) //alpha:alloc-ok grows to the batch size once per exchange object
-	x.s2s = grown(x.s2s, len(batch))      //alpha:alloc-ok grows to the batch size once per exchange object
+	x.clearMarks(len(batch))         //alpha:alloc-ok grows past 64 messages once per exchange object
+	x.s2s = grown(x.s2s, len(batch)) //alpha:alloc-ok grows to the batch size once per exchange object
 	s1 := &e.s1
 	*s1 = packet.S1{Mode: x.mode, AuthIdx: pair.AuthIdx, Auth: pair.Auth, KeyIdx: pair.KeyIdx}
 	if e.digests == nil {
@@ -278,11 +276,7 @@ func (e *Endpoint) startExchange(now time.Time, batch []outMsg) error {
 		return err
 	}
 	x.deadline = now.Add(e.cfg.RTO)
-	if e.tx == nil {
-		e.tx = make(map[uint32]*txExchange) //alpha:alloc-ok the first exchange: once per endpoint
-	}
-	e.tx[seq] = x
-	e.txOrder = append(e.txOrder, seq)
+	e.tx.Insert(seq, x, e.cfg.MaxOutstanding) // flushQueue stays below the bound: nothing is evicted
 	e.queueOut(x.s1, x)
 	e.tel.SentS1.Inc()
 	e.tracer.Trace(e.tnow, telemetry.TraceS1Sent, e.assoc, seq, uint32(len(batch)))
@@ -310,7 +304,7 @@ var errNoPreAck = fmt.Errorf("%w: missing pre-acknowledgment material", ErrBadAc
 //alpha:hotpath
 func (e *Endpoint) handleA1(now time.Time, hdr packet.Header, a1 *packet.A1) {
 	e.tel.RecvA1.Inc()
-	x, ok := e.tx[hdr.Seq]
+	x, ok := e.tx.Get(hdr.Seq)
 	if !ok {
 		e.drop(hdr.Seq, ErrUnsolicited)
 		return
@@ -369,7 +363,7 @@ func (e *Endpoint) sendS2s(now time.Time, x *txExchange) error {
 			s2.LeafCount = uint32(len(x.msgs))
 			s2.Proof = e.digests
 		}
-		raw, err := x.encode(e.header(packet.TypeS2, x.seq), s2)
+		raw, err := x.encode(e.header(packet.TypeS2, x.Key()), s2)
 		if err != nil {
 			return err
 		}
@@ -377,8 +371,8 @@ func (e *Endpoint) sendS2s(now time.Time, x *txExchange) error {
 		e.queueOut(raw, x)
 		e.tel.SentS2.Inc()
 	}
-	e.tracer.Trace(e.tnow, telemetry.TraceS2Sent, e.assoc, x.seq, uint32(len(x.msgs)))
-	e.spans.Emit(e.tnow, e.assoc, obs.Key(x.pair.Auth), x.seq, obs.RoleSender, obs.StepS2, uint8(x.mode), obs.VerdictSent, uint32(len(x.msgs)))
+	e.tracer.Trace(e.tnow, telemetry.TraceS2Sent, e.assoc, x.Key(), uint32(len(x.msgs)))
+	e.spans.Emit(e.tnow, e.assoc, obs.Key(x.pair.Auth), x.Key(), obs.RoleSender, obs.StepS2, uint8(x.mode), obs.VerdictSent, uint32(len(x.msgs)))
 	if e.cfg.Reliable {
 		x.state = txAwaitA2
 		x.retries = 0
@@ -395,19 +389,13 @@ func (e *Endpoint) sendS2s(now time.Time, x *txExchange) error {
 func (e *Endpoint) finishExchange(x *txExchange) {
 	x.state = txDone
 	x.deadline = time.Time{}
-	delete(e.tx, x.seq)
-	for i, seq := range e.txOrder {
-		if seq == x.seq {
-			e.txOrder = append(e.txOrder[:i], e.txOrder[i+1:]...)
-			break
-		}
-	}
+	e.tx.Remove(x)
 	for i := range x.msgs {
 		e.freePayloads = append(e.freePayloads, x.msgs[i].payload)
 		x.msgs[i].payload = nil
 	}
 	if x.lent == 0 {
-		e.freeTx = append(e.freeTx, x)
+		e.tx.Recycle(x)
 	}
 }
 
@@ -416,7 +404,7 @@ func (e *Endpoint) finishExchange(x *txExchange) {
 //alpha:hotpath
 func (e *Endpoint) handleA2(now time.Time, hdr packet.Header, a2 *packet.A2) {
 	e.tel.RecvA2.Inc()
-	x, ok := e.tx[hdr.Seq]
+	x, ok := e.tx.Get(hdr.Seq)
 	if !ok || x.state != txAwaitA2 {
 		e.drop(hdr.Seq, ErrUnsolicited)
 		return
@@ -426,41 +414,36 @@ func (e *Endpoint) handleA2(now time.Time, hdr packet.Header, a2 *packet.A2) {
 		e.drop(hdr.Seq, err)
 		return
 	}
-	if x.acked[a2.MsgIndex] {
+	i := int(a2.MsgIndex)
+	if x.Done(i) {
 		return //alpha:drop-ok a duplicate of a verified A2 changes nothing
 	}
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(x.pair.Auth), hdr.Seq, obs.RoleSender, obs.StepA2, uint8(x.mode), obs.VerdictRecv, a2.MsgIndex)
-	x.acked[a2.MsgIndex] = true
-	x.ackCount++
-	m := &x.msgs[a2.MsgIndex]
-	if a2.Ack {
-		// The rekey announcement is protocol-internal: its verified ack
-		// commits the chain swap and surfaces as EventRekeyed, not as an
-		// application acknowledgment.
-		if e.rekey != nil && e.rekey.msgID == m.id {
-			e.maybeCompleteRekey(m.id) //alpha:alloc-ok rekey happens once per chain lifetime
-			if x.ackCount == len(x.msgs) {
-				e.finishExchange(x)
-			}
-			return //alpha:drop-ok accepted: the rekey announcement's ack surfaces as EventRekeyed
-		}
+	m := &x.msgs[i]
+	if !a2.Ack {
+		e.tel.Nacked.Inc()
+		e.emit(Event{Kind: EventNacked, MsgID: m.id, Seq: hdr.Seq, MsgIndex: a2.MsgIndex})
+		// A verified nack means the S2 arrived damaged or not at all;
+		// retransmit it immediately (selective repeat, §3.3.3).
+		e.retransmitS2(x, i)
+		return
+	}
+	all := x.MarkDone(i)
+	// The rekey announcement is protocol-internal: its verified ack
+	// commits the chain swap and surfaces as EventRekeyed, not as an
+	// application acknowledgment.
+	if e.rekey != nil && e.rekey.msgID == m.id {
+		e.maybeCompleteRekey(m.id) //alpha:alloc-ok rekey happens once per chain lifetime
+	} else {
 		e.tel.Acked.Inc()
 		if !m.sentAt.IsZero() {
 			lat := now.Sub(m.sentAt)
 			e.tel.AckLatencyMaxNS.SetMax(uint64(lat))
 			e.tel.AckLatency.Observe(int64(lat))
 		}
-		e.emit(Event{Kind: EventAcked, MsgID: m.id, Seq: x.seq, MsgIndex: a2.MsgIndex})
-	} else {
-		e.tel.Nacked.Inc()
-		e.emit(Event{Kind: EventNacked, MsgID: m.id, Seq: x.seq, MsgIndex: a2.MsgIndex})
-		// A verified nack means the S2 arrived damaged or not at all;
-		// retransmit it immediately (selective repeat, §3.3.3).
-		x.acked[a2.MsgIndex] = false
-		x.ackCount--
-		e.retransmitS2(x, int(a2.MsgIndex))
+		e.emit(Event{Kind: EventAcked, MsgID: m.id, Seq: hdr.Seq, MsgIndex: a2.MsgIndex})
 	}
-	if x.ackCount == len(x.msgs) {
+	if all {
 		e.finishExchange(x)
 	}
 }
@@ -478,17 +461,16 @@ var errRetransmitLimit = errors.New("alpha: retransmission limit reached")
 
 // pollExchanges fires retransmission timers.
 func (e *Endpoint) pollExchanges(now time.Time) {
-	// finishExchange edits txOrder, so walk a snapshot.
-	e.txDue = append(e.txDue[:0], e.txOrder...)
-	for _, seq := range e.txDue {
-		x, ok := e.tx[seq]
-		if !ok || x.deadline.IsZero() || now.Before(x.deadline) {
+	// finishExchange removes x: take its successor first.
+	for x, next := e.tx.First(), (*txExchange)(nil); x != nil; x = next {
+		next = e.tx.Next(x)
+		if x.deadline.IsZero() || now.Before(x.deadline) {
 			continue
 		}
 		if x.retries >= e.cfg.MaxRetries {
 			for i := range x.msgs {
-				if !x.acked[i] {
-					e.emit(Event{Kind: EventSendFailed, MsgID: x.msgs[i].id, Seq: x.seq, MsgIndex: uint32(i), Err: errRetransmitLimit})
+				if !x.Done(i) {
+					e.emit(Event{Kind: EventSendFailed, MsgID: x.msgs[i].id, Seq: x.Key(), MsgIndex: uint32(i), Err: errRetransmitLimit})
 					e.abortRekey(x.msgs[i].id)
 				}
 			}
@@ -503,7 +485,7 @@ func (e *Endpoint) pollExchanges(now time.Time) {
 			e.tel.Retransmits.Inc()
 		case txAwaitA2:
 			for i := range x.msgs {
-				if !x.acked[i] {
+				if !x.Done(i) {
 					e.retransmitS2(x, i)
 				}
 			}

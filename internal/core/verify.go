@@ -143,12 +143,52 @@ func (sc *MACScratch) input(assoc uint64, seq, idx uint32, payload []byte) [][]b
 	return sc.parts[:]
 }
 
+// marks are an exchange's per-message done marks, one bit each: the first
+// 64 inline, the rest in more, whose storage the exchange keeps for its next
+// use. A verifier marks a message delivered, a signer acknowledged, a relay
+// acknowledged (or, if the exchange is unreliable, verified).
+type marks struct {
+	done     uint64
+	more     []uint64
+	n, count int
+}
+
+// clearMarks clears the marks for an exchange of n messages.
+func (m *marks) clearMarks(n int) {
+	m.done, m.n, m.count = 0, n, 0
+	m.more = zeroed(m.more, (n-1)/64) //alpha:alloc-ok grows past 64 messages once per exchange object
+}
+
+// MarkDone marks message i, below the exchange's message count, and
+// reports whether every message is marked now.
+func (m *marks) MarkDone(i int) bool {
+	if w, bit := m.at(i); *w&bit == 0 {
+		*w |= bit
+		m.count++
+	}
+	return m.count == m.n
+}
+
+// Done reports whether message i is marked.
+func (m *marks) Done(i int) bool {
+	w, bit := m.at(i)
+	return *w&bit != 0
+}
+
+func (m *marks) at(i int) (*uint64, uint64) {
+	if i < 64 {
+		return &m.done, 1 << i
+	}
+	return &m.more[i/64-1], 1 << (i % 64)
+}
+
 // Presig is what an S1 leaves behind: the exchange's row of Table 2. Its
-// byte fields are copies in the slab the caller passes.
+// byte fields are copies in the slab the caller passes. Its marks, one per
+// message the S1 announced, say which the holder is done with.
 type Presig struct {
+	marks
 	mode      packet.Mode
 	keyIdx    uint32 // disclosure index of the signer's MAC key
-	batch     int    // messages the S1 announced
 	leafCount int
 	// auth is the S1's verified element, the exchange's own trust anchor:
 	// the S2 key must hash to it, which keeps payload verification
@@ -172,7 +212,7 @@ var (
 // BufferS1 fills p from an S1 whose element VerifySig accepted. It checks
 // the mode and, for CM, that the root count fits the subtree partition both
 // sides derive from (n, k). It then copies the element and pre-signatures
-// onto *slab.
+// onto *slab, and clears the done marks.
 //
 //alpha:hotpath
 func (p *Presig) BufferS1(slab *[]byte, s1 *packet.S1) error {
@@ -189,7 +229,8 @@ func (p *Presig) BufferS1(slab *[]byte, s1 *packet.S1) error {
 	default:
 		return errUnknownMode
 	}
-	*p = Presig{mode: s1.Mode, keyIdx: s1.KeyIdx, batch: batch, leafCount: leaves}
+	*p = Presig{marks: p.marks, mode: s1.Mode, keyIdx: s1.KeyIdx, leafCount: leaves}
+	p.clearMarks(batch) //alpha:alloc-ok grows past 64 messages once per exchange object
 	p.auth = keep(slab, s1.Auth)
 	start := len(*slab)
 	if s1.Mode == packet.ModeM {
@@ -209,7 +250,7 @@ func (p *Presig) Mode() packet.Mode { return p.mode }
 func (p *Presig) Auth() []byte { return p.auth }
 
 // Batch returns the number of messages the S1 announced.
-func (p *Presig) Batch() int { return p.batch }
+func (p *Presig) Batch() int { return p.n }
 
 // SigBytes reports the pre-signature memory the exchange pins (Table 2).
 func (p *Presig) SigBytes() int { return len(p.presig) }
@@ -229,7 +270,7 @@ func (p *Presig) sig(i int) []byte {
 //alpha:hotpath
 func (p *Presig) VerifyS2(st suite.Suite, sc *MACScratch, slab *[]byte, hdr packet.Header, s2 *packet.S2) error {
 	switch {
-	case s2.Mode != p.mode || s2.KeyIdx != p.keyIdx || int(s2.MsgIndex) >= p.batch:
+	case s2.Mode != p.mode || s2.KeyIdx != p.keyIdx || int(s2.MsgIndex) >= p.n:
 		return ErrUnsolicited
 	case !p.linkKey(st, slab, s2.Key):
 		return ErrBadAuthElement

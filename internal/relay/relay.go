@@ -29,10 +29,10 @@ import (
 	"time"
 
 	"alpha/internal/core"
-	"alpha/internal/fifo"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
 	"alpha/internal/suite"
+	"alpha/internal/table"
 	"alpha/internal/telemetry"
 )
 
@@ -121,9 +121,14 @@ type Config struct {
 	// forwards it unverified, which is the incremental-deployment mode
 	// of §3.5: ALPHA-unaware traffic keeps flowing.
 	Strict bool
-	// MaxFlows bounds the association table.
+	// MaxFlows bounds the association table, oldest flow out first.
 	MaxFlows int
-	// MaxExchanges bounds buffered exchanges per flow and direction.
+	// MaxExchanges bounds buffered exchanges per flow and direction. Past
+	// it the oldest complete exchange is evicted, and the oldest
+	// incomplete one only when none is complete. An exchange is complete
+	// once the relay has verified a positive A2 for each message, or in an
+	// unreliable exchange each S2; a relay that never sees the A2s
+	// (asymmetric routes) evicts oldest first.
 	MaxExchanges int
 	// S1Rate and S1Burst token-bucket S1 packets per flow per second.
 	// Zero S1Rate disables rate limiting.
@@ -195,9 +200,9 @@ type Stats struct {
 // concurrent use; the telemetry counters behind Stats() are atomic, so
 // snapshots may be taken from other goroutines while the relay runs.
 type Relay struct {
-	cfg   Config
-	flows map[uint64]*flow
-	order fifo.Ring[uint64] // flows in arrival order; the oldest is evicted first
+	cfg Config
+	// flows are never complete, so the oldest is evicted first.
+	flows table.Table[uint64, flow, *flow]
 
 	// The in-place parser. A bundle's sub-packets are never bundles, so
 	// parsing them with it leaves the view of their frame alone.
@@ -228,7 +233,7 @@ type Relay struct {
 
 // New creates a relay.
 func New(cfg Config) *Relay {
-	r := &Relay{cfg: cfg.withDefaults(), flows: make(map[uint64]*flow), tracer: cfg.Tracer, spans: cfg.Spans}
+	r := &Relay{cfg: cfg.withDefaults(), tracer: cfg.Tracer, spans: cfg.Spans}
 	for i := range r.unsol {
 		r.unsol[i] = tokenBucket{rate: r.cfg.UnsolicitedS1Rate, burst: r.cfg.UnsolicitedS1Burst}
 	}
@@ -263,47 +268,44 @@ func (r *Relay) Stats() Stats {
 func (r *Relay) Telemetry() *telemetry.RelayMetrics { return &r.tel }
 
 // Flows returns the number of tracked associations.
-func (r *Relay) Flows() int { return len(r.flows) }
+func (r *Relay) Flows() int { return r.flows.Len() }
 
 // flow is one observed association.
 type flow struct {
-	assoc uint64
-	st    suite.Suite
+	table.Entry[uint64, flow]
+	st suite.Suite
 
 	// Both hosts' chains: index 0 = initiator, 1 = responder.
 	chains [2]core.PeerChains
 
-	// Buffered exchanges per signing direction, and the evicted ones
+	// Buffered exchanges per signing direction, with the evicted ones
 	// waiting to be reused, slabs and all.
-	dirs [2]dirState
-	free []*exchange
+	dirs [2]table.Table[uint32, exchange, *exchange]
 
 	bucket  tokenBucket
 	s1Limit int
-}
-
-type dirState struct {
-	rx    map[uint32]*exchange
-	order fifo.Ring[uint32] // buffered sequence numbers, oldest first
 }
 
 // exchange is the relay's buffered state for one signature exchange: the
 // S1's pre-signatures plus, once the A1 passes by, its pre-(n)ack material.
 // This is exactly the "Relay" column of Tables 2 and 3. The kernel copies
 // every byte field into the slab, which take sizes when the S1 arrives and
-// which goes back to the flow's free list with the exchange.
+// which is reused with the exchange. Config.MaxExchanges says when it is
+// complete.
 type exchange struct {
+	table.Entry[uint32, exchange]
 	core.Presig
 	core.AckPresig
-	slab []byte
+	slab     []byte
+	reliable bool
 }
 
 // BufferedBytes sums pre-signature buffer usage across all flows, for the
 // Table 2/3 reproduction.
 func (r *Relay) BufferedBytes() (preSig, ack int) {
-	for _, f := range r.flows {
+	for f := r.flows.First(); f != nil; f = r.flows.Next(f) {
 		for d := range f.dirs {
-			for _, x := range f.dirs[d].rx {
+			for x := f.dirs[d].First(); x != nil; x = f.dirs[d].Next(x) {
 				preSig += x.SigBytes()
 				ack += x.AckBytes()
 			}
@@ -315,7 +317,7 @@ func (r *Relay) BufferedBytes() (preSig, ack int) {
 // Seed installs a flow from provisioned anchors (§3.4's static
 // bootstrapping: "base stations can provide nodes with pair-wise anchors"),
 // so the relay verifies an association whose handshake it never saw — there
-// was none.
+// was none. A flow the relay already holds is re-anchored in place.
 func (r *Relay) Seed(st suite.Suite, anchors core.AnchorSet) error {
 	initiator, err := core.NewPeerChains(st, anchors.InitSig, anchors.InitAck)
 	if err != nil {
@@ -325,25 +327,23 @@ func (r *Relay) Seed(st suite.Suite, anchors core.AnchorSet) error {
 	if err != nil {
 		return err
 	}
-	r.newFlow(anchors.Assoc, st).chains = [2]core.PeerChains{initiator, responder}
+	f, ok := r.flows.Get(anchors.Assoc)
+	if !ok {
+		f = r.newFlow(anchors.Assoc, st)
+	}
+	f.st, f.chains = st, [2]core.PeerChains{initiator, responder}
 	return nil
 }
 
-// newFlow installs a fresh flow, evicting the oldest one when the table is
-// full.
+// newFlow installs a fresh flow. Past MaxFlows the oldest flow goes, with
+// its exchanges.
 func (r *Relay) newFlow(assoc uint64, st suite.Suite) *flow {
-	if old, evicted := r.order.Push(assoc, r.cfg.MaxFlows); evicted {
-		delete(r.flows, old)
-	}
 	f := &flow{
-		assoc:   assoc,
 		st:      st,
 		bucket:  tokenBucket{rate: r.cfg.S1Rate, burst: r.cfg.S1Burst},
 		s1Limit: r.cfg.InitialS1Limit,
 	}
-	f.dirs[0].rx = make(map[uint32]*exchange)
-	f.dirs[1].rx = make(map[uint32]*exchange)
-	r.flows[assoc] = f
+	r.flows.Insert(assoc, f, r.cfg.MaxFlows)
 	return f
 }
 
@@ -558,7 +558,7 @@ func (r *Relay) processHandshake(hdr packet.Header, hs *packet.Handshake) Decisi
 	if r.cfg.RequireProtected && hs.Scheme == 0 {
 		return r.drop(hdr, telemetry.ReasonBadHandshake, fmt.Errorf("%w: unsigned anchors", core.ErrBadHandshake))
 	}
-	f, ok := r.flows[hdr.Assoc]
+	f, ok := r.flows.Get(hdr.Assoc)
 	if !ok {
 		f = r.newFlow(hdr.Assoc, st)
 	}
@@ -575,7 +575,7 @@ func (r *Relay) processHandshake(hdr packet.Header, hs *packet.Handshake) Decisi
 // whether it is meaningful): a pointer here would force a heap allocation
 // per unknown-association packet, which is exactly the flood path.
 func (r *Relay) lookup(hdr packet.Header) (f *flow, early Decision, decided bool) {
-	f, ok := r.flows[hdr.Assoc]
+	f, ok := r.flows.Get(hdr.Assoc)
 	if ok && f.chains[dirIndex(hdr)].Known() {
 		return f, Decision{}, false
 	}
@@ -587,14 +587,14 @@ func (r *Relay) lookup(hdr packet.Header) (f *flow, early Decision, decided bool
 }
 
 // take gives an S1 with nsig pre-signatures an exchange to fill: one off
-// the flow's free list, or a new one. Its slab has room for everything
-// Tables 2–3 let the exchange keep: the S1 element and the pre-signatures
-// now, the key, the A1 element and the pre-(n)ack pair or AMT root later.
-func (f *flow) take(nsig int) *exchange {
-	var x *exchange
-	if n := len(f.free); n > 0 {
-		x, f.free = f.free[n-1], f.free[:n-1]
-		*x = exchange{slab: x.slab[:0]}
+// the direction's free list, or a new one. BufferS1 refills its Presig. Its
+// slab has room for everything Tables 2–3 let the exchange keep: the S1
+// element and the pre-signatures now, the key, the A1 element and the
+// pre-(n)ack pair or AMT root later.
+func (f *flow) take(ds *table.Table[uint32, exchange, *exchange], nsig int) *exchange {
+	x := ds.Reuse()
+	if x != nil {
+		*x = exchange{Presig: x.Presig, slab: x.slab[:0]}
 	} else {
 		x = &exchange{} //alpha:alloc-ok first exchanges of a flow; steady state reuses evicted ones
 	}
@@ -604,23 +604,11 @@ func (f *flow) take(nsig int) *exchange {
 	return x
 }
 
-// store opens exchange x under seq and evicts the direction's oldest
-// exchange beyond MaxExchanges to the free list.
-func (r *Relay) store(f *flow, ds *dirState, seq uint32, x *exchange) {
-	if old, evicted := ds.order.Push(seq, r.cfg.MaxExchanges); evicted { //alpha:alloc-ok the ring itself: once per flow and direction
-		if ox, ok := ds.rx[old]; ok {
-			delete(ds.rx, old)
-			f.free = append(f.free, ox)
-		}
-	}
-	ds.rx[seq] = x
-}
-
 // processS1 verifies and buffers a pre-signature announcement.
 //
 //alpha:hotpath
 func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size int) Decision {
-	f, known := r.flows[hdr.Assoc]
+	f, known := r.flows.Get(hdr.Assoc)
 	if !known || !f.chains[dirIndex(hdr)].Known() {
 		// Unknown association: the per-flow bucket below cannot help — an
 		// attacker minting a fresh association ID per packet would mint a
@@ -643,7 +631,7 @@ func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size 
 	}
 	d := dirIndex(hdr)
 	ds := &f.dirs[d]
-	if dup, ok := ds.rx[hdr.Seq]; ok {
+	if dup, ok := ds.Get(hdr.Seq); ok {
 		// Retransmitted S1: already buffered, just forward.
 		r.noteSpan(dup)
 		return r.forward(hdr)
@@ -653,12 +641,15 @@ func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size 
 	}
 	r.spanKey, r.spanMode = obs.Key(s1.Auth), uint8(s1.Mode)
 	// The parser empties both lists, so an M-mode S1 (one root) counts 0.
-	x := f.take(max(len(s1.MACs)+len(s1.Roots), 1)) //alpha:alloc-ok first exchanges of a flow; steady state reuses evicted ones
+	x := f.take(ds, max(len(s1.MACs)+len(s1.Roots), 1)) //alpha:alloc-ok first exchanges of a flow; steady state reuses evicted ones
 	if err := x.BufferS1(&x.slab, s1); err != nil {
-		f.free = append(f.free, x)
+		ds.Recycle(x)
 		return r.refuse(hdr, err)
 	}
-	r.store(f, ds, hdr.Seq, x)
+	x.reliable = hdr.Flags&packet.FlagReliable != 0
+	if old := ds.Insert(hdr.Seq, x, r.cfg.MaxExchanges); old != nil {
+		ds.Recycle(old)
+	}
 	return r.forward(hdr)
 }
 
@@ -679,7 +670,7 @@ func (r *Relay) processA1(hdr packet.Header, a1 *packet.A1) Decision {
 	// relay may legitimately have missed that S1 (asymmetric routes,
 	// joining mid-association): the A1 itself is chain-authenticated, so
 	// it is forwarded; only its pre-(n)ack material goes unbuffered.
-	x, ok := f.dirs[1-d].rx[hdr.Seq]
+	x, ok := f.dirs[1-d].Get(hdr.Seq)
 	if !ok {
 		return r.forward(hdr)
 	}
@@ -702,13 +693,16 @@ func (r *Relay) processS2(hdr packet.Header, s2 *packet.S2) Decision {
 		return early //alpha:drop-ok lookup counted the drop when it built the early verdict
 	}
 	d := dirIndex(hdr)
-	x, ok := f.dirs[d].rx[hdr.Seq]
+	x, ok := f.dirs[d].Get(hdr.Seq)
 	if !ok {
 		return r.drop(hdr, telemetry.ReasonUnsolicited, core.ErrUnsolicited)
 	}
 	r.noteSpan(x)
 	if err := x.VerifyS2(f.st, &r.mac, &x.slab, hdr, s2); err != nil {
 		return r.refuse(hdr, err)
+	}
+	if !x.reliable && x.MarkDone(int(s2.MsgIndex)) {
+		f.dirs[d].Complete(x)
 	}
 	r.tracer.Trace(r.tnow, telemetry.TraceS2Verified, hdr.Assoc, hdr.Seq, s2.MsgIndex)
 	dec := r.forward(hdr)
@@ -734,7 +728,7 @@ func (r *Relay) processA2(hdr packet.Header, a2 *packet.A2) Decision {
 		return early //alpha:drop-ok lookup counted the drop when it built the early verdict
 	}
 	d := dirIndex(hdr)
-	x, ok := f.dirs[1-d].rx[hdr.Seq]
+	x, ok := f.dirs[1-d].Get(hdr.Seq)
 	if ok {
 		r.noteSpan(x)
 	}
@@ -746,6 +740,9 @@ func (r *Relay) processA2(hdr packet.Header, a2 *packet.A2) Decision {
 	}
 	if err := x.VerifyA2(f.st, &r.mac, x.Batch(), a2); err != nil {
 		return r.refuse(hdr, err)
+	}
+	if a2.Ack && x.MarkDone(int(a2.MsgIndex)) {
+		f.dirs[1-d].Complete(x)
 	}
 	dec := r.forward(hdr)
 	dec.AckSeen = true

@@ -263,7 +263,7 @@ func TestRelayAdaptiveS1LimitGrowsWithGoodBehavior(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.send([]byte("well-behaved"))
 	}
-	f := p.r.flows[p.a.Assoc()]
+	f, _ := p.r.flows.Get(p.a.Assoc())
 	if f.s1Limit <= 256 {
 		t.Fatalf("S1 limit did not grow: %d", f.s1Limit)
 	}
@@ -356,20 +356,57 @@ func TestRelayFlowEviction(t *testing.T) {
 }
 
 func TestRelayExchangeEviction(t *testing.T) {
-	rc := Config{MaxExchanges: 2}
-	p := newPair(t, core.Config{Mode: packet.ModeBase, ChainLen: 256, FlushDelay: -1, MaxOutstanding: 8}, rc)
-	// Push 4 S1s without completing the exchanges.
-	for i := 0; i < 4; i++ {
-		if _, err := p.a.Send(p.Now, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		p.a.Flush(p.Now)
-		for _, raw := range p.upTo(packet.TypeS1) {
-			p.r.Process(p.Now, raw)
-		}
-	}
-	f := p.r.flows[p.a.Assoc()]
-	if got := len(f.dirs[0].rx); got != 2 {
-		t.Fatalf("relay retains %d exchanges, want 2", got)
+	cfg := core.Config{Mode: packet.ModeBase, ChainLen: 256, FlushDelay: -1, MaxOutstanding: 8}
+	for _, row := range []struct {
+		name string
+		// first is the packet type held back from the first exchange; a
+		// held S1 is shown to the relay alone. later is the same for the
+		// three exchanges after it, which complete if it is TypeInvalid.
+		first, later packet.Type
+		firstKept    bool
+	}{
+		{"incomplete exchanges go oldest first", packet.TypeS1, packet.TypeS1, false},
+		{"an incomplete exchange outlives newer complete ones", packet.TypeS2, packet.TypeInvalid, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			p := newPair(t, cfg, Config{MaxExchanges: 2})
+			open := func(typ packet.Type) [][]byte {
+				if _, err := p.a.Send(p.Now, []byte("x")); err != nil {
+					t.Fatal(err)
+				}
+				p.a.Flush(p.Now)
+				held := p.upTo(typ)
+				if typ == packet.TypeS1 {
+					for _, raw := range held {
+						p.r.Process(p.Now, raw)
+					}
+				}
+				return held
+			}
+			first := open(row.first)
+			for i := 0; i < 3; i++ {
+				if row.later != packet.TypeInvalid {
+					open(row.later)
+				} else {
+					p.send([]byte{byte(i)})
+				}
+			}
+			f, _ := p.r.flows.Get(p.a.Assoc())
+			if got := f.dirs[0].Len(); got != 2 {
+				t.Fatalf("relay retains %d exchanges, want 2", got)
+			}
+			hdr, _, err := packet.Decode(first[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, kept := f.dirs[0].Get(hdr.Seq); kept != row.firstKept {
+				t.Fatalf("first exchange kept: %v, want %v", kept, row.firstKept)
+			}
+			if row.firstKept {
+				if d := p.r.Process(p.Now, first[0]); d.Verdict != Forward {
+					t.Fatalf("the held S2 was dropped: %v", d.Reason)
+				}
+			}
+		})
 	}
 }

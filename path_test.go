@@ -1,6 +1,7 @@
 package alpha
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"alpha/internal/packet"
 	"alpha/internal/path"
 	"alpha/internal/relay"
+	"alpha/internal/telemetry"
 )
 
 // lineWorkload is one of the ledger's data workloads (bench/workloads.go)
@@ -155,5 +157,85 @@ func BenchmarkPath(b *testing.B) {
 			runtime.ReadMemStats(&ms)
 			b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(exchanges*n), "allocs/msg")
 		})
+	}
+}
+
+// TestLostS2UnderLoad pins §3.2.2's promise under a full exchange table: a
+// reliable S2 lost once is retransmitted and delivered although more than
+// MaxRxExchanges (and a relay's MaxExchanges) newer exchanges completed
+// while it was missing. Every hop keeps the incomplete exchange and evicts
+// completed ones first. The S2 is lost either as it leaves the signer, or
+// on the last link, after every relay verified it: a relay holds an
+// exchange of a reliable association until it sees the verifier's ack, not
+// merely the S2.
+func TestLostS2UnderLoad(t *testing.T) {
+	const exchanges = 200
+	shapes := []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"base", core.Config{Mode: packet.ModeBase, Reliable: true}},
+		{"C-16", core.Config{Mode: packet.ModeC, BatchSize: 16, Reliable: true}},
+		{"M-64", core.Config{Mode: packet.ModeM, BatchSize: 64, Reliable: true}},
+	}
+	for _, sh := range shapes {
+		for relays := 0; relays <= 2; relays++ {
+			links := []int{0}
+			if relays > 0 {
+				links = append(links, relays) // the last link
+			}
+			for _, at := range links {
+				t.Run(fmt.Sprintf("%s/relays=%d/link=%d", sh.name, relays, at), func(t *testing.T) {
+					t.Parallel()
+					cfg := sh.cfg
+					cfg.ChainLen = 2*exchanges + 64
+					hops := make([]*relay.Relay, relays)
+					for i := range hops {
+						hops[i] = relay.New(relay.Config{})
+					}
+					signer, verifier := endpoint(t, cfg), endpoint(t, cfg)
+					l := newLine(t, signer, verifier, hops...)
+					lost := false
+					l.Tap = func(from path.Side, link int, raw []byte) [][]byte {
+						if !lost && from == path.A && link == at && packet.Type(raw[3]) == packet.TypeS2 {
+							lost = true
+							return nil
+						}
+						return [][]byte{raw}
+					}
+					n := max(cfg.BatchSize, 1)
+					payload := make([]byte, 64)
+					for i := 0; i < exchanges*n; i++ {
+						if _, err := signer.Send(l.Now, payload); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Every other exchange completes at once; the one that
+					// lost its S2 waits for the retransmission timer.
+					if err := l.Settle(1 << 14); err != nil {
+						t.Fatal(err)
+					}
+					for end := l.Now.Add(30 * time.Second); l.Now.Before(end); {
+						if err := l.Run(1<<14, 10*time.Millisecond); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if want := exchanges * n; l.delivered != want || l.acked != want {
+						t.Errorf("delivered %d and acked %d of %d messages", l.delivered, l.acked, want)
+					}
+					if got := signer.Stats().Retransmits; got != 1 {
+						t.Errorf("signer retransmitted %d times, want 1", got)
+					}
+					if got := verifier.Telemetry().DropReasons[telemetry.ReasonUnsolicited].Load(); got != 0 {
+						t.Errorf("verifier dropped %d S2s as unsolicited", got)
+					}
+					for i, r := range hops {
+						if got := r.Stats().Unsolicited; got != 0 {
+							t.Errorf("relay %d dropped %d S2s as unsolicited", i, got)
+						}
+					}
+				})
+			}
+		}
 	}
 }

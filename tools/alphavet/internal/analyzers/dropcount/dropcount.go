@@ -12,7 +12,11 @@
 //
 // Coverage is resolved transitively through module-local calls, so verdict
 // helpers (drop, forward, NoteDrop) satisfy the contract as long as they
-// reach a telemetry.Counter Inc/Add somewhere. Straight-line returns — the
+// reach a telemetry.Counter Inc/Add somewhere. The analyzer reads the
+// declarations of the packages the analyzed ones import (vet.Analyzer.Deps),
+// so a run scoped to one package resolves a helper declared in another; a
+// callee whose body it cannot see (an interface method, a function value)
+// does not count. Straight-line returns — the
 // final statement of the function or of a switch/select case — are normal
 // result paths, not discards, and are exempt.
 //
@@ -34,6 +38,7 @@ var Analyzer = &vet.Analyzer{
 	Name:      "dropcount",
 	Doc:       "conditional exits in //alpha:hotpath packet functions must increment a telemetry counter",
 	RunModule: runModule,
+	Deps:      true,
 }
 
 // funcKey identifies a function declaration across packages by stable
@@ -73,7 +78,7 @@ func runModule(passes []*vet.Pass) error {
 				}
 				key := keyOf(fn)
 				c.decls[key] = declInfo{pass, fd}
-				if vet.FuncDirective(fd, "hotpath") && handlesPackets(fn) {
+				if !pass.Pkg.DepOnly && vet.FuncDirective(fd, "hotpath") && handlesPackets(fn) {
 					roots = append(roots, key)
 				}
 			}

@@ -29,6 +29,10 @@ type Package struct {
 	Syntax []*ast.File
 	Types  *types.Package
 	Info   *types.Info
+	// DepOnly marks a package the patterns did not match but a matched
+	// one imports, from outside the standard library: it is loaded for
+	// its declarations, and nothing in it is reported.
+	DepOnly bool
 }
 
 // listPackage mirrors the subset of `go list -json` fields the loader needs.
@@ -66,6 +70,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // Target packages parse and type-check concurrently (bounded by Jobs):
 // every dependency — including in-module ones — imports from export data,
 // so no target depends on another target's type-checking having finished.
+// The non-standard dependencies of the targets are type-checked from source
+// the same way and returned too, marked DepOnly, so an analysis that follows
+// calls (Analyzer.Deps) sees their bodies when the patterns name one package.
 func LoadConfig(cfg Config, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -103,7 +110,7 @@ func LoadConfig(cfg Config, patterns ...string) ([]*Package, error) {
 		if lp.Export != "" {
 			exportData[lp.ImportPath] = lp.Export
 		}
-		if !lp.DepOnly && !lp.Standard {
+		if !lp.Standard {
 			targets = append(targets, lp)
 		}
 	}
@@ -183,13 +190,14 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp *listPackage) (*Packa
 		return nil, fmt.Errorf("typecheck %s: %v", lp.ImportPath, err)
 	}
 	return &Package{
-		Path:   lp.ImportPath,
-		Dir:    lp.Dir,
-		Name:   lp.Name,
-		Fset:   fset,
-		Syntax: files,
-		Types:  tpkg,
-		Info:   info,
+		Path:    lp.ImportPath,
+		Dir:     lp.Dir,
+		Name:    lp.Name,
+		Fset:    fset,
+		Syntax:  files,
+		Types:   tpkg,
+		Info:    info,
+		DepOnly: lp.DepOnly,
 	}, nil
 }
 

@@ -32,6 +32,10 @@ type Analyzer struct {
 	// RunModule analyzes all loaded target packages at once. Passes arrive
 	// sorted by import path.
 	RunModule func([]*Pass) error
+	// Deps adds to RunModule's passes one for each loaded DepOnly package
+	// (Pass.Pkg.DepOnly): the analyzer may read its declarations and must
+	// report nothing in it.
+	Deps bool
 }
 
 // Pass carries one package's worth of analysis input and collects
@@ -205,6 +209,9 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 		start := time.Now()
 		var passes []*Pass
 		for _, pkg := range pkgs {
+			if pkg.DepOnly && (a.RunModule == nil || !a.Deps) {
+				continue
+			}
 			passes = append(passes, &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,

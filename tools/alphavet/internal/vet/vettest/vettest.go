@@ -41,15 +41,16 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the fixture module at dir, applies the analyzer, and reports any
-// mismatch between diagnostics and want comments as test errors.
-func Run(t *testing.T, dir string, a *vet.Analyzer) {
+// Run loads the packages of the fixture module at dir that patterns match
+// (./... if none), with their dependencies, applies the analyzer, and
+// reports any mismatch between diagnostics and want comments as test errors.
+func Run(t *testing.T, dir string, a *vet.Analyzer, patterns ...string) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := vet.Load(abs, "./...")
+	pkgs, err := vet.Load(abs, patterns...)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
