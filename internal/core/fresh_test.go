@@ -33,12 +33,13 @@ var freshShapes = []struct {
 // exchanges, when buffers started empty and grew by append, and before both
 // ends kept their exchanges in one table: the responder's eviction ring, the
 // initiator's order and snapshot lists, and either end's slice of per-message
-// marks are gone.
+// marks are gone. The third M-64 figure is before each end kept a
+// verified-path memo: one allocation, at its first batched check.
 var freshAllocs = map[string][2][2]uint64{
 	// {handed back, kept}, and in the comment the same before each change
 	"base-2": {{18, 16}, {21, 20}},   // {{50, 42}, {50, 45}}, {{22, 17}, {23, 21}}
 	"C-16":   {{31, 28}, {32, 45}},   // {{89, 50}, {85, 67}}, {{35, 30}, {35, 47}}
-	"M-64":   {{83, 82}, {148, 148}}, // {{152, 112}, {210, 178}}, {{87, 84}, {151, 150}}
+	"M-64":   {{84, 83}, {149, 149}}, // {{152, 112}, {210, 178}}, {{87, 84}, {151, 150}}, {{83, 82}, {148, 148}}
 }
 
 // meteredEnd charges every allocation its endpoint makes to one counter.

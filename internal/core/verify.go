@@ -134,6 +134,49 @@ type MACScratch struct {
 	pos    [16]byte
 	parts  [2][]byte
 	macOut []byte
+	// msgs and acks are the hop's verified-path memos: the last S2 proof
+	// it accepted in modes M and CM, and the last AMT opening with the A2
+	// key linked before it. Each is made at the hop's first batched check
+	// of its kind, so a hop that never runs one does not pay for it.
+	msgs *merkle.Memo
+	acks *ackMemo
+}
+
+// ackMemo is a hop's memo of AMT openings and of the last A2 key it linked
+// to an A1 element. An AMT exchange's A2s all disclose the same key, so
+// the rest of a burst compares it instead of hashing, as Presig.key does
+// for S2s.
+type ackMemo struct {
+	merkle.Memo
+	linkIdx           uint32
+	linkSize          int // 0 until a key is linked
+	linkAuth, linkKey [suite.MaxSize]byte
+}
+
+// msgMemo returns the hop's memo for the proofs of an n-leaf tree, nil if
+// the tree is a single leaf and has no path to remember. It and ackMemo
+// stay out of line so that escape analysis reports their one allocation
+// here and not in every hot path they would be inlined into.
+//
+//go:noinline
+func (sc *MACScratch) msgMemo(n int) *merkle.Memo {
+	if n < 2 {
+		return nil
+	}
+	if sc.msgs == nil {
+		sc.msgs = new(merkle.Memo) //alpha:alloc-ok the hop's verified-path memo, made once
+	}
+	return sc.msgs
+}
+
+// ackMemo returns the hop's memo for AMT openings.
+//
+//go:noinline
+func (sc *MACScratch) ackMemo() *ackMemo {
+	if sc.acks == nil {
+		sc.acks = new(ackMemo) //alpha:alloc-ok the hop's verified-path memo, made once
+	}
+	return sc.acks
 }
 
 // input returns MACInput(assoc, seq, idx, payload) as the parts MACInto
@@ -302,12 +345,12 @@ func (p *Presig) verifyPayload(st suite.Suite, sc *MACScratch, hdr packet.Header
 		return suite.Equal(p.sig(i), sc.macOut)
 	case packet.ModeM:
 		return int(s2.LeafCount) == p.leafCount &&
-			merkle.Verify(st, s2.Key, p.presig, MerkleLeafInput(s2.Payload), i, p.leafCount, s2.Proof)
+			sc.msgMemo(p.leafCount).Verify(st, s2.Key, p.presig, MerkleLeafInput(s2.Payload), i, p.leafCount, s2.Proof)
 	case packet.ModeCM:
 		roots := len(p.presig) / len(p.auth)
 		root, leaf, leaves, ok := CMLocate(i, p.leafCount, roots)
 		return int(s2.LeafCount) == p.leafCount && ok && root < roots &&
-			merkle.Verify(st, s2.Key, p.sig(root), MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
+			sc.msgMemo(leaves).Verify(st, s2.Key, p.sig(root), MerkleLeafInput(s2.Payload), leaf, leaves, s2.Proof)
 	}
 	return false
 }
@@ -358,7 +401,8 @@ var (
 // VerifyA2 checks an acknowledgment opening of an n-message exchange, in
 // this order: the message index; the key index the A1 announced; the key's
 // link to the A1 element, which like an S2 key's is a bad element when it
-// fails; the opening against the pre-(n)ack pair or the AMT root.
+// fails, and which an AMT exchange's hop remembers; the opening against the
+// pre-(n)ack pair or the AMT root.
 //
 //alpha:hotpath
 func (p *AckPresig) VerifyA2(st suite.Suite, sc *MACScratch, n int, a2 *packet.A2) error {
@@ -367,12 +411,31 @@ func (p *AckPresig) VerifyA2(st suite.Suite, sc *MACScratch, n int, a2 *packet.A
 		return errAckIndex
 	case a2.KeyIdx != p.ackKeyIdx || a2.KeyIdx%2 != 0:
 		return errAckKey
-	case p.ackAuth == nil || !hashchain.VerifyLink(st, hashchain.TagA1, hashchain.TagA2, p.ackAuth, a2.Key, a2.KeyIdx):
+	case p.ackAuth == nil || !p.linkKey(st, sc, a2):
 		return ErrBadAuthElement
 	case !p.verifyOpening(st, sc, a2):
 		return ErrBadAck
 	}
 	return nil
+}
+
+func (p *AckPresig) linkKey(st suite.Suite, sc *MACScratch, a2 *packet.A2) bool {
+	if p.amtRoot == nil {
+		return hashchain.VerifyLink(st, hashchain.TagA1, hashchain.TagA2, p.ackAuth, a2.Key, a2.KeyIdx)
+	}
+	m, h := sc.ackMemo(), len(p.ackAuth)
+	if m.linkSize == h && m.linkIdx == a2.KeyIdx && suite.Equal(m.linkAuth[:h], p.ackAuth) && suite.Equal(m.linkKey[:h], a2.Key) {
+		return true
+	}
+	if !hashchain.VerifyLink(st, hashchain.TagA1, hashchain.TagA2, p.ackAuth, a2.Key, a2.KeyIdx) {
+		return false
+	}
+	if len(a2.Key) == h {
+		m.linkSize, m.linkIdx = h, a2.KeyIdx
+		copy(m.linkAuth[:], p.ackAuth)
+		copy(m.linkKey[:], a2.Key)
+	}
+	return true
 }
 
 func (p *AckPresig) verifyOpening(st suite.Suite, sc *MACScratch, a2 *packet.A2) bool {
@@ -386,7 +449,7 @@ func (p *AckPresig) verifyOpening(st suite.Suite, sc *MACScratch, a2 *packet.A2)
 		return suite.Equal(p.preNack, sc.macOut)
 	case p.amtRoot != nil:
 		o := merkle.Opening{Index: a2.MsgIndex, Ack: a2.Ack, Secret: a2.Secret, Proof: a2.Proof, Other: a2.Other}
-		return merkle.VerifyOpening(st, a2.Key, p.amtRoot, p.amtLeaves, &o)
+		return sc.ackMemo().VerifyOpening(st, a2.Key, p.amtRoot, p.amtLeaves, &o)
 	}
 	return false
 }

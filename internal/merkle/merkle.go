@@ -15,6 +15,10 @@
 // complementary branches {Bc} — the sibling of every node on the path from
 // the leaf to the root — making every packet independently verifiable with
 // ⌈log2 n⌉ fixed-length hash operations and O(1) buffered state on relays.
+// A hop that keeps a Memo hashes a proof only up to where its path meets the
+// last path it verified, so a burst sent in leaf order costs it about one
+// fixed-length hash per packet, and a packet of another tree the full
+// ⌈log2 n⌉.
 //
 // All hashing is domain-separated: leaves, internal nodes and roots use
 // distinct prefixes so that no tree node can be replayed in another role.
@@ -39,8 +43,11 @@ var (
 
 // MaxLeaves bounds tree size; 2^20 leaves is far beyond the paper's largest
 // evaluated configuration (1024, Table 6) and bounds what one tree's storage
-// can grow to.
-const MaxLeaves = 1 << 20
+// can grow to, and maxDepth what a Memo holds.
+const (
+	maxDepth  = 20
+	MaxLeaves = 1 << maxDepth
+)
 
 // Errors of Build and the proof accessors, built once: a tree rebuilt per
 // batch must not allocate to say why it could not be.
@@ -206,66 +213,6 @@ func (t *Tree) AppendProof(dst [][]byte, j int) ([][]byte, error) {
 	return dst, nil
 }
 
-// Verify checks a message against a keyed root: it recomputes the path from
-// m's leaf digest through the complementary branches to the root, unlocking
-// the root with the disclosed chain element key. n is the batch's real leaf
-// count (needed to derive the padded depth). Verification is allocation-free:
-// intermediate digests live in pooled scratch.
-//
-//alpha:hotpath
-func Verify(s suite.Suite, key, root []byte, m []byte, j, n int, proof [][]byte) bool {
-	sc := suite.GetScratch()
-	sc.Parts[0], sc.Parts[1] = tagLeaf, m
-	sc.Buf = s.HashInto(sc.Buf, sc.Parts[:2]...)
-	ok := VerifyLeaf(s, key, root, sc.Buf, j, n, proof)
-	suite.PutScratch(sc)
-	return ok
-}
-
-// VerifyLeaf is Verify for a precomputed leaf digest.
-//
-//alpha:hotpath
-func VerifyLeaf(s suite.Suite, key, root []byte, leaf []byte, j, n int, proof [][]byte) bool {
-	if j < 0 || j >= n || n < 1 || n > MaxLeaves {
-		return false
-	}
-	depth := Depth(n)
-	if len(proof) != depth {
-		return false
-	}
-	sc := suite.GetScratch()
-	defer suite.PutScratch(sc)
-	if depth == 0 {
-		sc.Parts[0], sc.Parts[1], sc.Parts[2] = tagRoot, key, leaf
-		sc.Buf = s.HashInto(sc.Buf, sc.Parts[:3]...)
-		return suite.Equal(root, sc.Buf)
-	}
-	cur := leaf
-	idx := j
-	// Combine up to (but not including) the final level: the last sibling
-	// pair feeds the keyed root computation directly. HashInto consumes
-	// inputs before appending, so cur may keep pointing at sc.Buf.
-	for d := 0; d < depth-1; d++ {
-		sc.Parts[0] = tagNode
-		if idx&1 == 0 {
-			sc.Parts[1], sc.Parts[2] = cur, proof[d]
-		} else {
-			sc.Parts[1], sc.Parts[2] = proof[d], cur
-		}
-		sc.Buf = s.HashInto(sc.Buf[:0], sc.Parts[:3]...)
-		cur = sc.Buf
-		idx >>= 1
-	}
-	sc.Parts[0], sc.Parts[1] = tagRoot, key
-	if idx&1 == 0 {
-		sc.Parts[2], sc.Parts[3] = cur, proof[depth-1]
-	} else {
-		sc.Parts[2], sc.Parts[3] = proof[depth-1], cur
-	}
-	sc.Buf = s.HashInto(sc.Buf[:0], sc.Parts[:4]...)
-	return suite.Equal(root, sc.Buf)
-}
-
 // AMT domain-separation prefixes (Fig. 7).
 var (
 	tagAckLeaf = []byte("ALPHA-AMT-leaf")
@@ -402,72 +349,4 @@ func (t *AckTree) OpenInto(o *Opening, j int, ack bool) error {
 		Other:  other.Root(),
 	}
 	return nil
-}
-
-// VerifyOpening checks a disclosed (n)ack against a buffered AMT root, using
-// the by-now-disclosed acknowledgment-chain element key. n is the message
-// count of the batch. Like Verify, it does not allocate.
-//
-//alpha:hotpath
-func VerifyOpening(s suite.Suite, key, root []byte, n int, o *Opening) bool {
-	if o == nil || int(o.Index) >= n || n < 1 {
-		return false
-	}
-	sc := suite.GetScratch()
-	defer suite.PutScratch(sc)
-	binary.BigEndian.PutUint32(sc.Tmp[:4], o.Index)
-	sc.Parts[0], sc.Parts[1], sc.Parts[2] = tagAckLeaf, sc.Tmp[:4], o.Secret
-	sc.Buf = s.HashInto(sc.Buf, sc.Parts[:3]...)
-	// Recompute the subtree root from the opening. The subtrees are
-	// unkeyed, so we recompute against a synthetic root, then absorb it
-	// into the combined keyed root; all chaining values stay in sc.Buf.
-	subRoot := subtreeRoot(s, sc, sc.Buf, int(o.Index), n, o.Proof)
-	if subRoot == nil {
-		return false
-	}
-	sc.Parts[0], sc.Parts[3] = tagAckRoot, key
-	if o.Ack {
-		sc.Parts[1], sc.Parts[2] = subRoot, o.Other
-	} else {
-		sc.Parts[1], sc.Parts[2] = o.Other, subRoot
-	}
-	sc.Buf = s.HashInto(sc.Buf[:0], sc.Parts[:4]...)
-	return suite.Equal(root, sc.Buf)
-}
-
-// subtreeRoot recomputes an unkeyed subtree root from a leaf and its proof,
-// returning nil on malformed input. Unkeyed trees still finish with the
-// keyed-root step (key = nil), mirroring New with a nil key. The result
-// lives in sc.Buf; leaf may already point there.
-func subtreeRoot(s suite.Suite, sc *suite.Scratch, leaf []byte, j, n int, proof [][]byte) []byte {
-	depth := Depth(n)
-	if j < 0 || j >= n || len(proof) != depth {
-		return nil
-	}
-	if depth == 0 {
-		sc.Parts[0], sc.Parts[1], sc.Parts[2] = tagRoot, nil, leaf
-		sc.Buf = s.HashInto(sc.Buf[:0], sc.Parts[:3]...)
-		return sc.Buf
-	}
-	cur := leaf
-	idx := j
-	for d := 0; d < depth-1; d++ {
-		sc.Parts[0] = tagNode
-		if idx&1 == 0 {
-			sc.Parts[1], sc.Parts[2] = cur, proof[d]
-		} else {
-			sc.Parts[1], sc.Parts[2] = proof[d], cur
-		}
-		sc.Buf = s.HashInto(sc.Buf[:0], sc.Parts[:3]...)
-		cur = sc.Buf
-		idx >>= 1
-	}
-	sc.Parts[0], sc.Parts[1] = tagRoot, nil
-	if idx&1 == 0 {
-		sc.Parts[2], sc.Parts[3] = cur, proof[depth-1]
-	} else {
-		sc.Parts[2], sc.Parts[3] = proof[depth-1], cur
-	}
-	sc.Buf = s.HashInto(sc.Buf[:0], sc.Parts[:4]...)
-	return sc.Buf
 }

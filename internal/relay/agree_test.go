@@ -136,6 +136,21 @@ func TestRelayAgreesWithEndpoint(t *testing.T) {
 					agree(fmt.Sprintf("honest S2 %d/%d", x, i), Forward, 0, p.b, raw)
 				}
 			}
+			// The last honest S2 left both verified-path memos on its path,
+			// and a refused packet does not move them: each row below meets
+			// that path at the leaf level, on the delivered sibling (so the
+			// verifier owes it no nack), and must fail on what the memo
+			// compares instead of hashing.
+			if merkleMode {
+				var foreign []byte
+				mutate(t, first[0], func(_ *packet.Header, s *packet.S2) { foreign = s.Key })
+				for _, row := range []s2Row{
+					{"S2 proof digest above the meeting level, warm memo", true, func(_ *packet.Header, s *packet.S2) { s.Proof[len(s.Proof)-1][0] ^= 1 }},
+					{"S2 key of another exchange, warm memo", true, func(_ *packet.Header, s *packet.S2) { s.Key = foreign }},
+				} {
+					agree(row.name, Drop, 0, p.b, mutate(t, second[n-2], row.edit))
+				}
+			}
 
 			a2s, _ := p.b.Poll(p.Now)
 			if len(a2s) != 2*n {
@@ -157,9 +172,24 @@ func TestRelayAgreesWithEndpoint(t *testing.T) {
 					agree(row.name, Drop, 1, p.a, mutate(t, a2s[0], row.edit))
 				}
 			}
-			for i, raw := range a2s {
+			last := len(a2s) - 1
+			for i, raw := range a2s[:last] {
 				agree(fmt.Sprintf("honest A2 %d", i), Forward, 1, p.a, raw)
 			}
+			// As for the S2s: the memos hold the path of the ack before the
+			// last, and the last is tampered with where the memo compares.
+			if n > 1 {
+				var foreign []byte
+				mutate(t, a2s[0], func(_ *packet.Header, a *packet.A2) { foreign = a.Key })
+				for _, row := range []a2Row{
+					{"A2 AMT proof above the meeting level, warm memo", true, func(_ *packet.Header, a *packet.A2) { a.Proof[len(a.Proof)-1][0] ^= 1 }},
+					{"A2 other subtree root, warm memo", true, func(_ *packet.Header, a *packet.A2) { a.Other[0] ^= 1 }},
+					{"A2 key of another exchange, warm memo", true, func(_ *packet.Header, a *packet.A2) { a.Key = foreign }},
+				} {
+					agree(row.name, Drop, 1, p.a, mutate(t, a2s[last], row.edit))
+				}
+			}
+			agree(fmt.Sprintf("honest A2 %d", last), Forward, 1, p.a, a2s[last])
 			if st := p.a.Stats(); st.Acked != uint64(2*n) {
 				t.Fatalf("signer acked %d of %d messages", st.Acked, 2*n)
 			}
