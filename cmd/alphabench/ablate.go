@@ -175,7 +175,8 @@ func measureMode(mode packet.Mode, n, size int) (buf int, cpu time.Duration, wir
 	var s2s [][]byte
 	d.Tap = func(_ path.Side, _ int, raw []byte) [][]byte {
 		wire += len(raw)
-		switch packet.Type(raw[3]) {
+		hdr, _ := packet.PeekHeader(raw) // undecodable: TypeInvalid, no case
+		switch hdr.Type {
 		case packet.TypeA1:
 			// Verifier-side buffer at its peak (pre-signatures buffered).
 			buf, _ = d.b.RxBufferedBytes()

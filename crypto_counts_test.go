@@ -66,11 +66,11 @@ func TestCryptoCallsPerMessage(t *testing.T) {
 		},
 		{
 			w: workloadNamed("merkle_m64_rel"), model: analytic.ALPHAM,
-			signer: perNode{4 + 3.0/64, 0}, relay: perNode{4 + 5.0/64, 0}, verifier: perNode{6 + 3.0/64, 0},
+			signer: perNode{4 + 2.0/64, 0}, relay: perNode{4 + 5.0/64, 0}, verifier: perNode{6 + 1.0/64, 0},
 			why: [3]string{
-				"the tree costs 2 hashes per message where the model has 3-1/n; an A2 is hashed only up to where its path meets the last one verified, so 64 openings in order cost 128 hashes, 2 per message where the model has 2+log2 n; per exchange the A2 key is linked once and the A1 walker takes 2 steps (+3/64, model 1/64)",
+				"the tree costs 127 hashes per 64 messages, its top node never computed, where the model has 3-1/n per message; an A2 is hashed only up to where its path meets the last one verified, so 64 openings in order cost 128 hashes, 2 per message where the model has 2+log2 n; per exchange the A2 key is linked once and the A1 walker takes 2 steps (+3/64, model 1/64)",
 				"S2s and A2s are hashed only up to where their paths meet the last ones verified: 64 of each in order cost 127 and 128 hashes where the model has 1+log2 n and 2+log2 n per message; per exchange the S1 and A1 walkers take 2 steps each and the S2 and A2 keys are linked once each (+6/64, model 1/64)",
-				"an S2 is hashed only up to where its path meets the last one verified: 64 in order cost 127 hashes where the model has 1+log2 n per message; the AMT costs 257 hashes per 64 where the model has 4-1/n; per exchange the S1 walker takes 2 steps and the S2 key is linked once (+3/64, model 1/64)",
+				"an S2 is hashed only up to where its path meets the last one verified: 64 in order cost 127 hashes where the model has 1+log2 n per message; the AMT costs 255 hashes per 64, its two trees' top nodes never computed, where the model has 4-1/n; per exchange the S1 walker takes 2 steps and the S2 key is linked once (+3/64, model 1/64)",
 			},
 		},
 	} {

@@ -83,6 +83,9 @@ type Endpoint struct {
 	firstEvents [1]Event
 	chainLow    bool
 	nonce       []byte
+	// peerNonce is the head of the nonce of the peer handshake this
+	// endpoint adopted, what tells a duplicate of it from a forgery.
+	peerNonce uint64
 
 	// Pre-admitted peer anchors: installed by the transport when an
 	// admission token bound the initiator's anchors, letting adoptPeer
@@ -631,7 +634,7 @@ func (e *Endpoint) handleHandshake(now time.Time, hdr packet.Header, hs *packet.
 		if e.established {
 			// Duplicate HS1: retransmit our HS2 so a lost response
 			// does not deadlock the initiator.
-			if hdr.Assoc == e.assoc && e.hsPacket != nil {
+			if e.duplicate(hdr, hs) && e.hsPacket != nil {
 				e.queueOut(e.hsPacket, nil)
 			}
 			return
@@ -658,7 +661,8 @@ func (e *Endpoint) handleHandshake(now time.Time, hdr packet.Header, hs *packet.
 
 	case hdr.Type == packet.TypeHS2 && e.initiator:
 		if e.established {
-			return // duplicate HS2
+			e.duplicate(hdr, hs)
+			return
 		}
 		if hdr.Assoc != e.assoc {
 			e.drop(0, ErrUnknownAssoc)
@@ -675,6 +679,25 @@ func (e *Endpoint) handleHandshake(now time.Time, hdr packet.Header, hs *packet.
 	default:
 		e.drop(0, fmt.Errorf("%w: unexpected %v", ErrBadHandshake, hdr.Type))
 	}
+}
+
+// errNotAdopted is what a handshake reaching an established endpoint is
+// dropped with when it is not the one the endpoint adopted.
+var errNotAdopted = fmt.Errorf("%w: not the handshake this association adopted", ErrBadHandshake)
+
+// duplicate reports whether a handshake reaching the established endpoint
+// repeats the peer's handshake it adopted, with the same association and
+// the nonce a sender that never saw it cannot know, and drops it otherwise.
+func (e *Endpoint) duplicate(hdr packet.Header, hs *packet.Handshake) bool {
+	switch {
+	case hdr.Assoc != e.assoc:
+		e.drop(0, ErrUnknownAssoc) // another association's handshake
+	case binary.BigEndian.Uint64(hs.Nonce) != e.peerNonce:
+		e.drop(0, errNotAdopted)
+	default:
+		return true
+	}
+	return false
 }
 
 // PreAdmit records anchors an admission token has already authenticated
@@ -716,7 +739,11 @@ func (e *Endpoint) adoptPeer(hdr packet.Header, hs *packet.Handshake) error {
 	case e.cfg.VerifyPeer != nil:
 		return fmt.Errorf("%w: peer did not sign anchors", ErrBadHandshake)
 	}
-	return e.peer.init(e.suite, hs.SigAnchor, hs.AckAnchor)
+	if err := e.peer.init(e.suite, hs.SigAnchor, hs.AckAnchor); err != nil {
+		return err
+	}
+	e.peerNonce = binary.BigEndian.Uint64(hs.Nonce)
+	return nil
 }
 
 // Poll drives timers and flushes batched work. It returns the datagrams to
@@ -830,7 +857,7 @@ func (e *Endpoint) coalesce(raws [][]byte) [][]byte {
 		size = packet.HeaderSize + 1
 	}
 	for _, raw := range raws {
-		if len(raw) >= packet.HeaderSize && (packet.Type(raw[3]) == packet.TypeHS1 || packet.Type(raw[3]) == packet.TypeHS2) {
+		if hdr, err := packet.PeekHeader(raw); err == nil && (hdr.Type == packet.TypeHS1 || hdr.Type == packet.TypeHS2) {
 			flush()
 			result = append(result, raw)
 			continue

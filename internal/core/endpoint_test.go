@@ -422,6 +422,121 @@ func TestWrongAssociationDropped(t *testing.T) {
 	}
 }
 
+// TestEstablishedDropsForeignHandshake: once established, either end drops
+// a handshake of another association, or one of its own association that
+// is not the handshake it adopted, instead of ignoring it, so a transport
+// that follows only accepted datagrams cannot be redirected by one. A
+// duplicate of the association's own handshake is still no drop.
+func TestEstablishedDropsForeignHandshake(t *testing.T) {
+	h := newHarness(t, baseConfig(packet.ModeBase, false))
+	var hs [2][]byte // the HS1 and the HS2 as sent
+	h.mangle = func(raw []byte) []byte {
+		if hdr, err := packet.PeekHeader(raw); err == nil && hdr.Type == packet.TypeHS2 {
+			hs[1] = append([]byte(nil), raw...)
+		}
+		return raw
+	}
+	hs1, err := h.a.StartHandshake(h.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs[0] = append([]byte(nil), hs1...)
+	h.deliver(h.b, hs1)
+	h.run(20)
+	if !h.a.Established() || !h.b.Established() || hs[1] == nil {
+		t.Fatal("handshake did not establish")
+	}
+	for i, to := range []*Endpoint{h.b, h.a} {
+		drops := h.countKind(to, EventDropped)
+		h.deliver(to, hs[i])
+		if got := h.countKind(to, EventDropped); got != drops {
+			t.Fatalf("%v: a duplicate of the association's own handshake was dropped", packet.TypeHS1+packet.Type(i))
+		}
+		hdr, msg, err := packet.Decode(hs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr.Assoc ^= 1
+		raw, err := packet.Encode(hdr, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.deliver(to, raw)
+		evs := h.eventsOf(to)
+		if last := evs[len(evs)-1]; last.Kind != EventDropped || !errors.Is(last.Err, ErrUnknownAssoc) {
+			t.Fatalf("%v of another association: last event %+v, want an unknown-association drop", hdr.Type, last)
+		}
+		hdr.Assoc ^= 1
+		msg.(*packet.Handshake).Nonce[0] ^= 1
+		if raw, err = packet.Encode(hdr, msg); err != nil {
+			t.Fatal(err)
+		}
+		h.deliver(to, raw)
+		evs = h.eventsOf(to)
+		if last := evs[len(evs)-1]; last.Kind != EventDropped || !errors.Is(last.Err, ErrBadHandshake) {
+			t.Fatalf("%v of the association with another nonce: last event %+v, want a bad-handshake drop", hdr.Type, last)
+		}
+	}
+}
+
+// TestDuplicatesCarryTheirElement: a duplicate S1 and a late A1, which the
+// engine answers or ignores without running the exchange again, must still
+// carry the chain element of the original. One with another element is
+// dropped, so a transport that follows only accepted datagrams cannot be
+// redirected by a forgery that knows only the association and sequence.
+func TestDuplicatesCarryTheirElement(t *testing.T) {
+	h := newHarness(t, baseConfig(packet.ModeBase, true))
+	h.handshake()
+	var s1, a1 []byte
+	h.mangle = func(raw []byte) []byte {
+		switch hdr, _ := packet.PeekHeader(raw); hdr.Type {
+		case packet.TypeS1:
+			s1 = append([]byte(nil), raw...)
+		case packet.TypeA1:
+			a1 = append([]byte(nil), raw...)
+		case packet.TypeA2:
+			return nil // the exchange stays open at the signer
+		}
+		return raw
+	}
+	if _, err := h.a.Send(h.now, []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	h.run(20)
+	if h.countKind(h.b, EventDelivered) != 1 || s1 == nil || a1 == nil {
+		t.Fatal("the message was not delivered")
+	}
+	for _, c := range []struct {
+		to  *Endpoint
+		raw []byte
+	}{{h.b, s1}, {h.a, a1}} {
+		drops := h.countKind(c.to, EventDropped)
+		h.deliver(c.to, c.raw)
+		if got := h.countKind(c.to, EventDropped); got != drops {
+			t.Fatalf("a duplicate %x… was dropped: %+v", c.raw[:4], h.firstDrop(c.to))
+		}
+		hdr, msg, err := packet.Decode(c.raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch m := msg.(type) {
+		case *packet.S1:
+			m.Auth[0] ^= 1
+		case *packet.A1:
+			m.Auth[0] ^= 1
+		}
+		forged, err := packet.Encode(hdr, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.deliver(c.to, forged)
+		evs := h.eventsOf(c.to)
+		if last := evs[len(evs)-1]; last.Kind != EventDropped || !errors.Is(last.Err, ErrBadAuthElement) {
+			t.Fatalf("%v with another element: last event %+v, want a bad-element drop", hdr.Type, last)
+		}
+	}
+}
+
 func TestDirectionFlagEnforced(t *testing.T) {
 	// Reflecting an initiator packet back at the initiator must fail the
 	// direction check rather than confuse the state machines.

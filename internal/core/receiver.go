@@ -12,6 +12,7 @@ import (
 	"alpha/internal/merkle"
 	"alpha/internal/obs"
 	"alpha/internal/packet"
+	"alpha/internal/suite"
 	"alpha/internal/table"
 	"alpha/internal/telemetry"
 )
@@ -147,7 +148,12 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 	if rx, ok := e.rx.Get(hdr.Seq); ok {
 		// Duplicate S1 (our A1 was probably lost): resend the stored
 		// A1 rather than re-verifying; the paper calls for robust and
-		// fast S1/A1 retransmission (§3.5).
+		// fast S1/A1 retransmission (§3.5). It must carry the element
+		// the exchange verified, which only the signer can have sent.
+		if !suite.Equal(rx.auth, s1.Auth) {
+			e.drop(hdr.Seq, ErrBadAuthElement)
+			return
+		}
 		if rx.a1 != nil {
 			e.queueOut(rx.a1, rx)
 			e.tel.Retransmits.Inc()

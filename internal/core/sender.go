@@ -310,15 +310,17 @@ func (e *Endpoint) handleA1(now time.Time, hdr packet.Header, a1 *packet.A1) {
 		return
 	}
 	e.spanKey = obs.Key(x.pair.Auth)
-	if x.state != txAwaitA1 {
-		// §3.2.2: after sending S2 the signer must discard pre-(n)acks
-		// arriving in further A1 packets to preserve the temporal
-		// separation between pre-ack creation and key disclosure.
-		return //alpha:drop-ok a late A1 of a live exchange is ignored by design, not dropped
-	}
 	if err := e.peer.VerifyAck(a1.Auth, a1.AuthIdx, a1.KeyIdx); err != nil {
 		e.drop(hdr.Seq, err)
 		return
+	}
+	if x.state != txAwaitA1 {
+		// §3.2.2: after sending S2 the signer must discard pre-(n)acks
+		// arriving in further A1 packets to preserve the temporal
+		// separation between pre-ack creation and key disclosure. The
+		// element was checked all the same, so what is ignored here is
+		// the verifier's.
+		return //alpha:drop-ok a late A1 of a live exchange is ignored by design, not dropped
 	}
 	e.tracer.Trace(e.tnow, telemetry.TraceA1Recv, e.assoc, hdr.Seq, 0)
 	e.spans.Emit(e.tnow, e.assoc, obs.Key(x.pair.Auth), hdr.Seq, obs.RoleSender, obs.StepA1, uint8(x.mode), obs.VerdictRecv, 0)

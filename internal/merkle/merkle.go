@@ -144,7 +144,8 @@ func (t *Tree) node(d, i int) []byte {
 }
 
 // seal computes everything above the real leaves, which must already be in
-// level 0: the pad leaves, the internal levels and the keyed root.
+// level 0: the pad leaves, the internal levels below the top and the keyed
+// root.
 func (t *Tree) seal(s suite.Suite, sc *suite.Scratch, key []byte) {
 	padded := 1 << t.depth
 	if padded > t.n {
@@ -155,7 +156,7 @@ func (t *Tree) seal(s suite.Suite, sc *suite.Scratch, key []byte) {
 		}
 	}
 	sc.Parts[0] = tagNode
-	for d := 1; d <= t.depth; d++ {
+	for d := 1; d < t.depth; d++ {
 		for i := 0; i < padded>>d; i++ {
 			sc.Parts[1], sc.Parts[2] = t.node(d-1, 2*i), t.node(d-1, 2*i+1)
 			s.HashInto(t.node(d, i)[:0], sc.Parts[:3]...)
@@ -168,8 +169,8 @@ func (t *Tree) seal(s suite.Suite, sc *suite.Scratch, key []byte) {
 		return
 	}
 	// The root absorbs the two topmost children directly, matching the
-	// paper's r = H(h|b0|b1): the top node already combines b0 and b1, so
-	// the root is recomputed from the level below it.
+	// paper's r = H(h|b0|b1), so the top node that would combine b0 and b1
+	// is never computed: its slot in nodes stays unused.
 	sc.Parts[2], sc.Parts[3] = t.node(t.depth-1, 0), t.node(t.depth-1, 1)
 	s.HashInto(t.Root()[:0], sc.Parts[:4]...)
 }

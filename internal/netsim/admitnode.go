@@ -44,9 +44,10 @@ func NewAdmissionGate(n *Network, name string, v *admission.Verifier) *Admission
 
 // Receive implements Handler.
 func (g *AdmissionGate) Receive(n *Network, now time.Time, pkt Packet) {
-	if len(pkt.Data) > 3 && packet.Type(pkt.Data[3]) == packet.TypeHS1 {
+	if hdr, err := packet.PeekHeader(pkt.Data); err == nil && hdr.Type == packet.TypeHS1 {
 		var verdict admission.Verdict
-		if view, ok := packet.ParseHS1View(pkt.Data); ok {
+		var view packet.HS1View
+		if view.Parse(hdr, pkt.Data) {
 			ip, port := SimAddr(pkt.Origin)
 			verdict = g.V.Admit(now, view.Token, ip, port, view.SigAnchor, view.AckAnchor)
 		} else {

@@ -8,10 +8,11 @@
 //
 // Two tiers:
 //
-//  1. Structural: magic, version and a known packet type. Strictly weaker
-//     than Decode by construction — every check here is a prefix of a check
-//     Decode performs — so a packet the full parse path would accept is
-//     never rejected (the zero-false-negative property FuzzPrefilter pins).
+//  1. Structural: the header decoder, PeekHeader — length bounds, magic,
+//     version, a known suite and a known packet type. It accepts exactly
+//     the headers Decode accepts, so a packet the full parse path would
+//     accept is never rejected (the zero-false-negative property
+//     FuzzPrefilter pins).
 //
 //  2. Cookie: a 1-byte hash over the 15 variable header bytes [3:18) —
 //     type, suite, flags, association, sequence — bound to the sender's
@@ -51,22 +52,6 @@ const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
-
-// PrefilterOK is the structural tier: length bounds, magic, version, known
-// type. Every rejection here is one Decode would also make, so it never
-// drops a parseable packet.
-//
-//alpha:hotpath
-func PrefilterOK(b []byte) bool {
-	if len(b) < HeaderSize || len(b) > MaxPacketSize {
-		return false
-	}
-	if b[0] != Magic>>8 || b[1] != Magic&0xFF || b[2] != Version {
-		return false
-	}
-	t := Type(b[3])
-	return t >= TypeHS1 && t <= TypeBundle
-}
 
 // cookie hashes the 15 variable header bytes and the source address into
 // one byte, never zero (zero is the "unstamped" sentinel).
@@ -111,7 +96,16 @@ func StampCookie(b []byte, ip []byte, port int) {
 //
 //alpha:hotpath
 func Prefilter(b []byte, ip []byte, port int) bool {
-	if !PrefilterOK(b) {
+	return headerOK(b) && CookieOK(b, ip, port)
+}
+
+// CookieOK is the cookie tier alone, for a transport that has decoded b's
+// header already: b's cookie is unstamped, or bound to the given source
+// address (in full, or by port alone for a wildcard-bound sender).
+//
+//alpha:hotpath
+func CookieOK(b []byte, ip []byte, port int) bool {
+	if len(b) < HeaderSize {
 		return false
 	}
 	switch c := b[CookieOffset]; c {

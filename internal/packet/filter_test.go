@@ -11,12 +11,12 @@ var (
 	filterPort = 40001
 )
 
-// TestPrefilterStructural pins tier 1: a canonical packet passes, and every
-// corruption Decode would reject at the fixed-header stage is rejected
-// without touching the cookie.
+// TestPrefilterStructural pins tier 1, the header decoder: a canonical
+// packet passes, and every corruption Decode would reject at the
+// fixed-header stage is rejected without touching the cookie.
 func TestPrefilterStructural(t *testing.T) {
 	raw := negS1(t)
-	if !PrefilterOK(raw) {
+	if _, err := PeekHeader(raw); err != nil || !Prefilter(raw, nil, 0) {
 		t.Fatal("canonical S1 rejected by structural prefilter")
 	}
 	mut := func(edit func([]byte)) []byte {
@@ -32,10 +32,11 @@ func TestPrefilterStructural(t *testing.T) {
 		mut(func(b []byte) { b[2] = 99 }),
 		mut(func(b []byte) { b[3] = 0 }),
 		mut(func(b []byte) { b[3] = 0x7F }),
+		mut(func(b []byte) { b[4] = 0x7F }),
 		make([]byte, MaxPacketSize+1),
 	}
 	for i, b := range bad {
-		if PrefilterOK(b) {
+		if _, err := PeekHeader(b); err == nil || Prefilter(b, nil, 0) {
 			t.Errorf("case %d: structurally invalid datagram passed the prefilter", i)
 		}
 		if _, _, err := Decode(b); err == nil {
@@ -168,7 +169,7 @@ func FuzzPrefilter(f *testing.F) {
 		if err != nil {
 			return // prefilter may accept or reject; only false negatives matter
 		}
-		if !PrefilterOK(data) {
+		if _, err := PeekHeader(data); err != nil {
 			t.Fatalf("structural prefilter rejected a decodable packet: % x", data[:HeaderSize])
 		}
 		canonical, err := Encode(hdr, msg)

@@ -17,7 +17,8 @@ import (
 // to exactly the input bytes (the wire form is canonical). Decode and the
 // in-place Parser are one parser behind two ownership rules, so they must
 // also agree on every input: accept or reject, ParseError{PacketType,
-// Offset}, and every field of the body.
+// Offset}, and every field of the body. The codec's partial readers must
+// agree with Decode too, each for its part (sameReaders).
 func FuzzParsePacket(f *testing.F) {
 	s := suite.SHA1()
 	d := func(seed byte) []byte {
@@ -60,6 +61,7 @@ func FuzzParsePacket(f *testing.F) {
 		h, m, err := Decode(own)
 		vh, vm, verr := p.Parse(data)
 		sameParse(t, h, m, err, vh, vm, verr)
+		sameReaders(t, data, h, m, err)
 		// What Decode returned owns its bytes: overwriting the buffer it
 		// was given must not reach the re-encoding below.
 		for i := range own {
@@ -118,6 +120,48 @@ func sameParse(t *testing.T, h Header, m Message, err error, vh Header, vm Messa
 	}
 	if !sameBody(m, vm) {
 		t.Fatalf("Decode body %#v\nParser body %#v", m, vm)
+	}
+}
+
+// sameReaders fails unless the codec's partial readers of data agree with
+// Decode's verdict (h, m, err) for their part: the header decoder and the
+// prefilter's structural tier accept exactly the headers Decode gets past,
+// failing with the same sentinel, and ParseHS1View accepts exactly the HS1s
+// Decode accepts, field for field. The decoder's inlined accepting check
+// must also agree with its field-by-field walk, which Decode's verdict
+// alone would not show.
+func sameReaders(t *testing.T, data []byte, h Header, m Message, err error) {
+	t.Helper()
+	var pe *ParseError
+	passed := err == nil || (errors.As(err, &pe) && pe.PacketType != TypeInvalid)
+	if _, _, rerr := readHeader(data); headerOK(data) != (rerr == nil) {
+		t.Fatalf("headerOK says %v, readHeader says %v", headerOK(data), rerr)
+	}
+	ph, perr := PeekHeader(data)
+	if (perr == nil) != passed {
+		t.Fatalf("PeekHeader says %v, Decode says %v", perr, err)
+	}
+	// An unknown suite is the one header failure Decode reports with the
+	// suite package's own error.
+	if perr != nil && perr != ErrBadSuite && !errors.Is(err, perr) {
+		t.Fatalf("PeekHeader fails with %v, Decode with %v", perr, err)
+	}
+	if err == nil && ph != h {
+		t.Fatalf("PeekHeader header %+v, Decode header %+v", ph, h)
+	}
+	unstamped := append([]byte(nil), data...)
+	if len(unstamped) > CookieOffset {
+		unstamped[CookieOffset] = 0
+	}
+	if Prefilter(unstamped, nil, 0) != passed {
+		t.Fatalf("structural prefilter says %v, Decode says %v", !passed, err)
+	}
+	v, ok := ParseHS1View(data)
+	if want := err == nil && h.Type == TypeHS1; ok != want {
+		t.Fatalf("ParseHS1View says %v, Decode says %v for a %v", ok, err, h.Type)
+	}
+	if ok && (v.Header != h || !sameBody(&v.Handshake, m)) {
+		t.Fatalf("ParseHS1View %+v, Decode %+v %#v", v, h, m)
 	}
 }
 

@@ -7,7 +7,7 @@
 //	S2  discloses the MAC key and the message(s)
 //	A2  opens a pre-ack or pre-nack (reliable mode)
 //
-// Every packet starts with a fixed 20-byte header carrying the association
+// Every packet starts with a fixed 19-byte header carrying the association
 // identifier, the hash suite, and the exchange sequence number. Digest
 // fields have no length prefix: their size is implied by the suite, which
 // the decoder resolves from the header before parsing the body. Everything
@@ -15,6 +15,7 @@
 package packet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -153,6 +154,7 @@ var (
 	ErrBadMagic   = errors.New("packet: bad magic")
 	ErrBadVersion = errors.New("packet: unsupported version")
 	ErrBadType    = errors.New("packet: unknown packet type")
+	ErrBadSuite   = errors.New("packet: unknown hash suite")
 	ErrTrailing   = errors.New("packet: trailing bytes after body")
 	ErrOversize   = errors.New("packet: exceeds maximum packet size")
 )
@@ -322,60 +324,16 @@ func (p *Parser) Parse(b []byte) (Header, Message, error) { return parse(b, p) }
 // copy of the datagram) and Parser.Parse (p's scratch bodies over the
 // caller's buffer).
 func parse(b []byte, p *Parser) (Header, Message, error) {
-	if len(b) > MaxPacketSize {
-		return parseFail(TypeInvalid, 0, ErrOversize)
-	}
-	r := reader{buf: b}
-	magic, err := r.u16()
+	hdr, err := PeekHeader(b)
 	if err != nil {
-		return parseFail(TypeInvalid, r.off, err)
-	}
-	if magic != Magic {
-		return parseFail(TypeInvalid, r.off, ErrBadMagic)
-	}
-	ver, err := r.u8()
-	if err != nil {
-		return parseFail(TypeInvalid, r.off, err)
-	}
-	if ver != Version {
-		return parseFail(TypeInvalid, r.off, ErrBadVersion)
-	}
-	var hdr Header
-	t, err := r.u8()
-	if err != nil {
-		return parseFail(TypeInvalid, r.off, err)
-	}
-	hdr.Type = Type(t)
-	sid, err := r.u8()
-	if err != nil {
-		return parseFail(TypeInvalid, r.off, err)
-	}
-	hdr.Suite = suite.ID(sid)
-	if hdr.Flags, err = r.u8(); err != nil {
-		return parseFail(TypeInvalid, r.off, err)
-	}
-	if hdr.Assoc, err = r.u64(); err != nil {
-		return parseFail(TypeInvalid, r.off, err)
-	}
-	if hdr.Seq, err = r.u32(); err != nil {
-		return parseFail(TypeInvalid, r.off, err)
-	}
-	// The trailing header byte is the filter cookie slot (see filter.go):
-	// transports may overwrite it in flight with an address-bound hash, so
-	// the parser ignores its value. Encode still writes zero.
-	if _, err = r.u8(); err != nil {
-		return parseFail(TypeInvalid, r.off, err)
-	}
-	h := suite.SizeByID(hdr.Suite)
-	if h == 0 {
-		_, err := suite.ByID(hdr.Suite) //alpha:alloc-ok unknown suite: the report is the cold path
-		return parseFail(TypeInvalid, r.off, err)
+		hdr, off, err := readHeader(b)
+		if err == ErrBadSuite {
+			_, err = suite.ByID(hdr.Suite) //alpha:alloc-ok unknown suite: the report is the cold path
+		}
+		return parseFail(TypeInvalid, off, err)
 	}
 	msg := p.body(hdr)
-	if msg == nil {
-		return parseFail(TypeInvalid, r.off, ErrBadType)
-	}
-	off, err := msg.parseBody(b, r.off, h)
+	off, err := msg.parseBody(b, HeaderSize, suite.SizeByID(hdr.Suite))
 	if err != nil {
 		return parseFail(hdr.Type, off, err)
 	}
@@ -383,4 +341,79 @@ func parse(b []byte, p *Parser) (Header, Message, error) {
 		return parseFail(hdr.Type, off, ErrTrailing)
 	}
 	return hdr, msg, nil
+}
+
+// PeekHeader decodes the fixed header at the front of b: Decode,
+// Parser.Parse, Prefilter and ParseHS1View all start here, and so do the
+// transports that route a datagram before its body is parsed. It accepts
+// exactly the headers Decode accepts and fails with a bare sentinel
+// (ErrOversize, ErrTruncated, ErrBadMagic, ErrBadVersion, ErrBadSuite,
+// ErrBadType), allocating nothing. On ErrBadSuite and ErrBadType every
+// field of the Header is set; on the others it is zero.
+//
+//alpha:hotpath
+func PeekHeader(b []byte) (Header, error) {
+	if !headerOK(b) {
+		hdr, _, err := readHeader(b)
+		return hdr, err
+	}
+	return Header{Type: Type(b[3]), Suite: suite.ID(b[4]), Flags: b[5], Assoc: binary.BigEndian.Uint64(b[6:]), Seq: binary.BigEndian.Uint32(b[14:])}, nil
+}
+
+// headerOK reports whether b opens with a header readHeader would accept,
+// in a check small enough to inline: PeekHeader's accepting path and the
+// prefilter's structural tier.
+//
+//alpha:hotpath
+func headerOK(b []byte) bool {
+	return len(b) >= HeaderSize && len(b) <= MaxPacketSize && binary.BigEndian.Uint16(b) == Magic && b[2] == Version &&
+		Type(b[3])-TypeHS1 <= TypeBundle-TypeHS1 && suite.SizeByID(suite.ID(b[4])) != 0
+}
+
+// readHeader walks the fixed header field by field, as Decode always has,
+// and returns it with the offset a *ParseError reports (where the field it
+// failed in begins, or past the field whose value it refused) and the
+// sentinel. The trailing byte is the filter cookie slot (filter.go):
+// transports may overwrite it in flight with an address-bound hash, so its
+// value is ignored. Encode still writes zero.
+func readHeader(b []byte) (Header, int, error) {
+	if len(b) > MaxPacketSize {
+		return Header{}, 0, ErrOversize
+	}
+	r := reader{buf: b}
+	if magic, err := r.u16(); err != nil || magic != Magic {
+		return Header{}, r.off, cmp.Or(err, ErrBadMagic)
+	}
+	if ver, err := r.u8(); err != nil || ver != Version {
+		return Header{}, r.off, cmp.Or(err, ErrBadVersion)
+	}
+	var hdr Header
+	t, err := r.u8()
+	if err != nil {
+		return Header{}, r.off, err
+	}
+	sid, err := r.u8()
+	if err != nil {
+		return Header{}, r.off, err
+	}
+	if hdr.Flags, err = r.u8(); err != nil {
+		return Header{}, r.off, err
+	}
+	if hdr.Assoc, err = r.u64(); err != nil {
+		return Header{}, r.off, err
+	}
+	if hdr.Seq, err = r.u32(); err != nil {
+		return Header{}, r.off, err
+	}
+	if _, err = r.u8(); err != nil {
+		return Header{}, r.off, err
+	}
+	hdr.Type, hdr.Suite = Type(t), suite.ID(sid)
+	switch {
+	case suite.SizeByID(hdr.Suite) == 0:
+		return hdr, r.off, ErrBadSuite
+	case hdr.Type < TypeHS1 || hdr.Type > TypeBundle:
+		return hdr, r.off, ErrBadType
+	}
+	return hdr, r.off, nil
 }

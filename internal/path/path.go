@@ -60,7 +60,7 @@ type Tap func(from Side, link int, raw []byte) [][]byte
 // link, keeping a copy of each in *held when held is not nil.
 func Hold(typ packet.Type, link int, held *[][]byte) Tap {
 	return func(_ Side, at int, raw []byte) [][]byte {
-		if at != link || packet.Type(raw[3]) != typ {
+		if hdr, err := packet.PeekHeader(raw); at != link || err != nil || hdr.Type != typ {
 			return [][]byte{raw}
 		}
 		if held != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"alpha/internal/packet"
+	"alpha/internal/suite"
 )
 
 // echo answers each datagram shorter than 6 bytes with the datagram
@@ -67,12 +68,16 @@ func TestLine(t *testing.T) {
 
 	var held [][]byte
 	p.Tap = Hold(packet.TypeS2, len(p.Hops), &held)
-	s2 := []byte{0, 0, 0, byte(packet.TypeS2), 0, 0}
+	s2, err := packet.Encode(packet.Header{Type: packet.TypeS2, Suite: suite.IDSHA1},
+		&packet.S2{Key: make([]byte, suite.SHA1().Size())})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Carry(A, 0, s2); err != nil {
 		t.Fatal(err)
 	}
-	s2[0] = 1 // the sender reuses its buffer; the held copy stays
-	if len(b.got) != 2 || len(held) != 1 || held[0][0] != 0 {
+	s2[0] = 0 // the sender reuses its buffer; the held copy stays
+	if len(b.got) != 2 || len(held) != 1 || held[0][0] != packet.Magic>>8 {
 		t.Fatalf("b handled %q, held %v", b.got, held)
 	}
 	b.fail = errors.New("boom")

@@ -484,10 +484,11 @@ type TransportMetrics struct {
 	// InboxDrops counts datagrams dropped because a session worker's
 	// bounded inbox was full (back-pressure, the UDP-native semantics).
 	InboxDrops Counter
-	// UnknownAssocDrops counts non-handshake datagrams for associations
-	// this server does not hold.
+	// UnknownAssocDrops counts datagrams for associations this server does
+	// not hold that cannot open one: anything but a decodable HS1.
 	UnknownAssocDrops Counter
-	// ShortDatagrams counts reads below the minimum header size.
+	// ShortDatagrams counts reads with no decodable header: below the
+	// header size, or (prefilter off) a header the codec rejects.
 	ShortDatagrams Counter
 	// EndpointFailures counts handshakes that could not spawn an endpoint.
 	EndpointFailures Counter

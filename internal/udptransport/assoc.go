@@ -61,6 +61,26 @@ func newWBatch(ep *core.Endpoint) []udpio.Message {
 	return make([]udpio.Message, 0, ep.Profile().BatchSize+1)
 }
 
+// feed hands the engine one datagram, from its source over the socket via,
+// and returns its events and whether the engine dropped no part of it. Only
+// such a datagram sets the peer and the reply socket (ALPHA identity is the
+// chain, not the address): a Session follows each one, so it follows a
+// moving peer; a Conn keeps the first. Callers hold a.mu.
+//
+//alpha:hotpath
+func (a *assoc) feed(now time.Time, from net.Addr, via udpio.Conn, data []byte) ([]core.Event, bool) {
+	evs, _ := a.ep.Handle(now, data)
+	for _, ev := range evs {
+		if ev.Kind == core.EventDropped {
+			return evs, false
+		}
+	}
+	if a.peer == nil || a.sess != nil {
+		a.peer, a.io = from, via
+	}
+	return evs, true
+}
+
 // pump drains the engine onto the socket through the coalescing writer:
 // the whole Poll harvest — an ALPHA-C/M burst's S2s plus its S1 — is
 // stamped and leaves in one WriteBatch, hence (on Linux) one sendmmsg. Once

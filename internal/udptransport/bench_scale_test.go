@@ -24,18 +24,48 @@ import (
 
 	"alpha/internal/core"
 	"alpha/internal/packet"
+	"alpha/internal/suite"
 	"alpha/internal/telemetry"
 )
 
-// scaleFrame builds a header-only frame that passes the prefilter's
-// structural tier (magic/version/type, cookie 0 = unstamped).
-func scaleFrame(typ packet.Type, assoc uint64) []byte {
-	b := make([]byte, packet.HeaderSize)
-	binary.BigEndian.PutUint16(b[0:2], packet.Magic)
-	b[2] = packet.Version
-	b[3] = byte(typ)
-	binary.BigEndian.PutUint64(b[6:14], assoc)
-	return b
+// scaleFrame builds a header-only S2 frame for assoc. It passes the
+// prefilter's structural tier (cookie 0 = unstamped) and routes to the
+// session, whose endpoint drops it as cut short, so nothing is ever written.
+func scaleFrame(assoc uint64) []byte {
+	b, err := packet.Encode(packet.Header{Type: packet.TypeS2, Suite: suite.IDSHA1, Assoc: assoc},
+		&packet.S2{Mode: packet.ModeBase, KeyIdx: 2, Key: make([]byte, suite.SHA1().Size())})
+	if err != nil {
+		panic(err)
+	}
+	return b[:packet.HeaderSize]
+}
+
+// openSession opens a session for assoc as dispatch does for an HS1 the
+// endpoint then accepts from from, without the handshake: the session has
+// its peer, and its endpoint, never established, drops what it is sent.
+func openSession(tb testing.TB, s *Server, from net.Addr, assoc uint64) *Session {
+	sess, ok := s.createSession(time.Now(), s.shard(assoc), assoc, nil)
+	if !ok {
+		tb.Fatalf("no session for association %d", assoc)
+	}
+	sess.mu.Lock()
+	sess.peer = from
+	sess.mu.Unlock()
+	return sess
+}
+
+// populate opens sessions for associations 1..n and hands each one frame,
+// which its endpoint drops, so that every session has handled a datagram
+// before anything is measured on it.
+func populate(tb testing.TB, s *Server, from net.Addr, n int) {
+	for i := 0; i < n; i++ {
+		openSession(tb, s, from, uint64(i)+1)
+		dispatchFrame(s, from, scaleFrame(uint64(i)+1))
+		if (i+1)%scaleBurst == 0 {
+			drainWorkers(s)
+		}
+	}
+	drainWorkers(s)
 }
 
 // dispatchFrame feeds one crafted frame through Server.dispatch the way a
@@ -101,25 +131,18 @@ type scaleMetrics struct {
 func scaleRun(tb testing.TB, n int) scaleMetrics {
 	m := scaleMetrics{n: n}
 	cfg := core.Config{Mode: packet.ModeBase, ChainLen: 16}
-	// No sockets: dispatch is driven directly, so no read loops spin and
-	// nothing is ever written (the truncated handshakes produce no output).
+	// No sockets: sessions are opened and dispatch is driven directly, so
+	// no read loops spin and nothing is ever written.
 	// Each session's event channel holds one base-mode window, 14 slots.
 	srv := NewServerWith(cfg, ServerOptions{IO: IOOptions{Prefilter: true}})
 	defer srv.Close()
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000}
 
-	// Populate through the real dispatch path.
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	for i := 0; i < n; i++ {
-		dispatchFrame(srv, from, scaleFrame(packet.TypeHS1, uint64(i)+1))
-		if (i+1)%scaleBurst == 0 {
-			drainWorkers(srv)
-		}
-	}
-	drainWorkers(srv)
+	populate(tb, srv, from, n)
 	m.populatePerSec = float64(n) / time.Since(start).Seconds()
 	runtime.GC() // also empties bufPool, so only session state is counted
 	runtime.ReadMemStats(&after)
@@ -136,7 +159,7 @@ func scaleRun(tb testing.TB, n int) scaleMetrics {
 	if churn > 200_000 {
 		churn = 200_000
 	}
-	frame := scaleFrame(packet.TypeS2, 1)
+	frame := scaleFrame(1)
 	pre := srv.tel.DispatchLatency.Snapshot()
 	start = time.Now()
 	for i := 0; i < churn; i++ {
@@ -233,7 +256,7 @@ func scaleRun(tb testing.TB, n int) scaleMetrics {
 		}
 	}
 	m.rejectPerSec = float64(probes) / time.Since(start).Seconds()
-	valid := scaleFrame(packet.TypeS2, 7)
+	valid := scaleFrame(7)
 	packet.StampCookie(valid, ip, port)
 	start = time.Now()
 	for i := 0; i < probes; i++ {
@@ -309,7 +332,7 @@ func BenchmarkScale(b *testing.B) {
 	ip, port := addrIPPort(from)
 
 	b.Run("prefilter-accept", func(b *testing.B) {
-		frame := scaleFrame(packet.TypeS2, 7)
+		frame := scaleFrame(7)
 		packet.StampCookie(frame, ip, port)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -336,11 +359,8 @@ func BenchmarkScale(b *testing.B) {
 		srv := NewServerWith(core.Config{Mode: packet.ModeBase, ChainLen: 16},
 			ServerOptions{IO: IOOptions{Prefilter: true}})
 		defer srv.Close()
-		for i := 0; i < table; i++ {
-			dispatchFrame(srv, from, scaleFrame(packet.TypeHS1, uint64(i)+1))
-		}
-		drainWorkers(srv)
-		frame := scaleFrame(packet.TypeS2, 1)
+		populate(b, srv, from, table)
+		frame := scaleFrame(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		// Paced like scaleRun: an open-loop flood would only measure the
@@ -358,10 +378,7 @@ func BenchmarkScale(b *testing.B) {
 		srv := NewServerWith(core.Config{Mode: packet.ModeBase, ChainLen: 16},
 			ServerOptions{})
 		defer srv.Close()
-		for i := 0; i < table; i++ {
-			dispatchFrame(srv, from, scaleFrame(packet.TypeHS1, uint64(i)+1))
-		}
-		drainWorkers(srv)
+		populate(b, srv, from, table)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Keep the previous generation empty so each measured rotation

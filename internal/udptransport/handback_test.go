@@ -176,7 +176,7 @@ func TestConnCountsEventDrops(t *testing.T) {
 			t.Cleanup(func() { srv.Close() })
 			exp := telemetry.NewExporter()
 			exp.Register("alpha_transport", srv.Telemetry())
-			sess := newSession(srv, ep, 1, nil, nil) // not routed: nothing else delivers
+			sess := newSession(srv, ep, 1, nil) // not routed: nothing else delivers
 			return &sess.assoc, func() uint64 { return exp.Snapshot()["alpha_transport_event_drops"].(uint64) }
 		}},
 	} {

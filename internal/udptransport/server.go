@@ -29,7 +29,6 @@
 package udptransport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -423,57 +422,58 @@ func (s *Server) readLoop(io udpio.Conn) {
 func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *rxBuf, n int) {
 	s.tel.Datagrams.Inc()
 	s.tel.Bytes.Add(uint64(n))
-	if n < packet.HeaderSize {
-		s.tel.ShortDatagrams.Inc()
-		putBuf(bp)
-		return
-	}
 	data := bp.buf[:n]
-	if s.opts.IO.Prefilter {
+	hdr, err := packet.PeekHeader(data)
+	if s.opts.IO.Prefilter && n >= packet.HeaderSize {
 		// Stateless junk rejection before any shard lock or map lookup:
-		// structural header checks plus the address-bound cookie.
+		// the header decoder plus the address-bound cookie.
 		ip, port := addrIPPort(from)
-		if !packet.Prefilter(data, ip, port) {
+		if err != nil || !packet.CookieOK(data, ip, port) {
 			s.tel.PrefilterDrops.Inc()
 			s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, 0, 0, telemetry.ReasonPrefilter)
 			putBuf(bp)
 			return
 		}
 	}
-	assoc := binary.BigEndian.Uint64(data[6:14])
-	typ := packet.Type(data[3])
+	if err != nil {
+		s.tel.ShortDatagrams.Inc() // no header: nothing to route, nothing to open
+		putBuf(bp)
+		return
+	}
 
-	sh := s.shard(assoc)
-	sess, known := sh.lookup(assoc)
+	sh := s.shard(hdr.Assoc)
+	sess, known := sh.lookup(hdr.Assoc)
 	if !known {
-		if typ != packet.TypeHS1 {
-			s.tel.UnknownAssocDrops.Inc()
-			s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, assoc, 0, telemetry.ReasonUnknownAssoc)
-			putBuf(bp)
-			return // data for an association we do not hold
-		}
-		// Stateless admission: a session-creating HS1 must clear the
-		// connect-token tier before the allocating branch below runs. The
-		// verifier owns the drop accounting (alpha_admission family), so
-		// rejects cost one decrypt and zero allocations here.
-		var admitted admission.Verdict
+		// Only a datagram the codec accepts as an HS1, header and body,
+		// may open a session. Stateless admission, when set, must clear
+		// it too before the allocating branch below runs; the verifier
+		// owns that drop accounting (alpha_admission family), so rejects
+		// cost one decrypt and zero allocations here.
 		var view packet.HS1View
-		if adm := s.opts.Admission; adm != nil {
-			var vok bool
-			if view, vok = packet.ParseHS1View(data); !vok {
+		isHS1 := view.Parse(hdr, data)
+		adm := s.opts.Admission
+		if !isHS1 && (adm == nil || hdr.Type != packet.TypeHS1) {
+			s.tel.UnknownAssocDrops.Inc()
+			s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, hdr.Assoc, 0, telemetry.ReasonUnknownAssoc)
+			putBuf(bp)
+			return // data for an association we do not hold, or junk that cannot open one
+		}
+		var admitted admission.Verdict
+		if adm != nil {
+			if !isHS1 {
 				admitted = adm.RejectMalformed()
 			} else {
 				ip, port := addrIPPort(from)
 				admitted = adm.Admit(now, view.Token, ip, port, view.SigAnchor, view.AckAnchor)
 			}
 			if !admitted.OK {
-				s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, assoc, 0, admitted.Reason)
+				s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, hdr.Assoc, 0, admitted.Reason)
 				putBuf(bp)
 				return //alpha:drop-ok the admission verifier counted the refusal
 			}
 		}
 		var ok bool
-		if sess, ok = s.createSession(now, sh, assoc, from, via); !ok { //alpha:alloc-ok session birth is the cold path: one endpoint allocation per association lifetime
+		if sess, ok = s.createSession(now, sh, hdr.Assoc, via); !ok { //alpha:alloc-ok session birth is the cold path: one endpoint allocation per association lifetime
 			putBuf(bp)
 			return
 		}
@@ -494,7 +494,7 @@ func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *rxBu
 	bp.n, bp.now, bp.from, bp.via = n, now, from, via
 	if !sess.push(bp) {
 		s.tel.InboxDrops.Inc()
-		s.tracer.Trace(now.UnixNano(), telemetry.TraceInboxDrop, assoc, 0, telemetry.ReasonInboxFull)
+		s.tracer.Trace(now.UnixNano(), telemetry.TraceInboxDrop, hdr.Assoc, 0, telemetry.ReasonInboxFull)
 		putBuf(bp)
 		return
 	}
@@ -502,8 +502,9 @@ func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *rxBu
 }
 
 // createSession spawns the responder endpoint and routing-table entry for
-// a fresh handshake — the one allocating branch of the dispatch path.
-func (s *Server) createSession(now time.Time, sh *sessionShard, assoc uint64, from net.Addr, via udpio.Conn) (*Session, bool) {
+// a fresh handshake — the one allocating branch of the dispatch path. The
+// session learns its peer from the first datagram its endpoint accepts.
+func (s *Server) createSession(now time.Time, sh *sessionShard, assoc uint64, via udpio.Conn) (*Session, bool) {
 	cfg := s.cfg
 	if s.opts.Flight != nil {
 		cfg.Spans = s.opts.Flight.Ring(assoc)
@@ -515,7 +516,7 @@ func (s *Server) createSession(now time.Time, sh *sessionShard, assoc uint64, fr
 		s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, assoc, 0, telemetry.ReasonBadHandshake)
 		return nil, false
 	}
-	sess := newSession(s, ep, assoc, from, via)
+	sess := newSession(s, ep, assoc, via)
 	sh.mu.Lock()
 	if racing, ok := sh.cur[assoc]; ok {
 		// Another read loop created the session between our lookup and
@@ -810,11 +811,10 @@ func eventWindow(ep *core.Endpoint) int {
 	return min(maxEventSlots, ep.MaxOutstanding()*ep.Profile().BatchSize+core.LifecycleEventKinds)
 }
 
-func newSession(srv *Server, ep *core.Endpoint, id uint64, peer net.Addr, via udpio.Conn) *Session {
+func newSession(srv *Server, ep *core.Endpoint, id uint64, via udpio.Conn) *Session {
 	sess := &Session{
 		assoc: assoc{
 			ep:     ep,
-			peer:   peer,
 			io:     via,
 			stamp:  srv.stamp,
 			wbatch: newWBatch(ep),
@@ -905,13 +905,14 @@ func (s *Session) trigger(cause string) {
 func (s *Session) handle(now time.Time, from net.Addr, via udpio.Conn, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if from != nil {
-		s.peer = from // track peer mobility (ALPHA identity is the chain, not the address)
+	evs, accepted := s.feed(now, from, via, data)
+	if !accepted && s.peer == nil {
+		// The session has accepted nothing, so the endpoint dropped the
+		// HS1 that opened it: nothing of it is worth keeping.
+		s.ep.Release(nil, evs)
+		s.Close() //alpha:block-ok once per session: the routing shard's mutex guards a delete
+		return
 	}
-	if via != nil {
-		s.io = via // replies follow the socket the kernel picked for this flow
-	}
-	evs, _ := s.ep.Handle(now, data)
 	for _, ev := range evs {
 		// The engine reports establishment once. A full accept backlog
 		// retires the session before its HS2 can leave.

@@ -19,8 +19,11 @@ import (
 func dispatchRaw(s *Server, raw []byte) {
 	bp := bufPool.Get().(*rxBuf)
 	n := copy(bp.buf, raw)
-	s.dispatch(time.Now(), s.ios[0], &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}, bp, n)
+	s.dispatch(time.Now(), s.ios[0], rawFrom, bp, n)
 }
+
+// rawFrom is the source dispatchRaw's datagrams come from.
+var rawFrom = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}
 
 func newTelemetryServer(t *testing.T, tracer *telemetry.Tracer) *Server {
 	t.Helper()
@@ -86,16 +89,8 @@ func TestServerCountsInboxDrops(t *testing.T) {
 	tracer := telemetry.NewTracer(256)
 	srv := newTelemetryServer(t, tracer)
 
-	// A syntactically plausible handshake datagram: dispatch only inspects
-	// the type and association bytes, so a header-shaped buffer creates the
-	// session (the engine itself would reject it later).
 	const assoc = uint64(0x1122334455667788)
-	hs := make([]byte, packet.HeaderSize)
-	hs[3] = byte(packet.TypeHS1)
-	for i := 0; i < 8; i++ {
-		hs[6+i] = byte(assoc >> (56 - 8*i))
-	}
-	dispatchRaw(srv, hs)
+	sess := openSession(t, srv, rawFrom, assoc)
 	if got := srv.Telemetry().SessionsCreated.Load(); got != 1 {
 		t.Fatalf("SessionsCreated = %d, want 1", got)
 	}
@@ -105,20 +100,16 @@ func TestServerCountsInboxDrops(t *testing.T) {
 
 	// Stop the session's worker so nothing drains the inbox, then overrun
 	// it: the bounded hand-off must drop the excess, counted.
-	sh := srv.shard(assoc)
-	sh.mu.Lock()
-	sess := sh.cur[assoc]
-	sh.mu.Unlock()
 	sess.stop()
 	time.Sleep(50 * time.Millisecond) // let any in-flight owner turn finish
 
 	const extra = 10
 	for i := 0; i < inboxSize+extra; i++ {
-		dispatchRaw(srv, hs)
+		dispatchRaw(srv, scaleFrame(assoc))
 	}
 	m := srv.Telemetry()
 	// Exact drop counts depend on how many datagrams the worker consumed
-	// before exiting (zero, one, or the initial handshake), so allow slack
+	// before exiting (zero or one), so allow slack
 	// around the overflow count — but drops must register.
 	if got := m.InboxDrops.Load(); got == 0 || got > extra+1 {
 		t.Fatalf("InboxDrops = %d, want 1..%d", got, extra+1)
@@ -137,10 +128,7 @@ func TestServerCountsInboxDrops(t *testing.T) {
 func TestServerRemoveFoldsRetiredSessions(t *testing.T) {
 	srv := newTelemetryServer(t, nil)
 	const assoc = 42
-	hs := make([]byte, packet.HeaderSize)
-	hs[3] = byte(packet.TypeHS1)
-	hs[13] = assoc // low byte of the big-endian association ID
-	dispatchRaw(srv, hs)
+	openSession(t, srv, rawFrom, assoc)
 	if srv.Sessions() != 1 {
 		t.Fatalf("Sessions = %d, want 1", srv.Sessions())
 	}
@@ -196,22 +184,19 @@ func TestEndpointTelemetryMonotoneUnderRotation(t *testing.T) {
 	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9999}
 	assoc := uint64(1)
 	for r := 0; r < rounds; r++ {
-		// A header-only HS1 creates a session whose endpoint then drops it
-		// as malformed: one counted drop each. Delivered is set by hand.
+		// Each session's endpoint drops one datagram: one counted drop
+		// each. Delivered is set by hand.
 		var sessions []*Session
 		for i := 0; i < perRound; i++ {
-			dispatchFrame(srv, from, scaleFrame(packet.TypeHS1, assoc))
-			sh := srv.shard(assoc)
-			sh.mu.Lock()
-			sess := sh.cur[assoc]
-			sh.mu.Unlock()
+			sess := openSession(t, srv, from, assoc)
+			dispatchFrame(srv, from, scaleFrame(assoc))
 			sess.ep.Telemetry().Delivered.Inc()
 			sessions = append(sessions, sess)
 			assoc++
 		}
 		for _, sess := range sessions {
 			for sess.ep.Telemetry().Dropped.Load() == 0 {
-				runtime.Gosched() // its worker has not handled the HS1 yet
+				runtime.Gosched() // its worker has not handled the datagram yet
 			}
 		}
 		for _, sess := range sessions[:perRound/2] {

@@ -75,9 +75,10 @@ func Listen(pc net.PacketConn, cfg core.Config, timeout time.Duration, opts ...I
 
 // Wrap runs a caller-constructed endpoint over the socket — the entry point
 // for statically bootstrapped (preconfigured) associations, which have no
-// handshake. peer may be nil; a responder then adopts the first sender.
-// The connection is returned immediately; if the endpoint is already
-// established (preconfigured), it is usable at once. opts is as for Dial.
+// handshake. peer may be nil; a responder then adopts the first sender
+// whose datagram its endpoint accepts. The connection is returned
+// immediately; if the endpoint is already established (preconfigured), it
+// is usable at once. opts is as for Dial.
 func Wrap(pc net.PacketConn, ep *core.Endpoint, peer net.Addr, opts ...IOOptions) *Conn {
 	c := newConn(pc, ep, peer, opts)
 	if ep.Established() {
@@ -186,15 +187,11 @@ func (c *Conn) readLoop() {
 	}
 }
 
-// handle feeds one datagram into the engine. A responder adopts the first
-// sender as its peer. Callers hold c.mu.
+// handle feeds one datagram into the engine. Callers hold c.mu.
 //
 //alpha:hotpath
 func (c *Conn) handle(now time.Time, from net.Addr, data []byte) {
-	if c.peer == nil {
-		c.peer = from
-	}
-	evs, _ := c.ep.Handle(now, data)
+	evs, _ := c.feed(now, from, c.io, data)
 	for _, ev := range evs {
 		if ev.Kind == core.EventEstablished {
 			close(c.established) // the engine reports establishment once
