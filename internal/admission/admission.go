@@ -232,7 +232,7 @@ func (v *Verifier) Metrics() *telemetry.AdmissionMetrics { return &v.tel }
 
 // RejectMalformed counts an HS1 the dispatcher refused before a token could
 // even be read (structural parse failure), with the same drop accounting
-// and storm detection as a failed token.
+// as a failed token.
 func (v *Verifier) RejectMalformed() Verdict {
 	return v.reject(telemetry.ReasonAdmissionInvalid)
 }

@@ -308,17 +308,23 @@ func TestUDPSendAfterClose(t *testing.T) {
 // TestPartialBatchLeavesOnTime: a message that does not fill an ALPHA-C
 // batch leaves when the engine's FlushDelay (2 ms by default) expires, on
 // either driver. A timer that polls on its own period instead of following
-// the engine's deadline holds it for up to that period.
+// the engine's deadline holds it for up to that period. A plain timer armed
+// beside each Send measures how late the host fires a FlushDelay timer at
+// that moment; a delivery may be that much later than 20 ms, so a loaded
+// scheduler does not fail the test and a late flush does.
 func TestPartialBatchLeavesOnTime(t *testing.T) {
 	bothDrivers(t, core.Config{Mode: packet.ModeC, BatchSize: 16, ChainLen: 256}, func(t *testing.T, local driver, peer *Conn) {
 		for i := 0; i < 16; i++ {
 			start := time.Now()
+			late := make(chan time.Duration, 1)
+			time.AfterFunc(core.DefaultFlushDelay, func() { late <- time.Since(start) - core.DefaultFlushDelay })
 			if _, err := local.Send([]byte{byte(i)}); err != nil {
 				t.Fatal(err)
 			}
 			collect(t, peer, core.EventDelivered, 1, time.Second)
-			if took := time.Since(start); took > 20*time.Millisecond {
-				t.Errorf("message %d of a partial batch delivered after %v, want <= 20ms", i, took)
+			took := time.Since(start)
+			if lateness := <-late; took > 20*time.Millisecond+lateness {
+				t.Errorf("message %d of a partial batch delivered after %v, want <= 20ms plus the %v a plain timer ran late", i, took, lateness)
 			}
 			time.Sleep(time.Until(start.Add(60 * time.Millisecond)))
 		}

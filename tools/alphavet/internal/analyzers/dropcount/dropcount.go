@@ -13,8 +13,8 @@
 // Coverage is resolved transitively through module-local calls, so verdict
 // helpers (drop, forward, NoteDrop) satisfy the contract as long as they
 // reach a telemetry.Counter Inc/Add somewhere. The analyzer reads the
-// declarations of the packages the analyzed ones import (vet.Analyzer.Deps),
-// so a run scoped to one package resolves a helper declared in another; a
+// declarations of the packages the analyzed ones import (vet.Module), so a
+// run scoped to one package resolves a helper declared in another; a
 // callee whose body it cannot see (an interface method, a function value)
 // does not count. Straight-line returns — the
 // final statement of the function or of a switch/select case — are normal
@@ -38,56 +38,19 @@ var Analyzer = &vet.Analyzer{
 	Name:      "dropcount",
 	Doc:       "conditional exits in //alpha:hotpath packet functions must increment a telemetry counter",
 	RunModule: runModule,
-	Deps:      true,
-}
-
-// funcKey identifies a function declaration across packages by stable
-// strings, as in hotpathalloc.
-type funcKey struct {
-	pkg  string
-	recv string
-	name string
-}
-
-type declInfo struct {
-	pass *vet.Pass
-	decl *ast.FuncDecl
 }
 
 type checker struct {
-	decls  map[funcKey]declInfo
-	counts map[funcKey]int8 // memo: 0 unknown, 1 counts, -1 does not
+	m      *vet.Module
+	counts map[vet.FuncKey]int8 // memo: 0 unknown, 1 counts, -1 does not
 }
 
-func runModule(passes []*vet.Pass) error {
-	c := &checker{
-		decls:  make(map[funcKey]declInfo),
-		counts: make(map[funcKey]int8),
-	}
-	var roots []funcKey
-	for _, pass := range passes {
-		for _, f := range pass.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				key := keyOf(fn)
-				c.decls[key] = declInfo{pass, fd}
-				if !pass.Pkg.DepOnly && vet.FuncDirective(fd, "hotpath") && handlesPackets(fn) {
-					roots = append(roots, key)
-				}
-			}
-		}
-	}
-	for _, root := range roots {
-		di := c.decls[root]
-		if di.decl.Body != nil {
-			c.block(di.pass, rootName(root), di.decl.Body.List, false)
+func runModule(m *vet.Module) error {
+	c := &checker{m: m, counts: make(map[vet.FuncKey]int8)}
+	for _, root := range m.HotRoots {
+		d := m.Decls[root]
+		if fn, ok := d.Pass.Info.Defs[d.Fn.Name].(*types.Func); ok && handlesPackets(fn) && d.Fn.Body != nil {
+			c.block(d.Pass, root.String(), d.Fn.Body.List, false)
 		}
 	}
 	return nil
@@ -202,7 +165,7 @@ func (c *checker) subtreeCounts(pass *vet.Pass, n ast.Node) bool {
 		if !ok {
 			return true
 		}
-		if fn := calleeFunc(pass, call); fn != nil && c.funcCounts(fn) {
+		if c.callCounts(pass, call) {
 			found = true
 			return false
 		}
@@ -211,22 +174,22 @@ func (c *checker) subtreeCounts(pass *vet.Pass, n ast.Node) bool {
 	return found
 }
 
-// funcCounts reports whether calling fn (transitively) increments a
+// callCounts reports whether the call (transitively) increments a
 // telemetry counter. Cycles resolve to "does not count".
-func (c *checker) funcCounts(fn *types.Func) bool {
-	if isCounterIncr(fn) {
+func (c *checker) callCounts(pass *vet.Pass, call *ast.CallExpr) bool {
+	if fn := pass.Callee(call); fn != nil && isCounterIncr(fn) {
 		return true
 	}
-	if fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), "alpha") {
+	key, ok := pass.LocalCallee(call)
+	if !ok {
 		return false
 	}
-	key := keyOf(fn)
 	if v := c.counts[key]; v != 0 {
 		return v > 0
 	}
 	c.counts[key] = -1 // in progress; a cycle does not count
-	di, ok := c.decls[key]
-	if ok && di.decl.Body != nil && c.subtreeCounts(di.pass, di.decl.Body) {
+	d, ok := c.m.Decls[key]
+	if ok && d.Fn.Body != nil && c.subtreeCounts(d.Pass, d.Fn.Body) {
 		c.counts[key] = 1
 		return true
 	}
@@ -236,57 +199,9 @@ func (c *checker) funcCounts(fn *types.Func) bool {
 // isCounterIncr matches telemetry.Counter.Inc and telemetry.Counter.Add —
 // the primitive every counted drop bottoms out in.
 func isCounterIncr(fn *types.Func) bool {
-	if fn.Name() != "Inc" && fn.Name() != "Add" {
+	if fn.Pkg() == nil {
 		return false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Name() == "Counter" && strings.HasSuffix(named.Obj().Pkg().Path(), "telemetry")
-}
-
-func calleeFunc(pass *vet.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-func keyOf(fn *types.Func) funcKey {
-	key := funcKey{pkg: fn.Pkg().Path(), name: fn.Name()}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			key.recv = n.Obj().Name()
-		}
-	}
-	return key
-}
-
-func rootName(key funcKey) string {
-	short := key.pkg
-	if i := strings.LastIndex(short, "/"); i >= 0 {
-		short = short[i+1:]
-	}
-	if key.recv != "" {
-		return short + "." + key.recv + "." + key.name
-	}
-	return short + "." + key.name
+	k := vet.KeyOf(fn)
+	return (k.Name == "Inc" || k.Name == "Add") && k.Recv == "Counter" && strings.HasSuffix(k.Pkg, "telemetry")
 }

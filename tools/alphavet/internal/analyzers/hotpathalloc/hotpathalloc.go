@@ -31,8 +31,8 @@
 // `//alpha:alloc-ok <why>` line waiver applies; because escape analysis is
 // context-sensitive under inlining, diagnostics are matched against hot
 // function ranges across the whole module, whichever package's compilation
-// produced them. Escape mode needs the host toolchain to compile the tree
-// (so it is disabled on the cross-configuration sweeps).
+// produced them. Escape mode needs the host toolchain to compile the tree;
+// only the packages the run names are compiled.
 package hotpathalloc
 
 import (
@@ -49,8 +49,8 @@ import (
 )
 
 // Escape enables the compiler-backed escape-analysis pass on top of the
-// syntactic pre-filter. The driver turns it on by default (-escape); it
-// stays off here so fixture tests opt in per test.
+// syntactic pre-filter. The driver always turns it on; it stays off here so
+// fixture tests opt in per test.
 var Escape = false
 
 var Analyzer = &vet.Analyzer{
@@ -59,95 +59,62 @@ var Analyzer = &vet.Analyzer{
 	RunModule: runModule,
 }
 
-// funcKey identifies a function declaration across packages by stable
-// strings (export-data token positions are not comparable with source ones).
-type funcKey struct {
-	pkg  string // package path
-	recv string // receiver type name, "" for plain functions
-	name string
-}
-
-type declInfo struct {
-	pass *vet.Pass
-	decl *ast.FuncDecl
-}
-
-func runModule(passes []*vet.Pass) error {
-	// Index every function declaration in the module.
-	decls := make(map[funcKey]declInfo)
-	var roots []funcKey
-	for _, pass := range passes {
-		for _, f := range pass.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				key := keyOf(fn)
-				decls[key] = declInfo{pass, fd}
-				if vet.FuncDirective(fd, "hotpath") {
-					roots = append(roots, key)
-				}
-			}
+func runModule(m *vet.Module) error {
+	hot := m.Hot(m.HotRoots, skip)
+	for _, key := range vet.Sorted(hot) {
+		if d, ok := m.Decls[key]; ok && d.Fn.Body != nil {
+			check(d, key, hot[key])
 		}
 	}
-
-	checked := make(map[funcKey]bool)
-	rootOf := make(map[funcKey]string)
-	for _, root := range roots {
-		visit(decls, root, rootName(root), checked, rootOf)
-	}
 	if Escape {
-		return escapePass(decls, checked, rootOf)
+		return escapePass(m, hot)
 	}
 	return nil
 }
 
-// visit checks one function and recurses into its module-local callees.
-// Each function is checked once: the first hot root to reach it wins the
-// attribution in the message.
-func visit(decls map[funcKey]declInfo, key funcKey, root string, checked map[funcKey]bool, rootOf map[funcKey]string) {
-	if checked[key] {
-		return
+// skip keeps the hot walk out of a call waived with alloc-ok (how amortized
+// slow paths such as cache misses opt out) and out of an escaping closure,
+// which runs later and is reported as a closure.
+func skip(d vet.Decl, n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		return d.Pass.HasLineDirective(n.Pos(), "alloc-ok")
+	case *ast.FuncLit:
+		return !d.Pass.HasLineDirective(n.Pos(), "alloc-ok") && !isIIFE(d.Fn.Body, n)
 	}
-	checked[key] = true
-	rootOf[key] = root
-	di, ok := decls[key]
-	if !ok || di.decl.Body == nil {
-		return
-	}
-	pass, fd := di.pass, di.decl
+	return false
+}
 
-	via := ""
-	if rootName(key) != root {
-		via = fmt.Sprintf(" (hot via %s)", root)
+// hotVia names the root that made key hot, for a function that is not a root.
+func hotVia(key, root vet.FuncKey) string {
+	if root == key {
+		return ""
 	}
+	return fmt.Sprintf(" (hot via %s)", root)
+}
+
+// check reports the allocation sites of one hot function.
+func check(d vet.Decl, key, root vet.FuncKey) {
+	pass, fd, via := d.Pass, d.Fn, hotVia(key, root)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if pass.HasLineDirective(n.Pos(), "alloc-ok") {
-				// Waived: no finding, and no traversal into the callee —
-				// this is how amortized slow paths (cache misses) opt out.
-				return true
+			if !pass.HasLineDirective(n.Pos(), "alloc-ok") {
+				checkCall(pass, n, via)
 			}
-			checkCall(pass, n, via, decls, root, checked, rootOf)
 		case *ast.FuncLit:
 			if pass.HasLineDirective(n.Pos(), "alloc-ok") {
 				return true
 			}
 			if !isIIFE(fd.Body, n) {
-				pass.Reportf(n.Pos(), "closure in hot path %s%s; closures escape and allocate", rootName(key), via)
+				pass.Reportf(n.Pos(), "closure in hot path %s%s; closures escape and allocate", key, via)
 				return false
 			}
 		case *ast.CompositeLit:
 			if tv, ok := pass.Info.Types[n]; ok {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 					if !pass.HasLineDirective(n.Pos(), "alloc-ok") {
-						pass.Reportf(n.Pos(), "map literal in hot path %s%s", rootName(key), via)
+						pass.Reportf(n.Pos(), "map literal in hot path %s%s", key, via)
 					}
 				}
 			}
@@ -158,7 +125,7 @@ func visit(decls map[funcKey]declInfo, key funcKey, root string, checked map[fun
 	checkAppends(pass, fd, via, key)
 }
 
-func checkCall(pass *vet.Pass, call *ast.CallExpr, via string, decls map[funcKey]declInfo, root string, checked map[funcKey]bool, rootOf map[funcKey]string) {
+func checkCall(pass *vet.Pass, call *ast.CallExpr, via string) {
 	// make(map[...]...) — builtin, no callee object.
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "make" && len(call.Args) > 0 {
 		if tv, ok := pass.Info.Types[call.Args[0]]; ok {
@@ -169,7 +136,7 @@ func checkCall(pass *vet.Pass, call *ast.CallExpr, via string, decls map[funcKey
 		return
 	}
 
-	fn := calleeFunc(pass, call)
+	fn := pass.Callee(call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -183,20 +150,6 @@ func checkCall(pass *vet.Pass, call *ast.CallExpr, via string, decls map[funcKey
 	if sig, ok := fn.Type().(*types.Signature); ok {
 		checkBoxing(pass, call, sig, via)
 	}
-
-	// Recurse into module-local callees (skip interface-method dispatch:
-	// the static target is unknown).
-	if !strings.HasPrefix(fn.Pkg().Path(), "alpha") {
-		return
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			if types.IsInterface(s.Recv().Underlying()) {
-				return
-			}
-		}
-	}
-	visit(decls, keyOf(fn), root, checked, rootOf)
 }
 
 // checkBoxing reports concrete→interface conversions among call arguments.
@@ -238,7 +191,7 @@ func checkBoxing(pass *vet.Pass, call *ast.CallExpr, sig *types.Signature, via s
 }
 
 // checkAppends flags appends that grow fresh or unsized slices.
-func checkAppends(pass *vet.Pass, fd *ast.FuncDecl, via string, key funcKey) {
+func checkAppends(pass *vet.Pass, fd *ast.FuncDecl, via string, key vet.FuncKey) {
 	// Locals declared with no backing capacity: `var s []T` or `s := []T{}`
 	// (or explicit nil). Appending to these reallocs as it grows.
 	unsized := make(map[types.Object]bool)
@@ -304,12 +257,12 @@ func checkAppends(pass *vet.Pass, fd *ast.FuncDecl, via string, key funcKey) {
 		arg0 := ast.Unparen(call.Args[0])
 		switch {
 		case isEmptySliceExpr(pass, arg0):
-			pass.Reportf(call.Pos(), "append to fresh slice in hot path %s%s; reuse a scratch buffer", rootName(key), via)
+			pass.Reportf(call.Pos(), "append to fresh slice in hot path %s%s; reuse a scratch buffer", key, via)
 		default:
 			if id0, ok := arg0.(*ast.Ident); ok {
 				if obj := pass.Info.Uses[id0]; obj != nil && unsized[obj] {
 					pass.Reportf(call.Pos(), "append to un-presized slice %s in hot path %s%s; preallocate with make(_, 0, n) or reuse a buffer",
-						id0.Name, rootName(key), via)
+						id0.Name, key, via)
 				}
 			}
 		}
@@ -362,37 +315,11 @@ func isIIFE(body *ast.BlockStmt, lit *ast.FuncLit) bool {
 	return found
 }
 
-func calleeFunc(pass *vet.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-func keyOf(fn *types.Func) funcKey {
-	key := funcKey{pkg: fn.Pkg().Path(), name: fn.Name()}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			key.recv = n.Obj().Name()
-		}
-	}
-	return key
-}
-
 // hotRange is one hot function's source extent, for mapping compiler
 // diagnostics (file:line) back onto the call graph the syntactic pass built.
 type hotRange struct {
 	start, end int // body line range, inclusive
-	key        funcKey
+	key        vet.FuncKey
 	pass       *vet.Pass
 }
 
@@ -400,23 +327,25 @@ type hotRange struct {
 // holds a hot function with -m=2, then report each heap-escape diagnostic
 // that lands inside a hot function and is not waived on its line. The
 // compiler's escape-flow explanation rides along in the message.
-func escapePass(decls map[funcKey]declInfo, checked map[funcKey]bool, rootOf map[funcKey]string) error {
+func escapePass(m *vet.Module, hot map[vet.FuncKey]vet.FuncKey) error {
 	// Index hot function extents by file, across the whole module: inlining
 	// makes escape analysis context-sensitive, so a diagnostic produced while
 	// compiling package P may point into a hot callee in package Q.
 	ranges := make(map[string][]hotRange)
 	pkgSet := make(map[*vet.Pass]bool)
-	for key := range checked {
-		di, ok := decls[key]
-		if !ok || di.decl.Body == nil {
+	for key := range hot {
+		d, ok := m.Decls[key]
+		if !ok || d.Fn.Body == nil {
 			continue
 		}
-		pos := di.pass.Fset.Position(di.decl.Pos())
-		end := di.pass.Fset.Position(di.decl.End())
+		pos := d.Pass.Fset.Position(d.Fn.Pos())
+		end := d.Pass.Fset.Position(d.Fn.End())
 		ranges[pos.Filename] = append(ranges[pos.Filename], hotRange{
-			start: pos.Line, end: end.Line, key: key, pass: di.pass,
+			start: pos.Line, end: end.Line, key: key, pass: d.Pass,
 		})
-		pkgSet[di.pass] = true
+		if !d.Pass.Pkg.DepOnly {
+			pkgSet[d.Pass] = true // a DepOnly package is read, not compiled
+		}
 	}
 	if len(pkgSet) == 0 {
 		return nil
@@ -467,11 +396,7 @@ func escapePass(decls map[funcKey]declInfo, checked map[funcKey]bool, rootOf map
 			if hr.pass.HasDirectiveAtLine(d.File, d.Line, "alloc-ok") {
 				continue
 			}
-			via := ""
-			if root := rootOf[hr.key]; root != "" && root != rootName(hr.key) {
-				via = fmt.Sprintf(" (hot via %s)", root)
-			}
-			msg := fmt.Sprintf("%s in hot path %s%s [compiler escape analysis]", d.Message, rootName(hr.key), via)
+			msg := fmt.Sprintf("%s in hot path %s%s [compiler escape analysis]", d.Message, hr.key, hotVia(hr.key, hot[hr.key]))
 			if flow := flowSummary(d.Flow); flow != "" {
 				msg += ": " + flow
 			}
@@ -503,15 +428,4 @@ func flowSummary(flow []string) string {
 		flow = append(flow[:keep:keep], fmt.Sprintf("... (%d more flow steps)", n-keep))
 	}
 	return strings.Join(flow, " ; ")
-}
-
-func rootName(key funcKey) string {
-	short := key.pkg
-	if i := strings.LastIndex(short, "/"); i >= 0 {
-		short = short[i+1:]
-	}
-	if key.recv != "" {
-		return short + "." + key.recv + "." + key.name
-	}
-	return short + "." + key.name
 }

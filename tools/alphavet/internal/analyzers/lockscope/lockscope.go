@@ -13,6 +13,9 @@
 //     mutex is an ordering hazard as well as a latency one);
 //   - call into packages net, syscall, or os (I/O under a shard lock);
 //   - call a module-local function that transitively does any of the above.
+//     Its body is read from the packages the analyzed ones import too
+//     (vet.Module), so a run scoped to one package judges the call as the
+//     sweep does.
 //
 // Functions whose doc comment carries //alpha:seqlock-write are writer
 // sections of a seqlock (obs.SpanRing): readers spin while the sequence is
@@ -31,7 +34,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"alpha/tools/alphavet/internal/vet"
 )
@@ -42,108 +44,28 @@ var Analyzer = &vet.Analyzer{
 	RunModule: runModule,
 }
 
-type funcKey struct {
-	pkg  string
-	recv string
-	name string
+// checker memoizes, per module-local function, whether it (transitively)
+// blocks.
+type checker struct {
+	m         *vet.Module
+	summaries map[vet.FuncKey]*blockSummary
 }
 
-type declInfo struct {
-	pass *vet.Pass
-	decl *ast.FuncDecl
-}
-
-func runModule(passes []*vet.Pass) error {
-	decls := make(map[funcKey]declInfo)
-	var roots []funcKey
-	var seqlocks []funcKey
-	for _, pass := range passes {
-		for _, f := range pass.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				key := keyOf(fn)
-				decls[key] = declInfo{pass, fd}
-				if vet.FuncDirective(fd, "hotpath") {
-					roots = append(roots, key)
-				}
-				if vet.FuncDirective(fd, "seqlock-write") {
-					seqlocks = append(seqlocks, key)
-				}
-			}
-		}
-	}
-
+func runModule(m *vet.Module) error {
+	c := &checker{m: m, summaries: make(map[vet.FuncKey]*blockSummary)}
 	// Hot set: every function statically reachable from a hotpath root.
-	hot := make(map[funcKey]bool)
-	for _, root := range roots {
-		reach(decls, root, hot)
-	}
-
-	summaries := make(map[funcKey]*blockSummary)
-	// Deterministic order: sort the examined set.
-	var examine []funcKey
-	for key := range hot {
-		examine = append(examine, key)
-	}
-	sort.Slice(examine, func(i, j int) bool { return less(examine[i], examine[j]) })
-	for _, key := range examine {
-		di, ok := decls[key]
-		if !ok || di.decl.Body == nil {
-			continue
+	for _, key := range vet.Sorted(m.Hot(m.HotRoots, nil)) {
+		if d, ok := m.Decls[key]; ok && d.Fn.Body != nil {
+			c.checkFunc(d, key, criticalSections(d))
 		}
-		checkFunc(di, key, criticalSections(di), decls, summaries)
 	}
-
-	sort.Slice(seqlocks, func(i, j int) bool { return less(seqlocks[i], seqlocks[j]) })
-	for _, key := range seqlocks {
-		di := decls[key]
-		if di.decl == nil || di.decl.Body == nil {
-			continue
+	for _, key := range m.SeqlockRoots {
+		if d := m.Decls[key]; d.Fn.Body != nil {
+			body := d.Fn.Body
+			c.checkFunc(d, key, []section{{from: body.Pos(), to: body.End(), what: "inside the seqlock write section (//alpha:seqlock-write)"}})
 		}
-		body := di.decl.Body
-		sec := []section{{from: body.Pos(), to: body.End(), what: "inside the seqlock write section (//alpha:seqlock-write)"}}
-		checkFunc(di, key, sec, decls, summaries)
 	}
 	return nil
-}
-
-func less(a, b funcKey) bool {
-	if a.pkg != b.pkg {
-		return a.pkg < b.pkg
-	}
-	if a.recv != b.recv {
-		return a.recv < b.recv
-	}
-	return a.name < b.name
-}
-
-// reach marks key and its static module-local callees hot.
-func reach(decls map[funcKey]declInfo, key funcKey, hot map[funcKey]bool) {
-	if hot[key] {
-		return
-	}
-	hot[key] = true
-	di, ok := decls[key]
-	if !ok || di.decl.Body == nil {
-		return
-	}
-	ast.Inspect(di.decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if callee, ok := localCallee(di.pass, call); ok {
-			reach(decls, callee, hot)
-		}
-		return true
-	})
 }
 
 // section is one critical interval inside a function body: positions in
@@ -158,7 +80,7 @@ func (s section) contains(pos token.Pos) bool { return pos > s.from && pos < s.t
 // criticalSections derives the mutex-held intervals of one function from
 // paired Lock/Unlock calls on the same receiver expression. A deferred
 // unlock — or a missing one — extends the section to the end of the body.
-func criticalSections(di declInfo) []section {
+func criticalSections(d vet.Decl) []section {
 	type event struct {
 		pos      token.Pos
 		recv     string
@@ -167,15 +89,15 @@ func criticalSections(di declInfo) []section {
 	}
 	var events []event
 	deferred := make(map[ast.Node]bool)
-	ast.Inspect(di.decl.Body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeferStmt); ok {
-			deferred[d.Call] = true
+	ast.Inspect(d.Fn.Body, func(n ast.Node) bool {
+		if ds, ok := n.(*ast.DeferStmt); ok {
+			deferred[ds.Call] = true
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		name, recv, ok := mutexOp(di.pass, call)
+		name, recv, ok := mutexOp(d.Pass, call)
 		if !ok {
 			return true
 		}
@@ -195,7 +117,7 @@ func criticalSections(di declInfo) []section {
 		if !e.open {
 			continue
 		}
-		to := di.decl.Body.End()
+		to := d.Fn.Body.End()
 		for j := i + 1; j < len(events); j++ {
 			if events[j].open || used[j] || events[j].recv != e.recv {
 				continue
@@ -233,26 +155,25 @@ func mutexOp(pass *vet.Pass, call *ast.CallExpr) (name, recv string, ok bool) {
 
 // checkFunc reports blocking operations inside the given sections of one
 // function.
-func checkFunc(di declInfo, key funcKey, sections []section, decls map[funcKey]declInfo, summaries map[funcKey]*blockSummary) {
+func (c *checker) checkFunc(d vet.Decl, key vet.FuncKey, sections []section) {
 	if len(sections) == 0 {
 		return
 	}
-	pass := di.pass
-	selectComm := selectCommOps(di.decl.Body)
-	inspectNoFuncLit(di.decl.Body, func(n ast.Node) {
+	selectComm := selectCommOps(d.Fn.Body)
+	inspectNoFuncLit(d.Fn.Body, func(n ast.Node) {
 		pos := n.Pos()
 		sec, ok := containing(sections, pos)
 		if !ok {
 			return
 		}
-		desc, blocking := blockingOp(pass, n, selectComm, decls, summaries)
-		if !blocking {
+		desc, callee, blocking := c.blockingOp(d.Pass, n, selectComm, nil)
+		if !blocking || d.Pass.HasLineDirective(pos, "block-ok") {
 			return
 		}
-		if pass.HasLineDirective(pos, "block-ok") {
-			return
+		if callee != (vet.FuncKey{}) {
+			desc = fmt.Sprintf("call to %s blocks (%s)", callee, desc)
 		}
-		pass.Reportf(pos, "%s %s in hot path %s", desc, sec.what, funcName(key))
+		d.Pass.Reportf(pos, "%s %s in hot path %s", desc, sec.what, key)
 	})
 }
 
@@ -265,57 +186,48 @@ func containing(sections []section, pos token.Pos) (section, bool) {
 	return section{}, false
 }
 
-// blockingOp classifies one AST node as a blocking operation. Module-local
-// calls are judged by their transitive summary.
-func blockingOp(pass *vet.Pass, n ast.Node, selectComm map[ast.Node]bool, decls map[funcKey]declInfo, summaries map[funcKey]*blockSummary) (string, bool) {
+// blockingOp judges one node of a function body, for a critical section and
+// for a callee's summary alike. A module-local call blocks if its callee's
+// summary does: callee is then set, and desc is the summary's reason.
+func (c *checker) blockingOp(pass *vet.Pass, n ast.Node, selectComm map[ast.Node]bool, visiting map[vet.FuncKey]bool) (desc string, callee vet.FuncKey, ok bool) {
 	switch n := n.(type) {
 	case *ast.SendStmt:
-		if selectComm[n] {
-			return "", false
-		}
-		return "channel send", true
+		return "channel send", callee, !selectComm[n]
 	case *ast.UnaryExpr:
-		if n.Op != token.ARROW || selectComm[n] {
-			return "", false
-		}
-		return "channel receive", true
+		return "channel receive", callee, n.Op == token.ARROW && !selectComm[n]
 	case *ast.SelectStmt:
-		if hasDefault(n) {
-			return "", false
-		}
-		return "select without default case", true
+		return "select without default case", callee, !hasDefault(n)
 	case *ast.RangeStmt:
 		if tv, ok := pass.Info.Types[n.X]; ok {
 			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				return "range over channel", true
+				return "range over channel", callee, true
 			}
 		}
-		return "", false
 	case *ast.CallExpr:
 		if desc, ok := stdBlockingCall(pass, n); ok {
-			return desc, true
+			return desc, callee, true
 		}
-		if callee, ok := localCallee(pass, n); ok {
-			if sum := summarize(callee, decls, summaries, nil); sum.blocks {
-				return fmt.Sprintf("call to %s blocks (%s)", funcName(callee), sum.why), true
+		if key, ok := pass.LocalCallee(n); ok {
+			if sum := c.summarize(key, visiting); sum.blocks {
+				return sum.why, key, true
 			}
 		}
-		return "", false
 	}
-	return "", false
+	return "", callee, false
 }
 
 // stdBlockingCall matches calls into the standard library that block or do
 // I/O: time.Sleep, the sync wait family (including taking another lock),
 // and anything in net, syscall, or os.
 func stdBlockingCall(pass *vet.Pass, call *ast.CallExpr) (string, bool) {
-	fn := calleeFunc(pass, call)
+	fn := pass.Callee(call)
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}
-	full := fn.Pkg().Path() + "." + fn.Name()
-	if recv := recvTypeName(fn); recv != "" {
-		full = fn.Pkg().Path() + "." + recv + "." + fn.Name()
+	key := vet.KeyOf(fn)
+	full := key.Pkg + "." + key.Name
+	if key.Recv != "" {
+		full = key.Pkg + "." + key.Recv + "." + key.Name
 	}
 	switch full {
 	case "time.Sleep":
@@ -329,16 +241,16 @@ func stdBlockingCall(pass *vet.Pass, call *ast.CallExpr) (string, bool) {
 	// are deliberately excluded: most are pure accessors on data types
 	// ((*net.IP).To4, (*syscall.Iovec).SetLen), and the interface-typed
 	// ones (net.Conn) do not resolve statically anyway.
-	if recvTypeName(fn) == "" {
-		switch fn.Pkg().Path() {
+	if key.Recv == "" {
+		switch key.Pkg {
 		case "syscall":
-			switch fn.Name() {
+			switch key.Name {
 			case "CmsgLen", "CmsgSpace", "TimevalToNsec", "NsecToTimeval", "TimespecToNsec", "NsecToTimespec":
 				return "", false // pure arithmetic helpers, no kernel crossing
 			}
-			return fmt.Sprintf("potentially blocking %s.%s call", fn.Pkg().Path(), fn.Name()), true
+			return "potentially blocking " + full + " call", true
 		case "net", "os":
-			return fmt.Sprintf("potentially blocking %s.%s call", fn.Pkg().Path(), fn.Name()), true
+			return "potentially blocking " + full + " call", true
 		}
 	}
 	return "", false
@@ -353,62 +265,35 @@ type blockSummary struct {
 // summarize computes the transitive does-it-block summary for one
 // module-local function. Waived (//alpha:block-ok) operation sites inside
 // the callee do not count — the waiver's rationale travels with the code.
-func summarize(key funcKey, decls map[funcKey]declInfo, summaries map[funcKey]*blockSummary, visiting map[funcKey]bool) *blockSummary {
-	if sum, ok := summaries[key]; ok {
+func (c *checker) summarize(key vet.FuncKey, visiting map[vet.FuncKey]bool) *blockSummary {
+	if sum, ok := c.summaries[key]; ok {
 		return sum
 	}
 	if visiting[key] {
 		return &blockSummary{} // recursion: break the cycle optimistically
 	}
 	if visiting == nil {
-		visiting = make(map[funcKey]bool)
+		visiting = make(map[vet.FuncKey]bool)
 	}
 	visiting[key] = true
 	defer delete(visiting, key)
 
 	sum := &blockSummary{}
-	di, ok := decls[key]
-	if ok && di.decl.Body != nil {
-		pass := di.pass
-		selectComm := selectCommOps(di.decl.Body)
-		inspectNoFuncLit(di.decl.Body, func(n ast.Node) {
-			if sum.blocks || pass.HasLineDirective(n.Pos(), "block-ok") {
+	if d, ok := c.m.Decls[key]; ok && d.Fn.Body != nil {
+		selectComm := selectCommOps(d.Fn.Body)
+		inspectNoFuncLit(d.Fn.Body, func(n ast.Node) {
+			if sum.blocks || d.Pass.HasLineDirective(n.Pos(), "block-ok") {
 				return
 			}
-			switch n := n.(type) {
-			case *ast.SendStmt:
-				if !selectComm[n] {
-					sum.blocks, sum.why = true, "channel send"
+			if why, callee, ok := c.blockingOp(d.Pass, n, selectComm, visiting); ok {
+				if callee != (vet.FuncKey{}) {
+					why = fmt.Sprintf("%s: %s", callee, why)
 				}
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && !selectComm[n] {
-					sum.blocks, sum.why = true, "channel receive"
-				}
-			case *ast.SelectStmt:
-				if !hasDefault(n) {
-					sum.blocks, sum.why = true, "select without default"
-				}
-			case *ast.RangeStmt:
-				if tv, ok := pass.Info.Types[n.X]; ok {
-					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						sum.blocks, sum.why = true, "range over channel"
-					}
-				}
-			case *ast.CallExpr:
-				if desc, ok := stdBlockingCall(pass, n); ok {
-					sum.blocks, sum.why = true, desc
-					return
-				}
-				if callee, ok := localCallee(pass, n); ok {
-					if inner := summarize(callee, decls, summaries, visiting); inner.blocks {
-						sum.blocks = true
-						sum.why = fmt.Sprintf("%s: %s", funcName(callee), inner.why)
-					}
-				}
+				sum.blocks, sum.why = true, why
 			}
 		})
 	}
-	summaries[key] = sum
+	c.summaries[key] = sum
 	return sum
 }
 
@@ -469,65 +354,4 @@ func inspectNoFuncLit(body *ast.BlockStmt, fn func(ast.Node)) {
 		}
 		return true
 	})
-}
-
-// localCallee resolves a call to a module-local function or concrete
-// method, skipping interface dispatch.
-func localCallee(pass *vet.Pass, call *ast.CallExpr) (funcKey, bool) {
-	fn := calleeFunc(pass, call)
-	if fn == nil || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), "alpha") {
-		return funcKey{}, false
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-			if types.IsInterface(s.Recv().Underlying()) {
-				return funcKey{}, false
-			}
-		}
-	}
-	return keyOf(fn), true
-}
-
-func calleeFunc(pass *vet.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-func keyOf(fn *types.Func) funcKey {
-	key := funcKey{pkg: fn.Pkg().Path(), name: fn.Name()}
-	key.recv = recvTypeName(fn)
-	return key
-}
-
-func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-func funcName(key funcKey) string {
-	short := key.pkg
-	if i := strings.LastIndex(short, "/"); i >= 0 {
-		short = short[i+1:]
-	}
-	if key.recv != "" {
-		return short + "." + key.recv + "." + key.name
-	}
-	return short + "." + key.name
 }

@@ -47,45 +47,29 @@ type listPackage struct {
 	Error      *struct{ Err string }
 }
 
-// Config tunes a Load. The zero value analyzes the host build configuration
-// with GOMAXPROCS-way parallelism.
-type Config struct {
-	// Dir is the directory whose module is analyzed ("." when empty).
-	Dir string
-	// Jobs bounds loader parallelism; <= 0 means GOMAXPROCS.
-	Jobs int
-}
-
-// Load type-checks the packages matched by patterns with a default Config.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadConfig(Config{Dir: dir}, patterns...)
-}
-
-// LoadConfig type-checks the packages matched by patterns. It shells out to
-// `go list -deps -export -json` so dependencies are resolved from compiler
-// export data instead of source, keeping the loader small and the analysis
-// independent of the dependency graph's own style. GOWORK is forced off so
-// running from a go.work root still analyzes only the module under Dir.
+// Load type-checks the packages matched by patterns in the module at dir.
+// It shells out to `go list -deps -export -json` so dependencies are
+// resolved from compiler export data instead of source, keeping the loader
+// small and the analysis independent of the dependency graph's own style.
+// GOWORK is forced off so running from a go.work root still analyzes only
+// the module under dir.
 //
-// Target packages parse and type-check concurrently (bounded by Jobs):
+// Target packages parse and type-check concurrently, GOMAXPROCS at a time:
 // every dependency — including in-module ones — imports from export data,
 // so no target depends on another target's type-checking having finished.
 // The non-standard dependencies of the targets are type-checked from source
-// the same way and returned too, marked DepOnly, so an analysis that follows
-// calls (Analyzer.Deps) sees their bodies when the patterns name one package.
-func LoadConfig(cfg Config, patterns ...string) ([]*Package, error) {
+// the same way and returned too, marked DepOnly, so a RunModule analyzer
+// sees their bodies when the patterns name one package.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	if cfg.Dir == "" {
-		cfg.Dir = "."
 	}
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
 		"-json=ImportPath,Dir,Name,Export,GoFiles,Standard,DepOnly,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = cfg.Dir
+	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "GOWORK=off")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -137,14 +121,9 @@ func LoadConfig(cfg Config, patterns ...string) ([]*Package, error) {
 		return rawImp.Import(path)
 	})
 
-	jobs := cfg.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-
 	pkgs := make([]*Package, len(targets))
 	errs := make([]error, len(targets))
-	sem := make(chan struct{}, jobs)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, lp := range targets {
 		wg.Add(1)

@@ -6,8 +6,10 @@
 // this job, but the repository is deliberately stdlib-only, so this package
 // provides the ~10% of it alphavet needs: an Analyzer struct, a Pass with
 // syntax + types.Info, a loader (see load.go) that shells out to `go list
-// -deps -export -json` and type-checks against compiler export data, and a
-// fixture test harness (vettest) that understands `// want "re"` comments.
+// -deps -export -json` and type-checks against compiler export data, a
+// Module (see module.go) that indexes the run's function declarations for
+// the call-graph analyzers, and a fixture test harness (vettest) that
+// understands `// want "re"` comments.
 package vet
 
 import (
@@ -21,21 +23,14 @@ import (
 )
 
 // Analyzer is one named check. Exactly one of Run and RunModule must be set:
-// Run is invoked once per package, RunModule once with every package of the
-// load so cross-package analyses (static call graphs) can see the whole
-// module.
+// Run is invoked once per analyzed package, RunModule once with a Module of
+// every loaded package, DepOnly ones included, so cross-package analyses
+// (static call graphs) read the same bodies however the run is scoped.
 type Analyzer struct {
-	Name string
-	Doc  string
-	// Run analyzes a single package.
-	Run func(*Pass) error
-	// RunModule analyzes all loaded target packages at once. Passes arrive
-	// sorted by import path.
-	RunModule func([]*Pass) error
-	// Deps adds to RunModule's passes one for each loaded DepOnly package
-	// (Pass.Pkg.DepOnly): the analyzer may read its declarations and must
-	// report nothing in it.
-	Deps bool
+	Name      string
+	Doc       string
+	Run       func(*Pass) error
+	RunModule func(*Module) error
 }
 
 // Pass carries one package's worth of analysis input and collects
@@ -76,17 +71,17 @@ func (d Diagnostic) String() string {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.ReportAt(p.Fset.Position(pos), format, args...)
 }
 
 // ReportAt records a diagnostic at an externally produced position (the
 // compiler-backed passes get file:line:col from `go build` output, not from
-// a token.Pos in this FileSet).
+// a token.Pos in this FileSet). Nothing is recorded in a DepOnly package:
+// the run reads it and reports only in the packages it names.
 func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
+	if p.Pkg.DepOnly {
+		return
+	}
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
@@ -209,7 +204,7 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 		start := time.Now()
 		var passes []*Pass
 		for _, pkg := range pkgs {
-			if pkg.DepOnly && (a.RunModule == nil || !a.Deps) {
+			if pkg.DepOnly && a.RunModule == nil {
 				continue
 			}
 			passes = append(passes, &Pass{
@@ -225,7 +220,7 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 		}
 		switch {
 		case a.RunModule != nil:
-			if err := a.RunModule(passes); err != nil {
+			if err := a.RunModule(NewModule(passes)); err != nil {
 				return nil, nil, fmt.Errorf("%s: %w", a.Name, err)
 			}
 		case a.Run != nil:
@@ -239,7 +234,7 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 		}
 		timings = append(timings, Timing{Analyzer: a.Name, Duration: time.Since(start)})
 	}
-	sort.Slice(diags, func(i, j int) bool {
+	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename

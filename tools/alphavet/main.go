@@ -1,14 +1,15 @@
 // Command alphavet runs the project-specific static analyzers over the ALPHA
 // tree. Usage:
 //
-//	go run ./tools/alphavet [-only a,b] [-escape=false] [-json] [-v] [packages]
+//	go run ./tools/alphavet [-only a,b] [-list] [-json] [-v] [packages]
 //
 // With no package arguments it analyzes ./... of the module in the current
-// directory. Exit status is 1 if any analyzer reports a finding.
+// directory. A run that names packages also reads the declarations of the
+// packages they import, and reports only in the named ones. Exit status is
+// 1 if any analyzer reports a finding.
 //
-// The default run layers a compiler-backed escape-analysis pass (go build
-// -gcflags=-m=2) on top of the syntactic hotpathalloc pre-filter; -escape=false
-// drops back to the purely syntactic suite. Only the host's build
+// hotpathalloc layers a compiler-backed escape-analysis pass (go build
+// -gcflags=-m=2) on top of its syntactic pre-filter. Only the host's build
 // configuration is analyzed: the cross-compile CI job guards the others.
 //
 // -json switches the report to one JSON object per finding
@@ -22,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -45,10 +45,8 @@ var all = []*vet.Analyzer{
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	escape := flag.Bool("escape", true, "enable the compiler-backed escape-analysis pass (hotpathalloc v2)")
 	jsonOut := flag.Bool("json", false, "report findings as one JSON object per line")
 	verbose := flag.Bool("v", false, "print loader and per-analyzer timings to stderr")
-	jobs := flag.Int("jobs", 0, "loader/escape parallelism (default GOMAXPROCS)")
 	flag.Parse()
 
 	if *list {
@@ -77,10 +75,10 @@ func main() {
 		}
 	}
 
-	hotpathalloc.Escape = *escape
+	hotpathalloc.Escape = true
 
 	start := time.Now()
-	pkgs, err := vet.LoadConfig(vet.Config{Dir: ".", Jobs: *jobs}, flag.Args()...)
+	pkgs, err := vet.Load(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "alphavet: %v\n", err)
 		os.Exit(2)
@@ -92,7 +90,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "alphavet: loaded %d packages in %v (%d jobs)\n", len(pkgs), loadTime.Round(time.Millisecond), loaderJobs(*jobs))
+		fmt.Fprintf(os.Stderr, "alphavet: loaded %d packages in %v\n", len(pkgs), loadTime.Round(time.Millisecond))
 		for _, t := range timings {
 			fmt.Fprintf(os.Stderr, "alphavet: %-14s %v\n", t.Analyzer, t.Duration.Round(time.Millisecond))
 		}
@@ -121,13 +119,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "alphavet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-func loaderJobs(jobs int) int {
-	if jobs <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return jobs
 }
 
 func firstLine(s string) string {
