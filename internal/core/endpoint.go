@@ -587,21 +587,24 @@ func (s *slab) reset() slab { return slab{buf: s.buf[:0]} }
 // reserve makes room for n bytes in an empty slab.
 func (s *slab) reserve(n int) {
 	if cap(s.buf) < n {
-		s.buf = make([]byte, 0, n) //alpha:alloc-ok a fresh exchange, or one larger than this slab has held: one allocation for all it will hold
+		s.buf = make([]byte, 0, n)
 	}
 }
 
-// extend appends n zero bytes and returns them.
+// extend appends n zero bytes and returns them, within the reservation,
+// which holds what an honest exchange extends by.
 func (s *slab) extend(n int) []byte {
 	off := len(s.buf)
-	s.buf = append(s.buf, make([]byte, n)...) //alpha:alloc-ok within the reservation, which holds what an honest exchange extends by
+	s.buf = append(s.buf, make([]byte, n)...)
 	return s.buf[off:len(s.buf):len(s.buf)]
 }
 
-// encode appends the encoded packet to the slab and returns it.
+// encode appends the encoded packet to the slab and returns it. It stays
+// within the reservation, and grows only for a nack or a peer's batch
+// beyond ours.
 func (s *slab) encode(hdr packet.Header, msg packet.Message) ([]byte, error) {
 	off := len(s.buf)
-	buf, err := packet.AppendEncode(s.buf, hdr, msg) //alpha:alloc-ok within the reservation: grows only for a nack, or a peer's batch beyond ours
+	buf, err := packet.AppendEncode(s.buf, hdr, msg)
 	s.buf = buf
 	return buf[off:len(buf):len(buf)], err
 }

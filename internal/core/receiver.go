@@ -125,7 +125,7 @@ func (e *Endpoint) rxSlabLen(s1 *packet.S1, reliable bool) int {
 // zeroed returns b resized to n zero entries, reusing its capacity.
 func zeroed[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]T, n) //alpha:alloc-ok grows to the batch size once per exchange object
+		return make([]T, n)
 	}
 	b = b[:n]
 	clear(b)
@@ -135,7 +135,7 @@ func zeroed[T any](b []T, n int) []T {
 // grown returns b emptied, with room for n entries.
 func grown[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]T, 0, n) //alpha:alloc-ok grows to the batch size once per holder
+		return make([]T, 0, n)
 	}
 	return b[:0]
 }
@@ -169,7 +169,7 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 	// The S1 is a view of the caller's buffer: everything the exchange
 	// keeps of it is copied into the slab. A refused exchange goes straight
 	// back to the free list.
-	rx := e.newRx() //alpha:alloc-ok the first MaxRxExchanges exchanges, or a caller that hands nothing back (see Release)
+	rx := e.newRx()
 	reliable := hdr.Flags&packet.FlagReliable != 0
 	rx.reserve(e.rxSlabLen(s1, reliable)) //alpha:alloc-ok a fresh exchange, or one larger than this slab has held: one allocation for all it will hold
 	if err := rx.BufferS1(&rx.buf, s1); err != nil {

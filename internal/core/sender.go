@@ -435,7 +435,7 @@ func (e *Endpoint) handleA2(now time.Time, hdr packet.Header, a2 *packet.A2) {
 	// commits the chain swap and surfaces as EventRekeyed, not as an
 	// application acknowledgment.
 	if e.rekey != nil && e.rekey.msgID == m.id {
-		e.maybeCompleteRekey(m.id) //alpha:alloc-ok rekey happens once per chain lifetime
+		e.maybeCompleteRekey(m.id)
 	} else {
 		e.tel.Acked.Inc()
 		if !m.sentAt.IsZero() {

@@ -199,7 +199,7 @@ type marks struct {
 // clearMarks clears the marks for an exchange of n messages.
 func (m *marks) clearMarks(n int) {
 	m.done, m.n, m.count = 0, n, 0
-	m.more = zeroed(m.more, (n-1)/64) //alpha:alloc-ok grows past 64 messages once per exchange object
+	m.more = zeroed(m.more, (n-1)/64) // grows past 64 messages once per exchange object
 }
 
 // MarkDone marks message i, below the exchange's message count, and

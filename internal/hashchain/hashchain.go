@@ -358,11 +358,6 @@ func (w *Walker) Init(s suite.Suite, tagOdd, tagEven, anchor []byte, maxAdvance 
 // Index returns the disclosure index of the most advanced verified element.
 func (w *Walker) Index() uint32 { return w.lastIdx }
 
-// Trusted returns the most advanced verified element. Callers must not
-// mutate the returned slice, and must copy it if they need it past the next
-// Verify call: the walker reuses the backing array when it advances.
-func (w *Walker) Trusted() []byte { return w.last[:w.size] }
-
 // Verify checks that elem is the chain element at disclosure index idx and,
 // if idx advances past the current position, moves the walker forward.
 // An index at or behind the current position is verified by deriving the

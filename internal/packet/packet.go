@@ -291,17 +291,17 @@ func (p *Parser) body(hdr Header) Message {
 func newBody(hdr Header) Message {
 	switch hdr.Type {
 	case TypeHS1, TypeHS2:
-		return &Handshake{Initiator: hdr.Type == TypeHS1, HasToken: hdr.Flags&FlagToken != 0} //alpha:alloc-ok Decode's result is its caller's to keep
+		return &Handshake{Initiator: hdr.Type == TypeHS1, HasToken: hdr.Flags&FlagToken != 0}
 	case TypeS1:
-		return new(S1) //alpha:alloc-ok Decode's result is its caller's to keep
+		return new(S1)
 	case TypeA1:
-		return new(A1) //alpha:alloc-ok Decode's result is its caller's to keep
+		return new(A1)
 	case TypeS2:
-		return new(S2) //alpha:alloc-ok Decode's result is its caller's to keep
+		return new(S2)
 	case TypeA2:
-		return new(A2) //alpha:alloc-ok Decode's result is its caller's to keep
+		return new(A2)
 	case TypeBundle:
-		return new(Bundle) //alpha:alloc-ok Decode's result is its caller's to keep
+		return new(Bundle)
 	}
 	return nil
 }

@@ -641,7 +641,7 @@ func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size 
 	}
 	r.spanKey, r.spanMode = obs.Key(s1.Auth), uint8(s1.Mode)
 	// The parser empties both lists, so an M-mode S1 (one root) counts 0.
-	x := f.take(ds, max(len(s1.MACs)+len(s1.Roots), 1)) //alpha:alloc-ok first exchanges of a flow; steady state reuses evicted ones
+	x := f.take(ds, max(len(s1.MACs)+len(s1.Roots), 1))
 	if err := x.BufferS1(&x.slab, s1); err != nil {
 		ds.Recycle(x)
 		return r.refuse(hdr, err)

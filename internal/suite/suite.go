@@ -122,9 +122,10 @@ func newMACState(h hash.Hash, size int) *macState {
 }
 
 // setKey derives the pad blocks of key and forgets the snapshots of the key
-// before.
+// before. Its copy of the key starts a block long and grows only for a key
+// longer than any before it: none of ALPHA's keys is longer than a block.
 func (st *macState) setKey(key []byte) {
-	st.key = append(st.key[:0], key...) //alpha:alloc-ok a key longer than any before it, longer than a block to begin with
+	st.key = append(st.key[:0], key...)
 	st.inner, st.outer = st.inner[:0], st.outer[:0]
 	if len(key) > len(st.ipad) {
 		st.h.Reset()
@@ -147,7 +148,8 @@ func (st *macState) begin(pad []byte, snap *[]byte, take bool) {
 	st.h.Reset()
 	st.h.Write(pad)
 	if take {
-		if b, err := st.app.AppendBinary((*snap)[:0]); err == nil { //alpha:alloc-ok the snapshot buffers grow once per pooled state
+		// The snapshot buffers grow once per pooled state.
+		if b, err := st.app.AppendBinary((*snap)[:0]); err == nil {
 			*snap = b
 		}
 	}
@@ -212,7 +214,7 @@ func (s *hashSuite) MACInto(dst, key []byte, msg ...[]byte) []byte {
 	// that differs.
 	again := subtle.ConstantTimeCompare(key, st.key) == 1
 	if !again {
-		st.setKey(key) //alpha:alloc-ok a key longer than a block: none of ALPHA's is
+		st.setKey(key)
 	}
 	take := again && st.app != nil
 	st.begin(st.ipad, &st.inner, take)

@@ -469,7 +469,7 @@ func (s *Server) dispatch(now time.Time, via udpio.Conn, from net.Addr, bp *rxBu
 			if !admitted.OK {
 				s.tracer.Trace(now.UnixNano(), telemetry.TraceDrop, hdr.Assoc, 0, admitted.Reason)
 				putBuf(bp)
-				return //alpha:drop-ok the admission verifier counted the refusal
+				return // the admission verifier counted the refusal
 			}
 		}
 		var ok bool
@@ -838,7 +838,7 @@ func newSession(srv *Server, ep *core.Endpoint, id uint64, via udpio.Conn) *Sess
 //
 //alpha:hotpath
 func (s *Session) push(d *rxBuf) bool {
-	s.inMu.Lock() //alpha:block-ok guards three words of list state for an append, never taken under another lock
+	s.inMu.Lock() // guards three words of list state, never taken under another lock
 	if s.inLen >= inboxSize {
 		s.inMu.Unlock()
 		return false
@@ -859,7 +859,7 @@ func (s *Session) push(d *rxBuf) bool {
 //
 //alpha:hotpath
 func (s *Session) takeInbox() *rxBuf {
-	s.inMu.Lock() //alpha:block-ok guards three words of list state for a detach, never taken under another lock
+	s.inMu.Lock()
 	d := s.inHead
 	s.inHead, s.inTail, s.inLen = nil, nil, 0
 	s.inMu.Unlock()

@@ -115,10 +115,14 @@ func awaitEstablished(t *testing.T, srv *Server, n int) {
 // loops and the owning worker do: several producers push while one drainer
 // takes. Each producer's datagrams come out in the order it pushed them,
 // the inbox never holds more than inboxSize, and every accepted datagram is
-// drained exactly once.
+// drained exactly once. The session is opened on a real Server (with no
+// sockets, so nothing else pushes or drains), so a push that reads its
+// server acts on real state.
 func TestSessionInboxOrderAndBound(t *testing.T) {
 	const producers, each = 4, 5000
-	sess := &Session{}
+	srv := NewServerWith(core.Config{ChainLen: 16}, ServerOptions{})
+	defer srv.Close()
+	sess := openSession(t, srv, rawFrom, 1)
 	var accepted [producers]atomic.Int64
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {

@@ -4,35 +4,37 @@
 // module — may not:
 //
 //   - call into package fmt (formatting allocates and boxes);
-//   - create escaping closures (any func literal except an immediately
-//     invoked one);
 //   - append to a fresh/unsized slice (append to a `var s []T`-style local
 //     or to a nil/empty-literal conversion — growth reallocs on the hot path);
 //   - allocate maps (make(map...) or map literals);
-//   - box a concrete value into an interface (explicit conversion or call
-//     argument, the classic hidden allocation).
+//   - allocate on the heap by the compiler's own escape analysis, which is
+//     also the one judge of closures and interface boxing.
 //
 // A finding can be waived line-by-line with `//alpha:alloc-ok <why>`; the
 // waiver also stops call-graph traversal through calls on that line (for
-// amortized slow paths like cache misses). Interface method calls are not
-// traversed: the static analysis cannot resolve dynamic targets, so
-// interface boundaries are where the guarantee is re-established by
-// annotating the implementations.
+// amortized slow paths like cache misses). Neither the walk nor the rules
+// enter a closure not invoked where it is built: its body runs later. A
+// closure that escapes is reported by the compiler where it is built.
+// Interface method calls are not traversed: the static analysis cannot
+// resolve dynamic targets, so interface boundaries are where the guarantee
+// is re-established by annotating the implementations.
 //
 // # Escape mode
 //
-// The rules above are a syntactic pre-filter: fast, explainable, and
-// portable, but a heuristic. With Escape enabled the analyzer additionally
-// asks the real Go compiler — `go build -gcflags=-m=2` per package, parsed
-// by vet.ParseEscapeDiags — and maps every "escapes to heap" / "moved to
-// heap" diagnostic whose position falls inside a hot function (a
-// //alpha:hotpath root or one of its static callees) onto a finding that
-// carries the compiler's own escape-flow explanation. The same
-// `//alpha:alloc-ok <why>` line waiver applies; because escape analysis is
-// context-sensitive under inlining, diagnostics are matched against hot
-// function ranges across the whole module, whichever package's compilation
-// produced them. Escape mode needs the host toolchain to compile the tree;
-// only the packages the run names are compiled.
+// The fmt, map and append rules are a syntactic pre-filter: fast,
+// explainable, and they name sites the compiler does not report, such as
+// fmt.Errorf over a sentinel error and append growth. With Escape enabled
+// the analyzer additionally asks the real Go compiler — `go build
+// -gcflags=-m=2` per package, parsed by vet.ParseEscapeDiags — and maps
+// every "escapes to heap" / "moved to heap" diagnostic whose position falls
+// inside a hot function (a //alpha:hotpath root or one of its static
+// callees) onto a finding that carries the compiler's own escape-flow
+// explanation. The same `//alpha:alloc-ok <why>` line waiver applies;
+// because escape analysis is context-sensitive under inlining, diagnostics
+// are matched against hot function ranges across the whole module,
+// whichever package's compilation produced them. Escape mode needs the host
+// toolchain to compile the tree; only the packages the run names are
+// compiled.
 package hotpathalloc
 
 import (
@@ -73,14 +75,14 @@ func runModule(m *vet.Module) error {
 }
 
 // skip keeps the hot walk out of a call waived with alloc-ok (how amortized
-// slow paths such as cache misses opt out) and out of an escaping closure,
-// which runs later and is reported as a closure.
+// slow paths such as cache misses opt out) and out of a closure not invoked
+// where it is built, which runs later, off the hot path.
 func skip(d vet.Decl, n ast.Node) bool {
 	switch n := n.(type) {
 	case *ast.CallExpr:
 		return d.Pass.HasLineDirective(n.Pos(), "alloc-ok")
 	case *ast.FuncLit:
-		return !d.Pass.HasLineDirective(n.Pos(), "alloc-ok") && !isIIFE(d.Fn.Body, n)
+		return !isIIFE(d.Fn.Body, n)
 	}
 	return false
 }
@@ -93,23 +95,20 @@ func hotVia(key, root vet.FuncKey) string {
 	return fmt.Sprintf(" (hot via %s)", root)
 }
 
-// check reports the allocation sites of one hot function.
+// check reports the allocation sites of one hot function. A closure not
+// invoked where it is built is the escape layer's to judge; its body runs
+// later, so check does not read it.
 func check(d vet.Decl, key, root vet.FuncKey) {
 	pass, fd, via := d.Pass, d.Fn, hotVia(key, root)
+	unsized := unsizedSlices(pass, fd.Body)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if !pass.HasLineDirective(n.Pos(), "alloc-ok") {
-				checkCall(pass, n, via)
+				checkCall(pass, n, unsized, key, via)
 			}
 		case *ast.FuncLit:
-			if pass.HasLineDirective(n.Pos(), "alloc-ok") {
-				return true
-			}
-			if !isIIFE(fd.Body, n) {
-				pass.Reportf(n.Pos(), "closure in hot path %s%s; closures escape and allocate", key, via)
-				return false
-			}
+			return isIIFE(fd.Body, n)
 		case *ast.CompositeLit:
 			if tv, ok := pass.Info.Types[n]; ok {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
@@ -121,153 +120,72 @@ func check(d vet.Decl, key, root vet.FuncKey) {
 		}
 		return true
 	})
-
-	checkAppends(pass, fd, via, key)
 }
 
-func checkCall(pass *vet.Pass, call *ast.CallExpr, via string) {
-	// make(map[...]...) — builtin, no callee object.
-	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "make" && len(call.Args) > 0 {
-		if tv, ok := pass.Info.Types[call.Args[0]]; ok {
-			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				pass.Reportf(call.Pos(), "make(map) in hot path%s", via)
-			}
-		}
-		return
-	}
-
-	fn := pass.Callee(call)
-	if fn == nil || fn.Pkg() == nil {
-		return
-	}
-	if fn.Pkg().Path() == "fmt" {
-		pass.Reportf(call.Pos(), "fmt.%s in hot path%s; formatting allocates", fn.Name(), via)
-		return
-	}
-
-	// Interface boxing at call boundaries: a concrete (non-interface)
-	// argument bound to an interface parameter.
-	if sig, ok := fn.Type().(*types.Signature); ok {
-		checkBoxing(pass, call, sig, via)
-	}
-}
-
-// checkBoxing reports concrete→interface conversions among call arguments.
-func checkBoxing(pass *vet.Pass, call *ast.CallExpr, sig *types.Signature, via string) {
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			last := params.At(params.Len() - 1).Type()
-			if sl, ok := last.(*types.Slice); ok {
-				pt = sl.Elem()
-			}
-		case i < params.Len():
-			pt = params.At(i).Type()
-		}
-		if pt == nil || !types.IsInterface(pt.Underlying()) {
-			continue
-		}
-		tv, ok := pass.Info.Types[arg]
-		if !ok || tv.Type == nil || tv.IsNil() {
-			continue
-		}
-		if types.IsInterface(tv.Type.Underlying()) {
-			continue // already an interface, no new box
-		}
-		if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-			continue // pointer-in-interface does not copy the pointee
-		}
-		if tv.Value != nil {
-			continue // constants box at compile time or are interned
-		}
-		if pass.HasLineDirective(arg.Pos(), "alloc-ok") {
-			continue
-		}
-		pass.Reportf(arg.Pos(), "argument boxes %s into interface %s in hot path%s",
-			types.TypeString(tv.Type, nil), types.TypeString(pt, nil), via)
-	}
-}
-
-// checkAppends flags appends that grow fresh or unsized slices.
-func checkAppends(pass *vet.Pass, fd *ast.FuncDecl, via string, key vet.FuncKey) {
-	// Locals declared with no backing capacity: `var s []T` or `s := []T{}`
-	// (or explicit nil). Appending to these reallocs as it grows.
-	unsized := make(map[types.Object]bool)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeclStmt:
-			gd, ok := n.Decl.(*ast.GenDecl)
-			if !ok {
-				return true
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) != 0 {
-					continue
-				}
-				for _, name := range vs.Names {
-					if obj := pass.Info.Defs[name]; obj != nil {
-						if _, isSlice := obj.Type().Underlying().(*types.Slice); isSlice {
-							unsized[obj] = true
-						}
+// checkCall reports a make(map), an append that grows a fresh or unsized
+// slice, and a call into fmt.
+func checkCall(pass *vet.Pass, call *ast.CallExpr, unsized map[types.Object]bool, key vet.FuncKey, via string) {
+	if id, ok := call.Fun.(*ast.Ident); ok && len(call.Args) > 0 {
+		if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin {
+			switch id.Name {
+			case "make":
+				if tv, ok := pass.Info.Types[call.Args[0]]; ok {
+					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+						pass.Reportf(call.Pos(), "make(map) in hot path%s", via)
 					}
 				}
-			}
-		case *ast.AssignStmt:
-			if n.Tok.String() != ":=" || len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, lhs := range n.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := pass.Info.Defs[id]
-				if obj == nil {
-					continue
-				}
-				if _, isSlice := obj.Type().Underlying().(*types.Slice); !isSlice {
-					continue
-				}
-				if isEmptySliceExpr(pass, n.Rhs[i]) {
-					unsized[obj] = true
-				}
-			}
-		}
-		return true
-	})
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "append" || len(call.Args) == 0 {
-			return true
-		}
-		if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
-			return true
-		}
-		if pass.HasLineDirective(call.Pos(), "alloc-ok") {
-			return true
-		}
-		arg0 := ast.Unparen(call.Args[0])
-		switch {
-		case isEmptySliceExpr(pass, arg0):
-			pass.Reportf(call.Pos(), "append to fresh slice in hot path %s%s; reuse a scratch buffer", key, via)
-		default:
-			if id0, ok := arg0.(*ast.Ident); ok {
-				if obj := pass.Info.Uses[id0]; obj != nil && unsized[obj] {
+			case "append":
+				arg0 := ast.Unparen(call.Args[0])
+				if isEmptySliceExpr(pass, arg0) {
+					pass.Reportf(call.Pos(), "append to fresh slice in hot path %s%s; reuse a scratch buffer", key, via)
+				} else if id0, ok := arg0.(*ast.Ident); ok && unsized[pass.Info.Uses[id0]] {
 					pass.Reportf(call.Pos(), "append to un-presized slice %s in hot path %s%s; preallocate with make(_, 0, n) or reuse a buffer",
 						id0.Name, key, via)
 				}
 			}
+			return
+		}
+	}
+
+	if fn := pass.Callee(call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+		pass.Reportf(call.Pos(), "fmt.%s in hot path%s; formatting allocates", fn.Name(), via)
+	}
+}
+
+// unsizedSlices returns the slice locals of body declared with no backing
+// capacity: `var s []T` or `s := []T{}` (or explicit nil). Appending to these
+// reallocs as it grows.
+func unsizedSlices(pass *vet.Pass, body *ast.BlockStmt) map[types.Object]bool {
+	unsized := make(map[types.Object]bool)
+	isSlice := func(obj types.Object) bool {
+		_, ok := obj.Type().Underlying().(*types.Slice)
+		return ok
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ValueSpec:
+			if len(n.Values) == 0 {
+				for _, name := range n.Names {
+					if obj := pass.Info.Defs[name]; obj != nil && isSlice(obj) {
+						unsized[obj] = true
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE || len(n.Lhs) != len(n.Rhs) {
+				return true
+			}
+			for i, lhs := range n.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok {
+					if obj := pass.Info.Defs[id]; obj != nil && isSlice(obj) && isEmptySliceExpr(pass, n.Rhs[i]) {
+						unsized[obj] = true
+					}
+				}
+			}
 		}
 		return true
 	})
+	return unsized
 }
 
 // isEmptySliceExpr matches []T(nil), []T{}, and plain nil converted

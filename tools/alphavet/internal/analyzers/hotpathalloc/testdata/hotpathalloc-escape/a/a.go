@@ -36,3 +36,25 @@ func Cold(v int) *int {
 	x := v
 	return &x
 }
+
+var (
+	hook func() int
+	kept any
+)
+
+// Closures and boxing are judged by the compiler alone: a closure or a box
+// that escapes allocates, one that stays on the stack does not.
+//
+//alpha:hotpath
+func HotClosures(v int) {
+	hook = func() int { return v } // want `func literal escapes to heap in hot path a\.HotClosures \[compiler escape analysis\]`
+	note := func() { _ = v }       // built and never invoked: no allocation
+	_ = note
+	keep(v)    // want `v escapes to heap in hot path a\.HotClosures \[compiler escape analysis\]`
+	inspect(v) // boxed into an any that does not escape
+}
+
+func keep(x any) { kept = x }
+
+//go:noinline
+func inspect(x any) { _ = x }

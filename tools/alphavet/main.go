@@ -30,14 +30,12 @@ import (
 	"alpha/tools/alphavet/internal/analyzers/dropcount"
 	"alpha/tools/alphavet/internal/analyzers/hotpathalloc"
 	"alpha/tools/alphavet/internal/analyzers/lockscope"
-	"alpha/tools/alphavet/internal/analyzers/purposetag"
 	"alpha/tools/alphavet/internal/vet"
 )
 
 var all = []*vet.Analyzer{
 	ctcompare.Analyzer,
 	hotpathalloc.Analyzer,
-	purposetag.Analyzer,
 	dropcount.Analyzer,
 	lockscope.Analyzer,
 }
