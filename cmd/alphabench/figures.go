@@ -162,23 +162,14 @@ func runWSN() error {
 	s := suite.MMO()
 	small := bytes.Repeat([]byte{0x11}, 2*s.Size())
 	pkt := bytes.Repeat([]byte{0x22}, 100)
-	fixed := stats.MeasureBatch(200, 20, 100, func() {
-		for i := 0; i < 100; i++ {
-			s.Hash(small)
-		}
-	})
-	full := stats.MeasureBatch(200, 20, 100, func() {
-		for i := 0; i < 100; i++ {
-			s.MAC(small[:16], pkt)
-		}
-	})
+	fixed, full := hashDelay(s, small), macDelay(s, small[:16], pkt)
 	t := &stats.Table{
 		Title: fmt.Sprintf("§4.1.3 — WSN estimate (MMO-AES128, measured: %s fixed / %s per 100 B MAC)",
-			stats.Us(fixed.Mean), stats.Us(full.Mean)),
+			stats.Ns(fixed), stats.Ns(full)),
 		Headers: []string{"Configuration", "payload/packet", "verifiable throughput", "vs 250 Kbit/s radio"},
 	}
 	for _, withAcks := range []bool{false, true} {
-		est := analytic.WSN(100, s.Size(), 5, fixed.Mean, full.Mean, withAcks)
+		est := analytic.WSN(100, s.Size(), 5, fixed, full, withAcks)
 		name := "ALPHA-C, 5 pre-sigs"
 		if withAcks {
 			name += " + pre-acks"

@@ -100,6 +100,12 @@ func Us(d time.Duration) string {
 	return fmt.Sprintf("%.1f µs", float64(d)/float64(time.Microsecond))
 }
 
+// Ns renders a duration in whole nanoseconds, for a single hash or MAC,
+// which Us would round to the same tenth of a microsecond.
+func Ns(d time.Duration) string {
+	return fmt.Sprintf("%d ns", d.Nanoseconds())
+}
+
 // Table renders rows as a fixed-width plain-text table.
 type Table struct {
 	Title   string

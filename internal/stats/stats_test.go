@@ -56,6 +56,9 @@ func TestFormatting(t *testing.T) {
 	if got := Us(2500 * time.Nanosecond); got != "2.5 µs" {
 		t.Fatalf("Us: %q", got)
 	}
+	if got := Ns(1540 * time.Nanosecond); got != "1540 ns" {
+		t.Fatalf("Ns: %q", got)
+	}
 	if got := Rate(250_000); got != "250.00 Kbit/s" {
 		t.Fatalf("Rate: %q", got)
 	}

@@ -230,6 +230,8 @@ func (s *hashSuite) MACInto(dst, key []byte, msg ...[]byte) []byte {
 }
 
 var (
+	// sha1Suite's fn becomes a SHA-NI digest at init on CPUs that have the
+	// SHA extensions (sha1block_amd64.go).
 	sha1Suite   = &hashSuite{id: IDSHA1, name: "SHA-1", size: sha1.Size, fn: sha1.New}
 	sha256Suite = &hashSuite{id: IDSHA256, name: "SHA-256", size: sha256.Size, fn: sha256.New}
 	mmoSuite    = &hashSuite{id: IDMMO, name: "MMO-AES128", size: mmo.Size, fn: mmo.New, oneShot: mmo.SumInto}
