@@ -278,13 +278,13 @@ func runTable4() error {
 		Title:   fmt.Sprintf("Table 4 — ALPHA, RSA and DSA delay (mean of %d signatures, 512 B payload)", rounds),
 		Headers: []string{"Step", "this host"},
 	}
-	t.Add("Send S1", stats.Ms(mean(sendS1)))
-	t.Add("Process S1, send A1", stats.Ms(mean(procS1)))
-	t.Add("Process A1, send S2", stats.Ms(mean(procA1)))
-	t.Add("Verify S2, send A2", stats.Ms(mean(verS2)))
-	t.Add("Process A2", stats.Ms(mean(procA2)))
-	t.Add("Sender (total)", stats.Ms(senderTotal))
-	t.Add("Receiver (total)", stats.Ms(receiverTotal))
+	t.Add("Send S1", stats.Us(mean(sendS1)))
+	t.Add("Process S1, send A1", stats.Us(mean(procS1)))
+	t.Add("Process A1, send S2", stats.Us(mean(procA1)))
+	t.Add("Verify S2, send A2", stats.Us(mean(verS2)))
+	t.Add("Process A2", stats.Us(mean(procA2)))
+	t.Add("Sender (total)", stats.Us(senderTotal))
+	t.Add("Receiver (total)", stats.Us(receiverTotal))
 	t.Add("SHA-1 hash (20 B)", fmt.Sprintf("%s (%s)", stats.Ms(sha1T), stats.Ns(sha1T)))
 	t.Add("RSA 1024 sign", stats.Ms(rsaSign.Mean))
 	t.Add("RSA 1024 verify", stats.Ms(rsaVerify.Mean))

@@ -49,7 +49,7 @@ const maxWorkers = 4096
 
 // validateFlags fail-fasts on out-of-range numeric flags before any socket
 // is opened, reporting every problem at once with the offending flag name.
-func validateFlags(batch, traceLen, ioBatch, reuse, count, flightLen, workers int, chainLow float64, wait, rotate time.Duration) error {
+func validateFlags(batch, traceLen, ioBatch, reuse, count, flightLen, workers int, chainLow, s1Rate, s1Burst float64, wait, rotate time.Duration) error {
 	var errs []string
 	if batch < 1 || batch > packet.MaxMACs {
 		errs = append(errs, fmt.Sprintf("-batch %d out of range [1, %d]", batch, packet.MaxMACs))
@@ -80,6 +80,15 @@ func validateFlags(batch, traceLen, ioBatch, reuse, count, flightLen, workers in
 	}
 	if wait <= 0 {
 		errs = append(errs, fmt.Sprintf("-wait %v must be positive", wait))
+	}
+	// The relay's token bucket reads a rate <= 0 as unlimited and forwards
+	// an S1 only on a whole token, so a negative or NaN rate would switch
+	// the limit off and a burst below 1 would drop every unsolicited S1.
+	// The negated comparisons also catch NaN.
+	if !(s1Rate >= 0) {
+		errs = append(errs, fmt.Sprintf("-s1-rate %v must be >= 0 (0 = unlimited)", s1Rate))
+	} else if s1Rate > 0 && !(s1Burst >= 1) {
+		errs = append(errs, fmt.Sprintf("-s1-burst %v must be >= 1 when -s1-rate is set", s1Burst))
 	}
 	if len(errs) == 0 {
 		return nil
@@ -153,7 +162,7 @@ func main() {
 		s1Burst   = flag.Float64("s1-burst", 16, "relay role: unsolicited-S1 burst allowance on top of -s1-rate")
 	)
 	flag.Parse()
-	if err := validateFlags(*batch, *traceLen, *ioBatch, *reuse, *count, *flightLen, *workers, *chainLow, *wait, *rotate); err != nil {
+	if err := validateFlags(*batch, *traceLen, *ioBatch, *reuse, *count, *flightLen, *workers, *chainLow, *s1Rate, *s1Burst, *wait, *rotate); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

@@ -20,7 +20,7 @@ func node(t *testing.T, args ...string) (string, int) {
 // TestFlags: the I/O engine is the kernel probe's choice, so the switches
 // that used to pick it are unknown flags, while the two I/O flags that
 // remain still parse, validate, and reach a running node that says once
-// which engine it got.
+// which engine it got. A value out of range exits 2 naming its flag.
 func TestFlags(t *testing.T) {
 	// The second name is spelled in two pieces so that a grep of the tree
 	// for the removed knob comes back empty.
@@ -47,8 +47,18 @@ func TestFlags(t *testing.T) {
 		}
 	}
 
-	if out, code := node(t, "-io-batch", "-1"); code != 2 || !strings.Contains(out, "-io-batch -1 out of range") {
-		t.Errorf("alphanode -io-batch -1: exit %d, output %q; want a range error", code, out)
+	for _, row := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-io-batch", "-1"}, "-io-batch -1 out of range"},
+		{[]string{"-s1-rate", "-1"}, "-s1-rate -1 must be >= 0"},
+		{[]string{"-s1-rate", "NaN"}, "-s1-rate NaN must be >= 0"},
+		{[]string{"-s1-rate", "10", "-s1-burst", "0.5"}, "-s1-burst 0.5 must be >= 1"},
+	} {
+		if out, code := node(t, row.args...); code != 2 || !strings.Contains(out, row.want) {
+			t.Errorf("alphanode %v: exit %d, output %q; want exit 2 and %q", row.args, code, out, row.want)
+		}
 	}
 
 	out, code := node(t, "-role", "relay", "-io-batch", "4", "-prefilter", "-addr", "127.0.0.1:0",

@@ -38,51 +38,45 @@ import (
 	"alpha/internal/telemetry"
 )
 
-// Default tuning. Values are deliberately conservative: the controller
-// prefers staying put over chasing noise.
+// Tuning. The controller prefers staying put over chasing noise, and these
+// are the values BENCH_adaptive.json measured against the best static
+// profile per segment (TestAdaptiveMatchesBestStatic holds them to it).
 const (
-	DefaultInterval   = 250 * time.Millisecond
-	DefaultCooldown   = 2 * time.Second
-	DefaultConfirm    = 2
-	DefaultFlapWindow = 10 * time.Second
-	DefaultLossEnterM = 0.05  // retransmit ratio that engages ALPHA-M
-	DefaultLossExitM  = 0.015 // ratio below which ALPHA-M disengages
-	DefaultLowRate    = 2048  // B/s under which Basic serves interactive flows
-	DefaultHighRate   = 8192  // B/s above which batching re-engages
-	DefaultMinBatch   = 16
-	DefaultMaxBatch   = 64
-	DefaultEWMAAlpha  = 0.3
-)
-
-// Config tunes one Controller. The zero value selects every default, so
-// Config{} is a working configuration.
-type Config struct {
 	// Interval is the minimum time between accepted samples; Observe calls
 	// arriving sooner return a hold without touching the estimators.
-	Interval time.Duration
-	// Cooldown is the minimum dwell time between applied transitions.
-	Cooldown time.Duration
+	// Transports tick the controller at this period.
+	Interval = 250 * time.Millisecond
+	// Cooldown is the minimum dwell time between applied transitions: long
+	// enough to space decisions beyond two samples, short enough that the
+	// ramp C/16 -> M/16 -> M/32 -> M/64 completes within a few seconds.
+	Cooldown = 600 * time.Millisecond
 	// Confirm is how many consecutive samples must agree on a target
 	// profile before it becomes a decision.
-	Confirm int
+	Confirm = 2
 	// FlapWindow bounds flap detection: a transition that reverses the
 	// previous one within this window increments the Flaps counter.
-	FlapWindow time.Duration
-
+	FlapWindow = 10 * time.Second
 	// LossEnterM / LossExitM are the smoothed retransmission-ratio
-	// hysteresis thresholds around ALPHA-M. Enter must exceed Exit.
-	LossEnterM, LossExitM float64
+	// hysteresis thresholds around ALPHA-M.
+	LossEnterM = 0.05
+	LossExitM  = 0.015
 	// LowRate / HighRate are the goodput hysteresis thresholds (bytes/s)
 	// around Basic: below LowRate the flow is interactive and drops to
 	// Basic, above HighRate batching re-engages.
-	LowRate, HighRate float64
+	LowRate  = 2048
+	HighRate = 8192
 	// MinBatch / MaxBatch bound the batch size n. ALPHA-C always runs at
 	// MinBatch; ALPHA-M starts at MinBatch and doubles toward MaxBatch
 	// while loss persists.
-	MinBatch, MaxBatch int
-	// EWMAAlpha is the smoothing weight of the newest sample, in (0, 1].
-	EWMAAlpha float64
+	MinBatch = 16
+	MaxBatch = 64
+	// EWMAAlpha is the smoothing weight of the newest sample.
+	EWMAAlpha = 0.3
+)
 
+// Config wires one Controller to its association's sinks. The zero value
+// is a working configuration.
+type Config struct {
 	// Assoc labels trace records; Metrics and Tracer are optional sinks.
 	Assoc   uint64
 	Metrics *telemetry.ControllerMetrics
@@ -91,44 +85,6 @@ type Config struct {
 	// within FlapWindow — the hook flight recorders use to freeze the
 	// association's span history around the oscillation.
 	OnFlap func(assoc uint64)
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = DefaultInterval
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultCooldown
-	}
-	if c.Confirm <= 0 {
-		c.Confirm = DefaultConfirm
-	}
-	if c.FlapWindow <= 0 {
-		c.FlapWindow = DefaultFlapWindow
-	}
-	if c.LossEnterM == 0 {
-		c.LossEnterM = DefaultLossEnterM
-	}
-	if c.LossExitM == 0 {
-		c.LossExitM = DefaultLossExitM
-	}
-	if c.LowRate == 0 {
-		c.LowRate = DefaultLowRate
-	}
-	if c.HighRate == 0 {
-		c.HighRate = DefaultHighRate
-	}
-	if c.MinBatch == 0 {
-		c.MinBatch = DefaultMinBatch
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = DefaultEWMAAlpha
-	}
-	return c
 }
 
 // Sample is one observation of an association, taken from the sender-side
@@ -248,7 +204,6 @@ func (*noCopy) Unlock() {}
 // New creates a controller that assumes the association currently runs the
 // given profile (pass Endpoint.Profile()).
 func New(cfg Config, current packet.Mode, batch int) *Controller {
-	cfg = cfg.withDefaults()
 	c := &Controller{cfg: cfg, mode: current, batch: batch}
 	if m := cfg.Metrics; m != nil {
 		m.TargetMode.Set(int64(current))
@@ -286,7 +241,7 @@ func (c *Controller) Observe(s Sample) Decision {
 		return c.hold()
 	}
 	dt := s.Now.Sub(c.last.Now)
-	if dt < c.cfg.Interval {
+	if dt < Interval {
 		return c.hold() // sampled too soon; keep estimator cadence stable
 	}
 	c.update(s, dt)
@@ -303,11 +258,11 @@ func (c *Controller) Observe(s Sample) Decision {
 	} else {
 		c.proposed, c.agree = Decision{Mode: target.Mode, BatchSize: target.BatchSize}, 1
 	}
-	if c.agree < c.cfg.Confirm {
+	if c.agree < Confirm {
 		return c.hold()
 	}
 	// Cool-down: recent transitions pin the profile.
-	if c.haveChanged && s.Now.Sub(c.lastChange) < c.cfg.Cooldown {
+	if c.haveChanged && s.Now.Sub(c.lastChange) < Cooldown {
 		return c.hold()
 	}
 	return c.apply(s.Now, target.Mode, target.BatchSize, reason)
@@ -315,7 +270,7 @@ func (c *Controller) Observe(s Sample) Decision {
 
 // update advances the EWMAs from the delta between s and the last sample.
 func (c *Controller) update(s Sample, dt time.Duration) {
-	a := c.cfg.EWMAAlpha
+	const a = EWMAAlpha
 	dSent := s.SentS2 - c.last.SentS2
 	dRetr := (s.Retransmits - c.last.Retransmits) + (s.Nacked - c.last.Nacked)
 	if dSent+dRetr > 0 {
@@ -352,15 +307,15 @@ func (c *Controller) update(s Sample, dt time.Duration) {
 func (c *Controller) target(s Sample) (Decision, Reason) {
 	var quiet bool
 	if c.mode == packet.ModeBase {
-		quiet = c.rateEWMA <= c.cfg.HighRate && s.QueueDepth == 0
+		quiet = c.rateEWMA <= HighRate && s.QueueDepth == 0
 	} else {
-		quiet = c.rateEWMA < c.cfg.LowRate && s.QueueDepth == 0 && s.InFlight <= 1
+		quiet = c.rateEWMA < LowRate && s.QueueDepth == 0 && s.InFlight <= 1
 	}
 	var lossy bool
 	if c.mode == packet.ModeM {
-		lossy = c.lossEWMA >= c.cfg.LossExitM
+		lossy = c.lossEWMA >= LossExitM
 	} else {
-		lossy = c.lossEWMA > c.cfg.LossEnterM
+		lossy = c.lossEWMA > LossEnterM
 	}
 	switch {
 	case quiet:
@@ -375,21 +330,21 @@ func (c *Controller) target(s Sample) (Decision, Reason) {
 		// the exchange consumes.
 		if c.mode == packet.ModeM {
 			n := c.batch * 2
-			if n > c.cfg.MaxBatch {
-				n = c.cfg.MaxBatch
+			if n > MaxBatch {
+				n = MaxBatch
 			}
-			if n != c.batch && c.lossEWMA > c.cfg.LossEnterM {
+			if n != c.batch && c.lossEWMA > LossEnterM {
 				return Decision{Mode: packet.ModeM, BatchSize: n}, ReasonLossPersist
 			}
 			return Decision{Mode: packet.ModeM, BatchSize: c.batch}, ReasonHold
 		}
-		return Decision{Mode: packet.ModeM, BatchSize: c.cfg.MinBatch}, ReasonLossHigh
+		return Decision{Mode: packet.ModeM, BatchSize: MinBatch}, ReasonLossHigh
 	case s.ChainLen > 0 && float64(s.ChainRemaining) < float64(s.ChainLen)/4 &&
 		c.mode != packet.ModeM:
 		// Chains deplete one pair per exchange whatever n is, so pressure
 		// on the chain argues for stretching each exchange further while
 		// the rekey catches up.
-		return Decision{Mode: packet.ModeM, BatchSize: c.cfg.MaxBatch}, ReasonChainPressure
+		return Decision{Mode: packet.ModeM, BatchSize: MaxBatch}, ReasonChainPressure
 	default:
 		// Clean, busy link: ALPHA-C's cumulative MACs are the byte-leanest
 		// way to authenticate a batch.
@@ -397,14 +352,14 @@ func (c *Controller) target(s Sample) (Decision, Reason) {
 		if c.mode == packet.ModeBase {
 			reason = ReasonBulk
 		}
-		return Decision{Mode: packet.ModeC, BatchSize: c.cfg.MinBatch}, reason
+		return Decision{Mode: packet.ModeC, BatchSize: MinBatch}, reason
 	}
 }
 
 // apply commits a transition and emits its records.
 func (c *Controller) apply(now time.Time, mode packet.Mode, batch int, reason Reason) Decision {
 	flap := c.haveChanged && mode == c.prevMode && batch == c.prevBatch &&
-		now.Sub(c.lastChange) < c.cfg.FlapWindow
+		now.Sub(c.lastChange) < FlapWindow
 	c.prevMode, c.prevBatch = c.mode, c.batch
 	c.mode, c.batch = mode, batch
 	c.lastChange, c.haveChanged = now, true

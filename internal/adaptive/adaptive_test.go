@@ -54,12 +54,12 @@ func TestFirstSampleSeedsOnly(t *testing.T) {
 }
 
 func TestLossEngagesAndGrowsM(t *testing.T) {
-	h := newHarness(Config{Cooldown: 500 * time.Millisecond}, packet.ModeC, 16)
+	h := newHarness(Config{}, packet.ModeC, 16)
 	var d Decision
 	for i := 0; i < 20 && !d.Changed; i++ {
 		d = h.lossy()
 	}
-	if !d.Changed || d.Mode != packet.ModeM || d.BatchSize != DefaultMinBatch {
+	if !d.Changed || d.Mode != packet.ModeM || d.BatchSize != MinBatch {
 		t.Fatalf("loss did not engage ALPHA-M at min batch: %+v", d)
 	}
 	if d.Reason != ReasonLossHigh {
@@ -70,7 +70,7 @@ func TestLossEngagesAndGrowsM(t *testing.T) {
 	for i := 0; i < 20 && !d.Changed; i++ {
 		d = h.lossy()
 	}
-	if !d.Changed || d.Mode != packet.ModeM || d.BatchSize != 2*DefaultMinBatch {
+	if !d.Changed || d.Mode != packet.ModeM || d.BatchSize != 2*MinBatch {
 		t.Fatalf("persistent loss did not double batch: %+v", d)
 	}
 	if d.Reason != ReasonLossPersist {
@@ -80,7 +80,7 @@ func TestLossEngagesAndGrowsM(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		d = h.lossy()
 	}
-	if mode, batch := h.c.Profile(); mode != packet.ModeM || batch != DefaultMaxBatch {
+	if mode, batch := h.c.Profile(); mode != packet.ModeM || batch != MaxBatch {
 		t.Fatalf("batch did not saturate at max: %v/%d", mode, batch)
 	}
 	for i := 0; i < 10; i++ {
@@ -91,7 +91,7 @@ func TestLossEngagesAndGrowsM(t *testing.T) {
 }
 
 func TestLossRecoveryReturnsToC(t *testing.T) {
-	h := newHarness(Config{Cooldown: 500 * time.Millisecond}, packet.ModeC, 16)
+	h := newHarness(Config{}, packet.ModeC, 16)
 	for i := 0; i < 30; i++ {
 		h.lossy()
 	}
@@ -102,7 +102,7 @@ func TestLossRecoveryReturnsToC(t *testing.T) {
 	for i := 0; i < 60 && !(d.Changed && d.Mode == packet.ModeC); i++ {
 		d = h.clean()
 	}
-	if d.Mode != packet.ModeC || d.BatchSize != DefaultMinBatch || d.Reason != ReasonLossLow {
+	if d.Mode != packet.ModeC || d.BatchSize != MinBatch || d.Reason != ReasonLossLow {
 		t.Fatalf("recovery did not return to C/min: %+v", d)
 	}
 }
@@ -110,7 +110,7 @@ func TestLossRecoveryReturnsToC(t *testing.T) {
 func TestHysteresisHoldsBetweenThresholds(t *testing.T) {
 	// Alternate lossy/clean so the EWMA settles around 10% — above
 	// LossExitM once lossy, and the controller must not leave M.
-	h := newHarness(Config{Cooldown: 500 * time.Millisecond}, packet.ModeC, 16)
+	h := newHarness(Config{}, packet.ModeC, 16)
 	for i := 0; i < 30; i++ {
 		h.lossy()
 	}
@@ -132,19 +132,18 @@ func TestHysteresisHoldsBetweenThresholds(t *testing.T) {
 }
 
 func TestConfirmationDampsSpikes(t *testing.T) {
-	// A two-sample 20% loss burst pushes the EWMA over LossEnterM and it
-	// takes two further clean samples to decay back under it, so ALPHA-M
-	// collects at most three agreeing proposals; Confirm=4 outlasts the
-	// spike and the mode must not switch.
-	h := newHarness(Config{Confirm: 4}, packet.ModeC, 16)
+	// One 20% loss sample pushes the EWMA over LossEnterM (0.3 × 0.2) and
+	// the next clean one takes it back under, so ALPHA-M collects one
+	// proposal; Confirm outlasts the spike and the mode must not switch.
+	h := newHarness(Config{}, packet.ModeC, 16)
 	h.clean()
-	for i := 0; i < 2; i++ {
-		if d := h.lossy(); d.Changed {
-			t.Fatalf("changed before confirmation: %+v", d)
-		}
+	if d := h.lossy(); d.Changed {
+		t.Fatalf("changed before confirmation: %+v", d)
 	}
-	// The EWMA needs a few clean samples to fall back under LossExitM;
-	// the confirmation counter must reset as soon as the target reverts.
+	if h.c.Loss() <= LossEnterM {
+		t.Fatalf("setup: spike left loss at %v, not above LossEnterM", h.c.Loss())
+	}
+	// The confirmation counter must reset as soon as the target reverts.
 	for i := 0; i < 30; i++ {
 		if d := h.clean(); d.Changed {
 			t.Fatalf("spike survived confirmation: %+v", d)
@@ -156,28 +155,28 @@ func TestConfirmationDampsSpikes(t *testing.T) {
 }
 
 func TestCooldownSpacesTransitions(t *testing.T) {
-	h := newHarness(Config{Cooldown: 10 * time.Second}, packet.ModeC, 16)
+	h := newHarness(Config{}, packet.ModeC, 16)
 	var d Decision
 	for i := 0; i < 20 && !d.Changed; i++ {
 		d = h.lossy()
 	}
 	changed := h.now
-	// Loss persists, batch wants to double — but the cooldown pins it.
-	for h.now.Sub(changed) < 9*time.Second {
-		if d = h.lossy(); d.Changed {
-			t.Fatalf("transition %v after previous one (cooldown 10s): %+v", h.now.Sub(changed), d)
-		}
-	}
-	for i := 0; i < 10 && !d.Changed; i++ {
+	// Loss persists and the batch wants to double: Confirm samples agree
+	// within 2 × 250ms, but the cooldown pins the profile until it ends.
+	d = Decision{}
+	for !d.Changed && h.now.Sub(changed) < 5*time.Second {
 		d = h.lossy()
 	}
-	if !d.Changed || d.BatchSize != 2*DefaultMinBatch {
-		t.Fatalf("batch growth never resumed after cooldown: %+v", d)
+	if !d.Changed || d.BatchSize != 2*MinBatch {
+		t.Fatalf("batch growth never followed the first transition: %+v", d)
+	}
+	if gap := h.now.Sub(changed); gap < Cooldown {
+		t.Fatalf("transition %v after the previous one, within Cooldown %v", gap, Cooldown)
 	}
 }
 
 func TestIdleDropsToBasicAndBulkReengages(t *testing.T) {
-	h := newHarness(Config{Cooldown: 500 * time.Millisecond}, packet.ModeC, 16)
+	h := newHarness(Config{}, packet.ModeC, 16)
 	for i := 0; i < 5; i++ {
 		h.clean()
 	}
@@ -212,28 +211,27 @@ func TestChainPressurePrefersLargeBatches(t *testing.T) {
 	for i := 0; i < 10 && !d.Changed; i++ {
 		d = h.clean()
 	}
-	if d.Mode != packet.ModeM || d.BatchSize != DefaultMaxBatch || d.Reason != ReasonChainPressure {
+	if d.Mode != packet.ModeM || d.BatchSize != MaxBatch || d.Reason != ReasonChainPressure {
 		t.Fatalf("chain pressure did not stretch batches: %+v", d)
 	}
 }
 
 func TestFlapDetection(t *testing.T) {
+	// Two lossy samples engage ALPHA-M/16; the clean ones after them take
+	// the loss EWMA under LossExitM within FlapWindow, so the return to
+	// ALPHA-C/16 reverses the previous transition: a flap per cycle.
 	met := &telemetry.ControllerMetrics{}
-	h := newHarness(Config{
-		Cooldown:   250 * time.Millisecond,
-		Confirm:    1,
-		EWMAAlpha:  0.9, // deliberately twitchy: this test wants flaps
-		FlapWindow: time.Minute,
-		Metrics:    met,
-	}, packet.ModeC, 16)
+	h := newHarness(Config{Metrics: met}, packet.ModeC, 16)
 	h.clean()
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 4; i++ {
 		h.lossy()
-		h.clean()
-		h.clean()
+		h.lossy()
+		for j := 0; j < 10; j++ {
+			h.clean()
+		}
 	}
 	if met.Flaps.Load() == 0 {
-		t.Fatal("twitchy controller produced no flaps — flap detection is dead")
+		t.Fatal("square-wave loss produced no flaps — flap detection is dead")
 	}
 	if met.Decisions.Load() < 2 {
 		t.Fatalf("decisions = %d, want several", met.Decisions.Load())
@@ -243,13 +241,13 @@ func TestFlapDetection(t *testing.T) {
 func TestObserveAllocationFree(t *testing.T) {
 	met := &telemetry.ControllerMetrics{}
 	tr := telemetry.NewTracer(64)
-	h := newHarness(Config{Metrics: met, Tracer: tr, Cooldown: 250 * time.Millisecond, Confirm: 1}, packet.ModeC, 16)
+	h := newHarness(Config{Metrics: met, Tracer: tr}, packet.ModeC, 16)
 	h.clean()
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		// Alternate shapes so decision paths (holds and transitions) are
+		// Square-wave loss so decision paths (holds and transitions) are
 		// both exercised.
-		if i%3 == 0 {
+		if i%12 < 2 {
 			h.lossy()
 		} else {
 			h.clean()
@@ -258,5 +256,8 @@ func TestObserveAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Observe allocates %v per run, want 0", allocs)
+	}
+	if met.Decisions.Load() == 0 {
+		t.Fatal("no transition ran: only the hold path was measured")
 	}
 }

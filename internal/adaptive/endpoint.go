@@ -33,7 +33,7 @@ func SampleEndpoint(ep *core.Endpoint, now time.Time) Sample {
 // Drive runs one observe-decide-apply iteration: sample the endpoint, feed
 // the controller, and commit a changed decision via SetProfile (which takes
 // effect at the next exchange boundary). Call it from the endpoint's timer
-// loop at roughly the controller's Interval; extra calls are cheap holds.
+// loop about every Interval; extra calls are cheap holds.
 func Drive(c *Controller, ep *core.Endpoint, now time.Time) (Decision, error) {
 	d := c.Observe(SampleEndpoint(ep, now))
 	if d.Changed {

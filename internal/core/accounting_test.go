@@ -151,6 +151,7 @@ func TestPeerChainsAdoptRekey(t *testing.T) {
 }
 
 func TestRxExchangeEviction(t *testing.T) {
+	const sends = MaxRxExchanges + 3
 	for _, row := range []struct {
 		name string
 		// lose drops the first S2 once; the exchange is reliable, and the
@@ -162,10 +163,11 @@ func TestRxExchangeEviction(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := baseConfig(packet.ModeBase, row.lose)
-			cfg.MaxRxExchanges = 2
 			cfg.MaxOutstanding = 8
-			cfg.ChainLen = 64
-			cfg.RTO = time.Second
+			cfg.ChainLen = 2*sends + 64
+			// Far longer than the sends take, so the lost S2 returns only
+			// after MaxRxExchanges newer exchanges completed.
+			cfg.RTO = time.Minute
 			h := newHarness(t, cfg)
 			h.handshake()
 			lost := !row.lose
@@ -176,8 +178,8 @@ func TestRxExchangeEviction(t *testing.T) {
 				}
 				return false
 			}
-			// Complete several exchanges; the receiver must retain at most 2.
-			for i := 0; i < 5; i++ {
+			// Complete more exchanges than the receiver may retain.
+			for i := 0; i < sends; i++ {
 				if _, err := h.a.Send(h.now, []byte{byte(i)}); err != nil {
 					t.Fatal(err)
 				}
@@ -185,11 +187,11 @@ func TestRxExchangeEviction(t *testing.T) {
 				h.run(20)
 			}
 			h.runFor(2 * cfg.RTO)
-			if got := h.b.rx.Len(); got > 2 {
-				t.Fatalf("receiver retains %d exchanges, cap is 2", got)
+			if got := h.b.rx.Len(); got > MaxRxExchanges {
+				t.Fatalf("receiver retains %d exchanges, cap is %d", got, MaxRxExchanges)
 			}
-			if got := len(h.payloadsDelivered(h.b)); got != 5 {
-				t.Fatalf("delivered %d/5", got)
+			if got := len(h.payloadsDelivered(h.b)); got != sends {
+				t.Fatalf("delivered %d/%d", got, sends)
 			}
 			if n := h.b.Telemetry().DropReasons[telemetry.ReasonUnsolicited].Load(); n != 0 {
 				t.Fatalf("%d S2s dropped as unsolicited", n)

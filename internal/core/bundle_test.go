@@ -74,19 +74,20 @@ func TestCoalesceReducesDatagrams(t *testing.T) {
 }
 
 func TestCoalesceRespectsLimit(t *testing.T) {
-	cfg := coalesceConfig(false)
-	cfg.CoalesceLimit = 600
-	h := newHarness(t, cfg)
+	h := newHarness(t, coalesceConfig(false))
 	h.handshake()
-	maxSeen := 0
+	maxSeen, bundles := 0, 0
 	h.mangle = func(raw []byte) []byte {
-		if len(raw) > maxSeen {
-			maxSeen = len(raw)
+		maxSeen = max(maxSeen, len(raw))
+		if hdr, err := packet.PeekHeader(raw); err == nil && hdr.Type == packet.TypeBundle {
+			bundles++
 		}
 		return raw
 	}
+	// Two S2s of 500-byte payloads fit one bundle; a third would pass
+	// CoalesceLimit.
 	for i := 0; i < 8; i++ {
-		if _, err := h.a.Send(h.now, make([]byte, 200)); err != nil {
+		if _, err := h.a.Send(h.now, make([]byte, 500)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,8 +96,11 @@ func TestCoalesceRespectsLimit(t *testing.T) {
 	if len(h.payloadsDelivered(h.b)) != 8 {
 		t.Fatalf("delivery failed under size limit")
 	}
-	if maxSeen > 600 {
-		t.Fatalf("bundle of %d bytes exceeds CoalesceLimit 600", maxSeen)
+	if bundles == 0 {
+		t.Fatalf("no bundles emitted")
+	}
+	if maxSeen > CoalesceLimit {
+		t.Fatalf("bundle of %d bytes exceeds CoalesceLimit %d", maxSeen, CoalesceLimit)
 	}
 }
 

@@ -39,9 +39,18 @@ const (
 	DefaultRTO            = 200 * time.Millisecond
 	DefaultMaxRetries     = 8
 	DefaultMaxOutstanding = 8
-	DefaultMaxRxExchanges = 128
 	DefaultFlushDelay     = 2 * time.Millisecond
 )
+
+// MaxRxExchanges bounds receiver-side buffered exchanges, the verifier-side
+// memory bound of Table 2. Past it the oldest exchange whose messages are
+// all delivered is evicted, and the oldest incomplete one only when none is
+// complete.
+const MaxRxExchanges = 128
+
+// CoalesceLimit caps a bundle datagram (Config.Coalesce) in bytes: a safe
+// Ethernet/Wi-Fi MTU budget.
+const CoalesceLimit = 1400
 
 // DefaultChainLowFraction is the chain-remaining fraction below which
 // EventChainLow fires when Config.ChainLowFraction is left zero.
@@ -83,11 +92,6 @@ type Config struct {
 	MaxRetries int
 	// MaxOutstanding bounds concurrent signature exchanges in flight.
 	MaxOutstanding int
-	// MaxRxExchanges bounds receiver-side buffered exchanges, the
-	// verifier-side memory bound of Table 2. Past it the oldest exchange
-	// whose messages are all delivered is evicted, and the oldest
-	// incomplete one only when none is complete.
-	MaxRxExchanges int
 	// CheckpointInterval selects memory-constrained chain storage: if
 	// positive, chains store one element per interval and recompute the
 	// rest (the sensor-node trade-off of §4.1.3). 0 stores all elements.
@@ -102,9 +106,6 @@ type Config struct {
 	// channels), up to CoalesceLimit bytes each. Fewer datagrams means
 	// fewer radio wakeups and per-packet header costs on wireless links.
 	Coalesce bool
-	// CoalesceLimit caps bundle size in bytes; 0 selects 1400 (a safe
-	// Ethernet/Wi-Fi MTU budget).
-	CoalesceLimit int
 	// AutoRekey rotates the local hash chains in-band once they run low
 	// (see Endpoint.Rekey), keeping the association alive indefinitely.
 	// Requires Reliable mode.
@@ -157,9 +158,6 @@ func (c Config) withDefaults() Config {
 	if c.CMRoots == 0 {
 		c.CMRoots = 4
 	}
-	if c.CoalesceLimit == 0 {
-		c.CoalesceLimit = 1400
-	}
 	if c.FlushDelay == 0 {
 		c.FlushDelay = DefaultFlushDelay
 	}
@@ -174,9 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxOutstanding == 0 {
 		c.MaxOutstanding = DefaultMaxOutstanding
-	}
-	if c.MaxRxExchanges == 0 {
-		c.MaxRxExchanges = DefaultMaxRxExchanges
 	}
 	return c
 }

@@ -865,7 +865,7 @@ func (e *Endpoint) coalesce(raws [][]byte) [][]byte {
 			result = append(result, raw)
 			continue
 		}
-		if len(group) == packet.MaxBundlePackets || (len(group) > 0 && size+2+len(raw) > e.cfg.CoalesceLimit) {
+		if len(group) == packet.MaxBundlePackets || (len(group) > 0 && size+2+len(raw) > CoalesceLimit) {
 			flush()
 		}
 		group = append(group, raw)

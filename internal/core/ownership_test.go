@@ -194,7 +194,7 @@ func TestHandBackOneAllocPerMessage(t *testing.T) {
 	}
 	// Receiver exchanges retire by eviction, so the free list is warm only
 	// after MaxRxExchanges of them.
-	const warm, runs = DefaultMaxRxExchanges + 16, 32
+	const warm, runs = MaxRxExchanges + 16, 32
 	for _, mc := range ownershipModes {
 		t.Run(mc.name, func(t *testing.T) {
 			cfg := mc.cfg
@@ -285,7 +285,7 @@ func TestReplayedS2sDoNotGrowTheSlab(t *testing.T) {
 		}
 		t.Run(mc.name, func(t *testing.T) {
 			cfg := mc.cfg
-			cfg.ChainLen, cfg.FlushDelay = 2*(DefaultMaxRxExchanges+4)+64, -1
+			cfg.ChainLen, cfg.FlushDelay = 2*(MaxRxExchanges+4)+64, -1
 			n := max(cfg.BatchSize, 1)
 			payload := make([]byte, 64)
 
@@ -350,7 +350,7 @@ func TestReplayedS2sDoNotGrowTheSlab(t *testing.T) {
 // opened its A2 from the AMT its object held before would fail the signer's
 // check and be dropped as a bad ack.
 func TestReusedExchangeSwitchesAckMaterial(t *testing.T) {
-	const exchanges = 2*DefaultMaxRxExchanges + 16
+	const exchanges = 2*MaxRxExchanges + 16
 	cfg := Config{Mode: packet.ModeM, BatchSize: 64, Reliable: true, FlushDelay: -1}
 	cfg.ChainLen = 2*exchanges + 64
 	h := newHarness(t, cfg)

@@ -234,7 +234,7 @@ func (e *Endpoint) handleS1(now time.Time, hdr packet.Header, s1 *packet.S1) {
 	// Past MaxRxExchanges the table evicts an exchange, the one that
 	// completed longest ago if any did, and it goes back to the free list
 	// as soon as nothing of its slab is lent out.
-	if old := e.rx.Insert(hdr.Seq, rx, e.cfg.MaxRxExchanges); old != nil {
+	if old := e.rx.Insert(hdr.Seq, rx, MaxRxExchanges); old != nil {
 		old.evicted = true
 		if old.lent == 0 {
 			e.rx.Recycle(old)

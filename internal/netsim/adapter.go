@@ -118,15 +118,12 @@ func (en *EndpointNode) transmit(raw []byte) {
 }
 
 // AttachAdaptive runs an adaptive controller against this node's endpoint:
-// every cfg.Interval of virtual time it samples the endpoint, feeds the
+// every adaptive.Interval of virtual time it samples the endpoint, feeds the
 // controller, applies changed decisions via SetProfile and re-pumps the
 // engine. The tick chain keeps the event queue non-empty, so scenarios
 // using an attached controller should run with Run/RunFor deadlines, not
 // RunUntilIdle. Returns the controller for inspection.
 func (en *EndpointNode) AttachAdaptive(cfg adaptive.Config) *adaptive.Controller {
-	if cfg.Interval <= 0 {
-		cfg.Interval = adaptive.DefaultInterval
-	}
 	ctrl := adaptive.ForEndpoint(cfg, en.EP)
 	en.ctrlGen++
 	gen := en.ctrlGen
@@ -138,9 +135,9 @@ func (en *EndpointNode) AttachAdaptive(cfg adaptive.Config) *adaptive.Controller
 		if d, err := adaptive.Drive(ctrl, en.EP, t); err == nil && d.Changed {
 			en.pump(t) // a new profile may change flush deadlines
 		}
-		en.net.Schedule(t.Add(cfg.Interval), tick)
+		en.net.Schedule(t.Add(adaptive.Interval), tick)
 	}
-	en.net.Schedule(en.net.Now().Add(cfg.Interval), tick)
+	en.net.Schedule(en.net.Now().Add(adaptive.Interval), tick)
 	return ctrl
 }
 

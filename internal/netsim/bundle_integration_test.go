@@ -149,7 +149,7 @@ func TestWSNBundlingSavesDatagrams(t *testing.T) {
 		cfg := core.Config{
 			Mode: packet.ModeC, BatchSize: 5, Reliable: true,
 			ChainLen: 128, RTO: 200 * time.Millisecond,
-			Coalesce: coalesce, CoalesceLimit: 1000,
+			Coalesce: coalesce,
 		}
 		net, s, v, _ := mesh(t, cfg, netsim.LinkConfig{Latency: 4 * time.Millisecond, Bandwidth: 250_000}, relay.Config{})
 		establish(t, net, s)

@@ -232,10 +232,7 @@ func TestInvariantsScenarios(t *testing.T) {
 			RTO: 60 * time.Millisecond, MaxRetries: 30}
 		m := newObsMesh(t, cfg, netsim.LinkConfig{Latency: 2 * time.Millisecond})
 		establish(t, m.net, m.s)
-		ctrl := m.s.AttachAdaptive(adaptive.Config{
-			Interval: 100 * time.Millisecond,
-			Cooldown: 500 * time.Millisecond,
-		})
+		ctrl := m.s.AttachAdaptive(adaptive.Config{})
 		// Clean phase, then a loss phase the controller should react to.
 		deadline := m.net.Now().Add(8 * time.Second)
 		phase := 0

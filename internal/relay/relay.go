@@ -115,21 +115,23 @@ var (
 	ErrUnsolRateLimit = errors.New("relay: unsolicited S1 rate limit exceeded")
 )
 
+// MaxFlows bounds a relay's association table, oldest flow out first.
+const MaxFlows = 1024
+
+// MaxExchanges bounds buffered exchanges per flow and direction. Past it
+// the oldest complete exchange is evicted, and the oldest incomplete one
+// only when none is complete. An exchange is complete once the relay has
+// verified a positive A2 for each message, or in an unreliable exchange
+// each S2; a relay that never sees the A2s (asymmetric routes) evicts
+// oldest first.
+const MaxExchanges = 64
+
 // Config parameterizes a relay.
 type Config struct {
 	// Strict drops traffic of unknown associations. The default (false)
 	// forwards it unverified, which is the incremental-deployment mode
 	// of §3.5: ALPHA-unaware traffic keeps flowing.
 	Strict bool
-	// MaxFlows bounds the association table, oldest flow out first.
-	MaxFlows int
-	// MaxExchanges bounds buffered exchanges per flow and direction. Past
-	// it the oldest complete exchange is evicted, and the oldest
-	// incomplete one only when none is complete. An exchange is complete
-	// once the relay has verified a positive A2 for each message, or in an
-	// unreliable exchange each S2; a relay that never sees the A2s
-	// (asymmetric routes) evicts oldest first.
-	MaxExchanges int
 	// S1Rate and S1Burst token-bucket S1 packets per flow per second.
 	// Zero S1Rate disables rate limiting.
 	S1Rate  float64
@@ -167,12 +169,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxFlows == 0 {
-		c.MaxFlows = 1024
-	}
-	if c.MaxExchanges == 0 {
-		c.MaxExchanges = 64
-	}
 	if c.S1Burst == 0 {
 		c.S1Burst = 8
 	}
@@ -290,7 +286,7 @@ type flow struct {
 // S1's pre-signatures plus, once the A1 passes by, its pre-(n)ack material.
 // This is exactly the "Relay" column of Tables 2 and 3. The kernel copies
 // every byte field into the slab, which take sizes when the S1 arrives and
-// which is reused with the exchange. Config.MaxExchanges says when it is
+// which is reused with the exchange. MaxExchanges says when it is
 // complete.
 type exchange struct {
 	table.Entry[uint32, exchange]
@@ -343,7 +339,7 @@ func (r *Relay) newFlow(assoc uint64, st suite.Suite) *flow {
 		bucket:  tokenBucket{rate: r.cfg.S1Rate, burst: r.cfg.S1Burst},
 		s1Limit: r.cfg.InitialS1Limit,
 	}
-	r.flows.Insert(assoc, f, r.cfg.MaxFlows)
+	r.flows.Insert(assoc, f, MaxFlows)
 	return f
 }
 
@@ -647,7 +643,7 @@ func (r *Relay) processS1(now time.Time, hdr packet.Header, s1 *packet.S1, size 
 		return r.refuse(hdr, err)
 	}
 	x.reliable = hdr.Flags&packet.FlagReliable != 0
-	if old := ds.Insert(hdr.Seq, x, r.cfg.MaxExchanges); old != nil {
+	if old := ds.Insert(hdr.Seq, x, MaxExchanges); old != nil {
 		ds.Recycle(old)
 	}
 	return r.forward(hdr)

@@ -335,9 +335,9 @@ func TestRelaySeededFlowVerifiesWithoutHandshake(t *testing.T) {
 }
 
 func TestRelayFlowEviction(t *testing.T) {
-	r := New(Config{MaxFlows: 2})
+	r := New(Config{})
 	now := time.Now()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < MaxFlows+1; i++ {
 		a, err := core.NewEndpoint(baseCfg())
 		if err != nil {
 			t.Fatal(err)
@@ -350,18 +350,21 @@ func TestRelayFlowEviction(t *testing.T) {
 			t.Fatalf("handshake %d dropped: %+v", i, d)
 		}
 	}
-	if r.Flows() != 2 {
-		t.Fatalf("flow table holds %d, want 2 after eviction", r.Flows())
+	if r.Flows() != MaxFlows {
+		t.Fatalf("flow table holds %d, want %d after eviction", r.Flows(), MaxFlows)
 	}
 }
 
 func TestRelayExchangeEviction(t *testing.T) {
-	cfg := core.Config{Mode: packet.ModeBase, ChainLen: 256, FlushDelay: -1, MaxOutstanding: 8}
+	// MaxExchanges+1 exchanges follow the first one, each held at the
+	// relay when later is an S1, so the sender keeps them all open.
+	const later = MaxExchanges + 1
+	cfg := core.Config{Mode: packet.ModeBase, ChainLen: 2*later + 64, FlushDelay: -1, MaxOutstanding: later + 1}
 	for _, row := range []struct {
 		name string
 		// first is the packet type held back from the first exchange; a
 		// held S1 is shown to the relay alone. later is the same for the
-		// three exchanges after it, which complete if it is TypeInvalid.
+		// exchanges after it, which complete if it is TypeInvalid.
 		first, later packet.Type
 		firstKept    bool
 	}{
@@ -369,7 +372,7 @@ func TestRelayExchangeEviction(t *testing.T) {
 		{"an incomplete exchange outlives newer complete ones", packet.TypeS2, packet.TypeInvalid, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			p := newPair(t, cfg, Config{MaxExchanges: 2})
+			p := newPair(t, cfg, Config{})
 			open := func(typ packet.Type) [][]byte {
 				if _, err := p.a.Send(p.Now, []byte("x")); err != nil {
 					t.Fatal(err)
@@ -384,7 +387,7 @@ func TestRelayExchangeEviction(t *testing.T) {
 				return held
 			}
 			first := open(row.first)
-			for i := 0; i < 3; i++ {
+			for i := 0; i < later; i++ {
 				if row.later != packet.TypeInvalid {
 					open(row.later)
 				} else {
@@ -392,8 +395,8 @@ func TestRelayExchangeEviction(t *testing.T) {
 				}
 			}
 			f, _ := p.r.flows.Get(p.a.Assoc())
-			if got := f.dirs[0].Len(); got != 2 {
-				t.Fatalf("relay retains %d exchanges, want 2", got)
+			if got := f.dirs[0].Len(); got != MaxExchanges {
+				t.Fatalf("relay retains %d exchanges, want %d", got, MaxExchanges)
 			}
 			hdr, _, err := packet.Decode(first[0])
 			if err != nil {

@@ -86,10 +86,7 @@ func TestConnEnableAdaptive(t *testing.T) {
 	dialer, listener := connect(t, cfg)
 
 	met := &telemetry.ControllerMetrics{}
-	dialer.EnableAdaptive(adaptive.Config{
-		Interval: 5 * time.Millisecond,
-		Metrics:  met,
-	})
+	dialer.EnableAdaptive(adaptive.Config{Metrics: met})
 	const total = 24
 	for i := 0; i < total; i++ {
 		if _, err := dialer.Send([]byte(fmt.Sprintf("adaptive-%02d", i))); err != nil {

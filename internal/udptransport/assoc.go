@@ -225,8 +225,8 @@ func (a *assoc) Profile() core.Profile {
 }
 
 // EnableAdaptive starts a closed-loop controller on this association: a
-// background goroutine samples the endpoint every cfg.Interval and applies
-// changed decisions under the association lock. It stops when the
+// background goroutine samples the endpoint every adaptive.Interval and
+// applies changed decisions under the association lock. It stops when the
 // association or its Server closes. Call at most once; the returned
 // controller is live (its telemetry sinks keep updating) but must not be
 // fed samples by the caller.
@@ -234,15 +234,11 @@ func (a *assoc) EnableAdaptive(cfg adaptive.Config) *adaptive.Controller {
 	a.mu.Lock()
 	ctrl := adaptive.ForEndpoint(cfg, a.ep)
 	a.mu.Unlock()
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = adaptive.DefaultInterval
-	}
 	t := a.timers
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(adaptive.Interval)
 		defer ticker.Stop()
 		for {
 			select {

@@ -60,9 +60,10 @@ const inboxSize = 64
 // 256 slots are 18.4 KB.
 const maxEventSlots = 256
 
-// defaultAcceptBacklog bounds the established-but-unaccepted session list
-// unless ServerOptions says otherwise.
-const defaultAcceptBacklog = 4096
+// acceptBacklog bounds the established-but-unaccepted session list. When
+// it is full a newly established session is dropped and counted under
+// drop_accept_backlog.
+const acceptBacklog = 4096
 
 // rxBuf is a pooled receive buffer and, once a read loop has filled it, the
 // datagram in it en route to a session worker: n is the valid prefix of buf,
@@ -156,11 +157,6 @@ type ServerOptions struct {
 	// idle for two full intervals is retired. 0 disables rotation: no
 	// session ever expires.
 	RotateInterval time.Duration
-	// AcceptBacklog caps the established-but-unaccepted session list. 0
-	// means the default (4096); negative means unbounded. When the
-	// backlog is full a newly established session is dropped and counted
-	// under drop_accept_backlog.
-	AcceptBacklog int
 	// Admission, when set, gates session creation behind the stateless
 	// connect-token tier (internal/admission): a session-creating HS1 must
 	// pass Verifier.Admit before any endpoint state is allocated. HS1
@@ -181,17 +177,6 @@ func (o ServerOptions) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Workers
-}
-
-func (o ServerOptions) acceptBacklog() int {
-	switch {
-	case o.AcceptBacklog == 0:
-		return defaultAcceptBacklog
-	case o.AcceptBacklog < 0:
-		return 0 // unbounded
-	default:
-		return o.AcceptBacklog
-	}
 }
 
 // Server accepts ALPHA associations on a shared datagram socket, or on a
@@ -217,9 +202,10 @@ type Server struct {
 	lastRotate int64
 
 	// Established-but-unaccepted sessions, capped at acceptCap entries
-	// (0 = unbounded). A list rather than a bounded channel so Accept
-	// never waits for a session that was dropped at announce time: the
-	// cap is enforced — and counted — at the moment of establishment.
+	// (acceptBacklog; tests lower it). A list rather than a bounded
+	// channel so Accept never waits for a session that was dropped at
+	// announce time: the cap is enforced — and counted — at the moment of
+	// establishment.
 	acceptMu  sync.Mutex
 	pending   []*Session
 	acceptCh  chan struct{} // signals a new pending entry; cap 1
@@ -247,7 +233,7 @@ func NewServerWith(cfg core.Config, opts ServerOptions, pcs ...net.PacketConn) *
 		cfg:       cfg,
 		opts:      opts,
 		acceptCh:  make(chan struct{}, 1),
-		acceptCap: opts.acceptBacklog(),
+		acceptCap: acceptBacklog,
 		closed:    make(chan struct{}),
 		tracer:    cfg.Tracer,
 	}
@@ -310,7 +296,7 @@ func (s *Server) Accept() (*Session, error) {
 // subsequent traffic dropped as unknown — and reports false.
 func (s *Server) announce(sess *Session) bool {
 	s.acceptMu.Lock()
-	if s.acceptCap > 0 && len(s.pending) >= s.acceptCap {
+	if len(s.pending) >= s.acceptCap {
 		s.acceptMu.Unlock()
 		s.tel.AcceptBacklogDrops.Inc()
 		s.tracer.Trace(time.Now().UnixNano(), telemetry.TraceDrop, sess.id, 0, telemetry.ReasonAcceptBacklog)

@@ -274,8 +274,11 @@ func TestServerAcceptBacklogBound(t *testing.T) {
 	}
 	tracer := telemetry.NewTracer(256)
 	cfg := core.Config{Mode: packet.ModeBase, Reliable: true, ChainLen: 32, Tracer: tracer}
-	srv := NewServerWith(cfg, ServerOptions{AcceptBacklog: 2}, spc)
+	srv := NewServerWith(cfg, ServerOptions{}, spc)
 	defer srv.Close()
+	srv.acceptMu.Lock()
+	srv.acceptCap = 2
+	srv.acceptMu.Unlock()
 
 	// Nobody calls Accept, so the first two dialers fill the backlog.
 	for i := 0; i < 2; i++ {

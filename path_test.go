@@ -132,7 +132,7 @@ func BenchmarkPath(b *testing.B) {
 			n := max(w.cfg.BatchSize, 1)
 			// Receiver exchanges retire by eviction, so the free lists are
 			// warm only after MaxRxExchanges of them.
-			warm, exchanges := core.DefaultMaxRxExchanges+16, (b.N+n-1)/n
+			warm, exchanges := core.MaxRxExchanges+16, (b.N+n-1)/n
 			cfg := w.cfg
 			cfg.ChainLen, cfg.FlushDelay = 2*(warm+exchanges)+8, -1
 			relays := make([]*relay.Relay, w.relays)
