@@ -276,13 +276,14 @@ func chainSlabLen(c Config) int {
 
 // deriveChains derives the chain pair of secret into slab, which holds both
 // chains' resident elements: with the pair's own allocation, two in all.
+// The two chains are derived in lockstep (hashchain.InitPair).
 func deriveChains(c Config, secret, slab []byte) (sig, ack *hashchain.Chain, err error) {
-	h, n, k := c.Suite.Size(), len(slab)/2, max(c.CheckpointInterval, 1)
+	h, n := c.Suite.Size(), len(slab)/2
 	pair := new([2]hashchain.Chain)
-	if err := pair[0].Init(c.Suite, hashchain.TagS1, hashchain.TagS2, secret[:h], c.ChainLen, k, slab[:n:n]); err != nil {
-		return nil, nil, err
-	}
-	if err := pair[1].Init(c.Suite, hashchain.TagA1, hashchain.TagA2, secret[h:], c.ChainLen, k, slab[n:]); err != nil {
+	if err := hashchain.InitPair(pair, c.Suite, c.ChainLen, max(c.CheckpointInterval, 1), [2]hashchain.Seed{
+		{TagOdd: hashchain.TagS1, TagEven: hashchain.TagS2, Secret: secret[:h], Slab: slab[:n:n]},
+		{TagOdd: hashchain.TagA1, TagEven: hashchain.TagA2, Secret: secret[h:], Slab: slab[n:]},
+	}); err != nil {
 		return nil, nil, err
 	}
 	return &pair[0], &pair[1], nil

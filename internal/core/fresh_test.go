@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -216,5 +217,22 @@ func TestFreshSlabsHoldExactly(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkNewEndpoint prices an endpoint's birth at churn_tokened's chain
+// length and at DefaultChainLen, SHA-1 in base mode: deriving the two
+// chains is nearly all of it (DESIGN.md §5c).
+func BenchmarkNewEndpoint(b *testing.B) {
+	for _, n := range []int{64, DefaultChainLen} {
+		b.Run(fmt.Sprintf("ChainLen=%d", n), func(b *testing.B) {
+			cfg := Config{Suite: suite.SHA1(), Mode: packet.ModeBase, Reliable: true, ChainLen: n}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewEndpoint(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -62,10 +62,10 @@ func TestVerifyZeroAlloc(t *testing.T) {
 
 // TestChainBirthAllocs pins what a chain and a walker cost at association
 // birth: New and NewCheckpoint are the slab plus the Chain, NewWalker the
-// Walker alone (its buffers are inline), Init of either into its owner's
-// storage nothing, and disclosing elements of a chain that keeps them all
-// allocates nothing. MMO is left out: its hash allocates an AES key
-// schedule per block.
+// Walker alone (its buffers are inline), Init of either and InitPair into
+// their owner's storage nothing, and disclosing elements of a chain that
+// keeps them all allocates nothing. MMO is left out: its hash allocates an
+// AES key schedule per block.
 func TestChainBirthAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -94,6 +94,18 @@ func TestChainBirthAllocs(t *testing.T) {
 			}
 		}); got != 0 {
 			t.Errorf("%s: Chain.Init allocated %.1f times, want 0", s.Name(), got)
+		}
+		var pair [2]Chain
+		seeds := [2]Seed{
+			{TagOdd: TagS1, TagEven: TagS2, Secret: secret, Slab: make([]byte, SlabLen(s, 64, 8))},
+			{TagOdd: TagA1, TagEven: TagA2, Secret: secret, Slab: make([]byte, SlabLen(s, 64, 8))},
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			if err := InitPair(&pair, s, 64, 8, seeds); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: InitPair allocated %.1f times, want 0", s.Name(), got)
 		}
 		c, err := New(s, TagS1, TagS2, secret, 64)
 		if err != nil {

@@ -152,6 +152,99 @@ func TestCheckpointInvalidArgs(t *testing.T) {
 	}
 }
 
+// TestInitPairMatchesInit holds the lockstep derivation to the single one:
+// for every suite, length and interval, the two chains InitPair derives
+// keep the bytes two NewCheckpoint calls keep and disclose the same
+// elements. SHA-1 runs the paired step on CPUs with the SHA extensions, the
+// others and the Counting wrapper two HashInto calls, which must count what
+// the two single derivations count, hash for hash and byte for byte.
+func TestInitPairMatchesInit(t *testing.T) {
+	suites := []suite.Suite{suite.SHA1(), suite.SHA256(), suite.MMO(), suite.NewCounting(suite.SHA1())}
+	secrets := [2][]byte{[]byte("lockstep signature secret"), []byte("lockstep ack secret")}
+	tags := [2][2][]byte{{TagS1, TagS2}, {TagA1, TagA2}}
+	for _, s := range suites {
+		for _, n := range []int{1, 2, 3, 63, 64, 65, 2048} {
+			for _, k := range []int{1, 2, 3, 45, n} {
+				t.Run(fmt.Sprintf("%s/n=%d/k=%d", s.Name(), n, k), func(t *testing.T) {
+					counting, _ := s.(*suite.Counting)
+					if counting != nil {
+						counting.Reset()
+					}
+					var want [2]*Chain
+					for i := range want {
+						c, err := NewCheckpoint(s, tags[i][0], tags[i][1], secrets[i], n, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[i] = c
+					}
+					var single suite.Counts
+					if counting != nil {
+						single = counting.Snapshot()
+						counting.Reset()
+					}
+					var pair [2]Chain
+					var seeds [2]Seed
+					for i := range seeds {
+						seeds[i] = Seed{TagOdd: tags[i][0], TagEven: tags[i][1], Secret: secrets[i], Slab: make([]byte, SlabLen(s, n, k))}
+					}
+					if err := InitPair(&pair, s, n, k, seeds); err != nil {
+						t.Fatal(err)
+					}
+					if counting != nil {
+						if got := counting.Snapshot(); got != single {
+							t.Errorf("InitPair counted %+v, two NewCheckpoint calls %+v", got, single)
+						}
+					}
+					for i, w := range want {
+						got := &pair[i]
+						if !bytes.Equal(got.slab, w.slab) {
+							t.Fatalf("chain %d: resident elements differ from NewCheckpoint's", i)
+						}
+						for {
+							ge, gi, gerr := got.Next()
+							we, wi, werr := w.Next()
+							if (gerr != nil) != (werr != nil) || gi != wi || !bytes.Equal(ge, we) {
+								t.Fatalf("chain %d: disclosure %d differs: %x, %v; want %x, %v", i, wi, ge, gerr, we, werr)
+							}
+							if gerr != nil {
+								break
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestInitPairRefuses checks that InitPair refuses what Init refuses, in
+// either seed.
+func TestInitPairRefuses(t *testing.T) {
+	s := suite.SHA1()
+	good := func() Seed {
+		return Seed{TagOdd: TagS1, TagEven: TagS2, Secret: []byte("secret"), Slab: make([]byte, SlabLen(s, 8, 4))}
+	}
+	for i := range 2 {
+		for name, spoil := range map[string]func(*Seed){
+			"empty secret": func(sd *Seed) { sd.Secret = nil },
+			"short slab":   func(sd *Seed) { sd.Slab = sd.Slab[1:] },
+		} {
+			seeds := [2]Seed{good(), good()}
+			spoil(&seeds[i])
+			if err := InitPair(new([2]Chain), s, 8, 4, seeds); err == nil {
+				t.Errorf("seed %d with %s accepted", i, name)
+			}
+		}
+	}
+	if err := InitPair(new([2]Chain), s, 0, 4, [2]Seed{good(), good()}); err == nil {
+		t.Error("length 0 accepted")
+	}
+	if err := InitPair(new([2]Chain), s, 8, 0, [2]Seed{good(), good()}); err == nil {
+		t.Error("interval 0 accepted")
+	}
+}
+
 func BenchmarkChainGenerate1024(b *testing.B) {
 	s := suite.SHA1()
 	for i := 0; i < b.N; i++ {

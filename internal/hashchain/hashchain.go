@@ -70,8 +70,8 @@ var (
 // resident digests for at most k-1 hashes per disclosure, the "HC create"
 // entries of Table 1 moved on-line. New keeps every element (k = 1) and
 // recomputes nothing. Whatever k, the disclosures are the same bytes. The
-// zero value is not usable; construct with New or NewCheckpoint, or Init in
-// place.
+// zero value is not usable; construct with New or NewCheckpoint, or Init
+// (InitPair for two) in place.
 type Chain struct {
 	s       suite.Suite
 	tagOdd  []byte
@@ -133,38 +133,95 @@ func SlabLen(s suite.Suite, n, interval int) int {
 // elements in slab, which must be SlabLen bytes long. It allocates nothing,
 // so an owner may place chains and their slabs in allocations of its own.
 func (c *Chain) Init(s suite.Suite, tagOdd, tagEven, secret []byte, n, interval int, slab []byte) error {
+	seed := Seed{TagOdd: tagOdd, TagEven: tagEven, Secret: secret, Slab: slab}
+	if err := c.set(s, n, interval, seed); err != nil {
+		return err
+	}
+	generate(s, []*Chain{c}, [][]byte{secret})
+	return nil
+}
+
+// Seed is what one chain of an InitPair is derived from, besides the suite,
+// length and interval the two share: its purpose tags, its secret and the
+// slab of SlabLen bytes its resident elements go in.
+type Seed struct {
+	TagOdd, TagEven, Secret, Slab []byte
+}
+
+// InitPair derives pair[i] from seeds[i] as Init does, byte for byte, both
+// of n elements over s at the checkpoint interval. The two chains are
+// derived in lockstep, one step of each in turn, and on a suite with a
+// paired step (suite.PairStep) each such pair of steps is one call. An
+// endpoint's signature and acknowledgment chains are born this way. It
+// allocates nothing.
+func InitPair(pair *[2]Chain, s suite.Suite, n, interval int, seeds [2]Seed) error {
+	for i := range pair {
+		if err := pair[i].set(s, n, interval, seeds[i]); err != nil {
+			return err
+		}
+	}
+	generate(s, []*Chain{&pair[0], &pair[1]}, [][]byte{seeds[0].Secret, seeds[1].Secret})
+	return nil
+}
+
+// set checks a chain's parameters and makes c the chain they describe,
+// its slab not yet derived.
+func (c *Chain) set(s suite.Suite, n, interval int, seed Seed) error {
 	if n <= 0 || uint64(n) >= math.MaxUint32 {
 		return fmt.Errorf("hashchain: invalid length %d", n)
 	}
 	if interval <= 0 {
 		return fmt.Errorf("hashchain: invalid checkpoint interval %d", interval)
 	}
-	if len(secret) == 0 {
+	if len(seed.Secret) == 0 {
 		return errors.New("hashchain: empty secret")
 	}
-	if len(slab) != SlabLen(s, n, interval) {
-		return fmt.Errorf("hashchain: slab of %d bytes for a chain that keeps %d", len(slab), SlabLen(s, n, interval))
+	if len(seed.Slab) != SlabLen(s, n, interval) {
+		return fmt.Errorf("hashchain: slab of %d bytes for a chain that keeps %d", len(seed.Slab), SlabLen(s, n, interval))
 	}
-	interval = min(interval, n)
-	// The resident elements sit in the slab, each at a fixed offset.
-	// Generation runs from d[n] down to the anchor. Each slot is hashed down
-	// from the slot above it, in place: HashInto consumes its inputs before
-	// it writes.
-	size, slots := s.Size(), (n+interval-1)/interval+1
-	*c = Chain{s: s, tagOdd: tagOdd, tagEven: tagEven, slab: slab,
-		size: uint32(size), n: uint32(n), k: uint32(interval), next: 1}
+	*c = Chain{s: s, tagOdd: seed.TagOdd, tagEven: seed.TagEven, slab: seed.Slab,
+		size: uint32(s.Size()), n: uint32(n), k: uint32(min(interval, n)), next: 1}
+	return nil
+}
+
+// generate derives the resident elements of one chain, or of two that share
+// a suite, length and interval, from their secrets. Generation runs from
+// d[n] down to the anchor, every chain a step at a time. Each step writes
+// into the slot of the element it derives, in place: the elements between
+// two resident ones pass through the lower one's slot, which a hash may
+// overwrite as it consumes its inputs before it writes. The chains' steps
+// are one paired step where the suite has one, else one HashInto each on
+// the pooled vector, which is on the heap already, so that passing it
+// through the suite's interface allocates nothing.
+func generate(s suite.Suite, cs []*Chain, secrets [][]byte) {
+	n, k, slots := int(cs[0].n), int(cs[0].k), cs[0].StoredElements()
+	pair := suite.PairStep(s)
+	if len(cs) == 1 {
+		pair = nil
+	}
 	sc := suite.GetScratch()
-	sc.Parts[0], sc.Parts[1] = seedTag, secret
-	s.HashInto(c.slot(slots - 1)[:0], sc.Parts[:2]...)
-	for i := slots - 2; i >= 0; i-- {
-		cur := c.slot(i + 1)
-		for j := min((i+1)*interval, n); j > i*interval; j-- {
-			sc.Parts[0], sc.Parts[1] = tagFor(j, tagOdd, tagEven), cur
-			cur = s.HashInto(c.slot(i)[:0], sc.Parts[:2]...)
+	var cur [2][]byte
+	copy(cur[:], secrets)
+	// Step j derives d[j-1] from d[j] under j's tag; step n+1 derives d[n],
+	// the last slot, from the secret under seedTag.
+	for j := n + 1; j > 0; j-- {
+		slot, tag := slots-1, [2][]byte{seedTag, seedTag}
+		if j <= n {
+			slot = (j - 1) / k
+			for l, c := range cs {
+				tag[l] = tagFor(j, c.tagOdd, c.tagEven)
+			}
+		}
+		if pair != nil {
+			cur[0], cur[1] = pair(cs[0].slot(slot)[:0], cs[1].slot(slot)[:0], tag[0], cur[0], tag[1], cur[1])
+			continue
+		}
+		for l, c := range cs {
+			sc.Parts[0], sc.Parts[1] = tag[l], cur[l]
+			cur[l] = s.HashInto(c.slot(slot)[:0], sc.Parts[:2]...)
 		}
 	}
 	suite.PutScratch(sc)
-	return nil
 }
 
 // slot returns resident slot i with the capacity capped at the slot's end:

@@ -14,8 +14,66 @@ import (
 // the tests hold the kernel to.
 func init() {
 	if sha1NIUsable() {
-		sha1Suite.fn = newSHA1NI
+		sha1Suite.fn, sha1Suite.oneShot, sha1Suite.pair = newSHA1NI, sumSHA1NI, sumPairSHA1NI
 	}
+}
+
+// sumSHA1NI is HashInto on the kernel, with the digest state on the stack.
+// An input that fits one block with its padding, at most 55 bytes, is one
+// compression of a block built in place: every chain step, seed step,
+// walker step and Merkle node is one. A longer input runs a sha1NI.
+func sumSHA1NI(dst []byte, parts ...[]byte) []byte {
+	var x [sha1.BlockSize]byte
+	if padOne(&x, parts) {
+		h := sha1IV
+		blockSHANI(&h, x[:])
+		return appendDigest(dst, &h)
+	}
+	var d sha1NI
+	d.Reset()
+	for _, p := range parts {
+		d.Write(p)
+	}
+	return d.Sum(dst)
+}
+
+// sumPairSHA1NI is the kernel's PairFunc. When both inputs fit one block
+// it copies both in before it compresses either, and issues the two
+// compressions back to back: one call for two chain steps, each about 12 %
+// cheaper than a HashInto of the same input (DESIGN.md §5c).
+func sumPairSHA1NI(dst0, dst1, a0, b0, a1, b1 []byte) ([]byte, []byte) {
+	var x0, x1 [sha1.BlockSize]byte
+	if !padOne(&x0, [][]byte{a0, b0}) || !padOne(&x1, [][]byte{a1, b1}) {
+		return sumSHA1NI(dst0, a0, b0), sumSHA1NI(dst1, a1, b1)
+	}
+	h0, h1 := sha1IV, sha1IV
+	blockSHANI(&h0, x0[:])
+	blockSHANI(&h1, x1[:])
+	return appendDigest(dst0, &h0), appendDigest(dst1, &h1)
+}
+
+// padOne makes the zeroed block x the one padded block of the concatenated
+// parts and reports whether they fit in it: at most 55 bytes, which leaves
+// room for the 0x80 byte and the 8-byte bit length.
+func padOne(x *[sha1.BlockSize]byte, parts [][]byte) bool {
+	n := 0
+	for _, p := range parts {
+		if len(p) > sha1.BlockSize-9-n {
+			return false
+		}
+		n += copy(x[n:], p)
+	}
+	x[n] = 0x80
+	binary.BigEndian.PutUint64(x[sha1.BlockSize-8:], uint64(n)<<3)
+	return true
+}
+
+// appendDigest appends the digest of state h to b.
+func appendDigest(b []byte, h *[5]uint32) []byte {
+	for _, v := range h {
+		b = binary.BigEndian.AppendUint32(b, v)
+	}
+	return b
 }
 
 // blockSHANI compresses the 64-byte blocks of p into h.
@@ -103,10 +161,7 @@ func (d *sha1NI) Sum(b []byte) []byte {
 	}
 	binary.BigEndian.PutUint64(x[sha1.BlockSize-8:], d.len<<3)
 	blockSHANI(&h, x[:])
-	for _, v := range h {
-		b = binary.BigEndian.AppendUint32(b, v)
-	}
-	return b
+	return appendDigest(b, &h)
 }
 
 func (d *sha1NI) AppendBinary(b []byte) ([]byte, error) {

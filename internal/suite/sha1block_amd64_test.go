@@ -95,17 +95,92 @@ func TestSHA1KernelMatchesStdlib(t *testing.T) {
 		resumed.Write(msg[cut:])
 		check("in random chunks, resumed from a marshaled state", resumed)
 	}
+
+	// SHA1().HashInto and its paired step build one block on the stack for
+	// up to 55 B and run a sha1NI past that: every length across the
+	// boundary, in one to four parts cut at random, written into a fresh
+	// dst and into a dst that aliases a part. The paired step's second
+	// input runs from 3 to 131 B.
+	for n := 0; n <= sha1.BlockSize; n++ {
+		for k := 1; k <= 4; k++ {
+			cuts := make([]byte, k-1)
+			for i := range cuts {
+				cuts[i] = byte(rng.Intn(n + 1))
+			}
+			checkHashInto(t, data[:n], data[n:2*n+3], cuts)
+		}
+	}
+}
+
+// checkHashInto holds SHA1().HashInto to crypto/sha1 on msg cut into
+// parts at the lengths cuts names (so len(cuts)+1 parts, the last taking
+// the rest), and PairStep(SHA1()) on msg cut in two at the first cut,
+// paired with other cut in half. Each runs once with a fresh dst and once
+// per part with a dst that shares its memory with that part, the way a
+// chain step hashes an element into its own slot.
+func checkHashInto(t testing.TB, msg, other, cuts []byte) {
+	t.Helper()
+	want, wantOther := sha1.Sum(msg), sha1.Sum(other)
+	split := func(b []byte, cuts ...int) [][]byte {
+		var parts [][]byte
+		for _, c := range cuts {
+			c := min(c, len(b))
+			parts = append(parts, append([]byte(nil), b[:c]...))
+			b = b[c:]
+		}
+		return append(parts, append([]byte(nil), b...))
+	}
+	at := make([]int, len(cuts))
+	for i, c := range cuts {
+		at[i] = int(c)
+	}
+	half := len(msg)
+	if len(cuts) > 0 {
+		half = at[0]
+	}
+	// alias moves part i of parts to the start of a buffer and returns
+	// that buffer emptied, as the dst to hash into; -1 is a fresh dst.
+	alias := func(parts [][]byte, i int) []byte {
+		if i < 0 {
+			return nil
+		}
+		buf := make([]byte, max(len(parts[i]), sha1.Size))
+		parts[i] = buf[:copy(buf, parts[i])]
+		return buf[:0]
+	}
+	for i := -1; i <= len(cuts); i++ {
+		parts := split(msg, at...)
+		if got := SHA1().HashInto(alias(parts, i), parts...); !bytes.Equal(got, want[:]) {
+			t.Fatalf("HashInto of %d B in %d parts, dst aliasing part %d: %x, crypto/sha1 %x", len(msg), len(parts), i, got, want)
+		}
+	}
+	pair := PairStep(SHA1())
+	if pair == nil {
+		t.Fatal("SHA1() on the SHA-NI kernel has no paired step")
+	}
+	for i := -1; i <= 1; i++ {
+		p0, p1 := split(msg, half), split(other, len(other)/2)
+		dst0, dst1 := alias(p0, i), alias(p1, 1-max(i, 0))
+		got0, got1 := pair(dst0, dst1, p0[0], p0[1], p1[0], p1[1])
+		if !bytes.Equal(got0, want[:]) || !bytes.Equal(got1, wantOther[:]) {
+			t.Fatalf("paired step of %d B cut at %d and %d B, dst aliasing part %d: %x and %x, crypto/sha1 %x and %x",
+				len(msg), len(p0[0]), len(other), i, got0, got1, want, wantOther)
+		}
+	}
 }
 
 // FuzzSHA1Kernel writes data to the kernel and to crypto/sha1 in the chunk
 // sizes the bytes of chunks name, comparing digests and marshaled states
-// after every write.
+// after every write. It also hashes data through SHA1().HashInto and the
+// paired step, cut into parts at the first three of those sizes.
 func FuzzSHA1Kernel(f *testing.F) {
 	f.Add([]byte("abc"), []byte{1})
+	f.Add([]byte("0"), []byte{})
 	f.Add(bytes.Repeat([]byte{0x5a}, 300), []byte{55, 1, 8, 0, 64, 63, 119})
 	f.Add(bytes.Repeat([]byte{0xa5}, 1100), []byte{200})
 	f.Fuzz(func(t *testing.T, data, chunks []byte) {
 		needSHA1NI(t)
+		checkHashInto(t, data, chunks, chunks[:min(len(chunks), 3)])
 		d, ref := newSHA1NI(), sha1.New()
 		compare := func() {
 			if got, want := d.Sum(nil), ref.Sum(nil); !bytes.Equal(got, want) {

@@ -161,10 +161,13 @@ type hashSuite struct {
 	size int
 	fn   func() hash.Hash
 	// oneShot, if set, computes the whole digest without a pooled hash
-	// state (used by MMO, whose digest state fits on the stack).
+	// state (used by MMO and by SHA-NI SHA-1, whose digest states fit on
+	// the stack).
 	oneShot func(dst []byte, parts ...[]byte) []byte
-	states  sync.Pool // idle hash.Hash instances for HashInto
-	macs    sync.Pool // idle *macState instances for MACInto
+	// pair, if set, is the suite's paired step (PairStep).
+	pair   PairFunc
+	states sync.Pool // idle hash.Hash instances for HashInto
+	macs   sync.Pool // idle *macState instances for MACInto
 }
 
 func (s *hashSuite) ID() ID       { return s.id }
@@ -230,12 +233,34 @@ func (s *hashSuite) MACInto(dst, key []byte, msg ...[]byte) []byte {
 }
 
 var (
-	// sha1Suite's fn becomes a SHA-NI digest at init on CPUs that have the
-	// SHA extensions (sha1block_amd64.go).
+	// sha1Suite's fn, oneShot and pair run the SHA-NI kernel, set at init
+	// on CPUs that have the SHA extensions (sha1block_amd64.go).
 	sha1Suite   = &hashSuite{id: IDSHA1, name: "SHA-1", size: sha1.Size, fn: sha1.New}
 	sha256Suite = &hashSuite{id: IDSHA256, name: "SHA-256", size: sha256.Size, fn: sha256.New}
 	mmoSuite    = &hashSuite{id: IDMMO, name: "MMO-AES128", size: mmo.Size, fn: mmo.New, oneShot: mmo.SumInto}
 )
+
+// PairFunc computes the digests of two independent two-part inputs in one
+// call: sum0 is HashInto(dst0, a0, b0) and sum1 HashInto(dst1, a1, b1),
+// byte for byte. As in HashInto, a0 and b0 may alias dst0, and a1 and b1
+// dst1; neither input may alias the other's dst. It takes its parts one by
+// one rather than as vectors, so that a caller's inputs need no vector on
+// the heap to pass through the call.
+type PairFunc func(dst0, dst1, a0, b0, a1, b1 []byte) (sum0, sum1 []byte)
+
+// PairStep returns s's paired step, or nil when s has none. Only SHA-1 on
+// the SHA-NI kernel has one: it hashes two short inputs in one call, two
+// compressions back to back, where two HashInto calls would each pay the
+// call through the Suite interface and the handling around their one
+// compression. A caller that gets nil makes the two HashInto calls, which
+// give the same bytes; so does a wrapper such as Counting, whose counts
+// then stay exact.
+func PairStep(s Suite) PairFunc {
+	if hs, ok := s.(*hashSuite); ok {
+		return hs.pair
+	}
+	return nil
+}
 
 // SHA1 returns the SHA-1 suite (20-byte digests).
 func SHA1() Suite { return sha1Suite }
